@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +28,7 @@ from .wba_algebra import (
     gamma,
     parse_diagram,
     realize,
-    size_guard_limit,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    tolerance: float = 1e-10
-    size_guard: int = 4096
-    output_format: str = "text"
-    parallelism: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,14 +83,14 @@ def _parse_range(text: str) -> list[float]:
     return values
 
 
-def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        tolerance=args.tolerance,
-        size_guard=size_guard_limit(),
-        output_format=args.format,
-        parallelism=args.parallelism,
-    )
+def _below_minimum(args, **minimums) -> bool:
+    """Report the first flag below its minimum on one stderr line."""
+    for name, low in minimums.items():
+        if getattr(args, name) < low:
+            print(f"error: --{name} must be >= {low}, got {getattr(args, name)}",
+                  file=sys.stderr)
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +98,15 @@ def config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_props(args) -> int:
-    cfg = config_from_args(args)
-    cases = proposition_suite(seed=cfg.seed, tuples=args.tuples, only=args.only,
-                              tol=cfg.tolerance)
+    if _below_minimum(args, tuples=1):
+        return 1
+    cases = proposition_suite(seed=args.seed, tuples=args.tuples, only=args.only,
+                              tol=args.tolerance)
     if not cases:
         print(f"no cases match --only {args.only!r}", file=sys.stderr)
         return 1
     failed = [c for c in cases if not c["passed"]]
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = [{**c, "max_dev": _fmt(c["max_dev"])} for c in cases]
         _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     else:
@@ -125,13 +115,14 @@ def cmd_verify_props(args) -> int:
             status = "pass" if c["passed"] else "FAIL"
             lines.append(f"{c['name']:40s} {c['max_dev']:14.3e}  {status}")
         lines.append(f"{len(cases) - len(failed)}/{len(cases)} cases passed "
-                     f"(tolerance {cfg.tolerance:g})")
+                     f"(tolerance {args.tolerance:g})")
         _emit("\n".join(lines) + "\n", args.out)
     return 2 if failed else 0
 
 
 def cmd_projector(args) -> int:
-    cfg = config_from_args(args)
+    if _below_minimum(args, unitaries=1):
+        return 1
     mu = parse_partition(args.mu)
     alpha = parse_partition(args.alpha)
     try:
@@ -140,10 +131,10 @@ def cmd_projector(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dense = realize(element, args.d, size_guard=cfg.size_guard)
+    dense = realize(element, args.d)
     idem = dense_ops.sup_norm(dense @ dense - dense)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     comm = 0.0
     for _ in range(args.unitaries):
         u = dense_ops.haar_unitary(args.d, rng)
@@ -168,12 +159,13 @@ def cmd_projector(args) -> int:
         if not 1 <= n_in <= args.n:
             print(f"error: --emit-map must be in 1..{args.n}", file=sys.stderr)
             return 1
-        spec = mm.MapSpec(element, n_in=n_in, n_out=args.n - n_in, d=args.d)
+        spec = mm.MapSpec(dense_ops.DenseOperator(args.n, args.d, dense),
+                          n_in=n_in, n_out=args.n - n_in, d=args.d)
         inputs = [dense_ops.random_psd(args.d, 1, rng) for _ in range(n_in)]
         out = mm.fast_evaluate(spec, inputs)
         report["map_inputs"] = n_in
         report["map_output_min_eig"] = _fmt(dense_ops.min_eigenvalue(out))
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
     else:
         lines = [f"F_{report['mu']}({report['alpha']}) on n={args.n} sites, "
@@ -195,16 +187,16 @@ def cmd_projector(args) -> int:
 
 
 def cmd_scan_bcs(args) -> int:
-    cfg = config_from_args(args)
+    if _below_minimum(args, d=3):
+        return 1
     try:
         alphas = _parse_range(args.alpha)
         betas = _parse_range(args.beta)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    budget = ent.SearchBudget(restarts=args.restarts, seed=cfg.seed)
-    rows = ent.scan_bcs_region(alphas, betas, args.d, budget,
-                               parallelism=max(1, cfg.parallelism))
+    budget = ent.SearchBudget(restarts=args.restarts, seed=args.seed)
+    rows = ent.scan_bcs_region(alphas, betas, args.d, budget)
     lines = ["alpha,beta,analytic_positive,min_eig,product_min,class"]
     for r in rows:
         lines.append(",".join([
@@ -215,7 +207,8 @@ def cmd_scan_bcs(args) -> int:
 
 
 def cmd_werner_ppt(args) -> int:
-    cfg = config_from_args(args)
+    if _below_minimum(args, d=3):
+        return 1
     try:
         rs = tuple(float(tok) for tok in args.r.split(","))
         if len(rs) != 6:
@@ -258,13 +251,14 @@ def cmd_werner_ppt(args) -> int:
 
 
 def cmd_ew_maps(args) -> int:
-    cfg = config_from_args(args)
+    if _below_minimum(args, d=3, instances=1):
+        return 1
     rows = ent.F_ROWS + ent.G_ROWS if args.row == "all" else (args.row,)
     bad = [r for r in rows if r not in ent.F_ROWS + ent.G_ROWS]
     if bad:
         print(f"error: unknown rows {bad}; valid: {ent.F_ROWS + ent.G_ROWS}", file=sys.stderr)
         return 1
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     results = {}
     worst = 0.0
     for row in rows:
@@ -280,13 +274,13 @@ def cmd_ew_maps(args) -> int:
         results[row] = max_dev
         worst = max(worst, max_dev)
     payload = {
-        "d": args.d, "instances": args.instances, "seed": cfg.seed,
+        "d": args.d, "instances": args.instances, "seed": args.seed,
         "deviation": {row: _fmt(dev) for row, dev in results.items()},
-        "tolerance": _fmt(cfg.tolerance),
-        "passed": worst < cfg.tolerance,
+        "tolerance": _fmt(args.tolerance),
+        "passed": worst < args.tolerance,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-    return 0 if worst < cfg.tolerance else 2
+    return 0 if worst < args.tolerance else 2
 
 
 def cmd_compose(args) -> int:
@@ -314,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tolerance", type=float, default=1e-10)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--parallelism", type=int, default=1)
     common.add_argument("--out", default=None, help="write output to this file atomically")
 
     sub = parser.add_subparsers(dest="command", required=True)

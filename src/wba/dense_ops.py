@@ -14,7 +14,6 @@ import numpy as np
 from .sym_core import Permutation
 
 ATOL = 1e-10
-EIG_TOL = 1e-9
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 

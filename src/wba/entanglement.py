@@ -10,13 +10,13 @@ and a see-saw search for the minimum of a hermitian form over product states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dense_ops
 from .dense_ops import DenseOperator
-from .sym_core import Permutation, parse_permutation
+from .sym_core import parse_permutation
 from .wba_algebra import from_permutation, realize
 
 EIG_TOL = 1e-9
@@ -27,21 +27,22 @@ WITNESS_CANDIDATE = "WITNESS_CANDIDATE"
 NOT_BLOCK_POSITIVE = "NOT_BLOCK_POSITIVE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_PERM_NAMES = ("()", "(1 2)", "(2 3)", "(3 1)", "(1 2 3)", "(3 2 1)")
-
-
-def _perms3() -> list[Permutation]:
-    return [parse_permutation(t, 3) for t in _PERM_NAMES]
+_PERM_DIAGRAMS = tuple(from_permutation(parse_permutation(t, 3))
+                       for t in ("()", "(1 2)", "(2 3)", "(3 1)", "(1 2 3)", "(3 2 1)"))
 
 
 def permutation_operators(d: int) -> list[np.ndarray]:
     """Dense id, (12), (23), (31), (123), (321) on three factors."""
-    return [realize(p, d) for p in _perms3()]
+    return [realize(p, d) for p in _PERM_DIAGRAMS]
 
 
 def r_operators(d: int) -> dict[str, np.ndarray]:
     """The orthogonal operator basis R_+, R_-, R_0, R_1, R_2, R_3."""
-    one, p12, p23, p31, p123, p321 = permutation_operators(d)
+    return _r_from_permutations(permutation_operators(d))
+
+
+def _r_from_permutations(perms: list[np.ndarray]) -> dict[str, np.ndarray]:
+    one, p12, p23, p31, p123, p321 = perms
     s3 = math.sqrt(3.0)
     return {
         "+": (one + p12 + p23 + p31 + p123 + p321) / 6.0,
@@ -170,7 +171,7 @@ def werner_state(params: WernerParams, tol: float = 1e-10) -> DenseOperator:
     d = params.d
     perms = permutation_operators(d)
     mat = sum(a * p for a, p in zip(params.alphas, perms))
-    rk = r_operators(d)
+    rk = _r_from_permutations(perms)
     mat_c = sum(c * rk[key] for c, key in zip(params.cs, R_KEYS))
     if dense_ops.sup_norm(mat - mat_c) > tol * max(1.0, dense_ops.sup_norm(mat)):
         raise ValueError("alpha and c coefficient sets disagree")
@@ -477,27 +478,43 @@ def check_block_positive(m: DenseOperator, partition: PartitionSpec,
 # cross-validation and scans
 # ---------------------------------------------------------------------------
 
+def _rank_one_inputs(verdict: PositivityVerdict, count: int) -> list[tuple[np.ndarray, ...]]:
+    """|v><v| for the first ``count`` blocks of a proved violating product
+    state, as one input tuple; none without a violation."""
+    vecs = verdict.violating_product_state
+    if vecs is None:
+        return []
+    return [tuple(np.outer(v, v.conj()) for v in vecs[:count])]
+
+
 def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = None,
                        n_inputs: int = 20) -> dict:
-    """Positivity of f_S / g_S on random PSD inputs against block-positivity
-    of rho^{T_S} for 1|23 and 1|2|3 respectively; lists any contradiction."""
+    """Positivity of f_S / g_S on PSD inputs against block-positivity of
+    rho^{T_S} for 1|23 and 1|2|3 respectively; lists any contradiction.
+
+    The inputs are ``n_inputs`` random full-rank PSD operators plus the
+    rank-one projectors onto a verdict's violating product state: since
+    <v|f_S(|a><a|)|v> = <a,v|rho^{T_S}|a,v> (and likewise for g_S), a proved
+    violation also shows in the map minimum.
+    """
     budget = budget or SearchBudget()
     d = params.d
     rng = np.random.default_rng(budget.seed)
     s = tuple(sorted(set(s)))
     row = "".join(str(x) for x in s)
     rho_ts = dense_ops.partial_transpose(werner_state(params), s)
-
-    f_min = math.inf
-    g_min = math.inf
-    for _ in range(n_inputs):
-        a = dense_ops.random_psd(d, 1, rng).mat
-        b = dense_ops.random_psd(d, 1, rng).mat
-        f_min = min(f_min, dense_ops.min_eigenvalue(eggeling_werner_map("f" + row, params, a)))
-        g_min = min(g_min, dense_ops.min_eigenvalue(eggeling_werner_map("g" + row, params, a, b)))
+    samples = [(dense_ops.random_psd(d, 1, rng).mat, dense_ops.random_psd(d, 1, rng).mat)
+               for _ in range(n_inputs)]
 
     verdict_f = check_block_positive(rho_ts, PartitionSpec.parse("1|23"), budget)
     verdict_g = check_block_positive(rho_ts, PartitionSpec.parse("1|2|3"), budget)
+
+    f_inputs = [(a,) for a, _ in samples] + _rank_one_inputs(verdict_f, 1)
+    g_inputs = samples + _rank_one_inputs(verdict_g, 2)
+    f_min = min((dense_ops.min_eigenvalue(eggeling_werner_map("f" + row, params, *x))
+                 for x in f_inputs), default=math.inf)
+    g_min = min((dense_ops.min_eigenvalue(eggeling_werner_map("g" + row, params, *x))
+                 for x in g_inputs), default=math.inf)
 
     block_pos = {PSD, WITNESS_CANDIDATE}
     contradictions = []
@@ -522,41 +539,25 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = No
 
 
 def scan_bcs_region(alpha_values, beta_values, d: int,
-                    budget: SearchBudget | None = None,
-                    parallelism: int = 1) -> list[dict]:
+                    budget: SearchBudget | None = None) -> list[dict]:
     """Grid scan: analytic condition, minimum eigenvalue, product-state
     minimum estimate and classification per (alpha, beta) point.
 
-    Points are independent; each derives its own seed from the grid indices,
-    so the result is identical whether evaluated serially or in parallel.
+    Each point's search seed is the budget seed offset by its grid indices.
     """
     budget = budget or SearchBudget()
     partition = PartitionSpec.parse("1|23")
-
-    def scan_point(point):
-        i, alpha, j, beta = point
-        point_budget = SearchBudget(
-            restarts=budget.restarts, iterations=budget.iterations,
-            samples=budget.samples, improve_tol=budget.improve_tol,
-            band=budget.band, eig_tol=budget.eig_tol,
-            seed=budget.seed + 7919 * i + 104729 * j)
-        kernel = bcs_kernel(alpha, beta, d)
-        verdict = check_block_positive(kernel, partition, point_budget)
-        return {
-            "alpha": float(alpha),
-            "beta": float(beta),
-            "analytic_positive": bcs_positivity_condition(alpha, beta, d),
-            "min_eig": verdict.min_eig,
-            "product_min": verdict.product_min_estimate,
-            "class": verdict.classification,
-        }
-
-    points = [(i, alpha, j, beta)
-              for i, alpha in enumerate(alpha_values)
-              for j, beta in enumerate(beta_values)]
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(scan_point, points))
-    return [scan_point(p) for p in points]
+    rows = []
+    for i, alpha in enumerate(alpha_values):
+        for j, beta in enumerate(beta_values):
+            point_budget = replace(budget, seed=budget.seed + 7919 * i + 104729 * j)
+            verdict = check_block_positive(bcs_kernel(alpha, beta, d), partition, point_budget)
+            rows.append({
+                "alpha": float(alpha),
+                "beta": float(beta),
+                "analytic_positive": bcs_positivity_condition(alpha, beta, d),
+                "min_eig": verdict.min_eig,
+                "product_min": verdict.product_min_estimate,
+                "class": verdict.classification,
+            })
+    return rows

@@ -3,27 +3,26 @@
 A kernel P on n = n_in + n_out sites defines
     Lambda(X_1, ..., X_{n_in}) = tr_{1..n_in}[ P (X_1 (x) ... (x) X_{n_in}
                                                  (x) 1^{n_out}) ].
-``evaluate_oracle`` computes this literally and is the ground truth for the
-closed forms below: single-cycle kernels with one transposed site reduce to
-matrix products with a transpose inserted, those with a transposed subset to
-products with transposes on the subset (or on its complement, in reversed
-order, when the last site is transposed), and forward cycles with a single
-input to a chain of site reshufflings or a single index permutation.
+``fast_evaluate`` contracts the inputs into the realized kernel one site at
+a time and serves every kernel; ``evaluate_oracle`` computes the same map
+literally and is the ground truth for both it and the closed forms below:
+single-cycle kernels with one transposed site reduce to matrix products with
+a transpose inserted, those with a transposed subset to products with
+transposes on the subset (or on its complement, in reversed order, when the
+last site is transposed), and forward cycles with a single input to a chain
+of site reshufflings or a single index permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import dense_ops
 from .dense_ops import DenseOperator
 from .sym_core import Partition, Permutation
-from .wba_algebra import WbaDiagram, WbaElement, from_permutation, gamma, realize
-
-ATOL = 1e-10
+from .wba_algebra import gamma, realize
 
 
 def forward_cycle(k: int) -> Permutation:
@@ -78,14 +77,6 @@ class MapSpec:
         return realize(self.kernel, self.d)
 
 
-@dataclass(frozen=True)
-class TransposedCycleForm:
-    """Recognized kernel shape (full cycle)^{T_S}; dispatch target."""
-
-    cycle_direction: str  # "forward" | "backward"
-    transposed_set: frozenset[int]
-
-
 def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
     """Literal contraction: realize, kron with identities, multiply, trace.
 
@@ -103,6 +94,24 @@ def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
     if spec.n_out == 0:
         return DenseOperator(0, d, np.array([[prod.trace()]], dtype=complex))
     return dense_ops.partial_trace(prod, range(1, spec.n_in + 1))
+
+
+def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
+    """The map of any kernel, contracting one input at a time into it.
+
+    Each step sums P[a..., b...] X[b, a] over the first remaining row and
+    column axes of the kernel tensor, so the output keeps its row-block /
+    column-block order; with n_out = 0 the result is the 1 x 1 trace.
+    """
+    if len(inputs) != spec.n_in:
+        raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
+    d = spec.d
+    mats = [_as_matrix(x, d) for x in inputs]
+    t = spec.kernel_matrix().reshape((d,) * (2 * spec.sites))
+    for mat in mats:
+        t = np.tensordot(t, mat, axes=([0, t.ndim // 2], [1, 0]))
+    dim = d ** spec.n_out
+    return DenseOperator(spec.n_out, d, t.reshape(dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -234,80 +243,6 @@ def evaluate_one_to_many_via_pi(a: DenseOperator, k: int) -> DenseOperator:
     """Same map as evaluate_one_to_many, done as one index permutation."""
     out = _one_input_start(a, k)
     return dense_ops.permutation_on_operator(reshuffling_chain_permutation(k), out)
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-# ---------------------------------------------------------------------------
-
-def _untranspose(diag: WbaDiagram, s: frozenset[int]) -> Permutation | None:
-    """If swapping top/bot on S turns diag into a permutation diagram,
-    return that permutation."""
-    n = diag.n
-
-    def relabel(e: int) -> int:
-        site = e % n + 1
-        if site in s:
-            return e + n if e < n else e - n
-        return e
-
-    images = [0] * n
-    for e, f in diag.pairs():
-        u, v = relabel(e), relabel(f)
-        if u > v:
-            u, v = v, u
-        if u < n <= v:
-            images[v - n] = u + 1
-        else:
-            return None
-    return Permutation(tuple(images))
-
-
-def recognize(spec: MapSpec) -> TransposedCycleForm | None:
-    """Detect kernels of the closed-form shapes.
-
-    backward full cycle with n_out = 1 -> subset product (Props for k->1);
-    forward full cycle transposed exactly on the last site with n_in = 1
-    -> reshuffling chain.  Anything else falls back to the oracle.
-    """
-    kernel = spec.kernel
-    if isinstance(kernel, WbaDiagram):
-        kernel = WbaElement.from_diagram(kernel)
-    if not isinstance(kernel, WbaElement) or len(kernel.terms) != 1:
-        return None
-    diag = next(iter(kernel.terms))
-    n = spec.sites
-    fwd, bwd = forward_cycle(n), backward_cycle(n)
-    if spec.n_in == 1 and diag == from_permutation(fwd, frozenset({n})):
-        return TransposedCycleForm("forward", frozenset({n}))
-    if spec.n_out == 1:
-        for size in range(n + 1):
-            for subset in combinations(range(1, n + 1), size):
-                s = frozenset(subset)
-                if _untranspose(diag, s) == bwd:
-                    return TransposedCycleForm("backward", s)
-    return None
-
-
-def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
-    """Closed form when the kernel shape allows it, oracle otherwise."""
-    form = recognize(spec)
-    if form is None:
-        return evaluate_oracle(spec, inputs)
-    kernel = spec.kernel
-    if isinstance(kernel, WbaDiagram):
-        kernel = WbaElement.from_diagram(kernel)
-    coeff = next(iter(kernel.terms.values())).evaluate(spec.d)
-    if form.cycle_direction == "forward":
-        a = inputs[0]
-        if not isinstance(a, DenseOperator):
-            a = DenseOperator(1, spec.d, _as_matrix(a, spec.d))
-        out = evaluate_one_to_many(a, spec.sites)
-    else:
-        eye = np.eye(spec.d, dtype=complex)
-        mats = [_as_matrix(x, spec.d) for x in inputs] + [eye] * spec.n_out
-        out = cycle_subset_to_one(form.transposed_set, mats, spec.d)
-    return DenseOperator(out.n, out.d, coeff * out.mat)
 
 
 # ---------------------------------------------------------------------------

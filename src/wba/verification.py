@@ -21,13 +21,18 @@ def _rand_mats(rng, d: int, count: int) -> list[np.ndarray]:
     return [dense_ops.random_matrix(d, 1, rng) for _ in range(count)]
 
 
-def _contract_keep(kernel_diag, mats, keep_site: int, d: int) -> DenseOperator:
+def _kernel(perm: Permutation, transposed, d: int) -> DenseOperator:
+    """Dense perm^{T_S}, realized once per case and shared by its tuples."""
+    return DenseOperator(perm.n, d, realize(from_permutation(perm, transposed), d))
+
+
+def _contract_keep(kernel: DenseOperator, mats, keep_site: int, d: int) -> DenseOperator:
     """tr over all sites but one of kernel @ (X_1 (x) ... (x) X_k)."""
     k = len(mats)
     big = np.eye(1, dtype=complex)
     for m in mats:
         big = np.kron(big, m)
-    prod = DenseOperator(k, d, realize(kernel_diag, d) @ big)
+    prod = DenseOperator(k, d, kernel.mat @ big)
     return dense_ops.partial_trace(prod, [s for s in range(1, k + 1) if s != keep_site])
 
 
@@ -56,9 +61,10 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
             for direction, cyc, keep in (("backward", mm.backward_cycle(k), k),
                                          ("forward", mm.forward_cycle(k), 1)):
                 for j in range(1, k + 1):
-                    def case(rng, d=d, k=k, direction=direction, cyc=cyc, keep=keep, j=j):
+                    def case(rng, d=d, k=k, direction=direction, keep=keep, j=j,
+                             kernel=_kernel(cyc, {j}, d)):
                         mats = _rand_mats(rng, d, k)
-                        oracle = _contract_keep(from_permutation(cyc, {j}), mats, keep, d)
+                        oracle = _contract_keep(kernel, mats, keep, d)
                         closed = mm.evaluate_cycle_to_one(direction, j, mats, d)
                         return dense_ops.sup_norm(closed.mat - oracle.mat)
                     run("prop3", f"prop3:{direction},k={k},j={j},d={d}", case)
@@ -70,10 +76,9 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
             for subset in combinations(range(1, k + 1), size):
                 s = frozenset(subset)
 
-                def case(rng, d=d, k=k, s=s):
+                def case(rng, d=d, k=k, s=s, kernel=_kernel(mm.backward_cycle(k), s, d)):
                     mats = _rand_mats(rng, d, k)
-                    oracle = _contract_keep(
-                        from_permutation(mm.backward_cycle(k), s), mats, k, d)
+                    oracle = _contract_keep(kernel, mats, k, d)
                     closed = mm.cycle_subset_to_one(s, mats, d)
                     return dense_ops.sup_norm(closed.mat - oracle.mat)
                 label = "{" + ",".join(str(x) for x in sorted(s)) + "}"
@@ -82,11 +87,9 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
     # one input to k-1 outputs: reshuffling chain and its permutation form
     for d in d_values:
         for k in range(2, k_max + 1):
-            def case_chain(rng, d=d, k=k):
+            def case_chain(rng, d=d, k=k, spec=mm.MapSpec(
+                    _kernel(mm.forward_cycle(k), {k}, d), n_in=1, n_out=k - 1, d=d)):
                 a = DenseOperator(1, d, dense_ops.random_matrix(d, 1, rng))
-                spec = mm.MapSpec(
-                    mm.WbaElement.from_permutation(mm.forward_cycle(k), {k}),
-                    n_in=1, n_out=k - 1, d=d)
                 oracle = mm.evaluate_oracle(spec, [a])
                 closed = mm.evaluate_one_to_many(a, k)
                 return dense_ops.sup_norm(closed.mat - oracle.mat)
@@ -101,35 +104,32 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
 
     # literal identities
     for d in d_values:
-        def eq_4to1(rng, d=d):
+        def eq_4to1(rng, d=d, kernel=_kernel(mm.backward_cycle(5), {5}, d)):
             mats = _rand_mats(rng, d, 5)
-            oracle = _contract_keep(from_permutation(mm.backward_cycle(5), {5}), mats, 5, d)
+            oracle = _contract_keep(kernel, mats, 5, d)
             closed = (mats[0] @ mats[1] @ mats[2] @ mats[3]).T @ mats[4]
             return dense_ops.sup_norm(closed - oracle.mat)
         run("identity", f"identity:4to1,d={d}", eq_4to1)
 
-        def swap_transpose(rng, d=d):
+        def swap_transpose(rng, d=d, kernel=_kernel(mm.backward_cycle(2), {1}, d)):
             a, b = _rand_mats(rng, d, 2)
-            oracle = _contract_keep(from_permutation(mm.backward_cycle(2), {1}), [a, b], 2, d)
+            oracle = _contract_keep(kernel, [a, b], 2, d)
             return dense_ops.sup_norm(a.T @ b - oracle.mat)
         run("identity", f"identity:transpose-swap,d={d}", swap_transpose)
 
-        def re3(rng, d=d):
+        def re3(rng, d=d, kernel=_kernel(Permutation.from_cycles([(2, 3)], 4), {3}, d)):
             a = DenseOperator(2, d, dense_ops.random_matrix(d, 2, rng))
             b = DenseOperator(2, d, dense_ops.random_matrix(d, 2, rng))
             r = dense_ops.reshuffle_bipartite
             lhs = r(DenseOperator(2, d, r(a).mat @ r(b).mat))
-            kernel = realize(from_permutation(
-                Permutation.from_cycles([(2, 3)], 4), {3}), d)
-            prod = DenseOperator(4, d, kernel @ np.kron(a.mat, b.mat))
+            prod = DenseOperator(4, d, kernel.mat @ np.kron(a.mat, b.mat))
             rhs = dense_ops.partial_trace(prod, (2, 3))
             return dense_ops.sup_norm(lhs.mat - rhs.mat)
         run("identity", f"identity:re3,d={d}", re3)
 
-        def example11(rng, d=d):
+        def example11(rng, d=d, spec=mm.MapSpec(
+                _kernel(mm.forward_cycle(4), {4}, d), n_in=1, n_out=3, d=d)):
             a = DenseOperator(1, d, dense_ops.random_matrix(d, 1, rng))
-            spec = mm.MapSpec(mm.WbaElement.from_permutation(mm.forward_cycle(4), {4}),
-                              n_in=1, n_out=3, d=d)
             oracle = mm.evaluate_oracle(spec, [a])
             start = dense_ops.kron([a, dense_ops.identity(1, d), dense_ops.identity(1, d)])
             chained = dense_ops.reshuffle_sites(
@@ -137,10 +137,9 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
             return dense_ops.sup_norm(chained.mat - oracle.mat)
         run("identity", f"identity:example-1to3,d={d}", example11)
 
-        def three_to_two(rng, d=d):
+        def three_to_two(rng, d=d, spec=mm.MapSpec(
+                _kernel(mm.forward_cycle(5), {2}, d), n_in=3, n_out=2, d=d)):
             x1, x2, x3 = _rand_mats(rng, d, 3)
-            spec = mm.MapSpec(mm.WbaElement.from_permutation(mm.forward_cycle(5), {2}),
-                              n_in=3, n_out=2, d=d)
             oracle = mm.evaluate_oracle(spec, [x1, x2, x3])
             inner = DenseOperator(2, d, np.kron(x3 @ x2.T @ x1, np.eye(d, dtype=complex)))
             closed = dense_ops.partial_transpose(dense_ops.reshuffle_bipartite(inner), (2,))

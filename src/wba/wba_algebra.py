@@ -21,6 +21,7 @@ from math import comb, factorial
 import numpy as np
 
 from .sym_core import (
+    COEFF_EPS,
     GroupAlgebraElement,
     Partition,
     Permutation,
@@ -33,7 +34,6 @@ from .sym_core import (
 )
 
 DEFAULT_SIZE_GUARD = 4096
-COEFF_EPS = 1e-14
 
 
 def size_guard_limit() -> int:
@@ -135,22 +135,22 @@ class WbaDiagram:
         return diagram_to_text(self)
 
 
+def _swap_ends(e: int, n: int, sites) -> int:
+    """Endpoint e with top and bot swapped if its site is in ``sites``."""
+    if e % n + 1 in sites:
+        return e + n if e < n else e - n
+    return e
+
+
 def from_permutation(p: Permutation, transposed=frozenset()) -> WbaDiagram:
     """Diagram of p^{T_S}: the permutation matching with top/bot swapped on S."""
     n = p.n
     transposed = frozenset(transposed)
     if any(not 1 <= s <= n for s in transposed):
         raise ValueError(f"transposed sites out of range 1..{n}: {sorted(transposed)}")
-
-    def relabel(e: int) -> int:
-        site = e % n + 1
-        if site in transposed:
-            return e + n if e < n else e - n
-        return e
-
     pairing = [0] * (2 * n)
     for t in range(1, n + 1):
-        a, b = relabel(p(t) - 1), relabel(n + t - 1)
+        a, b = _swap_ends(p(t) - 1, n, transposed), _swap_ends(n + t - 1, n, transposed)
         pairing[a], pairing[b] = b, a
     return WbaDiagram(n, tuple(pairing))
 
@@ -297,29 +297,20 @@ class WbaElement:
 # dense realization
 # ---------------------------------------------------------------------------
 
-_REALIZE_CACHE: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+def _pair_weights(diag: WbaDiagram, d: int) -> np.ndarray:
+    """2 x n weights W with (row, col) = W @ v for the unit entry of the
+    diagram's matrix where its n matched pairs carry the index values v.
 
-
-def _realize_diagram(diag: WbaDiagram, d: int) -> np.ndarray:
-    key = (diag.pairing, d)
-    cached = _REALIZE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    Entry <i|D|j> is 1 iff the 2n indices agree along every matched pair; a
+    pair's value enters the row index at its top endpoints and the column
+    index at its bot endpoints, with the big-endian weight of the site.
+    """
     n = diag.n
-    # Entry <i|D|j> is 1 iff the 2n indices agree along every matched pair;
-    # enumerate the d**n joint values of the n pairs and scatter.
-    pairs = diag.pairs()
-    vals = np.indices((d,) * n).reshape(n, -1)
-    idx = np.empty((2 * n, d ** n), dtype=np.intp)
-    for p, (e, f) in enumerate(pairs):
-        idx[e] = vals[p]
-        idx[f] = vals[p]
-    tensor = np.zeros((d,) * (2 * n), dtype=complex)
-    tensor[tuple(idx)] = 1.0
-    mat = tensor.reshape(d ** n, d ** n)
-    mat.flags.writeable = False
-    _REALIZE_CACHE[key] = mat
-    return mat
+    weights = [[0] * n, [0] * n]
+    for p, (e, f) in enumerate(diag.pairs()):
+        for end in (e, f):
+            weights[end // n][p] += d ** (n - 1 - end % n)
+    return np.array(weights, dtype=np.intp)
 
 
 def realize(x, d: int, size_guard: int | None = None) -> np.ndarray:
@@ -336,13 +327,18 @@ def realize(x, d: int, size_guard: int | None = None) -> np.ndarray:
     if d ** n > guard:
         raise ValueError(f"d^n = {d ** n} exceeds the size guard {guard}")
     if isinstance(x, WbaDiagram):
-        return _realize_diagram(x, d).copy()
-    if isinstance(x, WbaElement):
-        out = np.zeros((d ** n, d ** n), dtype=complex)
-        for diag, poly in x.terms.items():
-            out += poly.evaluate(d) * _realize_diagram(diag, d)
-        return out
-    raise TypeError(f"cannot realize object of type {type(x).__name__}")
+        x = WbaElement.from_diagram(x)
+    if not isinstance(x, WbaElement):
+        raise TypeError(f"cannot realize object of type {type(x).__name__}")
+    # column v of vals holds the n base-d digits of v: every joint value of
+    # the n pairs once.  A diagram's d**n positions are therefore distinct,
+    # so the fancy-indexed += adds its coefficient exactly once per entry.
+    vals = np.arange(d ** n) // d ** np.arange(n - 1, -1, -1)[:, None] % d
+    out = np.zeros((d ** n, d ** n), dtype=complex)
+    for diag, poly in x.terms.items():
+        rows, cols = _pair_weights(diag, d) @ vals
+        out[rows, cols] += poly.evaluate(d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +433,10 @@ def as_transposed_permutation(diag: WbaDiagram) -> tuple[Permutation, frozenset[
     for size in range(n + 1):
         for subset in combinations(range(1, n + 1), size):
             s = frozenset(subset)
-
-            def relabel(e: int) -> int:
-                site = e % n + 1
-                if site in s:
-                    return e + n if e < n else e - n
-                return e
-
             images = [0] * n
             ok = True
             for e, f in diag.pairs():
-                u, v = relabel(e), relabel(f)
+                u, v = _swap_ends(e, n, s), _swap_ends(f, n, s)
                 if u > v:
                     u, v = v, u
                 if u < n <= v:          # top_{u+1} paired with bot_{v-n+1}

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from wba.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -61,6 +66,13 @@ class TestProjector:
         payload = json.loads(out)
         assert float(payload["map_output_min_eig"]) >= -1e-8
         assert float(payload["idempotence_residual"]) < 1e-10
+
+    def test_json_output_is_golden(self, capsys):
+        code, out, _ = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
+                           "--mu", "[2,1]", "--alpha", "[2]", "--unitaries", "3",
+                           "--format", "json")
+        assert code == 0
+        assert out == (DATA / "projector_n4_k1_d2.json").read_text()
 
 
 class TestScanBcs:
@@ -165,3 +177,18 @@ class TestFlags:
 
     def test_missing_required(self, capsys):
         assert main(["projector", "--n", "4"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["scan-bcs", "--d", "2", "--alpha", "0:0:1", "--beta", "0:0:1"],
+        ["werner-ppt", "--d", "2", "--r", "0.2,0.05,0.75,0,0.5,0.5"],
+        ["ew-maps", "--d", "2"],
+        ["ew-maps", "--instances", "0"],
+        ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]",
+         "--alpha", "[2]", "--unitaries", "0"],
+        ["verify-props", "--tuples", "0"],
+    ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
+            "projector-unitaries", "verify-props-tuples"])
+    def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: --")

@@ -7,7 +7,6 @@ from wba import dense_ops, multilinear_maps as mm
 from wba.dense_ops import DenseOperator, random_matrix, random_psd, sup_norm
 from wba.multilinear_maps import (
     MapSpec,
-    TransposedCycleForm,
     backward_cycle,
     cycle_subset_to_one,
     evaluate_cycle_to_one,
@@ -18,11 +17,10 @@ from wba.multilinear_maps import (
     f_projector_map_3to1,
     fast_evaluate,
     forward_cycle,
-    recognize,
     theta_product,
 )
-from wba.sym_core import Partition, parse_permutation
-from wba.verification import _contract_keep, proposition_suite
+from wba.sym_core import Partition, Permutation, parse_permutation
+from wba.verification import _contract_keep, _kernel, proposition_suite
 from wba.wba_algebra import WbaElement, f_projector, from_permutation, realize
 
 
@@ -92,7 +90,7 @@ class TestCycleToOne:
         for j in range(1, k + 1):
             for _ in range(5):
                 mats = [random_matrix(d, 1, rng) for _ in range(k)]
-                oracle = _contract_keep(from_permutation(cycle, {j}), mats, keep, d)
+                oracle = _contract_keep(_kernel(cycle, {j}, d), mats, keep, d)
                 closed = evaluate_cycle_to_one(direction, j, mats, d)
                 assert sup_norm(closed.mat - oracle.mat) < 1e-10
 
@@ -130,8 +128,7 @@ class TestTheta:
                 s = frozenset(subset)
                 for _ in range(3):
                     mats = [random_psd(d, 1, rng).mat for _ in range(k)]
-                    oracle = _contract_keep(
-                        from_permutation(backward_cycle(k), s), mats, k, d)
+                    oracle = _contract_keep(_kernel(backward_cycle(k), s, d), mats, k, d)
                     closed = cycle_subset_to_one(s, mats, d)
                     assert sup_norm(closed.mat - oracle.mat) < 1e-10
 
@@ -178,20 +175,6 @@ class TestOneToMany:
 
 
 class TestDispatcher:
-    def test_backward_cycle_recognized(self):
-        spec = spec_for(backward_cycle(5), {5}, 4, 1, 2)
-        form = recognize(spec)
-        assert form is not None and form.cycle_direction == "backward"
-
-    def test_one_to_many_recognized(self):
-        spec = spec_for(forward_cycle(4), {4}, 1, 3, 2)
-        assert recognize(spec) == TransposedCycleForm("forward", frozenset({4}))
-
-    def test_generic_kernel_falls_back(self):
-        kernel = f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2)
-        spec = MapSpec(kernel, 2, 2, 2)
-        assert recognize(spec) is None
-
     @pytest.mark.parametrize("n_in,n_out", [(4, 1), (1, 4)])
     def test_fast_equals_oracle(self, n_in, n_out, rng):
         d = 2
@@ -210,7 +193,6 @@ class TestDispatcher:
         inputs = [random_matrix(d, 1, rng) for _ in range(2)]
         fast = fast_evaluate(spec, inputs)
         oracle = evaluate_oracle(spec, inputs)
-        assert recognize(spec) is not None
         assert sup_norm(fast.mat - oracle.mat) < 1e-10
 
     def test_fallback_path_matches_oracle(self, rng):
@@ -218,7 +200,34 @@ class TestDispatcher:
         spec = MapSpec(kernel, 2, 2, 2)
         inputs = [random_matrix(2, 1, rng) for _ in range(2)]
         assert sup_norm(fast_evaluate(spec, inputs).mat
-                        - evaluate_oracle(spec, inputs).mat) == 0.0
+                        - evaluate_oracle(spec, inputs).mat) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_diagram_matches_oracle(self, n, d, rng):
+        # every S3/S4 permutation with every transpose subset, every split
+        mats = [random_matrix(d, 1, rng) for _ in range(n)]
+        for images in itertools.permutations(range(1, n + 1)):
+            for size in range(n + 1):
+                for subset in itertools.combinations(range(1, n + 1), size):
+                    diag = from_permutation(Permutation(images), subset)
+                    for n_in in range(1, n + 1):
+                        spec = MapSpec(diag, n_in, n - n_in, d)
+                        fast = fast_evaluate(spec, mats[:n_in])
+                        oracle = evaluate_oracle(spec, mats[:n_in])
+                        assert fast.n == oracle.n == n - n_in
+                        assert sup_norm(fast.mat - oracle.mat) <= 1e-10
+
+    def test_dense_kernel_and_input_checks(self, rng):
+        kernel = DenseOperator(3, 2, random_matrix(2, 3, rng))
+        spec = MapSpec(kernel, 2, 1, 2)
+        inputs = [random_matrix(2, 1, rng) for _ in range(2)]
+        assert sup_norm(fast_evaluate(spec, inputs).mat
+                        - evaluate_oracle(spec, inputs).mat) <= 1e-10
+        with pytest.raises(ValueError):
+            fast_evaluate(spec, inputs[:1])
+        with pytest.raises(ValueError):
+            fast_evaluate(spec, [inputs[0], random_matrix(3, 1, rng)])
 
 
 class TestMultilinearity:
