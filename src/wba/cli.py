@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import tempfile
+from functools import reduce
 
 import numpy as np
 
@@ -80,6 +81,8 @@ def _parse_range(text: str) -> list[float]:
     while (v := start + i * step) <= stop + 1e-12:
         values.append(round(v, 12))
         i += 1
+    if not values:
+        raise ValueError(f"empty range {text!r}: start exceeds stop")
     return values
 
 
@@ -91,6 +94,20 @@ def _below_minimum(args, **minimums) -> bool:
                   file=sys.stderr)
             return True
     return False
+
+
+def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> float:
+    """sup_norm of [dense, U^(n-k) (x) conj(U)^(k)], with that operator applied
+    as A (x) B over the first n//2 sites and the rest, never built in full."""
+    factors = [u] * (n - k) + [u.conj()] * k
+    a, b = (reduce(np.kron, part, np.eye(1, dtype=complex))
+            for part in (factors[:n // 2], factors[n // 2:]))
+    dim, da, db = len(dense), len(a), len(b)
+    right = np.matmul(a.T, dense.reshape(dim, da, db) @ b).reshape(dim, dim)
+    left = np.matmul(b, (a @ dense.reshape(da, db * dim)).reshape(da, db, dim))
+    right -= left.reshape(dim, dim)
+    del left    # before sup_norm allocates its own temporary
+    return dense_ops.sup_norm(right)
 
 
 # ---------------------------------------------------------------------------
@@ -121,29 +138,25 @@ def cmd_verify_props(args) -> int:
 
 
 def cmd_projector(args) -> int:
-    if _below_minimum(args, unitaries=1):
+    if _below_minimum(args, d=1, unitaries=1):
         return 1
-    mu = parse_partition(args.mu)
-    alpha = parse_partition(args.alpha)
+    try:
+        mu, alpha = parse_partition(args.mu), parse_partition(args.alpha)
+    except ValueError as exc:
+        print(f"error: bad partition: {exc}", file=sys.stderr)
+        return 1
     try:
         g = gamma(mu, alpha, args.n, args.k, args.d)
         element = f_projector(mu, alpha, args.n, args.k, args.d)
+        dense = realize(element, args.d)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dense = realize(element, args.d)
     idem = dense_ops.sup_norm(dense @ dense - dense)
 
     rng = np.random.default_rng(args.seed)
-    comm = 0.0
-    for _ in range(args.unitaries):
-        u = dense_ops.haar_unitary(args.d, rng)
-        big = np.eye(1, dtype=complex)
-        for _ in range(args.n - args.k):
-            big = np.kron(big, u)
-        for _ in range(args.k):
-            big = np.kron(big, u.conj())
-        comm = max(comm, dense_ops.sup_norm(dense @ big - big @ dense))
+    comm = max(_commutant_residual(dense, dense_ops.haar_unitary(args.d, rng), args.n, args.k)
+               for _ in range(args.unitaries))
 
     report = {
         "n": args.n, "k": args.k, "d": args.d,

@@ -204,7 +204,9 @@ class Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "[3,1,1]" (brackets optional)."""
+    """Parse "[3,1,1]" (brackets optional); "[]" is the empty partition."""
+    if text.strip() == "[]":
+        return Partition(())
     body = text.strip().strip("[]")
     if not body:
         raise ValueError("empty partition")

@@ -25,12 +25,13 @@ from .sym_core import (
     GroupAlgebraElement,
     Partition,
     Permutation,
+    character_of_type,
     coset_representatives,
+    enumerate_group,
     irrep_dimension,
     parse_permutation,
     permutation_to_text,
     schur_weyl_multiplicity,
-    young_projector,
 )
 
 DEFAULT_SIZE_GUARD = 4096
@@ -381,6 +382,9 @@ def gamma(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> Fraction:
             * Fraction(irrep_dimension(alpha), irrep_dimension(mu)))
 
 
+_BLOCK_ROWS = 1 << 12    # relabelled diagrams per step of f_projector
+
+
 def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int,
                 representatives: list[Permutation] | None = None) -> WbaElement:
     """Irreducible projector F_mu(alpha) of the walled Brauer algebra.
@@ -389,20 +393,106 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int,
     supported on sites 1..n-k, P_alpha on sites 1..n-2k, and eta running over
     a transversal of S(n-2k) in S(n-k).  Its dense realization is an
     orthogonal projector commuting with U^(n-k) (x) conj(U)^(k).
+
+    Every product in the formula is a permutation times a diagram, which
+    relabels endpoints and closes no loop.  The term pi eta^-1 rho sigma eta
+    of P_mu ... P_alpha carries the integer weight chi_mu(pi) chi_alpha(rho);
+    weights are summed exactly per diagram and multiplied by the one rational
+    (d_mu/(n-k)!) (d_alpha/(n-2k)!) / gamma, rounded to float once per term.
     """
     g = gamma(mu, alpha, n, k, d)
-    p_mu = WbaElement.from_group_algebra(young_projector(mu), n)
-    p_alpha = WbaElement.from_group_algebra(young_projector(alpha), n) \
-        if alpha.n > 0 else WbaElement.identity(n)
-    core = p_alpha * sigma_k(n, k)
     reps = representatives if representatives is not None else coset_representatives(n, k)
-    total = WbaElement.zero(n)
-    for eta in reps:
-        eta_n = eta.extend(n)
-        left = WbaElement.from_permutation(eta_n.inverse())
-        right = WbaElement.from_permutation(eta_n)
-        total = total + left * core * right
-    return (p_mu * total).scale(1.0 / float(g))
+    # eta^-1 rho sigma eta: rho then eta^-1 relabel the top row, eta^-1 the bottom row
+    etas_inv = np.array([eta.extend(n).inverse().images for eta in reps]) - 1
+    rhos, chi_alpha = _characters(alpha, n)
+    top = etas_inv[:, rhos]
+    ends = np.concatenate([top, n + np.broadcast_to(etas_inv[:, None, :], top.shape)], axis=2)
+    sigma = np.array(sigma_diagram(n, k).pairing)[None, :]
+    core = _relabel(sigma, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
+    _, core, core_weights = _reduce(_matching_key(core), core,
+                                    np.broadcast_to(chi_alpha, top.shape[:2]).reshape(-1))
+    core, core_weights = core[core_weights != 0], core_weights[core_weights != 0]
+    # pi (x): pi relabels the top row.  S(n-k) goes in blocks, each merged into
+    # the running sum at once.  A block has at most as many diagrams as the
+    # larger of _BLOCK_ROWS and the running sum: memory stays within a
+    # constant plus twice the distinct diagrams met, and each merge sorts at
+    # most twice the rows it adds.
+    pis, chi_mu = _characters(mu, n)
+    total = (np.empty(0, np.int64), np.empty((0, 2 * n), np.intp), np.empty(0, np.int64))
+    start = 0
+    while start < len(pis):
+        step = max(1, max(_BLOCK_ROWS, len(total[0])) // len(core))
+        block = pis[start:start + step]
+        ends = np.concatenate([block, np.broadcast_to(n + np.arange(n), block.shape)], axis=1)
+        pairings = _relabel(core, ends).reshape(-1, 2 * n)
+        weights = (chi_mu[start:start + step, None] * core_weights).reshape(-1)
+        total = _reduce(*(np.concatenate(pair) for pair in
+                          zip(total, (_matching_key(pairings), pairings, weights))))
+        start += step
+    _, pairings, weights = total
+    scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
+             * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / g)
+    # int / int is correctly rounded: the one rounding of each exact coefficient
+    return WbaElement({WbaDiagram(n, tuple(p)):
+                       DPolynomial.constant(w * scale.numerator / scale.denominator)
+                       for p, w in zip(pairings.tolist(), weights.tolist()) if w}, n)
+
+
+def _characters(lam: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations rho of S(|lam|) with chi_lam(rho) != 0, as 0-based image
+    rows fixing |lam|..n-1, and their integer characters."""
+    group = enumerate_group(lam.n) if lam.n else [Permutation(())]
+    by_type: dict[tuple[int, ...], int] = {}
+    rows, chars = [], []
+    for p in group:
+        cycle_type = p.cycle_type()
+        if cycle_type not in by_type:
+            by_type[cycle_type] = character_of_type(lam, cycle_type)
+        if by_type[cycle_type]:
+            rows.append(p.images + tuple(range(lam.n + 1, n + 1)))
+            chars.append(by_type[cycle_type])
+    return np.array(rows, dtype=np.intp).reshape(-1, n) - 1, np.array(chars, dtype=np.int64)
+
+
+def _relabel(pairings: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Pairings (M, 2n) moved by endpoint maps (B, 2n): out[b, m] is the
+    matching that joins ends[b, e] and ends[b, f] for every pair (e, f)."""
+    moved = pairings[:, np.argsort(ends, axis=1)].swapaxes(0, 1)
+    return np.take_along_axis(ends[:, None, :], moved, axis=2)
+
+
+def _matching_key(pairings: np.ndarray) -> np.ndarray:
+    """Injective int64 rank of each matching (rows of 2n endpoints).
+
+    Pairs are taken in order of their lower endpoint; pair i contributes the
+    position of its upper endpoint among the 2n-2i-1 endpoints still free
+    besides the lower one, as the digit of radix 2n-2i-1.  The largest rank,
+    (2n-1)!! - 1, stays below 2**63 up to n = 17; f_projector needs n <= 14.
+    """
+    two_n = pairings.shape[1]
+    n = two_n // 2
+    upper = pairings[pairings > np.arange(two_n)].reshape(-1, n)
+    digits = upper - np.arange(1, n + 1)
+    for i in range(n - 1):      # discount the upper ends of earlier pairs
+        digits[:, i + 1:] -= upper[:, i + 1:] > upper[:, i:i + 1]
+    radices = np.arange(two_n - 1, 0, -2, dtype=np.int64)
+    place = np.append(np.cumprod(radices[:0:-1])[::-1], 1)
+    return digits @ place
+
+
+def _reduce(keys: np.ndarray, pairings: np.ndarray,
+            weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, pairings, weights) with equal keys merged and their integer
+    weights summed, in order of first appearance: the order in which a
+    term-by-term product meets them, which fixes the summation order of
+    ``realize``."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    sums = np.add.reduceat(weights[order], starts)
+    appearance = np.argsort(order[starts])
+    kept = order[starts][appearance]
+    return keys[kept], pairings[kept], sums[appearance]
 
 
 def admissible_pairs(n: int, k: int, d: int) -> list[tuple[Partition, Partition]]:

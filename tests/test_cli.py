@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wba.cli import main
+from wba.cli import _commutant_residual, main
+from wba.dense_ops import haar_unitary, sup_norm
+from wba.sym_core import Partition
+from wba.wba_algebra import f_projector, realize
 
 DATA = Path(__file__).parent / "data"
 
@@ -192,3 +196,60 @@ class TestFlags:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: --")
+
+
+class TestProjectorLabels:
+    @pytest.mark.parametrize("mu", ["[1,2]", "[x]", "[2,0]", ""])
+    def test_bad_partition_fails_on_one_line(self, capsys, mu):
+        code, out, err = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
+                             "--mu", mu, "--alpha", "[2]")
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+    def test_zero_dimension_is_a_bad_flag(self, capsys):
+        code, out, err = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "0",
+                             "--mu", "[2,1]", "--alpha", "[2]")
+        assert code == 1 and out == ""
+        assert err == "error: --d must be >= 1, got 0\n"
+
+    def test_empty_alpha_when_n_is_2k(self, capsys):
+        code, out, _ = run(capsys, "projector", "--n", "4", "--k", "2", "--d", "2",
+                           "--mu", "[2]", "--alpha", "[]", "--unitaries", "3",
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["alpha"] == "[]" and report["terms"] == 4
+        assert float(report["idempotence_residual"]) < 1e-10
+        assert float(report["commutant_residual"]) < 1e-10
+
+    def test_empty_alpha_with_wrong_box_count_is_inadmissible(self, capsys):
+        code, out, err = run(capsys, "projector", "--n", "3", "--k", "2", "--d", "2",
+                             "--mu", "[1]", "--alpha", "[]")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestCommutantResidual:
+    @pytest.mark.parametrize("n,k,d,mu,alpha", [
+        (4, 1, 2, (2, 1), (2,)), (5, 2, 2, (2, 1), (1,)), (5, 1, 3, (3, 1), (2, 1))])
+    def test_matches_full_kronecker(self, n, k, d, mu, alpha):
+        dense = realize(f_projector(Partition(mu), Partition(alpha), n, k, d), d)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            u = haar_unitary(d, rng)
+            big = np.eye(1, dtype=complex)
+            for factor in [u] * (n - k) + [u.conj()] * k:
+                big = np.kron(big, factor)
+            # a non-commuting operator tests the residual, not only its zero
+            for mat in (dense, dense + np.diag(np.arange(d ** n))):
+                full = sup_norm(mat @ big - big @ mat)
+                assert abs(_commutant_residual(mat, u, n, k) - full) <= 1e-12 * max(1, full)
+
+
+class TestEmptyRange:
+    @pytest.mark.parametrize("flag,value", [("--alpha", "1:0:0.1"), ("--beta", "0.5:0.2:0.1")])
+    def test_empty_range_fails_on_one_line(self, capsys, flag, value):
+        ranges = {"--alpha": "0:0:1", "--beta": "0:0:1", flag: value}
+        code, out, err = run(capsys, "scan-bcs", *(x for kv in ranges.items() for x in kv))
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "empty range" in err

@@ -243,6 +243,12 @@ class TestPartitions:
         assert p == Partition((3, 1, 1))
         assert str(p) == "[3,1,1]"
 
+    def test_parse_empty(self):
+        assert parse_partition("[]") == Partition(())
+        assert str(parse_partition(" [] ")) == "[]"
+        with pytest.raises(ValueError):
+            parse_partition("")
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             Partition((1, 2))

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wba.dense_ops import haar_unitary, sup_norm
-from wba.sym_core import Partition, Permutation, coset_representatives, parse_permutation
+import wba.wba_algebra as wa
+from wba.sym_core import (
+    Partition,
+    Permutation,
+    coset_representatives,
+    parse_permutation,
+    young_projector,
+)
 from wba.wba_algebra import (
     DPolynomial,
     WbaElement,
@@ -25,6 +33,7 @@ from wba.wba_algebra import (
     parse_diagram,
     realize,
     sigma_diagram,
+    sigma_k,
 )
 
 
@@ -360,3 +369,111 @@ class TestSerialization:
         x = f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2)
         y = element_from_json(element_to_json(x))
         assert x.approx_eq(y)
+
+
+@cache
+def _composed_projector_sum(mu, alpha, n, k):
+    """P_mu sum_eta eta^-1 (P_alpha sigma) eta by WbaElement products."""
+    p_mu = WbaElement.from_group_algebra(young_projector(mu), n)
+    p_alpha = WbaElement.from_group_algebra(young_projector(alpha), n) \
+        if alpha.n else WbaElement.identity(n)
+    core = p_alpha * sigma_k(n, k)
+    total = WbaElement.zero(n)
+    for eta in coset_representatives(n, k):
+        eta_n = eta.extend(n)
+        total = total + (WbaElement.from_permutation(eta_n.inverse()) * core
+                         * WbaElement.from_permutation(eta_n))
+    return p_mu * total
+
+
+def _random_matchings(rng, n, count):
+    out = np.empty((count, 2 * n), dtype=np.intp)
+    for row in out:
+        ends = rng.permutation(2 * n)
+        row[ends[0::2]], row[ends[1::2]] = ends[1::2], ends[0::2]
+    return out
+
+
+class TestRelabelConstruction:
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(2 * k, 7)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_composed_definition(self, n, k, d):
+        pairs = admissible_pairs(n, k, d)
+        assert pairs
+        for alpha, mu in pairs:
+            f = f_projector(mu, alpha, n, k, d)
+            ref = _composed_projector_sum(mu, alpha, n, k).scale(
+                1.0 / float(gamma(mu, alpha, n, k, d)))
+            assert set(f.terms) == set(ref.terms), (mu, alpha)
+            assert all(set(poly.coeffs) == {0} for poly in f.terms.values())
+            assert max(abs(f.terms[x].coeffs[0] - ref.terms[x].coeffs[0])
+                       for x in f.terms) <= 1e-15
+
+    def test_composes_no_diagrams(self, monkeypatch):
+        calls = []
+        original = wa.compose_diagrams
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(wa, "compose_diagrams", counting)
+        f_projector(Partition((4, 1)), Partition((3, 1)), 6, 1, 2)
+        assert not calls
+        sigma_k(6, 1) * sigma_k(6, 1)     # the counter does see compositions
+        assert calls == [1]
+
+    def test_n7_k1_term_count(self):
+        f = f_projector(Partition((4, 2)), Partition((3, 2)), 7, 1, 2)
+        assert len(f.terms) == 3216
+
+    def test_empty_alpha(self):
+        # n = 2k: P_alpha is the identity and F_[2]([]) sums the conjugates of sigma
+        f = f_projector(Partition((2,)), Partition(()), 4, 2, 2)
+        mat = realize(f, 2)
+        assert len(f.terms) == 4
+        assert sup_norm(mat @ mat - mat) < 1e-12
+
+    def test_coefficients_are_exact_rationals_rounded_once(self):
+        # F_[2,1]([1]) at n=5, k=2 is (1/9)[2 id - (123) - (132)] sum_eta eta^-1 sigma eta
+        f = f_projector(Partition((2, 1)), Partition((1,)), 5, 2, 2)
+        values = {poly.coeffs[0] for poly in f.terms.values()}
+        assert values == {complex(Fraction(2, 9)), complex(Fraction(-1, 9))}
+
+
+class TestMatchingKey:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bijective_onto_range(self, n):
+        def matchings(free):
+            if not free:
+                yield {}
+                return
+            for b in free[1:]:
+                rest = [e for e in free[1:] if e != b]
+                for m in matchings(rest):
+                    yield {**m, free[0]: b, b: free[0]}
+
+        rows = np.array([[m[e] for e in range(2 * n)] for m in matchings(list(range(2 * n)))])
+        count = int(np.prod(np.arange(2 * n - 1, 0, -2)))
+        assert len(rows) == count
+        assert sorted(wa._matching_key(rows).tolist()) == list(range(count))
+
+    @pytest.mark.parametrize("n", [8, 14])
+    def test_injective_against_tuple_keys(self, n):
+        rng = np.random.default_rng(n)
+        base = _random_matchings(rng, n, 3000)
+        rows = np.concatenate([base, base[rng.integers(0, len(base), 1000)]])
+        keys = wa._matching_key(rows).tolist()
+        by_key, by_tuple = {}, {}
+        for i, (key, row) in enumerate(zip(keys, map(tuple, rows))):
+            by_key.setdefault(key, []).append(i)
+            by_tuple.setdefault(row, []).append(i)
+        assert sorted(by_key.values()) == sorted(by_tuple.values())
+        assert min(keys) >= 0
+
+    def test_largest_key_fits_int64_at_n17(self):
+        n = 17
+        nested = np.array([[2 * n - 1 - e for e in range(2 * n)]])
+        top = int(np.prod(np.arange(2 * n - 1, 0, -2, dtype=object))) - 1
+        assert top < 2 ** 63
+        assert int(wa._matching_key(nested)[0]) == top
