@@ -22,6 +22,7 @@ from . import dense_ops, entanglement as ent, multilinear_maps as mm
 from .sym_core import parse_partition
 from .verification import proposition_suite
 from .wba_algebra import (
+    check_size_guard,
     compose_diagrams,
     diagram_to_text,
     element_to_json,
@@ -145,8 +146,12 @@ def cmd_projector(args) -> int:
     except ValueError as exc:
         print(f"error: bad partition: {exc}", file=sys.stderr)
         return 1
+    if args.emit_map is not None and not 1 <= args.emit_map <= args.n:
+        print(f"error: --emit-map must be in 1..{args.n}", file=sys.stderr)
+        return 1
     try:
         g = gamma(mu, alpha, args.n, args.k, args.d)
+        check_size_guard(args.n, args.d)
         element = f_projector(mu, alpha, args.n, args.k, args.d)
         dense = realize(element, args.d)
     except ValueError as exc:
@@ -169,9 +174,6 @@ def cmd_projector(args) -> int:
     }
     if args.emit_map is not None:
         n_in = args.emit_map
-        if not 1 <= n_in <= args.n:
-            print(f"error: --emit-map must be in 1..{args.n}", file=sys.stderr)
-            return 1
         spec = mm.MapSpec(dense_ops.DenseOperator(args.n, args.d, dense),
                           n_in=n_in, n_out=args.n - n_in, d=args.d)
         inputs = [dense_ops.random_psd(args.d, 1, rng) for _ in range(n_in)]
@@ -200,7 +202,7 @@ def cmd_projector(args) -> int:
 
 
 def cmd_scan_bcs(args) -> int:
-    if _below_minimum(args, d=3):
+    if _below_minimum(args, d=3, restarts=1):
         return 1
     try:
         alphas = _parse_range(args.alpha)

@@ -364,10 +364,16 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class PositivityVerdict:
+    """``sweeps`` counts see-saw sweeps over all starts, ``converged_starts``
+    the starts that met the stop rule before the iteration cap; both are 0
+    when no search ran."""
+
     classification: str
     min_eig: float
     product_min_estimate: float
     violating_product_state: tuple[np.ndarray, ...] | None = None
+    sweeps: int = 0
+    converged_starts: int = 0
 
 
 def _blocked_tensor(m: DenseOperator, partition: PartitionSpec) -> np.ndarray:
@@ -377,12 +383,10 @@ def _blocked_tensor(m: DenseOperator, partition: PartitionSpec) -> np.ndarray:
     return m.tensor.transpose(axes).reshape(dims + dims)
 
 
-def _random_block_vectors(dims, rng) -> list[np.ndarray]:
-    out = []
-    for dim in dims:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        out.append(v / np.linalg.norm(v))
-    return out
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[s, k] b[s, k] per row s, as stacked 1 x n @ n x 1 products:
+    these round like the 1-D dot of a single row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def product_state_value(m: DenseOperator, partition: PartitionSpec, vectors) -> float:
@@ -397,56 +401,62 @@ def product_state_value(m: DenseOperator, partition: PartitionSpec, vectors) -> 
     return float(np.real(full.conj() @ mat @ full))
 
 
-def _effective_block_operator(t: np.ndarray, vectors, i: int) -> np.ndarray:
-    ell = len(vectors)
-    operands = [t, list(range(2 * ell))]
-    for j, v in enumerate(vectors):
-        if j == i:
-            continue
-        operands += [v.conj(), [j], v, [ell + j]]
-    return np.einsum(*operands, [i, ell + i])
-
-
-def product_state_minimize(m: DenseOperator, partition: PartitionSpec,
-                           budget: SearchBudget) -> tuple[float, tuple[np.ndarray, ...]]:
+def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: SearchBudget
+                           ) -> tuple[float, tuple[np.ndarray, ...], int, int]:
     """Estimate min over product states by random sampling plus alternating
-    ground-eigenvector sweeps (see-saw), multi-restart."""
+    ground-eigenvector sweeps (see-saw), multi-restart.
+
+    Every start is a row of one array, drawn as one start at a time would draw
+    it; the restarts sweep together, each until a sweep improves it by less
+    than improve_tol.  Returns the first minimum over samples then restarts,
+    its block vectors, the sweeps run and the restarts that met the stop rule.
+    """
+    if budget.restarts < 1 or budget.samples < 0:
+        raise ValueError("the search needs restarts >= 1 and samples >= 0")
     rng = np.random.default_rng(budget.seed)
     t = _blocked_tensor(m, partition)
     dims = [m.d ** len(b) for b in partition.blocks]
-    ell = len(dims)
+    ell, starts = len(dims), budget.samples + budget.restarts
 
-    best_val = math.inf
-    best_vecs: tuple[np.ndarray, ...] | None = None
+    raw = rng.standard_normal((starts, 2 * sum(dims)))
+    vecs, offset = [], 0
+    for dim in dims:
+        v = raw[:, offset:offset + dim] + 1j * raw[:, offset + dim:offset + 2 * dim]
+        vecs.append(v / np.sqrt(_row_dot(v.real, v.real) + _row_dot(v.imag, v.imag))[:, None])
+        offset += 2 * dim
+    full = vecs[0]
+    for v in vecs[1:]:
+        full = (full[:, :, None] * v[:, None, :]).reshape(starts, -1)
+    mat = t.reshape(full.shape[1], -1)
+    values = _row_dot((full.conj()[:, None, :] @ mat)[:, 0], full).real
 
-    def consider(val, vecs):
-        nonlocal best_val, best_vecs
-        if val < best_val:
-            best_val = val
-            best_vecs = tuple(v.copy() for v in vecs)
+    # see-saw on the restart rows; these views write through to vecs, values
+    seesaw_vecs, current = [v[budget.samples:] for v in vecs], values[budget.samples:]
+    active = np.arange(budget.restarts)
+    sweeps = 0
+    for _ in range(budget.iterations):
+        if not active.size:
+            break
+        sweeps += active.size
+        sub = [v[active] for v in seesaw_vecs]
+        for i in range(ell):
+            operands = [t, list(range(2 * ell))]
+            for j, v in enumerate(sub):
+                if j != i:
+                    operands += [v.conj(), [2 * ell, j], v, [2 * ell, ell + j]]
+            eff = (np.einsum(*operands, [2 * ell, i, ell + i]) if ell > 1
+                   else np.broadcast_to(t, (active.size,) + t.shape))
+            w, u = np.linalg.eigh((eff + eff.conj().swapaxes(1, 2)) / 2.0)
+            sub[i], value = u[:, :, 0], w[:, 0]
+        for v, new in zip(seesaw_vecs, sub):
+            v[active] = new
+        done = current[active] - value < budget.improve_tol
+        current[active] = value
+        active = active[~done]
 
-    for _ in range(budget.samples):
-        vecs = _random_block_vectors(dims, rng)
-        consider(product_state_value(m, partition, vecs), vecs)
-
-    for _ in range(budget.restarts):
-        vecs = _random_block_vectors(dims, rng)
-        current = product_state_value(m, partition, vecs)
-        for _ in range(budget.iterations):
-            for i in range(ell):
-                eff = _effective_block_operator(t, vecs, i)
-                eff = (eff + eff.conj().T) / 2.0
-                w, u = np.linalg.eigh(eff)
-                vecs[i] = u[:, 0]
-                value = w[0]
-            if current - value < budget.improve_tol:
-                current = value
-                break
-            current = value
-        consider(current, vecs)
-
-    assert best_vecs is not None
-    return best_val, best_vecs
+    best = int(np.argmin(values))
+    return (float(values[best]), tuple(v[best].copy() for v in vecs),
+            sweeps, budget.restarts - active.size)
 
 
 def check_block_positive(m: DenseOperator, partition: PartitionSpec,
@@ -465,13 +475,14 @@ def check_block_positive(m: DenseOperator, partition: PartitionSpec,
     lam = dense_ops.min_eigenvalue(m)
     if lam >= -budget.eig_tol:
         return PositivityVerdict(PSD, lam, lam)
-    value, vecs = product_state_minimize(m, partition, budget)
+    value, vecs, sweeps, converged = product_state_minimize(m, partition, budget)
+    stats = {"sweeps": sweeps, "converged_starts": converged}
     if value >= -budget.band:
-        return PositivityVerdict(WITNESS_CANDIDATE, lam, value)
+        return PositivityVerdict(WITNESS_CANDIDATE, lam, value, **stats)
     recheck = product_state_value(m, partition, vecs)
     if recheck < -budget.band:
-        return PositivityVerdict(NOT_BLOCK_POSITIVE, lam, value, vecs)
-    return PositivityVerdict(INCONCLUSIVE, lam, value)
+        return PositivityVerdict(NOT_BLOCK_POSITIVE, lam, value, vecs, **stats)
+    return PositivityVerdict(INCONCLUSIVE, lam, value, **stats)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ def size_guard_limit() -> int:
     return int(env) if env else DEFAULT_SIZE_GUARD
 
 
+def check_size_guard(n: int, d: int, size_guard: int | None = None) -> None:
+    """Raise ValueError when d**n exceeds the guard (default: size_guard_limit)."""
+    guard = size_guard if size_guard is not None else size_guard_limit()
+    if d ** n > guard:
+        raise ValueError(f"d^n = {d ** n} exceeds the size guard {guard}")
+
+
 # ---------------------------------------------------------------------------
 # coefficients: polynomials in the formal dimension symbol
 # ---------------------------------------------------------------------------
@@ -324,9 +331,7 @@ def realize(x, d: int, size_guard: int | None = None) -> np.ndarray:
     if isinstance(x, GroupAlgebraElement):
         x = WbaElement.from_group_algebra(x)
     n = x.n
-    guard = size_guard if size_guard is not None else size_guard_limit()
-    if d ** n > guard:
-        raise ValueError(f"d^n = {d ** n} exceeds the size guard {guard}")
+    check_size_guard(n, d, size_guard)
     if isinstance(x, WbaDiagram):
         x = WbaElement.from_diagram(x)
     if not isinstance(x, WbaElement):

@@ -190,8 +190,11 @@ class TestFlags:
         ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]",
          "--alpha", "[2]", "--unitaries", "0"],
         ["verify-props", "--tuples", "0"],
+        ["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1", "--restarts", "0"],
+        ["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1", "--restarts", "-3"],
     ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
-            "projector-unitaries", "verify-props-tuples"])
+            "projector-unitaries", "verify-props-tuples", "scan-bcs-restarts-0",
+            "scan-bcs-restarts-negative"])
     def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
@@ -227,6 +230,28 @@ class TestProjectorLabels:
                              "--mu", "[1]", "--alpha", "[]")
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestProjectorChecksBeforeBuild:
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("f_projector called")
+        monkeypatch.setattr("wba.cli.f_projector", refuse)
+
+    @pytest.mark.parametrize("emit_map", ["0", "5"])
+    def test_emit_map_out_of_range(self, capsys, emit_map):
+        code, out, err = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
+                             "--mu", "[2,1]", "--alpha", "[2]", "--emit-map", emit_map)
+        assert code == 1 and out == ""
+        assert err == "error: --emit-map must be in 1..4\n"
+
+    def test_size_guard(self, capsys, monkeypatch):
+        monkeypatch.delenv("WBA_SIZE_GUARD", raising=False)
+        code, out, err = run(capsys, "projector", "--n", "8", "--k", "1", "--d", "3",
+                             "--mu", "[5,2]", "--alpha", "[4,2]", "--unitaries", "1")
+        assert code == 2 and out == ""
+        assert err == "error: d^n = 6561 exceeds the size guard 4096\n"
 
 
 class TestCommutantResidual:

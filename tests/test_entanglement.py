@@ -113,6 +113,112 @@ class TestBlockPositive:
             PartitionSpec.parse("1|3")
 
 
+def _reference_minimize(m, partition, budget):
+    """Reference for product_state_minimize: the same search run one start
+    at a time, counting sweeps and starts that met the stop rule."""
+    rng = np.random.default_rng(budget.seed)
+    t = ent._blocked_tensor(m, partition)
+    dims = [m.d ** len(b) for b in partition.blocks]
+    ell = len(dims)
+
+    def draw():
+        out = []
+        for dim in dims:
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            out.append(v / np.linalg.norm(v))
+        return out
+
+    def effective(vecs, i):
+        operands = [t, list(range(2 * ell))]
+        for j, v in enumerate(vecs):
+            if j != i:
+                operands += [v.conj(), [j], v, [ell + j]]
+        return np.einsum(*operands, [i, ell + i])
+
+    best_val, best_vecs, sweeps, converged = math.inf, None, 0, 0
+    for _ in range(budget.samples):
+        vecs = draw()
+        val = ent.product_state_value(m, partition, vecs)
+        if val < best_val:
+            best_val, best_vecs = val, tuple(v.copy() for v in vecs)
+    for _ in range(budget.restarts):
+        vecs = draw()
+        current = ent.product_state_value(m, partition, vecs)
+        for _ in range(budget.iterations):
+            sweeps += 1
+            for i in range(ell):
+                eff = effective(vecs, i)
+                w, u = np.linalg.eigh((eff + eff.conj().T) / 2.0)
+                vecs[i] = u[:, 0]
+                value = w[0]
+            if current - value < budget.improve_tol:
+                current = value
+                converged += 1
+                break
+            current = value
+        if current < best_val:
+            best_val, best_vecs = current, tuple(v.copy() for v in vecs)
+    return best_val, best_vecs, sweeps, converged
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("cut,n", [("1|2", 2), ("1|23", 3), ("1|2|3", 3)])
+    @pytest.mark.parametrize("seed,restarts,samples,iterations", [
+        (0, 1, 0, 200), (1, 6, 48, 200), (2, 16, 512, 200), (3, 5, 7, 2), (4, 3, 2, 0)])
+    def test_matches_per_start_loop(self, monkeypatch, cut, n, seed, restarts, samples,
+                                    iterations):
+        rng = np.random.default_rng([seed, n])
+        partition = PartitionSpec.parse(cut)
+        budget = SearchBudget(seed=seed, restarts=restarts, samples=samples,
+                              iterations=iterations)
+        g = random_matrix(3, n, rng)
+        h = DenseOperator(n, 3, (g + g.conj().T) / 2)
+        product_min = _reference_minimize(h, partition, budget)[0]
+        # negative on a product state, 0.01 above the estimated product
+        # minimum (a witness candidate), and PSD
+        shifts = (0.0, 1e-2 - product_min, 0.1 - dense_ops.min_eigenvalue(h))
+        classes = set()
+        for shift in shifts:
+            m = DenseOperator(n, 3, h.mat + shift * np.eye(3 ** n))
+            value, vecs, sweeps, converged = ent.product_state_minimize(m, partition, budget)
+            ref_value, ref_vecs, ref_sweeps, ref_converged = _reference_minimize(
+                m, partition, budget)
+            assert abs(value - ref_value) <= 1e-12
+            assert (sweeps, converged) == (ref_sweeps, ref_converged)
+            for v, ref in zip(vecs, ref_vecs, strict=True):
+                assert abs(abs(np.vdot(ref, v)) - 1.0) <= 1e-9
+            verdict = check_block_positive(m, partition, budget)
+            with monkeypatch.context() as patch:
+                patch.setattr(ent, "product_state_minimize", _reference_minimize)
+                reference = check_block_positive(m, partition, budget)
+            assert verdict.classification == reference.classification
+            classes.add(verdict.classification)
+        assert classes == {ent.NOT_BLOCK_POSITIVE, ent.WITNESS_CANDIDATE, ent.PSD}
+
+    def test_budget_validation(self):
+        m = dense_ops.identity(2, 2)
+        partition = PartitionSpec.parse("1|2")
+        for budget in (SearchBudget(restarts=0), SearchBudget(restarts=-3),
+                       SearchBudget(samples=-1)):
+            with pytest.raises(ValueError, match="restarts >= 1 and samples >= 0"):
+                ent.product_state_minimize(m, partition, budget)
+        value, _, _, _ = ent.product_state_minimize(m, partition,
+                                                    SearchBudget(restarts=1, samples=0))
+        assert value == pytest.approx(1.0)
+
+    def test_verdict_statistics(self):
+        kernel = bcs_kernel(0.25, -0.1, 3)
+        partition = PartitionSpec.parse("1|23")
+        verdict = check_block_positive(kernel, partition, SearchBudget(seed=5, restarts=16))
+        assert verdict.classification == ent.WITNESS_CANDIDATE
+        assert 16 <= verdict.sweeps <= 16 * 200 and 0 < verdict.converged_starts <= 16
+        capped = check_block_positive(kernel, partition,
+                                      SearchBudget(seed=5, restarts=16, iterations=1))
+        assert capped.sweeps == 16
+        psd = check_block_positive(dense_ops.identity(3, 3), partition, SearchBudget())
+        assert (psd.sweeps, psd.converged_starts) == (0, 0)
+
+
 class TestWernerParams:
     def test_projector_basis_traces(self):
         d = 3
