@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -76,6 +77,8 @@ def _parse_range(text: str) -> list[float]:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise ValueError(f"bad range {text!r}; expected start:stop:step") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"range {text!r} is not finite")
     if step <= 0:
         raise ValueError("range step must be positive")
     values, i = [], 0
@@ -139,7 +142,7 @@ def cmd_verify_props(args) -> int:
 
 
 def cmd_projector(args) -> int:
-    if _below_minimum(args, d=1, unitaries=1):
+    if _below_minimum(args, d=1, k=1, unitaries=1):
         return 1
     try:
         mu, alpha = parse_partition(args.mu), parse_partition(args.alpha)
@@ -204,14 +207,15 @@ def cmd_projector(args) -> int:
 def cmd_scan_bcs(args) -> int:
     if _below_minimum(args, d=3, restarts=1):
         return 1
-    try:
-        alphas = _parse_range(args.alpha)
-        betas = _parse_range(args.beta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ranges = []
+    for flag in ("alpha", "beta"):
+        try:
+            ranges.append(_parse_range(getattr(args, flag)))
+        except ValueError as exc:
+            print(f"error: --{flag}: {exc}", file=sys.stderr)
+            return 1
     budget = ent.SearchBudget(restarts=args.restarts, seed=args.seed)
-    rows = ent.scan_bcs_region(alphas, betas, args.d, budget)
+    rows = ent.scan_bcs_region(*ranges, args.d, budget)
     lines = ["alpha,beta,analytic_positive,min_eig,product_min,class"]
     for r in rows:
         lines.append(",".join([
@@ -228,13 +232,16 @@ def cmd_werner_ppt(args) -> int:
         rs = tuple(float(tok) for tok in args.r.split(","))
         if len(rs) != 6:
             raise ValueError("expected 6 comma-separated values r+,r-,r0,r1,r2,r3")
+        params = ent.WernerParams.from_rs(rs, args.d)
+        with np.errstate(all="ignore"):     # non-finite input is reported below
+            rho = ent.werner_state(params)
+        if not (all(map(math.isfinite, rs)) and np.isfinite(rho.mat).all()):
+            raise ValueError(f"--r {args.r!r} has a non-finite value or operator entry")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     checks, overall = ent.werner_ppt_conditions(rs)
-    params = ent.WernerParams.from_rs(rs, args.d)
     valid = params.is_valid_state()
-    rho = ent.werner_state(params)
     min_eig = dense_ops.min_eigenvalue(dense_ops.partial_transpose(rho, (1,)))
     eig_ppt = min_eig >= -1e-8
     payload = {
@@ -306,10 +313,10 @@ def cmd_compose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     diag, loops = compose_diagrams(a, b)
-    print(f"left   : {diagram_to_text(a)}")
-    print(f"right  : {diagram_to_text(b)}")
-    print(f"product: {diagram_to_text(diag)}")
-    print(f"loops  : {loops}  (coefficient d^{loops})")
+    _emit(f"left   : {diagram_to_text(a)}\n"
+          f"right  : {diagram_to_text(b)}\n"
+          f"product: {diagram_to_text(diag)}\n"
+          f"loops  : {loops}  (coefficient d^{loops})\n", args.out)
     return 0
 
 

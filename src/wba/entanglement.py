@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dense_ops
 from .dense_ops import DenseOperator
+from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_permutation
 from .wba_algebra import from_permutation, realize
 
@@ -222,17 +223,10 @@ def _row_subset(row: str) -> tuple[int, ...]:
 
 
 def eggeling_werner_map_trace(row: str, params: WernerParams, a, b=None) -> DenseOperator:
-    """Defining trace formula: tr over the input slots of rho^{T_S} inputs."""
-    d = params.d
-    rho = werner_state(params)
-    rho_ts = dense_ops.partial_transpose(rho, _row_subset(row))
-    a = np.asarray(a, dtype=complex)
-    if row.startswith("f"):
-        big = np.kron(a, np.eye(d * d, dtype=complex))
-        return dense_ops.partial_trace(DenseOperator(3, d, rho_ts.mat @ big), (1,))
-    b = np.asarray(b, dtype=complex)
-    big = np.kron(np.kron(a, b), np.eye(d, dtype=complex))
-    return dense_ops.partial_trace(DenseOperator(3, d, rho_ts.mat @ big), (1, 2))
+    """Defining trace formula: the contraction oracle's map of rho^{T_S}."""
+    rho_ts = dense_ops.partial_transpose(werner_state(params), _row_subset(row))
+    inputs = [a] if row.startswith("f") else [a, b]
+    return evaluate_oracle(MapSpec(rho_ts, len(inputs), 3 - len(inputs), params.d), inputs)
 
 
 def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOperator:

@@ -5,7 +5,8 @@ A kernel P on n = n_in + n_out sites defines
                                                  (x) 1^{n_out}) ].
 ``fast_evaluate`` contracts the inputs into the realized kernel one site at
 a time and serves every kernel; ``evaluate_oracle`` computes the same map
-literally and is the ground truth for both it and the closed forms below:
+literally through ``contract``, the one brute-force contraction of the
+package, and is the ground truth for both it and the closed forms below:
 single-cycle kernels with one transposed site reduce to matrix products with
 a transpose inserted, those with a transposed subset to products with
 transposes on the subset (or on its complement, in reversed order, when the
@@ -77,23 +78,33 @@ class MapSpec:
         return realize(self.kernel, self.d)
 
 
-def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
-    """Literal contraction: realize, kron with identities, multiply, trace.
+def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
+    """Literal contraction: tr over every site not in ``keep`` of
+    kernel @ (F_1 (x) F_2 (x) ...).
 
-    This is the ground-truth evaluation every closed form is tested against.
+    The factors tile the kernel's sites from site 1 on; one may cover one
+    site or several.  With ``keep`` empty the result is the full trace as a
+    1 x 1 operator.  This is the ground truth every closed form is tested
+    against.
     """
+    big = np.eye(1, dtype=complex)
+    for mat in factors:
+        big = np.kron(big, mat)
+    prod = DenseOperator(kernel.n, kernel.d, kernel.mat @ big)
+    keep = set(keep)
+    if not keep:
+        return DenseOperator(0, kernel.d, np.array([[prod.trace()]], dtype=complex))
+    return dense_ops.partial_trace(prod, [s for s in range(1, kernel.n + 1) if s not in keep])
+
+
+def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
+    """The map by ``contract``: inputs on sites 1..n_in, identity on the rest."""
     if len(inputs) != spec.n_in:
         raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
     d = spec.d
-    mats = [_as_matrix(x, d) for x in inputs]
-    big = np.eye(1, dtype=complex)
-    for mat in mats:
-        big = np.kron(big, mat)
-    big = np.kron(big, np.eye(d ** spec.n_out, dtype=complex))
-    prod = DenseOperator(spec.sites, d, spec.kernel_matrix() @ big)
-    if spec.n_out == 0:
-        return DenseOperator(0, d, np.array([[prod.trace()]], dtype=complex))
-    return dense_ops.partial_trace(prod, range(1, spec.n_in + 1))
+    factors = [_as_matrix(x, d) for x in inputs] + [np.eye(d ** spec.n_out, dtype=complex)]
+    kernel = DenseOperator(spec.sites, d, spec.kernel_matrix())
+    return contract(kernel, factors, range(spec.n_in + 1, spec.sites + 1))
 
 
 def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:

@@ -26,16 +26,6 @@ def _kernel(perm: Permutation, transposed, d: int) -> DenseOperator:
     return DenseOperator(perm.n, d, realize(from_permutation(perm, transposed), d))
 
 
-def _contract_keep(kernel: DenseOperator, mats, keep_site: int, d: int) -> DenseOperator:
-    """tr over all sites but one of kernel @ (X_1 (x) ... (x) X_k)."""
-    k = len(mats)
-    big = np.eye(1, dtype=complex)
-    for m in mats:
-        big = np.kron(big, m)
-    prod = DenseOperator(k, d, kernel.mat @ big)
-    return dense_ops.partial_trace(prod, [s for s in range(1, k + 1) if s != keep_site])
-
-
 def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
                       k_max: int = 5, only: str | None = None,
                       tol: float = 1e-10) -> list[dict]:
@@ -64,7 +54,7 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
                     def case(rng, d=d, k=k, direction=direction, keep=keep, j=j,
                              kernel=_kernel(cyc, {j}, d)):
                         mats = _rand_mats(rng, d, k)
-                        oracle = _contract_keep(kernel, mats, keep, d)
+                        oracle = mm.contract(kernel, mats, [keep])
                         closed = mm.evaluate_cycle_to_one(direction, j, mats, d)
                         return dense_ops.sup_norm(closed.mat - oracle.mat)
                     run("prop3", f"prop3:{direction},k={k},j={j},d={d}", case)
@@ -78,7 +68,7 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
 
                 def case(rng, d=d, k=k, s=s, kernel=_kernel(mm.backward_cycle(k), s, d)):
                     mats = _rand_mats(rng, d, k)
-                    oracle = _contract_keep(kernel, mats, k, d)
+                    oracle = mm.contract(kernel, mats, [k])
                     closed = mm.cycle_subset_to_one(s, mats, d)
                     return dense_ops.sup_norm(closed.mat - oracle.mat)
                 label = "{" + ",".join(str(x) for x in sorted(s)) + "}"
@@ -106,14 +96,14 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
     for d in d_values:
         def eq_4to1(rng, d=d, kernel=_kernel(mm.backward_cycle(5), {5}, d)):
             mats = _rand_mats(rng, d, 5)
-            oracle = _contract_keep(kernel, mats, 5, d)
+            oracle = mm.contract(kernel, mats, [5])
             closed = (mats[0] @ mats[1] @ mats[2] @ mats[3]).T @ mats[4]
             return dense_ops.sup_norm(closed - oracle.mat)
         run("identity", f"identity:4to1,d={d}", eq_4to1)
 
         def swap_transpose(rng, d=d, kernel=_kernel(mm.backward_cycle(2), {1}, d)):
             a, b = _rand_mats(rng, d, 2)
-            oracle = _contract_keep(kernel, [a, b], 2, d)
+            oracle = mm.contract(kernel, [a, b], [2])
             return dense_ops.sup_norm(a.T @ b - oracle.mat)
         run("identity", f"identity:transpose-swap,d={d}", swap_transpose)
 
@@ -122,8 +112,7 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
             b = DenseOperator(2, d, dense_ops.random_matrix(d, 2, rng))
             r = dense_ops.reshuffle_bipartite
             lhs = r(DenseOperator(2, d, r(a).mat @ r(b).mat))
-            prod = DenseOperator(4, d, kernel.mat @ np.kron(a.mat, b.mat))
-            rhs = dense_ops.partial_trace(prod, (2, 3))
+            rhs = mm.contract(kernel, [a.mat, b.mat], (1, 4))
             return dense_ops.sup_norm(lhs.mat - rhs.mat)
         run("identity", f"identity:re3,d={d}", re3)
 

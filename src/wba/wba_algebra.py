@@ -37,15 +37,10 @@ from .sym_core import (
 DEFAULT_SIZE_GUARD = 4096
 
 
-def size_guard_limit() -> int:
-    """Dense-realization guard on d**n; WBA_SIZE_GUARD overrides."""
-    env = os.environ.get("WBA_SIZE_GUARD")
-    return int(env) if env else DEFAULT_SIZE_GUARD
-
-
-def check_size_guard(n: int, d: int, size_guard: int | None = None) -> None:
-    """Raise ValueError when d**n exceeds the guard (default: size_guard_limit)."""
-    guard = size_guard if size_guard is not None else size_guard_limit()
+def check_size_guard(n: int, d: int) -> None:
+    """Raise ValueError when d**n exceeds the dense-realization guard
+    (DEFAULT_SIZE_GUARD; WBA_SIZE_GUARD overrides)."""
+    guard = int(os.environ.get("WBA_SIZE_GUARD") or DEFAULT_SIZE_GUARD)
     if d ** n > guard:
         raise ValueError(f"d^n = {d ** n} exceeds the size guard {guard}")
 
@@ -321,9 +316,9 @@ def _pair_weights(diag: WbaDiagram, d: int) -> np.ndarray:
     return np.array(weights, dtype=np.intp)
 
 
-def realize(x, d: int, size_guard: int | None = None) -> np.ndarray:
+def realize(x, d: int) -> np.ndarray:
     """Dense matrix on (C^d)^{tensor n} for a diagram, element, permutation,
-    or group-algebra element.  Guarded by d**n <= size_guard."""
+    or group-algebra element.  Guarded by check_size_guard."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if isinstance(x, Permutation):
@@ -331,7 +326,7 @@ def realize(x, d: int, size_guard: int | None = None) -> np.ndarray:
     if isinstance(x, GroupAlgebraElement):
         x = WbaElement.from_group_algebra(x)
     n = x.n
-    check_size_guard(n, d, size_guard)
+    check_size_guard(n, d)
     if isinstance(x, WbaDiagram):
         x = WbaElement.from_diagram(x)
     if not isinstance(x, WbaElement):

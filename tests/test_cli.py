@@ -174,6 +174,13 @@ class TestCompose:
         code, _, err = run(capsys, "compose", "(1 9)", "(1 2)", "--n", "3")
         assert code == 1
 
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "product.txt"
+        code, out, _ = run(capsys, "compose", "(1 2)", "(2 3)", "--n", "3", "--out", str(path))
+        assert code == 0 and out == ""
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4 and lines[2] == "product: (1 2 3)"
+
 
 class TestFlags:
     def test_unknown_command(self, capsys):
@@ -192,9 +199,16 @@ class TestFlags:
         ["verify-props", "--tuples", "0"],
         ["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1", "--restarts", "0"],
         ["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1", "--restarts", "-3"],
+        ["scan-bcs", "--alpha", "0:inf:0.1", "--beta", "0:0:1"],
+        ["scan-bcs", "--alpha=-inf:0:1", "--beta", "0:0:1"],
+        ["werner-ppt", "--r", "nan,0,0,0,0,0"],
+        ["werner-ppt", "--r", "inf,0,0,0,0,0"],
+        ["werner-ppt", "--r", "1e308,1e308,0,0,0,0"],
+        ["projector", "--n", "4", "--k", "0", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
     ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
             "projector-unitaries", "verify-props-tuples", "scan-bcs-restarts-0",
-            "scan-bcs-restarts-negative"])
+            "scan-bcs-restarts-negative", "scan-bcs-alpha-inf", "scan-bcs-alpha-minus-inf",
+            "werner-ppt-nan", "werner-ppt-inf", "werner-ppt-overflow", "projector-k-0"])
     def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""

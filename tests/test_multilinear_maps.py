@@ -8,6 +8,7 @@ from wba.dense_ops import DenseOperator, random_matrix, random_psd, sup_norm
 from wba.multilinear_maps import (
     MapSpec,
     backward_cycle,
+    contract,
     cycle_subset_to_one,
     evaluate_cycle_to_one,
     evaluate_one_to_many,
@@ -20,7 +21,7 @@ from wba.multilinear_maps import (
     theta_product,
 )
 from wba.sym_core import Partition, Permutation, parse_permutation
-from wba.verification import _contract_keep, _kernel, proposition_suite
+from wba.verification import _kernel, proposition_suite
 from wba.wba_algebra import WbaElement, f_projector, from_permutation, realize
 
 
@@ -90,7 +91,7 @@ class TestCycleToOne:
         for j in range(1, k + 1):
             for _ in range(5):
                 mats = [random_matrix(d, 1, rng) for _ in range(k)]
-                oracle = _contract_keep(_kernel(cycle, {j}, d), mats, keep, d)
+                oracle = contract(_kernel(cycle, {j}, d), mats, [keep])
                 closed = evaluate_cycle_to_one(direction, j, mats, d)
                 assert sup_norm(closed.mat - oracle.mat) < 1e-10
 
@@ -128,7 +129,7 @@ class TestTheta:
                 s = frozenset(subset)
                 for _ in range(3):
                     mats = [random_psd(d, 1, rng).mat for _ in range(k)]
-                    oracle = _contract_keep(_kernel(backward_cycle(k), s, d), mats, k, d)
+                    oracle = contract(_kernel(backward_cycle(k), s, d), mats, [k])
                     closed = cycle_subset_to_one(s, mats, d)
                     assert sup_norm(closed.mat - oracle.mat) < 1e-10
 
@@ -228,6 +229,22 @@ class TestDispatcher:
             fast_evaluate(spec, inputs[:1])
         with pytest.raises(ValueError):
             fast_evaluate(spec, [inputs[0], random_matrix(3, 1, rng)])
+
+
+class TestLargestKernel:
+    def test_n6_projector_fast_matches_oracle(self, rng):
+        # the 288-term F_[2,2]([2]) at n=6, k=2, d=3: a 729 x 729 kernel
+        d = 3
+        element = f_projector(Partition((2, 2)), Partition((2,)), 6, 2, d)
+        assert len(element.terms) == 288
+        kernel = DenseOperator(6, d, realize(element, d))
+        for n_in in (1, 3, 5):
+            spec = MapSpec(kernel, n_in, 6 - n_in, d)
+            inputs = [random_psd(d, 1, rng) for _ in range(n_in)]
+            fast = fast_evaluate(spec, inputs)
+            oracle = evaluate_oracle(spec, inputs)
+            assert fast.n == oracle.n == 6 - n_in
+            assert sup_norm(fast.mat - oracle.mat) <= 1e-10
 
 
 class TestMultilinearity:
