@@ -48,6 +48,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?([:,].*)?$")
 
 
+# largest (alpha, beta) grid scan-bcs accepts; a point takes about a millisecond
+MAX_SCAN_POINTS = 100_000
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -81,6 +85,8 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError(f"range {text!r} is not finite")
     if step <= 0:
         raise ValueError("range step must be positive")
+    if (stop - start) / step + 1 > MAX_SCAN_POINTS:
+        raise ValueError(f"range {text!r} has more than {MAX_SCAN_POINTS} points")
     values, i = [], 0
     while (v := start + i * step) <= stop + 1e-12:
         values.append(round(v, 12))
@@ -98,6 +104,15 @@ def _below_minimum(args, **minimums) -> bool:
                   file=sys.stderr)
             return True
     return False
+
+
+def _bad_tolerance(args) -> bool:
+    """Report a --tolerance that is not finite and positive on one stderr line."""
+    if math.isfinite(args.tolerance) and args.tolerance > 0:
+        return False
+    print(f"error: --tolerance must be finite and positive, got {args.tolerance}",
+          file=sys.stderr)
+    return True
 
 
 def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> float:
@@ -119,7 +134,7 @@ def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> flo
 # ---------------------------------------------------------------------------
 
 def cmd_verify_props(args) -> int:
-    if _below_minimum(args, tuples=1):
+    if _below_minimum(args, tuples=1) or _bad_tolerance(args):
         return 1
     cases = proposition_suite(seed=args.seed, tuples=args.tuples, only=args.only,
                               tol=args.tolerance)
@@ -214,6 +229,11 @@ def cmd_scan_bcs(args) -> int:
         except ValueError as exc:
             print(f"error: --{flag}: {exc}", file=sys.stderr)
             return 1
+    points = len(ranges[0]) * len(ranges[1])
+    if points > MAX_SCAN_POINTS:
+        print(f"error: --alpha/--beta: the grid has {points} points, "
+              f"more than {MAX_SCAN_POINTS}", file=sys.stderr)
+        return 1
     budget = ent.SearchBudget(restarts=args.restarts, seed=args.seed)
     rows = ent.scan_bcs_region(*ranges, args.d, budget)
     lines = ["alpha,beta,analytic_positive,min_eig,product_min,class"]
@@ -273,7 +293,7 @@ def cmd_werner_ppt(args) -> int:
 
 
 def cmd_ew_maps(args) -> int:
-    if _below_minimum(args, d=3, instances=1):
+    if _below_minimum(args, d=3, instances=1) or _bad_tolerance(args):
         return 1
     rows = ent.F_ROWS + ent.G_ROWS if args.row == "all" else (args.row,)
     bad = [r for r in rows if r not in ent.F_ROWS + ent.G_ROWS]
@@ -306,6 +326,10 @@ def cmd_ew_maps(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    if args.format != "text":
+        print(f"error: --format {args.format} is not supported by compose (text only)",
+              file=sys.stderr)
+        return 1
     try:
         a = parse_diagram(args.left, args.n)
         b = parse_diagram(args.right, args.n)
@@ -357,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--alpha", required=True, help="range start:stop:step")
     p.add_argument("--beta", required=True, help="range start:stop:step")
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=int, default=16,
+                   help="restarts of the search run when the covariance check fails")
     p.set_defaults(func=cmd_scan_bcs)
 
     p = sub.add_parser("werner-ppt", parents=[common],

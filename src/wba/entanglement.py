@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .wba_algebra import from_permutation, realize
 
 EIG_TOL = 1e-9
 PRODUCT_BAND = 1e-7
+COVARIANCE_DRAWS = 2
 
 PSD = "PSD"
 WITNESS_CANDIDATE = "WITNESS_CANDIDATE"
@@ -247,57 +249,63 @@ def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOpera
         def rt2(x):
             return dense_ops.partial_transpose(r(x), (2,))
 
+        # per row: the a2 and a4 factors, the reshuffle of the a3, a5, a6
+        # terms, and the a5 and a6 Kronecker pairs
+        at = a.T
+        x2, x4, shuffle, pair5, pair6 = {
+            "f1": (at, at, rt2, (at, eye), (eye, a)),
+            "f2": (at, a, r, (eye, a), (at, eye)),
+            "f3": (a, at, r, (a, eye), (eye, at)),
+            "f12": (a, at, r, (eye, at), (a, eye)),
+            "f13": (at, a, r, (at, eye), (eye, a)),
+            "f23": (at, at, rt2, (eye, a), (at, eye)),
+        }[row]
         tr_a = np.trace(a)
-        ee, eer, eert = two(eye, eye), r(two(eye, eye)), rt2(two(eye, eye))
-        table = {
-            "f1": (a2 * two(a.T, eye).mat + a3 * tr_a * eert.mat + a4 * two(eye, a.T).mat
-                   + a5 * rt2(two(a.T, eye)).mat + a6 * rt2(two(eye, a)).mat),
-            "f2": (a2 * two(a.T, eye).mat + a3 * tr_a * eer.mat + a4 * two(eye, a).mat
-                   + a5 * r(two(eye, a)).mat + a6 * r(two(a.T, eye)).mat),
-            "f3": (a2 * two(a, eye).mat + a3 * tr_a * eer.mat + a4 * two(eye, a.T).mat
-                   + a5 * r(two(a, eye)).mat + a6 * r(two(eye, a.T)).mat),
-            "f12": (a2 * two(a, eye).mat + a3 * tr_a * eer.mat + a4 * two(eye, a.T).mat
-                    + a5 * r(two(eye, a.T)).mat + a6 * r(two(a, eye)).mat),
-            "f13": (a2 * two(a.T, eye).mat + a3 * tr_a * eer.mat + a4 * two(eye, a).mat
-                    + a5 * r(two(a.T, eye)).mat + a6 * r(two(eye, a)).mat),
-            "f23": (a2 * two(a.T, eye).mat + a3 * tr_a * eert.mat + a4 * two(eye, a.T).mat
-                    + a5 * rt2(two(eye, a)).mat + a6 * rt2(two(a.T, eye)).mat),
-        }
-        return DenseOperator(2, d, a1 * tr_a * ee.mat + table[row])
+        ee = two(eye, eye)
+        terms = (a2 * two(x2, eye).mat + a3 * tr_a * shuffle(ee).mat + a4 * two(eye, x4).mat
+                 + a5 * shuffle(two(*pair5)).mat + a6 * shuffle(two(*pair6)).mat)
+        return DenseOperator(2, d, a1 * tr_a * ee.mat + terms)
 
     b = np.asarray(b, dtype=complex)
+    at, bt = a.T, b.T
+    # per row: the a2 trace pair, the a3 and a4 factors, the a5 and a6 products
+    pair2, y3, x4, pair5, pair6 = {
+        "g1": ((at, b), b, at, (b, at), (at, b)),
+        "g2": ((a, bt), bt, a, (bt, a), (a, bt)),
+        "g3": ((a, b), bt, at, (at, bt), (bt, at)),
+        "g12": ((at, bt), bt, at, (bt, at), (at, bt)),
+        "g13": ((at, b), bt, a, (a, bt), (bt, a)),
+        "g23": ((at, b), b, at, (at, b), (b, at)),
+    }[row]
     tr_a, tr_b = np.trace(a), np.trace(b)
-    table = {
-        "g1": (a2 * np.trace(a.T @ b) * eye + a3 * tr_a * b + a4 * tr_b * a.T
-               + a5 * b @ a.T + a6 * a.T @ b),
-        "g2": (a2 * np.trace(a @ b.T) * eye + a3 * tr_a * b.T + a4 * tr_b * a
-               + a5 * b.T @ a + a6 * a @ b.T),
-        "g3": (a2 * np.trace(a @ b) * eye + a3 * tr_a * b.T + a4 * tr_b * a.T
-               + a5 * a.T @ b.T + a6 * b.T @ a.T),
-        "g12": (a2 * np.trace(a.T @ b.T) * eye + a3 * tr_a * b.T + a4 * tr_b * a.T
-                + a5 * b.T @ a.T + a6 * a.T @ b.T),
-        "g13": (a2 * np.trace(a.T @ b) * eye + a3 * tr_a * b.T + a4 * tr_b * a
-                + a5 * a @ b.T + a6 * b.T @ a),
-        "g23": (a2 * np.trace(a.T @ b) * eye + a3 * tr_a * b + a4 * tr_b * a.T
-                + a5 * a.T @ b + a6 * b @ a.T),
-    }
-    return DenseOperator(1, d, a1 * tr_a * tr_b * eye + table[row])
+    terms = (a2 * np.trace(pair2[0] @ pair2[1]) * eye + a3 * tr_a * y3 + a4 * tr_b * x4
+             + a5 * pair5[0] @ pair5[1] + a6 * pair6[0] @ pair6[1])
+    return DenseOperator(1, d, a1 * tr_a * tr_b * eye + terms)
 
 
 # ---------------------------------------------------------------------------
 # Bardet-Collins-Sapra kernel and positivity condition
 # ---------------------------------------------------------------------------
 
-def bcs_kernel(alpha: float, beta: float, d: int) -> DenseOperator:
-    """(1 2)^{T_2} + (1 3) + alpha * id + beta * (2 3)^{T_2} on three factors."""
+def _bcs_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Dense (1 2)^{T_2}, (1 3), id and (2 3)^{T_2}: the kernel's four terms."""
     if d < 2:
         raise ValueError("need d >= 2")
     p = parse_permutation
-    mat = (realize(from_permutation(p("(1 2)", 3), {2}), d)
-           + realize(p("(3 1)", 3), d)
-           + alpha * realize(p("()", 3), d)
-           + beta * realize(from_permutation(p("(2 3)", 3), {2}), d))
-    return DenseOperator(3, d, mat)
+    return (realize(from_permutation(p("(1 2)", 3), {2}), d), realize(p("(3 1)", 3), d),
+            realize(p("()", 3), d), realize(from_permutation(p("(2 3)", 3), {2}), d))
+
+
+def _bcs_from_basis(basis, alpha: float, beta: float, d: int) -> DenseOperator:
+    p12_t2, p13, one, p23_t2 = basis
+    return DenseOperator(3, d, p12_t2 + p13 + alpha * one + beta * p23_t2)
+
+
+def bcs_kernel(alpha: float, beta: float, d: int) -> DenseOperator:
+    """(1 2)^{T_2} + (1 3) + alpha * id + beta * (2 3)^{T_2} on three factors.
+
+    It commutes with U (x) conj(U) (x) U for every unitary U."""
+    return _bcs_from_basis(_bcs_basis(d), alpha, beta, d)
 
 
 def bcs_alpha_threshold(beta: float, d: int) -> float:
@@ -360,7 +368,8 @@ class SearchBudget:
 class PositivityVerdict:
     """``sweeps`` counts see-saw sweeps over all starts, ``converged_starts``
     the starts that met the stop rule before the iteration cap; both are 0
-    when no search ran."""
+    when no search ran.  ``certified`` marks a product minimum that is exact
+    (covariant_block_minimum) rather than a search estimate."""
 
     classification: str
     min_eig: float
@@ -368,6 +377,7 @@ class PositivityVerdict:
     violating_product_state: tuple[np.ndarray, ...] | None = None
     sweeps: int = 0
     converged_starts: int = 0
+    certified: bool = False
 
 
 def _blocked_tensor(m: DenseOperator, partition: PartitionSpec) -> np.ndarray:
@@ -470,13 +480,66 @@ def check_block_positive(m: DenseOperator, partition: PartitionSpec,
     if lam >= -budget.eig_tol:
         return PositivityVerdict(PSD, lam, lam)
     value, vecs, sweeps, converged = product_state_minimize(m, partition, budget)
-    stats = {"sweeps": sweeps, "converged_starts": converged}
+    return _classify(m, partition, lam, value, vecs, budget,
+                     sweeps=sweeps, converged_starts=converged)
+
+
+def _classify(m: DenseOperator, partition: PartitionSpec, lam: float, value: float,
+              vecs, budget: SearchBudget, **fields) -> PositivityVerdict:
+    """Verdict of a non-PSD operator from its product minimum ``value`` at
+    ``vecs``; a violation is re-evaluated before it is reported."""
     if value >= -budget.band:
-        return PositivityVerdict(WITNESS_CANDIDATE, lam, value, **stats)
+        return PositivityVerdict(WITNESS_CANDIDATE, lam, value, **fields)
     recheck = product_state_value(m, partition, vecs)
     if recheck < -budget.band:
-        return PositivityVerdict(NOT_BLOCK_POSITIVE, lam, value, vecs, **stats)
-    return PositivityVerdict(INCONCLUSIVE, lam, value, **stats)
+        return PositivityVerdict(NOT_BLOCK_POSITIVE, lam, value, vecs, **fields)
+    return PositivityVerdict(INCONCLUSIVE, lam, value, **fields)
+
+
+def covariant_block_minimum(m: DenseOperator, conjugated, rng: np.random.Generator
+                            ) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
+    """Exact minimum of <a x|M|a x> over unit vectors a on site 1 and x on
+    the other sites, with a minimising (a, x), for an M that commutes with
+    the tensor product of conj(U) on the sites in ``conjugated`` and U on the
+    others, for every unitary U.
+
+    Such a product moves any unit a to e_1 and keeps the form, so the minimum
+    is the least eigenvalue of the block <e_1|M|e_1> on the other sites.  The
+    commutation is checked, never assumed, with COVARIANCE_DRAWS Haar
+    unitaries from ``rng``; when a residual exceeds ATOL relative to M's
+    largest entry, the answer is None (a refusal).
+    """
+    if m.n < 2:
+        raise ValueError("the cut 1|rest needs at least two sites")
+    d, rest = m.d, m.d ** (m.n - 1)
+    tol = dense_ops.ATOL * max(1.0, dense_ops.sup_norm(m.mat))
+    for _ in range(COVARIANCE_DRAWS):
+        u = dense_ops.haar_unitary(d, rng)
+        w = reduce(np.kron, [u.conj() if s in conjugated else u for s in range(1, m.n + 1)])
+        if dense_ops.sup_norm(w @ m.mat - m.mat @ w) > tol:
+            return None
+    values, vectors = np.linalg.eigh(m.mat.reshape(d, rest, d, rest)[0, :, 0, :])
+    e1 = np.zeros(d, dtype=complex)
+    e1[0] = 1.0
+    return float(values[0]), (e1, vectors[:, 0])
+
+
+def check_covariant_block_positive(m: DenseOperator, conjugated,
+                                   budget: SearchBudget | None = None) -> PositivityVerdict:
+    """check_block_positive for the cut 1|rest of an operator covariant as
+    covariant_block_minimum requires: the PSD step is the same, and the
+    product minimum is the exact one, so the verdict is ``certified``.  An
+    operator that fails the covariance check gets check_block_positive's
+    search.  The check draws its unitaries from the budget seed."""
+    budget = budget or SearchBudget()
+    partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
+    lam = dense_ops.min_eigenvalue(m)
+    if lam >= -budget.eig_tol:
+        return PositivityVerdict(PSD, lam, lam)
+    exact = covariant_block_minimum(m, conjugated, np.random.default_rng(budget.seed))
+    if exact is None:
+        return check_block_positive(m, partition, budget)
+    return _classify(m, partition, lam, *exact, budget, certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +560,10 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = No
     """Positivity of f_S / g_S on PSD inputs against block-positivity of
     rho^{T_S} for 1|23 and 1|2|3 respectively; lists any contradiction.
 
+    rho^{T_S} commutes with conj(U) on S and U elsewhere, so the 1|23 verdict
+    is the exact one of check_covariant_block_positive; the 1|2|3 verdict
+    comes from the search.
+
     The inputs are ``n_inputs`` random full-rank PSD operators plus the
     rank-one projectors onto a verdict's violating product state: since
     <v|f_S(|a><a|)|v> = <a,v|rho^{T_S}|a,v> (and likewise for g_S), a proved
@@ -511,7 +578,7 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = No
     samples = [(dense_ops.random_psd(d, 1, rng).mat, dense_ops.random_psd(d, 1, rng).mat)
                for _ in range(n_inputs)]
 
-    verdict_f = check_block_positive(rho_ts, PartitionSpec.parse("1|23"), budget)
+    verdict_f = check_covariant_block_positive(rho_ts, s, budget)
     verdict_g = check_block_positive(rho_ts, PartitionSpec.parse("1|2|3"), budget)
 
     f_inputs = [(a,) for a, _ in samples] + _rank_one_inputs(verdict_f, 1)
@@ -545,18 +612,22 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = No
 
 def scan_bcs_region(alpha_values, beta_values, d: int,
                     budget: SearchBudget | None = None) -> list[dict]:
-    """Grid scan: analytic condition, minimum eigenvalue, product-state
-    minimum estimate and classification per (alpha, beta) point.
+    """Grid scan: analytic condition, minimum eigenvalue, 1|23 product-state
+    minimum and classification per (alpha, beta) point.
 
-    Each point's search seed is the budget seed offset by its grid indices.
+    The kernel is covariant, so the minimum is the exact one of
+    check_covariant_block_positive (``certified``); the budget's search runs
+    only if the covariance check fails.  Each point's seed is the budget seed
+    offset by its grid indices.
     """
     budget = budget or SearchBudget()
-    partition = PartitionSpec.parse("1|23")
+    basis = _bcs_basis(d)
     rows = []
     for i, alpha in enumerate(alpha_values):
         for j, beta in enumerate(beta_values):
             point_budget = replace(budget, seed=budget.seed + 7919 * i + 104729 * j)
-            verdict = check_block_positive(bcs_kernel(alpha, beta, d), partition, point_budget)
+            verdict = check_covariant_block_positive(_bcs_from_basis(basis, alpha, beta, d),
+                                                     {2}, point_budget)
             rows.append({
                 "alpha": float(alpha),
                 "beta": float(beta),
@@ -564,5 +635,6 @@ def scan_bcs_region(alpha_values, beta_values, d: int,
                 "min_eig": verdict.min_eig,
                 "product_min": verdict.product_min_estimate,
                 "class": verdict.classification,
+                "certified": verdict.certified,
             })
     return rows

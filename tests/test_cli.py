@@ -205,10 +205,18 @@ class TestFlags:
         ["werner-ppt", "--r", "inf,0,0,0,0,0"],
         ["werner-ppt", "--r", "1e308,1e308,0,0,0,0"],
         ["projector", "--n", "4", "--k", "0", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
+        ["scan-bcs", "--alpha", "0:1:1e-6", "--beta", "0:0:1"],
+        ["scan-bcs", "--alpha", "0:1:1e-3", "--beta", "0:1:1e-3"],
+        ["verify-props", "--tolerance", "nan"],
+        ["ew-maps", "--tolerance", "nan"],
+        ["ew-maps", "--tolerance", "0"],
+        ["compose", "(1 2)", "(2 3)", "--n", "3", "--format", "json"],
     ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
             "projector-unitaries", "verify-props-tuples", "scan-bcs-restarts-0",
             "scan-bcs-restarts-negative", "scan-bcs-alpha-inf", "scan-bcs-alpha-minus-inf",
-            "werner-ppt-nan", "werner-ppt-inf", "werner-ppt-overflow", "projector-k-0"])
+            "werner-ppt-nan", "werner-ppt-inf", "werner-ppt-overflow", "projector-k-0",
+            "scan-bcs-range-too-long", "scan-bcs-grid-too-large", "verify-props-tolerance-nan",
+            "ew-maps-tolerance-nan", "ew-maps-tolerance-0", "compose-format-json"])
     def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""

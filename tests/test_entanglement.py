@@ -22,6 +22,8 @@ from wba.entanglement import (
     werner_ppt_conditions,
     werner_state,
 )
+from wba.sym_core import parse_permutation
+from wba.wba_algebra import from_permutation, realize
 
 
 @pytest.fixture
@@ -42,6 +44,27 @@ class TestBcsKernel:
         kernel = bcs_kernel(alpha, beta, d)
         expect = d * d + d * d + alpha * d ** 3 + beta * d * d
         assert np.isclose(kernel.trace(), expect)
+
+    def test_scan_kernels_equal_term_by_term_sum(self, monkeypatch):
+        p = parse_permutation
+
+        def reference(alpha, beta, d):
+            # the four realizations summed in the kernel's order
+            return (realize(from_permutation(p("(1 2)", 3), {2}), d) + realize(p("(3 1)", 3), d)
+                    + alpha * realize(p("()", 3), d)
+                    + beta * realize(from_permutation(p("(2 3)", 3), {2}), d))
+
+        scanned = []
+        real_check = ent.check_covariant_block_positive
+        monkeypatch.setattr(ent, "check_covariant_block_positive",
+                            lambda m, *args: scanned.append(m.mat) or real_check(m, *args))
+        alphas, betas = [0.0, 0.3, 1 / 3], [-0.45, 0.0, 0.1]
+        scan_bcs_region(alphas, betas, 3)
+        points = [(a, b) for a in alphas for b in betas]
+        assert len(scanned) == len(points)
+        for mat, (alpha, beta) in zip(scanned, points):
+            assert np.array_equal(mat, reference(alpha, beta, 3))
+            assert np.array_equal(bcs_kernel(alpha, beta, 3).mat, reference(alpha, beta, 3))
 
     def test_witness_point_spectrum(self):
         kernel = bcs_kernel(0.25, -0.1, 3)
@@ -217,6 +240,84 @@ class TestBatchedSearch:
         assert capped.sweeps == 16
         psd = check_block_positive(dense_ops.identity(3, 3), partition, SearchBudget())
         assert (psd.sweeps, psd.converged_starts) == (0, 0)
+
+
+BENCH_ALPHAS = [round(i * 0.1, 12) for i in range(11)]       # 0:1:0.1
+BENCH_BETAS = [round(-0.5 + j * 0.05, 12) for j in range(13)]  # -0.5:0.1:0.05
+
+
+class TestCovariantBlockMinimum:
+    def test_bcs_grid_matches_analytic_condition(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(ent, "product_state_minimize", no_search)
+        budget = SearchBudget(seed=1)
+        rows = scan_bcs_region(BENCH_ALPHAS, BENCH_BETAS, 3, budget)
+        assert len(rows) == 143
+        for r in rows:
+            block_positive = r["class"] in (ent.PSD, ent.WITNESS_CANDIDATE)
+            assert block_positive == r["analytic_positive"], r
+            assert r["certified"] == (r["class"] != ent.PSD)
+
+    def test_violations_carry_confirmed_states(self):
+        partition = PartitionSpec.parse("1|23")
+        budget = SearchBudget(seed=2)
+        violations = 0
+        for alpha in BENCH_ALPHAS:
+            for beta in BENCH_BETAS:
+                kernel = bcs_kernel(alpha, beta, 3)
+                verdict = ent.check_covariant_block_positive(kernel, {2}, budget)
+                if verdict.classification == ent.NOT_BLOCK_POSITIVE:
+                    violations += 1
+                    value = ent.product_state_value(kernel, partition,
+                                                    verdict.violating_product_state)
+                    assert value < -budget.band
+                    assert value == pytest.approx(verdict.product_min_estimate, abs=1e-12)
+        assert violations > 0
+
+    def test_exact_value_below_search_on_werner_states(self, rng):
+        partition = PartitionSpec.parse("1|23")
+        budget = SearchBudget(seed=4, restarts=8, samples=64)
+        for _ in range(3):
+            rho = werner_state(random_valid_werner(rng, 3))
+            for s in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
+                rho_ts = dense_ops.partial_transpose(rho, s)
+                exact = ent.covariant_block_minimum(rho_ts, s, rng)
+                assert exact is not None
+                searched = ent.product_state_minimize(rho_ts, partition, budget)[0]
+                assert exact[0] <= searched + 1e-12
+                # a product vector stays a product vector under T_1 or T_23
+                if s in ((1,), (2, 3)):
+                    assert exact[0] >= -1e-12
+
+    def test_exact_value_below_search_on_bcs_points(self, rng):
+        partition = PartitionSpec.parse("1|23")
+        budget = SearchBudget(seed=6, restarts=8, samples=64)
+        for alpha, beta in ((0.25, -0.1), (0.1, -0.3), (0.0, 0.0), (0.5, -0.5), (1.0, 0.1)):
+            kernel = bcs_kernel(alpha, beta, 3)
+            exact = ent.covariant_block_minimum(kernel, {2}, rng)
+            searched = ent.product_state_minimize(kernel, partition, budget)[0]
+            assert exact[0] <= searched + 1e-12
+
+    def test_non_covariant_operator_is_refused(self, rng):
+        g = random_matrix(3, 3, rng)
+        m = DenseOperator(3, 3, (g + g.conj().T) / 2)
+        assert ent.covariant_block_minimum(m, set(), rng) is None
+        assert ent.covariant_block_minimum(m, {2}, rng) is None
+        # the kernel is covariant under U (x) conj(U) (x) U only
+        assert ent.covariant_block_minimum(bcs_kernel(0.25, -0.1, 3), set(), rng) is None
+        budget = SearchBudget(seed=3, restarts=4, samples=16)
+        verdict = ent.check_covariant_block_positive(m, {2}, budget)
+        searched = check_block_positive(m, PartitionSpec.parse("1|23"), budget)
+        assert not verdict.certified and verdict.sweeps > 0
+        assert (verdict.classification, verdict.product_min_estimate) == (
+            searched.classification, searched.product_min_estimate)
+
+    def test_psd_step_is_unchanged(self):
+        kernel = bcs_kernel(5.0, -0.1, 3)
+        verdict = ent.check_covariant_block_positive(kernel, {2})
+        assert verdict == check_block_positive(kernel, PartitionSpec.parse("1|23"))
+        assert verdict.classification == ent.PSD and not verdict.certified
 
 
 class TestWernerParams:
