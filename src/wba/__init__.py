@@ -15,7 +15,6 @@ from .sym_core import (
     young_projector,
 )
 from .wba_algebra import (
-    DPolynomial,
     WbaDiagram,
     WbaElement,
     compose_diagrams,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DenseOperator",
-    "DPolynomial",
     "GroupAlgebraElement",
     "Partition",
     "Permutation",

@@ -35,9 +35,9 @@ from .wba_algebra import (
 
 
 class _Parser(argparse.ArgumentParser):
-    # the flag-validation contract wants exit code 1, not argparse's 2
+    # the flag-validation contract wants exit code 1, not argparse's 2, and
+    # one error line
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
 
@@ -115,6 +115,16 @@ def _bad_tolerance(args) -> bool:
     return True
 
 
+def _exceeds_size_guard(n: int, d: int) -> bool:
+    """Report a d^n beyond the dense-realization guard on one stderr line."""
+    try:
+        check_size_guard(n, d)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> float:
     """sup_norm of [dense, U^(n-k) (x) conj(U)^(k)], with that operator applied
     as A (x) B over the first n//2 sites and the rest, never built in full."""
@@ -139,7 +149,7 @@ def cmd_verify_props(args) -> int:
     cases = proposition_suite(seed=args.seed, tuples=args.tuples, only=args.only,
                               tol=args.tolerance)
     if not cases:
-        print(f"no cases match --only {args.only!r}", file=sys.stderr)
+        print(f"error: no cases match --only {args.only!r}", file=sys.stderr)
         return 1
     failed = [c for c in cases if not c["passed"]]
     if args.format == "json":
@@ -185,7 +195,7 @@ def cmd_projector(args) -> int:
         "n": args.n, "k": args.k, "d": args.d,
         "mu": str(mu), "alpha": str(alpha),
         "gamma": str(g),
-        "terms": len(element.terms),
+        "terms": len(element.pairings),
         "idempotence_residual": _fmt(idem),
         "commutant_residual": _fmt(comm),
         "element": json.loads(element_to_json(element)),
@@ -220,7 +230,7 @@ def cmd_projector(args) -> int:
 
 
 def cmd_scan_bcs(args) -> int:
-    if _below_minimum(args, d=3, restarts=1):
+    if _below_minimum(args, d=3):
         return 1
     ranges = []
     for flag in ("alpha", "beta"):
@@ -234,8 +244,9 @@ def cmd_scan_bcs(args) -> int:
         print(f"error: --alpha/--beta: the grid has {points} points, "
               f"more than {MAX_SCAN_POINTS}", file=sys.stderr)
         return 1
-    budget = ent.SearchBudget(restarts=args.restarts, seed=args.seed)
-    rows = ent.scan_bcs_region(*ranges, args.d, budget)
+    if _exceeds_size_guard(3, args.d):
+        return 2
+    rows = ent.scan_bcs_region(*ranges, args.d, ent.SearchBudget(seed=args.seed))
     lines = ["alpha,beta,analytic_positive,min_eig,product_min,class"]
     for r in rows:
         lines.append(",".join([
@@ -248,6 +259,8 @@ def cmd_scan_bcs(args) -> int:
 def cmd_werner_ppt(args) -> int:
     if _below_minimum(args, d=3):
         return 1
+    if _exceeds_size_guard(3, args.d):
+        return 2
     try:
         rs = tuple(float(tok) for tok in args.r.split(","))
         if len(rs) != 6:
@@ -300,6 +313,8 @@ def cmd_ew_maps(args) -> int:
     if bad:
         print(f"error: unknown rows {bad}; valid: {ent.F_ROWS + ent.G_ROWS}", file=sys.stderr)
         return 1
+    if _exceeds_size_guard(3, args.d):
+        return 2
     rng = np.random.default_rng(args.seed)
     results = {}
     worst = 0.0
@@ -326,10 +341,6 @@ def cmd_ew_maps(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    if args.format != "text":
-        print(f"error: --format {args.format} is not supported by compose (text only)",
-              file=sys.stderr)
-        return 1
     try:
         a = parse_diagram(args.left, args.n)
         b = parse_diagram(args.right, args.n)
@@ -350,22 +361,28 @@ def cmd_compose(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wba", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tolerance", type=float, default=1e-10)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", default=None, help="write output to this file atomically")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-props", parents=[common],
-                       help="closed forms vs contraction oracle")
+    def add(name, func, summary, *flags):
+        """Subcommand with --out and the named shared flags."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", default=None, help="write output to this file atomically")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0)
+        if "tolerance" in flags:
+            p.add_argument("--tolerance", type=float, default=1e-10)
+        if "format" in flags:
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
+        return p
+
+    p = add("verify-props", cmd_verify_props, "closed forms vs contraction oracle",
+            "seed", "tolerance", "format")
     p.add_argument("--only", default=None, help="run only case groups with this prefix")
     p.add_argument("--tuples", type=int, default=20)
-    p.set_defaults(func=cmd_verify_props)
 
-    p = sub.add_parser("projector", parents=[common],
-                       help="build an irreducible walled-Brauer projector")
+    p = add("projector", cmd_projector, "build an irreducible walled-Brauer projector",
+            "seed", "format")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -374,37 +391,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unitaries", type=int, default=20)
     p.add_argument("--emit-map", type=int, default=None, metavar="INPUTS",
                    help="evaluate the induced map on this many random PSD inputs")
-    p.set_defaults(func=cmd_projector)
 
-    p = sub.add_parser("scan-bcs", parents=[common],
-                       help="scan the kernel family over an (alpha, beta) grid")
+    p = add("scan-bcs", cmd_scan_bcs, "scan the kernel family over an (alpha, beta) grid",
+            "seed")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--alpha", required=True, help="range start:stop:step")
     p.add_argument("--beta", required=True, help="range start:stop:step")
-    p.add_argument("--restarts", type=int, default=16,
-                   help="restarts of the search run when the covariance check fails")
-    p.set_defaults(func=cmd_scan_bcs)
 
-    p = sub.add_parser("werner-ppt", parents=[common],
-                       help="analytic partial-transpose conditions vs eigencheck")
+    p = add("werner-ppt", cmd_werner_ppt, "analytic partial-transpose conditions vs eigencheck")
     p.add_argument("--r", required=True, help='six values "r+,r-,r0,r1,r2,r3"')
     p.add_argument("--d", type=int, default=3)
-    p.set_defaults(func=cmd_werner_ppt)
 
-    p = sub.add_parser("ew-maps", parents=[common],
-                       help="closed-form invariant-state maps vs trace definition")
+    p = add("ew-maps", cmd_ew_maps, "closed-form invariant-state maps vs trace definition",
+            "seed", "tolerance")
     p.add_argument("--row", default="all",
                    help="one of f1,f2,f3,f12,f13,f23,g1,...,g23 or 'all'")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--instances", type=int, default=50)
-    p.set_defaults(func=cmd_ew_maps)
 
-    p = sub.add_parser("compose", parents=[common],
-                       help="diagram calculator: product and loop count")
+    p = add("compose", cmd_compose, "diagram calculator: product and loop count")
     p.add_argument("left", help='diagram text, e.g. "(1 2)^T{2}"')
     p.add_argument("right")
     p.add_argument("--n", type=int, required=True, help="number of sites")
-    p.set_defaults(func=cmd_compose)
 
     return parser
 

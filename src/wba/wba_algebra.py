@@ -46,64 +46,6 @@ def check_size_guard(n: int, d: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# coefficients: polynomials in the formal dimension symbol
-# ---------------------------------------------------------------------------
-
-class DPolynomial:
-    """Polynomial in the formal dimension d with complex coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, complex]):
-        self.coeffs = {k: complex(v) for k, v in coeffs.items() if abs(v) > COEFF_EPS}
-        if any(k < 0 for k in self.coeffs):
-            raise ValueError("powers must be non-negative")
-
-    @staticmethod
-    def constant(c: complex) -> "DPolynomial":
-        return DPolynomial({0: c})
-
-    @staticmethod
-    def monomial(power: int, c: complex = 1.0) -> "DPolynomial":
-        return DPolynomial({power: c})
-
-    def __add__(self, other: "DPolynomial") -> "DPolynomial":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return DPolynomial(out)
-
-    def __mul__(self, other: "DPolynomial") -> "DPolynomial":
-        out: dict[int, complex] = {}
-        for a, va in self.coeffs.items():
-            for b, vb in other.coeffs.items():
-                out[a + b] = out.get(a + b, 0.0) + va * vb
-        return DPolynomial(out)
-
-    def scale(self, c: complex) -> "DPolynomial":
-        return DPolynomial({k: c * v for k, v in self.coeffs.items()})
-
-    def shift(self, power: int) -> "DPolynomial":
-        """Multiply by d**power."""
-        return DPolynomial({k + power: v for k, v in self.coeffs.items()})
-
-    def evaluate(self, d: int) -> complex:
-        return sum(v * d ** k for k, v in self.coeffs.items())
-
-    def is_zero(self, tol: float = COEFF_EPS) -> bool:
-        return all(abs(v) <= tol for v in self.coeffs.values())
-
-    def approx_eq(self, other: "DPolynomial", tol: float = 1e-12) -> bool:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) <= tol for k in keys)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({v:.6g})*d^{k}" for k, v in sorted(self.coeffs.items()))
-
-
-# ---------------------------------------------------------------------------
 # diagrams
 # ---------------------------------------------------------------------------
 
@@ -222,27 +164,43 @@ def compose_diagrams(a: WbaDiagram, b: WbaDiagram) -> tuple[WbaDiagram, int]:
 # ---------------------------------------------------------------------------
 
 class WbaElement:
-    """Formal combination of diagrams with coefficients in C[d]."""
+    """Formal combination of diagrams with coefficients in C[d], as arrays.
 
-    __slots__ = ("terms", "n")
+    Row t of ``pairings`` (T, 2n) is a matching laid out as
+    ``WbaDiagram.pairing``; row t of ``coeffs`` (T, P) is its coefficient,
+    column p multiplying d**p.  The constructor merges equal rows, summing
+    their coefficients, keeps the rows in order of first appearance, and
+    drops coefficients of magnitude at most COEFF_EPS and rows left zero.
+    """
 
-    def __init__(self, terms: dict[WbaDiagram, DPolynomial], n: int):
+    __slots__ = ("n", "pairings", "coeffs")
+
+    def __init__(self, n: int, pairings, coeffs):
+        pairings = np.asarray(pairings, dtype=np.intp)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if pairings.ndim != 2 or pairings.shape[1] != 2 * n:
+            raise ValueError(f"pairings must have shape (terms, {2 * n})")
+        if coeffs.ndim != 2 or len(coeffs) != len(pairings) or not coeffs.shape[1]:
+            raise ValueError("coeffs must have one non-empty row per pairing")
+        ends = np.arange(2 * n)
+        if len(pairings):
+            if (pairings.min() < 0 or pairings.max() >= 2 * n or (pairings == ends).any()
+                    or (np.take_along_axis(pairings, pairings, axis=1) != ends).any()):
+                raise ValueError("pairings must be fixed-point-free involutions")
+            _, pairings, coeffs = _reduce(_matching_key(pairings), pairings, coeffs)
+            coeffs[np.abs(coeffs) <= COEFF_EPS] = 0
+        keep = coeffs.any(axis=1)
+        width = 1 + max(np.flatnonzero(coeffs.any(axis=0)), default=0)
         self.n = n
-        clean = {}
-        for diag, poly in terms.items():
-            if diag.n != n:
-                raise ValueError("site count mismatch among terms")
-            if not poly.is_zero():
-                clean[diag] = poly
-        self.terms = clean
+        self.pairings, self.coeffs = pairings[keep], coeffs[keep, :width]
 
     @staticmethod
     def zero(n: int) -> "WbaElement":
-        return WbaElement({}, n)
+        return WbaElement(n, np.empty((0, 2 * n), np.intp), np.empty((0, 1)))
 
     @staticmethod
     def from_diagram(diag: WbaDiagram, coeff: complex = 1.0) -> "WbaElement":
-        return WbaElement({diag: DPolynomial.constant(coeff)}, diag.n)
+        return WbaElement(diag.n, [diag.pairing], [[coeff]])
 
     @staticmethod
     def from_permutation(p: Permutation, transposed=frozenset(), coeff: complex = 1.0) -> "WbaElement":
@@ -252,47 +210,60 @@ class WbaElement:
     def from_group_algebra(x: GroupAlgebraElement, n: int | None = None) -> "WbaElement":
         n = n if n is not None else x.n
         lifted = x.extend(n) if n > x.n else x
-        return WbaElement(
-            {from_permutation(p): DPolynomial.constant(c) for p, c in lifted.terms.items()}, n)
+        # 0-based images: top endpoint pi(t) is joined to bot endpoint n + t
+        images = np.array([p.images for p in lifted.terms], np.intp).reshape(-1, lifted.n) - 1
+        pairings = np.concatenate([n + np.argsort(images, axis=1), images], axis=1)
+        return WbaElement(n, pairings, np.array(list(lifted.terms.values()))[:, None])
 
     @staticmethod
     def identity(n: int) -> "WbaElement":
         return WbaElement.from_diagram(identity_diagram(n))
 
+    def diagrams(self) -> list[WbaDiagram]:
+        """The matching of each row, as validated diagrams."""
+        return [WbaDiagram(self.n, tuple(p)) for p in self.pairings.tolist()]
+
     def __add__(self, other: "WbaElement") -> "WbaElement":
         if self.n != other.n:
             raise ValueError("site count mismatch")
-        terms = dict(self.terms)
-        for diag, poly in other.terms.items():
-            terms[diag] = terms.get(diag, DPolynomial({})) + poly
-        return WbaElement(terms, self.n)
+        width = max(self.coeffs.shape[1], other.coeffs.shape[1])
+        coeffs = [np.pad(x.coeffs, ((0, 0), (0, width - x.coeffs.shape[1])))
+                  for x in (self, other)]
+        return WbaElement(self.n, np.concatenate([self.pairings, other.pairings]),
+                          np.concatenate(coeffs))
 
     def scale(self, c: complex) -> "WbaElement":
-        return WbaElement({d: p.scale(c) for d, p in self.terms.items()}, self.n)
+        return WbaElement(self.n, self.pairings, self.coeffs * c)
 
     def __mul__(self, other: "WbaElement") -> "WbaElement":
         """Bilinear extension of diagram composition; loops become d powers."""
         if self.n != other.n:
             raise ValueError("site count mismatch")
-        terms: dict[WbaDiagram, DPolynomial] = {}
-        for da, pa in self.terms.items():
-            for db, pb in other.terms.items():
-                diag, loops = compose_diagrams(da, db)
-                contrib = (pa * pb).shift(loops)
-                terms[diag] = terms.get(diag, DPolynomial({})) + contrib
-        return WbaElement(terms, self.n)
+        products = [compose_diagrams(a, b) for a in self.diagrams() for b in other.diagrams()]
+        pairings = np.array([diag.pairing for diag, _ in products], np.intp)
+        loops = np.array([count for _, count in products], np.intp)
+        # row (a, b) of the product: the polynomial product times d**loops
+        pa, pb = self.coeffs.shape[1], other.coeffs.shape[1]
+        terms = (self.coeffs[:, None, :, None] * other.coeffs[None, :, None, :]).reshape(
+            -1, pa, pb)
+        coeffs = np.zeros((len(terms), pa + pb - 1 + max(loops, default=0)), complex)
+        rows = np.arange(len(terms))
+        for p in range(pa):
+            for q in range(pb):
+                coeffs[rows, loops + p + q] += terms[:, p, q]
+        return WbaElement(self.n, pairings.reshape(-1, 2 * self.n), coeffs)
 
     def approx_eq(self, other: "WbaElement", tol: float = 1e-12) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        empty = DPolynomial({})
-        return all(
-            self.terms.get(k, empty).approx_eq(other.terms.get(k, empty), tol) for k in keys)
+        return bool((np.abs((self + other.scale(-1)).coeffs) <= tol).all())
 
     def __repr__(self):
-        if not self.terms:
+        if not len(self.pairings):
             return "0"
-        bits = [f"[{poly!r}] {diagram_to_text(diag)}"
-                for diag, poly in sorted(self.terms.items(), key=lambda t: t[0].pairing)]
+        diagrams = self.diagrams()
+        bits = []
+        for t in np.lexsort(self.pairings.T[::-1]):
+            poly = " + ".join(f"({c:.6g})*d^{p}" for p, c in enumerate(self.coeffs[t]) if c)
+            bits.append(f"[{poly}] {diagram_to_text(diagrams[t])}")
         return "  +  ".join(bits)
 
 
@@ -300,20 +271,27 @@ class WbaElement:
 # dense realization
 # ---------------------------------------------------------------------------
 
-def _pair_weights(diag: WbaDiagram, d: int) -> np.ndarray:
-    """2 x n weights W with (row, col) = W @ v for the unit entry of the
-    diagram's matrix where its n matched pairs carry the index values v.
+# unit entries realize scatters per step: bounds its index arrays
+_SCATTER_ENTRIES = 1 << 16
+
+
+def _flat_positions(pairings: np.ndarray, d: int) -> np.ndarray:
+    """(T, d**n) flat positions in the d**n x d**n matrix of the unit
+    entries of each diagram (rows of 2n endpoints).
 
     Entry <i|D|j> is 1 iff the 2n indices agree along every matched pair; a
     pair's value enters the row index at its top endpoints and the column
     index at its bot endpoints, with the big-endian weight of the site.
+    Column v of ``values`` holds the n base-d digits of v: every joint value
+    of the n pairs once, so the d**n positions of a diagram are distinct.
     """
-    n = diag.n
-    weights = [[0] * n, [0] * n]
-    for p, (e, f) in enumerate(diag.pairs()):
-        for end in (e, f):
-            weights[end // n][p] += d ** (n - 1 - end % n)
-    return np.array(weights, dtype=np.intp)
+    n = pairings.shape[1] // 2
+    place = d ** np.arange(n - 1, -1, -1)
+    weight = np.concatenate([place * d ** n, place])    # of each endpoint
+    rows, lower = np.nonzero(pairings > np.arange(2 * n))
+    pair_weight = (weight[lower] + weight[pairings[rows, lower]]).reshape(-1, n)
+    values = np.arange(d ** n) // place[:, None] % d
+    return pair_weight @ values
 
 
 def realize(x, d: int) -> np.ndarray:
@@ -325,20 +303,23 @@ def realize(x, d: int) -> np.ndarray:
         x = from_permutation(x)
     if isinstance(x, GroupAlgebraElement):
         x = WbaElement.from_group_algebra(x)
-    n = x.n
-    check_size_guard(n, d)
-    if isinstance(x, WbaDiagram):
-        x = WbaElement.from_diagram(x)
-    if not isinstance(x, WbaElement):
+    if not isinstance(x, (WbaDiagram, WbaElement)):
         raise TypeError(f"cannot realize object of type {type(x).__name__}")
-    # column v of vals holds the n base-d digits of v: every joint value of
-    # the n pairs once.  A diagram's d**n positions are therefore distinct,
-    # so the fancy-indexed += adds its coefficient exactly once per entry.
-    vals = np.arange(d ** n) // d ** np.arange(n - 1, -1, -1)[:, None] % d
-    out = np.zeros((d ** n, d ** n), dtype=complex)
-    for diag, poly in x.terms.items():
-        rows, cols = _pair_weights(diag, d) @ vals
-        out[rows, cols] += poly.evaluate(d)
+    check_size_guard(x.n, d)
+    dim = d ** x.n
+    out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
+    if isinstance(x, WbaDiagram):
+        flat[_flat_positions(np.array([x.pairing]), d)] = 1
+        return out
+    values = x.coeffs[:, 0]
+    for p in range(1, x.coeffs.shape[1]):
+        values = values + x.coeffs[:, p] * d ** p
+    step = max(1, _SCATTER_ENTRIES // dim)
+    for start in range(0, len(values), step):
+        # np.add.at adds in index order: each entry sums its terms in term order
+        np.add.at(flat, _flat_positions(x.pairings[start:start + step], d),
+                  values[start:start + step, None])
     return out
 
 
@@ -433,9 +414,8 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int,
     scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
              * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / g)
     # int / int is correctly rounded: the one rounding of each exact coefficient
-    return WbaElement({WbaDiagram(n, tuple(p)):
-                       DPolynomial.constant(w * scale.numerator / scale.denominator)
-                       for p, w in zip(pairings.tolist(), weights.tolist()) if w}, n)
+    coeffs = [w * scale.numerator / scale.denominator for w in weights.tolist()]
+    return WbaElement(n, pairings, np.array(coeffs, dtype=complex)[:, None])
 
 
 def _characters(lam: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -482,10 +462,10 @@ def _matching_key(pairings: np.ndarray) -> np.ndarray:
 
 def _reduce(keys: np.ndarray, pairings: np.ndarray,
             weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keys, pairings, weights) with equal keys merged and their integer
-    weights summed, in order of first appearance: the order in which a
-    term-by-term product meets them, which fixes the summation order of
-    ``realize``."""
+    """(keys, pairings, weights) with equal keys merged and their weights
+    (integers, or coefficient rows) summed, in order of first appearance: the
+    order in which a term-by-term product meets them, which fixes the
+    summation order of ``realize``."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
@@ -563,19 +543,23 @@ def parse_diagram(text: str, n: int) -> WbaDiagram:
 
 def element_to_json(x: WbaElement) -> str:
     entries = []
-    for diag, poly in sorted(x.terms.items(), key=lambda t: t[0].pairing):
-        coeff = [{"power": k, "re": v.real, "im": v.imag}
-                 for k, v in sorted(poly.coeffs.items())]
-        entries.append({"diagram": diagram_to_text(diag), "coeff": coeff})
+    diagrams = x.diagrams()
+    for t in np.lexsort(x.pairings.T[::-1]):
+        coeff = [{"power": p, "re": c.real, "im": c.imag}
+                 for p, c in enumerate(x.coeffs[t].tolist()) if c]
+        entries.append({"diagram": diagram_to_text(diagrams[t]), "coeff": coeff})
     return json.dumps({"n": x.n, "terms": entries}, sort_keys=True)
 
 
 def element_from_json(text: str) -> WbaElement:
     data = json.loads(text)
-    n = data["n"]
-    terms = {}
-    for entry in data["terms"]:
-        diag = parse_diagram(entry["diagram"], n)
-        poly = DPolynomial({c["power"]: complex(c["re"], c["im"]) for c in entry["coeff"]})
-        terms[diag] = poly
-    return WbaElement(terms, n)
+    n, terms = data["n"], data["terms"]
+    powers = [c["power"] for entry in terms for c in entry["coeff"]]
+    if any(p < 0 for p in powers):
+        raise ValueError("powers must be non-negative")
+    coeffs = np.zeros((len(terms), 1 + max(powers, default=0)), dtype=complex)
+    for row, entry in zip(coeffs, terms):
+        for c in entry["coeff"]:
+            row[c["power"]] += complex(c["re"], c["im"])
+    pairings = [parse_diagram(entry["diagram"], n).pairing for entry in terms]
+    return WbaElement(n, np.reshape(pairings, (len(terms), 2 * n)), coeffs)

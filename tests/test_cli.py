@@ -31,8 +31,9 @@ class TestVerifyProps:
         assert "FAIL" in out
 
     def test_bad_filter(self, capsys):
-        code, _, err = run(capsys, "verify-props", "--only", "nosuchgroup")
-        assert code == 1
+        code, out, err = run(capsys, "verify-props", "--only", "nosuchgroup")
+        assert code == 1 and out == ""
+        assert err == "error: no cases match --only 'nosuchgroup'\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify-props", "--only", "prop6", "--tuples", "2",
@@ -84,7 +85,7 @@ class TestScanBcs:
         out_file = tmp_path / "region.csv"
         code, _, _ = run(capsys, "scan-bcs", "--d", "3",
                          "--alpha", "0.25:0.25:1", "--beta", "-0.1:-0.1:1",
-                         "--restarts", "8", "--seed", "4", "--out", str(out_file))
+                         "--seed", "4", "--out", str(out_file))
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "alpha,beta,analytic_positive,min_eig,product_min,class"
@@ -98,8 +99,7 @@ class TestScanBcs:
         for name in ("a.csv", "b.csv"):
             path = tmp_path / name
             code, _, _ = run(capsys, "scan-bcs", "--alpha", "0:0.5:0.5",
-                             "--beta", "0:0:1", "--restarts", "4",
-                             "--seed", "9", "--out", str(path))
+                             "--beta", "0:0:1", "--seed", "9", "--out", str(path))
             assert code == 0
             files.append(path.read_bytes())
         assert files[0] == files[1]
@@ -197,8 +197,6 @@ class TestFlags:
         ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]",
          "--alpha", "[2]", "--unitaries", "0"],
         ["verify-props", "--tuples", "0"],
-        ["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1", "--restarts", "0"],
-        ["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1", "--restarts", "-3"],
         ["scan-bcs", "--alpha", "0:inf:0.1", "--beta", "0:0:1"],
         ["scan-bcs", "--alpha=-inf:0:1", "--beta", "0:0:1"],
         ["werner-ppt", "--r", "nan,0,0,0,0,0"],
@@ -210,17 +208,38 @@ class TestFlags:
         ["verify-props", "--tolerance", "nan"],
         ["ew-maps", "--tolerance", "nan"],
         ["ew-maps", "--tolerance", "0"],
-        ["compose", "(1 2)", "(2 3)", "--n", "3", "--format", "json"],
     ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
-            "projector-unitaries", "verify-props-tuples", "scan-bcs-restarts-0",
-            "scan-bcs-restarts-negative", "scan-bcs-alpha-inf", "scan-bcs-alpha-minus-inf",
-            "werner-ppt-nan", "werner-ppt-inf", "werner-ppt-overflow", "projector-k-0",
-            "scan-bcs-range-too-long", "scan-bcs-grid-too-large", "verify-props-tolerance-nan",
-            "ew-maps-tolerance-nan", "ew-maps-tolerance-0", "compose-format-json"])
+            "projector-unitaries", "verify-props-tuples", "scan-bcs-alpha-inf",
+            "scan-bcs-alpha-minus-inf", "werner-ppt-nan", "werner-ppt-inf",
+            "werner-ppt-overflow", "projector-k-0", "scan-bcs-range-too-long",
+            "scan-bcs-grid-too-large", "verify-props-tolerance-nan", "ew-maps-tolerance-nan",
+            "ew-maps-tolerance-0"])
     def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: --")
+
+    # each subcommand takes only the flags it reads
+    @pytest.mark.parametrize("argv,dropped", [
+        (["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1"], ["--restarts", "0"]),
+        (["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1"], ["--restarts", "-3"]),
+        (["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1"], ["--format", "json"]),
+        (["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1"], ["--tolerance", "1e-3"]),
+        (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--tolerance", "nan"]),
+        (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--format", "text"]),
+        (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--seed", "1"]),
+        (["ew-maps", "--row", "f1", "--instances", "1"], ["--format", "json"]),
+        (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
+         ["--tolerance", "1e-3"]),
+        (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--format", "json"]),
+        (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--seed", "1"]),
+    ], ids=["scan-bcs-restarts-0", "scan-bcs-restarts-negative", "scan-bcs-format",
+            "scan-bcs-tolerance", "werner-ppt-tolerance", "werner-ppt-format", "werner-ppt-seed",
+            "ew-maps-format", "projector-tolerance", "compose-format-json", "compose-seed"])
+    def test_dropped_flag_is_unrecognized(self, capsys, argv, dropped):
+        code, out, err = run(capsys, *argv, *dropped)
+        assert code == 1 and out == ""
+        assert err == f"error: unrecognized arguments: {' '.join(dropped)}\n"
 
 
 class TestProjectorLabels:
@@ -274,6 +293,19 @@ class TestProjectorChecksBeforeBuild:
                              "--mu", "[5,2]", "--alpha", "[4,2]", "--unitaries", "1")
         assert code == 2 and out == ""
         assert err == "error: d^n = 6561 exceeds the size guard 4096\n"
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("argv", [
+        ["scan-bcs", "--d", "17", "--alpha", "0:0:1", "--beta", "0:0:1"],
+        ["ew-maps", "--d", "17"],
+        ["werner-ppt", "--d", "17", "--r", "0.2,0.05,0.75,0,0.5,0.5"],
+    ], ids=["scan-bcs", "ew-maps", "werner-ppt"])
+    def test_fails_before_any_work_on_one_line(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("WBA_SIZE_GUARD", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: d^n = 4913 exceeds the size guard 4096\n"
 
 
 class TestCommutantResidual:

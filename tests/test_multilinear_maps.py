@@ -236,7 +236,7 @@ class TestLargestKernel:
         # the 288-term F_[2,2]([2]) at n=6, k=2, d=3: a 729 x 729 kernel
         d = 3
         element = f_projector(Partition((2, 2)), Partition((2,)), 6, 2, d)
-        assert len(element.terms) == 288
+        assert len(element.pairings) == 288
         kernel = DenseOperator(6, d, realize(element, d))
         for n_in in (1, 3, 5):
             spec = MapSpec(kernel, n_in, 6 - n_in, d)
