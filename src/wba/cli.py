@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 from functools import reduce
@@ -41,11 +40,23 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # let range/list values that start with a negative number, like
-        # "-0.5:0.1:0.02" or "-0.1,0,0", pass as arguments rather than flags
-        self._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?([:,].*)?$")
+
+# flags that take a range or a list, whose value may start with a minus sign
+_SIGNED_VALUE_FLAGS = ("--alpha", "--beta", "--r")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--flag VALUE" as "--flag=VALUE" for a range or list flag whose
+    VALUE starts with "-", like "-0.5:0.1:0.02" or "-0.1,0,0": argparse reads
+    a detached value that looks like a flag as a missing argument."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in _SIGNED_VALUE_FLAGS and token.startswith("-")
+                and not token.startswith("--")):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 # largest (alpha, beta) grid scan-bcs accepts; a point takes about a millisecond
@@ -419,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     return args.func(args)

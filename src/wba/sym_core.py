@@ -77,19 +77,7 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
-        out, seen = [], set()
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc, cur = [start], self(start)
-            seen.add(start)
-            while cur != start:
-                cyc.append(cur)
-                seen.add(cur)
-                cur = self(cur)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
+        return _cycles(self.images)
 
     def cycle_type(self) -> tuple[int, ...]:
         """All cycle lengths (fixed points included), sorted descending."""
@@ -124,11 +112,31 @@ def enumerate_group(n: int) -> list[Permutation]:
     return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
+def _cycles(images) -> list[tuple[int, ...]]:
+    """Nontrivial cycles of the permutation with 1-based one-line ``images``,
+    each starting at its smallest point."""
+    out, seen = [], [False] * (len(images) + 1)
+    for start, cur in enumerate(images, start=1):
+        if seen[start] or cur == start:
+            continue
+        cyc = [start]
+        while cur != start:
+            cyc.append(cur)
+            seen[cur] = True
+            cur = images[cur - 1]
+        out.append(tuple(cyc))
+    return out
+
+
 def permutation_to_text(p: Permutation) -> str:
-    cycles = p.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in cycles)
+    return cycle_texts([p.images])[0]
+
+
+def cycle_texts(rows) -> list[str]:
+    """Cycle notation of each permutation given by a row of 1-based one-line
+    images; "()" for the identity."""
+    return ["".join("(" + " ".join(map(str, cyc)) + ")" for cyc in _cycles(images)) or "()"
+            for images in rows]
 
 
 def parse_permutation(text: str, n: int) -> Permutation:

@@ -27,10 +27,10 @@ from .sym_core import (
     Permutation,
     character_of_type,
     coset_representatives,
+    cycle_texts,
     enumerate_group,
     irrep_dimension,
     parse_permutation,
-    permutation_to_text,
     schur_weyl_multiplicity,
 )
 
@@ -72,9 +72,6 @@ class WbaDiagram:
 
     def bot(self, site: int) -> int:
         return self.n + site - 1
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(e, f) for e, f in enumerate(self.pairing) if e < f]
 
     def __str__(self) -> str:
         return diagram_to_text(self)
@@ -259,11 +256,11 @@ class WbaElement:
     def __repr__(self):
         if not len(self.pairings):
             return "0"
-        diagrams = self.diagrams()
+        order = np.lexsort(self.pairings.T[::-1])
         bits = []
-        for t in np.lexsort(self.pairings.T[::-1]):
-            poly = " + ".join(f"({c:.6g})*d^{p}" for p, c in enumerate(self.coeffs[t]) if c)
-            bits.append(f"[{poly}] {diagram_to_text(diagrams[t])}")
+        for text, row in zip(_diagram_texts(self.pairings[order]), self.coeffs[order]):
+            poly = " + ".join(f"({c:.6g})*d^{p}" for p, c in enumerate(row) if c)
+            bits.append(f"[{poly}] {text}")
         return "  +  ".join(bits)
 
 
@@ -493,38 +490,66 @@ def admissible_pairs(n: int, k: int, d: int) -> list[tuple[Partition, Partition]
 # text and JSON forms
 # ---------------------------------------------------------------------------
 
-def as_transposed_permutation(diag: WbaDiagram) -> tuple[Permutation, frozenset[int]]:
-    """Canonical (sigma, S) with diag == sigma^{T_S}.
+def _transposed_forms(pairings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (sigma, S) with row == sigma^{T_S} for each row of
+    ``pairings`` (T, 2n): the 1-based images (T, n) of sigma and the mask
+    (T, n) of S.
 
-    Every matching admits such a form (not uniquely); subsets are scanned by
-    size then lexicographically and the first valid one wins.
+    Every matching admits such a form (not uniquely).  Subsets are walked by
+    size, then lexicographically, each tested on all rows still unresolved
+    at once, and the first valid one wins; the walk stops when every row is
+    resolved.  Every temporary is at most (T, 2n).
     """
-    n = diag.n
-    for size in range(n + 1):
-        for subset in combinations(range(1, n + 1), size):
-            s = frozenset(subset)
-            images = [0] * n
-            ok = True
-            for e, f in diag.pairs():
-                u, v = _swap_ends(e, n, s), _swap_ends(f, n, s)
-                if u > v:
-                    u, v = v, u
-                if u < n <= v:          # top_{u+1} paired with bot_{v-n+1}
-                    images[v - n] = u + 1
-                else:
-                    ok = False
-                    break
-            if ok:
-                return Permutation(tuple(images)), s
-    raise AssertionError("unreachable: every matching has a transposed-permutation form")
+    two_n = pairings.shape[1]
+    n = two_n // 2
+    ends = np.arange(two_n)
+    rows, lower = np.nonzero(pairings > ends)
+    upper = pairings[rows, lower].reshape(-1, n)
+    lower = lower.reshape(-1, n)
+    # swapping ends on S turns pair (e, f) into a top-bot pair iff
+    # (e < n) ^ (f < n) ^ S[e % n] ^ S[f % n]
+    across, lower_site, upper_site = (lower < n) ^ (upper < n), lower % n, upper % n
+    mask = np.zeros((len(pairings), n), bool)
+    unresolved = np.arange(len(pairings))
+    subsets = (c for size in range(n + 1) for c in combinations(range(n), size))
+    for subset in subsets:
+        if not len(unresolved):
+            break
+        s = np.zeros(n, bool)
+        s[list(subset)] = True
+        ok = (across ^ s[lower_site] ^ s[upper_site]).all(axis=1)
+        if ok.any():
+            mask[unresolved[ok]] = s
+            unresolved, across, lower_site, upper_site = (
+                a[~ok] for a in (unresolved, across, lower_site, upper_site))
+    # endpoint e of a row moves to swapped[e]; the bot ends of the moved
+    # matching meet the top ends sigma(t) - 1
+    swapped = np.where(mask[:, ends % n], (ends + n) % two_n, ends)
+    moved = np.empty_like(pairings)
+    np.put_along_axis(moved, swapped, np.take_along_axis(swapped, pairings, axis=1), axis=1)
+    return moved[:, n:] + 1, mask
+
+
+def _diagram_texts(pairings: np.ndarray) -> list[str]:
+    """Text of each row of ``pairings``: sigma in cycle notation, then
+    ^T{S} when S is not empty."""
+    images, mask = _transposed_forms(pairings)
+    texts = []
+    for text, transposed in zip(cycle_texts(images.tolist()), mask.tolist()):
+        sites = [str(site) for site, on in enumerate(transposed, start=1) if on]
+        texts.append(text + "^T{" + ",".join(sites) + "}" if sites else text)
+    return texts
+
+
+def as_transposed_permutation(diag: WbaDiagram) -> tuple[Permutation, frozenset[int]]:
+    """Canonical (sigma, S) with diag == sigma^{T_S}; see _transposed_forms."""
+    images, mask = _transposed_forms(np.array([diag.pairing]))
+    sites = np.flatnonzero(mask[0]) + 1
+    return Permutation(tuple(images[0].tolist())), frozenset(sites.tolist())
 
 
 def diagram_to_text(diag: WbaDiagram) -> str:
-    sigma, s = as_transposed_permutation(diag)
-    text = permutation_to_text(sigma)
-    if s:
-        text += "^T{" + ",".join(str(x) for x in sorted(s)) + "}"
-    return text
+    return _diagram_texts(np.array([diag.pairing]))[0]
 
 
 def parse_diagram(text: str, n: int) -> WbaDiagram:
@@ -542,12 +567,11 @@ def parse_diagram(text: str, n: int) -> WbaDiagram:
 
 
 def element_to_json(x: WbaElement) -> str:
+    order = np.lexsort(x.pairings.T[::-1])
     entries = []
-    diagrams = x.diagrams()
-    for t in np.lexsort(x.pairings.T[::-1]):
-        coeff = [{"power": p, "re": c.real, "im": c.imag}
-                 for p, c in enumerate(x.coeffs[t].tolist()) if c]
-        entries.append({"diagram": diagram_to_text(diagrams[t]), "coeff": coeff})
+    for text, row in zip(_diagram_texts(x.pairings[order]), x.coeffs[order].tolist()):
+        coeff = [{"power": p, "re": c.real, "im": c.imag} for p, c in enumerate(row) if c]
+        entries.append({"diagram": text, "coeff": coeff})
     return json.dumps({"n": x.n, "terms": entries}, sort_keys=True)
 
 

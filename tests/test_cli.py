@@ -332,3 +332,40 @@ class TestEmptyRange:
         code, out, err = run(capsys, "scan-bcs", *(x for kv in ranges.items() for x in kv))
         assert code == 1 and out == ""
         assert len(err.strip().splitlines()) == 1 and "empty range" in err
+
+
+class TestSignedValues:
+    """Range and list values that start with a minus sign, detached or not."""
+
+    @staticmethod
+    def argv(flag, value, attached):
+        return [f"{flag}={value}"] if attached else [flag, value]
+
+    @pytest.mark.parametrize("attached", [False, True], ids=["detached", "attached"])
+    @pytest.mark.parametrize("flag,other", [("--alpha", ["--beta", "0:0:1"]),
+                                            ("--beta", ["--alpha", "0:0:1"])])
+    def test_negative_range(self, capsys, flag, other, attached):
+        code, out, err = run(capsys, "scan-bcs", *other,
+                             *self.argv(flag, "-0.5:-0.46:0.02", attached))
+        assert code == 0 and err == ""
+        column = 0 if flag == "--alpha" else 1
+        assert [row.split(",")[column] for row in out.splitlines()[1:]] == \
+            ["-0.5", "-0.48", "-0.46"]
+
+    @pytest.mark.parametrize("attached", [False, True], ids=["detached", "attached"])
+    def test_negative_first_r(self, capsys, attached):
+        code, out, _ = run(capsys, "werner-ppt", *self.argv("--r", "-0.1,0,0,0,0,0", attached))
+        assert code == 0
+        report = json.loads(out)
+        assert report["r"][0] == "-0.1" and report["valid_state"] is False
+
+    @pytest.mark.parametrize("attached", [False, True], ids=["detached", "attached"])
+    def test_negative_first_r_of_wrong_length(self, capsys, attached):
+        code, out, err = run(capsys, "werner-ppt", *self.argv("--r", "-1,2,3", attached))
+        assert code == 1 and out == ""
+        assert err == "error: expected 6 comma-separated values r+,r-,r0,r1,r2,r3\n"
+
+    def test_missing_value_stays_an_argparse_error(self, capsys):
+        code, out, err = run(capsys, "scan-bcs", "--alpha", "--beta", "0:0:1")
+        assert code == 1 and out == ""
+        assert err == "error: argument --alpha: expected one argument\n"

@@ -15,6 +15,7 @@ from wba.sym_core import (
     compose,
     conjugacy_classes,
     coset_representatives,
+    cycle_texts,
     enumerate_group,
     irrep_dimension,
     parse_partition,
@@ -78,6 +79,11 @@ class TestPermutation:
 
     def test_cycle_type(self):
         assert perm("(1 2)(3 4 5)", 6).cycle_type() == (3, 2, 1)
+
+    def test_cycle_texts(self):
+        rows = [(1, 2, 3), (2, 1, 3), (3, 1, 2, 5, 4), (2, 3, 1, 5, 6, 4)]
+        assert cycle_texts(rows) == ["()", "(1 2)", "(1 3 2)(4 5)", "(1 2 3)(4 5 6)"]
+        assert cycle_texts([]) == []
 
 
 class TestEnumerate:

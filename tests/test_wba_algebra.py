@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -417,6 +419,23 @@ class TestSerialization:
         y = element_from_json(element_to_json(x))
         assert x.approx_eq(y)
 
+    # the digests hold on every platform: no BLAS runs, and each coefficient
+    # is one correctly rounded division
+    @pytest.mark.parametrize("n,k,d,mu,alpha,digest", [
+        (7, 1, 2, (4, 2), (3, 2),
+         "7162138dd9c31609e22b4e432e9ad664fe29115fac53571a1c933bf312a46f12"),
+        (6, 2, 3, (2, 2), (2,),
+         "abd7e8a730ed75b97865276390263dc051ce2bcb80761b7956c74bcb9642e5d0"),
+    ])
+    def test_projector_json_digest(self, n, k, d, mu, alpha, digest):
+        text = element_to_json(f_projector(Partition(mu), Partition(alpha), n, k, d))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_repr_lists_the_json_diagrams_in_order(self):
+        x = f_projector(Partition((2, 1)), Partition((1,)), 5, 2, 2)
+        texts = [entry["diagram"] for entry in json.loads(element_to_json(x))["terms"]]
+        assert [bit.split("] ")[1] for bit in repr(x).split("  +  ")] == texts
+
 
 @cache
 def _composed_projector_sum(mu, alpha, n, k):
@@ -488,19 +507,24 @@ class TestRelabelConstruction:
         assert values == {complex(Fraction(2, 9)), complex(Fraction(-1, 9))}
 
 
+def _all_matchings(n):
+    """Every perfect matching of 2n endpoints, one row each."""
+    def matchings(free):
+        if not free:
+            yield {}
+            return
+        for b in free[1:]:
+            rest = [e for e in free[1:] if e != b]
+            for m in matchings(rest):
+                yield {**m, free[0]: b, b: free[0]}
+
+    return np.array([[m[e] for e in range(2 * n)] for m in matchings(list(range(2 * n)))])
+
+
 class TestMatchingKey:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bijective_onto_range(self, n):
-        def matchings(free):
-            if not free:
-                yield {}
-                return
-            for b in free[1:]:
-                rest = [e for e in free[1:] if e != b]
-                for m in matchings(rest):
-                    yield {**m, free[0]: b, b: free[0]}
-
-        rows = np.array([[m[e] for e in range(2 * n)] for m in matchings(list(range(2 * n)))])
+        rows = _all_matchings(n)
         count = int(np.prod(np.arange(2 * n - 1, 0, -2)))
         assert len(rows) == count
         assert sorted(wa._matching_key(rows).tolist()) == list(range(count))
@@ -524,3 +548,68 @@ class TestMatchingKey:
         top = int(np.prod(np.arange(2 * n - 1, 0, -2, dtype=object))) - 1
         assert top < 2 ** 63
         assert int(wa._matching_key(nested)[0]) == top
+
+
+def _reference_transposed_form(pairing):
+    """(images, S) by the per-diagram scan: the first S, by size and then
+    lexicographically, after whose top/bot swap every pair joins a top to a
+    bot; images[t - 1] is the top site joined to bot site t."""
+    n = len(pairing) // 2
+
+    def swap(e, sites):
+        return (e + n) % (2 * n) if e % n + 1 in sites else e
+
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            images = [0] * n
+            for e, f in enumerate(pairing):
+                u, v = sorted((swap(e, subset), swap(f, subset)))
+                if not u < n <= v:
+                    break
+                images[v - n] = u + 1
+            else:
+                return tuple(images), frozenset(subset)
+    raise AssertionError(f"no transposed-permutation form for {pairing}")
+
+
+class TestTransposedForms:
+    @staticmethod
+    def check(rows):
+        images, mask = wa._transposed_forms(rows)
+        assert images.shape == mask.shape == (len(rows), rows.shape[1] // 2)
+        for row, image_row, mask_row in zip(rows.tolist(), images.tolist(), mask):
+            sites = frozenset((np.flatnonzero(mask_row) + 1).tolist())
+            assert (tuple(image_row), sites) == _reference_transposed_form(row)
+            assert from_permutation(Permutation(tuple(image_row)), sites).pairing == tuple(row)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_matching_agrees_with_the_scan(self, n):
+        rows = _all_matchings(n)
+        assert len(rows) == int(np.prod(np.arange(2 * n - 1, 0, -2)))    # 945 at n = 5
+        self.check(rows)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_random_matchings_agree_with_the_scan(self, n):
+        self.check(_random_matchings(np.random.default_rng(n), n, 2000))
+
+    def test_one_row_calls(self):
+        # (4 5)^T{5} is (4 5)^T{4}, and {2,4} comes before {2,5}
+        diag = from_permutation(perm("(1 3 2)(4 5)", 5), {2, 5})
+        assert as_transposed_permutation(diag) == (perm("(1 3 2)(4 5)", 5), frozenset({2, 4}))
+        assert diagram_to_text(diag) == "(1 3 2)(4 5)^T{2,4}"
+        assert diagram_to_text(identity_diagram(3)) == "()"
+
+    def test_empty_batch(self):
+        images, mask = wa._transposed_forms(np.empty((0, 8), np.intp))
+        assert images.shape == mask.shape == (0, 4)
+
+    def test_temporaries_stay_linear_in_the_rows(self):
+        # a subset-by-row tensor would take T * 2**n * 2n bytes: 8 MB here
+        rows = _random_matchings(np.random.default_rng(0), 8, 2000)
+        tracemalloc.start()
+        try:
+            wa._transposed_forms(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * rows.nbytes
