@@ -14,18 +14,20 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from functools import reduce
 
 import numpy as np
 
 from . import dense_ops, entanglement as ent, multilinear_maps as mm
 from .sym_core import parse_partition
+from .tolerances import ORACLE_TOL, PPT_EIGENCHECK, RANGE_FUZZ
 from .verification import proposition_suite
 from .wba_algebra import (
+    _element_record,
     check_size_guard,
     compose_diagrams,
     diagram_to_text,
-    element_to_json,
     f_projector,
     gamma,
     parse_diagram,
@@ -33,12 +35,28 @@ from .wba_algebra import (
 )
 
 
+class CliError(Exception):
+    """A failure that main reports as one "error: <message>" stderr line,
+    exiting with ``code``: 1 for bad flags, 2 for a numerical failure."""
+
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _fails_with(code: int, prefix: str = ""):
+    """Re-raise a ValueError from the block as CliError(prefix + message, code)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"{prefix}{exc}", code) from None
+
+
 class _Parser(argparse.ArgumentParser):
-    # the flag-validation contract wants exit code 1, not argparse's 2, and
-    # one error line
+    # bad flags exit 1, not argparse's 2, on one error line
     def error(self, message):
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
+        raise CliError(message)
 
 
 # flags that take a range or a list, whose value may start with a minus sign
@@ -82,8 +100,14 @@ def _atomic_write(path: str, text: str) -> None:
 def _emit(text: str, out: str | None) -> None:
     if out:
         _atomic_write(out, text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        return
+    try:
+        print(text, end="" if text.endswith("\n") else "\n", flush=True)
+    except BrokenPipeError:
+        # the reader has gone: the output counts as delivered; devnull takes the exit flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_range(text: str) -> list[float]:
@@ -99,7 +123,7 @@ def _parse_range(text: str) -> list[float]:
     if (stop - start) / step + 1 > MAX_SCAN_POINTS:
         raise ValueError(f"range {text!r} has more than {MAX_SCAN_POINTS} points")
     values, i = [], 0
-    while (v := start + i * step) <= stop + 1e-12:
+    while (v := start + i * step) <= stop + RANGE_FUZZ:
         values.append(round(v, 12))
         i += 1
     if not values:
@@ -107,33 +131,16 @@ def _parse_range(text: str) -> list[float]:
     return values
 
 
-def _below_minimum(args, **minimums) -> bool:
-    """Report the first flag below its minimum on one stderr line."""
+def _check_minimum(args, **minimums) -> None:
+    """Fail on the first flag below its minimum."""
     for name, low in minimums.items():
         if getattr(args, name) < low:
-            print(f"error: --{name} must be >= {low}, got {getattr(args, name)}",
-                  file=sys.stderr)
-            return True
-    return False
+            raise CliError(f"--{name} must be >= {low}, got {getattr(args, name)}")
 
 
-def _bad_tolerance(args) -> bool:
-    """Report a --tolerance that is not finite and positive on one stderr line."""
-    if math.isfinite(args.tolerance) and args.tolerance > 0:
-        return False
-    print(f"error: --tolerance must be finite and positive, got {args.tolerance}",
-          file=sys.stderr)
-    return True
-
-
-def _exceeds_size_guard(n: int, d: int) -> bool:
-    """Report a d^n beyond the dense-realization guard on one stderr line."""
-    try:
-        check_size_guard(n, d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return True
-    return False
+def _check_tolerance(args) -> None:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise CliError(f"--tolerance must be finite and positive, got {args.tolerance}")
 
 
 def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> float:
@@ -155,13 +162,12 @@ def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> flo
 # ---------------------------------------------------------------------------
 
 def cmd_verify_props(args) -> int:
-    if _below_minimum(args, tuples=1) or _bad_tolerance(args):
-        return 1
+    _check_minimum(args, tuples=1)
+    _check_tolerance(args)
     cases = proposition_suite(seed=args.seed, tuples=args.tuples, only=args.only,
                               tol=args.tolerance)
     if not cases:
-        print(f"error: no cases match --only {args.only!r}", file=sys.stderr)
-        return 1
+        raise CliError(f"no cases match --only {args.only!r}")
     failed = [c for c in cases if not c["passed"]]
     if args.format == "json":
         payload = [{**c, "max_dev": _fmt(c["max_dev"])} for c in cases]
@@ -178,24 +184,16 @@ def cmd_verify_props(args) -> int:
 
 
 def cmd_projector(args) -> int:
-    if _below_minimum(args, d=1, k=1, unitaries=1):
-        return 1
-    try:
+    _check_minimum(args, d=1, k=1, unitaries=1)
+    with _fails_with(1, "bad partition: "):
         mu, alpha = parse_partition(args.mu), parse_partition(args.alpha)
-    except ValueError as exc:
-        print(f"error: bad partition: {exc}", file=sys.stderr)
-        return 1
     if args.emit_map is not None and not 1 <= args.emit_map <= args.n:
-        print(f"error: --emit-map must be in 1..{args.n}", file=sys.stderr)
-        return 1
-    try:
+        raise CliError(f"--emit-map must be in 1..{args.n}")
+    with _fails_with(2):
         g = gamma(mu, alpha, args.n, args.k, args.d)
         check_size_guard(args.n, args.d)
         element = f_projector(mu, alpha, args.n, args.k, args.d)
         dense = realize(element, args.d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     idem = dense_ops.sup_norm(dense @ dense - dense)
 
     rng = np.random.default_rng(args.seed)
@@ -209,7 +207,7 @@ def cmd_projector(args) -> int:
         "terms": len(element.pairings),
         "idempotence_residual": _fmt(idem),
         "commutant_residual": _fmt(comm),
-        "element": json.loads(element_to_json(element)),
+        "element": _element_record(element),
     }
     if args.emit_map is not None:
         n_in = args.emit_map
@@ -241,22 +239,17 @@ def cmd_projector(args) -> int:
 
 
 def cmd_scan_bcs(args) -> int:
-    if _below_minimum(args, d=3):
-        return 1
+    _check_minimum(args, d=3)
     ranges = []
     for flag in ("alpha", "beta"):
-        try:
+        with _fails_with(1, f"--{flag}: "):
             ranges.append(_parse_range(getattr(args, flag)))
-        except ValueError as exc:
-            print(f"error: --{flag}: {exc}", file=sys.stderr)
-            return 1
     points = len(ranges[0]) * len(ranges[1])
     if points > MAX_SCAN_POINTS:
-        print(f"error: --alpha/--beta: the grid has {points} points, "
-              f"more than {MAX_SCAN_POINTS}", file=sys.stderr)
-        return 1
-    if _exceeds_size_guard(3, args.d):
-        return 2
+        raise CliError(f"--alpha/--beta: the grid has {points} points, "
+                       f"more than {MAX_SCAN_POINTS}")
+    with _fails_with(2):
+        check_size_guard(3, args.d)
     rows = ent.scan_bcs_region(*ranges, args.d, ent.SearchBudget(seed=args.seed))
     lines = ["alpha,beta,analytic_positive,min_eig,product_min,class"]
     for r in rows:
@@ -268,11 +261,10 @@ def cmd_scan_bcs(args) -> int:
 
 
 def cmd_werner_ppt(args) -> int:
-    if _below_minimum(args, d=3):
-        return 1
-    if _exceeds_size_guard(3, args.d):
-        return 2
-    try:
+    _check_minimum(args, d=3)
+    with _fails_with(2):
+        check_size_guard(3, args.d)
+    with _fails_with(1):
         rs = tuple(float(tok) for tok in args.r.split(","))
         if len(rs) != 6:
             raise ValueError("expected 6 comma-separated values r+,r-,r0,r1,r2,r3")
@@ -281,13 +273,10 @@ def cmd_werner_ppt(args) -> int:
             rho = ent.werner_state(params)
         if not (all(map(math.isfinite, rs)) and np.isfinite(rho.mat).all()):
             raise ValueError(f"--r {args.r!r} has a non-finite value or operator entry")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     checks, overall = ent.werner_ppt_conditions(rs)
     valid = params.is_valid_state()
     min_eig = dense_ops.min_eigenvalue(dense_ops.partial_transpose(rho, (1,)))
-    eig_ppt = min_eig >= -1e-8
+    eig_ppt = min_eig >= -PPT_EIGENCHECK
     payload = {
         "r": [_fmt(x) for x in rs],
         "d": args.d,
@@ -317,15 +306,14 @@ def cmd_werner_ppt(args) -> int:
 
 
 def cmd_ew_maps(args) -> int:
-    if _below_minimum(args, d=3, instances=1) or _bad_tolerance(args):
-        return 1
+    _check_minimum(args, d=3, instances=1)
+    _check_tolerance(args)
     rows = ent.F_ROWS + ent.G_ROWS if args.row == "all" else (args.row,)
     bad = [r for r in rows if r not in ent.F_ROWS + ent.G_ROWS]
     if bad:
-        print(f"error: unknown rows {bad}; valid: {ent.F_ROWS + ent.G_ROWS}", file=sys.stderr)
-        return 1
-    if _exceeds_size_guard(3, args.d):
-        return 2
+        raise CliError(f"unknown rows {bad}; valid: {ent.F_ROWS + ent.G_ROWS}")
+    with _fails_with(2):
+        check_size_guard(3, args.d)
     rng = np.random.default_rng(args.seed)
     results = {}
     worst = 0.0
@@ -352,12 +340,9 @@ def cmd_ew_maps(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    try:
+    with _fails_with(1):
         a = parse_diagram(args.left, args.n)
         b = parse_diagram(args.right, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     diag, loops = compose_diagrams(a, b)
     _emit(f"left   : {diagram_to_text(a)}\n"
           f"right  : {diagram_to_text(b)}\n"
@@ -381,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=0)
         if "tolerance" in flags:
-            p.add_argument("--tolerance", type=float, default=1e-10)
+            p.add_argument("--tolerance", type=float, default=ORACLE_TOL)
         if "format" in flags:
             p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
@@ -429,13 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_attach_signed_values(argv))
-    except SystemExit as exc:
+        args = build_parser().parse_args(_attach_signed_values(argv))
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except SystemExit as exc:   # --help
         return exc.code if isinstance(exc.code, int) else 1
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sym_core import Permutation
-
-ATOL = 1e-10
+from .tolerances import ATOL
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -36,8 +35,8 @@ class DenseOperator:
         """View with 2n axes: row axes 1..n then column axes 1..n."""
         return self.mat.reshape((self.d,) * (2 * self.n))
 
-    def is_hermitian(self, tol: float = ATOL) -> bool:
-        return sup_norm(self.mat - self.mat.conj().T) <= tol
+    def is_hermitian(self) -> bool:
+        return sup_norm(self.mat - self.mat.conj().T) <= ATOL
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
@@ -194,9 +193,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def min_eigenvalue(m: DenseOperator, herm_tol: float = ATOL) -> float:
+def min_eigenvalue(m: DenseOperator) -> float:
     dev = sup_norm(m.mat - m.mat.conj().T)
-    if dev > herm_tol:
+    if dev > ATOL:
         raise ValueError(f"matrix is not hermitian (deviation {dev:.3g})")
     return float(np.linalg.eigvalsh(m.mat)[0])
 

@@ -19,10 +19,10 @@ from . import dense_ops
 from .dense_ops import DenseOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_permutation
+from .tolerances import (
+    ALPHAS_IMAG, ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK)
 from .wba_algebra import from_permutation, realize
 
-EIG_TOL = 1e-9
-PRODUCT_BAND = 1e-7
 COVARIANCE_DRAWS = 2
 
 PSD = "PSD"
@@ -110,7 +110,7 @@ def alphas_from_cs(cs):
     )
 
 
-def cs_from_alphas(alphas, tol: float = 1e-9):
+def cs_from_alphas(alphas):
     a1, a2, a3, a4, a5, a6 = (complex(a) for a in alphas)
     s3 = math.sqrt(3.0)
     cp = a1 + a2 + a3 + a4 + a5 + a6
@@ -120,7 +120,7 @@ def cs_from_alphas(alphas, tol: float = 1e-9):
     c2 = s3 * (a2 - a4) / 2
     c3 = s3 * (a5 - a6) / 2j
     cs = (cp, cm, c0, c1, c2, c3)
-    if any(abs(c.imag) > tol for c in cs):
+    if any(abs(c.imag) > ALPHAS_IMAG for c in cs):
         raise ValueError("alphas are not hermitian-compatible (complex c_k)")
     return tuple(c.real for c in cs)
 
@@ -150,11 +150,11 @@ class WernerParams:
         cs = cs_from_alphas(alphas)
         return WernerParams(tuple(complex(a) for a in alphas), cs, rs_from_cs(cs, d), d)
 
-    def is_valid_state(self, tol: float = 1e-10) -> bool:
+    def is_valid_state(self) -> bool:
         rp, rm, r0, r1, r2, r3 = self.rs
-        return (rp >= -tol and rm >= -tol and r0 >= -tol
-                and abs(rp + rm + r0 - 1.0) <= tol
-                and r1 * r1 + r2 * r2 + r3 * r3 <= r0 * r0 + tol)
+        return (rp >= -STATE_SLACK and rm >= -STATE_SLACK and r0 >= -STATE_SLACK
+                and abs(rp + rm + r0 - 1.0) <= STATE_SLACK
+                and r1 * r1 + r2 * r2 + r3 * r3 <= r0 * r0 + STATE_SLACK)
 
 
 def random_valid_werner(rng: np.random.Generator, d: int = 3) -> WernerParams:
@@ -168,7 +168,7 @@ def random_valid_werner(rng: np.random.Generator, d: int = 3) -> WernerParams:
     return WernerParams.from_rs((rp, rm, r0, r1, r2, r3), d)
 
 
-def werner_state(params: WernerParams, tol: float = 1e-10) -> DenseOperator:
+def werner_state(params: WernerParams) -> DenseOperator:
     """Dense operator from the alpha coefficients; cross-checked against the
     R_k expansion, so inconsistent parameter sets are rejected."""
     d = params.d
@@ -176,7 +176,7 @@ def werner_state(params: WernerParams, tol: float = 1e-10) -> DenseOperator:
     mat = sum(a * p for a, p in zip(params.alphas, perms))
     rk = _r_from_permutations(perms)
     mat_c = sum(c * rk[key] for c, key in zip(params.cs, R_KEYS))
-    if dense_ops.sup_norm(mat - mat_c) > tol * max(1.0, dense_ops.sup_norm(mat)):
+    if dense_ops.sup_norm(mat - mat_c) > ATOL * max(1.0, dense_ops.sup_norm(mat)):
         raise ValueError("alpha and c coefficient sets disagree")
     return DenseOperator(3, d, mat)
 
@@ -197,16 +197,15 @@ def werner_ppt_conditions(rs) -> tuple[list[bool], bool]:
     evaluate on any parameter vector.
     """
     rp, rm, _r0, r1, r2, r3 = (float(x) for x in rs)
-    slack = 1e-12
     f1 = (1 - r1 - 5 * rm - rp) * (-1 - r1 + rm + 5 * rp) / 3.0
     quad = r2 * r2 + r3 * r3
     checks = [
-        rm >= -slack,
-        5 + 5 * r1 - rp - 5 * rm >= -slack,
-        1 - r1 - 5 * rm - rp >= -slack,
-        -1 - r1 + rm + 5 * rp >= -slack,
-        quad <= f1 + slack,
-        1 - r1 + 7 * rm - rp >= -slack,
+        rm >= -PPT_SLACK,
+        5 + 5 * r1 - rp - 5 * rm >= -PPT_SLACK,
+        1 - r1 - 5 * rm - rp >= -PPT_SLACK,
+        -1 - r1 + rm + 5 * rp >= -PPT_SLACK,
+        quad <= f1 + PPT_SLACK,
+        1 - r1 + 7 * rm - rp >= -PPT_SLACK,
     ]
     return checks, all(checks)
 
@@ -358,9 +357,6 @@ class SearchBudget:
     restarts: int = 64
     iterations: int = 200
     samples: int = 512
-    improve_tol: float = 1e-12
-    band: float = PRODUCT_BAND
-    eig_tol: float = EIG_TOL
     seed: int = 0
 
 
@@ -412,7 +408,7 @@ def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: S
 
     Every start is a row of one array, drawn as one start at a time would draw
     it; the restarts sweep together, each until a sweep improves it by less
-    than improve_tol.  Returns the first minimum over samples then restarts,
+    than SEESAW_STOP.  Returns the first minimum over samples then restarts,
     its block vectors, the sweeps run and the restarts that met the stop rule.
     """
     if budget.restarts < 1 or budget.samples < 0:
@@ -454,7 +450,7 @@ def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: S
             sub[i], value = u[:, :, 0], w[:, 0]
         for v, new in zip(seesaw_vecs, sub):
             v[active] = new
-        done = current[active] - value < budget.improve_tol
+        done = current[active] - value < SEESAW_STOP
         current[active] = value
         active = active[~done]
 
@@ -474,24 +470,22 @@ def check_block_positive(m: DenseOperator, partition: PartitionSpec,
     independently of the search.
     """
     budget = budget or SearchBudget()
-    if not m.is_hermitian():
-        raise ValueError("block-positivity is defined for hermitian operators")
-    lam = dense_ops.min_eigenvalue(m)
-    if lam >= -budget.eig_tol:
+    lam = dense_ops.min_eigenvalue(m)     # raises for a non-hermitian m
+    if lam >= -EIG_TOL:
         return PositivityVerdict(PSD, lam, lam)
     value, vecs, sweeps, converged = product_state_minimize(m, partition, budget)
-    return _classify(m, partition, lam, value, vecs, budget,
+    return _classify(m, partition, lam, value, vecs,
                      sweeps=sweeps, converged_starts=converged)
 
 
 def _classify(m: DenseOperator, partition: PartitionSpec, lam: float, value: float,
-              vecs, budget: SearchBudget, **fields) -> PositivityVerdict:
+              vecs, **fields) -> PositivityVerdict:
     """Verdict of a non-PSD operator from its product minimum ``value`` at
     ``vecs``; a violation is re-evaluated before it is reported."""
-    if value >= -budget.band:
+    if value >= -PRODUCT_BAND:
         return PositivityVerdict(WITNESS_CANDIDATE, lam, value, **fields)
     recheck = product_state_value(m, partition, vecs)
-    if recheck < -budget.band:
+    if recheck < -PRODUCT_BAND:
         return PositivityVerdict(NOT_BLOCK_POSITIVE, lam, value, vecs, **fields)
     return PositivityVerdict(INCONCLUSIVE, lam, value, **fields)
 
@@ -512,7 +506,7 @@ def covariant_block_minimum(m: DenseOperator, conjugated, rng: np.random.Generat
     if m.n < 2:
         raise ValueError("the cut 1|rest needs at least two sites")
     d, rest = m.d, m.d ** (m.n - 1)
-    tol = dense_ops.ATOL * max(1.0, dense_ops.sup_norm(m.mat))
+    tol = ATOL * max(1.0, dense_ops.sup_norm(m.mat))
     for _ in range(COVARIANCE_DRAWS):
         u = dense_ops.haar_unitary(d, rng)
         w = reduce(np.kron, [u.conj() if s in conjugated else u for s in range(1, m.n + 1)])
@@ -534,12 +528,12 @@ def check_covariant_block_positive(m: DenseOperator, conjugated,
     budget = budget or SearchBudget()
     partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
     lam = dense_ops.min_eigenvalue(m)
-    if lam >= -budget.eig_tol:
+    if lam >= -EIG_TOL:
         return PositivityVerdict(PSD, lam, lam)
     exact = covariant_block_minimum(m, conjugated, np.random.default_rng(budget.seed))
     if exact is None:
         return check_block_positive(m, partition, budget)
-    return _classify(m, partition, lam, *exact, budget, certified=True)
+    return _classify(m, partition, lam, *exact, certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +584,10 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = No
 
     block_pos = {PSD, WITNESS_CANDIDATE}
     contradictions = []
-    if (f_min >= -budget.band) != (verdict_f.classification in block_pos):
+    if (f_min >= -PRODUCT_BAND) != (verdict_f.classification in block_pos):
         contradictions.append(
             f"f_{row}: sampled map minimum {f_min:.3g} vs verdict {verdict_f.classification}")
-    if (g_min >= -budget.band) != (verdict_g.classification in block_pos):
+    if (g_min >= -PRODUCT_BAND) != (verdict_g.classification in block_pos):
         contradictions.append(
             f"g_{row}: sampled map minimum {g_min:.3g} vs verdict {verdict_g.classification}")
     # fully-product vectors are a subset of the 1|23 product vectors, so

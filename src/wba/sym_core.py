@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial, prod
 
-MAX_ENUM_DEGREE = 7
+from .tolerances import COEFF_EPS, COEFF_MATCH
 
-COEFF_EPS = 1e-14
+MAX_ENUM_DEGREE = 7
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +71,6 @@ class Permutation:
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
         return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.n + 1))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
@@ -186,10 +183,6 @@ class Partition:
     @property
     def n(self) -> int:
         return sum(self.parts)
-
-    @property
-    def height(self) -> int:
-        return len(self.parts)
 
     def cells(self):
         """(row, col) pairs, 0-based."""
@@ -369,7 +362,7 @@ class GroupAlgebraElement:
     def extend(self, n: int) -> "GroupAlgebraElement":
         return GroupAlgebraElement({p.extend(n): c for p, c in self.terms.items()}, n)
 
-    def approx_eq(self, other: "GroupAlgebraElement", tol: float = 1e-12) -> bool:
+    def approx_eq(self, other: "GroupAlgebraElement", tol: float = COEFF_MATCH) -> bool:
         keys = set(self.terms) | set(other.terms)
         return all(abs(self.terms.get(p, 0.0) - other.terms.get(p, 0.0)) <= tol for p in keys)
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import dense_ops, multilinear_maps as mm
 from .dense_ops import DenseOperator
 from .sym_core import Permutation
+from .tolerances import ORACLE_TOL
 from .wba_algebra import from_permutation, realize
 
 
@@ -28,7 +29,7 @@ def _kernel(perm: Permutation, transposed, d: int) -> DenseOperator:
 
 def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
                       k_max: int = 5, only: str | None = None,
-                      tol: float = 1e-10) -> list[dict]:
+                      tol: float = ORACLE_TOL) -> list[dict]:
     """Run the full closed-form vs oracle suite; returns one record per case."""
     cases = []
     case_idx = 0

@@ -21,7 +21,6 @@ from math import comb, factorial
 import numpy as np
 
 from .sym_core import (
-    COEFF_EPS,
     GroupAlgebraElement,
     Partition,
     Permutation,
@@ -33,6 +32,7 @@ from .sym_core import (
     parse_permutation,
     schur_weyl_multiplicity,
 )
+from .tolerances import COEFF_EPS, COEFF_MATCH
 
 DEFAULT_SIZE_GUARD = 4096
 
@@ -77,24 +77,14 @@ class WbaDiagram:
         return diagram_to_text(self)
 
 
-def _swap_ends(e: int, n: int, sites) -> int:
-    """Endpoint e with top and bot swapped if its site is in ``sites``."""
-    if e % n + 1 in sites:
-        return e + n if e < n else e - n
-    return e
-
-
 def from_permutation(p: Permutation, transposed=frozenset()) -> WbaDiagram:
     """Diagram of p^{T_S}: the permutation matching with top/bot swapped on S."""
     n = p.n
-    transposed = frozenset(transposed)
     if any(not 1 <= s <= n for s in transposed):
         raise ValueError(f"transposed sites out of range 1..{n}: {sorted(transposed)}")
-    pairing = [0] * (2 * n)
-    for t in range(1, n + 1):
-        a, b = _swap_ends(p(t) - 1, n, transposed), _swap_ends(n + t - 1, n, transposed)
-        pairing[a], pairing[b] = b, a
-    return WbaDiagram(n, tuple(pairing))
+    mask = np.array([[site in transposed for site in range(1, n + 1)]])
+    pairing = _transposed_matchings(np.array([p.images], np.intp), mask)[0]
+    return WbaDiagram(n, tuple(pairing.tolist()))
 
 
 def identity_diagram(n: int) -> WbaDiagram:
@@ -207,9 +197,8 @@ class WbaElement:
     def from_group_algebra(x: GroupAlgebraElement, n: int | None = None) -> "WbaElement":
         n = n if n is not None else x.n
         lifted = x.extend(n) if n > x.n else x
-        # 0-based images: top endpoint pi(t) is joined to bot endpoint n + t
-        images = np.array([p.images for p in lifted.terms], np.intp).reshape(-1, lifted.n) - 1
-        pairings = np.concatenate([n + np.argsort(images, axis=1), images], axis=1)
+        images = np.array([p.images for p in lifted.terms], np.intp).reshape(-1, lifted.n)
+        pairings = _transposed_matchings(images, np.zeros(images.shape, bool))
         return WbaElement(n, pairings, np.array(list(lifted.terms.values()))[:, None])
 
     @staticmethod
@@ -250,8 +239,8 @@ class WbaElement:
                 coeffs[rows, loops + p + q] += terms[:, p, q]
         return WbaElement(self.n, pairings.reshape(-1, 2 * self.n), coeffs)
 
-    def approx_eq(self, other: "WbaElement", tol: float = 1e-12) -> bool:
-        return bool((np.abs((self + other.scale(-1)).coeffs) <= tol).all())
+    def approx_eq(self, other: "WbaElement") -> bool:
+        return bool((np.abs((self + other.scale(-1)).coeffs) <= COEFF_MATCH).all())
 
     def __repr__(self):
         if not len(self.pairings):
@@ -522,12 +511,27 @@ def _transposed_forms(pairings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             mask[unresolved[ok]] = s
             unresolved, across, lower_site, upper_site = (
                 a[~ok] for a in (unresolved, across, lower_site, upper_site))
-    # endpoint e of a row moves to swapped[e]; the bot ends of the moved
-    # matching meet the top ends sigma(t) - 1
-    swapped = np.where(mask[:, ends % n], (ends + n) % two_n, ends)
-    moved = np.empty_like(pairings)
-    np.put_along_axis(moved, swapped, np.take_along_axis(swapped, pairings, axis=1), axis=1)
-    return moved[:, n:] + 1, mask
+    # the bot ends of the swapped matching meet the top ends sigma(t) - 1
+    return _swap_transposed(pairings, mask)[:, n:] + 1, mask
+
+
+def _swap_transposed(pairings: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Pairings (T, 2n) with top and bot endpoints swapped on the sites of
+    each row's mask (T, n): sigma to sigma^{T_S}, and back."""
+    n = mask.shape[1]
+    ends = np.arange(2 * n)
+    # the swap is an involution: e is joined to f iff swap(e) was joined to swap(f)
+    swap = np.where(mask[:, ends % n], (ends + n) % (2 * n), ends)
+    return np.take_along_axis(swap, np.take_along_axis(pairings, swap, axis=1), axis=1)
+
+
+def _transposed_matchings(images: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Pairings (T, 2n) of sigma^{T_S} from the 1-based images (T, n) of
+    sigma and the mask (T, n) of S; the inverse of _transposed_forms."""
+    n = images.shape[1]
+    # top endpoint sigma(t) - 1 is joined to bot endpoint n + t - 1
+    plain = np.concatenate([n + np.argsort(images, axis=1), images - 1], axis=1)
+    return _swap_transposed(plain, mask)
 
 
 def _diagram_texts(pairings: np.ndarray) -> list[str]:
@@ -566,13 +570,18 @@ def parse_diagram(text: str, n: int) -> WbaDiagram:
     return from_permutation(parse_permutation(text, n), transposed)
 
 
-def element_to_json(x: WbaElement) -> str:
+def _element_record(x: WbaElement) -> dict:
+    """{"n", "terms"} of an element, rows in pairing order: the JSON form."""
     order = np.lexsort(x.pairings.T[::-1])
     entries = []
     for text, row in zip(_diagram_texts(x.pairings[order]), x.coeffs[order].tolist()):
         coeff = [{"power": p, "re": c.real, "im": c.imag} for p, c in enumerate(row) if c]
         entries.append({"diagram": text, "coeff": coeff})
-    return json.dumps({"n": x.n, "terms": entries}, sort_keys=True)
+    return {"n": x.n, "terms": entries}
+
+
+def element_to_json(x: WbaElement) -> str:
+    return json.dumps(_element_record(x), sort_keys=True)
 
 
 def element_from_json(text: str) -> WbaElement:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wba
 from wba.cli import _commutant_residual, main
 from wba.dense_ops import haar_unitary, sup_norm
 from wba.sym_core import Partition
@@ -369,3 +373,21 @@ class TestSignedValues:
         code, out, err = run(capsys, "scan-bcs", "--alpha", "--beta", "0:0:1")
         assert code == 1 and out == ""
         assert err == "error: argument --alpha: expected one argument\n"
+
+
+class TestClosedStdout:
+    def test_closed_reader_ends_quietly(self):
+        # the read end is closed before the CLI writes: its output counts
+        # as delivered, with no traceback and the usual exit code
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(wba.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wba.cli", "werner-ppt", "--r=-0.1,0,0,0,0,0"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b"" and proc.returncode == 0

@@ -23,6 +23,7 @@ from wba.entanglement import (
     werner_state,
 )
 from wba.sym_core import parse_permutation
+from wba.tolerances import EIG_TOL, PRODUCT_BAND, SEESAW_STOP
 from wba.wba_algebra import from_permutation, realize
 
 
@@ -34,7 +35,8 @@ def rng():
 class TestBcsKernel:
     def test_hermitian(self):
         for alpha, beta in ((0.0, 0.0), (0.25, -0.1), (1.3, 0.4)):
-            assert bcs_kernel(alpha, beta, 3).is_hermitian(1e-12)
+            m = bcs_kernel(alpha, beta, 3).mat
+            assert sup_norm(m - m.conj().T) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_trace_matches_term_traces(self, d):
@@ -174,7 +176,7 @@ def _reference_minimize(m, partition, budget):
                 w, u = np.linalg.eigh((eff + eff.conj().T) / 2.0)
                 vecs[i] = u[:, 0]
                 value = w[0]
-            if current - value < budget.improve_tol:
+            if current - value < SEESAW_STOP:
                 current = value
                 converged += 1
                 break
@@ -271,7 +273,7 @@ class TestCovariantBlockMinimum:
                     violations += 1
                     value = ent.product_state_value(kernel, partition,
                                                     verdict.violating_product_state)
-                    assert value < -budget.band
+                    assert value < -PRODUCT_BAND
                     assert value == pytest.approx(verdict.product_min_estimate, abs=1e-12)
         assert violations > 0
 
@@ -377,7 +379,8 @@ class TestWernerParams:
         a = params.alphas
         assert abs(a[4] - np.conj(a[5])) < 1e-12
         assert all(abs(x.imag) < 1e-12 for x in a[:4])
-        assert werner_state(params).is_hermitian(1e-12)
+        m = werner_state(params).mat
+        assert sup_norm(m - m.conj().T) <= 1e-12
 
     def test_trace_one(self, rng):
         for _ in range(10):
@@ -471,7 +474,7 @@ class TestProposition1:
         budget = SearchBudget(restarts=16, seed=21)
         report = proposition1_check(params, (2,), budget)
         assert report["f_verdict"].classification == ent.NOT_BLOCK_POSITIVE
-        assert report["f_sample_min"] < -budget.band
+        assert report["f_sample_min"] < -PRODUCT_BAND
         assert report["contradictions"] == []
 
     def test_witness_regime_point_exists(self, rng):
@@ -486,7 +489,7 @@ class TestProposition1:
                 continue
             report = proposition1_check(params, (1,), budget, n_inputs=10)
             if report["f_verdict"].classification == ent.WITNESS_CANDIDATE:
-                assert report["f_sample_min"] >= -budget.band
+                assert report["f_sample_min"] >= -PRODUCT_BAND
                 found = True
                 break
         assert found, "no witness-regime point located in 200 samples"
@@ -501,13 +504,13 @@ class TestVerdictInvariants:
             m = DenseOperator(2, 2, (g + g.conj().T) / 2 + (i - 6) * 0.2 * np.eye(4))
             verdict = check_block_positive(m, partition, budget)
             if verdict.classification == ent.PSD:
-                assert verdict.min_eig >= -budget.eig_tol
+                assert verdict.min_eig >= -EIG_TOL
             else:
-                assert verdict.min_eig < -budget.eig_tol
+                assert verdict.min_eig < -EIG_TOL
             if verdict.classification == ent.NOT_BLOCK_POSITIVE:
                 value = ent.product_state_value(m, partition,
                                                 verdict.violating_product_state)
-                assert value < -budget.band
+                assert value < -PRODUCT_BAND
 
 
 class TestScan:

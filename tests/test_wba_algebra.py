@@ -577,6 +577,7 @@ class TestTransposedForms:
     def check(rows):
         images, mask = wa._transposed_forms(rows)
         assert images.shape == mask.shape == (len(rows), rows.shape[1] // 2)
+        assert (wa._transposed_matchings(images, mask) == rows).all()
         for row, image_row, mask_row in zip(rows.tolist(), images.tolist(), mask):
             sites = frozenset((np.flatnonzero(mask_row) + 1).tolist())
             assert (tuple(image_row), sites) == _reference_transposed_form(row)
