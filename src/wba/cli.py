@@ -15,7 +15,6 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from functools import reduce
 
 import numpy as np
 
@@ -147,8 +146,7 @@ def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> flo
     """sup_norm of [dense, U^(n-k) (x) conj(U)^(k)], with that operator applied
     as A (x) B over the first n//2 sites and the rest, never built in full."""
     factors = [u] * (n - k) + [u.conj()] * k
-    a, b = (reduce(np.kron, part, np.eye(1, dtype=complex))
-            for part in (factors[:n // 2], factors[n // 2:]))
+    a, b = dense_ops.kron_all(factors[:n // 2]), dense_ops.kron_all(factors[n // 2:])
     dim, da, db = len(dense), len(a), len(b)
     right = np.matmul(a.T, dense.reshape(dim, da, db) @ b).reshape(dim, dim)
     left = np.matmul(b, (a @ dense.reshape(da, db * dim)).reshape(da, db, dim))

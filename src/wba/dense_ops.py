@@ -8,6 +8,7 @@ is the plain numpy Kronecker product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -34,9 +35,6 @@ class DenseOperator:
     def tensor(self) -> np.ndarray:
         """View with 2n axes: row axes 1..n then column axes 1..n."""
         return self.mat.reshape((self.d,) * (2 * self.n))
-
-    def is_hermitian(self) -> bool:
-        return sup_norm(self.mat - self.mat.conj().T) <= ATOL
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
@@ -65,6 +63,12 @@ def _validate_sites(sites, n: int) -> tuple[int, ...]:
     return sites
 
 
+def kron_all(mats) -> np.ndarray:
+    """Kronecker product of a non-empty list of arrays, first factor most
+    significant: reduce(np.kron, mats), with no identity seed."""
+    return reduce(np.kron, mats)
+
+
 def kron(factors: list[DenseOperator]) -> DenseOperator:
     """Tensor product in listed order; site 1 comes from the first factor."""
     if not factors:
@@ -72,10 +76,14 @@ def kron(factors: list[DenseOperator]) -> DenseOperator:
     d = factors[0].d
     if any(f.d != d for f in factors):
         raise ValueError("local dimension mismatch among factors")
-    mat = factors[0].mat
-    for f in factors[1:]:
-        mat = np.kron(mat, f.mat)
-    return DenseOperator(sum(f.n for f in factors), d, mat)
+    return DenseOperator(sum(f.n for f in factors), d, kron_all([f.mat for f in factors]))
+
+
+def _reorder(m: DenseOperator, axes) -> DenseOperator:
+    """m with its 2n tensor axes reordered (axis t of the result is axis
+    axes[t] of m), packed back to d^n x d^n."""
+    dim = m.d ** m.n
+    return DenseOperator(m.n, m.d, m.tensor.transpose(axes).reshape(dim, dim))
 
 
 def partial_trace(m: DenseOperator, over) -> DenseOperator:
@@ -102,16 +110,14 @@ def partial_transpose(m: DenseOperator, over) -> DenseOperator:
     axes = list(range(2 * m.n))
     for s in over:
         axes[s - 1], axes[m.n + s - 1] = axes[m.n + s - 1], axes[s - 1]
-    dim = m.d ** m.n
-    return DenseOperator(m.n, m.d, m.tensor.transpose(axes).reshape(dim, dim))
+    return _reorder(m, axes)
 
 
 def reshuffle_bipartite(m: DenseOperator) -> DenseOperator:
     """|i><j| (x) |k><l|  ->  |i><k| (x) |j><l|  (two sites only)."""
     if m.n != 2:
         raise ValueError("reshuffle_bipartite needs n = 2; use reshuffle_sites")
-    dim = m.d ** 2
-    return DenseOperator(2, m.d, m.tensor.transpose(0, 2, 1, 3).reshape(dim, dim))
+    return reshuffle_sites(m, 2, 1)
 
 
 def reshuffle_sites(m: DenseOperator, ket_site: int, bra_site: int) -> DenseOperator:
@@ -125,8 +131,7 @@ def reshuffle_sites(m: DenseOperator, ket_site: int, bra_site: int) -> DenseOper
     axes = list(range(2 * m.n))
     a, b = ket_site - 1, m.n + bra_site - 1
     axes[a], axes[b] = axes[b], axes[a]
-    dim = m.d ** m.n
-    return DenseOperator(m.n, m.d, m.tensor.transpose(axes).reshape(dim, dim))
+    return _reorder(m, axes)
 
 
 def tau(m: DenseOperator) -> np.ndarray:
@@ -150,9 +155,7 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
     if pi.n != 2 * m.n:
         raise ValueError(f"need a permutation of degree 2n = {2 * m.n}, got {pi.n}")
     inv = pi.inverse()
-    axes = [inv(t) - 1 for t in range(1, 2 * m.n + 1)]
-    dim = m.d ** m.n
-    return DenseOperator(m.n, m.d, m.tensor.transpose(axes).reshape(dim, dim))
+    return _reorder(m, [inv(t) - 1 for t in range(1, 2 * m.n + 1)])
 
 
 def embed_on_sites(small: DenseOperator, sites, n: int) -> DenseOperator:
@@ -162,13 +165,11 @@ def embed_on_sites(small: DenseOperator, sites, n: int) -> DenseOperator:
         raise ValueError("sites must be distinct and match the operator's site count")
     d = small.d
     rest = [s for s in range(1, n + 1) if s not in sites]
-    big = np.kron(small.mat, np.eye(d ** len(rest), dtype=complex))
+    big = DenseOperator(n, d, np.kron(small.mat, np.eye(d ** len(rest), dtype=complex)))
     # big currently lives on (sites..., rest...); permute to natural site order
     order = list(sites) + rest
-    tensor = big.reshape((d,) * (2 * n))
     axes = [order.index(s) for s in range(1, n + 1)]
-    axes = axes + [a + n for a in axes]
-    return DenseOperator(n, d, tensor.transpose(axes).reshape(d ** n, d ** n))
+    return _reorder(big, axes + [a + n for a in axes])
 
 
 def random_matrix(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,8 +187,7 @@ def random_psd(d: int, n: int, seed) -> DenseOperator:
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(random_matrix(d, 1, rng))
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases

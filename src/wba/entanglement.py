@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -391,9 +390,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def product_state_value(m: DenseOperator, partition: PartitionSpec, vectors) -> float:
     """<v_1 ... v_l| M |v_1 ... v_l> with the blocks in partition order."""
-    full = vectors[0]
-    for v in vectors[1:]:
-        full = np.kron(full, v)
+    full = dense_ops.kron_all(vectors)
     # full lives on block-reordered sites; bring M into the same order
     t = _blocked_tensor(m, partition)
     dim = int(np.prod([m.d ** len(b) for b in partition.blocks]))
@@ -509,7 +506,7 @@ def covariant_block_minimum(m: DenseOperator, conjugated, rng: np.random.Generat
     tol = ATOL * max(1.0, dense_ops.sup_norm(m.mat))
     for _ in range(COVARIANCE_DRAWS):
         u = dense_ops.haar_unitary(d, rng)
-        w = reduce(np.kron, [u.conj() if s in conjugated else u for s in range(1, m.n + 1)])
+        w = dense_ops.kron_all([u.conj() if s in conjugated else u for s in range(1, m.n + 1)])
         if dense_ops.sup_norm(w @ m.mat - m.mat @ w) > tol:
             return None
     values, vectors = np.linalg.eigh(m.mat.reshape(d, rest, d, rest)[0, :, 0, :])
@@ -563,10 +560,12 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = No
     <v|f_S(|a><a|)|v> = <a,v|rho^{T_S}|a,v> (and likewise for g_S), a proved
     violation also shows in the map minimum.
     """
+    s = tuple(sorted(set(s)))
+    if s not in ROW_SUBSETS.values():
+        raise ValueError(f"subset must be one of {list(ROW_SUBSETS.values())}, got {s}")
     budget = budget or SearchBudget()
     d = params.d
     rng = np.random.default_rng(budget.seed)
-    s = tuple(sorted(set(s)))
     row = "".join(str(x) for x in s)
     rho_ts = dense_ops.partial_transpose(werner_state(params), s)
     samples = [(dense_ops.random_psd(d, 1, rng).mat, dense_ops.random_psd(d, 1, rng).mat)

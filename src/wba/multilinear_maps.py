@@ -59,16 +59,12 @@ class MapSpec:
     def __post_init__(self):
         if self.n_in < 1 or self.n_out < 0:
             raise ValueError("need n_in >= 1 and n_out >= 0")
-        if self.sites != self._kernel_sites():
-            raise ValueError(
-                f"kernel has {self._kernel_sites()} sites, expected {self.sites}")
+        if self.sites != self.kernel.n:
+            raise ValueError(f"kernel has {self.kernel.n} sites, expected {self.sites}")
 
     @property
     def sites(self) -> int:
         return self.n_in + self.n_out
-
-    def _kernel_sites(self) -> int:
-        return self.kernel.n
 
     def kernel_matrix(self) -> np.ndarray:
         if isinstance(self.kernel, DenseOperator):
@@ -87,10 +83,7 @@ def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
     1 x 1 operator.  This is the ground truth every closed form is tested
     against.
     """
-    big = np.eye(1, dtype=complex)
-    for mat in factors:
-        big = np.kron(big, mat)
-    prod = DenseOperator(kernel.n, kernel.d, kernel.mat @ big)
+    prod = DenseOperator(kernel.n, kernel.d, kernel.mat @ dense_ops.kron_all(factors))
     keep = set(keep)
     if not keep:
         return DenseOperator(0, kernel.d, np.array([[prod.trace()]], dtype=complex))
@@ -137,36 +130,17 @@ def evaluate_cycle_to_one(direction: str, j: int, inputs, d: int | None = None) 
     forward (1..k), output on site 1:
         j != 1:  X_k ... X_j^T ... X_1        j == 1:  (X_k ... X_2)^T X_1
     (the two j-on-the-kept-site cases are mirror images of each other).
+    The backward cycle is cycle_subset_to_one with S = {j}; the forward one
+    is its mirror image under the relabelling i -> k+1-i.
     """
     k = len(inputs)
-    if d is None:
-        d = inputs[0].shape[0] if not isinstance(inputs[0], DenseOperator) else inputs[0].d
-    mats = [_as_matrix(x, d) for x in inputs]
     if not 1 <= j <= k:
         raise ValueError(f"transposed site {j} out of range 1..{k}")
     if direction == "backward":
-        if j == k:
-            left = np.eye(d, dtype=complex)
-            for m in mats[:-1]:
-                left = left @ m
-            out = left.T @ mats[-1]
-        else:
-            out = np.eye(d, dtype=complex)
-            for i, m in enumerate(mats, start=1):
-                out = out @ (m.T if i == j else m)
-    elif direction == "forward":
-        if j == 1:
-            out = np.eye(d, dtype=complex)
-            for m in mats[1:]:
-                out = out @ m.T
-            out = out @ mats[0]
-        else:
-            out = np.eye(d, dtype=complex)
-            for i in range(k, 0, -1):
-                out = out @ (mats[i - 1].T if i == j else mats[i - 1])
-    else:
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    return DenseOperator(1, d, out)
+        return cycle_subset_to_one({j}, inputs, d)
+    if direction == "forward":
+        return cycle_subset_to_one({k + 1 - j}, inputs[::-1], d)
+    raise ValueError(f"direction must be forward or backward, got {direction!r}")
 
 
 def theta_product(kind: str, s, inputs, d: int | None = None) -> DenseOperator:
@@ -181,6 +155,8 @@ def theta_product(kind: str, s, inputs, d: int | None = None) -> DenseOperator:
     """
     k = len(inputs)
     if d is None:
+        if not k:
+            raise ValueError("need at least one input")
         d = inputs[0].shape[0] if not isinstance(inputs[0], DenseOperator) else inputs[0].d
     mats = [_as_matrix(x, d) for x in inputs]
     s = frozenset(s)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial, prod
 
+import numpy as np
+
 from .tolerances import COEFF_EPS, COEFF_MATCH
 
 MAX_ENUM_DEGREE = 7
@@ -274,6 +276,22 @@ def character(alpha: Partition, class_of: Permutation) -> int:
     return character_of_type(alpha, class_of.cycle_type())
 
 
+def _characters(lam: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations rho of S(|lam|) with chi_lam(rho) != 0, as 0-based image
+    rows fixing |lam|..n-1, and their integer characters."""
+    group = enumerate_group(lam.n) if lam.n else [Permutation(())]
+    by_type: dict[tuple[int, ...], int] = {}
+    rows, chars = [], []
+    for p in group:
+        cycle_type = p.cycle_type()
+        if cycle_type not in by_type:
+            by_type[cycle_type] = character_of_type(lam, cycle_type)
+        if by_type[cycle_type]:
+            rows.append(p.images + tuple(range(lam.n + 1, n + 1)))
+            chars.append(by_type[cycle_type])
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n) - 1, np.array(chars, dtype=np.int64)
+
+
 def irrep_dimension(alpha: Partition) -> int:
     """Dimension of the S_n irrep (hook length formula)."""
     hooks = prod(alpha.hook_length(i, j) for i, j in alpha.cells())
@@ -377,9 +395,10 @@ def young_projector(alpha: Partition) -> GroupAlgebraElement:
     chi is a class function and pi, pi^-1 are conjugate, so chi(pi^-1)=chi(pi).
     """
     n = alpha.n
-    d_alpha = irrep_dimension(alpha)
-    scale = d_alpha / factorial(n)
-    terms = {p: scale * character(alpha, p) for p in enumerate_group(n)}
+    scale = irrep_dimension(alpha) / factorial(n)
+    rows, chars = _characters(alpha, n)
+    terms = {Permutation(tuple(row)): scale * chi
+             for row, chi in zip((rows + 1).tolist(), chars.tolist())}
     return GroupAlgebraElement(terms, n)
 
 

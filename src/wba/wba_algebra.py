@@ -24,10 +24,9 @@ from .sym_core import (
     GroupAlgebraElement,
     Partition,
     Permutation,
-    character_of_type,
+    _characters,
     coset_representatives,
     cycle_texts,
-    enumerate_group,
     irrep_dimension,
     parse_permutation,
     schur_weyl_multiplicity,
@@ -314,16 +313,12 @@ def realize(x, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sigma_diagram(n: int, k: int) -> WbaDiagram:
-    """Product of k disjoint cup/cap pairs linking sites n-2k+j and n-j+1."""
+    """Product of k disjoint cup/cap pairs linking sites n-2k+j and n-j+1:
+    the permutation of those k transpositions, transposed on sites n-k+1..n."""
     if not n >= 2 * k >= 2:
         raise ValueError(f"need n >= 2k >= 2, got n={n}, k={k}")
-    pairing = list(from_permutation(Permutation.identity(n)).pairing)
-    for j in range(1, k + 1):
-        a, b = n - 2 * k + j, n - j + 1
-        ta, tb, ba, bb = a - 1, b - 1, n + a - 1, n + b - 1
-        pairing[ta], pairing[tb] = tb, ta
-        pairing[ba], pairing[bb] = bb, ba
-    return WbaDiagram(n, tuple(pairing))
+    swaps = Permutation.from_cycles([(n - 2 * k + j, n - j + 1) for j in range(1, k + 1)], n)
+    return from_permutation(swaps, range(n - k + 1, n + 1))
 
 
 def sigma_k(n: int, k: int) -> WbaElement:
@@ -402,22 +397,6 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int,
     # int / int is correctly rounded: the one rounding of each exact coefficient
     coeffs = [w * scale.numerator / scale.denominator for w in weights.tolist()]
     return WbaElement(n, pairings, np.array(coeffs, dtype=complex)[:, None])
-
-
-def _characters(lam: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations rho of S(|lam|) with chi_lam(rho) != 0, as 0-based image
-    rows fixing |lam|..n-1, and their integer characters."""
-    group = enumerate_group(lam.n) if lam.n else [Permutation(())]
-    by_type: dict[tuple[int, ...], int] = {}
-    rows, chars = [], []
-    for p in group:
-        cycle_type = p.cycle_type()
-        if cycle_type not in by_type:
-            by_type[cycle_type] = character_of_type(lam, cycle_type)
-        if by_type[cycle_type]:
-            rows.append(p.images + tuple(range(lam.n + 1, n + 1)))
-            chars.append(by_type[cycle_type])
-    return np.array(rows, dtype=np.intp).reshape(-1, n) - 1, np.array(chars, dtype=np.int64)
 
 
 def _relabel(pairings: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -58,6 +58,12 @@ class TestKron:
         with pytest.raises(ValueError):
             kron([rand_op(1, 2, rng), rand_op(1, 3, rng)])
 
+    def test_kron_all_is_the_left_fold(self, rng):
+        mats = [random_matrix(2, 1, rng), random_matrix(3, 1, rng), rng.standard_normal((2, 1))]
+        assert np.array_equal(dense_ops.kron_all(mats),
+                              np.kron(np.kron(mats[0], mats[1]), mats[2]))
+        assert np.array_equal(dense_ops.kron_all(mats[:1]), mats[0])
+
 
 class TestPartialTrace:
     def test_product_factors(self, rng):
@@ -189,6 +195,16 @@ class TestReshuffle:
         m = rand_op(2, 3, rng)
         assert np.array_equal(reshuffle_sites(m, 2, 1).mat, reshuffle_bipartite(m).mat)
 
+    def test_bipartite_on_basis_elements(self):
+        # |i><j| (x) |k><l|  ->  |i><k| (x) |j><l|
+        def unit(a, b):
+            out = np.zeros((2, 2), dtype=complex)
+            out[a, b] = 1
+            return out
+        for i, j, k, l in itertools.product(range(2), repeat=4):
+            m = DenseOperator(2, 2, np.kron(unit(i, j), unit(k, l)))
+            assert np.array_equal(reshuffle_bipartite(m).mat, np.kron(unit(i, k), unit(j, l)))
+
     def test_bipartite_needs_two_sites(self, rng):
         with pytest.raises(ValueError):
             reshuffle_bipartite(rand_op(3, 2, rng))
@@ -269,6 +285,13 @@ class TestRandomAndEigen:
     def test_haar_unitary(self):
         u = haar_unitary(3, np.random.default_rng(0))
         assert sup_norm(u @ u.conj().T - np.eye(3)) < 1e-12
+
+    def test_haar_unitary_draws_one_gaussian_matrix(self):
+        drawn, replay = np.random.default_rng(5), np.random.default_rng(5)
+        u = haar_unitary(3, drawn)
+        q, r = np.linalg.qr(random_matrix(3, 1, replay))
+        assert np.array_equal(u, q * (np.diag(r) / np.abs(np.diag(r))))
+        assert drawn.random() == replay.random()
 
 
 class TestMatrixWireFormat:

@@ -494,6 +494,18 @@ class TestProposition1:
                 break
         assert found, "no witness-regime point located in 200 samples"
 
+    @pytest.mark.parametrize("s", [(), (1, 2, 3), (4,)])
+    def test_bad_subset_fails_before_any_work(self, s, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the check ran before the subset was validated")
+        monkeypatch.setattr(ent, "werner_state", no_work)
+        params = WernerParams.from_alphas((1 / 27, 0, 0, 0, 0, 0), 3)
+        with pytest.raises(ValueError) as info:
+            proposition1_check(params, s)
+        message = str(info.value)
+        for allowed in ("(1,)", "(2,)", "(3,)", "(1, 2)", "(1, 3)", "(2, 3)"):
+            assert allowed in message
+
 
 class TestVerdictInvariants:
     def test_random_hermitian_operators(self, rng):

@@ -114,6 +114,33 @@ class TestCycleToOne:
                 out = evaluate_cycle_to_one(direction, j, [eye, eye, eye], 2)
                 assert np.array_equal(out.mat, eye)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_docstring_products(self, k, rng):
+        # the four documented products, with d read off the inputs
+        mats = [random_matrix(3, 1, rng) for _ in range(k)]
+
+        def chain(order, j):
+            out = np.eye(3, dtype=complex)
+            for i in order:
+                out = out @ (mats[i - 1].T if i == j else mats[i - 1])
+            return out
+        for j in range(1, k + 1):
+            backward = (chain(range(1, k), None).T @ mats[-1] if j == k
+                        else chain(range(1, k + 1), j))
+            forward = (chain(range(k, 1, -1), None).T @ mats[0] if j == 1
+                       else chain(range(k, 0, -1), j))
+            assert np.allclose(evaluate_cycle_to_one("backward", j, mats).mat, backward)
+            assert np.allclose(evaluate_cycle_to_one("forward", j, mats).mat, forward)
+
+    def test_bad_arguments(self, rng):
+        mats = [random_matrix(2, 1, rng) for _ in range(3)]
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            evaluate_cycle_to_one("backward", 4, mats)
+        with pytest.raises(ValueError, match="out of range 1..0"):
+            evaluate_cycle_to_one("forward", 1, [])
+        with pytest.raises(ValueError, match="direction must be forward or backward"):
+            evaluate_cycle_to_one("sideways", 1, mats)
+
 
 class TestTheta:
     def test_empty_subset_plain_product(self, rng):
@@ -132,6 +159,12 @@ class TestTheta:
                     oracle = contract(_kernel(backward_cycle(k), s, d), mats, [k])
                     closed = cycle_subset_to_one(s, mats, d)
                     assert sup_norm(closed.mat - oracle.mat) < 1e-10
+
+    def test_empty_inputs_without_d(self):
+        with pytest.raises(ValueError, match="need at least one input"):
+            cycle_subset_to_one(set(), [])
+        with pytest.raises(ValueError, match="need at least one input"):
+            theta_product("plain", set(), [])
 
     def test_bar_uses_subset_not_positions(self, rng):
         # with k in S the factors outside S are transposed, in reversed order

@@ -185,6 +185,18 @@ class TestYoungProjector:
              perm("(1 3 2)", 3): -1 / 3}, 3)
         assert p.approx_eq(expect)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_literal_character_sum(self, n):
+        # (d_alpha/n!) sum_pi chi^alpha(pi) pi, term by term over all of S_n
+        for a in partitions(n):
+            scale = irrep_dimension(a) / factorial(n)
+            literal = GroupAlgebraElement(
+                {p: scale * character(a, p) for p in enumerate_group(n)}, n)
+            assert young_projector(a).terms == literal.terms
+
+    def test_empty_partition_is_the_unit_of_s0(self):
+        assert young_projector(Partition(())).terms == {Permutation(()): 1.0}
+
     def test_dense_trace_is_multiplicity_times_dimension(self):
         mat = realize(young_projector(Partition((2,))), 2)
         assert abs(np.trace(mat) - 3) < 1e-12  # m=3, d_alpha=1

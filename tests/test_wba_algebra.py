@@ -166,6 +166,18 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma_diagram(3, 2)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_pairs_by_hand(self, n):
+        # top a <-> top b and bot a <-> bot b for a = n-2k+j, b = n-j+1;
+        # top t <-> bot t on every other site (0-based endpoints)
+        for k in range(1, n // 2 + 1):
+            pairing = list(range(n, 2 * n)) + list(range(n))
+            for j in range(1, k + 1):
+                a, b = n - 2 * k + j - 1, n - j
+                pairing[a], pairing[b] = b, a
+                pairing[n + a], pairing[n + b] = n + b, n + a
+            assert sigma_diagram(n, k).pairing == tuple(pairing)
+
 
 class TestGamma:
     def test_worked_examples(self):
