@@ -161,7 +161,7 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
 def embed_on_sites(small: DenseOperator, sites, n: int) -> DenseOperator:
     """Operator acting as ``small`` on the given sites and as identity elsewhere."""
     sites = tuple(sites)
-    if len(sites) != small.n or len(set(sites)) != len(sites):
+    if len(sites) != small.n or len(_validate_sites(sites, n)) != len(sites):
         raise ValueError("sites must be distinct and match the operator's site count")
     d = small.d
     rest = [s for s in range(1, n + 1) if s not in sites]

@@ -344,9 +344,6 @@ def gamma(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> Fraction:
             * Fraction(irrep_dimension(alpha), irrep_dimension(mu)))
 
 
-_BLOCK_ROWS = 1 << 12    # relabelled diagrams per step of f_projector
-
-
 def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int,
                 representatives: list[Permutation] | None = None) -> WbaElement:
     """Irreducible projector F_mu(alpha) of the walled Brauer algebra.
@@ -356,44 +353,42 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int,
     a transversal of S(n-2k) in S(n-k).  Its dense realization is an
     orthogonal projector commuting with U^(n-k) (x) conj(U)^(k).
 
-    Every product in the formula is a permutation times a diagram, which
-    relabels endpoints and closes no loop.  The term pi eta^-1 rho sigma eta
-    of P_mu ... P_alpha carries the integer weight chi_mu(pi) chi_alpha(rho);
-    weights are summed exactly per diagram and multiplied by the one rational
-    (d_mu/(n-k)!) (d_alpha/(n-2k)!) / gamma, rounded to float once per term.
+    P_mu is central in C[S(n-k)], so F = (1/gamma) sum_eta eta^-1 (P_mu
+    P_alpha sigma) eta.  The group-algebra product is formed first, as the
+    exact integer weights G[g] = sum_{pi rho = g} chi_mu(pi) chi_alpha(rho)
+    on S(n-k), accumulated over blocks of pi in int64.  Each term eta^-1 g
+    sigma eta is then sigma relabelled (top row by eta^-1 g, bottom row by
+    eta^-1), which closes no loop; the terms come in order of eta, then g in
+    lexicographic order.  Weights are summed exactly per diagram and
+    multiplied by the one rational (d_mu/(n-k)!) (d_alpha/(n-2k)!) / gamma,
+    rounded to float once per term.
     """
-    g = gamma(mu, alpha, n, k, d)
+    norm = gamma(mu, alpha, n, k, d)
     reps = representatives if representatives is not None else coset_representatives(n, k)
-    # eta^-1 rho sigma eta: rho then eta^-1 relabel the top row, eta^-1 the bottom row
+    m = n - k
+    pis, chi_mu = _characters(mu, m)
+    rhos, chi_alpha = _characters(alpha, m)
+    # G by the base-m number of g's images: m**m entries (6.6 MB at m = 7), one
+    # dot product per key, and ascending keys are lexicographic images
+    place = m ** np.arange(m - 1, -1, -1)
+    weights = np.zeros(m ** m, np.int64)
+    step = factorial(m) // len(rhos)    # a block has at most (n-k)! products
+    for start in range(0, len(pis), step):
+        products = pis[start:start + step][:, rhos]     # pi o rho, one row each
+        np.add.at(weights, (products @ place).reshape(-1),
+                  (chi_mu[start:start + step, None] * chi_alpha).reshape(-1))
+    support = np.flatnonzero(weights)
+    images = np.concatenate([support[:, None] // place % m,
+                             np.broadcast_to(np.arange(m, n), (len(support), k))], axis=1)
     etas_inv = np.array([eta.extend(n).inverse().images for eta in reps]) - 1
-    rhos, chi_alpha = _characters(alpha, n)
-    top = etas_inv[:, rhos]
+    top = etas_inv[:, images]
     ends = np.concatenate([top, n + np.broadcast_to(etas_inv[:, None, :], top.shape)], axis=2)
     sigma = np.array(sigma_diagram(n, k).pairing)[None, :]
-    core = _relabel(sigma, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
-    _, core, core_weights = _reduce(_matching_key(core), core,
-                                    np.broadcast_to(chi_alpha, top.shape[:2]).reshape(-1))
-    core, core_weights = core[core_weights != 0], core_weights[core_weights != 0]
-    # pi (x): pi relabels the top row.  S(n-k) goes in blocks, each merged into
-    # the running sum at once.  A block has at most as many diagrams as the
-    # larger of _BLOCK_ROWS and the running sum: memory stays within a
-    # constant plus twice the distinct diagrams met, and each merge sorts at
-    # most twice the rows it adds.
-    pis, chi_mu = _characters(mu, n)
-    total = (np.empty(0, np.int64), np.empty((0, 2 * n), np.intp), np.empty(0, np.int64))
-    start = 0
-    while start < len(pis):
-        step = max(1, max(_BLOCK_ROWS, len(total[0])) // len(core))
-        block = pis[start:start + step]
-        ends = np.concatenate([block, np.broadcast_to(n + np.arange(n), block.shape)], axis=1)
-        pairings = _relabel(core, ends).reshape(-1, 2 * n)
-        weights = (chi_mu[start:start + step, None] * core_weights).reshape(-1)
-        total = _reduce(*(np.concatenate(pair) for pair in
-                          zip(total, (_matching_key(pairings), pairings, weights))))
-        start += step
-    _, pairings, weights = total
+    pairings = _relabel(sigma, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
+    _, pairings, weights = _reduce(_matching_key(pairings), pairings,
+                                   np.tile(weights[support], len(reps)))
     scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
-             * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / g)
+             * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / norm)
     # int / int is correctly rounded: the one rounding of each exact coefficient
     coeffs = [w * scale.numerator / scale.denominator for w in weights.tolist()]
     return WbaElement(n, pairings, np.array(coeffs, dtype=complex)[:, None])

@@ -103,6 +103,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rand_op(2, 2, rng), (1, 2))
 
+    def test_embed_checks_sites_and_keeps_their_order(self, rng):
+        with pytest.raises(ValueError, match=r"sites out of range 1\.\.3"):
+            embed_on_sites(identity(1, 2), (5,), 3)
+        a, b = rand_op(1, 2, rng), rand_op(1, 2, rng)
+        big = embed_on_sites(DenseOperator(2, 2, np.kron(a.mat, b.mat)), (3, 1), 3)
+        assert np.allclose(big.mat, np.kron(np.kron(b.mat, np.eye(2)), a.mat))
+
 
 class TestPartialTranspose:
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(2, 2), (3, 2), (2, 3)]))

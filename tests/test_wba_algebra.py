@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 import numpy as np
 import pytest
@@ -328,9 +329,9 @@ class TestRealize:
 
     @pytest.mark.parametrize("build,d,digest", [
         (lambda: f_projector(Partition((4, 2)), Partition((3, 2)), 7, 1, 2), 2,
-         "1d4360789ce14a02834732f20ff75ab5c94412a39398e7853bea75adfa8478fb"),
+         "a32724426d3e51d62ee3f16b6898080e0f52b73580b50850987fda0536654086"),
         (lambda: f_projector(Partition((2, 2)), Partition((2,)), 6, 2, 3), 3,
-         "4f8d8a2b70d0f9cc64387b5ebc94c126db60c2b53aad69acc19eb8455ccc44fa"),
+         "66ff14ab14a24c25b95d73ffe659910f88e1b006201c0708b1164b55a6f875b0"),
         (lambda: from_permutation(perm("(1 3 5)(2 4)", 5), {2, 5}), 3,
          "a882a37ae69e718746c8676914eab25deef0a672b0478ed0dd1769134b3f29ee"),
     ], ids=["n7-k1-d2", "n6-k2-d3", "diagram-n5-d3"])
@@ -438,6 +439,12 @@ class TestSerialization:
          "7162138dd9c31609e22b4e432e9ad664fe29115fac53571a1c933bf312a46f12"),
         (6, 2, 3, (2, 2), (2,),
          "abd7e8a730ed75b97865276390263dc051ce2bcb80761b7956c74bcb9642e5d0"),
+        (8, 1, 2, (5, 2), (4, 2),
+         "70e7bcc29a9f3126aa859dd00975a639f0b2db7d11c1b05b9d9d4f7d57e0e703"),
+        (8, 2, 2, (3, 3), (3, 1),
+         "e2f01fa1db2b4d3bb640aed492f0c13e0140bf05271de9587c05b216d4030844"),
+        (7, 2, 2, (3, 2), (2, 1),
+         "ec6cde6399713cabe4bbca1976aea76d086e0db0341aa30af7b28b83297fb146"),
     ])
     def test_projector_json_digest(self, n, k, d, mu, alpha, digest):
         text = element_to_json(f_projector(Partition(mu), Partition(alpha), n, k, d))
@@ -462,6 +469,43 @@ def _composed_projector_sum(mu, alpha, n, k):
         total = total + (WbaElement.from_permutation(eta_n.inverse()) * core
                          * WbaElement.from_permutation(eta_n))
     return p_mu * total
+
+
+def _pi_block_projector(mu, alpha, n, k, d, representatives=None):
+    """F_mu(alpha) by the construction that sums P_mu term by term: the core
+    eta^-1 (P_alpha sigma) eta is relabelled once per pi of P_mu, in blocks
+    of pi merged into the running sum, with the same exact integer weights
+    and the same one rounding per term as f_projector."""
+    from wba.sym_core import _characters, irrep_dimension
+
+    g = gamma(mu, alpha, n, k, d)
+    reps = representatives if representatives is not None else coset_representatives(n, k)
+    etas_inv = np.array([eta.extend(n).inverse().images for eta in reps]) - 1
+    rhos, chi_alpha = _characters(alpha, n)
+    top = etas_inv[:, rhos]
+    ends = np.concatenate([top, n + np.broadcast_to(etas_inv[:, None, :], top.shape)], axis=2)
+    sigma = np.array(sigma_diagram(n, k).pairing)[None, :]
+    core = wa._relabel(sigma, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
+    _, core, core_weights = wa._reduce(wa._matching_key(core), core,
+                                       np.broadcast_to(chi_alpha, top.shape[:2]).reshape(-1))
+    core, core_weights = core[core_weights != 0], core_weights[core_weights != 0]
+    pis, chi_mu = _characters(mu, n)
+    total = (np.empty(0, np.int64), np.empty((0, 2 * n), np.intp), np.empty(0, np.int64))
+    start = 0
+    while start < len(pis):
+        step = max(1, max(1 << 12, len(total[0])) // len(core))
+        block = pis[start:start + step]
+        ends = np.concatenate([block, np.broadcast_to(n + np.arange(n), block.shape)], axis=1)
+        pairings = wa._relabel(core, ends).reshape(-1, 2 * n)
+        weights = (chi_mu[start:start + step, None] * core_weights).reshape(-1)
+        total = wa._reduce(*(np.concatenate(pair) for pair in
+                             zip(total, (wa._matching_key(pairings), pairings, weights))))
+        start += step
+    _, pairings, weights = total
+    scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
+             * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / g)
+    coeffs = [w * scale.numerator / scale.denominator for w in weights.tolist()]
+    return WbaElement(n, pairings, np.array(coeffs, dtype=complex)[:, None])
 
 
 def _random_matchings(rng, n, count):
@@ -517,6 +561,47 @@ class TestRelabelConstruction:
         f = f_projector(Partition((2, 1)), Partition((1,)), 5, 2, 2)
         values = set(f.coeffs[:, 0].tolist())
         assert values == {complex(Fraction(2, 9)), complex(Fraction(-1, 9))}
+
+
+class TestGroupProductConstruction:
+    """f_projector against the pi-block reference: the same terms with the
+    same bits, only in another order."""
+
+    @staticmethod
+    def check(f, ref, d):
+        def by_key(x):
+            return dict(zip(wa._matching_key(x.pairings).tolist(),
+                            (row.tobytes() for row in x.coeffs)))
+
+        assert f.coeffs.shape[1] == ref.coeffs.shape[1] == 1
+        assert by_key(f) == by_key(ref)
+        assert sup_norm(realize(f, d) - realize(ref, d)) <= 1e-14
+
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(2 * k, 7)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_pi_block_reference(self, n, k, d):
+        pairs = admissible_pairs(n, k, d)
+        assert pairs
+        for alpha, mu in pairs:
+            self.check(f_projector(mu, alpha, n, k, d),
+                       _pi_block_projector(mu, alpha, n, k, d), d)
+
+    def test_n7_k1(self):
+        args = (Partition((4, 2)), Partition((3, 2)), 7, 1, 2)
+        self.check(f_projector(*args), _pi_block_projector(*args), 2)
+
+    def test_other_transversal(self):
+        # sigma eta represents the coset of eta for every sigma in S(n-2k)
+        from wba.sym_core import compose, enumerate_group
+        rng = random.Random(5)
+        n, k = 6, 1
+        stabilizer = enumerate_group(n - 2 * k)
+        reps = [compose(rng.choice(stabilizer).extend(n - k), eta)
+                for eta in coset_representatives(n, k)]
+        rng.shuffle(reps)
+        args = (Partition((3, 2)), Partition((2, 2)), n, k, 2)
+        self.check(f_projector(*args, representatives=reps),
+                   _pi_block_projector(*args, representatives=reps), 2)
 
 
 def _all_matchings(n):
