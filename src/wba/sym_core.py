@@ -406,11 +406,17 @@ def young_projector(alpha: Partition) -> GroupAlgebraElement:
 # coset transversal for the walled-Brauer projector sum
 # ---------------------------------------------------------------------------
 
+def coset_key(eta: Permutation, n: int, k: int) -> tuple[int, ...]:
+    """(eta^-1(n-2k+1), ..., eta^-1(n-k)): equal for two permutations of
+    S(n-k) iff they lie in the same coset S(n-2k) eta."""
+    inv = eta.inverse()
+    return tuple(inv(x) for x in range(n - 2 * k + 1, n - k + 1))
+
+
 def coset_representatives(n: int, k: int) -> list[Permutation]:
     """Transversal of S(n-2k) (acting on 1..n-2k) inside S(n-k).
 
-    Two permutations represent the same coset iff they move the points
-    n-2k+1..n-k identically, i.e. share (eta^-1(n-2k+1), ..., eta^-1(n-k)).
+    Two permutations represent the same coset iff they share coset_key.
     The lexicographically smallest one-line representative of each coset is
     kept, which makes the projector construction reproducible; any other
     transversal yields the same projector since the conjugated operator
@@ -421,11 +427,9 @@ def coset_representatives(n: int, k: int) -> list[Permutation]:
     m = n - k
     if not 1 <= m <= MAX_ENUM_DEGREE:
         raise ValueError(f"coset degree n-k={m} out of enumerable range")
-    moved = range(n - 2 * k + 1, m + 1)
     reps, seen = [], set()
     for eta in enumerate_group(m):
-        inv = eta.inverse()
-        key = tuple(inv(x) for x in moved)
+        key = coset_key(eta, n, k)
         if key not in seen:
             seen.add(key)
             reps.append(eta)

@@ -23,7 +23,7 @@ from wba.entanglement import (
     werner_state,
 )
 from wba.sym_core import parse_permutation
-from wba.tolerances import EIG_TOL, PRODUCT_BAND, SEESAW_STOP
+from wba.tolerances import EIG_TOL, ORACLE_TOL, PRODUCT_BAND, SEESAW_STOP
 from wba.wba_algebra import from_permutation, realize
 
 
@@ -451,6 +451,11 @@ class TestInvariantStateMaps:
                 assert sup_norm(lhs.mat - rhs.mat) < 1e-12
 
 
+def _seeded_states():
+    rng = np.random.default_rng(201)
+    return [random_valid_werner(rng, 3) for _ in range(30)]
+
+
 class TestProposition1:
     def test_maximally_mixed_coherent(self):
         params = WernerParams.from_alphas((1 / 27, 0, 0, 0, 0, 0), 3)
@@ -464,12 +469,12 @@ class TestProposition1:
         for _ in range(3):
             params = random_valid_werner(rng, 3)
             for s in ((1,), (3,)):
-                report = proposition1_check(params, s, budget, n_inputs=10)
+                report = proposition1_check(params, s, budget)
                 assert report["contradictions"] == []
 
     def test_proved_violation_shows_in_map_minimum(self):
-        # the random full-rank inputs alone miss this violation (minimum
-        # 0.0266); the rank-one input from the violating state finds it
+        # f_S(|e_1><e_1|) is the block <e_1|rho^{T_S}|e_1>, so the one fixed
+        # input reaches the certified negative 1|23 minimum
         params = random_valid_werner(np.random.default_rng(21), 3)
         budget = SearchBudget(restarts=16, seed=21)
         report = proposition1_check(params, (2,), budget)
@@ -487,12 +492,59 @@ class TestProposition1:
             _, ppt = werner_ppt_conditions(params.rs)
             if ppt:
                 continue
-            report = proposition1_check(params, (1,), budget, n_inputs=10)
+            report = proposition1_check(params, (1,), budget)
             if report["f_verdict"].classification == ent.WITNESS_CANDIDATE:
                 assert report["f_sample_min"] >= -PRODUCT_BAND
                 found = True
                 break
         assert found, "no witness-regime point located in 200 samples"
+
+    def test_f_minimum_is_the_certified_1_23_minimum(self):
+        for i, params in enumerate(_seeded_states()):
+            for s in ent.ROW_SUBSETS.values():
+                report = proposition1_check(params, s, SearchBudget(seed=i))
+                rho_ts = dense_ops.partial_transpose(werner_state(params), s)
+                exact, _ = ent.covariant_block_minimum(rho_ts, s, np.random.default_rng(i))
+                assert abs(report["f_sample_min"] - exact) <= ORACLE_TOL * max(1.0, abs(exact))
+
+    def test_certified_g_bound_is_below_the_search_value(self):
+        # the see-saw value is attained by a product state, so it bounds the
+        # 1|2|3 minimum from above; the certified lambda_min(rho) from below
+        budget = SearchBudget(seed=4, restarts=8, samples=64)
+        partition = PartitionSpec.parse("1|2|3")
+        for params in _seeded_states():
+            for s in ent.ROW_SUBSETS.values():
+                verdict = proposition1_check(params, s, budget)["g_verdict"]
+                if verdict.classification == ent.PSD:
+                    continue
+                assert verdict.classification == ent.WITNESS_CANDIDATE and verdict.certified
+                rho_ts = dense_ops.partial_transpose(werner_state(params), s)
+                searched, *_ = ent.product_state_minimize(rho_ts, partition, budget)
+                assert verdict.product_min_estimate <= searched + 1e-12
+
+    def test_non_state_fails_before_any_map(self, monkeypatch):
+        def no_map(*args, **kwargs):
+            raise AssertionError("a map was evaluated for a non-state")
+        monkeypatch.setattr(ent, "eggeling_werner_map", no_map)
+        params = WernerParams.from_rs((1.5, -0.5, 0.0, 0.0, 0.0, 0.0), 3)
+        with pytest.raises(ValueError, match="not a state") as info:
+            proposition1_check(params, (1,))
+        assert "\n" not in str(info.value)
+
+    def test_runs_no_search_and_draws_no_inputs(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("proposition1_check searched or sampled")
+        for module, name in ((ent, "product_state_minimize"), (ent, "check_block_positive"),
+                             (dense_ops, "random_psd")):
+            monkeypatch.setattr(module, name, forbidden)
+        classes = set()
+        for params in _seeded_states()[:5]:
+            for s in ent.ROW_SUBSETS.values():
+                report = proposition1_check(params, s)
+                assert report["contradictions"] == []
+                classes.add((report["f_verdict"].classification,
+                             report["g_verdict"].classification))
+        assert (ent.NOT_BLOCK_POSITIVE, ent.WITNESS_CANDIDATE) in classes
 
     @pytest.mark.parametrize("s", [(), (1, 2, 3), (4,)])
     def test_bad_subset_fails_before_any_work(self, s, monkeypatch):
