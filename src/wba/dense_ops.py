@@ -1,14 +1,15 @@
 """Dense operators on (C^d)^{tensor n} and their index gymnastics.
 
 Row/column indices pack big-endian in site order (site 1 most significant),
-so <i|sigma|j> = prod_t delta(i_{sigma(t)}, j_t) holds literally and kron
-is the plain numpy Kronecker product.
+so <i|sigma|j> = prod_t delta(i_{sigma(t)}, j_t) holds literally and
+``kron_all`` is the numpy Kronecker product of a whole list, entry for entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -65,8 +66,17 @@ def _validate_sites(sites, n: int) -> tuple[int, ...]:
 
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of a non-empty list of arrays, first factor most
-    significant: reduce(np.kron, mats), with no identity seed."""
-    return reduce(np.kron, mats)
+    significant, in one pass: factor f is spread over axes f, p + f, ... of
+    one grid and the factors are multiplied there left to right, so each
+    entry is bit-identical to reduce(np.kron, mats) and needs no transpose."""
+    mats = [np.asarray(m) for m in mats]
+    if not mats:
+        raise ValueError("need at least one factor")
+    nd, p = max(m.ndim for m in mats), len(mats)
+    shapes = [(1,) * (nd - m.ndim) + m.shape for m in mats]  # np.kron's padding
+    spread = [m.reshape([shape[i // p] if i % p == f else 1 for i in range(nd * p)])
+              for f, (m, shape) in enumerate(zip(mats, shapes))]
+    return reduce(np.multiply, spread).reshape([prod(axis) for axis in zip(*shapes)])
 
 
 def kron(factors: list[DenseOperator]) -> DenseOperator:
@@ -165,7 +175,7 @@ def embed_on_sites(small: DenseOperator, sites, n: int) -> DenseOperator:
         raise ValueError("sites must be distinct and match the operator's site count")
     d = small.d
     rest = [s for s in range(1, n + 1) if s not in sites]
-    big = DenseOperator(n, d, np.kron(small.mat, np.eye(d ** len(rest), dtype=complex)))
+    big = DenseOperator(n, d, kron_all([small.mat, np.eye(d ** len(rest), dtype=complex)]))
     # big currently lives on (sites..., rest...); permute to natural site order
     order = list(sites) + rest
     axes = [order.index(s) for s in range(1, n + 1)]

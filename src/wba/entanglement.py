@@ -239,7 +239,7 @@ def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOpera
 
     if row.startswith("f"):
         def two(x, y):
-            return DenseOperator(2, d, np.kron(x, y))
+            return DenseOperator(2, d, dense_ops.kron_all([x, y]))
 
         def r(x):
             return dense_ops.reshuffle_bipartite(x)

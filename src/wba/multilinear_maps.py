@@ -6,7 +6,9 @@ A kernel P on n = n_in + n_out sites defines
 ``fast_evaluate`` contracts the inputs into the realized kernel one site at
 a time and serves every kernel; ``evaluate_oracle`` computes the same map
 literally through ``contract``, the one brute-force contraction of the
-package, and is the ground truth for both it and the closed forms below:
+package (the kernel times the Kronecker product of the inputs, traced as it
+multiplies, so only the kept diagonal blocks of the product are formed),
+and is the ground truth for both it and the closed forms below:
 single-cycle kernels with one transposed site reduce to matrix products with
 a transpose inserted, those with a transposed subset to products with
 transposes on the subset (or on its complement, in reversed order, when the
@@ -75,19 +77,32 @@ class MapSpec:
 
 
 def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
-    """Literal contraction: tr over every site not in ``keep`` of
-    kernel @ (F_1 (x) F_2 (x) ...).
+    """Literal contraction: tr over every site not in ``keep`` of kernel @ F,
+    F = F_1 (x) F_2 (x) ..., traced as it multiplies.
 
-    The factors tile the kernel's sites from site 1 on; one may cover one
-    site or several.  With ``keep`` empty the result is the full trace as a
-    1 x 1 operator.  This is the ground truth every closed form is tested
-    against.
+    The factors are square and tile the kernel's sites from site 1 on; one
+    may cover no site (1 x 1), one or several.  With ``keep`` empty the
+    result is the full trace as a 1 x 1 operator, with every site kept it is
+    kernel @ F.  Only the kept diagonal blocks of kernel @ F are formed: with
+    the kernel's rows and F's columns split into (traced a, kept) sites,
+    out[i, j] = sum_a K[(a, i), :] @ F[:, (a, j)].  The splits are views when
+    the traced sites come first, as in every ``evaluate_oracle`` call.  This
+    is the ground truth every closed form is tested against.
     """
-    prod = DenseOperator(kernel.n, kernel.d, kernel.mat @ dense_ops.kron_all(factors))
-    keep = set(keep)
-    if not keep:
-        return DenseOperator(0, kernel.d, np.array([[prod.trace()]], dtype=complex))
-    return dense_ops.partial_trace(prod, [s for s in range(1, kernel.n + 1) if s not in keep])
+    d, n = kernel.d, kernel.n
+    keep = dense_ops._validate_sites(keep, n)
+    sites = [next((m for m in range(n + 1) if np.shape(f) == (d ** m,) * 2), None)
+             for f in factors]
+    if None in sites or sum(sites) != n:
+        raise ValueError(f"factors of shapes {[np.shape(f) for f in factors]} "
+                         f"do not tile {n} sites of dimension {d}")
+    order = [s - 1 for s in range(1, n + 1) if s not in keep] + [s - 1 for s in keep]
+    traced, kept = d ** (n - len(keep)), d ** len(keep)
+    rows = kernel.mat.reshape((d,) * n + (d ** n,)).transpose(order + [n])
+    cols = dense_ops.kron_all(factors).reshape((d ** n,) + (d,) * n)
+    cols = cols.transpose([0] + [a + 1 for a in order]).reshape(d ** n, traced, kept)
+    out = np.matmul(rows.reshape(traced, kept, d ** n), cols.transpose(1, 0, 2)).sum(axis=0)
+    return DenseOperator(len(keep), d, out)
 
 
 def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
@@ -256,7 +271,7 @@ def f_projector_map_2to2(a: np.ndarray, b: np.ndarray) -> DenseOperator:
     eye = np.eye(d, dtype=complex)
 
     def two(x, y):
-        return DenseOperator(2, d, np.kron(x, y))
+        return DenseOperator(2, d, dense_ops.kron_all([x, y]))
 
     r = dense_ops.reshuffle_bipartite
     tra, trb = np.trace(a), np.trace(b)

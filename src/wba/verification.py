@@ -131,7 +131,8 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
                 _kernel(mm.forward_cycle(5), {2}, d), n_in=3, n_out=2, d=d)):
             x1, x2, x3 = _rand_mats(rng, d, 3)
             oracle = mm.evaluate_oracle(spec, [x1, x2, x3])
-            inner = DenseOperator(2, d, np.kron(x3 @ x2.T @ x1, np.eye(d, dtype=complex)))
+            inner = DenseOperator(
+                2, d, dense_ops.kron_all([x3 @ x2.T @ x1, np.eye(d, dtype=complex)]))
             closed = dense_ops.partial_transpose(dense_ops.reshuffle_bipartite(inner), (2,))
             return dense_ops.sup_norm(closed.mat - oracle.mat)
         run("identity", f"identity:3to2,d={d}", three_to_two)

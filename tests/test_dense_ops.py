@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -63,6 +64,27 @@ class TestKron:
         assert np.array_equal(dense_ops.kron_all(mats),
                               np.kron(np.kron(mats[0], mats[1]), mats[2]))
         assert np.array_equal(dense_ops.kron_all(mats[:1]), mats[0])
+
+    @pytest.mark.parametrize("shapes", [
+        [(2, 2), (3, 3), (2, 2)],
+        [(2, 3), (1, 4), (3, 1), (2, 2)],
+        [(3,), (2,), (4,)],
+        [(2, 2), (3,)],
+        [(5,)],
+    ])
+    def test_kron_all_is_bit_identical_to_np_kron(self, shapes, rng):
+        # square, rectangular, 1-D and mixed-rank factors, each real or complex
+        for pattern in itertools.product((False, True), repeat=len(shapes)):
+            mats = [rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0)
+                    for shape, cplx in zip(shapes, pattern)]
+            one_pass = dense_ops.kron_all(mats)
+            folded = reduce(np.kron, mats)
+            assert one_pass.shape == folded.shape and one_pass.dtype == folded.dtype
+            assert one_pass.tobytes() == folded.tobytes()
+
+    def test_kron_all_of_nothing(self):
+        with pytest.raises(ValueError, match="need at least one factor"):
+            dense_ops.kron_all([])
 
 
 class TestPartialTrace:

@@ -34,6 +34,24 @@ def spec_for(perm, transposed, n_in, n_out, d):
     return MapSpec(WbaElement.from_permutation(perm, transposed), n_in, n_out, d)
 
 
+def _reference_contract(kernel, factors, keep):
+    """The unfused contraction: the full kernel @ F, then the partial trace."""
+    prod = DenseOperator(kernel.n, kernel.d, kernel.mat @ dense_ops.kron_all(factors))
+    keep = set(keep)
+    if not keep:
+        return DenseOperator(0, kernel.d, np.array([[prod.trace()]], dtype=complex))
+    if len(keep) == kernel.n:
+        return prod
+    return dense_ops.partial_trace(prod, [s for s in range(1, kernel.n + 1) if s not in keep])
+
+
+def _compositions(n):
+    """Every ordered tiling of n sites by blocks of one or more sites."""
+    if n == 0:
+        return [[]]
+    return [[m] + rest for m in range(1, n + 1) for rest in _compositions(n - m)]
+
+
 class TestOracle:
     def test_permutation_matmul(self, rng):
         # tr_12[(321) A x B x 1] = AB on the last site
@@ -79,6 +97,51 @@ class TestOracle:
         spec = spec_for(parse_permutation("(1 2)", 2), frozenset(), 1, 1, 2)
         with pytest.raises(ValueError):
             evaluate_oracle(spec, [random_matrix(2, 1, rng)] * 2)
+
+
+class TestFusedContract:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_unfused_reference(self, n, d, rng):
+        # dense complex kernels, every keep subset, every tiling of the sites
+        kernel = DenseOperator(n, d, random_matrix(d, n, rng))
+        for tiling in _compositions(n):
+            factors = [random_matrix(d, m, rng) for m in tiling]
+            for size in range(n + 1):
+                for keep in itertools.combinations(range(1, n + 1), size):
+                    fused = contract(kernel, factors, keep)
+                    reference = _reference_contract(kernel, factors, keep)
+                    assert fused.n == reference.n == size
+                    assert sup_norm(fused.mat - reference.mat) \
+                        <= 1e-13 * sup_norm(reference.mat)
+
+    def test_unit_factor_and_unsorted_keep(self, rng):
+        d = 2
+        kernel = DenseOperator(3, d, random_matrix(d, 3, rng))
+        factors = [random_matrix(d, 2, rng), np.eye(1), random_matrix(d, 1, rng)]
+        fused = contract(kernel, factors, [3, 1, 3])
+        reference = _reference_contract(kernel, factors, [1, 3])
+        assert sup_norm(fused.mat - reference.mat) <= 1e-13 * sup_norm(reference.mat)
+
+    @pytest.mark.parametrize("factor_shapes, keep, message", [
+        ([(2, 2)] * 3, [0, 1], "out of range"),
+        ([(2, 2)] * 3, [7], "out of range"),
+        ([(2, 2), (2, 2)], [3], "do not tile"),
+        ([(2, 2), (4, 4), (2, 2)], [3], "do not tile"),
+        ([(2, 2), (4, 2)], [3], "do not tile"),
+        ([(2, 2), (3, 3), (2, 2)], [3], "do not tile"),
+    ])
+    def test_bad_input_fails_before_any_work(self, factor_shapes, keep, message,
+                                             monkeypatch, rng):
+        def no_work(mats):
+            raise AssertionError("kron_all ran before the inputs were checked")
+
+        monkeypatch.setattr(dense_ops, "kron_all", no_work)
+        kernel = DenseOperator(3, 2, random_matrix(2, 3, rng))
+        factors = [np.ones(shape, dtype=complex) for shape in factor_shapes]
+        with pytest.raises(ValueError, match=message) as err:
+            contract(kernel, factors, keep)
+        assert "\n" not in str(err.value)
 
 
 class TestCycleToOne:
