@@ -85,15 +85,17 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wba-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".wba-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"--out {path}: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -160,7 +162,7 @@ def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> flo
 # ---------------------------------------------------------------------------
 
 def cmd_verify_props(args) -> int:
-    _check_minimum(args, tuples=1)
+    _check_minimum(args, tuples=1, seed=0)
     _check_tolerance(args)
     cases = proposition_suite(seed=args.seed, tuples=args.tuples, only=args.only,
                               tol=args.tolerance)
@@ -182,7 +184,7 @@ def cmd_verify_props(args) -> int:
 
 
 def cmd_projector(args) -> int:
-    _check_minimum(args, d=1, k=1, unitaries=1)
+    _check_minimum(args, d=1, k=1, unitaries=1, seed=0)
     with _fails_with(1, "bad partition: "):
         mu, alpha = parse_partition(args.mu), parse_partition(args.alpha)
     if args.emit_map is not None and not 1 <= args.emit_map <= args.n:
@@ -237,7 +239,7 @@ def cmd_projector(args) -> int:
 
 
 def cmd_scan_bcs(args) -> int:
-    _check_minimum(args, d=3)
+    _check_minimum(args, d=3, seed=0)
     ranges = []
     for flag in ("alpha", "beta"):
         with _fails_with(1, f"--{flag}: "):
@@ -304,7 +306,7 @@ def cmd_werner_ppt(args) -> int:
 
 
 def cmd_ew_maps(args) -> int:
-    _check_minimum(args, d=3, instances=1)
+    _check_minimum(args, d=3, instances=1, seed=0)
     _check_tolerance(args)
     rows = ent.F_ROWS + ent.G_ROWS if args.row == "all" else (args.row,)
     bad = [r for r in rows if r not in ent.F_ROWS + ent.G_ROWS]

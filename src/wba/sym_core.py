@@ -108,7 +108,15 @@ def enumerate_group(n: int) -> list[Permutation]:
     """All of S_n in lexicographic one-line order."""
     if not 1 <= n <= MAX_ENUM_DEGREE:
         raise ValueError(f"n must be in 1..{MAX_ENUM_DEGREE}, got {n}")
-    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+    return [Permutation(tuple(images)) for images in (_group_rows(n) + 1).tolist()]
+
+
+def _group_rows(m: int) -> np.ndarray:
+    """S_m as an (m!, m) array of 0-based one-line images, lexicographic; S_0 is one row."""
+    if m > MAX_ENUM_DEGREE:
+        raise ValueError(f"S_{m} is past the largest enumerable degree, {MAX_ENUM_DEGREE}")
+    flat = itertools.chain.from_iterable(itertools.permutations(range(m)))
+    return np.fromiter(flat, np.intp, factorial(m) * m).reshape(factorial(m), m)
 
 
 def _cycles(images) -> list[tuple[int, ...]]:
@@ -279,17 +287,19 @@ def character(alpha: Partition, class_of: Permutation) -> int:
 def _characters(lam: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Permutations rho of S(|lam|) with chi_lam(rho) != 0, as 0-based image
     rows fixing |lam|..n-1, and their integer characters."""
-    group = enumerate_group(lam.n) if lam.n else [Permutation(())]
-    by_type: dict[tuple[int, ...], int] = {}
-    rows, chars = [], []
-    for p in group:
-        cycle_type = p.cycle_type()
-        if cycle_type not in by_type:
-            by_type[cycle_type] = character_of_type(lam, cycle_type)
-        if by_type[cycle_type]:
-            rows.append(p.images + tuple(range(lam.n + 1, n + 1)))
-            chars.append(by_type[cycle_type])
-    return np.array(rows, dtype=np.intp).reshape(len(rows), n) - 1, np.array(chars, dtype=np.int64)
+    m = lam.n
+    rows = _group_rows(m)
+    # fixed-point counts of rho^1..rho^m determine the cycle type: one base-(m+1) key
+    key, power = np.zeros(len(rows), np.int64), rows
+    for _ in range(m):
+        key = key * (m + 1) + (power == np.arange(m)).sum(axis=1)
+        power = np.take_along_axis(rows, power, axis=1)
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    chars = np.array([character_of_type(lam, Permutation(tuple(rows[r] + 1)).cycle_type())
+                      for r in first], dtype=np.int64)[cls]
+    keep = chars != 0
+    fixed = np.broadcast_to(np.arange(m, n), (int(keep.sum()), n - m))
+    return np.concatenate([rows[keep], fixed], axis=1), chars[keep]
 
 
 def irrep_dimension(alpha: Partition) -> int:
@@ -406,32 +416,19 @@ def young_projector(alpha: Partition) -> GroupAlgebraElement:
 # coset transversal for the walled-Brauer projector sum
 # ---------------------------------------------------------------------------
 
-def coset_key(eta: Permutation, n: int, k: int) -> tuple[int, ...]:
-    """(eta^-1(n-2k+1), ..., eta^-1(n-k)): equal for two permutations of
-    S(n-k) iff they lie in the same coset S(n-2k) eta."""
-    inv = eta.inverse()
-    return tuple(inv(x) for x in range(n - 2 * k + 1, n - k + 1))
-
-
 def coset_representatives(n: int, k: int) -> list[Permutation]:
     """Transversal of S(n-2k) (acting on 1..n-2k) inside S(n-k).
 
-    Two permutations represent the same coset iff they share coset_key.
-    The lexicographically smallest one-line representative of each coset is
-    kept, which makes the projector construction reproducible; any other
-    transversal yields the same projector since the conjugated operator
-    commutes with S(n-2k).
+    The coset S(n-2k) eta holds every arrangement of the small values
+    1..n-2k over the places eta gives them; its lexicographically smallest
+    member, the one whose small values increase, is kept, in lexicographic
+    order.  Any other transversal yields the same projector, since the
+    conjugated operator commutes with S(n-2k).
     """
     if k < 1 or n - 2 * k < 0:
         raise ValueError(f"need k >= 1 and n - 2k >= 0, got n={n}, k={k}")
-    m = n - k
-    if not 1 <= m <= MAX_ENUM_DEGREE:
-        raise ValueError(f"coset degree n-k={m} out of enumerable range")
-    reps, seen = [], set()
-    for eta in enumerate_group(m):
-        key = coset_key(eta, n, k)
-        if key not in seen:
-            seen.add(key)
-            reps.append(eta)
-    assert len(reps) == factorial(m) // factorial(n - 2 * k)
-    return reps
+    rows = _group_rows(n - k)
+    small = rows[rows < n - 2 * k].reshape(len(rows), n - 2 * k)
+    reps = (rows[(np.diff(small, axis=1) > 0).all(axis=1)] + 1).tolist()
+    assert len(reps) == factorial(n - k) // factorial(n - 2 * k)
+    return [Permutation(tuple(images)) for images in reps]

@@ -25,7 +25,6 @@ from .sym_core import (
     Partition,
     Permutation,
     _characters,
-    coset_key,
     coset_representatives,
     cycle_texts,
     irrep_dimension,
@@ -345,8 +344,7 @@ def gamma(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> Fraction:
             * Fraction(irrep_dimension(alpha), irrep_dimension(mu)))
 
 
-def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int,
-                representatives: list[Permutation] | None = None) -> WbaElement:
+def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> WbaElement:
     """Irreducible projector F_mu(alpha) of the walled Brauer algebra.
 
     F = (1/gamma) P_mu sum_eta eta^-1 (P_alpha (x) sigma^(k)) eta, with P_mu
@@ -362,18 +360,11 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int,
     eta^-1), which closes no loop; the terms come in order of eta, then g in
     lexicographic order.  Weights are summed exactly per diagram and
     multiplied by the one rational (d_mu/(n-k)!) (d_alpha/(n-2k)!) / gamma,
-    rounded to float once per term.  A given ``representatives`` list must
-    be a transversal, (n-k)!/(n-2k)! permutations of degree n-k in distinct
-    cosets, or a ValueError is raised before any work.
+    rounded to float once per term.
     """
     norm = gamma(mu, alpha, n, k, d)
     m = n - k
-    reps = representatives if representatives is not None else coset_representatives(n, k)
-    count = factorial(m) // factorial(n - 2 * k)
-    if len(reps) != count or any(eta.n != m for eta in reps):
-        raise ValueError(f"need {count} coset representatives, each of degree {m}")
-    if len({coset_key(eta, n, k) for eta in reps}) != count:
-        raise ValueError(f"two representatives lie in the same coset of S({n - 2 * k})")
+    reps = coset_representatives(n, k)
     pis, chi_mu = _characters(mu, m)
     rhos, chi_alpha = _characters(alpha, m)
     # G by the base-m number of g's images: m**m entries (6.6 MB at m = 7), one

@@ -212,16 +212,34 @@ class TestFlags:
         ["verify-props", "--tolerance", "nan"],
         ["ew-maps", "--tolerance", "nan"],
         ["ew-maps", "--tolerance", "0"],
+        ["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1", "--seed", "-1"],
+        ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]",
+         "--seed", "-1"],
+        ["verify-props", "--seed", "-1"],
+        ["ew-maps", "--seed", "-1"],
     ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
             "projector-unitaries", "verify-props-tuples", "scan-bcs-alpha-inf",
             "scan-bcs-alpha-minus-inf", "werner-ppt-nan", "werner-ppt-inf",
             "werner-ppt-overflow", "projector-k-0", "scan-bcs-range-too-long",
             "scan-bcs-grid-too-large", "verify-props-tolerance-nan", "ew-maps-tolerance-nan",
-            "ew-maps-tolerance-0"])
+            "ew-maps-tolerance-0", "scan-bcs-seed", "projector-seed", "verify-props-seed",
+            "ew-maps-seed"])
     def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: --")
+
+    @pytest.mark.parametrize("argv,target", [
+        (["compose", "(1 2)", "(2 3)", "--n", "3"], "missing/x"),
+        (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], "a-directory"),
+    ], ids=["compose-missing-directory", "werner-ppt-directory"])
+    def test_unwritable_out_fails_on_one_line(self, capsys, tmp_path, argv, target):
+        (tmp_path / "a-directory").mkdir()
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: --out {path}: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
 
     # each subcommand takes only the flags it reads
     @pytest.mark.parametrize("argv,dropped", [

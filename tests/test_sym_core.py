@@ -1,3 +1,4 @@
+import itertools
 from math import comb, factorial
 
 import numpy as np
@@ -9,6 +10,8 @@ from wba.sym_core import (
     GroupAlgebraElement,
     Partition,
     Permutation,
+    _characters,
+    _group_rows,
     additions_of_boxes,
     character,
     character_of_type,
@@ -99,6 +102,12 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_group(0)
 
+    @pytest.mark.parametrize("m", range(8))
+    def test_group_rows_are_itertools_permutations(self, m):
+        rows = _group_rows(m)
+        assert rows.shape == (factorial(m), m) and rows.dtype == np.intp
+        assert rows.tolist() == [list(p) for p in itertools.permutations(range(m))]
+
     def test_class_sizes_match_enumeration(self):
         for n in (3, 4, 5):
             counts = {}
@@ -127,7 +136,31 @@ def _standard_tableaux_count(shape):
     return grow(frozenset())
 
 
+def _characters_by_cycle_type(lam, n):
+    """Reference for _characters: one Permutation and one cycle_type() per
+    element of S(|lam|)."""
+    group = enumerate_group(lam.n) if lam.n else [Permutation(())]
+    by_type, rows, chars = {}, [], []
+    for p in group:
+        cycle_type = p.cycle_type()
+        if cycle_type not in by_type:
+            by_type[cycle_type] = character_of_type(lam, cycle_type)
+        if by_type[cycle_type]:
+            rows.append(p.images + tuple(range(lam.n + 1, n + 1)))
+            chars.append(by_type[cycle_type])
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n) - 1, np.array(chars, dtype=np.int64)
+
+
 class TestCharacters:
+    @pytest.mark.parametrize("m", range(8))
+    def test_matches_the_cycle_type_loop(self, m):
+        for lam in partitions(m):
+            for n in (m, m + 2):
+                rows, chars = _characters(lam, n)
+                ref_rows, ref_chars = _characters_by_cycle_type(lam, n)
+                assert rows.dtype == np.intp and chars.dtype == np.int64
+                assert np.array_equal(rows, ref_rows) and np.array_equal(chars, ref_chars)
+
     def test_trivial_rep(self):
         alpha = Partition((3,))
         for p in enumerate_group(3):
@@ -221,7 +254,25 @@ class TestYoungProjector:
             assert np.max(np.abs(mat @ mat - mat)) < 1e-10
 
 
+def _coset_key_scan(n, k):
+    """Reference transversal: the first member of each coset S(n-2k) eta in
+    a lexicographic scan of S(n-k), where two permutations share a coset iff
+    they agree on eta^-1(n-2k+1), ..., eta^-1(n-k)."""
+    reps, seen = [], set()
+    for eta in enumerate_group(n - k):
+        key = tuple(eta.inverse()(x) for x in range(n - 2 * k + 1, n - k + 1))
+        if key not in seen:
+            seen.add(key)
+            reps.append(eta)
+    return reps
+
+
 class TestCosets:
+    @pytest.mark.parametrize("n,k", [(n, k) for k in range(1, 8)
+                                     for n in range(2 * k, k + 8)])
+    def test_matches_the_coset_key_scan(self, n, k):
+        assert coset_representatives(n, k) == _coset_key_scan(n, k)
+
     @pytest.mark.parametrize("n,k,count", [(5, 1, 4), (5, 2, 6), (4, 1, 3)])
     def test_counts(self, n, k, count):
         reps = coset_representatives(n, k)
