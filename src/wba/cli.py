@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -82,6 +83,35 @@ MAX_SCAN_POINTS = 100_000
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+# stands where the term list goes in the indented report; no report field holds a NUL
+_TERMS_SLOT = "\0terms"
+
+
+def _report_json(report: dict) -> str:
+    """A projector report as ``json.dumps(report, sort_keys=True, indent=2)``
+    writes it, byte for byte.  ``indent`` selects the stdlib's pure-Python
+    encoder, so the element's term list, nearly all of the report, is written
+    here from a per-entry template: every entry is {"coeff": [{"im", "power",
+    "re"}, ...], "diagram"}.  The numbers come from one compact (C) dump,
+    which writes them as the indented one does (float.__repr__, NaN,
+    Infinity), and the diagrams from encode_basestring_ascii."""
+    terms = report["element"]["terms"]
+    numbers = json.dumps([v for entry in terms for c in entry["coeff"]
+                          for v in (c["im"], c["power"], c["re"])])
+    triples = zip(*[iter(numbers[1:-1].split(", "))] * 3)
+    coeff = '{\n            "im": %s,\n            "power": %s,\n            "re": %s\n          }'
+    entries = []
+    for entry in terms:
+        items = ",\n          ".join([coeff % next(triples) for _ in entry["coeff"]])
+        entries.append('{\n        "coeff": %s,\n        "diagram": %s\n      }' % (
+            f"[\n          {items}\n        ]" if items else "[]",
+            encode_basestring_ascii(entry["diagram"])))
+    listing = "[\n      " + ",\n      ".join(entries) + "\n    ]" if entries else "[]"
+    shell = {**report, "element": {**report["element"], "terms": _TERMS_SLOT}}
+    text = json.dumps(shell, sort_keys=True, indent=2)
+    return text.replace(json.dumps(_TERMS_SLOT), listing, 1)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -184,7 +214,7 @@ def cmd_verify_props(args) -> int:
 
 
 def cmd_projector(args) -> int:
-    _check_minimum(args, d=1, k=1, unitaries=1, seed=0)
+    _check_minimum(args, n=1, d=1, k=1, unitaries=1, seed=0)
     with _fails_with(1, "bad partition: "):
         mu, alpha = parse_partition(args.mu), parse_partition(args.alpha)
     if args.emit_map is not None and not 1 <= args.emit_map <= args.n:
@@ -218,7 +248,7 @@ def cmd_projector(args) -> int:
         report["map_inputs"] = n_in
         report["map_output_min_eig"] = _fmt(dense_ops.min_eigenvalue(out))
     if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
+        _emit(_report_json(report), args.out)
     else:
         lines = [f"F_{report['mu']}({report['alpha']}) on n={args.n} sites, "
                  f"k={args.k} transposed, d={args.d}",
@@ -340,6 +370,7 @@ def cmd_ew_maps(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    _check_minimum(args, n=1)
     with _fails_with(1):
         a = parse_diagram(args.left, args.n)
         b = parse_diagram(args.right, args.n)

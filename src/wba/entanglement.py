@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,20 +34,16 @@ _PERM_DIAGRAMS = tuple(from_permutation(parse_permutation(t, 3))
                        for t in ("()", "(1 2)", "(2 3)", "(3 1)", "(1 2 3)", "(3 2 1)"))
 
 
-def permutation_operators(d: int) -> list[np.ndarray]:
-    """Dense id, (12), (23), (31), (123), (321) on three factors."""
-    return [realize(p, d) for p in _PERM_DIAGRAMS]
-
-
-def r_operators(d: int) -> dict[str, np.ndarray]:
-    """The orthogonal operator basis R_+, R_-, R_0, R_1, R_2, R_3."""
-    return _r_from_permutations(permutation_operators(d))
-
-
-def _r_from_permutations(perms: list[np.ndarray]) -> dict[str, np.ndarray]:
+@lru_cache(maxsize=1)
+def _werner_basis(d: int) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
+    """Dense id, (12), (23), (31), (123), (321) on three factors, and the
+    orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3 built from them, read-only:
+    werner_state needs both on every call, and callers sweep one d at a time,
+    so only the last d is kept."""
+    perms = tuple(realize(p, d) for p in _PERM_DIAGRAMS)
     one, p12, p23, p31, p123, p321 = perms
     s3 = math.sqrt(3.0)
-    return {
+    rk = {
         "+": (one + p12 + p23 + p31 + p123 + p321) / 6.0,
         "-": (one - p12 - p23 - p31 + p123 + p321) / 6.0,
         "0": (2.0 * one - p123 - p321) / 3.0,
@@ -54,6 +51,14 @@ def _r_from_permutations(perms: list[np.ndarray]) -> dict[str, np.ndarray]:
         "2": (p12 - p31) / s3,
         "3": 1j * (p123 - p321) / s3,
     }
+    for mat in (*perms, *rk.values()):
+        mat.flags.writeable = False
+    return perms, rk
+
+
+def r_operators(d: int) -> dict[str, np.ndarray]:
+    """The R_k basis at dimension d, as read-only arrays."""
+    return dict(_werner_basis(d)[1])
 
 
 R_KEYS = ("+", "-", "0", "1", "2", "3")
@@ -170,14 +175,12 @@ def random_valid_werner(rng: np.random.Generator, d: int = 3) -> WernerParams:
 def werner_state(params: WernerParams) -> DenseOperator:
     """Dense operator from the alpha coefficients; cross-checked against the
     R_k expansion, so inconsistent parameter sets are rejected."""
-    d = params.d
-    perms = permutation_operators(d)
+    perms, rk = _werner_basis(params.d)
     mat = sum(a * p for a, p in zip(params.alphas, perms))
-    rk = _r_from_permutations(perms)
     mat_c = sum(c * rk[key] for c, key in zip(params.cs, R_KEYS))
     if dense_ops.sup_norm(mat - mat_c) > ATOL * max(1.0, dense_ops.sup_norm(mat)):
         raise ValueError("alpha and c coefficient sets disagree")
-    return DenseOperator(3, d, mat)
+    return DenseOperator(3, params.d, mat)
 
 
 def werner_ppt_conditions(rs) -> tuple[list[bool], bool]:

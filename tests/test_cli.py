@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import wba
-from wba.cli import _commutant_residual, main
+from wba.cli import _commutant_residual, _report_json, main
 from wba.dense_ops import haar_unitary, sup_norm
 from wba.sym_core import Partition
-from wba.wba_algebra import f_projector, realize
+from wba.wba_algebra import _element_record, admissible_pairs, f_projector, realize
 
 DATA = Path(__file__).parent / "data"
 
@@ -82,6 +82,57 @@ class TestProjector:
                            "--format", "json")
         assert code == 0
         assert out == (DATA / "projector_n4_k1_d2.json").read_text()
+
+
+def _stdlib_report(report):
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+def _report(terms, n=4):
+    """A projector report around the given term list, shaped as cmd_projector's."""
+    return {"n": n, "k": 1, "d": 2, "mu": "[2,1]", "alpha": "[2]", "gamma": "1",
+            "terms": len(terms), "idempotence_residual": "1e-16",
+            "commutant_residual": "2e-16", "element": {"n": n, "terms": terms},
+            "map_inputs": 2, "map_output_min_eig": "0.25"}
+
+
+_PROJECTOR_CASES = [(n, k, d, mu, alpha) for n in range(2, 7) for k in (1, 2) for d in (2, 3)
+                    if n >= 2 * k for alpha, mu in admissible_pairs(n, k, d)]
+
+
+class TestReportJson:
+    """_report_json writes the bytes of the stdlib's indented dump."""
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", _PROJECTOR_CASES + [
+        (7, 1, 2, Partition((4, 2)), Partition((3, 2)))])
+    def test_projector_elements(self, n, k, d, mu, alpha):
+        record = _element_record(f_projector(mu, alpha, n, k, d))
+        report = _report(record["terms"], n)
+        assert _report_json(report) == _stdlib_report(report)
+
+    def test_every_small_pair_is_covered(self):
+        assert len(_PROJECTOR_CASES) == 58
+
+    @pytest.mark.parametrize("terms", [
+        [],
+        [{"coeff": [], "diagram": "()"}],
+        [{"coeff": [{"im": 0.0, "power": 0, "re": 0.5}, {"im": -0.0, "power": 2, "re": -0.0},
+                    {"im": 1e16, "power": 7, "re": 1e-300}], "diagram": "(1 2)^T{2}"},
+         {"coeff": [], "diagram": "()"},
+         {"coeff": [{"im": -1.25, "power": 1, "re": 1}], "diagram": "\u00e9 \"q\"\n"}],
+        [{"coeff": [{"im": float("nan"), "power": 0, "re": float("inf")},
+                    {"im": -float("inf"), "power": 1, "re": 5e-324}], "diagram": "()"}],
+    ], ids=["no-terms", "empty-coeff", "mixed", "non-finite"])
+    def test_synthetic_records(self, terms):
+        report = _report(terms)
+        assert _report_json(report) == _stdlib_report(report)
+
+    def test_cli_output_is_the_stdlib_dump(self, capsys):
+        code, out, _ = run(capsys, "projector", "--n", "5", "--k", "1", "--d", "2",
+                           "--mu", "[3,1]", "--alpha", "[2,1]", "--unitaries", "1",
+                           "--emit-map", "2", "--format", "json")
+        assert code == 0
+        assert out == _stdlib_report(json.loads(out)) + "\n"
 
 
 class TestScanBcs:
@@ -177,6 +228,12 @@ class TestCompose:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "compose", "(1 9)", "(1 2)", "--n", "3")
         assert code == 1
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_no_sites_is_a_bad_flag(self, capsys, n):
+        code, out, err = run(capsys, "compose", "()", "()", "--n", n)
+        assert code == 1 and out == ""
+        assert err == f"error: --n must be >= 1, got {n}\n"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "product.txt"
@@ -308,6 +365,13 @@ class TestProjectorChecksBeforeBuild:
                              "--mu", "[2,1]", "--alpha", "[2]", "--emit-map", emit_map)
         assert code == 1 and out == ""
         assert err == "error: --emit-map must be in 1..4\n"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_no_sites_is_a_bad_flag(self, capsys, n):
+        code, out, err = run(capsys, "projector", "--n", n, "--k", "1", "--d", "2",
+                             "--mu", "[]", "--alpha", "[]")
+        assert code == 1 and out == ""
+        assert err == f"error: --n must be >= 1, got {n}\n"
 
     def test_size_guard(self, capsys, monkeypatch):
         monkeypatch.delenv("WBA_SIZE_GUARD", raising=False)

@@ -365,6 +365,26 @@ class TestWernerParams:
             for r_val, key in zip(params.rs, ent.R_KEYS):
                 assert np.isclose(r_val, np.trace(rho.mat @ rk[key]).real, atol=1e-10)
 
+    def test_basis_realized_once_per_dimension(self, monkeypatch):
+        realized = []
+        real = ent.realize
+        monkeypatch.setattr(ent, "realize", lambda p, d: realized.append(d) or real(p, d))
+        ent._werner_basis.cache_clear()
+        try:
+            for d in (3, 3, 4, 4, 3):
+                rho = werner_state(WernerParams.from_rs((0.4, 0.1, 0.5, 0, 0, 0), d))
+                assert rho.mat.flags.writeable
+        finally:
+            ent._werner_basis.cache_clear()
+        assert realized == [3] * 6 + [4] * 6 + [3] * 6
+
+    def test_basis_is_read_only(self):
+        rk = r_operators(3)
+        with pytest.raises(ValueError):
+            rk["+"][0, 0] = 1.0
+        rk.clear()
+        assert sorted(r_operators(3)) == sorted(ent.R_KEYS)
+
     def test_conversion_roundtrips(self, rng):
         for _ in range(50):
             params = random_valid_werner(rng, 3)
