@@ -16,8 +16,6 @@ import numpy as np
 from .sym_core import Permutation
 from .tolerances import ATOL
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 @dataclass(frozen=True)
 class DenseOperator:
@@ -36,16 +34,6 @@ class DenseOperator:
     def tensor(self) -> np.ndarray:
         """View with 2n axes: row axes 1..n then column axes 1..n."""
         return self.mat.reshape((self.d,) * (2 * self.n))
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
-
-def from_matrix(mat: np.ndarray, d: int, n: int | None = None) -> DenseOperator:
-    mat = np.asarray(mat, dtype=complex)
-    if n is None:
-        n = round(np.log(mat.shape[0]) / np.log(d)) if d > 1 else 1
-    return DenseOperator(n, d, mat)
 
 
 def identity(n: int, d: int) -> DenseOperator:
@@ -96,24 +84,6 @@ def _reorder(m: DenseOperator, axes) -> DenseOperator:
     return DenseOperator(m.n, m.d, m.tensor.transpose(axes).reshape(dim, dim))
 
 
-def partial_trace(m: DenseOperator, over) -> DenseOperator:
-    """Trace out the listed sites; kept sites re-pack preserving their order."""
-    over = _validate_sites(over, m.n)
-    if not over:
-        raise ValueError("empty site set; nothing to trace")
-    if len(over) == m.n:
-        raise ValueError("tracing all sites: use the full trace instead")
-    keep = [s for s in range(1, m.n + 1) if s not in over]
-    row = list(_LETTERS[: m.n])
-    col = list(_LETTERS[m.n: 2 * m.n])
-    for s in over:
-        col[s - 1] = row[s - 1]
-    out = "".join(row[s - 1] for s in keep) + "".join(col[s - 1] for s in keep)
-    spec = "".join(row) + "".join(col) + "->" + out
-    dim = m.d ** len(keep)
-    return DenseOperator(len(keep), m.d, np.einsum(spec, m.tensor).reshape(dim, dim))
-
-
 def partial_transpose(m: DenseOperator, over) -> DenseOperator:
     """Swap row and column indices on the listed sites (computational basis)."""
     over = _validate_sites(over, m.n)
@@ -144,20 +114,8 @@ def reshuffle_sites(m: DenseOperator, ket_site: int, bra_site: int) -> DenseOper
     return _reorder(m, axes)
 
 
-def tau(m: DenseOperator) -> np.ndarray:
-    """Flatten |i><j| -> |i>|j>: vector of length d**(2n), row block first."""
-    return m.mat.reshape(-1).copy()
-
-
-def tau_inverse(vec: np.ndarray, n: int, d: int) -> DenseOperator:
-    dim = d ** n
-    if vec.shape != (dim * dim,):
-        raise ValueError(f"vector length {vec.shape} != d^(2n) = {dim * dim}")
-    return DenseOperator(n, d, vec.reshape(dim, dim).astype(complex))
-
-
 def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
-    """Act with pi in S_{2n} on the flattened operator: tau^-1 pi tau.
+    """Act with pi in S_{2n} on the operator flattened as |i><j| -> |i>|j>.
 
     Slots 1..n are the row indices, n+1..2n the column indices; slot t of the
     image holds what slot pi^-1(t) held.
@@ -166,20 +124,6 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
         raise ValueError(f"need a permutation of degree 2n = {2 * m.n}, got {pi.n}")
     inv = pi.inverse()
     return _reorder(m, [inv(t) - 1 for t in range(1, 2 * m.n + 1)])
-
-
-def embed_on_sites(small: DenseOperator, sites, n: int) -> DenseOperator:
-    """Operator acting as ``small`` on the given sites and as identity elsewhere."""
-    sites = tuple(sites)
-    if len(sites) != small.n or len(_validate_sites(sites, n)) != len(sites):
-        raise ValueError("sites must be distinct and match the operator's site count")
-    d = small.d
-    rest = [s for s in range(1, n + 1) if s not in sites]
-    big = DenseOperator(n, d, kron_all([small.mat, np.eye(d ** len(rest), dtype=complex)]))
-    # big currently lives on (sites..., rest...); permute to natural site order
-    order = list(sites) + rest
-    axes = [order.index(s) for s in range(1, n + 1)]
-    return _reorder(big, axes + [a + n for a in axes])
 
 
 def random_matrix(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,7 +157,3 @@ def min_eigenvalue(m: DenseOperator) -> float:
 def matrix_to_json_rows(mat: np.ndarray) -> list[list[dict]]:
     """Array-of-rows with {re, im} entries, the matrix wire format."""
     return [[{"re": float(v.real), "im": float(v.imag)} for v in row] for row in mat]
-
-
-def matrix_from_json_rows(rows) -> np.ndarray:
-    return np.array([[complex(v["re"], v["im"]) for v in row] for row in rows])

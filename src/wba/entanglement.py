@@ -19,8 +19,7 @@ from . import dense_ops
 from .dense_ops import DenseOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_permutation
-from .tolerances import (
-    ALPHAS_IMAG, ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK)
+from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .wba_algebra import from_permutation, realize
 
 COVARIANCE_DRAWS = 2
@@ -56,11 +55,6 @@ def _werner_basis(d: int) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]
     return perms, rk
 
 
-def r_operators(d: int) -> dict[str, np.ndarray]:
-    """The R_k basis at dimension d, as read-only arrays."""
-    return dict(_werner_basis(d)[1])
-
-
 R_KEYS = ("+", "-", "0", "1", "2", "3")
 
 
@@ -83,18 +77,6 @@ def cs_from_rs(rs, d: int):
     )
 
 
-def rs_from_cs(cs, d: int):
-    cp, cm, c0, c1, c2, c3 = cs
-    return (
-        cp * d * (d * d + 3 * d + 2) / 6.0,
-        cm * d * (d * d - 3 * d + 2) / 6.0,
-        c0 * 2 * d * (d * d - 1) / 3.0,
-        c1 * 2 * d * (d * d - 1) / 3.0,
-        c2 * 2 * d * (d * d - 1) / 3.0,
-        c3 * 2 * d * (d * d - 1) / 3.0,
-    )
-
-
 def alphas_from_cs(cs):
     """Expand sum_k c_k R_k in the permutation basis.
 
@@ -114,21 +96,6 @@ def alphas_from_cs(cs):
     )
 
 
-def cs_from_alphas(alphas):
-    a1, a2, a3, a4, a5, a6 = (complex(a) for a in alphas)
-    s3 = math.sqrt(3.0)
-    cp = a1 + a2 + a3 + a4 + a5 + a6
-    cm = a1 - a2 - a3 - a4 + a5 + a6
-    c0 = a1 - (a5 + a6) / 2
-    c1 = a3 - (a2 + a4) / 2
-    c2 = s3 * (a2 - a4) / 2
-    c3 = s3 * (a5 - a6) / 2j
-    cs = (cp, cm, c0, c1, c2, c3)
-    if any(abs(c.imag) > ALPHAS_IMAG for c in cs):
-        raise ValueError("alphas are not hermitian-compatible (complex c_k)")
-    return tuple(c.real for c in cs)
-
-
 @dataclass(frozen=True)
 class WernerParams:
     """A U (x) U (x) U - invariant operator in all three coordinate systems."""
@@ -143,16 +110,6 @@ class WernerParams:
         rs = tuple(float(r) for r in rs)
         cs = cs_from_rs(rs, d)
         return WernerParams(alphas_from_cs(cs), cs, rs, d)
-
-    @staticmethod
-    def from_cs(cs, d: int) -> "WernerParams":
-        cs = tuple(float(c) for c in cs)
-        return WernerParams(alphas_from_cs(cs), cs, rs_from_cs(cs, d), d)
-
-    @staticmethod
-    def from_alphas(alphas, d: int) -> "WernerParams":
-        cs = cs_from_alphas(alphas)
-        return WernerParams(tuple(complex(a) for a in alphas), cs, rs_from_cs(cs, d), d)
 
     def is_valid_state(self) -> bool:
         rp, rm, r0, r1, r2, r3 = self.rs

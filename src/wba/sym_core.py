@@ -50,12 +50,6 @@ class Permutation:
         return Permutation(tuple(range(1, n + 1)))
 
     @staticmethod
-    def transposition(a: int, b: int, n: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return Permutation(tuple(images))
-
-    @staticmethod
     def from_cycles(cycles, n: int) -> "Permutation":
         """Build from cycles like [(1,3,4),(2,5)]; (134) maps 1->3, 3->4, 4->1."""
         images = list(range(1, n + 1))
@@ -361,10 +355,6 @@ class GroupAlgebraElement:
     def identity(n: int) -> "GroupAlgebraElement":
         return GroupAlgebraElement({Permutation.identity(n): 1.0}, n)
 
-    @staticmethod
-    def from_permutation(p: Permutation) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({p: 1.0}, p.n)
-
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.n != other.n:
             raise ValueError("degree mismatch")
@@ -372,9 +362,6 @@ class GroupAlgebraElement:
         for p, c in other.terms.items():
             terms[p] = terms.get(p, 0.0) + c
         return GroupAlgebraElement(terms, self.n)
-
-    def scale(self, c: complex) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({p: c * v for p, v in self.terms.items()}, self.n)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         """Convolution product; left factor acts after the right one."""

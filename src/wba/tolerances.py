@@ -5,7 +5,6 @@ COEFF_EPS = 1e-14       # a formal coefficient this small is rounding noise and 
 COEFF_MATCH = 1e-12     # approx_eq: formal coefficients this close are equal
 ATOL = 1e-10            # matrix-identity residual: absolute for M = M^H, else times max(1, |M|)
 ORACLE_TOL = 1e-10      # closed form vs oracle deviation below this passes (verify-props, ew-maps)
-ALPHAS_IMAG = 1e-9      # a c_k with a larger imaginary part makes Werner alphas non-hermitian
 STATE_SLACK = 1e-10     # slack of the Werner valid-state inequalities
 PPT_SLACK = 1e-12       # slack of the six analytic partial-transpose inequalities
 EIG_TOL = 1e-9          # least eigenvalue >= -EIG_TOL is PSD

@@ -11,7 +11,6 @@ are realized as dense matrices.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,12 +64,6 @@ class WbaDiagram:
         for e, f in enumerate(self.pairing):
             if f == e or not 0 <= f < 2 * self.n or self.pairing[f] != e:
                 raise ValueError(f"pairing is not a fixed-point-free involution: {self.pairing}")
-
-    def top(self, site: int) -> int:
-        return site - 1
-
-    def bot(self, site: int) -> int:
-        return self.n + site - 1
 
     def __str__(self) -> str:
         return diagram_to_text(self)
@@ -179,10 +172,6 @@ class WbaElement:
         width = 1 + max(np.flatnonzero(coeffs.any(axis=0)), default=0)
         self.n = n
         self.pairings, self.coeffs = pairings[keep], coeffs[keep, :width]
-
-    @staticmethod
-    def zero(n: int) -> "WbaElement":
-        return WbaElement(n, np.empty((0, 2 * n), np.intp), np.empty((0, 1)))
 
     @staticmethod
     def from_diagram(diag: WbaDiagram, coeff: complex = 1.0) -> "WbaElement":
@@ -518,13 +507,6 @@ def _diagram_texts(pairings: np.ndarray) -> list[str]:
     return texts
 
 
-def as_transposed_permutation(diag: WbaDiagram) -> tuple[Permutation, frozenset[int]]:
-    """Canonical (sigma, S) with diag == sigma^{T_S}; see _transposed_forms."""
-    images, mask = _transposed_forms(np.array([diag.pairing]))
-    sites = np.flatnonzero(mask[0]) + 1
-    return Permutation(tuple(images[0].tolist())), frozenset(sites.tolist())
-
-
 def diagram_to_text(diag: WbaDiagram) -> str:
     return _diagram_texts(np.array([diag.pairing]))[0]
 
@@ -551,21 +533,3 @@ def _element_record(x: WbaElement) -> dict:
         coeff = [{"power": p, "re": c.real, "im": c.imag} for p, c in enumerate(row) if c]
         entries.append({"diagram": text, "coeff": coeff})
     return {"n": x.n, "terms": entries}
-
-
-def element_to_json(x: WbaElement) -> str:
-    return json.dumps(_element_record(x), sort_keys=True)
-
-
-def element_from_json(text: str) -> WbaElement:
-    data = json.loads(text)
-    n, terms = data["n"], data["terms"]
-    powers = [c["power"] for entry in terms for c in entry["coeff"]]
-    if any(p < 0 for p in powers):
-        raise ValueError("powers must be non-negative")
-    coeffs = np.zeros((len(terms), 1 + max(powers, default=0)), dtype=complex)
-    for row, entry in zip(coeffs, terms):
-        for c in entry["coeff"]:
-            row[c["power"]] += complex(c["re"], c["im"])
-    pairings = [parse_diagram(entry["diagram"], n).pairing for entry in terms]
-    return WbaElement(n, np.reshape(pairings, (len(terms), 2 * n)), coeffs)

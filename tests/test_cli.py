@@ -10,7 +10,7 @@ import pytest
 import wba
 from wba.cli import _commutant_residual, _report_json, main
 from wba.dense_ops import haar_unitary, sup_norm
-from wba.sym_core import Partition
+from wba.sym_core import MAX_ENUM_DEGREE, Partition
 from wba.wba_algebra import _element_record, admissible_pairs, f_projector, realize
 
 DATA = Path(__file__).parent / "data"
@@ -66,6 +66,14 @@ class TestProjector:
                            "--mu", "[1,1,1]", "--alpha", "[1,1]")
         assert code == 2
         assert "not represented" in err
+
+    def test_past_the_largest_enumerable_degree(self, capsys):
+        # n - k one past the bound at k = 1: (9,1) [6,2]/[5,2] while the bound is 7
+        m = MAX_ENUM_DEGREE + 1
+        code, out, err = run(capsys, "projector", "--n", str(m + 1), "--k", "1", "--d", "2",
+                             "--mu", f"[{m - 2},2]", "--alpha", f"[{m - 3},2]")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_emit_map(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",

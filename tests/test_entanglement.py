@@ -16,7 +16,6 @@ from wba.entanglement import (
     eggeling_werner_map,
     eggeling_werner_map_trace,
     proposition1_check,
-    r_operators,
     random_valid_werner,
     scan_bcs_region,
     werner_ppt_conditions,
@@ -25,6 +24,9 @@ from wba.entanglement import (
 from wba.sym_core import parse_permutation
 from wba.tolerances import EIG_TOL, ORACLE_TOL, PRODUCT_BAND, SEESAW_STOP
 from wba.wba_algebra import from_permutation, realize
+
+# r_k = tr(R_k) / 27 of the maximally mixed state at d = 3
+MAXIMALLY_MIXED_RS = np.array((10, 1, 16, 0, 0, 0)) / 27
 
 
 @pytest.fixture
@@ -45,7 +47,7 @@ class TestBcsKernel:
         alpha, beta = 0.3, -0.2
         kernel = bcs_kernel(alpha, beta, d)
         expect = d * d + d * d + alpha * d ** 3 + beta * d * d
-        assert np.isclose(kernel.trace(), expect)
+        assert np.isclose(np.trace(kernel.mat), expect)
 
     def test_scan_kernels_equal_term_by_term_sum(self, monkeypatch):
         p = parse_permutation
@@ -325,7 +327,7 @@ class TestCovariantBlockMinimum:
 class TestWernerParams:
     def test_projector_basis_traces(self):
         d = 3
-        rk = r_operators(d)
+        rk = ent._werner_basis(d)[1]
         assert np.isclose(np.trace(rk["+"]), d * (d ** 2 + 3 * d + 2) / 6)
         assert np.isclose(np.trace(rk["-"]), d * (d ** 2 - 3 * d + 2) / 6)
         assert np.isclose(np.trace(rk["0"]), 2 * d * (d ** 2 - 1) / 3)
@@ -334,7 +336,7 @@ class TestWernerParams:
 
     def test_rk_gram_matrix_diagonal(self):
         d = 3
-        rk = r_operators(d)
+        rk = ent._werner_basis(d)[1]
         keys = list(rk)
         for i, a in enumerate(keys):
             for b in keys[i + 1:]:
@@ -344,21 +346,21 @@ class TestWernerParams:
         d = 3
         params = WernerParams.from_rs((1, 0, 0, 0, 0, 0), d)
         rho = werner_state(params)
-        rk = r_operators(d)
+        rk = ent._werner_basis(d)[1]
         assert sup_norm(rho.mat - rk["+"] / np.trace(rk["+"]).real) < 1e-12
 
     def test_maximally_mixed(self):
         d = 3
-        params = WernerParams.from_alphas((1 / d ** 3, 0, 0, 0, 0, 0), d)
+        params = WernerParams.from_rs(MAXIMALLY_MIXED_RS, d)
         rho = werner_state(params)
         assert sup_norm(rho.mat - np.eye(d ** 3) / d ** 3) < 1e-14
-        rk = r_operators(d)
+        rk = ent._werner_basis(d)[1]
         for r_val, key in zip(params.rs, ent.R_KEYS):
             assert np.isclose(r_val, np.trace(rk[key]).real / d ** 3)
 
     def test_expectations_recovered_from_state(self, rng):
         d = 3
-        rk = r_operators(d)
+        rk = ent._werner_basis(d)[1]
         for _ in range(20):
             params = random_valid_werner(rng, d)
             rho = werner_state(params)
@@ -379,20 +381,11 @@ class TestWernerParams:
         assert realized == [3] * 6 + [4] * 6 + [3] * 6
 
     def test_basis_is_read_only(self):
-        rk = r_operators(3)
-        with pytest.raises(ValueError):
-            rk["+"][0, 0] = 1.0
-        rk.clear()
-        assert sorted(r_operators(3)) == sorted(ent.R_KEYS)
-
-    def test_conversion_roundtrips(self, rng):
-        for _ in range(50):
-            params = random_valid_werner(rng, 3)
-            again = WernerParams.from_alphas(params.alphas, 3)
-            assert np.allclose(again.rs, params.rs, atol=1e-12)
-            assert np.allclose(again.cs, params.cs, atol=1e-12)
-            via_cs = WernerParams.from_cs(params.cs, 3)
-            assert np.allclose(via_cs.rs, params.rs, atol=1e-12)
+        perms, rk = ent._werner_basis(3)
+        assert sorted(rk) == sorted(ent.R_KEYS)
+        for mat in (*perms, *rk.values()):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
 
     def test_hermitian_iff_coefficient_symmetry(self, rng):
         params = random_valid_werner(rng, 3)
@@ -405,7 +398,7 @@ class TestWernerParams:
     def test_trace_one(self, rng):
         for _ in range(10):
             params = random_valid_werner(rng, 3)
-            assert np.isclose(werner_state(params).trace(), 1.0)
+            assert np.isclose(np.trace(werner_state(params).mat), 1.0)
 
     def test_d2_conversion_rejected(self):
         with pytest.raises(ValueError):
@@ -422,7 +415,7 @@ class TestWernerParams:
 class TestPptConditions:
     def test_maximally_mixed_all_true(self):
         d = 3
-        rk = r_operators(d)
+        rk = ent._werner_basis(d)[1]
         rs = [np.trace(rk[key]).real / d ** 3 for key in ent.R_KEYS]
         checks, overall = werner_ppt_conditions(rs)
         assert overall and all(checks)
@@ -478,7 +471,7 @@ def _seeded_states():
 
 class TestProposition1:
     def test_maximally_mixed_coherent(self):
-        params = WernerParams.from_alphas((1 / 27, 0, 0, 0, 0, 0), 3)
+        params = WernerParams.from_rs(MAXIMALLY_MIXED_RS, 3)
         report = proposition1_check(params, (1,),
                                     SearchBudget(seed=3, restarts=8, samples=64))
         assert report["contradictions"] == []
@@ -571,7 +564,7 @@ class TestProposition1:
         def no_work(*args, **kwargs):
             raise AssertionError("the check ran before the subset was validated")
         monkeypatch.setattr(ent, "werner_state", no_work)
-        params = WernerParams.from_alphas((1 / 27, 0, 0, 0, 0, 0), 3)
+        params = WernerParams.from_rs(MAXIMALLY_MIXED_RS, 3)
         with pytest.raises(ValueError) as info:
             proposition1_check(params, s)
         message = str(info.value)

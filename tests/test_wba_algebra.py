@@ -24,11 +24,8 @@ from wba.sym_core import (
 from wba.wba_algebra import (
     WbaElement,
     admissible_pairs,
-    as_transposed_permutation,
     compose_diagrams,
     diagram_to_text,
-    element_from_json,
-    element_to_json,
     f_projector,
     from_permutation,
     gamma,
@@ -50,23 +47,25 @@ def terms(x):
 
 
 class TestDiagrams:
+    # endpoint t - 1 is top_t and endpoint n + t - 1 is bot_t
     def test_bell_pairing(self):
         d = from_permutation(perm("(1 2)", 2), {2})
         # bot_1 <-> bot_2 and top_1 <-> top_2
-        assert d.pairing[d.bot(1)] == d.bot(2)
-        assert d.pairing[d.top(1)] == d.top(2)
+        assert d.pairing[2] == 3
+        assert d.pairing[0] == 1
 
     def test_identity_strands(self):
         d = identity_diagram(3)
         for t in range(1, 4):
-            assert d.pairing[d.top(t)] == d.bot(t)
+            assert d.pairing[t - 1] == 3 + t - 1
 
     def test_full_cycle_transposed(self):
         d = from_permutation(perm("(1 2 3 4)", 4), {4})
-        assert d.pairing[d.bot(1)] == d.top(2)
-        assert d.pairing[d.bot(2)] == d.top(3)
-        assert d.pairing[d.bot(3)] == d.bot(4)
-        assert d.pairing[d.top(1)] == d.top(4)
+        # bot_1 <-> top_2, bot_2 <-> top_3, bot_3 <-> bot_4, top_1 <-> top_4
+        assert d.pairing[4] == 1
+        assert d.pairing[5] == 2
+        assert d.pairing[6] == 7
+        assert d.pairing[0] == 3
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
@@ -219,7 +218,7 @@ class TestFProjector:
             for a in (1, 2, 3):
                 prod = Permutation.from_cycles(
                     [tuple(int(c) for c in rho.replace(' ', '')[1:-1])], 4)
-                tau = Permutation.transposition(a, 4, 4)
+                tau = Permutation.from_cycles([(a, 4)], 4)
                 from wba.sym_core import compose
                 diag = from_permutation(compose(prod, tau), {4})
                 assert terms(f)[diag.pairing][0].real == pytest.approx(-1 / 6)
@@ -273,12 +272,13 @@ class TestFProjector:
         n, k, d = 5, 2, 2
         f = f_projector(Partition((2, 1)), Partition((1,)), n, k, d)
         sig = WbaElement.from_diagram(sigma_diagram(n, k))
-        total = WbaElement.zero(n)
+        conjugates = []
         for eta in (Permutation(tuple(p)) for p in itertools.permutations((1, 2, 3))):
             eta5 = eta.extend(n)
             left = WbaElement.from_permutation(eta5.inverse())
             right = WbaElement.from_permutation(eta5)
-            total = total + left * sig * right
+            conjugates.append(left * sig * right)
+        total = sum(conjugates[1:], conjugates[0])
         p_nu = (WbaElement.identity(n).scale(2.0)
                 + WbaElement.from_permutation(perm("(1 2 3)", n), coeff=-1.0)
                 + WbaElement.from_permutation(perm("(1 3 2)", n), coeff=-1.0))
@@ -413,8 +413,9 @@ class TestSerialization:
 
     def test_transposed_form_is_faithful(self):
         diag = from_permutation(perm("(1 2 3)", 3), {2, 3})
-        sigma, s = as_transposed_permutation(diag)
-        assert from_permutation(sigma, s) == diag
+        images, mask = wa._transposed_forms(np.array([diag.pairing]))
+        sites = set((np.flatnonzero(mask[0]) + 1).tolist())
+        assert from_permutation(Permutation(tuple(images[0].tolist())), sites) == diag
 
     def test_every_product_diagram_serializes(self):
         # products of transposed permutations stay in transposed-perm form
@@ -428,9 +429,14 @@ class TestSerialization:
                 assert parse_diagram(diagram_to_text(result), 3) == result
 
     def test_element_json_roundtrip(self):
+        # the record's diagram texts and coefficients rebuild the element
         x = f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2)
-        y = element_from_json(element_to_json(x))
-        assert x.approx_eq(y)
+        record = json.loads(json.dumps(wa._element_record(x)))
+        pairings = [parse_diagram(entry["diagram"], record["n"]).pairing
+                    for entry in record["terms"]]
+        coeffs = [[complex(c["re"], c["im"]) for c in entry["coeff"]] for entry in record["terms"]]
+        assert all(c["power"] == 0 for entry in record["terms"] for c in entry["coeff"])
+        assert x.approx_eq(WbaElement(x.n, pairings, coeffs))
 
     # the digests hold on every platform: no BLAS runs, and each coefficient
     # is one correctly rounded division
@@ -447,12 +453,13 @@ class TestSerialization:
          "ec6cde6399713cabe4bbca1976aea76d086e0db0341aa30af7b28b83297fb146"),
     ])
     def test_projector_json_digest(self, n, k, d, mu, alpha, digest):
-        text = element_to_json(f_projector(Partition(mu), Partition(alpha), n, k, d))
+        record = wa._element_record(f_projector(Partition(mu), Partition(alpha), n, k, d))
+        text = json.dumps(record, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_repr_lists_the_json_diagrams_in_order(self):
         x = f_projector(Partition((2, 1)), Partition((1,)), 5, 2, 2)
-        texts = [entry["diagram"] for entry in json.loads(element_to_json(x))["terms"]]
+        texts = [entry["diagram"] for entry in wa._element_record(x)["terms"]]
         assert [bit.split("] ")[1] for bit in repr(x).split("  +  ")] == texts
 
 
@@ -463,12 +470,10 @@ def _composed_projector_sum(mu, alpha, n, k):
     p_alpha = WbaElement.from_group_algebra(young_projector(alpha), n) \
         if alpha.n else WbaElement.identity(n)
     core = p_alpha * sigma_k(n, k)
-    total = WbaElement.zero(n)
-    for eta in coset_representatives(n, k):
-        eta_n = eta.extend(n)
-        total = total + (WbaElement.from_permutation(eta_n.inverse()) * core
-                         * WbaElement.from_permutation(eta_n))
-    return p_mu * total
+    conjugates = [WbaElement.from_permutation(eta.extend(n).inverse()) * core
+                  * WbaElement.from_permutation(eta.extend(n))
+                  for eta in coset_representatives(n, k)]
+    return p_mu * sum(conjugates[1:], conjugates[0])
 
 
 def _pi_block_projector(mu, alpha, n, k, d, representatives=None):
@@ -692,7 +697,9 @@ class TestTransposedForms:
     def test_one_row_calls(self):
         # (4 5)^T{5} is (4 5)^T{4}, and {2,4} comes before {2,5}
         diag = from_permutation(perm("(1 3 2)(4 5)", 5), {2, 5})
-        assert as_transposed_permutation(diag) == (perm("(1 3 2)(4 5)", 5), frozenset({2, 4}))
+        images, mask = wa._transposed_forms(np.array([diag.pairing]))
+        assert images.tolist() == [list(perm("(1 3 2)(4 5)", 5).images)]
+        assert mask.tolist() == [[False, True, False, True, False]]
         assert diagram_to_text(diag) == "(1 3 2)(4 5)^T{2,4}"
         assert diagram_to_text(identity_diagram(3)) == "()"
 
