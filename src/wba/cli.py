@@ -174,17 +174,35 @@ def _check_tolerance(args) -> None:
         raise CliError(f"--tolerance must be finite and positive, got {args.tolerance}")
 
 
-def _commutant_residual(dense: np.ndarray, u: np.ndarray, n: int, k: int) -> float:
-    """sup_norm of [dense, U^(n-k) (x) conj(U)^(k)], with that operator applied
-    as A (x) B over the first n//2 sites and the rest, never built in full."""
-    factors = [u] * (n - k) + [u.conj()] * k
-    a, b = dense_ops.kron_all(factors[:n // 2]), dense_ops.kron_all(factors[n // 2:])
-    dim, da, db = len(dense), len(a), len(b)
-    right = np.matmul(a.T, dense.reshape(dim, da, db) @ b).reshape(dim, dim)
-    left = np.matmul(b, (a @ dense.reshape(da, db * dim)).reshape(da, db, dim))
-    right -= left.reshape(dim, dim)
-    del left    # before sup_norm allocates its own temporary
-    return dense_ops.sup_norm(right)
+def _commutant_residual(real: np.ndarray, unitaries, n: int, k: int) -> float:
+    """Largest sup_norm of [F, U^(n-k) (x) conj(U)^(k)] over the unitaries U,
+    for a real, C-contiguous F.  Each U acts as A (x) B, the Kronecker halves
+    over the first n//2 sites and the rest, never built in full.  All
+    unitaries share one workspace of three d^n x d^n complex arrays, and the
+    two products that read F are real: F (I (x) B) multiplies F by B's float
+    view (real and imaginary parts interleaved), and (A (x) I) F multiplies
+    A's real rows stacked over its imaginary rows by F."""
+    dim = len(real)
+    # three arrays, not one block: glibc lifts its mmap threshold to the size of
+    # a freed block, and a higher threshold lets later large arrays fragment the heap
+    fb, right, left = (np.empty((dim, dim), dtype=complex) for _ in range(3))
+    residuals = []
+    for u in unitaries:
+        factors = [u] * (n - k) + [u.conj()] * k
+        a, b = dense_ops.kron_all(factors[:n // 2]), dense_ops.kron_all(factors[n // 2:])
+        da, db = len(a), len(b)
+        np.matmul(real.reshape(dim * da, db), b.view(np.float64),
+                  out=fb.view(np.float64).reshape(dim * da, 2 * db))
+        np.matmul(a.T, fb.reshape(dim, da, db), out=right.reshape(dim, da, db))
+        stacked = left.view(np.float64).reshape(2 * da, db * dim)
+        np.matmul(np.concatenate([a.real, a.imag]), real.reshape(da, db * dim), out=stacked)
+        af = fb.reshape(da, db * dim)   # F (I (x) B) is spent
+        af.real, af.imag = stacked[:da], stacked[da:]
+        np.matmul(b, af.reshape(da, db, dim), out=left.reshape(da, db, dim))
+        np.subtract(right, left, out=right)
+        magnitudes = left.view(np.float64).reshape(-1)[:dim * dim]
+        residuals.append(float(np.abs(right.reshape(-1), out=magnitudes).max()))
+    return max(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +242,16 @@ def cmd_projector(args) -> int:
         check_size_guard(args.n, args.d)
         element = f_projector(mu, alpha, args.n, args.k, args.d)
         dense = realize(element, args.d)
+    if dense.imag.any():
+        raise CliError(f"F_{mu}({alpha}) has a non-real entry", 2)
+    # F @ F stays complex: a float64 product rounds differently and moves the residual
     idem = dense_ops.sup_norm(dense @ dense - dense)
+    real = np.ascontiguousarray(dense.real)
+    del dense   # the commutant workspace takes its place; the map gets it back from real
 
     rng = np.random.default_rng(args.seed)
-    comm = max(_commutant_residual(dense, dense_ops.haar_unitary(args.d, rng), args.n, args.k)
-               for _ in range(args.unitaries))
+    unitaries = (dense_ops.haar_unitary(args.d, rng) for _ in range(args.unitaries))
+    comm = _commutant_residual(real, unitaries, args.n, args.k)
 
     report = {
         "n": args.n, "k": args.k, "d": args.d,
@@ -241,7 +264,7 @@ def cmd_projector(args) -> int:
     }
     if args.emit_map is not None:
         n_in = args.emit_map
-        spec = mm.MapSpec(dense_ops.DenseOperator(args.n, args.d, dense),
+        spec = mm.MapSpec(dense_ops.DenseOperator(args.n, args.d, real.astype(complex)),
                           n_in=n_in, n_out=args.n - n_in, d=args.d)
         inputs = [dense_ops.random_psd(args.d, 1, rng) for _ in range(n_in)]
         out = mm.fast_evaluate(spec, inputs)

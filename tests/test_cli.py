@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -403,10 +404,16 @@ class TestSizeGuard:
 
 
 class TestCommutantResidual:
-    @pytest.mark.parametrize("n,k,d,mu,alpha", [
-        (4, 1, 2, (2, 1), (2,)), (5, 2, 2, (2, 1), (1,)), (5, 1, 3, (3, 1), (2, 1))])
-    def test_matches_full_kronecker(self, n, k, d, mu, alpha):
+    @staticmethod
+    def projector(n, k, d, mu, alpha):
         dense = realize(f_projector(Partition(mu), Partition(alpha), n, k, d), d)
+        return np.ascontiguousarray(dense.real)
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", [
+        (4, 1, 2, (2, 1), (2,)), (5, 2, 2, (2, 1), (1,)), (5, 1, 3, (3, 1), (2, 1)),
+        (6, 2, 3, (2, 2), (2,))])
+    def test_matches_full_kronecker(self, n, k, d, mu, alpha):
+        real = self.projector(n, k, d, mu, alpha)
         rng = np.random.default_rng(7)
         for _ in range(3):
             u = haar_unitary(d, rng)
@@ -414,9 +421,49 @@ class TestCommutantResidual:
             for factor in [u] * (n - k) + [u.conj()] * k:
                 big = np.kron(big, factor)
             # a non-commuting operator tests the residual, not only its zero
-            for mat in (dense, dense + np.diag(np.arange(d ** n))):
+            for mat in (real, real + np.diag(np.arange(d ** n))):
                 full = sup_norm(mat @ big - big @ mat)
-                assert abs(_commutant_residual(mat, u, n, k) - full) <= 1e-12 * max(1, full)
+                assert abs(_commutant_residual(mat, [u], n, k) - full) <= 1e-12 * max(1, full)
+
+    def test_several_unitaries_give_the_largest(self):
+        n, k, d = 5, 1, 3
+        real = self.projector(n, k, d, (3, 1), (2, 1)) + np.diag(np.arange(d ** n))
+        rng = np.random.default_rng(3)
+        unitaries = [haar_unitary(d, rng) for _ in range(3)]
+        singles = [_commutant_residual(real, [u], n, k) for u in unitaries]
+        assert len(set(singles)) == 3
+        assert _commutant_residual(real, iter(unitaries), n, k) == max(singles)
+
+    def test_workspace_does_not_grow_with_the_unitaries(self):
+        n, k, d = 6, 2, 3
+        real = self.projector(n, k, d, (2, 2), (2,))
+        rng = np.random.default_rng(1)
+        unitaries = [haar_unitary(d, rng) for _ in range(20)]
+        peaks = []
+        for count in (1, 20):
+            tracemalloc.start()
+            try:
+                _commutant_residual(real, unitaries[:count], n, k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        mb = 2 ** 20
+        assert abs(peaks[1] - peaks[0]) <= mb
+        assert max(peaks) <= 3 * 16 * d ** (2 * n) + mb
+
+
+class TestNonRealProjector:
+    def test_exits_2_on_one_line(self, capsys, monkeypatch):
+        def realize_with_imaginary_entry(element, d):
+            dense = realize(element, d)
+            dense[0, 1] += 1e-3j
+            return dense
+
+        monkeypatch.setattr("wba.cli.realize", realize_with_imaginary_entry)
+        code, out, err = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
+                             "--mu", "[2,1]", "--alpha", "[2]", "--unitaries", "3")
+        assert code == 2 and out == ""
+        assert err == "error: F_[2,1]([2]) has a non-real entry\n"
 
 
 class TestEmptyRange:
