@@ -158,12 +158,12 @@ def evaluate_cycle_to_one(direction: str, j: int, inputs, d: int | None = None) 
     raise ValueError(f"direction must be forward or backward, got {direction!r}")
 
 
-def theta_product(kind: str, s, inputs, d: int | None = None) -> DenseOperator:
-    """Products with transposes steered by a site subset.
+def cycle_subset_to_one(s, inputs, d: int | None = None) -> DenseOperator:
+    """tr_{1..k-1}[(k..1)^{T_S} X_1 (x) ... (x) X_k] for any S: a product
+    with transposes steered by S.
 
-    plain: X_1' ... X_k' with X_i' = X_i^T iff i in S -- the value of
-        tr_{1..k-1}[(k..1)^{T_S} X_1 (x) ... (x) X_k] when k is not in S.
-    bar: the k-in-S case; product in the order (X_{k-1}, ..., X_1, X_k)
+    theta (k not in S): X_1' ... X_k' with X_i' = X_i^T iff i in S.
+    theta-bar (k in S): the product in the order (X_{k-1}, ..., X_1, X_k)
         with exactly the factors whose index is NOT in S transposed.  (The
         subset, not the tuple positions, decides the transposes; this is the
         reading the contraction oracle confirms.)
@@ -177,24 +177,11 @@ def theta_product(kind: str, s, inputs, d: int | None = None) -> DenseOperator:
     s = frozenset(s)
     if any(not 1 <= i <= k for i in s):
         raise ValueError(f"subset out of range 1..{k}: {sorted(s)}")
+    bar = k in s
     out = np.eye(d, dtype=complex)
-    if kind == "plain":
-        for i in range(1, k + 1):
-            out = out @ (mats[i - 1].T if i in s else mats[i - 1])
-    elif kind == "bar":
-        order = list(range(k - 1, 0, -1)) + [k]
-        for i in order:
-            out = out @ (mats[i - 1].T if i not in s else mats[i - 1])
-    else:
-        raise ValueError(f"kind must be plain or bar, got {kind!r}")
+    for i in [*range(k - 1, 0, -1), k] if bar else range(1, k + 1):
+        out = out @ (mats[i - 1].T if (i in s) != bar else mats[i - 1])
     return DenseOperator(1, d, out)
-
-
-def cycle_subset_to_one(s, inputs, d: int | None = None) -> DenseOperator:
-    """tr_{1..k-1}[(k..1)^{T_S} X_1 (x) ... (x) X_k] for any S."""
-    k = len(inputs)
-    s = frozenset(s)
-    return theta_product("bar" if k in s else "plain", s, inputs, d)
 
 
 # ---------------------------------------------------------------------------

@@ -86,55 +86,34 @@ def identity_diagram(n: int) -> WbaDiagram:
 def compose_diagrams(a: WbaDiagram, b: WbaDiagram) -> tuple[WbaDiagram, int]:
     """Diagram of a*b (b applied first) and the number of closed loops.
 
-    a is stacked above b and a's bot row is glued to b's top row; paths
-    between the outer rows give the matching of the product, and every
-    closed loop in the glued middle contributes a factor d:
-    realize(a) @ realize(b) == d**loops * realize(a*b).
+    a is stacked above b and a's bot t is glued to b's top t: glued point t.
+    A line from an outer endpoint (a's top row, b's bot row, which keep their
+    ids in the product) crosses glued points until it leaves on the outer
+    rows; the glued points no line crosses lie on closed loops, each giving
+    a factor d: realize(a) @ realize(b) == d**loops * realize(a*b).
     """
     if a.n != b.n:
         raise ValueError(f"site count mismatch: {a.n} vs {b.n}")
     n = a.n
-    # vertex ids: 0..2n-1 = a's endpoints, 2n..4n-1 = b's endpoints
-    match = list(a.pairing) + [2 * n + e for e in b.pairing]
-
-    def glue(v: int):
-        if n <= v < 2 * n:      # a-bot t  <->  b-top t
-            return v + n
-        if 2 * n <= v < 3 * n:
-            return v - n
-        return None
-
-    def ext_id(v: int) -> int:  # a-top keeps its id, b-bot becomes result bot
-        return v if v < n else v - 2 * n
-
-    seen: set[int] = set()
-    pairing = [0] * (2 * n)
-    for v0 in list(range(n)) + list(range(3 * n, 4 * n)):
-        if v0 in seen:
+    top, bot = a.pairing, b.pairing     # the upper and the lower diagram
+    pairing = [-1] * (2 * n)
+    crossed = [False] * n
+    for start in range(2 * n):
+        if pairing[start] >= 0:
             continue
-        seen.add(v0)
-        cur = match[v0]
-        seen.add(cur)
-        while (g := glue(cur)) is not None:
-            cur = g
-            seen.add(cur)
-            cur = match[cur]
-            seen.add(cur)
-        u, w = ext_id(v0), ext_id(cur)
-        pairing[u], pairing[w] = w, u
-
+        in_a, end = start < n, start
+        # in a the outer endpoints are below n, in b at n or above
+        while ((end := (top if in_a else bot)[end]) < n) != in_a:
+            crossed[end % n] = True
+            in_a, end = not in_a, (end + n) % (2 * n)    # a's bot t <-> b's top t
+        pairing[start], pairing[end] = end, start
     loops = 0
-    visited: set[int] = set()
-    for v0 in range(n, 3 * n):
-        if v0 in seen or v0 in visited:
-            continue
-        loops += 1
-        cur = v0
-        while cur not in visited:
-            visited.add(cur)
-            partner = match[cur]
-            visited.add(partner)
-            cur = glue(partner)
+    for t in range(n):
+        loops += not crossed[t]
+        # around a loop: from t through b to glued point bot[t], then through a
+        while not crossed[t]:
+            crossed[t] = crossed[bot[t]] = True
+            t = top[n + bot[t]] - n
     return WbaDiagram(n, tuple(pairing)), loops
 
 
@@ -166,7 +145,7 @@ class WbaElement:
             if (pairings.min() < 0 or pairings.max() >= 2 * n or (pairings == ends).any()
                     or (np.take_along_axis(pairings, pairings, axis=1) != ends).any()):
                 raise ValueError("pairings must be fixed-point-free involutions")
-            _, pairings, coeffs = _reduce(_matching_key(pairings), pairings, coeffs)
+            pairings, coeffs = _reduce(pairings, coeffs)
             coeffs[np.abs(coeffs) <= COEFF_EPS] = 0
         keep = coeffs.any(axis=1)
         width = 1 + max(np.flatnonzero(coeffs.any(axis=0)), default=0)
@@ -231,14 +210,12 @@ class WbaElement:
         return bool((np.abs((self + other.scale(-1)).coeffs) <= COEFF_MATCH).all())
 
     def __repr__(self):
-        if not len(self.pairings):
-            return "0"
-        order = np.lexsort(self.pairings.T[::-1])
         bits = []
-        for text, row in zip(_diagram_texts(self.pairings[order]), self.coeffs[order]):
-            poly = " + ".join(f"({c:.6g})*d^{p}" for p, c in enumerate(row) if c)
-            bits.append(f"[{poly}] {text}")
-        return "  +  ".join(bits)
+        for entry in _element_record(self)["terms"]:
+            poly = " + ".join(f"({complex(c['re'], c['im']):.6g})*d^{c['power']}"
+                              for c in entry["coeff"])
+            bits.append(f"[{poly}] {entry['diagram']}")
+        return "  +  ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +324,12 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> WbaE
     on S(n-k), accumulated over blocks of pi in int64.  Each term eta^-1 g
     sigma eta is then sigma relabelled (top row by eta^-1 g, bottom row by
     eta^-1), which closes no loop; the terms come in order of eta, then g in
-    lexicographic order.  Weights are summed exactly per diagram and
-    multiplied by the one rational (d_mu/(n-k)!) (d_alpha/(n-2k)!) / gamma,
-    rounded to float once per term.
+    lexicographic order.  Each diagram arises from one (eta, g): sigma's
+    bottom caps {eta^-1(n-2k+j), n-j+1} fix eta's coset, and its top row then
+    fixes g.  So there are |transversal| x |supp G| terms, refused past
+    MAX_RELABEL_TERMS before the relabel, and each coefficient is the exact
+    G[g] times the one rational (d_mu/(n-k)!) (d_alpha/(n-2k)!) / gamma,
+    rounded to float once.
     """
     norm = gamma(mu, alpha, n, k, d)
     m = n - k
@@ -366,6 +346,9 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> WbaE
         np.add.at(weights, (products @ place).reshape(-1),
                   (chi_mu[start:start + step, None] * chi_alpha).reshape(-1))
     support = np.flatnonzero(weights)
+    if len(reps) * len(support) > MAX_RELABEL_TERMS:
+        raise ValueError(f"F_{mu}({alpha}) has {len(reps) * len(support)} terms, "
+                         f"past the relabel bound {MAX_RELABEL_TERMS}")
     images = np.concatenate([support[:, None] // place % m,
                              np.broadcast_to(np.arange(m, n), (len(support), k))], axis=1)
     etas_inv = np.array([eta.extend(n).inverse().images for eta in reps]) - 1
@@ -373,13 +356,18 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> WbaE
     ends = np.concatenate([top, n + np.broadcast_to(etas_inv[:, None, :], top.shape)], axis=2)
     sigma = np.array(sigma_diagram(n, k).pairing)[None, :]
     pairings = _relabel(sigma, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
-    _, pairings, weights = _reduce(_matching_key(pairings), pairings,
-                                   np.tile(weights[support], len(reps)))
+    weights = np.tile(weights[support], len(reps))
     scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
              * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / norm)
     # int / int is correctly rounded: the one rounding of each exact coefficient
     coeffs = [w * scale.numerator / scale.denominator for w in weights.tolist()]
     return WbaElement(n, pairings, np.array(coeffs, dtype=complex)[:, None])
+
+
+# terms f_projector may relabel: every projector with n <= 10 fits (the largest,
+# (10,3) [7]/[4], has 1,058,400 terms: 3.8 s and 0.9 GB for f_projector alone);
+# the n = 11 and 12 ones past it have 2.8M to 12.7M terms
+MAX_RELABEL_TERMS = 1_200_000
 
 
 def _relabel(pairings: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -389,38 +377,18 @@ def _relabel(pairings: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.take_along_axis(ends[:, None, :], moved, axis=2)
 
 
-def _matching_key(pairings: np.ndarray) -> np.ndarray:
-    """Injective int64 rank of each matching (rows of 2n endpoints).
-
-    Pairs are taken in order of their lower endpoint; pair i contributes the
-    position of its upper endpoint among the 2n-2i-1 endpoints still free
-    besides the lower one, as the digit of radix 2n-2i-1.  The largest rank,
-    (2n-1)!! - 1, stays below 2**63 up to n = 17; f_projector needs n <= 14.
-    """
-    two_n = pairings.shape[1]
-    n = two_n // 2
-    upper = pairings[pairings > np.arange(two_n)].reshape(-1, n)
-    digits = upper - np.arange(1, n + 1)
-    for i in range(n - 1):      # discount the upper ends of earlier pairs
-        digits[:, i + 1:] -= upper[:, i + 1:] > upper[:, i:i + 1]
-    radices = np.arange(two_n - 1, 0, -2, dtype=np.int64)
-    place = np.append(np.cumprod(radices[:0:-1])[::-1], 1)
-    return digits @ place
-
-
-def _reduce(keys: np.ndarray, pairings: np.ndarray,
-            weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keys, pairings, weights) with equal keys merged and their weights
-    (integers, or coefficient rows) summed, in order of first appearance: the
-    order in which a term-by-term product meets them, which fixes the
-    summation order of ``realize``."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+def _reduce(pairings: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pairings, weights) with equal rows merged and their weights
+    (coefficient rows) summed, in order of first appearance: the order in
+    which a term-by-term product meets them, which fixes the summation order
+    of ``realize``.  Rows are grouped by the lexicographic order of
+    _element_record."""
+    order = np.lexsort(pairings.T[::-1])    # stable: equal rows in order of appearance
+    rows = pairings[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
     sums = np.add.reduceat(weights[order], starts)
     appearance = np.argsort(order[starts])
-    kept = order[starts][appearance]
-    return keys[kept], pairings[kept], sums[appearance]
+    return pairings[order[starts][appearance]], sums[appearance]
 
 
 def admissible_pairs(n: int, k: int, d: int) -> list[tuple[Partition, Partition]]:

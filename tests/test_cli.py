@@ -76,6 +76,13 @@ class TestProjector:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_past_the_relabel_bound(self, capsys):
+        # admissible and inside the size guard, but 2520 x 3520 terms
+        code, out, err = run(capsys, "projector", "--n", "12", "--k", "5", "--d", "2",
+                             "--mu", "[4,3]", "--alpha", "[2]")
+        assert code == 2 and out == ""
+        assert err == "error: F_[4,3]([2]) has 8870400 terms, past the relabel bound 1200000\n"
+
     def test_emit_map(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
                            "--mu", "[2,1]", "--alpha", "[2]", "--unitaries", "2",

@@ -18,7 +18,6 @@ from wba.multilinear_maps import (
     f_projector_map_3to1,
     fast_evaluate,
     forward_cycle,
-    theta_product,
 )
 from wba.sym_core import Partition, Permutation, parse_permutation
 from wba.verification import _kernel, proposition_suite
@@ -222,7 +221,7 @@ class TestCycleToOne:
 class TestTheta:
     def test_empty_subset_plain_product(self, rng):
         mats = [random_matrix(2, 1, rng) for _ in range(3)]
-        out = theta_product("plain", frozenset(), mats, 2)
+        out = cycle_subset_to_one(frozenset(), mats, 2)
         assert np.allclose(out.mat, mats[0] @ mats[1] @ mats[2])
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -240,13 +239,11 @@ class TestTheta:
     def test_empty_inputs_without_d(self):
         with pytest.raises(ValueError, match="need at least one input"):
             cycle_subset_to_one(set(), [])
-        with pytest.raises(ValueError, match="need at least one input"):
-            theta_product("plain", set(), [])
 
     def test_bar_uses_subset_not_positions(self, rng):
         # with k in S the factors outside S are transposed, in reversed order
         mats = [random_matrix(2, 1, rng) for _ in range(3)]
-        out = theta_product("bar", frozenset({1, 3}), mats, 2)
+        out = cycle_subset_to_one(frozenset({1, 3}), mats, 2)
         assert np.allclose(out.mat, mats[1].T @ mats[0] @ mats[2])
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from wba.dense_ops import haar_unitary, sup_norm
 import wba.wba_algebra as wa
 from wba.sym_core import (
+    GroupAlgebraElement,
     Partition,
     Permutation,
     coset_representatives,
@@ -122,6 +123,15 @@ class TestCompose:
                     result, loops = compose_diagrams(a, b)
                     assert np.array_equal(dense[a] @ dense[b],
                                           d ** loops * realize(result, d))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_of_matchings(self, n):
+        diagrams = [wa.WbaDiagram(n, tuple(row)) for row in _all_matchings(n).tolist()]
+        dense = [realize(x, 2) for x in diagrams]
+        for a, dense_a in zip(diagrams, dense):
+            for b, dense_b in zip(diagrams, dense):
+                result, loops = compose_diagrams(a, b)
+                assert np.array_equal(dense_a @ dense_b, 2 ** loops * realize(result, 2))
 
 
 class TestElements:
@@ -463,6 +473,31 @@ class TestSerialization:
         assert [bit.split("] ")[1] for bit in repr(x).split("  +  ")] == texts
 
 
+def _support_size(mu, alpha):
+    """|supp P_mu P_alpha| in C[S(|mu|)], multiplying the young_projector
+    coefficients term by term: the image rows of pi o rho, keyed base m."""
+    m = mu.n
+    p_alpha = young_projector(alpha).extend(m) if alpha.n else GroupAlgebraElement.identity(m)
+    (pis, chi_mu), (rhos, chi_alpha) = (
+        (np.array([p.images for p in x.terms]) - 1, np.array(list(x.terms.values())))
+        for x in (young_projector(mu), p_alpha))
+    keys = pis[:, rhos] @ m ** np.arange(m)
+    _, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse.reshape(-1), (chi_mu[:, None] * chi_alpha).real.reshape(-1))
+    return int((np.abs(sums) > 1e-12).sum())
+
+
+def _merge_rows(pairings, weights):
+    """Equal rows merged by their bytes and their integer weights summed, in
+    order of first appearance."""
+    rows = np.ascontiguousarray(pairings).view(f"V{pairings.shape[1] * pairings.itemsize}")
+    _, first, inverse = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), np.int64)
+    np.add.at(sums, inverse.reshape(-1), weights)
+    order = np.argsort(first)
+    return pairings[first[order]], sums[order]
+
+
 @cache
 def _composed_projector_sum(mu, alpha, n, k):
     """P_mu sum_eta eta^-1 (P_alpha sigma) eta by WbaElement products."""
@@ -491,11 +526,10 @@ def _pi_block_projector(mu, alpha, n, k, d, representatives=None):
     ends = np.concatenate([top, n + np.broadcast_to(etas_inv[:, None, :], top.shape)], axis=2)
     sigma = np.array(sigma_diagram(n, k).pairing)[None, :]
     core = wa._relabel(sigma, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
-    _, core, core_weights = wa._reduce(wa._matching_key(core), core,
-                                       np.broadcast_to(chi_alpha, top.shape[:2]).reshape(-1))
+    core, core_weights = _merge_rows(core, np.broadcast_to(chi_alpha, top.shape[:2]).reshape(-1))
     core, core_weights = core[core_weights != 0], core_weights[core_weights != 0]
     pis, chi_mu = _characters(mu, n)
-    total = (np.empty(0, np.int64), np.empty((0, 2 * n), np.intp), np.empty(0, np.int64))
+    total = (np.empty((0, 2 * n), np.intp), np.empty(0, np.int64))
     start = 0
     while start < len(pis):
         step = max(1, max(1 << 12, len(total[0])) // len(core))
@@ -503,10 +537,9 @@ def _pi_block_projector(mu, alpha, n, k, d, representatives=None):
         ends = np.concatenate([block, np.broadcast_to(n + np.arange(n), block.shape)], axis=1)
         pairings = wa._relabel(core, ends).reshape(-1, 2 * n)
         weights = (chi_mu[start:start + step, None] * core_weights).reshape(-1)
-        total = wa._reduce(*(np.concatenate(pair) for pair in
-                             zip(total, (wa._matching_key(pairings), pairings, weights))))
+        total = _merge_rows(*(np.concatenate(pair) for pair in zip(total, (pairings, weights))))
         start += step
-    _, pairings, weights = total
+    pairings, weights = total
     scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
              * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / g)
     coeffs = [w * scale.numerator / scale.denominator for w in weights.tolist()]
@@ -550,6 +583,25 @@ class TestRelabelConstruction:
         sigma_k(6, 1) * sigma_k(6, 1)     # the counter does see compositions
         assert calls == [1]
 
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(2 * k, 8)])
+    def test_one_term_per_eta_and_g(self, n, k):
+        # no two (eta, g) give one diagram: |transversal| x |supp P_mu P_alpha|
+        # terms, every label pair being admissible at d = n
+        for alpha, mu in admissible_pairs(n, k, n):
+            f = f_projector(mu, alpha, n, k, n)
+            assert len(f.pairings) == len(coset_representatives(n, k)) * _support_size(mu, alpha)
+
+    def test_refuses_past_the_relabel_bound(self):
+        # (12,5) [4,3]/[2]: 2520 x 3520 terms, whose relabel would take 1.6 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="8870400 terms, past the relabel bound"):
+                f_projector(Partition((4, 3)), Partition((2,)), 12, 5, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+
     def test_n7_k1_term_count(self):
         f = f_projector(Partition((4, 2)), Partition((3, 2)), 7, 1, 2)
         assert len(f.pairings) == 3216
@@ -574,12 +626,12 @@ class TestGroupProductConstruction:
 
     @staticmethod
     def check(f, ref, d):
-        def by_key(x):
-            return dict(zip(wa._matching_key(x.pairings).tolist(),
-                            (row.tobytes() for row in x.coeffs)))
+        def by_row(x):
+            return {row.tobytes(): coeff.tobytes() for row, coeff in zip(x.pairings, x.coeffs)}
 
         assert f.coeffs.shape[1] == ref.coeffs.shape[1] == 1
-        assert by_key(f) == by_key(ref)
+        assert len(by_row(f)) == len(f.pairings) and len(by_row(ref)) == len(ref.pairings)
+        assert by_row(f) == by_row(ref)
         assert sup_norm(realize(f, d) - realize(ref, d)) <= 1e-14
 
     @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(2 * k, 7)])
@@ -622,33 +674,32 @@ def _all_matchings(n):
     return np.array([[m[e] for e in range(2 * n)] for m in matchings(list(range(2 * n)))])
 
 
-class TestMatchingKey:
+class TestReduce:
+    """_reduce groups rows exactly as tuple keys do: every matching stays
+    apart, and repeats merge with their weights summed."""
+
+    @staticmethod
+    def check(rows, weights):
+        merged, sums = wa._reduce(rows, weights)
+        want = {}
+        for row, weight in zip(map(tuple, rows.tolist()), weights.tolist()):
+            want[row] = want.get(row, 0) + weight
+        assert list(map(tuple, merged.tolist())) == list(want)
+        assert sums.tolist() == list(want.values())
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_bijective_onto_range(self, n):
+    def test_every_matching_stays_apart(self, n):
         rows = _all_matchings(n)
-        count = int(np.prod(np.arange(2 * n - 1, 0, -2)))
-        assert len(rows) == count
-        assert sorted(wa._matching_key(rows).tolist()) == list(range(count))
+        assert len(rows) == int(np.prod(np.arange(2 * n - 1, 0, -2)))
+        order = np.random.default_rng(n).permutation(len(rows))
+        self.check(np.concatenate([rows[order], rows]), np.arange(2 * len(rows)))
 
     @pytest.mark.parametrize("n", [8, 14])
-    def test_injective_against_tuple_keys(self, n):
+    def test_merges_like_tuple_keys(self, n):
         rng = np.random.default_rng(n)
         base = _random_matchings(rng, n, 3000)
         rows = np.concatenate([base, base[rng.integers(0, len(base), 1000)]])
-        keys = wa._matching_key(rows).tolist()
-        by_key, by_tuple = {}, {}
-        for i, (key, row) in enumerate(zip(keys, map(tuple, rows))):
-            by_key.setdefault(key, []).append(i)
-            by_tuple.setdefault(row, []).append(i)
-        assert sorted(by_key.values()) == sorted(by_tuple.values())
-        assert min(keys) >= 0
-
-    def test_largest_key_fits_int64_at_n17(self):
-        n = 17
-        nested = np.array([[2 * n - 1 - e for e in range(2 * n)]])
-        top = int(np.prod(np.arange(2 * n - 1, 0, -2, dtype=object))) - 1
-        assert top < 2 ** 63
-        assert int(wa._matching_key(nested)[0]) == top
+        self.check(rows, rng.integers(-5, 6, len(rows)))
 
 
 def _reference_transposed_form(pairing):
