@@ -24,7 +24,7 @@ from .sym_core import parse_partition
 from .tolerances import ORACLE_TOL, PPT_EIGENCHECK, RANGE_FUZZ
 from .verification import proposition_suite
 from .wba_algebra import (
-    _element_record,
+    _term_listing,
     check_size_guard,
     compose_diagrams,
     diagram_to_text,
@@ -89,25 +89,26 @@ def _fmt(x: float) -> str:
 _TERMS_SLOT = "\0terms"
 
 
-def _report_json(report: dict) -> str:
+def _report_json(report: dict, texts: list[str], coeffs: np.ndarray) -> str:
     """A projector report as ``json.dumps(report, sort_keys=True, indent=2)``
-    writes it, byte for byte.  ``indent`` selects the stdlib's pure-Python
-    encoder, so the element's term list, nearly all of the report, is written
-    here from a per-entry template: every entry is {"coeff": [{"im", "power",
-    "re"}, ...], "diagram"}.  The numbers come from one compact (C) dump,
-    which writes them as the indented one does (float.__repr__, NaN,
-    Infinity), and the diagrams from encode_basestring_ascii."""
-    terms = report["element"]["terms"]
-    numbers = json.dumps([v for entry in terms for c in entry["coeff"]
-                          for v in (c["im"], c["power"], c["re"])])
-    triples = zip(*[iter(numbers[1:-1].split(", "))] * 3)
+    writes it, byte for byte, with the listing of _term_listing (texts and
+    coefficient rows) under report["element"]["terms"]: each entry is
+    {"coeff": [{"im", "power", "re"}, ...], "diagram"}, one coeff per nonzero
+    entry.  ``indent`` selects the stdlib's pure-Python encoder, so the term
+    list is written here from a per-entry template; its numbers come from
+    compact (C) dumps, which write them as the indented one does
+    (float.__repr__, NaN, Infinity), the diagrams from encode_basestring_ascii."""
+    rows, powers = np.nonzero(coeffs)
+    values = coeffs[rows, powers]
+    triples = zip(*[json.dumps(column.tolist())[1:-1].split(", ")
+                    for column in (values.imag, powers, values.real)])
     coeff = '{\n            "im": %s,\n            "power": %s,\n            "re": %s\n          }'
     entries = []
-    for entry in terms:
-        items = ",\n          ".join([coeff % next(triples) for _ in entry["coeff"]])
+    for text, count in zip(texts, np.count_nonzero(coeffs, axis=1).tolist()):
+        items = ",\n          ".join([coeff % next(triples) for _ in range(count)])
         entries.append('{\n        "coeff": %s,\n        "diagram": %s\n      }' % (
             f"[\n          {items}\n        ]" if items else "[]",
-            encode_basestring_ascii(entry["diagram"])))
+            encode_basestring_ascii(text)))
     listing = "[\n      " + ",\n      ".join(entries) + "\n    ]" if entries else "[]"
     shell = {**report, "element": {**report["element"], "terms": _TERMS_SLOT}}
     text = json.dumps(shell, sort_keys=True, indent=2)
@@ -151,10 +152,12 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError(f"range {text!r} is not finite")
     if step <= 0:
         raise ValueError("range step must be positive")
-    if (stop - start) / step + 1 > MAX_SCAN_POINTS:
-        raise ValueError(f"range {text!r} has more than {MAX_SCAN_POINTS} points")
     values, i = [], 0
     while (v := start + i * step) <= stop + RANGE_FUZZ:
+        if len(values) == MAX_SCAN_POINTS:
+            raise ValueError(f"range {text!r} has more than {MAX_SCAN_POINTS} points")
+        if values and round(v, 12) == values[-1]:
+            raise ValueError(f"range {text!r} repeats {values[-1]:g}: the step is too small")
         values.append(round(v, 12))
         i += 1
     if not values:
@@ -260,8 +263,9 @@ def cmd_projector(args) -> int:
         "terms": len(element.pairings),
         "idempotence_residual": _fmt(idem),
         "commutant_residual": _fmt(comm),
-        "element": _element_record(element),
+        "element": {"n": element.n},
     }
+    texts, coeffs = _term_listing(element)
     if args.emit_map is not None:
         n_in = args.emit_map
         spec = mm.MapSpec(dense_ops.DenseOperator(args.n, args.d, real.astype(complex)),
@@ -271,7 +275,7 @@ def cmd_projector(args) -> int:
         report["map_inputs"] = n_in
         report["map_output_min_eig"] = _fmt(dense_ops.min_eigenvalue(out))
     if args.format == "json":
-        _emit(_report_json(report), args.out)
+        _emit(_report_json(report, texts, coeffs), args.out)
     else:
         lines = [f"F_{report['mu']}({report['alpha']}) on n={args.n} sites, "
                  f"k={args.k} transposed, d={args.d}",
@@ -280,10 +284,9 @@ def cmd_projector(args) -> int:
                  f"idempotence residual = {report['idempotence_residual']}",
                  f"commutant residual   = {report['commutant_residual']} "
                  f"({args.unitaries} Haar unitaries)"]
-        for entry in report["element"]["terms"]:
-            coeff = entry["coeff"]
-            val = " + ".join(f"({c['re']:.6g}{c['im']:+.6g}i) d^{c['power']}" for c in coeff)
-            lines.append(f"  [{val}]  {entry['diagram']}")
+        for text, row in zip(texts, coeffs.tolist()):
+            val = " + ".join(f"({c.real:.6g}{c.imag:+.6g}i) d^{p}" for p, c in enumerate(row) if c)
+            lines.append(f"  [{val}]  {text}")
         if "map_output_min_eig" in report:
             lines.append(f"map on {report['map_inputs']} random PSD inputs: "
                          f"output min eigenvalue = {report['map_output_min_eig']}")

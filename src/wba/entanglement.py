@@ -337,7 +337,13 @@ class PositivityVerdict:
     certified: bool = False
 
 
+def _check_sites(m: DenseOperator, partition: PartitionSpec) -> None:
+    if partition.n != m.n:
+        raise ValueError(f"partition {partition} has {partition.n} sites, the operator {m.n}")
+
+
 def _blocked_tensor(m: DenseOperator, partition: PartitionSpec) -> np.ndarray:
+    _check_sites(m, partition)
     order = [s for b in partition.blocks for s in b]
     axes = [s - 1 for s in order] + [m.n + s - 1 for s in order]
     dims = [m.d ** len(b) for b in partition.blocks]
@@ -429,6 +435,7 @@ def check_block_positive(m: DenseOperator, partition: PartitionSpec,
     independently of the search.
     """
     budget = budget or SearchBudget()
+    _check_sites(m, partition)
     lam = dense_ops.min_eigenvalue(m)     # raises for a non-hermitian m
     if lam >= -EIG_TOL:
         return PositivityVerdict(PSD, lam, lam)

@@ -11,10 +11,8 @@ are realized as dense matrices.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
@@ -32,15 +30,13 @@ from .sym_core import (
 )
 from .tolerances import COEFF_EPS, COEFF_MATCH
 
-DEFAULT_SIZE_GUARD = 4096
+SIZE_GUARD = 4096
 
 
 def check_size_guard(n: int, d: int) -> None:
-    """Raise ValueError when d**n exceeds the dense-realization guard
-    (DEFAULT_SIZE_GUARD; WBA_SIZE_GUARD overrides)."""
-    guard = int(os.environ.get("WBA_SIZE_GUARD") or DEFAULT_SIZE_GUARD)
-    if d ** n > guard:
-        raise ValueError(f"d^n = {d ** n} exceeds the size guard {guard}")
+    """Raise ValueError when d**n exceeds the dense-realization guard SIZE_GUARD."""
+    if d ** n > SIZE_GUARD:
+        raise ValueError(f"d^n = {d ** n} exceeds the size guard {SIZE_GUARD}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +122,9 @@ class WbaElement:
 
     Row t of ``pairings`` (T, 2n) is a matching laid out as
     ``WbaDiagram.pairing``; row t of ``coeffs`` (T, P) is its coefficient,
-    column p multiplying d**p.  The constructor merges equal rows, summing
-    their coefficients, keeps the rows in order of first appearance, and
-    drops coefficients of magnitude at most COEFF_EPS and rows left zero.
+    column p multiplying d**p.  The constructor keeps the rows as given and
+    drops coefficients of magnitude at most COEFF_EPS and rows left zero;
+    ``+`` and ``*`` merge equal rows first (_reduce).
     """
 
     __slots__ = ("n", "pairings", "coeffs")
@@ -141,12 +137,11 @@ class WbaElement:
         if coeffs.ndim != 2 or len(coeffs) != len(pairings) or not coeffs.shape[1]:
             raise ValueError("coeffs must have one non-empty row per pairing")
         ends = np.arange(2 * n)
-        if len(pairings):
-            if (pairings.min() < 0 or pairings.max() >= 2 * n or (pairings == ends).any()
-                    or (np.take_along_axis(pairings, pairings, axis=1) != ends).any()):
-                raise ValueError("pairings must be fixed-point-free involutions")
-            pairings, coeffs = _reduce(pairings, coeffs)
-            coeffs[np.abs(coeffs) <= COEFF_EPS] = 0
+        if len(pairings) and (
+                pairings.min() < 0 or pairings.max() >= 2 * n or (pairings == ends).any()
+                or (np.take_along_axis(pairings, pairings, axis=1) != ends).any()):
+            raise ValueError("pairings must be fixed-point-free involutions")
+        coeffs = np.where(np.abs(coeffs) <= COEFF_EPS, 0, coeffs)
         keep = coeffs.any(axis=1)
         width = 1 + max(np.flatnonzero(coeffs.any(axis=0)), default=0)
         self.n = n
@@ -182,8 +177,8 @@ class WbaElement:
         width = max(self.coeffs.shape[1], other.coeffs.shape[1])
         coeffs = [np.pad(x.coeffs, ((0, 0), (0, width - x.coeffs.shape[1])))
                   for x in (self, other)]
-        return WbaElement(self.n, np.concatenate([self.pairings, other.pairings]),
-                          np.concatenate(coeffs))
+        return WbaElement(self.n, *_reduce(np.concatenate([self.pairings, other.pairings]),
+                                           np.concatenate(coeffs)))
 
     def scale(self, c: complex) -> "WbaElement":
         return WbaElement(self.n, self.pairings, self.coeffs * c)
@@ -204,17 +199,16 @@ class WbaElement:
         for p in range(pa):
             for q in range(pb):
                 coeffs[rows, loops + p + q] += terms[:, p, q]
-        return WbaElement(self.n, pairings.reshape(-1, 2 * self.n), coeffs)
+        return WbaElement(self.n, *_reduce(pairings.reshape(-1, 2 * self.n), coeffs))
 
     def approx_eq(self, other: "WbaElement") -> bool:
         return bool((np.abs((self + other.scale(-1)).coeffs) <= COEFF_MATCH).all())
 
     def __repr__(self):
         bits = []
-        for entry in _element_record(self)["terms"]:
-            poly = " + ".join(f"({complex(c['re'], c['im']):.6g})*d^{c['power']}"
-                              for c in entry["coeff"])
-            bits.append(f"[{poly}] {entry['diagram']}")
+        for text, row in zip(*_term_listing(self)):
+            poly = " + ".join(f"({c:.6g})*d^{p}" for p, c in enumerate(row.tolist()) if c)
+            bits.append(f"[{poly}] {text}")
         return "  +  ".join(bits) or "0"
 
 
@@ -382,10 +376,10 @@ def _reduce(pairings: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     (coefficient rows) summed, in order of first appearance: the order in
     which a term-by-term product meets them, which fixes the summation order
     of ``realize``.  Rows are grouped by the lexicographic order of
-    _element_record."""
+    _term_listing; zero rows give zero rows."""
     order = np.lexsort(pairings.T[::-1])    # stable: equal rows in order of appearance
     rows = pairings[order]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    starts = np.flatnonzero(np.r_[len(rows) > 0, (rows[1:] != rows[:-1]).any(axis=1)])
     sums = np.add.reduceat(weights[order], starts)
     appearance = np.argsort(order[starts])
     return pairings[order[starts][appearance]], sums[appearance]
@@ -414,33 +408,29 @@ def _transposed_forms(pairings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``pairings`` (T, 2n): the 1-based images (T, n) of sigma and the mask
     (T, n) of S.
 
-    Every matching admits such a form (not uniquely).  Subsets are walked by
-    size, then lexicographically, each tested on all rows still unresolved
-    at once, and the first valid one wins; the walk stops when every row is
-    resolved.  Every temporary is at most (T, 2n).
+    Every matching admits such a form (not uniquely).  A cap or cup (a pair
+    within one row) puts exactly one of its two sites in S, a top-bot pair
+    both or neither, so following the lines chains the sites into closed
+    loops with two valid sides each.  S takes the smaller side of every loop,
+    on a tie the side holding the loop's smallest site: the first valid S by
+    size, then lexicographically.  n - 1 steps walk all loops at once; every
+    temporary is (T, n).
     """
-    two_n = pairings.shape[1]
+    rows, two_n = pairings.shape
     n = two_n // 2
-    ends = np.arange(two_n)
-    rows, lower = np.nonzero(pairings > ends)
-    upper = pairings[rows, lower].reshape(-1, n)
-    lower = lower.reshape(-1, n)
-    # swapping ends on S turns pair (e, f) into a top-bot pair iff
-    # (e < n) ^ (f < n) ^ S[e % n] ^ S[f % n]
-    across, lower_site, upper_site = (lower < n) ^ (upper < n), lower % n, upper % n
-    mask = np.zeros((len(pairings), n), bool)
-    unresolved = np.arange(len(pairings))
-    subsets = (c for size in range(n + 1) for c in combinations(range(n), size))
-    for subset in subsets:
-        if not len(unresolved):
-            break
-        s = np.zeros(n, bool)
-        s[list(subset)] = True
-        ok = (across ^ s[lower_site] ^ s[upper_site]).all(axis=1)
-        if ok.any():
-            mask[unresolved[ok]] = s
-            unresolved, across, lower_site, upper_site = (
-                a[~ok] for a in (unresolved, across, lower_site, upper_site))
+    end = np.broadcast_to(np.arange(n), (rows, n))  # leave each site by its top end
+    flips = np.zeros((rows, n), bool)   # S differs between the start and the current site
+    first = 2 * end     # 2 * (smallest site met) + flips there, as one key
+    for _ in range(n - 1):
+        partner = np.take_along_axis(pairings, end, axis=1)
+        flips = flips ^ ((end < n) == (partner < n))
+        end = (partner + n) % two_n     # leave the site the line reached by its other end
+        first = np.minimum(first, 2 * (partner % n) + flips)
+    loop = np.arange(rows)[:, None] * n + first // 2     # one id per (row, smallest site)
+    far = first % 2 == 1    # the site lies on the other side from its loop's smallest
+    size = np.bincount(loop.ravel(), minlength=rows * n)
+    far_size = np.bincount(loop[far], minlength=rows * n)
+    mask = far == (2 * far_size[loop] < size[loop])
     # the bot ends of the swapped matching meet the top ends sigma(t) - 1
     return _swap_transposed(pairings, mask)[:, n:] + 1, mask
 
@@ -493,11 +483,8 @@ def parse_diagram(text: str, n: int) -> WbaDiagram:
     return from_permutation(parse_permutation(text, n), transposed)
 
 
-def _element_record(x: WbaElement) -> dict:
-    """{"n", "terms"} of an element, rows in pairing order: the JSON form."""
+def _term_listing(x: WbaElement) -> tuple[list[str], np.ndarray]:
+    """The diagram texts and the coefficient rows (T, P) of an element, rows
+    in pairing (lexicographic) order: the text and JSON forms."""
     order = np.lexsort(x.pairings.T[::-1])
-    entries = []
-    for text, row in zip(_diagram_texts(x.pairings[order]), x.coeffs[order].tolist()):
-        coeff = [{"power": p, "re": c.real, "im": c.imag} for p, c in enumerate(row) if c]
-        entries.append({"diagram": text, "coeff": coeff})
-    return {"n": x.n, "terms": entries}
+    return _diagram_texts(x.pairings[order]), x.coeffs[order]

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import wba
-from wba.cli import _commutant_residual, _report_json, main
+from wba.cli import _commutant_residual, _parse_range, _report_json, main
 from wba.dense_ops import haar_unitary, sup_norm
 from wba.sym_core import MAX_ENUM_DEGREE, Partition
-from wba.wba_algebra import _element_record, admissible_pairs, f_projector, realize
+from wba.wba_algebra import _term_listing, admissible_pairs, f_projector, realize
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,12 +104,27 @@ def _stdlib_report(report):
     return json.dumps(report, sort_keys=True, indent=2)
 
 
-def _report(terms, n=4):
-    """A projector report around the given term list, shaped as cmd_projector's."""
+def _record_terms(texts, coeffs):
+    """The term list of the projector report as dicts: one entry per row,
+    one coefficient per nonzero entry."""
+    return [{"diagram": text,
+             "coeff": [{"power": p, "re": c.real, "im": c.imag}
+                       for p, c in enumerate(row) if c]}
+            for text, row in zip(texts, coeffs.tolist())]
+
+
+def _report(texts, n=4):
+    """A projector report without its term list, shaped as cmd_projector's."""
     return {"n": n, "k": 1, "d": 2, "mu": "[2,1]", "alpha": "[2]", "gamma": "1",
-            "terms": len(terms), "idempotence_residual": "1e-16",
-            "commutant_residual": "2e-16", "element": {"n": n, "terms": terms},
+            "terms": len(texts), "idempotence_residual": "1e-16",
+            "commutant_residual": "2e-16", "element": {"n": n},
             "map_inputs": 2, "map_output_min_eig": "0.25"}
+
+
+def _check_report_json(texts, coeffs, n=4):
+    report = _report(texts, n)
+    full = {**report, "element": {"n": n, "terms": _record_terms(texts, coeffs)}}
+    assert _report_json(report, texts, coeffs) == _stdlib_report(full)
 
 
 _PROJECTOR_CASES = [(n, k, d, mu, alpha) for n in range(2, 7) for k in (1, 2) for d in (2, 3)
@@ -122,26 +137,22 @@ class TestReportJson:
     @pytest.mark.parametrize("n,k,d,mu,alpha", _PROJECTOR_CASES + [
         (7, 1, 2, Partition((4, 2)), Partition((3, 2)))])
     def test_projector_elements(self, n, k, d, mu, alpha):
-        record = _element_record(f_projector(mu, alpha, n, k, d))
-        report = _report(record["terms"], n)
-        assert _report_json(report) == _stdlib_report(report)
+        _check_report_json(*_term_listing(f_projector(mu, alpha, n, k, d)), n)
 
     def test_every_small_pair_is_covered(self):
         assert len(_PROJECTOR_CASES) == 58
 
-    @pytest.mark.parametrize("terms", [
-        [],
-        [{"coeff": [], "diagram": "()"}],
-        [{"coeff": [{"im": 0.0, "power": 0, "re": 0.5}, {"im": -0.0, "power": 2, "re": -0.0},
-                    {"im": 1e16, "power": 7, "re": 1e-300}], "diagram": "(1 2)^T{2}"},
-         {"coeff": [], "diagram": "()"},
-         {"coeff": [{"im": -1.25, "power": 1, "re": 1}], "diagram": "\u00e9 \"q\"\n"}],
-        [{"coeff": [{"im": float("nan"), "power": 0, "re": float("inf")},
-                    {"im": -float("inf"), "power": 1, "re": 5e-324}], "diagram": "()"}],
+    @pytest.mark.parametrize("texts,coeffs", [
+        ([], np.zeros((0, 1), complex)),
+        (["()"], [[0]]),
+        (["(1 2)^T{2}", "()", "\u00e9 \"q\"\n"],
+         [[0.5, 0, complex(-0.0, 1.0), 0, 0, 0, 0, complex(1e-300, 1e16)],
+          [0, 0, 0, 0, 0, 0, 0, 0],
+          [0, complex(1, -1.25), complex(0.25, -0.0), 0, 0, 0, 0, 0]]),
+        (["()"], [[complex(float("inf"), float("nan")), complex(5e-324, -float("inf"))]]),
     ], ids=["no-terms", "empty-coeff", "mixed", "non-finite"])
-    def test_synthetic_records(self, terms):
-        report = _report(terms)
-        assert _report_json(report) == _stdlib_report(report)
+    def test_synthetic_records(self, texts, coeffs):
+        _check_report_json(texts, np.array(coeffs, complex))
 
     def test_cli_output_is_the_stdlib_dump(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "5", "--k", "1", "--d", "2",
@@ -389,8 +400,7 @@ class TestProjectorChecksBeforeBuild:
         assert code == 1 and out == ""
         assert err == f"error: --n must be >= 1, got {n}\n"
 
-    def test_size_guard(self, capsys, monkeypatch):
-        monkeypatch.delenv("WBA_SIZE_GUARD", raising=False)
+    def test_size_guard(self, capsys):
         code, out, err = run(capsys, "projector", "--n", "8", "--k", "1", "--d", "3",
                              "--mu", "[5,2]", "--alpha", "[4,2]", "--unitaries", "1")
         assert code == 2 and out == ""
@@ -403,8 +413,7 @@ class TestSizeGuard:
         ["ew-maps", "--d", "17"],
         ["werner-ppt", "--d", "17", "--r", "0.2,0.05,0.75,0,0.5,0.5"],
     ], ids=["scan-bcs", "ew-maps", "werner-ppt"])
-    def test_fails_before_any_work_on_one_line(self, capsys, monkeypatch, argv):
-        monkeypatch.delenv("WBA_SIZE_GUARD", raising=False)
+    def test_fails_before_any_work_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: d^n = 4913 exceeds the size guard 4096\n"
@@ -480,6 +489,22 @@ class TestEmptyRange:
         code, out, err = run(capsys, "scan-bcs", *(x for kv in ranges.items() for x in kv))
         assert code == 1 and out == ""
         assert len(err.strip().splitlines()) == 1 and "empty range" in err
+
+
+class TestRangeBelowTheFloatSpacing:
+    """A step too small to move start repeats the point (1e17) or never
+    passes stop (1e308): both are refused on one line."""
+
+    @pytest.mark.parametrize("value", ["1e17:1e17:1", "1e308:1e308:1"])
+    def test_fails_on_one_line(self, capsys, value):
+        code, out, err = run(capsys, "scan-bcs", "--alpha", "0:0:1", f"--beta={value}")
+        assert code == 1 and out == ""
+        start = float(value.split(":")[0])
+        assert err == f"error: --beta: range {value!r} repeats {start:g}: the step is too small\n"
+
+    def test_a_step_of_one_spacing_moves(self):
+        start = 1e17    # floats there are 16 apart
+        assert _parse_range(f"{start!r}:{start + 48!r}:16") == [start + 16 * i for i in range(4)]
 
 
 class TestSignedValues:

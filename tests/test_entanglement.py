@@ -139,6 +139,24 @@ class TestBlockPositive:
         with pytest.raises(ValueError):
             PartitionSpec.parse("1|3")
 
+    # a PSD 3-site operator with "1|2" would pass vacuously; the others
+    # would reach numpy's transpose with too few or too many axes
+    @pytest.mark.parametrize("m,cut", [
+        (dense_ops.identity(3, 2), "1|2"),
+        (DenseOperator(3, 2, -np.eye(8, dtype=complex)), "1|2"),
+        (DenseOperator(2, 2, -np.eye(4, dtype=complex)), "1|2|3"),
+    ], ids=["psd-3-sites", "negative-3-sites", "negative-2-sites"])
+    def test_partition_must_cover_the_sites(self, m, cut):
+        partition = PartitionSpec.parse(cut)
+        message = f"partition {cut} has {partition.n} sites, the operator {m.n}"
+        vectors = [np.ones(2 ** len(b), complex) for b in partition.blocks]
+        for call in (lambda: check_block_positive(m, partition),
+                     lambda: ent.product_state_minimize(m, partition, SearchBudget()),
+                     lambda: ent.product_state_value(m, partition, vectors)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
 
 def _reference_minimize(m, partition, budget):
     """Reference for product_state_minimize: the same search run one start

@@ -356,12 +356,11 @@ class TestRealize:
         with pytest.raises(ValueError, match="size guard"):
             realize(identity_diagram(7), 4)
 
-    def test_size_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("WBA_SIZE_GUARD", "10")
-        with pytest.raises(ValueError, match="size guard"):
-            realize(identity_diagram(2), 4)
-        monkeypatch.setenv("WBA_SIZE_GUARD", "20")
-        realize(identity_diagram(2), 4)  # 16 <= 20, no raise
+    def test_size_guard_is_4096(self):
+        wa.check_size_guard(12, 2)
+        for n, d in [(13, 2), (7, 4)]:
+            with pytest.raises(ValueError, match=f"d\\^n = {d ** n} exceeds the size guard 4096"):
+                wa.check_size_guard(n, d)
 
 
 diagrams_s3 = st.sampled_from([
@@ -401,15 +400,50 @@ class TestElementArrays:
         a = from_permutation(perm("(1 2)", 2)).pairing
         b = from_permutation(perm("(1 2)", 2), {2}).pairing
         c = identity_diagram(2).pairing
-        x = WbaElement(2, [a, c, b, a, c], [[2, 1], [1, 0], [3, 0], [1, 0], [-1, 0]])
+        terms = [WbaElement(2, [row], [coeff]) for row, coeff in
+                 zip([a, c, b, a, c], [[2, 1], [1, 0], [3, 0], [1, 0], [-1, 0]])]
+        x = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
         assert x.pairings.tolist() == [list(a), list(b)]    # c cancels
         assert np.array_equal(x.coeffs, [[3, 1], [3, 0]])
+
+    def test_constructor_keeps_rows_and_the_callers_array(self):
+        a = from_permutation(perm("(1 2)", 2)).pairing
+        c = identity_diagram(2).pairing
+        coeffs = np.array([[2, 1e-300], [0, 0], [1, 0]], complex)
+        x = WbaElement(2, [c, a, c], coeffs)
+        assert x.pairings.tolist() == [list(c), list(c)]    # the zero row goes, no merge
+        assert np.array_equal(x.coeffs, [[2], [1]])
+        assert np.array_equal(coeffs, np.array([[2, 1e-300], [0, 0], [1, 0]], complex))
+
+    def test_reduce_takes_zero_rows(self):
+        rows, sums = wa._reduce(np.empty((0, 4), np.intp), np.empty((0, 2), complex))
+        assert rows.shape == (0, 4) and sums.shape == (0, 2)
+        empty = WbaElement(2, np.empty((0, 4), np.intp), np.empty((0, 1)))
+        assert len((empty + empty).pairings) == len((empty * empty).pairings) == 0
+
+    def test_f_projector_merges_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("f_projector called _reduce")
+
+        monkeypatch.setattr(wa, "_reduce", refuse)
+        x = f_projector(Partition((4, 2)), Partition((3, 2)), 7, 1, 2)
+        assert len(x.pairings) == 3216
 
     @pytest.mark.parametrize("pairing", [(0, 1, 2, 3), (1, 2, 3, 0), (1, 0, 3, 4)],
                              ids=["fixed-points", "not-an-involution", "out-of-range"])
     def test_rejects_a_row_that_is_not_a_matching(self, pairing):
         with pytest.raises(ValueError, match="involution"):
             WbaElement(2, [pairing], [[1.0]])
+
+
+def _record(x):
+    """{"n", "terms"} of an element as the projector report writes it, built
+    from the term listing: one coefficient dict per nonzero entry."""
+    texts, coeffs = wa._term_listing(x)
+    terms = [{"diagram": text, "coeff": [{"power": p, "re": c.real, "im": c.imag}
+                                         for p, c in enumerate(row) if c]}
+             for text, row in zip(texts, coeffs.tolist())]
+    return {"n": x.n, "terms": terms}
 
 
 class TestSerialization:
@@ -441,7 +475,7 @@ class TestSerialization:
     def test_element_json_roundtrip(self):
         # the record's diagram texts and coefficients rebuild the element
         x = f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2)
-        record = json.loads(json.dumps(wa._element_record(x)))
+        record = json.loads(json.dumps(_record(x)))
         pairings = [parse_diagram(entry["diagram"], record["n"]).pairing
                     for entry in record["terms"]]
         coeffs = [[complex(c["re"], c["im"]) for c in entry["coeff"]] for entry in record["terms"]]
@@ -463,13 +497,13 @@ class TestSerialization:
          "ec6cde6399713cabe4bbca1976aea76d086e0db0341aa30af7b28b83297fb146"),
     ])
     def test_projector_json_digest(self, n, k, d, mu, alpha, digest):
-        record = wa._element_record(f_projector(Partition(mu), Partition(alpha), n, k, d))
+        record = _record(f_projector(Partition(mu), Partition(alpha), n, k, d))
         text = json.dumps(record, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_repr_lists_the_json_diagrams_in_order(self):
         x = f_projector(Partition((2, 1)), Partition((1,)), 5, 2, 2)
-        texts = [entry["diagram"] for entry in wa._element_record(x)["terms"]]
+        texts, _ = wa._term_listing(x)
         assert [bit.split("] ")[1] for bit in repr(x).split("  +  ")] == texts
 
 
@@ -735,10 +769,10 @@ class TestTransposedForms:
             assert (tuple(image_row), sites) == _reference_transposed_form(row)
             assert from_permutation(Permutation(tuple(image_row)), sites).pairing == tuple(row)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_every_matching_agrees_with_the_scan(self, n):
         rows = _all_matchings(n)
-        assert len(rows) == int(np.prod(np.arange(2 * n - 1, 0, -2)))    # 945 at n = 5
+        assert len(rows) == int(np.prod(np.arange(2 * n - 1, 0, -2)))    # 10,395 at n = 6
         self.check(rows)
 
     @pytest.mark.parametrize("n", [7, 8])
