@@ -22,7 +22,7 @@ import numpy as np
 from . import dense_ops, entanglement as ent, multilinear_maps as mm
 from .sym_core import parse_partition
 from .tolerances import ORACLE_TOL, PPT_EIGENCHECK, RANGE_FUZZ
-from .verification import proposition_suite
+from .verification import proposition_suite, stack_sizes
 from .wba_algebra import (
     _term_listing,
     check_size_guard,
@@ -372,19 +372,20 @@ def cmd_ew_maps(args) -> int:
         check_size_guard(3, args.d)
     rng = np.random.default_rng(args.seed)
     results = {}
-    worst = 0.0
     for row in rows:
-        max_dev = 0.0
-        for _ in range(args.instances):
-            params = ent.random_valid_werner(rng, args.d)
-            a = dense_ops.random_matrix(args.d, 1, rng)
-            b = dense_ops.random_matrix(args.d, 1, rng)
-            closed = ent.eggeling_werner_map(row, params, a, b if row.startswith("g") else None)
-            trace = ent.eggeling_werner_map_trace(row, params, a,
-                                                  b if row.startswith("g") else None)
-            max_dev = max(max_dev, dense_ops.sup_norm(closed.mat - trace.mat))
-        results[row] = max_dev
-        worst = max(worst, max_dev)
+        devs = []
+        for t in stack_sizes(args.instances, args.d ** 3):
+            # per instance: the parameters, then a, then b (drawn for f rows too)
+            drawn = [(ent.random_valid_werner(rng, args.d), dense_ops.random_matrix(args.d, 1, rng),
+                      dense_ops.random_matrix(args.d, 1, rng)) for _ in range(t)]
+            params, a, b = zip(*drawn)
+            params, a = ent.WernerParams.stack(params), np.array(a)
+            b = np.array(b) if row.startswith("g") else None
+            closed = ent.eggeling_werner_map(row, params, a, b)
+            trace = ent.eggeling_werner_map_trace(row, params, a, b)
+            devs.append(dense_ops.sup_norm(closed.mat - trace.mat))
+        results[row] = float(np.max(devs))      # np.max, not max(): NaN fails the row
+    worst = float(np.max(list(results.values())))
     payload = {
         "d": args.d, "instances": args.instances, "seed": args.seed,
         "deviation": {row: _fmt(dev) for row, dev in results.items()},

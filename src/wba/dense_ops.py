@@ -3,6 +3,8 @@
 Row/column indices pack big-endian in site order (site 1 most significant),
 so <i|sigma|j> = prod_t delta(i_{sigma(t)}, j_t) holds literally and
 ``kron_all`` is the numpy Kronecker product of a whole list, entry for entry.
+An operator's matrix may carry leading stack axes, one operator per entry:
+``kron_all``, ``kron`` and the axis reorderings act on each member alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .tolerances import ATOL
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """Complex matrix on (C^d)^{tensor n} remembering its factor shape."""
+    """Complex matrix on (C^d)^{tensor n} remembering its factor shape, or a
+    stack of them (leading axes before the d^n x d^n ones)."""
 
     n: int
     d: int
@@ -27,13 +30,13 @@ class DenseOperator:
 
     def __post_init__(self):
         dim = self.d ** self.n
-        if self.mat.shape != (dim, dim):
+        if self.mat.shape[-2:] != (dim, dim):
             raise ValueError(f"matrix shape {self.mat.shape} != ({dim}, {dim})")
 
     @property
     def tensor(self) -> np.ndarray:
-        """View with 2n axes: row axes 1..n then column axes 1..n."""
-        return self.mat.reshape((self.d,) * (2 * self.n))
+        """View with the stack axes, then 2n axes: row axes 1..n, column axes 1..n."""
+        return self.mat.reshape(self.mat.shape[:-2] + (self.d,) * (2 * self.n))
 
 
 def identity(n: int, d: int) -> DenseOperator:
@@ -56,15 +59,24 @@ def kron_all(mats) -> np.ndarray:
     """Kronecker product of a non-empty list of arrays, first factor most
     significant, in one pass: factor f is spread over axes f, p + f, ... of
     one grid and the factors are multiplied there left to right, so each
-    entry is bit-identical to reduce(np.kron, mats) and needs no transpose."""
+    entry is bit-identical to reduce(np.kron, mats) and needs no transpose.
+    Axes before the last two are stack axes, broadcast across the factors:
+    a stack's product is that of each member alone."""
     mats = [np.asarray(m) for m in mats]
     if not mats:
         raise ValueError("need at least one factor")
     nd, p = max(m.ndim for m in mats), len(mats)
+    lead = max(nd - 2, 0)   # stack axes, broadcast; the Kronecker axes follow
     shapes = [(1,) * (nd - m.ndim) + m.shape for m in mats]  # np.kron's padding
-    spread = [m.reshape([shape[i // p] if i % p == f else 1 for i in range(nd * p)])
-              for f, (m, shape) in enumerate(zip(mats, shapes))]
-    return reduce(np.multiply, spread).reshape([prod(axis) for axis in zip(*shapes)])
+    spread = []
+    for f, (m, shape) in enumerate(zip(mats, shapes)):
+        grid = [*shape[:lead]] + [1] * ((nd - lead) * p)
+        grid[lead + f::p] = shape[lead:]
+        spread.append(m.reshape(grid))
+    out = reduce(np.multiply, spread)
+    dims = [prod(axis) for axis in zip(*shapes)]
+    dims[:lead] = out.shape[:lead]
+    return out.reshape(dims)
 
 
 def kron(factors: list[DenseOperator]) -> DenseOperator:
@@ -79,9 +91,11 @@ def kron(factors: list[DenseOperator]) -> DenseOperator:
 
 def _reorder(m: DenseOperator, axes) -> DenseOperator:
     """m with its 2n tensor axes reordered (axis t of the result is axis
-    axes[t] of m), packed back to d^n x d^n."""
-    dim = m.d ** m.n
-    return DenseOperator(m.n, m.d, m.tensor.transpose(axes).reshape(dim, dim))
+    axes[t] of m), packed back to d^n x d^n; stack axes stay in front."""
+    lead = m.mat.ndim - 2
+    if lead:
+        axes = [*range(lead), *(a + lead for a in axes)]
+    return DenseOperator(m.n, m.d, m.tensor.transpose(axes).reshape(m.mat.shape))
 
 
 def partial_transpose(m: DenseOperator, over) -> DenseOperator:

@@ -111,6 +111,14 @@ class WernerParams:
         cs = cs_from_rs(rs, d)
         return WernerParams(alphas_from_cs(cs), cs, rs, d)
 
+    @staticmethod
+    def stack(params: list["WernerParams"]) -> "WernerParams":
+        """T parameter sets of one d as one of (T, 1, 1) coefficient arrays,
+        from which werner_state and the maps give stacks of T."""
+        columns = [np.array([getattr(p, key) for p in params]).T[..., None, None]
+                   for key in ("alphas", "cs", "rs")]
+        return WernerParams(*(tuple(c) for c in columns), params[0].d)
+
     def is_valid_state(self) -> bool:
         rp, rm, r0, r1, r2, r3 = self.rs
         return (rp >= -STATE_SLACK and rm >= -STATE_SLACK and r0 >= -STATE_SLACK
@@ -131,11 +139,13 @@ def random_valid_werner(rng: np.random.Generator, d: int = 3) -> WernerParams:
 
 def werner_state(params: WernerParams) -> DenseOperator:
     """Dense operator from the alpha coefficients; cross-checked against the
-    R_k expansion, so inconsistent parameter sets are rejected."""
+    R_k expansion, so inconsistent parameter sets are rejected.  Stacked
+    parameters (WernerParams.stack) give the stack of states, each checked."""
     perms, rk = _werner_basis(params.d)
     mat = sum(a * p for a, p in zip(params.alphas, perms))
     mat_c = sum(c * rk[key] for c, key in zip(params.cs, R_KEYS))
-    if dense_ops.sup_norm(mat - mat_c) > ATOL * max(1.0, dense_ops.sup_norm(mat)):
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+    if (np.abs(mat - mat_c).max(axis=(-2, -1)) > ATOL * scale).any():
         raise ValueError("alpha and c coefficient sets disagree")
     return DenseOperator(3, params.d, mat)
 
@@ -182,6 +192,24 @@ def _row_subset(row: str) -> tuple[int, ...]:
     return ROW_SUBSETS[row.lstrip("fg")]
 
 
+def _trace(x: np.ndarray):
+    """Trace of a matrix, or of each member of a stack as a (T, 1, 1) array."""
+    t = x.trace(0, -2, -1)
+    return t.reshape(t.shape + (1, 1)) if t.ndim else t
+
+
+def _times(x, y):
+    """x * y for two coefficients, or stacks of them, rounded as two scalars
+    multiply: numpy's array loop fuses the complex multiply-add and scalar
+    math does not, so a stacked map gives each member the bits of a single call."""
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return x * y
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real, out.imag = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    return out
+
+
 def eggeling_werner_map_trace(row: str, params: WernerParams, a, b=None) -> DenseOperator:
     """Defining trace formula: the contraction oracle's map of rho^{T_S}."""
     rho_ts = dense_ops.partial_transpose(werner_state(params), _row_subset(row))
@@ -191,7 +219,8 @@ def eggeling_werner_map_trace(row: str, params: WernerParams, a, b=None) -> Dens
 
 def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOperator:
     """Closed form of the same map: alpha-weighted sums of products,
-    transposes, reshufflings, and partially transposed reshufflings."""
+    transposes, reshufflings, and partially transposed reshufflings.  With
+    stacked parameters and inputs it gives the stack of the maps."""
     d = params.d
     a1, a2, a3, a4, a5, a6 = params.alphas
     a = np.asarray(a, dtype=complex)
@@ -209,7 +238,7 @@ def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOpera
 
         # per row: the a2 and a4 factors, the reshuffle of the a3, a5, a6
         # terms, and the a5 and a6 Kronecker pairs
-        at = a.T
+        at = a.swapaxes(-1, -2)
         x2, x4, shuffle, pair5, pair6 = {
             "f1": (at, at, rt2, (at, eye), (eye, a)),
             "f2": (at, a, r, (eye, a), (at, eye)),
@@ -218,14 +247,15 @@ def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOpera
             "f13": (at, a, r, (at, eye), (eye, a)),
             "f23": (at, at, rt2, (eye, a), (at, eye)),
         }[row]
-        tr_a = np.trace(a)
+        tr_a = _trace(a)
         ee = two(eye, eye)
-        terms = (a2 * two(x2, eye).mat + a3 * tr_a * shuffle(ee).mat + a4 * two(eye, x4).mat
+        terms = (a2 * two(x2, eye).mat + _times(a3, tr_a) * shuffle(ee).mat
+                 + a4 * two(eye, x4).mat
                  + a5 * shuffle(two(*pair5)).mat + a6 * shuffle(two(*pair6)).mat)
-        return DenseOperator(2, d, a1 * tr_a * ee.mat + terms)
+        return DenseOperator(2, d, _times(a1, tr_a) * ee.mat + terms)
 
     b = np.asarray(b, dtype=complex)
-    at, bt = a.T, b.T
+    at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
     # per row: the a2 trace pair, the a3 and a4 factors, the a5 and a6 products
     pair2, y3, x4, pair5, pair6 = {
         "g1": ((at, b), b, at, (b, at), (at, b)),
@@ -235,10 +265,10 @@ def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOpera
         "g13": ((at, b), bt, a, (a, bt), (bt, a)),
         "g23": ((at, b), b, at, (at, b), (b, at)),
     }[row]
-    tr_a, tr_b = np.trace(a), np.trace(b)
-    terms = (a2 * np.trace(pair2[0] @ pair2[1]) * eye + a3 * tr_a * y3 + a4 * tr_b * x4
-             + a5 * pair5[0] @ pair5[1] + a6 * pair6[0] @ pair6[1])
-    return DenseOperator(1, d, a1 * tr_a * tr_b * eye + terms)
+    tr_a, tr_b = _trace(a), _trace(b)
+    terms = (_times(a2, _trace(pair2[0] @ pair2[1])) * eye + _times(a3, tr_a) * y3
+             + _times(a4, tr_b) * x4 + a5 * pair5[0] @ pair5[1] + a6 * pair6[0] @ pair6[1])
+    return DenseOperator(1, d, _times(_times(a1, tr_a), tr_b) * eye + terms)
 
 
 # ---------------------------------------------------------------------------

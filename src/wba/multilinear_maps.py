@@ -39,12 +39,13 @@ def backward_cycle(k: int) -> Permutation:
 
 
 def _as_matrix(x, d: int) -> np.ndarray:
+    """A d x d input, or a stack of them, as a complex array."""
     if isinstance(x, DenseOperator):
         if x.n != 1 or x.d != d:
             raise ValueError("inputs must be single-site d x d operators")
         return x.mat
     mat = np.asarray(x, dtype=complex)
-    if mat.shape != (d, d):
+    if mat.shape[-2:] != (d, d):
         raise ValueError(f"input shape {mat.shape} != ({d}, {d})")
     return mat
 
@@ -87,22 +88,29 @@ def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
     the kernel's rows and F's columns split into (traced a, kept) sites,
     out[i, j] = sum_a K[(a, i), :] @ F[:, (a, j)].  The splits are views when
     the traced sites come first, as in every ``evaluate_oracle`` call.  This
-    is the ground truth every closed form is tested against.
+    is the ground truth every closed form is tested against.  The kernel and
+    the factors may be stacks (leading axes, broadcast): each member of the
+    result is then that member's contraction alone, bit for bit.
     """
     d, n = kernel.d, kernel.n
     keep = dense_ops._validate_sites(keep, n)
-    sites = [next((m for m in range(n + 1) if np.shape(f) == (d ** m,) * 2), None)
+    sites = [next((m for m in range(n + 1) if np.shape(f)[-2:] == (d ** m,) * 2), None)
              for f in factors]
     if None in sites or sum(sites) != n:
         raise ValueError(f"factors of shapes {[np.shape(f) for f in factors]} "
                          f"do not tile {n} sites of dimension {d}")
     order = [s - 1 for s in range(1, n + 1) if s not in keep] + [s - 1 for s in keep]
-    traced, kept = d ** (n - len(keep)), d ** len(keep)
-    rows = kernel.mat.reshape((d,) * n + (d ** n,)).transpose(order + [n])
-    cols = dense_ops.kron_all(factors).reshape((d ** n,) + (d,) * n)
-    cols = cols.transpose([0] + [a + 1 for a in order]).reshape(d ** n, traced, kept)
-    out = np.matmul(rows.reshape(traced, kept, d ** n), cols.transpose(1, 0, 2)).sum(axis=0)
-    return DenseOperator(len(keep), d, out)
+    traced, kept, dim = d ** (n - len(keep)), d ** len(keep), d ** n
+    lead, stack = kernel.mat.ndim - 2, kernel.mat.shape[:-2]    # the kernel's stack axes
+    rows = kernel.mat.reshape(stack + (d,) * n + (dim,))
+    rows = rows.transpose([*range(lead), *(lead + a for a in order), lead + n])
+    rows = rows.reshape(stack + (traced, kept, dim))
+    f = dense_ops.kron_all(factors)
+    lead, stack = f.ndim - 2, f.shape[:-2]                      # the factors' stack axes
+    cols = f.reshape(stack + (dim,) + (d,) * n)
+    cols = cols.transpose([*range(lead + 1), *(lead + 1 + a for a in order)])
+    cols = cols.reshape(stack + (dim, traced, kept)).swapaxes(-3, -2)
+    return DenseOperator(len(keep), d, np.matmul(rows, cols).sum(axis=-3))
 
 
 def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
@@ -167,12 +175,13 @@ def cycle_subset_to_one(s, inputs, d: int | None = None) -> DenseOperator:
         with exactly the factors whose index is NOT in S transposed.  (The
         subset, not the tuple positions, decides the transposes; this is the
         reading the contraction oracle confirms.)
+    Stacked inputs give the stack of the products.
     """
     k = len(inputs)
     if d is None:
         if not k:
             raise ValueError("need at least one input")
-        d = inputs[0].shape[0] if not isinstance(inputs[0], DenseOperator) else inputs[0].d
+        d = inputs[0].shape[-1] if not isinstance(inputs[0], DenseOperator) else inputs[0].d
     mats = [_as_matrix(x, d) for x in inputs]
     s = frozenset(s)
     if any(not 1 <= i <= k for i in s):
@@ -180,7 +189,7 @@ def cycle_subset_to_one(s, inputs, d: int | None = None) -> DenseOperator:
     bar = k in s
     out = np.eye(d, dtype=complex)
     for i in [*range(k - 1, 0, -1), k] if bar else range(1, k + 1):
-        out = out @ (mats[i - 1].T if (i in s) != bar else mats[i - 1])
+        out = out @ (mats[i - 1].swapaxes(-1, -2) if (i in s) != bar else mats[i - 1])
     return DenseOperator(1, d, out)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wba
+from wba import cli, entanglement as ent, multilinear_maps as mm, verification
 from wba.cli import _commutant_residual, _parse_range, _report_json, main
 from wba.dense_ops import haar_unitary, sup_norm
 from wba.sym_core import MAX_ENUM_DEGREE, Partition
@@ -39,6 +40,26 @@ class TestVerifyProps:
         code, out, err = run(capsys, "verify-props", "--only", "nosuchgroup")
         assert code == 1 and out == ""
         assert err == "error: no cases match --only 'nosuchgroup'\n"
+
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        chain = mm.evaluate_one_to_many
+        calls = []
+
+        def nan_in_one_tuple(a, k):
+            out = chain(a, k)
+            calls.append(k)
+            if len(calls) == 2:     # the middle tuple of the first case only
+                out.mat[0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(verification, "STACK_BYTES", 0)     # one tuple a stack
+        monkeypatch.setattr(mm, "evaluate_one_to_many", nan_in_one_tuple)
+        code, out, _ = run(capsys, "verify-props", "--only", "prop5", "--tuples", "3",
+                           "--format", "json")
+        cases = json.loads(out)
+        assert code == 2
+        assert [c["max_dev"] == "nan" for c in cases] == [True] + [False] * 7
+        assert [c["passed"] for c in cases] == [False] + [True] * 7
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify-props", "--only", "prop6", "--tuples", "2",
@@ -238,6 +259,34 @@ class TestEwMaps:
     def test_unknown_row(self, capsys):
         code, _, err = run(capsys, "ew-maps", "--row", "h9")
         assert code == 1
+
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        closed_form = ent.eggeling_werner_map
+        calls = []
+
+        def nan_in_one_instance(row, params, a, b=None):
+            out = closed_form(row, params, a, b)
+            calls.append(row)
+            if calls.count("g2") == 2:  # the second of g2's four instances only
+                out.mat[0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(verification, "STACK_BYTES", 0)     # one instance a stack
+        monkeypatch.setattr(ent, "eggeling_werner_map", nan_in_one_instance)
+        code, out, _ = run(capsys, "ew-maps", "--instances", "4")
+        payload = json.loads(out)
+        assert code == 2 and payload["passed"] is False
+        assert [row for row, dev in payload["deviation"].items() if dev == "nan"] == ["g2"]
+
+    def test_stack_size_does_not_move_a_deviation(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_fmt", repr)   # every bit of each deviation
+        payloads = []
+        for stack_bytes in (verification.STACK_BYTES, 0):
+            monkeypatch.setattr(verification, "STACK_BYTES", stack_bytes)
+            code, out, _ = run(capsys, "ew-maps", "--seed", "3", "--instances", "30")
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert len(payloads[0]["deviation"]) == 12 and payloads[0] == payloads[1]
 
 
 class TestCompose:

@@ -83,6 +83,41 @@ class TestKron:
         with pytest.raises(ValueError, match="need at least one factor"):
             dense_ops.kron_all([])
 
+    def test_kron_all_of_stacks_is_each_members_product(self, rng):
+        # stacked factors, broadcast against shared ones, member by member to the bit
+        mats = [random_matrix(2, 1, rng)[None] * rng.standard_normal((4, 1, 1)),
+                random_matrix(3, 1, rng), rng.standard_normal((4, 1, 3))]
+        out = dense_ops.kron_all(mats)
+        assert out.shape == (4, 6, 18)
+        for t in range(4):
+            alone = reduce(np.kron, [m[t] if m.ndim == 3 else m for m in mats])
+            assert out[t].tobytes() == alone.tobytes()
+
+
+class TestStacks:
+    def test_reorderings_act_on_each_member(self, rng):
+        stack = DenseOperator(2, 2, np.stack([random_matrix(2, 2, rng) for _ in range(3)]))
+        for op in (lambda m: partial_transpose(m, (2,)), reshuffle_bipartite,
+                   lambda m: reshuffle_sites(m, 1, 2),
+                   lambda m: permutation_on_operator(parse_permutation("(1 2 3)", 4), m)):
+            out = op(stack)
+            assert out.mat.shape == (3, 4, 4)
+            for t in range(3):
+                assert np.array_equal(out.mat[t], op(DenseOperator(2, 2, stack.mat[t])).mat)
+
+    def test_kron_of_a_stack_with_shared_factors(self, rng):
+        stack = DenseOperator(1, 2, np.stack([random_matrix(2, 1, rng) for _ in range(3)]))
+        out = kron([stack, identity(1, 2)])
+        assert out.n == 2 and out.mat.shape == (3, 4, 4)
+        for t in range(3):
+            assert np.array_equal(out.mat[t], np.kron(stack.mat[t], np.eye(2)))
+
+    def test_a_stack_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match="matrix shape"):
+            DenseOperator(2, 2, np.zeros((3, 4, 2)))
+        with pytest.raises(ValueError, match="matrix shape"):
+            DenseOperator(1, 4, np.zeros(4))
+
 
 class TestPartialTrace:
     def test_product_factors(self, rng):

@@ -463,6 +463,26 @@ class TestInvariantStateMaps:
             trace = eggeling_werner_map_trace(row, params, a, b)
             assert sup_norm(closed.mat - trace.mat) < 1e-10
 
+    def test_a_stack_gives_each_instance_its_own_bits(self, rng):
+        params = [random_valid_werner(rng, 3) for _ in range(4)]
+        a, b = (np.stack([random_matrix(3, 1, rng) for _ in range(4)]) for _ in range(2))
+        stacked = WernerParams.stack(params)
+        assert np.array_equal(werner_state(stacked).mat,
+                              np.stack([werner_state(p).mat for p in params]))
+        for row in ent.F_ROWS + ent.G_ROWS:
+            g = row.startswith("g")
+            for form in (eggeling_werner_map, eggeling_werner_map_trace):
+                out = form(row, stacked, a, b if g else None).mat
+                for t, p in enumerate(params):
+                    alone = form(row, p, a[t], b[t] if g else None).mat
+                    assert np.array_equal(out[t], alone)
+
+    def test_a_stack_with_one_inconsistent_member_is_rejected(self, rng):
+        good = [random_valid_werner(rng, 3) for _ in range(3)]
+        bad = WernerParams(good[1].alphas, tuple(2 * c for c in good[1].cs), good[1].rs, 3)
+        with pytest.raises(ValueError, match="disagree"):
+            werner_state(WernerParams.stack([good[0], bad, good[2]]))
+
     def test_symmetry_identities(self, rng):
         for _ in range(10):
             params = random_valid_werner(rng, 3)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wba.multilinear_maps import (
     forward_cycle,
 )
 from wba.sym_core import Partition, Permutation, parse_permutation
+from wba import verification
 from wba.verification import _kernel, proposition_suite
 from wba.wba_algebra import WbaElement, f_projector, from_permutation, realize
 
@@ -127,6 +129,20 @@ class TestFusedContract:
                     assert fused.n == reference.n == size
                     assert sup_norm(fused.mat - reference.mat) \
                         <= 1e-13 * sup_norm(reference.mat)
+
+    def test_stacks_give_each_members_contraction(self, rng):
+        # a stacked kernel and a stacked factor beside a shared one, bit for bit
+        d = 2
+        kernels = DenseOperator(3, d, np.stack([random_matrix(d, 3, rng) for _ in range(3)]))
+        factors = [np.stack([random_matrix(d, 1, rng) for _ in range(3)]),
+                   random_matrix(d, 2, rng)]
+        for keep in ([], [2], [1, 3], [1, 2, 3]):
+            out = contract(kernels, factors, keep)
+            assert out.mat.shape == (3, d ** len(keep), d ** len(keep))
+            for t in range(3):
+                alone = contract(DenseOperator(3, d, kernels.mat[t]),
+                                 [factors[0][t], factors[1]], keep)
+                assert np.array_equal(out.mat[t], alone.mat)
 
     def test_unit_factor_and_unsorted_keep(self, rng):
         d = 2
@@ -431,3 +447,55 @@ class TestSuiteRunner:
                                                                   only="prop4")}
         for name, dev in sub.items():
             assert full[name] == dev
+
+    def test_zero_tuples_is_refused(self):
+        with pytest.raises(ValueError, match="tuples >= 1"):
+            proposition_suite(tuples=0)
+
+    def test_nan_deviation_fails_its_case(self, monkeypatch):
+        calls = []
+
+        def nan_in_one_tuple(s, inputs, d=None):
+            out = cycle_subset_to_one(s, inputs, d)
+            calls.append(s)
+            if len(calls) == 2:     # the middle tuple of the first case only
+                out.mat[0, 0, 0] = np.nan
+            return out
+
+        # one tuple a stack: the NaN stack is neither the first nor the last
+        monkeypatch.setattr(verification, "STACK_BYTES", 0)
+        monkeypatch.setattr(mm, "cycle_subset_to_one", nan_in_one_tuple)
+        cases = proposition_suite(seed=0, tuples=3, only="prop4")
+        failed = [c for c in cases if not c["passed"]]
+        assert len(failed) == 1 and np.isnan(failed[0]["max_dev"])
+        assert failed[0]["name"] == cases[0]["name"]
+
+    @pytest.mark.parametrize("only, realized", [("prop6", 0), ("prop5", 8)])
+    def test_kernels_are_built_only_for_cases_that_run(self, only, realized, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return realize(*args)
+
+        monkeypatch.setattr(verification, "realize", counting)
+        cases = proposition_suite(seed=0, tuples=1, only=only)
+        assert len(cases) == 8 and len(calls) == realized
+
+    def test_stack_size_does_not_move_a_deviation(self, monkeypatch):
+        stacked = proposition_suite(seed=5, tuples=30)
+        monkeypatch.setattr(verification, "STACK_BYTES", 0)
+        assert verification.stack_sizes(30, 2) == [1] * 30
+        single = proposition_suite(seed=5, tuples=30)
+        assert len(stacked) == 114
+        assert [(c["name"], c["max_dev"]) for c in stacked] \
+            == [(c["name"], c["max_dev"]) for c in single]
+
+    def test_peak_memory_does_not_grow_with_the_tuples(self):
+        peaks = []
+        for tuples in (20, 100):
+            tracemalloc.start()
+            proposition_suite(seed=0, tuples=tuples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1 << 20, peaks
