@@ -177,37 +177,6 @@ def _check_tolerance(args) -> None:
         raise CliError(f"--tolerance must be finite and positive, got {args.tolerance}")
 
 
-def _commutant_residual(real: np.ndarray, unitaries, n: int, k: int) -> float:
-    """Largest sup_norm of [F, U^(n-k) (x) conj(U)^(k)] over the unitaries U,
-    for a real, C-contiguous F.  Each U acts as A (x) B, the Kronecker halves
-    over the first n//2 sites and the rest, never built in full.  All
-    unitaries share one workspace of three d^n x d^n complex arrays, and the
-    two products that read F are real: F (I (x) B) multiplies F by B's float
-    view (real and imaginary parts interleaved), and (A (x) I) F multiplies
-    A's real rows stacked over its imaginary rows by F."""
-    dim = len(real)
-    # three arrays, not one block: glibc lifts its mmap threshold to the size of
-    # a freed block, and a higher threshold lets later large arrays fragment the heap
-    fb, right, left = (np.empty((dim, dim), dtype=complex) for _ in range(3))
-    residuals = []
-    for u in unitaries:
-        factors = [u] * (n - k) + [u.conj()] * k
-        a, b = dense_ops.kron_all(factors[:n // 2]), dense_ops.kron_all(factors[n // 2:])
-        da, db = len(a), len(b)
-        np.matmul(real.reshape(dim * da, db), b.view(np.float64),
-                  out=fb.view(np.float64).reshape(dim * da, 2 * db))
-        np.matmul(a.T, fb.reshape(dim, da, db), out=right.reshape(dim, da, db))
-        stacked = left.view(np.float64).reshape(2 * da, db * dim)
-        np.matmul(np.concatenate([a.real, a.imag]), real.reshape(da, db * dim), out=stacked)
-        af = fb.reshape(da, db * dim)   # F (I (x) B) is spent
-        af.real, af.imag = stacked[:da], stacked[da:]
-        np.matmul(b, af.reshape(da, db, dim), out=left.reshape(da, db, dim))
-        np.subtract(right, left, out=right)
-        magnitudes = left.view(np.float64).reshape(-1)[:dim * dim]
-        residuals.append(float(np.abs(right.reshape(-1), out=magnitudes).max()))
-    return max(residuals)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -235,7 +204,7 @@ def cmd_verify_props(args) -> int:
 
 
 def cmd_projector(args) -> int:
-    _check_minimum(args, n=1, d=1, k=1, unitaries=1, seed=0)
+    _check_minimum(args, n=1, d=1, k=1, seed=0)
     with _fails_with(1, "bad partition: "):
         mu, alpha = parse_partition(args.mu), parse_partition(args.alpha)
     if args.emit_map is not None and not 1 <= args.emit_map <= args.n:
@@ -244,17 +213,13 @@ def cmd_projector(args) -> int:
         g = gamma(mu, alpha, args.n, args.k, args.d)
         check_size_guard(args.n, args.d)
         element = f_projector(mu, alpha, args.n, args.k, args.d)
-        dense = realize(element, args.d)
-    if dense.imag.any():
+        f = realize(element, args.d)
+    if f.imag.any():
         raise CliError(f"F_{mu}({alpha}) has a non-real entry", 2)
-    # F @ F stays complex: a float64 product rounds differently and moves the residual
-    idem = dense_ops.sup_norm(dense @ dense - dense)
-    real = np.ascontiguousarray(dense.real)
-    del dense   # the commutant workspace takes its place; the map gets it back from real
-
-    rng = np.random.default_rng(args.seed)
-    unitaries = (dense_ops.haar_unitary(args.d, rng) for _ in range(args.unitaries))
-    comm = _commutant_residual(real, unitaries, args.n, args.k)
+    f = np.ascontiguousarray(f.real)
+    idem = dense_ops.sup_norm(f @ f - f)
+    comm = dense_ops.covariance_residual(dense_ops.DenseOperator(args.n, args.d, f),
+                                         range(args.n - args.k + 1, args.n + 1))
 
     report = {
         "n": args.n, "k": args.k, "d": args.d,
@@ -268,8 +233,9 @@ def cmd_projector(args) -> int:
     texts, coeffs = _term_listing(element)
     if args.emit_map is not None:
         n_in = args.emit_map
-        spec = mm.MapSpec(dense_ops.DenseOperator(args.n, args.d, real.astype(complex)),
+        spec = mm.MapSpec(dense_ops.DenseOperator(args.n, args.d, f.astype(complex)),
                           n_in=n_in, n_out=args.n - n_in, d=args.d)
+        rng = np.random.default_rng(args.seed)
         inputs = [dense_ops.random_psd(args.d, 1, rng) for _ in range(n_in)]
         out = mm.fast_evaluate(spec, inputs)
         report["map_inputs"] = n_in
@@ -282,8 +248,7 @@ def cmd_projector(args) -> int:
                  f"gamma = {report['gamma']}",
                  f"terms = {report['terms']}",
                  f"idempotence residual = {report['idempotence_residual']}",
-                 f"commutant residual   = {report['commutant_residual']} "
-                 f"({args.unitaries} Haar unitaries)"]
+                 f"commutant residual   = {report['commutant_residual']}"]
         for text, row in zip(texts, coeffs.tolist()):
             val = " + ".join(f"({c.real:.6g}{c.imag:+.6g}i) d^{p}" for p, c in enumerate(row) if c)
             lines.append(f"  [{val}]  {text}")
@@ -442,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mu", required=True, help='partition of n-k, e.g. "[2,1]"')
     p.add_argument("--alpha", required=True, help='partition of n-2k, e.g. "[2]"')
-    p.add_argument("--unitaries", type=int, default=20)
     p.add_argument("--emit-map", type=int, default=None, metavar="INPUTS",
                    help="evaluate the induced map on this many random PSD inputs")
 

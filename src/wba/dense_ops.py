@@ -140,6 +140,35 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
     return _reorder(m, [inv(t) - 1 for t in range(1, 2 * m.n + 1)])
 
 
+def covariance_residual(m: DenseOperator, conjugated) -> float:
+    """Largest sup_norm of [M, A_X] over the simple-root matrices X = E_{a,a+1}
+    and E_{a+1,a} of gl(d), where A_X is X summed over the sites not in
+    ``conjugated`` minus X^T summed over those in it: the derived action of
+    U -> U on the plain sites (x) conj(U) on the conjugated ones.  These X
+    generate sl(d) and the identity acts as a scalar, so, U(d) being
+    connected, M commutes with every such product of unitaries exactly when
+    the residual is 0 (the walled-Brauer form of Schur-Weyl duality).
+
+    One site's X moves one index slice: [M, E_ab on site s] adds M's column
+    slice a of s into column slice b and subtracts its row slice b from row
+    slice a; the minus sign and the transpose of a conjugated site exchange
+    the roles of its row and column.  All of it runs on one accumulator of
+    M's size and dtype, with no product and no random draw."""
+    n, d, t = m.n, m.d, m.tensor
+    conjugated = _validate_sites(conjugated, n)
+    acc = np.empty_like(t)
+    worst = 0.0
+    for a, b in [(c, c + 1) for c in range(d - 1)] + [(c + 1, c) for c in range(d - 1)]:
+        acc.fill(0)
+        for s in range(n):
+            into, outof = (s, n + s) if s + 1 in conjugated else (n + s, s)
+            for axis, src, dst, ufunc in ((into, a, b, np.add), (outof, b, a, np.subtract)):
+                view = acc[(..., dst) + (slice(None),) * (2 * n - 1 - axis)]
+                ufunc(view, t[(..., src) + (slice(None),) * (2 * n - 1 - axis)], out=view)
+        worst = max(worst, float(np.abs(acc, out=acc).real.max()))
+    return worst
+
+
 def random_matrix(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Square complex Gaussian matrix (entries N(0,1/2) + i N(0,1/2))."""
     dim = d ** n

@@ -22,8 +22,6 @@ from .sym_core import parse_permutation
 from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .wba_algebra import from_permutation, realize
 
-COVARIANCE_DRAWS = 2
-
 PSD = "PSD"
 WITNESS_CANDIDATE = "WITNESS_CANDIDATE"
 NOT_BLOCK_POSITIVE = "NOT_BLOCK_POSITIVE"
@@ -486,7 +484,7 @@ def _classify(m: DenseOperator, partition: PartitionSpec, lam: float, value: flo
     return PositivityVerdict(INCONCLUSIVE, lam, value, **fields)
 
 
-def covariant_block_minimum(m: DenseOperator, conjugated, rng: np.random.Generator
+def covariant_block_minimum(m: DenseOperator, conjugated
                             ) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
     """Exact minimum of <a x|M|a x> over unit vectors a on site 1 and x on
     the other sites, with a minimising (a, x), for an M that commutes with
@@ -495,19 +493,15 @@ def covariant_block_minimum(m: DenseOperator, conjugated, rng: np.random.Generat
 
     Such a product moves any unit a to e_1 and keeps the form, so the minimum
     is the least eigenvalue of the block <e_1|M|e_1> on the other sites.  The
-    commutation is checked, never assumed, with COVARIANCE_DRAWS Haar
-    unitaries from ``rng``; when a residual exceeds ATOL relative to M's
-    largest entry, the answer is None (a refusal).
+    commutation is checked, never assumed, over all of U(d) by
+    dense_ops.covariance_residual; when the residual exceeds ATOL relative to
+    M's largest entry, the answer is None (a refusal).
     """
     if m.n < 2:
         raise ValueError("the cut 1|rest needs at least two sites")
     d, rest = m.d, m.d ** (m.n - 1)
-    tol = ATOL * max(1.0, dense_ops.sup_norm(m.mat))
-    for _ in range(COVARIANCE_DRAWS):
-        u = dense_ops.haar_unitary(d, rng)
-        w = dense_ops.kron_all([u.conj() if s in conjugated else u for s in range(1, m.n + 1)])
-        if dense_ops.sup_norm(w @ m.mat - m.mat @ w) > tol:
-            return None
+    if dense_ops.covariance_residual(m, conjugated) > ATOL * max(1.0, dense_ops.sup_norm(m.mat)):
+        return None
     values, vectors = np.linalg.eigh(m.mat.reshape(d, rest, d, rest)[0, :, 0, :])
     e1 = np.zeros(d, dtype=complex)
     e1[0] = 1.0
@@ -520,13 +514,13 @@ def check_covariant_block_positive(m: DenseOperator, conjugated,
     covariant_block_minimum requires: the PSD step is the same, and the
     product minimum is the exact one, so the verdict is ``certified``.  An
     operator that fails the covariance check gets check_block_positive's
-    search.  The check draws its unitaries from the budget seed."""
+    search, seeded by the budget; the check itself draws nothing."""
     budget = budget or SearchBudget()
     partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
     lam = dense_ops.min_eigenvalue(m)
     if lam >= -EIG_TOL:
         return PositivityVerdict(PSD, lam, lam)
-    exact = covariant_block_minimum(m, conjugated, np.random.default_rng(budget.seed))
+    exact = covariant_block_minimum(m, conjugated)
     if exact is None:
         return check_block_positive(m, partition, budget)
     return _classify(m, partition, lam, *exact, certified=True)
@@ -542,7 +536,8 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = No
     rho that is not a state (least eigenvalue below -EIG_TOL) is refused.
 
     rho^{T_S} commutes with conj(U) on S and U elsewhere, so the 1|23 verdict
-    is the exact one of check_covariant_block_positive (seeded by budget).
+    is the exact one of check_covariant_block_positive (the budget seeds
+    only its fallback search).
     The 1|2|3 verdict is proved: <abc|rho^{T_S}|abc> = <a'b'c'|rho|a'b'c'>
     with the factors on S conjugated, so it is PSD with rho^{T_S}, else a
     certified WITNESS_CANDIDATE whose product minimum is the lower bound
@@ -592,9 +587,10 @@ def scan_bcs_region(alpha_values, beta_values, d: int,
     minimum and classification per (alpha, beta) point.
 
     The kernel is covariant, so the minimum is the exact one of
-    check_covariant_block_positive (``certified``); the budget's search runs
-    only if the covariance check fails.  Each point's seed is the budget seed
-    offset by its grid indices.
+    check_covariant_block_positive (``certified``).  Its covariance check runs
+    on the U(d) generators and draws nothing; the budget's search runs only
+    if that check fails, each point seeded by the budget seed offset by its
+    grid indices.
     """
     budget = budget or SearchBudget()
     basis = _bcs_basis(d)

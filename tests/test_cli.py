@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import wba
-from wba import cli, entanglement as ent, multilinear_maps as mm, verification
-from wba.cli import _commutant_residual, _parse_range, _report_json, main
-from wba.dense_ops import haar_unitary, sup_norm
+from wba import cli, dense_ops, entanglement as ent, multilinear_maps as mm, verification
+from wba.cli import _parse_range, _report_json, main
+from wba.dense_ops import DenseOperator, covariance_residual, haar_unitary, sup_norm
 from wba.sym_core import MAX_ENUM_DEGREE, Partition
 from wba.wba_algebra import _term_listing, admissible_pairs, f_projector, realize
 
@@ -72,14 +72,14 @@ class TestVerifyProps:
 class TestProjector:
     def test_worked_example(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
-                           "--mu", "[2,1]", "--alpha", "[2]", "--unitaries", "3")
+                           "--mu", "[2,1]", "--alpha", "[2]")
         assert code == 0
         assert "gamma = 1" in out
         assert "terms = 18" in out
 
     def test_second_example_gamma(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "5", "--k", "2", "--d", "2",
-                           "--mu", "[2,1]", "--alpha", "[1]", "--unitaries", "2")
+                           "--mu", "[2,1]", "--alpha", "[1]")
         assert code == 0
         assert "gamma = 3" in out
 
@@ -106,7 +106,7 @@ class TestProjector:
 
     def test_emit_map(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
-                           "--mu", "[2,1]", "--alpha", "[2]", "--unitaries", "2",
+                           "--mu", "[2,1]", "--alpha", "[2]",
                            "--emit-map", "2", "--format", "json")
         assert code == 0
         payload = json.loads(out)
@@ -115,7 +115,7 @@ class TestProjector:
 
     def test_json_output_is_golden(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
-                           "--mu", "[2,1]", "--alpha", "[2]", "--unitaries", "3",
+                           "--mu", "[2,1]", "--alpha", "[2]",
                            "--format", "json")
         assert code == 0
         assert out == (DATA / "projector_n4_k1_d2.json").read_text()
@@ -177,7 +177,7 @@ class TestReportJson:
 
     def test_cli_output_is_the_stdlib_dump(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "5", "--k", "1", "--d", "2",
-                           "--mu", "[3,1]", "--alpha", "[2,1]", "--unitaries", "1",
+                           "--mu", "[3,1]", "--alpha", "[2,1]",
                            "--emit-map", "2", "--format", "json")
         assert code == 0
         assert out == _stdlib_report(json.loads(out)) + "\n"
@@ -331,8 +331,6 @@ class TestFlags:
         ["werner-ppt", "--d", "2", "--r", "0.2,0.05,0.75,0,0.5,0.5"],
         ["ew-maps", "--d", "2"],
         ["ew-maps", "--instances", "0"],
-        ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]",
-         "--alpha", "[2]", "--unitaries", "0"],
         ["verify-props", "--tuples", "0"],
         ["scan-bcs", "--alpha", "0:inf:0.1", "--beta", "0:0:1"],
         ["scan-bcs", "--alpha=-inf:0:1", "--beta", "0:0:1"],
@@ -351,7 +349,7 @@ class TestFlags:
         ["verify-props", "--seed", "-1"],
         ["ew-maps", "--seed", "-1"],
     ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
-            "projector-unitaries", "verify-props-tuples", "scan-bcs-alpha-inf",
+            "verify-props-tuples", "scan-bcs-alpha-inf",
             "scan-bcs-alpha-minus-inf", "werner-ppt-nan", "werner-ppt-inf",
             "werner-ppt-overflow", "projector-k-0", "scan-bcs-range-too-long",
             "scan-bcs-grid-too-large", "verify-props-tolerance-nan", "ew-maps-tolerance-nan",
@@ -386,11 +384,14 @@ class TestFlags:
         (["ew-maps", "--row", "f1", "--instances", "1"], ["--format", "json"]),
         (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
          ["--tolerance", "1e-3"]),
+        (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
+         ["--unitaries", "3"]),
         (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--format", "json"]),
         (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--seed", "1"]),
     ], ids=["scan-bcs-restarts-0", "scan-bcs-restarts-negative", "scan-bcs-format",
             "scan-bcs-tolerance", "werner-ppt-tolerance", "werner-ppt-format", "werner-ppt-seed",
-            "ew-maps-format", "projector-tolerance", "compose-format-json", "compose-seed"])
+            "ew-maps-format", "projector-tolerance", "projector-unitaries", "compose-format-json",
+            "compose-seed"])
     def test_dropped_flag_is_unrecognized(self, capsys, argv, dropped):
         code, out, err = run(capsys, *argv, *dropped)
         assert code == 1 and out == ""
@@ -413,7 +414,7 @@ class TestProjectorLabels:
 
     def test_empty_alpha_when_n_is_2k(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "4", "--k", "2", "--d", "2",
-                           "--mu", "[2]", "--alpha", "[]", "--unitaries", "3",
+                           "--mu", "[2]", "--alpha", "[]",
                            "--format", "json")
         assert code == 0
         report = json.loads(out)
@@ -451,7 +452,7 @@ class TestProjectorChecksBeforeBuild:
 
     def test_size_guard(self, capsys):
         code, out, err = run(capsys, "projector", "--n", "8", "--k", "1", "--d", "3",
-                             "--mu", "[5,2]", "--alpha", "[4,2]", "--unitaries", "1")
+                             "--mu", "[5,2]", "--alpha", "[4,2]")
         assert code == 2 and out == ""
         assert err == "error: d^n = 6561 exceeds the size guard 4096\n"
 
@@ -469,52 +470,104 @@ class TestSizeGuard:
 
 
 class TestCommutantResidual:
+    """dense_ops.covariance_residual, the commutant check of ``wba projector``,
+    against full Kronecker products of Haar unitaries built here."""
+
+    CASES = [(4, 1, 2, (2, 1), (2,)), (5, 2, 2, (2, 1), (1,)), (5, 1, 3, (3, 1), (2, 1)),
+             (6, 2, 3, (2, 2), (2,))]
+
     @staticmethod
     def projector(n, k, d, mu, alpha):
         dense = realize(f_projector(Partition(mu), Partition(alpha), n, k, d), d)
         return np.ascontiguousarray(dense.real)
 
-    @pytest.mark.parametrize("n,k,d,mu,alpha", [
-        (4, 1, 2, (2, 1), (2,)), (5, 2, 2, (2, 1), (1,)), (5, 1, 3, (3, 1), (2, 1)),
-        (6, 2, 3, (2, 2), (2,))])
-    def test_matches_full_kronecker(self, n, k, d, mu, alpha):
-        real = self.projector(n, k, d, mu, alpha)
+    @staticmethod
+    def residual(mat, n, k, d, conjugated=None):
+        conjugated = range(n - k + 1, n + 1) if conjugated is None else conjugated
+        return covariance_residual(DenseOperator(n, d, mat), conjugated)
+
+    @staticmethod
+    def haar_residual(mat, n, k, d, draws=3):
         rng = np.random.default_rng(7)
-        for _ in range(3):
+        worst = 0.0
+        for _ in range(draws):
             u = haar_unitary(d, rng)
             big = np.eye(1, dtype=complex)
             for factor in [u] * (n - k) + [u.conj()] * k:
                 big = np.kron(big, factor)
-            # a non-commuting operator tests the residual, not only its zero
-            for mat in (real, real + np.diag(np.arange(d ** n))):
-                full = sup_norm(mat @ big - big @ mat)
-                assert abs(_commutant_residual(mat, [u], n, k) - full) <= 1e-12 * max(1, full)
+            worst = max(worst, sup_norm(mat @ big - big @ mat))
+        return worst
 
-    def test_several_unitaries_give_the_largest(self):
-        n, k, d = 5, 1, 3
-        real = self.projector(n, k, d, (3, 1), (2, 1)) + np.diag(np.arange(d ** n))
-        rng = np.random.default_rng(3)
-        unitaries = [haar_unitary(d, rng) for _ in range(3)]
-        singles = [_commutant_residual(real, [u], n, k) for u in unitaries]
-        assert len(set(singles)) == 3
-        assert _commutant_residual(real, iter(unitaries), n, k) == max(singles)
+    @pytest.mark.parametrize("n,k,d,mu,alpha", _PROJECTOR_CASES)
+    def test_zero_on_every_small_projector(self, n, k, d, mu, alpha):
+        dense = realize(f_projector(mu, alpha, n, k, d), d)
+        assert self.residual(dense, n, k, d) <= 1e-13
 
-    def test_workspace_does_not_grow_with_the_unitaries(self):
+    def test_zero_on_the_bcs_kernel_and_werner_partial_transposes(self):
+        for alpha, beta in ((0.25, -0.1), (0.0, 0.0), (1.3, 0.4)):
+            kernel = ent.bcs_kernel(alpha, beta, 3)
+            assert covariance_residual(kernel, {2}) <= 1e-13
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            rho = ent.werner_state(ent.random_valid_werner(rng, 3))
+            for s in ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
+                rho_ts = dense_ops.partial_transpose(rho, s) if s else rho
+                assert covariance_residual(rho_ts, s) <= 1e-13
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", CASES)
+    def test_matches_full_kronecker(self, n, k, d, mu, alpha):
+        # in order: the generators and the Haar sample see the same violation
+        real = self.projector(n, k, d, mu, alpha)
+        one_entry = np.zeros_like(real)
+        one_entry[0, 1] = 1e-6
+        for mat in (real + one_entry, real + np.diag(np.arange(d ** n))):
+            haar = self.haar_residual(mat, n, k, d)
+            assert haar / 10 <= self.residual(mat, n, k, d) <= 10 * haar
+        assert self.residual(real + one_entry, n, k, d) == pytest.approx(1e-6, rel=1e-6)
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", CASES)
+    def test_fails_for_the_wrong_wall(self, n, k, d, mu, alpha):
+        real = self.projector(n, k, d, mu, alpha)
+        for conjugated in ((), range(1, k + 1)):
+            assert self.residual(real, n, k, d, conjugated) > 0.1
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", CASES)
+    def test_fails_for_a_weight_preserving_matrix(self, n, k, d, mu, alpha):
+        # F's support lies in its weight sectors, so a random matrix on it
+        # commutes with every diagonal unitary, but not with U(d)
+        real = self.projector(n, k, d, mu, alpha)
+        rng = np.random.default_rng(2)
+        mat = np.where(real != 0, rng.standard_normal(real.shape), 0.0)
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        diagonal = np.eye(1, dtype=complex)
+        for factor in [phases] * (n - k) + [phases.conj()] * k:
+            diagonal = np.kron(diagonal, factor)
+        assert sup_norm(mat * diagonal - diagonal[:, None] * mat) <= 1e-12
+        assert self.residual(mat, n, k, d) > 1.0
+        assert self.haar_residual(mat, n, k, d) > 1.0
+
+    @pytest.mark.parametrize("conjugated", [(), (1,)])
+    def test_only_the_scalars_commute_on_one_site(self, conjugated):
+        # each unit matrix misses some generator: |2><2| commutes with the
+        # U(2) of levels 0 and 1, E_02 with every raising matrix
+        d = 3
+        assert covariance_residual(DenseOperator(1, d, np.eye(d)), conjugated) == 0
+        for a in range(d):
+            for b in range(d):
+                unit = np.zeros((d, d))
+                unit[a, b] = 1.0
+                assert covariance_residual(DenseOperator(1, d, unit), conjugated) == 1.0
+
+    def test_peak_is_one_accumulator(self):
         n, k, d = 6, 2, 3
         real = self.projector(n, k, d, (2, 2), (2,))
-        rng = np.random.default_rng(1)
-        unitaries = [haar_unitary(d, rng) for _ in range(20)]
-        peaks = []
-        for count in (1, 20):
-            tracemalloc.start()
-            try:
-                _commutant_residual(real, unitaries[:count], n, k)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        mb = 2 ** 20
-        assert abs(peaks[1] - peaks[0]) <= mb
-        assert max(peaks) <= 3 * 16 * d ** (2 * n) + mb
+        tracemalloc.start()
+        try:
+            self.residual(real, n, k, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= real.nbytes + 2 ** 20
 
 
 class TestNonRealProjector:
@@ -526,7 +579,7 @@ class TestNonRealProjector:
 
         monkeypatch.setattr("wba.cli.realize", realize_with_imaginary_entry)
         code, out, err = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
-                             "--mu", "[2,1]", "--alpha", "[2]", "--unitaries", "3")
+                             "--mu", "[2,1]", "--alpha", "[2]")
         assert code == 2 and out == ""
         assert err == "error: F_[2,1]([2]) has a non-real entry\n"
 

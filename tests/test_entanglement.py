@@ -304,7 +304,7 @@ class TestCovariantBlockMinimum:
             rho = werner_state(random_valid_werner(rng, 3))
             for s in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
                 rho_ts = dense_ops.partial_transpose(rho, s)
-                exact = ent.covariant_block_minimum(rho_ts, s, rng)
+                exact = ent.covariant_block_minimum(rho_ts, s)
                 assert exact is not None
                 searched = ent.product_state_minimize(rho_ts, partition, budget)[0]
                 assert exact[0] <= searched + 1e-12
@@ -312,22 +312,22 @@ class TestCovariantBlockMinimum:
                 if s in ((1,), (2, 3)):
                     assert exact[0] >= -1e-12
 
-    def test_exact_value_below_search_on_bcs_points(self, rng):
+    def test_exact_value_below_search_on_bcs_points(self):
         partition = PartitionSpec.parse("1|23")
         budget = SearchBudget(seed=6, restarts=8, samples=64)
         for alpha, beta in ((0.25, -0.1), (0.1, -0.3), (0.0, 0.0), (0.5, -0.5), (1.0, 0.1)):
             kernel = bcs_kernel(alpha, beta, 3)
-            exact = ent.covariant_block_minimum(kernel, {2}, rng)
+            exact = ent.covariant_block_minimum(kernel, {2})
             searched = ent.product_state_minimize(kernel, partition, budget)[0]
             assert exact[0] <= searched + 1e-12
 
     def test_non_covariant_operator_is_refused(self, rng):
         g = random_matrix(3, 3, rng)
         m = DenseOperator(3, 3, (g + g.conj().T) / 2)
-        assert ent.covariant_block_minimum(m, set(), rng) is None
-        assert ent.covariant_block_minimum(m, {2}, rng) is None
+        assert ent.covariant_block_minimum(m, set()) is None
+        assert ent.covariant_block_minimum(m, {2}) is None
         # the kernel is covariant under U (x) conj(U) (x) U only
-        assert ent.covariant_block_minimum(bcs_kernel(0.25, -0.1, 3), set(), rng) is None
+        assert ent.covariant_block_minimum(bcs_kernel(0.25, -0.1, 3), set()) is None
         budget = SearchBudget(seed=3, restarts=4, samples=16)
         verdict = ent.check_covariant_block_positive(m, {2}, budget)
         searched = check_block_positive(m, PartitionSpec.parse("1|23"), budget)
@@ -555,7 +555,7 @@ class TestProposition1:
             for s in ent.ROW_SUBSETS.values():
                 report = proposition1_check(params, s, SearchBudget(seed=i))
                 rho_ts = dense_ops.partial_transpose(werner_state(params), s)
-                exact, _ = ent.covariant_block_minimum(rho_ts, s, np.random.default_rng(i))
+                exact, _ = ent.covariant_block_minimum(rho_ts, s)
                 assert abs(report["f_sample_min"] - exact) <= ORACLE_TOL * max(1.0, abs(exact))
 
     def test_certified_g_bound_is_below_the_search_value(self):
