@@ -216,10 +216,12 @@ def cmd_projector(args) -> int:
         f = realize(element, args.d)
     if f.imag.any():
         raise CliError(f"F_{mu}({alpha}) has a non-real entry", 2)
-    f = np.ascontiguousarray(f.real)
-    idem = dense_ops.sup_norm(f @ f - f)
-    comm = dense_ops.covariance_residual(dense_ops.DenseOperator(args.n, args.d, f),
-                                         range(args.n - args.k + 1, args.n + 1))
+    # F should commute with U on the first n-k sites (x) conj(U) on the last
+    # k: both checks run on its weight sectors and count any entry off them
+    f = dense_ops.DenseOperator(args.n, args.d, np.ascontiguousarray(f.real))
+    conjugated = range(args.n - args.k + 1, args.n + 1)
+    idem = dense_ops.idempotence_residual(f, conjugated)
+    comm = dense_ops.covariance_residual(f, conjugated)
 
     report = {
         "n": args.n, "k": args.k, "d": args.d,
@@ -233,8 +235,7 @@ def cmd_projector(args) -> int:
     texts, coeffs = _term_listing(element)
     if args.emit_map is not None:
         n_in = args.emit_map
-        spec = mm.MapSpec(dense_ops.DenseOperator(args.n, args.d, f.astype(complex)),
-                          n_in=n_in, n_out=args.n - n_in, d=args.d)
+        spec = mm.MapSpec(f, n_in=n_in, n_out=args.n - n_in, d=args.d)
         rng = np.random.default_rng(args.seed)
         inputs = [dense_ops.random_psd(args.d, 1, rng) for _ in range(n_in)]
         out = mm.fast_evaluate(spec, inputs)
@@ -382,12 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wba", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary, *flags):
-        """Subcommand with --out and the named shared flags."""
+    def add(name, func, summary, *flags, seeds=None):
+        """Subcommand with --out, the named shared flags, and --seed when
+        ``seeds`` says what it seeds."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None, help="write output to this file atomically")
-        if "seed" in flags:
-            p.add_argument("--seed", type=int, default=0)
+        if seeds:
+            p.add_argument("--seed", type=int, default=0, help=f"seeds {seeds}")
         if "tolerance" in flags:
             p.add_argument("--tolerance", type=float, default=ORACLE_TOL)
         if "format" in flags:
@@ -396,12 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("verify-props", cmd_verify_props, "closed forms vs contraction oracle",
-            "seed", "tolerance", "format")
+            "tolerance", "format", seeds="the random input tuples")
     p.add_argument("--only", default=None, help="run only case groups with this prefix")
     p.add_argument("--tuples", type=int, default=20)
 
     p = add("projector", cmd_projector, "build an irreducible walled-Brauer projector",
-            "seed", "format")
+            "format", seeds="only the --emit-map inputs; without --emit-map it changes nothing")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -411,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate the induced map on this many random PSD inputs")
 
     p = add("scan-bcs", cmd_scan_bcs, "scan the kernel family over an (alpha, beta) grid",
-            "seed")
+            seeds="only the fallback search, run when a covariance check fails")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--alpha", required=True, help="range start:stop:step")
     p.add_argument("--beta", required=True, help="range start:stop:step")
@@ -421,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3)
 
     p = add("ew-maps", cmd_ew_maps, "closed-form invariant-state maps vs trace definition",
-            "seed", "tolerance")
+            "tolerance", seeds="the random Werner parameters and inputs")
     p.add_argument("--row", default="all",
                    help="one of f1,f2,f3,f12,f13,f23,g1,...,g23 or 'all'")
     p.add_argument("--d", type=int, default=3)

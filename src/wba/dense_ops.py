@@ -10,7 +10,7 @@ An operator's matrix may carry leading stack axes, one operator per entry:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 
 import numpy as np
@@ -140,33 +140,195 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
     return _reorder(m, [inv(t) - 1 for t in range(1, 2 * m.n + 1)])
 
 
-def covariance_residual(m: DenseOperator, conjugated) -> float:
-    """Largest sup_norm of [M, A_X] over the simple-root matrices X = E_{a,a+1}
-    and E_{a+1,a} of gl(d), where A_X is X summed over the sites not in
-    ``conjugated`` minus X^T summed over those in it: the derived action of
-    U -> U on the plain sites (x) conj(U) on the conjugated ones.  These X
-    generate sl(d) and the identity acts as a scalar, so, U(d) being
-    connected, M commutes with every such product of unitaries exactly when
-    the residual is 0 (the walled-Brauer form of Schur-Weyl duality).
+# weight-sector layouts kept at once; each holds a few index arrays of about d^n entries
+_LAYOUTS = 8
+# matrix entries a residual works on at once: bounds its working arrays
+_WORK_ENTRIES = 1 << 16
 
-    One site's X moves one index slice: [M, E_ab on site s] adds M's column
-    slice a of s into column slice b and subtracts its row slice b from row
-    slice a; the minus sign and the transpose of a conjugated site exchange
-    the roles of its row and column.  All of it runs on one accumulator of
-    M's size and dtype, with no product and no random draw."""
-    n, d, t = m.n, m.d, m.tensor
+
+@dataclass(frozen=True)
+class SectorLayout:
+    """The weight sectors of (C^d)^{tensor n} for U on the plain sites and
+    conj(U) on the conjugated ones: basis index i has the weight
+    w_c = #{plain sites holding c} - #{conjugated sites holding c}, and the
+    diagonal unitaries act on it by one phase per weight.  With the
+    conjugated sites moved last, sectors are numbered by their first basis
+    index and keep the basis order within.
+
+    ``below`` and ``moves`` serve covariance_residual, whose simple roots
+    X = E_ab come in _simple_roots order.  Each root has a frame of
+    2 (d^n + 1) rows of packed blocks: M A_X by column, then A_X M by row."""
+
+    plain: np.ndarray       # (n,) whether the sites of moves are plain: the first n - k
+    sector: np.ndarray      # (d^n,) sector of each basis index
+    position: np.ndarray    # (d^n,) its place in that sector
+    members: np.ndarray     # (sectors + 1, width): each sector's indices by place, padded with
+                            # d^n; width exceeds the largest sector and the last row is all pad
+    below: np.ndarray       # (roots, d^n): for index i of weight w, the sector of weight
+                            # w - e_a + e_b, or -1 (the all-pad row of members)
+    moves: np.ndarray       # (roots, n, 2, 2 d^(n-1)): for one site's index move, the frame
+                            # rows it adds into, then the packed rows it adds
+
+    def __post_init__(self):
+        for array in vars(self).values():     # cached and shared: read only
+            array.setflags(write=False)
+
+
+def _simple_roots(d: int) -> np.ndarray:
+    """(2(d-1), 2) array of the (a, b) of X = E_ab: the raising, then the lowering."""
+    return np.array([(c, c + 1) for c in range(d - 1)] + [(c + 1, c) for c in range(d - 1)],
+                    dtype=int).reshape(-1, 2)
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(n: int, d: int, conjugated: tuple[int, ...]) -> SectorLayout:
+    dim, k = d ** n, len(conjugated)
+    place = d ** np.arange(n - 1, -1, -1)
+    digits = np.arange(dim) // place[:, None] % d
+    last = tuple(range(n - k + 1, n + 1))
+    if conjugated != last:
+        # the layout with the conjugated sites moved last, read in this basis
+        sites = [s for s in range(n) if s + 1 not in conjugated] + [s - 1 for s in conjugated]
+        moved, to = _layout(n, d, last), place @ digits[sites]
+        back = np.full(dim + 1, dim)
+        back[to] = np.arange(dim)
+        into, rows = moved.moves[:, :, 0], moved.moves[:, :, 1]
+        return SectorLayout(moved.plain, moved.sector[to], moved.position[to],
+                            back[moved.members], moved.below[:, to],
+                            np.stack([into - into % (dim + 1) + back[into % (dim + 1)],
+                                      rows - rows % dim + back[rows % dim]], axis=2))
+    plain = np.arange(n) < n - k
+    weights = (np.eye(d, dtype=int)[digits] * np.where(plain, 1, -1)[:, None, None]).sum(0)
+    numbers: dict[tuple, int] = {}      # weight -> sector, numbered by first index
+    sector = np.array([numbers.setdefault(w, len(numbers)) for w in map(tuple, weights.tolist())])
+    sizes = np.bincount(sector)
+    order = np.argsort(sector, kind="stable")
+    position = np.empty(dim, dtype=np.intp)
+    position[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    members = np.full((len(sizes) + 1, sizes.max() + 1), dim)
+    members[sector, position] = np.arange(dim)
+    # M A_X takes M's columns with digit x on a site to digit y, and A_X M its
+    # rows with digit y to digit x: (x, y) = (a, b) on a plain site, (b, a) on
+    # a conjugated one (A_X has -X^T there); the packed rows are M's blocks by
+    # column, then minus them by row
+    roots = _simple_roots(d)
+    a, b = roots[:, :1], roots[:, 1:]
+    x, y = np.where(plain, a, b), np.where(plain, b, a)
+    shift = ((x - y) * place)[..., None]
+    into_y, into_x = (np.nonzero(digits == target[..., None])[2].reshape(len(roots), n, dim // d)
+                      for target in (y, x))
+    # a digit x turned to y takes weight w to w - e_a + e_b; if some index has
+    # that weight, some index of weight w holds an x
+    below = np.full((len(roots), len(sizes)), -1)
+    below[np.arange(len(roots))[:, None, None], sector[into_x]] = sector[into_x - shift]
+    below = below[:, sector]
+    frames = (np.arange(len(roots)) * 2 * (dim + 1))[:, None, None]
+    moves = np.empty((len(roots), n, 2, 2, dim // d), dtype=int)
+    moves[:, :, 0, 0], moves[:, :, 0, 1] = into_y + frames, into_x + frames + dim + 1
+    moves[:, :, 1, 0], moves[:, :, 1, 1] = into_y + shift, into_x - shift + dim
+    moves = moves.reshape(len(roots), n, 2, 2 * dim // d)
+    return SectorLayout(plain, sector, position, members, below, moves)
+
+
+def sector_layout(n: int, d: int, conjugated) -> SectorLayout:
+    """The weight sectors of n sites of dimension d with the listed sites
+    conjugated (cached, a few layouts at a time)."""
+    return _layout(n, d, _validate_sites(conjugated, n))
+
+
+def _smaller_side(n: int, d: int, conjugated) -> SectorLayout:
+    """The layout of the conjugated sites or of the others, whichever are
+    fewer: U -> conj(U) maps U(d) onto itself, so M commutes with U on the
+    plain sites (x) conj(U) on the conjugated ones for every U exactly when
+    it does with the sides exchanged.  The weights change sign, so the
+    sectors and the residuals below are the same, and fewer layouts are built."""
     conjugated = _validate_sites(conjugated, n)
-    acc = np.empty_like(t)
-    worst = 0.0
-    for a, b in [(c, c + 1) for c in range(d - 1)] + [(c + 1, c) for c in range(d - 1)]:
-        acc.fill(0)
-        for s in range(n):
-            into, outof = (s, n + s) if s + 1 in conjugated else (n + s, s)
-            for axis, src, dst, ufunc in ((into, a, b, np.add), (outof, b, a, np.subtract)):
-                view = acc[(..., dst) + (slice(None),) * (2 * n - 1 - axis)]
-                ufunc(view, t[(..., src) + (slice(None),) * (2 * n - 1 - axis)], out=view)
-        worst = max(worst, float(np.abs(acc, out=acc).real.max()))
-    return worst
+    if 2 * len(conjugated) > n:
+        conjugated = tuple(s for s in range(1, n + 1) if s not in conjugated)
+    return sector_layout(n, d, conjugated)
+
+
+def _sector_rows(mat: np.ndarray, layout: SectorLayout) -> tuple[np.ndarray, float]:
+    """M within the sectors, as a (d^n + 1, width) array whose row i holds
+    M[i, j] for the j of i's sector by place (the pads and the last row are
+    zero), and the largest |M| between two different sectors: 0 when M has
+    no other nonzero entry, else found a band of rows at a time."""
+    if mat.ndim != 2:
+        raise ValueError("the sector checks take one operator, not a stack")
+    dim = len(mat)
+    cols = layout.members[layout.sector]
+    rows = np.zeros((dim + 1, cols.shape[1]), dtype=mat.dtype)
+    np.copyto(rows[:dim], mat[np.arange(dim)[:, None], np.minimum(cols, dim - 1)],
+              where=cols < dim)
+    if np.count_nonzero(mat) == np.count_nonzero(rows):
+        return rows, 0.0
+    off, step = [], max(1, _WORK_ENTRIES // dim)
+    for lo in range(0, dim, step):
+        band = np.abs(mat[lo:lo + step])
+        band[layout.sector[lo:lo + step, None] == layout.sector] = 0
+        off.append(band.max())
+    return rows, float(np.max(off))
+
+
+def covariance_residual(m: DenseOperator, conjugated) -> float:
+    """How far M is from commuting with U on the plain sites (x) conj(U) on
+    the sites in ``conjugated``, for every unitary U: the larger of
+
+    * the largest |M| between two different weight sectors (sector_layout),
+      which is 0 exactly when M commutes with the diagonal unitaries, and
+    * the largest sup_norm of [M_w, A_X] over the simple-root matrices
+      X = E_{a,a+1} and E_{a+1,a} of gl(d), where M_w is M's block-diagonal
+      part and A_X is X summed over the plain sites minus X^T summed over
+      the conjugated ones: the derived action.
+
+    These X generate sl(d), the identity acts as a scalar and U(d) is
+    connected, so the residual is 0 exactly when M commutes with every such
+    product (the walled-Brauer form of Schur-Weyl duality).  A_X moves one
+    site's index between a and b, which maps sector w to w + e_a - e_b, so
+    [M_w, A_X] has only the blocks from w to w + e_a - e_b.  They are formed
+    from M's blocks packed by place, by column for M A_X and by row for
+    A_X M: each site's move adds 2 d^(n-1) packed rows into others, with no
+    product, no random draw and no array of M's size."""
+    n, d, mat = m.n, m.d, m.mat
+    layout = _smaller_side(n, d, conjugated)
+    dim = d ** n
+    rows, off = _sector_rows(mat, layout)
+    width = rows.shape[1]
+    worst = [off]
+    spans = layout.members * width
+    packed = np.concatenate([rows.reshape(-1)[spans[layout.sector] + layout.position[:, None]],
+                             -rows[:dim]])
+    frame = 2 * (dim + 1)
+    step = max(1, _WORK_ENTRIES // (frame * width))      # simple roots at once
+    for lo in range(0, len(layout.moves), step):
+        moves = layout.moves[lo:lo + step]
+        into = moves[:, :, 0] - lo * frame
+        moved = np.zeros((len(moves) * frame, width), dtype=mat.dtype)
+        for s, plain in enumerate(layout.plain):
+            ufunc = np.add if plain else np.subtract
+            moved[into[:, s]] = ufunc(moved[into[:, s]], packed[moves[:, s, 1]])
+        # the block (w + e_a - e_b, w) read from both sides at row i and
+        # the p-th index j of w: at [i, p] by row, at [j, place of i] by column
+        by_column = spans[layout.below[lo:lo + step]] + layout.position[:, None]
+        by_column += (np.arange(len(moves)) * frame * width)[:, None, None]
+        moved = moved.reshape(len(moves), 2, dim + 1, width)
+        worst.append(sup_norm(moved[:, 1, :dim] + moved.reshape(-1)[by_column]))
+    return float(np.max(worst))
+
+
+def idempotence_residual(m: DenseOperator, conjugated) -> float:
+    """sup_norm(M @ M - M) for an M that should commute with the diagonal
+    unitaries of covariance_residual: the largest of |M_w M_w - M_w| over
+    the blocks M_w of the weight sectors, together with the largest |M|
+    between two different sectors, so no d^n x d^n product is formed."""
+    layout = _smaller_side(m.n, m.d, conjugated)
+    rows, off = _sector_rows(m.mat, layout)
+    worst = [off]
+    for members in layout.members[:-1]:
+        members = members[members < len(m.mat)]
+        block = rows[members, :len(members)]
+        worst.append(sup_norm(block @ block - block))
+    return float(np.max(worst))
 
 
 def random_matrix(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

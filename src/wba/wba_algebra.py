@@ -262,9 +262,10 @@ def realize(x, d: int) -> np.ndarray:
         values = values + x.coeffs[:, p] * d ** p
     step = max(1, _SCATTER_ENTRIES // dim)
     for start in range(0, len(values), step):
-        # np.add.at adds in index order: each entry sums its terms in term order
-        np.add.at(flat, _flat_positions(x.pairings[start:start + step], d),
-                  values[start:start + step, None])
+        # np.add.at adds in index order: each entry sums its terms in term
+        # order; a flat index with repeated values keeps it on the fast path
+        np.add.at(flat, _flat_positions(x.pairings[start:start + step], d).reshape(-1),
+                  np.repeat(values[start:start + step], dim))
     return out
 
 

@@ -113,6 +113,12 @@ class TestProjector:
         assert float(payload["map_output_min_eig"]) >= -1e-8
         assert float(payload["idempotence_residual"]) < 1e-10
 
+    def test_seed_reaches_only_the_map_inputs(self, capsys):
+        outputs = [run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]",
+                       "--alpha", "[2]", "--format", "json", "--seed", seed)[1]
+                   for seed in ("0", "5")]
+        assert outputs[0] == outputs[1] != ""
+
     def test_json_output_is_golden(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
                            "--mu", "[2,1]", "--alpha", "[2]",
@@ -206,6 +212,13 @@ class TestScanBcs:
             assert code == 0
             files.append(path.read_bytes())
         assert files[0] == files[1]
+
+    def test_grid_is_golden(self, capsys):
+        # every refusal of covariant_block_minimum rests on covariance_residual
+        code, out, _ = run(capsys, "scan-bcs", "--d", "3", "--alpha", "0:1:0.1",
+                           "--beta=-0.5:0.1:0.05", "--seed", "1")
+        assert code == 0
+        assert out == (DATA / "scan_bcs_d3_seed1.csv").read_text()
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan-bcs", "--alpha", "zero:one:step",
