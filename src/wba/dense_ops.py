@@ -151,9 +151,9 @@ class SectorLayout:
     """The weight sectors of (C^d)^{tensor n} for U on the plain sites and
     conj(U) on the conjugated ones: basis index i has the weight
     w_c = #{plain sites holding c} - #{conjugated sites holding c}, and the
-    diagonal unitaries act on it by one phase per weight.  With the
-    conjugated sites moved last, sectors are numbered by their first basis
-    index and keep the basis order within.
+    diagonal unitaries act on it by one phase per weight.  The conjugated
+    sites are the last k; sectors are numbered by their first basis index
+    and keep the basis order within.
 
     ``below`` and ``moves`` serve covariance_residual, whose simple roots
     X = E_ab come in _simple_roots order.  Each root has a frame of
@@ -181,22 +181,14 @@ def _simple_roots(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_LAYOUTS)
-def _layout(n: int, d: int, conjugated: tuple[int, ...]) -> SectorLayout:
-    dim, k = d ** n, len(conjugated)
+def sector_layout(n: int, d: int, k: int) -> SectorLayout:
+    """The weight sectors of n sites of dimension d with the last k
+    conjugated (cached, a few layouts at a time)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n = {n}, got k = {k}")
+    dim = d ** n
     place = d ** np.arange(n - 1, -1, -1)
     digits = np.arange(dim) // place[:, None] % d
-    last = tuple(range(n - k + 1, n + 1))
-    if conjugated != last:
-        # the layout with the conjugated sites moved last, read in this basis
-        sites = [s for s in range(n) if s + 1 not in conjugated] + [s - 1 for s in conjugated]
-        moved, to = _layout(n, d, last), place @ digits[sites]
-        back = np.full(dim + 1, dim)
-        back[to] = np.arange(dim)
-        into, rows = moved.moves[:, :, 0], moved.moves[:, :, 1]
-        return SectorLayout(moved.plain, moved.sector[to], moved.position[to],
-                            back[moved.members], moved.below[:, to],
-                            np.stack([into - into % (dim + 1) + back[into % (dim + 1)],
-                                      rows - rows % dim + back[rows % dim]], axis=2))
     plain = np.arange(n) < n - k
     weights = (np.eye(d, dtype=int)[digits] * np.where(plain, 1, -1)[:, None, None]).sum(0)
     numbers: dict[tuple, int] = {}      # weight -> sector, numbered by first index
@@ -230,22 +222,24 @@ def _layout(n: int, d: int, conjugated: tuple[int, ...]) -> SectorLayout:
     return SectorLayout(plain, sector, position, members, below, moves)
 
 
-def sector_layout(n: int, d: int, conjugated) -> SectorLayout:
-    """The weight sectors of n sites of dimension d with the listed sites
-    conjugated (cached, a few layouts at a time)."""
-    return _layout(n, d, _validate_sites(conjugated, n))
+def _conjugated_last(m: DenseOperator, conjugated) -> tuple[np.ndarray, SectorLayout]:
+    """M's matrix with the conjugated sites moved last, and their layout.
 
-
-def _smaller_side(n: int, d: int, conjugated) -> SectorLayout:
-    """The layout of the conjugated sites or of the others, whichever are
-    fewer: U -> conj(U) maps U(d) onto itself, so M commutes with U on the
-    plain sites (x) conj(U) on the conjugated ones for every U exactly when
-    it does with the sides exchanged.  The weights change sign, so the
-    sectors and the residuals below are the same, and fewer layouts are built."""
+    U -> conj(U) maps U(d) onto itself, so M commutes with U on the plain
+    sites (x) conj(U) on the conjugated ones for every U exactly when it
+    does with the sides exchanged: the weights change sign, and the sectors
+    and the residuals below stay the same.  So the side of at most n/2
+    sites is taken as the conjugated one, and M's sites are reordered only
+    when those are not already the last."""
+    n = m.n
     conjugated = _validate_sites(conjugated, n)
     if 2 * len(conjugated) > n:
         conjugated = tuple(s for s in range(1, n + 1) if s not in conjugated)
-    return sector_layout(n, d, conjugated)
+    k = len(conjugated)
+    if conjugated != tuple(range(n - k + 1, n + 1)):
+        sites = [s for s in range(n) if s + 1 not in conjugated] + [s - 1 for s in conjugated]
+        m = _reorder(m, sites + [n + s for s in sites])
+    return m.mat, sector_layout(n, m.d, k)
 
 
 def _sector_rows(mat: np.ndarray, layout: SectorLayout) -> tuple[np.ndarray, float]:
@@ -288,12 +282,11 @@ def covariance_residual(m: DenseOperator, conjugated) -> float:
     [M_w, A_X] has only the blocks from w to w + e_a - e_b.  They are formed
     from M's blocks packed by place, by column for M A_X and by row for
     A_X M: each site's move adds 2 d^(n-1) packed rows into others, with no
-    product, no random draw and no array of M's size."""
-    n, d, mat = m.n, m.d, m.mat
-    layout = _smaller_side(n, d, conjugated)
-    dim = d ** n
+    product and no random draw; M is copied only to move its conjugated
+    sites last (_conjugated_last)."""
+    mat, layout = _conjugated_last(m, conjugated)
     rows, off = _sector_rows(mat, layout)
-    width = rows.shape[1]
+    dim, width = len(mat), rows.shape[1]
     worst = [off]
     spans = layout.members * width
     packed = np.concatenate([rows.reshape(-1)[spans[layout.sector] + layout.position[:, None]],
@@ -321,11 +314,11 @@ def idempotence_residual(m: DenseOperator, conjugated) -> float:
     unitaries of covariance_residual: the largest of |M_w M_w - M_w| over
     the blocks M_w of the weight sectors, together with the largest |M|
     between two different sectors, so no d^n x d^n product is formed."""
-    layout = _smaller_side(m.n, m.d, conjugated)
-    rows, off = _sector_rows(m.mat, layout)
+    mat, layout = _conjugated_last(m, conjugated)
+    rows, off = _sector_rows(mat, layout)
     worst = [off]
     for members in layout.members[:-1]:
-        members = members[members < len(m.mat)]
+        members = members[members < len(mat)]
         block = rows[members, :len(members)]
         worst.append(sup_norm(block @ block - block))
     return float(np.max(worst))
@@ -353,9 +346,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def min_eigenvalue(m: DenseOperator) -> float:
-    dev = sup_norm(m.mat - m.mat.conj().T)
-    if dev > ATOL:
-        raise ValueError(f"matrix is not hermitian (deviation {dev:.3g})")
+    dev = sup_norm(m.mat - m.mat.conj().T)     # NaN or inf when an entry is not finite
+    if not dev <= ATOL:
+        raise ValueError(f"matrix is not a finite hermitian one (deviation {dev:.3g})")
     return float(np.linalg.eigvalsh(m.mat)[0])
 
 

@@ -149,8 +149,9 @@ def werner_state(params: WernerParams) -> DenseOperator:
 
 
 def werner_ppt_conditions(rs) -> tuple[list[bool], bool]:
-    """Six analytic inequalities equivalent, for valid states at d = 3, to
-    positivity of the partial transpose on the first factor.
+    """Six analytic inequalities equivalent, for valid states, to positivity
+    of the partial transpose on the first factor: tested at d = 3 and d = 4
+    against the eigensolver (the inequalities do not take d).
 
     The partially transposed invariant state splits into two scalar sectors
     (the symmetric and antisymmetric parts of the complement of the
@@ -494,13 +495,15 @@ def covariant_block_minimum(m: DenseOperator, conjugated
     Such a product moves any unit a to e_1 and keeps the form, so the minimum
     is the least eigenvalue of the block <e_1|M|e_1> on the other sites.  The
     commutation is checked, never assumed, over all of U(d) by
-    dense_ops.covariance_residual; when the residual exceeds ATOL relative to
-    M's largest entry, the answer is None (a refusal).
+    dense_ops.covariance_residual; unless the residual is within ATOL relative
+    to M's largest entry, and that bound is finite, the answer is None (a
+    refusal): an M with a NaN or infinite entry is refused.
     """
     if m.n < 2:
         raise ValueError("the cut 1|rest needs at least two sites")
     d, rest = m.d, m.d ** (m.n - 1)
-    if dense_ops.covariance_residual(m, conjugated) > ATOL * max(1.0, dense_ops.sup_norm(m.mat)):
+    bound = ATOL * np.maximum(1.0, dense_ops.sup_norm(m.mat))    # NaN for a NaN entry
+    if not dense_ops.covariance_residual(m, conjugated) <= bound < np.inf:
         return None
     values, vectors = np.linalg.eigh(m.mat.reshape(d, rest, d, rest)[0, :, 0, :])
     e1 = np.zeros(d, dtype=complex)

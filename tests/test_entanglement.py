@@ -342,6 +342,40 @@ class TestCovariantBlockMinimum:
         assert verdict.classification == ent.PSD and not verdict.certified
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteOperators:
+    """A NaN or infinite entry, inside the e_1 block (index 4) or outside it
+    (index 9), is refused by every entry point, never given a minimum."""
+
+    @staticmethod
+    def kernel(index, value):
+        mat = bcs_kernel(0.25, -0.1, 3).mat.copy()
+        mat[index, index] = value
+        return DenseOperator(3, 3, mat)
+
+    @pytest.mark.parametrize("index", [4, 9])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_no_exact_minimum(self, index, value):
+        assert ent.covariant_block_minimum(self.kernel(index, value), {2}) is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_no_exact_minimum_at_d1(self, value):
+        # d = 1 has no simple roots and one sector: the residual is 0, the bound refuses
+        m = DenseOperator(2, 1, np.array([[value]], dtype=complex))
+        assert ent.covariant_block_minimum(m, {2}) is None
+
+    @pytest.mark.parametrize("index", [4, 9])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", [
+        dense_ops.min_eigenvalue,
+        lambda m: ent.check_covariant_block_positive(m, {2}),
+        lambda m: check_block_positive(m, PartitionSpec.parse("1|23")),
+    ], ids=["min_eigenvalue", "check_covariant_block_positive", "check_block_positive"])
+    def test_one_line_error(self, check, index, value):
+        with pytest.raises(ValueError, match="finite hermitian"):
+            check(self.kernel(index, value))
+
+
 class TestWernerParams:
     def test_projector_basis_traces(self):
         d = 3
@@ -443,13 +477,16 @@ class TestPptConditions:
         assert not checks[0] and not overall
 
     @pytest.mark.parametrize("seed", [2, 77])
-    def test_equivalence_with_eigensolver(self, seed):
+    def test_equivalence_with_eigensolver(self, seed, d=3, states=200):
         rng = np.random.default_rng(seed)
-        for _ in range(200):
-            params = random_valid_werner(rng, 3)
+        for _ in range(states):
+            params = random_valid_werner(rng, d)
             _, analytic = werner_ppt_conditions(params.rs)
             rho_t1 = dense_ops.partial_transpose(werner_state(params), (1,))
             assert analytic == (dense_ops.min_eigenvalue(rho_t1) >= -1e-8)
+
+    def test_equivalence_with_eigensolver_at_d4(self):
+        self.test_equivalence_with_eigensolver(777, d=4, states=500)
 
 
 class TestInvariantStateMaps:
