@@ -337,10 +337,13 @@ def cmd_ew_maps(args) -> int:
     with _fails_with(2):
         check_size_guard(3, args.d)
     rng = np.random.default_rng(args.seed)
+    support = ent.werner_support(args.d)
     results = {}
     for row in rows:
         devs = []
-        for t in stack_sizes(args.instances, args.d ** 3):
+        # an instance gathers the kernel's nonzeros times the output entries
+        outputs = args.d ** (2 if row.startswith("f") else 1)
+        for t in stack_sizes(args.instances, support * outputs):
             # per instance: the parameters, then a, then b (drawn for f rows too)
             drawn = [(ent.random_valid_werner(rng, args.d), dense_ops.random_matrix(args.d, 1, rng),
                       dense_ops.random_matrix(args.d, 1, rng)) for _ in range(t)]

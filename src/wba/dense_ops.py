@@ -346,7 +346,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def min_eigenvalue(m: DenseOperator) -> float:
-    dev = sup_norm(m.mat - m.mat.conj().T)     # NaN or inf when an entry is not finite
+    if not np.isfinite(m.mat).all():
+        raise ValueError("matrix is not a finite hermitian one (non-finite entry)")
+    dev = sup_norm(m.mat - m.mat.conj().T)
     if not dev <= ATOL:
         raise ValueError(f"matrix is not a finite hermitian one (deviation {dev:.3g})")
     return float(np.linalg.eigvalsh(m.mat)[0])

@@ -148,6 +148,11 @@ def werner_state(params: WernerParams) -> DenseOperator:
     return DenseOperator(3, params.d, mat)
 
 
+def werner_support(d: int) -> int:
+    """Nonzero entries of a generic Werner state, the same for each partial transpose."""
+    return int(np.count_nonzero(sum(_werner_basis(d)[0])))
+
+
 def werner_ppt_conditions(rs) -> tuple[list[bool], bool]:
     """Six analytic inequalities equivalent, for valid states, to positivity
     of the partial transpose on the first factor: tested at d = 3 and d = 4

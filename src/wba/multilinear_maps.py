@@ -6,9 +6,9 @@ A kernel P on n = n_in + n_out sites defines
 ``fast_evaluate`` contracts the inputs into the realized kernel one site at
 a time and serves every kernel; ``evaluate_oracle`` computes the same map
 literally through ``contract``, the one brute-force contraction of the
-package (the kernel times the Kronecker product of the inputs, traced as it
-multiplies, so only the kept diagonal blocks of the product are formed),
-and is the ground truth for both it and the closed forms below:
+package (each nonzero kernel entry times the entries of the inputs'
+Kronecker product that it meets, the product itself never formed), and is
+the ground truth for both it and the closed forms below:
 single-cycle kernels with one transposed site reduce to matrix products with
 a transpose inserted, those with a transposed subset to products with
 transposes on the subset (or on its complement, in reversed order, when the
@@ -19,6 +19,7 @@ of site reshufflings or a single index permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -77,20 +78,30 @@ class MapSpec:
         return realize(self.kernel, self.d)
 
 
+def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the nonzero entries of a matrix, or of any member
+    of a stack of them, in row-major order."""
+    return np.nonzero(mat.any(axis=tuple(range(mat.ndim - 2))))
+
+
 def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
     """Literal contraction: tr over every site not in ``keep`` of kernel @ F,
-    F = F_1 (x) F_2 (x) ..., traced as it multiplies.
+    F = F_1 (x) F_2 (x) ..., summed over the kernel's nonzero entries.
 
     The factors are square and tile the kernel's sites from site 1 on; one
     may cover no site (1 x 1), one or several.  With ``keep`` empty the
     result is the full trace as a 1 x 1 operator, with every site kept it is
-    kernel @ F.  Only the kept diagonal blocks of kernel @ F are formed: with
-    the kernel's rows and F's columns split into (traced a, kept) sites,
-    out[i, j] = sum_a K[(a, i), :] @ F[:, (a, j)].  The splits are views when
-    the traced sites come first, as in every ``evaluate_oracle`` call.  This
-    is the ground truth every closed form is tested against.  The kernel and
-    the factors may be stacks (leading axes, broadcast): each member of the
-    result is then that member's contraction alone, bit for bit.
+    kernel @ F.  With the kernel's rows r split into (traced a_r, kept i_r)
+    sites and F's columns likewise, out[i_r, j] gets K[r, c] F[c, (a_r, j)]
+    for each nonzero K[r, c] and each kept column j.  F is never formed:
+    each factor is gathered only at the entries those terms read, and each
+    needed entry of F is the left-to-right product of its factor entries.
+    The terms of an output row are added one after another in row-major
+    order of the kernel.  This is the ground truth every closed form is
+    tested against.  The kernel and the factors may be stacks (leading
+    axes, broadcast): the terms run over the union of the members' supports,
+    and each member of the result is that member's contraction alone, bit
+    for bit (a member's zero entries add exact zeros).
     """
     d, n = kernel.d, kernel.n
     keep = dense_ops._validate_sites(keep, n)
@@ -99,18 +110,43 @@ def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
     if None in sites or sum(sites) != n:
         raise ValueError(f"factors of shapes {[np.shape(f) for f in factors]} "
                          f"do not tile {n} sites of dimension {d}")
-    order = [s - 1 for s in range(1, n + 1) if s not in keep] + [s - 1 for s in keep]
-    traced, kept, dim = d ** (n - len(keep)), d ** len(keep), d ** n
-    lead, stack = kernel.mat.ndim - 2, kernel.mat.shape[:-2]    # the kernel's stack axes
-    rows = kernel.mat.reshape(stack + (d,) * n + (dim,))
-    rows = rows.transpose([*range(lead), *(lead + a for a in order), lead + n])
-    rows = rows.reshape(stack + (traced, kept, dim))
-    f = dense_ops.kron_all(factors)
-    lead, stack = f.ndim - 2, f.shape[:-2]                      # the factors' stack axes
-    cols = f.reshape(stack + (dim,) + (d,) * n)
-    cols = cols.transpose([*range(lead + 1), *(lead + 1 + a for a in order)])
-    cols = cols.reshape(stack + (dim, traced, kept)).swapaxes(-3, -2)
-    return DenseOperator(len(keep), d, np.matmul(rows, cols).sum(axis=-3))
+    rows, cols = _support(kernel.mat)
+    place = d ** np.arange(n - 1, -1, -1)       # the weight of each site's digit
+    kept = np.array([s in keep for s in range(1, n + 1)], dtype=bool)
+    digits = rows[:, None] // place[kept] % d   # each row's kept digits: i_r
+    out_row = digits @ place[n - len(keep):]
+    # the nonzeros on a (slot, output row i_r) grid, in row-major order down
+    # each column; a short column is padded with entry len(rows), a zero
+    count = np.bincount(out_row, minlength=d ** len(keep))
+    order = np.argsort(out_row, kind="stable")
+    slot = np.arange(len(rows)) - (np.cumsum(count) - count)[out_row[order]]
+    grid = np.full((count.max(initial=1), count.size), len(rows))
+    grid[slot, out_row[order]] = order
+    entries = np.zeros(kernel.mat.shape[:-2] + (len(rows) + 1,), dtype=kernel.mat.dtype)
+    entries[..., :-1] = kernel.mat[..., rows, cols]
+    f_rows = np.append(cols, 0)[grid]
+    f_cols = np.append(rows - digits @ place[kept], 0)[grid]     # a_r, the kept digits 0
+    ends = np.cumsum(sites)
+
+    def gather(t: int) -> np.ndarray:
+        """Factor t's entries that the terms read, its kept columns j_t on axis t."""
+        block = slice(ends[t] - sites[t], ends[t])
+        low, dim = d ** (n - ends[t]), d ** sites[t]
+        free = place[block][kept[block]] // low      # the weights of j_t's digits
+        offsets = np.indices((d,) * len(free)).reshape(len(free), d ** len(free)).T @ free
+        g = np.asarray(factors[t])[..., (f_rows // low % dim)[..., None],
+                                   (f_cols // low % dim)[..., None] + offsets]
+        axes = [1] * len(factors)
+        axes[t] = len(offsets)
+        return g.reshape(g.shape[:-1] + tuple(axes))
+
+    terms = entries[(..., grid) + (None,) * len(factors)] \
+        * reduce(np.multiply, map(gather, range(len(factors))))
+    terms = terms.reshape(terms.shape[:-len(factors)] + (-1,))
+    # np.sum may add the slots pairwise, in a tree that padding zeros would
+    # reshape; a running sum adds them in order, so exact zeros change no bit
+    out = np.cumsum(terms, axis=-3)[..., -1, :, :]
+    return DenseOperator(len(keep), d, out)
 
 
 def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:

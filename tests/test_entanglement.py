@@ -342,10 +342,11 @@ class TestCovariantBlockMinimum:
         assert verdict.classification == ent.PSD and not verdict.certified
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 class TestNonFiniteOperators:
     """A NaN or infinite entry, inside the e_1 block (index 4) or outside it
-    (index 9), is refused by every entry point, never given a minimum."""
+    (index 9), is refused by every entry point, never given a minimum, and
+    no warning is raised on the way."""
 
     @staticmethod
     def kernel(index, value):

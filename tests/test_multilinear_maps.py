@@ -152,6 +152,58 @@ class TestFusedContract:
         reference = _reference_contract(kernel, factors, [1, 3])
         assert sup_norm(fused.mat - reference.mat) <= 1e-13 * sup_norm(reference.mat)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_diagram_kernels_match_the_reference(self, n, d, rng):
+        # the keeps of the suite and of evaluate_oracle: one end site, the
+        # first and last of four, every run of output sites after the inputs;
+        # every diagram up to n = 4, both n-cycles with every subset at n = 5
+        keeps = {(1,), (n,), *(tuple(range(m, n + 1)) for m in range(2, n + 2))}
+        if n == 4:
+            keeps.add((1, 4))
+        perms = ([Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+                 if n < 5 else [forward_cycle(n), backward_cycle(n)])
+        factors = [random_matrix(d, 1, rng) for _ in range(n)]
+        for perm in perms:
+            for size in range(n + 1):
+                for subset in itertools.combinations(range(1, n + 1), size):
+                    kernel = DenseOperator(n, d, realize(from_permutation(perm, subset), d))
+                    for keep in keeps:
+                        fused = contract(kernel, factors, keep)
+                        reference = _reference_contract(kernel, factors, keep)
+                        assert sup_norm(fused.mat - reference.mat) \
+                            <= 1e-13 * sup_norm(reference.mat)
+
+    def test_members_with_other_supports_give_their_own_contraction(self, rng):
+        # a diagram's support with complex weights, one entry zeroed in member 1:
+        # the union support adds exact zeros to that member's running sums
+        d, n = 3, 4
+        diagram = realize(from_permutation(backward_cycle(n), {2}), d)
+        mats = diagram * np.stack([random_matrix(d, n, rng) for _ in range(3)])
+        rows, cols = np.nonzero(diagram)
+        mats[1, rows[40], cols[40]] = 0
+        kernels = DenseOperator(n, d, mats)
+        factors = [np.stack([random_matrix(d, 1, rng) for _ in range(3)])
+                   for _ in range(n)]
+        for keep in ([], [4], [1, 4], [2, 3, 4], [1, 2, 3, 4]):
+            out = contract(kernels, factors, keep)
+            for t in range(3):
+                alone = contract(DenseOperator(n, d, mats[t]), [f[t] for f in factors], keep)
+                assert np.array_equal(out.mat[t], alone.mat)
+
+    def test_a_stack_does_not_form_the_kronecker_product(self, rng):
+        # 20 tuples at n = 5, d = 3 with one kept site peak below one d^{2n}
+        # complex product (945 KB)
+        d, n = 3, 5
+        kernel = _kernel(backward_cycle(n), {n}, d)
+        factors = [np.stack([random_matrix(d, 1, rng) for _ in range(20)])
+                   for _ in range(n)]
+        tracemalloc.start()
+        contract(kernel, factors, [n])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * d ** (2 * n), peak
+
     @pytest.mark.parametrize("factor_shapes, keep, message", [
         ([(2, 2)] * 3, [0, 1], "out of range"),
         ([(2, 2)] * 3, [7], "out of range"),
@@ -162,10 +214,10 @@ class TestFusedContract:
     ])
     def test_bad_input_fails_before_any_work(self, factor_shapes, keep, message,
                                              monkeypatch, rng):
-        def no_work(mats):
-            raise AssertionError("kron_all ran before the inputs were checked")
+        def no_work(mat):
+            raise AssertionError("the kernel was read before the inputs were checked")
 
-        monkeypatch.setattr(dense_ops, "kron_all", no_work)
+        monkeypatch.setattr(mm, "_support", no_work)
         kernel = DenseOperator(3, 2, random_matrix(2, 3, rng))
         factors = [np.ones(shape, dtype=complex) for shape in factor_shapes]
         with pytest.raises(ValueError, match=message) as err:
