@@ -115,13 +115,25 @@ def _report_json(report: dict, texts: list[str], coeffs: np.ndarray) -> str:
     return text.replace(json.dumps(_TERMS_SLOT), listing, 1)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _write_out(path: str, parts) -> None:
+    """Write the strings ``parts`` as a shell redirect does: through
+    symlinks, straight into a FIFO or device, and by an atomic replace that
+    keeps a regular file's mode (0o666 less the umask for a new file)."""
+    target = os.path.realpath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".wba-")
+        if os.path.lexists(target) and not os.path.isfile(target):   # a link here is a loop
+            with open(target, "w") as handle:
+                handle.writelines(parts)
+            return
+        umask = os.umask(0)
+        os.umask(umask)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".wba-")
         try:
+            os.fchmod(fd, os.stat(target).st_mode & 0o7777 if os.path.exists(target)
+                      else 0o666 & ~umask)
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+                handle.writelines(parts)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -130,11 +142,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
+    end = "" if text.endswith("\n") else "\n"
     if out:
-        _atomic_write(out, text)
+        _write_out(out, (text, end))
         return
     try:
-        print(text, end="" if text.endswith("\n") else "\n", flush=True)
+        print(text, end=end, flush=True)
     except BrokenPipeError:
         # the reader has gone: the output counts as delivered; devnull takes the exit flush
         devnull = os.open(os.devnull, os.O_WRONLY)

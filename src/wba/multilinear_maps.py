@@ -7,19 +7,19 @@ A kernel P on n = n_in + n_out sites defines
 a time and serves every kernel; ``evaluate_oracle`` computes the same map
 literally through ``contract``, the one brute-force contraction of the
 package (each nonzero kernel entry times the entries of the inputs'
-Kronecker product that it meets, the product itself never formed), and is
-the ground truth for both it and the closed forms below:
-single-cycle kernels with one transposed site reduce to matrix products with
-a transpose inserted, those with a transposed subset to products with
-transposes on the subset (or on its complement, in reversed order, when the
-last site is transposed), and forward cycles with a single input to a chain
-of site reshufflings or a single index permutation.
+Kronecker product that it meets, one flat gather per input and one bincount
+in the kernel's order, the product never formed), and is the ground truth
+for both it and the closed forms below: single-cycle kernels with one
+transposed site reduce to matrix products with a transpose inserted, those
+with a transposed subset to products with transposes on the subset (or on
+its complement, in reversed order, when the last site is transposed), and
+forward cycles with a single input to a chain of site reshufflings or a
+single index permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class MapSpec:
 def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the nonzero entries of a matrix, or of any member
     of a stack of them, in row-major order."""
-    return np.nonzero(mat.any(axis=tuple(range(mat.ndim - 2))))
+    return np.divmod(np.flatnonzero(mat.any(axis=tuple(range(mat.ndim - 2)))), mat.shape[-1])
 
 
 def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
@@ -94,14 +94,14 @@ def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
     kernel @ F.  With the kernel's rows r split into (traced a_r, kept i_r)
     sites and F's columns likewise, out[i_r, j] gets K[r, c] F[c, (a_r, j)]
     for each nonzero K[r, c] and each kept column j.  F is never formed:
-    each factor is gathered only at the entries those terms read, and each
-    needed entry of F is the left-to-right product of its factor entries.
-    The terms of an output row are added one after another in row-major
-    order of the kernel.  This is the ground truth every closed form is
-    tested against.  The kernel and the factors may be stacks (leading
-    axes, broadcast): the terms run over the union of the members' supports,
-    and each member of the result is that member's contraction alone, bit
-    for bit (a member's zero entries add exact zeros).
+    each factor is gathered once, at flat indices, and the terms are
+    multiplied in place as K ((F_1 F_2) ...); one ``np.bincount`` adds each
+    output entry's terms in row-major order of the kernel.  This is the
+    ground truth every closed form is tested against.  The kernel and the
+    factors may be stacks (leading axes, broadcast): the terms run over the
+    union of the members' supports, and each member of the result is that
+    member's contraction alone, bit for bit (a member's zero entries add
+    exact zeros).
     """
     d, n = kernel.d, kernel.n
     keep = dense_ops._validate_sites(keep, n)
@@ -110,43 +110,33 @@ def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
     if None in sites or sum(sites) != n:
         raise ValueError(f"factors of shapes {[np.shape(f) for f in factors]} "
                          f"do not tile {n} sites of dimension {d}")
+    factors = [np.asarray(f) for f in factors]
     rows, cols = _support(kernel.mat)
     place = d ** np.arange(n - 1, -1, -1)       # the weight of each site's digit
     kept = np.array([s in keep for s in range(1, n + 1)], dtype=bool)
-    digits = rows[:, None] // place[kept] % d   # each row's kept digits: i_r
-    out_row = digits @ place[n - len(keep):]
-    # the nonzeros on a (slot, output row i_r) grid, in row-major order down
-    # each column; a short column is padded with entry len(rows), a zero
-    count = np.bincount(out_row, minlength=d ** len(keep))
-    order = np.argsort(out_row, kind="stable")
-    slot = np.arange(len(rows)) - (np.cumsum(count) - count)[out_row[order]]
-    grid = np.full((count.max(initial=1), count.size), len(rows))
-    grid[slot, out_row[order]] = order
-    entries = np.zeros(kernel.mat.shape[:-2] + (len(rows) + 1,), dtype=kernel.mat.dtype)
-    entries[..., :-1] = kernel.mat[..., rows, cols]
-    f_rows = np.append(cols, 0)[grid]
-    f_cols = np.append(rows - digits @ place[kept], 0)[grid]     # a_r, the kept digits 0
-    ends = np.cumsum(sites)
-
-    def gather(t: int) -> np.ndarray:
-        """Factor t's entries that the terms read, its kept columns j_t on axis t."""
-        block = slice(ends[t] - sites[t], ends[t])
-        low, dim = d ** (n - ends[t]), d ** sites[t]
-        free = place[block][kept[block]] // low      # the weights of j_t's digits
-        offsets = np.indices((d,) * len(free)).reshape(len(free), d ** len(free)).T @ free
-        g = np.asarray(factors[t])[..., (f_rows // low % dim)[..., None],
-                                   (f_cols // low % dim)[..., None] + offsets]
-        axes = [1] * len(factors)
-        axes[t] = len(offsets)
-        return g.reshape(g.shape[:-1] + tuple(axes))
-
-    terms = entries[(..., grid) + (None,) * len(factors)] \
-        * reduce(np.multiply, map(gather, range(len(factors))))
-    terms = terms.reshape(terms.shape[:-len(factors)] + (-1,))
-    # np.sum may add the slots pairwise, in a tree that padding zeros would
-    # reshape; a running sum adds them in order, so exact zeros change no bit
-    out = np.cumsum(terms, axis=-3)[..., -1, :, :]
-    return DenseOperator(len(keep), d, out)
+    width = d ** len(keep)
+    i_r = (rows[:, None] // place[kept] % d) @ place[n - len(keep):]    # r's output row
+    spread = (np.arange(width)[:, None] // place[n - len(keep):] % d) @ place[kept]
+    f_cols = (rows - spread[i_r])[:, None] + spread     # (a_r, j): r's kept digits made j's
+    stack = np.broadcast_shapes(kernel.mat.shape[:-2], *(f.shape[:-2] for f in factors))
+    terms = np.empty(stack + f_cols.shape, dtype=np.result_type(kernel.mat, *factors))
+    low = d ** n
+    for t, (f, m) in enumerate(zip(factors, sites)):
+        span, low = d ** m, low // d ** m       # factor t's dimension, its last site's weight
+        g = f.reshape(f.shape[:-2] + (span * span,))[
+            ..., cols[:, None] // low % span * span + f_cols // low % span]
+        if t:
+            terms *= g
+        else:
+            terms[...] = g
+    np.multiply(kernel.mat[..., rows, cols, None], terms, out=terms)
+    # one bin per (stack member, i_r, j), each added in input order: K's row-major order
+    cells = (i_r[:, None] * width + np.arange(width)).ravel()
+    out = np.empty(np.prod(stack, dtype=int) * width ** 2, dtype=complex)
+    bins = (np.arange(0, out.size, width ** 2)[:, None] + cells).ravel()
+    out.real = np.bincount(bins, terms.real.ravel(), out.size)
+    out.imag = np.bincount(bins, terms.imag.ravel(), out.size)
+    return DenseOperator(len(keep), d, out.reshape(stack + (width, width)))
 
 
 def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -330,6 +332,81 @@ class TestCompose:
         assert code == 0 and out == ""
         lines = path.read_text().splitlines()
         assert len(lines) == 4 and lines[2] == "product: (1 2 3)"
+
+
+class TestOutFile:
+    """--out writes what stdout gets, as a shell redirect would."""
+
+    WERNER_PPT = ("werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-props", "--only", "prop5", "--tuples", "2"),
+        ("verify-props", "--only", "prop5", "--tuples", "2", "--format", "json"),
+        ("projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"),
+        ("projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]",
+         "--format", "json"),
+        ("scan-bcs", "--alpha", "0:0.5:0.5", "--beta", "0:0:1", "--seed", "9"),
+        WERNER_PPT,
+        ("ew-maps", "--row", "f1", "--instances", "2"),
+        ("compose", "(1 2)", "(2 3)", "--n", "3"),
+    ], ids=["verify-props", "verify-props-json", "projector", "projector-json", "scan-bcs",
+            "werner-ppt", "ew-maps", "compose"])
+    def test_file_bytes_are_stdout(self, capsys, tmp_path, argv):
+        code, stdout, _ = run(capsys, *argv)
+        path = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        assert code == 0 and path.read_bytes() == stdout.encode()
+
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_new_file_gets_the_umask_mode(self, capsys, tmp_path, umask_022):
+        path = tmp_path / "new.json"
+        assert run(capsys, *self.WERNER_PPT, "--out", str(path))[0] == 0
+        assert path.stat().st_mode & 0o7777 == 0o644
+
+    def test_replaced_file_keeps_its_mode(self, capsys, tmp_path, umask_022):
+        path = tmp_path / "old.json"
+        path.write_text("old")
+        path.chmod(0o604)
+        assert run(capsys, *self.WERNER_PPT, "--out", str(path))[0] == 0
+        assert path.stat().st_mode & 0o7777 == 0o604 and path.read_text() != "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+    def test_symlink_stays_a_link(self, capsys, tmp_path):
+        (tmp_path / "real").mkdir()
+        target, link = tmp_path / "real" / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        code, stdout, _ = run(capsys, *self.WERNER_PPT)
+        assert run(capsys, *self.WERNER_PPT, "--out", str(link))[0] == code == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == stdout
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["target.json"]
+
+    def test_symlink_loop_fails_on_one_line(self, capsys, tmp_path):
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        code, out, err = run(capsys, *self.WERNER_PPT, "--out", str(tmp_path / "a"))
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert (tmp_path / "a").is_symlink() and (tmp_path / "b").is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_fifo_gets_the_bytes_and_stays_a_fifo(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, *self.WERNER_PPT, "--out", str(fifo))
+        reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        assert received == [run(capsys, *self.WERNER_PPT)[1].encode()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
 class TestFlags:

@@ -191,6 +191,35 @@ class TestFusedContract:
                 alone = contract(DenseOperator(n, d, mats[t]), [f[t] for f in factors], keep)
                 assert np.array_equal(out.mat[t], alone.mat)
 
+    @pytest.mark.parametrize("kernel_stack, factor_stacks", [
+        ((), [(), (4,), ()]),           # an unstacked first factor, a stacked later one
+        ((4,), [(), (), ()]),           # a stacked kernel, unstacked factors
+        ((2, 3), [(), (), (3,)]),       # two kernel axes, a factor on the last one
+    ])
+    def test_broadcast_stacks_give_each_members_contraction(self, kernel_stack,
+                                                            factor_stacks, rng):
+        # a diagram's support with complex weights; every member bit for bit
+        d, n = 3, 3
+        diagram = realize(from_permutation(backward_cycle(n), {2}), d)
+        mats = diagram * rng.standard_normal(kernel_stack + diagram.shape) \
+            * np.exp(1j * rng.standard_normal(kernel_stack + diagram.shape))
+        factors = [rng.standard_normal(s + (d, d)) + 1j * rng.standard_normal(s + (d, d))
+                   for s in factor_stacks]
+        stack = np.broadcast_shapes(kernel_stack, *factor_stacks)
+
+        def pick(a, lead, member):
+            """The array ``a`` with stack axes ``lead`` at a member of ``stack``."""
+            return a[member[len(stack) - len(lead):]]
+
+        for keep in ([], [n], [1, n], list(range(1, n + 1))):
+            out = contract(DenseOperator(n, d, mats), factors, keep)
+            assert out.mat.shape == stack + (d ** len(keep),) * 2
+            for member in np.ndindex(stack):
+                alone = contract(DenseOperator(n, d, pick(mats, kernel_stack, member)),
+                                 [pick(f, s, member) for f, s in zip(factors, factor_stacks)],
+                                 keep)
+                assert np.array_equal(out.mat[member], alone.mat)
+
     def test_a_stack_does_not_form_the_kronecker_product(self, rng):
         # 20 tuples at n = 5, d = 3 with one kept site peak below one d^{2n}
         # complex product (945 KB)
