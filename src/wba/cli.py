@@ -354,15 +354,13 @@ def cmd_ew_maps(args) -> int:
     results = {}
     for row in rows:
         devs = []
-        # an instance gathers the kernel's nonzeros times the output entries
+        # the inputs cover no output site, so an instance gathers the kernel's
+        # nonzeros, once each, or holds its output if that is larger
         outputs = args.d ** (2 if row.startswith("f") else 1)
-        for t in stack_sizes(args.instances, support * outputs):
+        for t in stack_sizes(args.instances, max(support, outputs ** 2)):
             # per instance: the parameters, then a, then b (drawn for f rows too)
-            drawn = [(ent.random_valid_werner(rng, args.d), dense_ops.random_matrix(args.d, 1, rng),
-                      dense_ops.random_matrix(args.d, 1, rng)) for _ in range(t)]
-            params, a, b = zip(*drawn)
-            params, a = ent.WernerParams.stack(params), np.array(a)
-            b = np.array(b) if row.startswith("g") else None
+            params, a, b = ent.random_werner_instances(rng, args.d, t)
+            b = b if row.startswith("g") else None
             closed = ent.eggeling_werner_map(row, params, a, b)
             trace = ent.eggeling_werner_map_trace(row, params, a, b)
             devs.append(dense_ops.sup_norm(closed.mat - trace.mat))
@@ -429,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate the induced map on this many random PSD inputs")
 
     p = add("scan-bcs", cmd_scan_bcs, "scan the kernel family over an (alpha, beta) grid",
-            seeds="only the fallback search, run when a covariance check fails")
+            seeds="only the fallback search, run when a covariance check fails; "
+                  "no finite grid point reaches it")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--alpha", required=True, help="range start:stop:step")
     p.add_argument("--beta", required=True, help="range start:stop:step")

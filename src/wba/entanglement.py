@@ -32,11 +32,14 @@ _PERM_DIAGRAMS = tuple(from_permutation(parse_permutation(t, 3))
 
 
 @lru_cache(maxsize=1)
-def _werner_basis(d: int) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
-    """Dense id, (12), (23), (31), (123), (321) on three factors, and the
-    orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3 built from them, read-only:
-    werner_state needs both on every call, and callers sweep one d at a time,
-    so only the last d is kept."""
+def _werner_basis(d: int):
+    """Dense id, (12), (23), (31), (123), (321) on three factors, the
+    orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3 built from them, and their
+    support: the flat indices of the entries any permutation hits, each
+    entry's pattern (the set of permutations that hit it; 16 at d >= 3), and
+    the six permutations and the six R_k (in R_KEYS order) on one entry of
+    each pattern.  All read-only: werner_state needs them on every call, and
+    callers sweep one d at a time, so only the last d is kept."""
     perms = tuple(realize(p, d) for p in _PERM_DIAGRAMS)
     one, p12, p23, p31, p123, p321 = perms
     s3 = math.sqrt(3.0)
@@ -48,9 +51,14 @@ def _werner_basis(d: int) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]
         "2": (p12 - p31) / s3,
         "3": 1j * (p123 - p321) / s3,
     }
-    for mat in (*perms, *rk.values()):
+    support = np.flatnonzero(sum(perms))
+    perms_p, first, pattern = np.unique(np.array([p.flat[support] for p in perms]), axis=1,
+                                        return_index=True, return_inverse=True)
+    pattern = pattern.ravel()
+    rk_p = np.array([m.flat[support[first]] for m in rk.values()])
+    for mat in (*perms, *rk.values(), support, pattern, perms_p, rk_p):
         mat.flags.writeable = False
-    return perms, rk
+    return perms, rk, (support, pattern, perms_p, rk_p)
 
 
 R_KEYS = ("+", "-", "0", "1", "2", "3")
@@ -76,27 +84,35 @@ def cs_from_rs(rs, d: int):
 
 
 def alphas_from_cs(cs):
-    """Expand sum_k c_k R_k in the permutation basis.
+    """Expand sum_k c_k R_k in the permutation basis: complex numbers for
+    floats, complex arrays for arrays of one stack shape.
 
     The (1 2) coefficient is c+/6 - c-/6 - c1/3 + c2/sqrt(3): R_1 contributes
     -c1/3 and R_2 contributes +c2/sqrt(3) there, mirroring the (3 1)
-    coefficient up to the sign of c2.
+    coefficient up to the sign of c2.  The imaginary part is i (c3/sqrt(3)),
+    so floats and arrays round alike (numpy divides a complex number by a
+    real one through its reciprocal).
     """
     cp, cm, c0, c1, c2, c3 = cs
     s3 = math.sqrt(3.0)
-    return (
-        complex(cp / 6 + cm / 6 + 2 * c0 / 3),
-        complex(cp / 6 - cm / 6 - c1 / 3 + c2 / s3),
-        complex(cp / 6 - cm / 6 + 2 * c1 / 3),
-        complex(cp / 6 - cm / 6 - c1 / 3 - c2 / s3),
-        complex(cp / 6 + cm / 6 - c0 / 3 + 1j * c3 / s3),
-        complex(cp / 6 + cm / 6 - c0 / 3 - 1j * c3 / s3),
+    ic3 = 1j * (c3 / s3)
+    alphas = (
+        cp / 6 + cm / 6 + 2 * c0 / 3,
+        cp / 6 - cm / 6 - c1 / 3 + c2 / s3,
+        cp / 6 - cm / 6 + 2 * c1 / 3,
+        cp / 6 - cm / 6 - c1 / 3 - c2 / s3,
+        cp / 6 + cm / 6 - c0 / 3 + ic3,
+        cp / 6 + cm / 6 - c0 / 3 - ic3,
     )
+    return tuple(np.asarray(a, dtype=complex) if isinstance(a, np.ndarray) else complex(a)
+                 for a in alphas)
 
 
 @dataclass(frozen=True)
 class WernerParams:
-    """A U (x) U (x) U - invariant operator in all three coordinate systems."""
+    """A U (x) U (x) U - invariant operator in all three coordinate systems.
+    Stacked parameters hold (T, 1, 1) coefficient arrays, from which
+    werner_state and the maps give stacks of T."""
 
     alphas: tuple[complex, ...]
     cs: tuple[float, ...]
@@ -105,17 +121,9 @@ class WernerParams:
 
     @staticmethod
     def from_rs(rs, d: int) -> "WernerParams":
-        rs = tuple(float(r) for r in rs)
+        rs = tuple(r if isinstance(r, np.ndarray) else float(r) for r in rs)
         cs = cs_from_rs(rs, d)
         return WernerParams(alphas_from_cs(cs), cs, rs, d)
-
-    @staticmethod
-    def stack(params: list["WernerParams"]) -> "WernerParams":
-        """T parameter sets of one d as one of (T, 1, 1) coefficient arrays,
-        from which werner_state and the maps give stacks of T."""
-        columns = [np.array([getattr(p, key) for p in params]).T[..., None, None]
-                   for key in ("alphas", "cs", "rs")]
-        return WernerParams(*(tuple(c) for c in columns), params[0].d)
 
     def is_valid_state(self) -> bool:
         rp, rm, r0, r1, r2, r3 = self.rs
@@ -124,33 +132,62 @@ class WernerParams:
                 and r1 * r1 + r2 * r2 + r3 * r3 <= r0 * r0 + STATE_SLACK)
 
 
+def _werner_draw(rng: np.random.Generator):
+    """The generator calls of one valid parameter vector: simplex weights for
+    (r+, r-, r0), a unit direction and the cube root of a uniform number."""
+    simplex = rng.dirichlet((1.0, 1.0, 1.0))
+    direction = rng.standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    return simplex, direction, rng.random() ** (1.0 / 3.0)
+
+
+def _rs_from_draw(simplex, direction, root) -> tuple:
+    """(r+, r-, r0) the simplex weights and (r1, r2, r3) the point r0 * root
+    * direction of the radius-r0 ball; draws may be stacked on leading axes."""
+    radius = simplex[..., 2] * root
+    return (*np.moveaxis(simplex, -1, 0), *np.moveaxis(radius[..., None] * direction, -1, 0))
+
+
 def random_valid_werner(rng: np.random.Generator, d: int = 3) -> WernerParams:
     """Uniform-ish sample of a valid parameter vector: simplex weights for
     (r+, r-, r0) and a uniform point of the radius-r0 ball for (r1, r2, r3)."""
-    rp, rm, r0 = rng.dirichlet((1.0, 1.0, 1.0))
-    direction = rng.standard_normal(3)
-    direction /= np.linalg.norm(direction)
-    radius = r0 * rng.random() ** (1.0 / 3.0)
-    r1, r2, r3 = radius * direction
-    return WernerParams.from_rs((rp, rm, r0, r1, r2, r3), d)
+    return WernerParams.from_rs(_rs_from_draw(*_werner_draw(rng)), d)
+
+
+def random_werner_instances(rng: np.random.Generator, d: int, count: int):
+    """count draws of random_valid_werner and two random_matrix inputs, the
+    same stream and bits, as stacked parameters and two (count, d, d) input
+    stacks: each instance makes its four generator calls in that order, and
+    the formulas then run once on the arrays."""
+    draws = [(*_werner_draw(rng), rng.standard_normal((4, d, d))) for _ in range(count)]
+    simplex, direction, root, z = (np.array(x) for x in zip(*draws))
+    rs = _rs_from_draw(simplex, direction, root)
+    params = WernerParams.from_rs([r[:, None, None] for r in rs], d)
+    a, b = ((z[:, i] + 1j * z[:, i + 1]) / np.sqrt(2) for i in (0, 2))
+    return params, a, b
 
 
 def werner_state(params: WernerParams) -> DenseOperator:
     """Dense operator from the alpha coefficients; cross-checked against the
     R_k expansion, so inconsistent parameter sets are rejected.  Stacked
-    parameters (WernerParams.stack) give the stack of states, each checked."""
-    perms, rk = _werner_basis(params.d)
-    mat = sum(a * p for a, p in zip(params.alphas, perms))
-    mat_c = sum(c * rk[key] for c, key in zip(params.cs, R_KEYS))
-    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-    if (np.abs(mat - mat_c).max(axis=(-2, -1)) > ATOL * scale).any():
+    parameters give the stack of states, each checked.  Both sums run once
+    per pattern of the support, which the entries of a pattern then share:
+    the bits of the dense sums, whose other entries are exact zeros."""
+    support, pattern, perms_p, rk_p = _werner_basis(params.d)[2]
+    mat = sum(a * p for a, p in zip(params.alphas, perms_p))
+    mat_c = sum(c * r for c, r in zip(params.cs, rk_p))
+    scale = np.maximum(1.0, np.abs(mat).max(axis=-1))
+    if (np.abs(mat - mat_c).max(axis=-1) > ATOL * scale).any():
         raise ValueError("alpha and c coefficient sets disagree")
-    return DenseOperator(3, params.d, mat)
+    dim = params.d ** 3
+    dense = np.zeros(mat.shape[:-1] + (dim * dim,), dtype=complex)
+    dense[..., support] = mat[..., pattern]
+    return DenseOperator(3, params.d, dense.reshape(mat.shape[:-2] + (dim, dim)))
 
 
 def werner_support(d: int) -> int:
     """Nonzero entries of a generic Werner state, the same for each partial transpose."""
-    return int(np.count_nonzero(sum(_werner_basis(d)[0])))
+    return _werner_basis(d)[2][0].size
 
 
 def werner_ppt_conditions(rs) -> tuple[list[bool], bool]:

@@ -8,7 +8,8 @@ a time and serves every kernel; ``evaluate_oracle`` computes the same map
 literally through ``contract``, the one brute-force contraction of the
 package (each nonzero kernel entry times the entries of the inputs'
 Kronecker product that it meets, one flat gather per input and one bincount
-in the kernel's order, the product never formed), and is the ground truth
+in the kernel's order, the product never formed and the identity on the
+output sites taken as a delta, not a factor), and is the ground truth
 for both it and the closed forms below: single-cycle kernels with one
 transposed site reduce to matrix products with a transpose inserted, those
 with a transposed subset to products with transposes on the subset (or on
@@ -86,38 +87,43 @@ def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
     """Literal contraction: tr over every site not in ``keep`` of kernel @ F,
-    F = F_1 (x) F_2 (x) ..., summed over the kernel's nonzero entries.
+    F = F_1 (x) F_2 (x) ... (x) 1, summed over the kernel's nonzero entries.
 
-    The factors are square and tile the kernel's sites from site 1 on; one
-    may cover no site (1 x 1), one or several.  With ``keep`` empty the
-    result is the full trace as a 1 x 1 operator, with every site kept it is
-    kernel @ F.  With the kernel's rows r split into (traced a_r, kept i_r)
+    The factors (at least one) are square and tile the kernel's sites from
+    site 1 on; one may cover no site (1 x 1), one or several.  The sites
+    after the last factor carry the identity and must be kept.  With
+    ``keep`` empty the result is the full trace as a 1 x 1 operator, with
+    every site kept it is kernel @ F.  With the kernel's rows r split into (traced a_r, kept i_r)
     sites and F's columns likewise, out[i_r, j] gets K[r, c] F[c, (a_r, j)]
-    for each nonzero K[r, c] and each kept column j.  F is never formed:
-    each factor is gathered once, at flat indices, and the terms are
-    multiplied in place as K ((F_1 F_2) ...); one ``np.bincount`` adds each
-    output entry's terms in row-major order of the kernel.  This is the
-    ground truth every closed form is tested against.  The kernel and the
-    factors may be stacks (leading axes, broadcast): the terms run over the
-    union of the members' supports, and each member of the result is that
-    member's contraction alone, bit for bit (a member's zero entries add
-    exact zeros).
+    for each nonzero K[r, c] and each kept column j that the identity does
+    not zero: j's identity-site digits are c's, so only the kept sites a
+    factor covers give K[r, c] more than one term.  F is never formed: each
+    factor is gathered once, at flat indices, and the terms are multiplied
+    in place as K ((F_1 F_2) ...); one ``np.bincount`` adds each output
+    entry's terms in row-major order of the kernel.  This is the ground
+    truth every closed form is tested against.  The kernel and the factors
+    may be stacks (leading axes, broadcast): the terms run over the union of
+    the members' supports, and each member of the result is that member's
+    contraction alone, bit for bit (a member's zero entries add exact zeros).
     """
     d, n = kernel.d, kernel.n
     keep = dense_ops._validate_sites(keep, n)
     sites = [next((m for m in range(n + 1) if np.shape(f)[-2:] == (d ** m,) * 2), None)
              for f in factors]
-    if None in sites or sum(sites) != n:
+    covered = sum(s or 0 for s in sites)
+    if not factors or None in sites or covered > n \
+            or not set(range(covered + 1, n + 1)) <= set(keep):
         raise ValueError(f"factors of shapes {[np.shape(f) for f in factors]} "
-                         f"do not tile {n} sites of dimension {d}")
+                         f"do not tile {n} sites of dimension {d} up to kept identity sites")
     factors = [np.asarray(f) for f in factors]
     rows, cols = _support(kernel.mat)
     place = d ** np.arange(n - 1, -1, -1)       # the weight of each site's digit
     kept = np.array([s in keep for s in range(1, n + 1)], dtype=bool)
-    width = d ** len(keep)
+    width, ident = d ** len(keep), d ** (n - covered)   # kept columns, identity columns
     i_r = (rows[:, None] // place[kept] % d) @ place[n - len(keep):]    # r's output row
     spread = (np.arange(width)[:, None] // place[n - len(keep):] % d) @ place[kept]
-    f_cols = (rows - spread[i_r])[:, None] + spread     # (a_r, j): r's kept digits made j's
+    free = spread[::ident]                      # the kept columns on covered sites
+    f_cols = (rows - spread[i_r])[:, None] + free       # (a_r, j): r's kept digits made j's
     stack = np.broadcast_shapes(kernel.mat.shape[:-2], *(f.shape[:-2] for f in factors))
     terms = np.empty(stack + f_cols.shape, dtype=np.result_type(kernel.mat, *factors))
     low = d ** n
@@ -130,8 +136,9 @@ def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
         else:
             terms[...] = g
     np.multiply(kernel.mat[..., rows, cols, None], terms, out=terms)
-    # one bin per (stack member, i_r, j), each added in input order: K's row-major order
-    cells = (i_r[:, None] * width + np.arange(width)).ravel()
+    # one bin per (stack member, i_r, j), each added in input order: K's row-major
+    # order; j is the free kept column followed by c's identity digits
+    cells = ((i_r * width + cols % ident)[:, None] + np.arange(0, width, ident)).ravel()
     out = np.empty(np.prod(stack, dtype=int) * width ** 2, dtype=complex)
     bins = (np.arange(0, out.size, width ** 2)[:, None] + cells).ravel()
     out.real = np.bincount(bins, terms.real.ravel(), out.size)
@@ -143,10 +150,9 @@ def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
     """The map by ``contract``: inputs on sites 1..n_in, identity on the rest."""
     if len(inputs) != spec.n_in:
         raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
-    d = spec.d
-    factors = [_as_matrix(x, d) for x in inputs] + [np.eye(d ** spec.n_out, dtype=complex)]
-    kernel = DenseOperator(spec.sites, d, spec.kernel_matrix())
-    return contract(kernel, factors, range(spec.n_in + 1, spec.sites + 1))
+    kernel = DenseOperator(spec.sites, spec.d, spec.kernel_matrix())
+    return contract(kernel, [_as_matrix(x, spec.d) for x in inputs],
+                    range(spec.n_in + 1, spec.sites + 1))
 
 
 def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:

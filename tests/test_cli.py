@@ -70,6 +70,12 @@ class TestVerifyProps:
         payload = json.loads(out)
         assert all(case["passed"] for case in payload)
 
+    def test_json_output_is_golden(self, capsys):
+        # every printed deviation, byte for byte
+        code, out, _ = run(capsys, "verify-props", "--format", "json", "--seed", "0")
+        assert code == 0
+        assert out == (DATA / "verify_props_seed0.json").read_text()
+
 
 class TestProjector:
     def test_worked_example(self, capsys):
@@ -274,6 +280,12 @@ class TestEwMaps:
     def test_unknown_row(self, capsys):
         code, _, err = run(capsys, "ew-maps", "--row", "h9")
         assert code == 1
+
+    def test_output_is_golden(self, capsys):
+        # the seeded draws and every printed deviation, byte for byte
+        code, out, _ = run(capsys, "ew-maps", "--seed", "1")
+        assert code == 0
+        assert out == (DATA / "ew_maps_seed1.json").read_text()
 
     def test_nan_deviation_fails(self, capsys, monkeypatch):
         closed_form = ent.eggeling_werner_map

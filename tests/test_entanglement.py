@@ -1,4 +1,5 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -32,6 +33,56 @@ MAXIMALLY_MIXED_RS = np.array((10, 1, 16, 0, 0, 0)) / 27
 @pytest.fixture
 def rng():
     return np.random.default_rng(31)
+
+
+def _stack(params):
+    """T parameter sets of one d as one of (T, 1, 1) coefficient arrays."""
+    columns = [np.array([getattr(p, key) for p in params]).T[..., None, None]
+               for key in ("alphas", "cs", "rs")]
+    return WernerParams(*(tuple(c) for c in columns), params[0].d)
+
+
+def _bits(x):
+    """The bytes of a complex or float value, or of an array of them."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _dense_werner_state(params):
+    """The dense alpha sum over the six realized permutations, checked
+    against the dense R_k sum: werner_state's reference."""
+    perms, rk = ent._werner_basis(params.d)[:2]
+    mat = sum(a * p for a, p in zip(params.alphas, perms))
+    mat_c = sum(c * rk[key] for c, key in zip(params.cs, ent.R_KEYS))
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+    if (np.abs(mat - mat_c).max(axis=(-2, -1)) > ent.ATOL * scale).any():
+        raise ValueError("alpha and c coefficient sets disagree")
+    return mat
+
+
+def _scalar_alphas(cs):
+    """The scalar permutation-basis expansion the shared formula replaced."""
+    cp, cm, c0, c1, c2, c3 = cs
+    s3 = math.sqrt(3.0)
+    return (
+        complex(cp / 6 + cm / 6 + 2 * c0 / 3),
+        complex(cp / 6 - cm / 6 - c1 / 3 + c2 / s3),
+        complex(cp / 6 - cm / 6 + 2 * c1 / 3),
+        complex(cp / 6 - cm / 6 - c1 / 3 - c2 / s3),
+        complex(cp / 6 + cm / 6 - c0 / 3 + 1j * c3 / s3),
+        complex(cp / 6 + cm / 6 - c0 / 3 - 1j * c3 / s3),
+    )
+
+
+def _scalar_draw(rng, d):
+    """One parameter vector by the scalar draw the batched one replaced."""
+    rp, rm, r0 = rng.dirichlet((1.0, 1.0, 1.0))
+    direction = rng.standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    radius = r0 * rng.random() ** (1.0 / 3.0)
+    r1, r2, r3 = radius * direction
+    rs = tuple(float(r) for r in (rp, rm, r0, r1, r2, r3))
+    cs = ent.cs_from_rs(rs, d)
+    return WernerParams(_scalar_alphas(cs), cs, rs, d)
 
 
 class TestBcsKernel:
@@ -434,11 +485,11 @@ class TestWernerParams:
         assert realized == [3] * 6 + [4] * 6 + [3] * 6
 
     def test_basis_is_read_only(self):
-        perms, rk = ent._werner_basis(3)
+        perms, rk, support = ent._werner_basis(3)
         assert sorted(rk) == sorted(ent.R_KEYS)
-        for mat in (*perms, *rk.values()):
+        for mat in (*perms, *rk.values(), *support):
             with pytest.raises(ValueError):
-                mat[0, 0] = 1.0
+                mat[(0,) * mat.ndim] = 1
 
     def test_hermitian_iff_coefficient_symmetry(self, rng):
         params = random_valid_werner(rng, 3)
@@ -463,6 +514,74 @@ class TestWernerParams:
                                 good.rs, 3)
         with pytest.raises(ValueError, match="disagree"):
             werner_state(tampered)
+
+
+class TestWernerSupport:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_state_is_the_dense_sums_bit_for_bit(self, d, rng):
+        params = [random_valid_werner(rng, d) for _ in range(12)]
+        params += [WernerParams.from_rs((0.4, 0.1, 0.5, 0.1, -0.2, r3), d)
+                   for r3 in (0.0, -0.0)]
+        params.append(WernerParams.from_rs((1, 0, 0, 0, 0, 0), d))
+        for p in params:
+            assert np.array_equal(_bits(werner_state(p).mat), _bits(_dense_werner_state(p)))
+        stacked = _stack(params)
+        assert np.array_equal(_bits(werner_state(stacked).mat),
+                              _bits(_dense_werner_state(stacked)))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_support_is_read_from_the_cache(self, d, monkeypatch):
+        perms = ent._werner_basis(d)[0]
+        monkeypatch.setattr(ent, "realize", None)   # no realization on a warm cache
+        assert ent.werner_support(d) == np.count_nonzero(sum(perms))
+        assert ent.werner_support(d) == (93 if d == 3 else 256)
+
+    @pytest.mark.parametrize("r3", [0.0, -0.0, 1e-3, -2.5e-2])
+    def test_shared_formulas_match_the_scalar_path(self, r3):
+        rs = (0.4, 0.1, 0.5, -0.3, 0.2, r3)
+        cs = ent.cs_from_rs(rs, 3)
+        expected = _scalar_alphas(cs)
+        single = ent.alphas_from_cs(cs)
+        assert all(type(a) is complex for a in single)
+        assert _bits(np.array(single)).tolist() == _bits(np.array(expected)).tolist()
+        arrays = WernerParams.from_rs([np.full((2, 1, 1), r) for r in rs], 3)
+        for got, want in zip(arrays.alphas, expected):
+            assert np.array_equal(_bits(got), _bits(np.full((2, 1, 1), want)))
+        for got, want in zip(arrays.cs, cs):
+            assert np.array_equal(_bits(got), _bits(np.full((2, 1, 1), want)))
+
+    def test_single_draw_is_the_scalar_draw(self):
+        new, old = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(30):
+            p, q = random_valid_werner(new, 3), _scalar_draw(old, 3)
+            assert p.rs == q.rs and p.cs == q.cs
+            assert _bits(np.array(p.alphas)).tolist() == _bits(np.array(q.alphas)).tolist()
+        assert new.random() == old.random()
+
+    @pytest.mark.parametrize("count", [1, 12, 19, 50])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_batched_draws_are_the_per_instance_stream(self, count, d):
+        new, old = np.random.default_rng(count), np.random.default_rng(count)
+        params, a, b = ent.random_werner_instances(new, d, count)
+        drawn = [(random_valid_werner(old, d), random_matrix(d, 1, old),
+                  random_matrix(d, 1, old)) for _ in range(count)]
+        reference = _stack([p for p, _, _ in drawn])
+        for key in ("alphas", "cs", "rs"):
+            for got, want in zip(getattr(params, key), getattr(reference, key)):
+                assert got.shape == (count, 1, 1)
+                assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(a), _bits(np.array([x for _, x, _ in drawn])))
+        assert np.array_equal(_bits(b), _bits(np.array([y for _, _, y in drawn])))
+        assert new.random() == old.random()
+
+    def test_one_state_is_no_slower_than_the_dense_sums(self):
+        # alternating rounds, so that a busy spell of the host slows both
+        params = WernerParams.from_rs((0.4, 0.1, 0.5, 0.1, 0.2, 0.05), 3)
+        rounds = {werner_state: [], _dense_werner_state: []}
+        for _ in range(15):
+            for f, times in rounds.items():
+                times.append(timeit.timeit(lambda: f(params), number=100))
+        assert min(rounds[werner_state]) <= min(rounds[_dense_werner_state]), rounds
 
 
 class TestPptConditions:
@@ -504,7 +623,7 @@ class TestInvariantStateMaps:
     def test_a_stack_gives_each_instance_its_own_bits(self, rng):
         params = [random_valid_werner(rng, 3) for _ in range(4)]
         a, b = (np.stack([random_matrix(3, 1, rng) for _ in range(4)]) for _ in range(2))
-        stacked = WernerParams.stack(params)
+        stacked = _stack(params)
         assert np.array_equal(werner_state(stacked).mat,
                               np.stack([werner_state(p).mat for p in params]))
         for row in ent.F_ROWS + ent.G_ROWS:
@@ -519,7 +638,7 @@ class TestInvariantStateMaps:
         good = [random_valid_werner(rng, 3) for _ in range(3)]
         bad = WernerParams(good[1].alphas, tuple(2 * c for c in good[1].cs), good[1].rs, 3)
         with pytest.raises(ValueError, match="disagree"):
-            werner_state(WernerParams.stack([good[0], bad, good[2]]))
+            werner_state(_stack([good[0], bad, good[2]]))
 
     def test_symmetry_identities(self, rng):
         for _ in range(10):

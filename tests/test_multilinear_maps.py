@@ -233,13 +233,46 @@ class TestFusedContract:
         tracemalloc.stop()
         assert peak < 16 * d ** (2 * n), peak
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_identity_sites_are_the_explicit_identity_bit_for_bit(self, k, d, rng):
+        # both k-cycles with every transposed subset, every split into inputs
+        # and kept identity sites, with and without a kept input site
+        for perm in (forward_cycle(k), backward_cycle(k)):
+            for size in range(k + 1):
+                for subset in itertools.combinations(range(1, k + 1), size):
+                    kernel = _kernel(perm, subset, d)
+                    for n_in in range(1, k):
+                        factors = [random_matrix(d, 1, rng) for _ in range(n_in)]
+                        eye = np.eye(d ** (k - n_in), dtype=complex)
+                        for keep in (range(n_in + 1, k + 1), range(n_in, k + 1)):
+                            implicit = contract(kernel, factors, keep).mat
+                            explicit = contract(kernel, factors + [eye], keep).mat
+                            assert np.array_equal(implicit.view(np.uint64),
+                                                  explicit.view(np.uint64))
+
+    def test_identity_sites_of_stacked_werner_kernels(self, rng):
+        from wba import entanglement as ent
+        for d in (3, 4):
+            params, a, b = ent.random_werner_instances(rng, d, 7)
+            for s in ((1,), (2,), (1, 3), (2, 3)):
+                kernel = dense_ops.partial_transpose(ent.werner_state(params), s)
+                for factors in ([a], [a, b], [a[2]], [a, b[0]]):
+                    n_in = len(factors)
+                    eye = np.eye(d ** (3 - n_in), dtype=complex)
+                    implicit = contract(kernel, factors, range(n_in + 1, 4)).mat
+                    explicit = contract(kernel, factors + [eye], range(n_in + 1, 4)).mat
+                    assert implicit.shape == (7,) + (d ** (3 - n_in),) * 2
+                    assert np.array_equal(implicit.view(np.uint64), explicit.view(np.uint64))
+
     @pytest.mark.parametrize("factor_shapes, keep, message", [
         ([(2, 2)] * 3, [0, 1], "out of range"),
         ([(2, 2)] * 3, [7], "out of range"),
-        ([(2, 2), (2, 2)], [3], "do not tile"),
+        ([(2, 2)], [3], "do not tile"),      # site 2 is traced and no factor covers it
         ([(2, 2), (4, 4), (2, 2)], [3], "do not tile"),
         ([(2, 2), (4, 2)], [3], "do not tile"),
         ([(2, 2), (3, 3), (2, 2)], [3], "do not tile"),
+        ([], [1, 2, 3], "do not tile"),     # no factor, the kernel alone
     ])
     def test_bad_input_fails_before_any_work(self, factor_shapes, keep, message,
                                              monkeypatch, rng):
