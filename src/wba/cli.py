@@ -326,16 +326,9 @@ def cmd_werner_ppt(args) -> int:
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     if valid and overall != eig_ppt:
-        instance = {
-            "r": list(rs),
-            "analytic": overall,
-            "eigencheck": eig_ppt,
-            "partial_transpose_matrix": dense_ops.matrix_to_json_rows(
-                dense_ops.partial_transpose(rho, (1,)).mat),
-        }
-        print("contradiction between the analytic conditions and the eigencheck:",
+        print(f"error: the analytic PPT conditions ({overall}) and the eigencheck ({eig_ppt}, "
+              f"least eigenvalue {_fmt(min_eig)}) disagree on the valid state --r {args.r}",
               file=sys.stderr)
-        print(json.dumps(instance, sort_keys=True), file=sys.stderr)
         return 2
     return 0
 

@@ -324,10 +324,15 @@ def idempotence_residual(m: DenseOperator, conjugated) -> float:
     return float(np.max(worst))
 
 
+def complex_gaussian(z: np.ndarray) -> np.ndarray:
+    """(re + i im) / sqrt(2) of raw standard normals z of shape
+    (..., 2, dim, dim): complex Gaussian matrices, entries N(0,1/2) + i N(0,1/2)."""
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2)
+
+
 def random_matrix(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Square complex Gaussian matrix (entries N(0,1/2) + i N(0,1/2))."""
-    dim = d ** n
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    """Square d^n x d^n complex Gaussian matrix, from one (2, d^n, d^n) draw of normals."""
+    return complex_gaussian(rng.standard_normal((2, d ** n, d ** n)))
 
 
 def random_psd(d: int, n: int, seed) -> DenseOperator:
@@ -352,8 +357,3 @@ def min_eigenvalue(m: DenseOperator) -> float:
     if not dev <= ATOL:
         raise ValueError(f"matrix is not a finite hermitian one (deviation {dev:.3g})")
     return float(np.linalg.eigvalsh(m.mat)[0])
-
-
-def matrix_to_json_rows(mat: np.ndarray) -> list[list[dict]]:
-    """Array-of-rows with {re, im} entries, the matrix wire format."""
-    return [[{"re": float(v.real), "im": float(v.imag)} for v in row] for row in mat]

@@ -159,11 +159,11 @@ def random_werner_instances(rng: np.random.Generator, d: int, count: int):
     same stream and bits, as stacked parameters and two (count, d, d) input
     stacks: each instance makes its four generator calls in that order, and
     the formulas then run once on the arrays."""
-    draws = [(*_werner_draw(rng), rng.standard_normal((4, d, d))) for _ in range(count)]
+    draws = [(*_werner_draw(rng), rng.standard_normal((2, 2, d, d))) for _ in range(count)]
     simplex, direction, root, z = (np.array(x) for x in zip(*draws))
     rs = _rs_from_draw(simplex, direction, root)
     params = WernerParams.from_rs([r[:, None, None] for r in rs], d)
-    a, b = ((z[:, i] + 1j * z[:, i + 1]) / np.sqrt(2) for i in (0, 2))
+    a, b = dense_ops.complex_gaussian(z).swapaxes(0, 1)
     return params, a, b
 
 
@@ -414,11 +414,12 @@ def _check_sites(m: DenseOperator, partition: PartitionSpec) -> None:
 
 
 def _blocked_tensor(m: DenseOperator, partition: PartitionSpec) -> np.ndarray:
+    """M with its sites in partition order, the order of the product vectors'
+    blocks, as one row axis, then one column axis, per block."""
     _check_sites(m, partition)
-    order = [s for b in partition.blocks for s in b]
-    axes = [s - 1 for s in order] + [m.n + s - 1 for s in order]
+    order = [s - 1 for b in partition.blocks for s in b]
     dims = [m.d ** len(b) for b in partition.blocks]
-    return m.tensor.transpose(axes).reshape(dims + dims)
+    return dense_ops._reorder(m, order + [m.n + s for s in order]).mat.reshape(dims + dims)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -430,10 +431,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def product_state_value(m: DenseOperator, partition: PartitionSpec, vectors) -> float:
     """<v_1 ... v_l| M |v_1 ... v_l> with the blocks in partition order."""
     full = dense_ops.kron_all(vectors)
-    # full lives on block-reordered sites; bring M into the same order
-    t = _blocked_tensor(m, partition)
-    dim = int(np.prod([m.d ** len(b) for b in partition.blocks]))
-    mat = t.reshape(dim, dim)
+    mat = _blocked_tensor(m, partition).reshape(m.mat.shape)
     return float(np.real(full.conj() @ mat @ full))
 
 
@@ -451,6 +449,7 @@ def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: S
         raise ValueError("the search needs restarts >= 1 and samples >= 0")
     rng = np.random.default_rng(budget.seed)
     t = _blocked_tensor(m, partition)
+    mat = t.reshape(m.mat.shape)
     dims = [m.d ** len(b) for b in partition.blocks]
     ell, starts = len(dims), budget.samples + budget.restarts
 
@@ -460,10 +459,7 @@ def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: S
         v = raw[:, offset:offset + dim] + 1j * raw[:, offset + dim:offset + 2 * dim]
         vecs.append(v / np.sqrt(_row_dot(v.real, v.real) + _row_dot(v.imag, v.imag))[:, None])
         offset += 2 * dim
-    full = vecs[0]
-    for v in vecs[1:]:
-        full = (full[:, :, None] * v[:, None, :]).reshape(starts, -1)
-    mat = t.reshape(full.shape[1], -1)
+    full = dense_ops.kron_all([v[:, None, :] for v in vecs])[:, 0]
     values = _row_dot((full.conj()[:, None, :] @ mat)[:, 0], full).real
 
     # see-saw on the restart rows; these views write through to vecs, values
@@ -496,7 +492,7 @@ def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: S
 
 
 def check_block_positive(m: DenseOperator, partition: PartitionSpec,
-                         budget: SearchBudget | None = None) -> PositivityVerdict:
+                         budget: SearchBudget = SearchBudget()) -> PositivityVerdict:
     """Classify a hermitian operator as PSD / witness candidate / negative on
     a product state / inconclusive, for the given site partition.
 
@@ -505,7 +501,6 @@ def check_block_positive(m: DenseOperator, partition: PartitionSpec,
     concrete violating product state whose value is re-evaluated
     independently of the search.
     """
-    budget = budget or SearchBudget()
     _check_sites(m, partition)
     lam = dense_ops.min_eigenvalue(m)     # raises for a non-hermitian m
     if lam >= -EIG_TOL:
@@ -554,13 +549,12 @@ def covariant_block_minimum(m: DenseOperator, conjugated
 
 
 def check_covariant_block_positive(m: DenseOperator, conjugated,
-                                   budget: SearchBudget | None = None) -> PositivityVerdict:
+                                   budget: SearchBudget = SearchBudget()) -> PositivityVerdict:
     """check_block_positive for the cut 1|rest of an operator covariant as
     covariant_block_minimum requires: the PSD step is the same, and the
     product minimum is the exact one, so the verdict is ``certified``.  An
     operator that fails the covariance check gets check_block_positive's
     search, seeded by the budget; the check itself draws nothing."""
-    budget = budget or SearchBudget()
     partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
     lam = dense_ops.min_eigenvalue(m)
     if lam >= -EIG_TOL:
@@ -575,7 +569,7 @@ def check_covariant_block_positive(m: DenseOperator, conjugated,
 # cross-validation and scans
 # ---------------------------------------------------------------------------
 
-def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = None) -> dict:
+def proposition1_check(params: WernerParams, s, budget: SearchBudget = SearchBudget()) -> dict:
     """Positivity of f_S / g_S on PSD inputs against block-positivity of
     rho^{T_S} for 1|23 and 1|2|3 respectively; lists any contradiction.  A
     rho that is not a state (least eigenvalue below -EIG_TOL) is refused.
@@ -627,7 +621,7 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget | None = No
 
 
 def scan_bcs_region(alpha_values, beta_values, d: int,
-                    budget: SearchBudget | None = None) -> list[dict]:
+                    budget: SearchBudget = SearchBudget()) -> list[dict]:
     """Grid scan: analytic condition, minimum eigenvalue, 1|23 product-state
     minimum and classification per (alpha, beta) point.
 
@@ -637,7 +631,6 @@ def scan_bcs_region(alpha_values, beta_values, d: int,
     if that check fails, each point seeded by the budget seed offset by its
     grid indices.
     """
-    budget = budget or SearchBudget()
     basis = _bcs_basis(d)
     rows = []
     for i, alpha in enumerate(alpha_values):

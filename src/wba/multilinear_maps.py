@@ -177,7 +177,7 @@ def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
 # cycle kernels with transposed sites -> matrix products
 # ---------------------------------------------------------------------------
 
-def evaluate_cycle_to_one(direction: str, j: int, inputs, d: int | None = None) -> DenseOperator:
+def evaluate_cycle_to_one(direction: str, j: int, inputs) -> DenseOperator:
     """Closed form of tr over all sites but one of (cycle)^{T_j} X_1...X_k.
 
     backward (k..1), output on site k:
@@ -186,19 +186,20 @@ def evaluate_cycle_to_one(direction: str, j: int, inputs, d: int | None = None) 
         j != 1:  X_k ... X_j^T ... X_1        j == 1:  (X_k ... X_2)^T X_1
     (the two j-on-the-kept-site cases are mirror images of each other).
     The backward cycle is cycle_subset_to_one with S = {j}; the forward one
-    is its mirror image under the relabelling i -> k+1-i.
+    is its mirror image under the relabelling i -> k+1-i.  d is read from
+    the inputs, as there.
     """
     k = len(inputs)
     if not 1 <= j <= k:
         raise ValueError(f"transposed site {j} out of range 1..{k}")
     if direction == "backward":
-        return cycle_subset_to_one({j}, inputs, d)
+        return cycle_subset_to_one({j}, inputs)
     if direction == "forward":
-        return cycle_subset_to_one({k + 1 - j}, inputs[::-1], d)
+        return cycle_subset_to_one({k + 1 - j}, inputs[::-1])
     raise ValueError(f"direction must be forward or backward, got {direction!r}")
 
 
-def cycle_subset_to_one(s, inputs, d: int | None = None) -> DenseOperator:
+def cycle_subset_to_one(s, inputs) -> DenseOperator:
     """tr_{1..k-1}[(k..1)^{T_S} X_1 (x) ... (x) X_k] for any S: a product
     with transposes steered by S.
 
@@ -207,13 +208,14 @@ def cycle_subset_to_one(s, inputs, d: int | None = None) -> DenseOperator:
         with exactly the factors whose index is NOT in S transposed.  (The
         subset, not the tuple positions, decides the transposes; this is the
         reading the contraction oracle confirms.)
-    Stacked inputs give the stack of the products.
+    Stacked inputs give the stack of the products.  d is read from the first
+    input (d x d matrices or single-site operators, or stacks of them); an
+    input of another size is a ValueError.
     """
     k = len(inputs)
-    if d is None:
-        if not k:
-            raise ValueError("need at least one input")
-        d = inputs[0].shape[-1] if not isinstance(inputs[0], DenseOperator) else inputs[0].d
+    if not k:
+        raise ValueError("need at least one input")
+    d = inputs[0].d if isinstance(inputs[0], DenseOperator) else np.shape(inputs[0])[-1]
     mats = [_as_matrix(x, d) for x in inputs]
     s = frozenset(s)
     if any(not 1 <= i <= k for i in s):

@@ -307,15 +307,13 @@ def irrep_dimension(alpha: Partition) -> int:
 def schur_weyl_multiplicity(alpha: Partition, d: int) -> int:
     """Dimension of the GL_d irrep labelled alpha; 0 when height(alpha) > d.
 
-    Hook content formula: prod over cells of (d + col - row) / hook.
+    Hook content formula: prod over cells of (d + col - row) / hook, with
+    the hook product n! / irrep_dimension(alpha).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    num = prod(d + j - i for i, j in alpha.cells())
-    if num == 0:
-        return 0
-    hooks = prod(alpha.hook_length(i, j) for i, j in alpha.cells())
-    m, rem = divmod(num, hooks)
+    m, rem = divmod(prod(d + j - i for i, j in alpha.cells()) * irrep_dimension(alpha),
+                    factorial(alpha.n))
     assert rem == 0
     return m
 

@@ -37,7 +37,7 @@ def _draw(rng, t: int, count: int, dim: int) -> list[np.ndarray]:
     """t tuples of count complex Gaussian dim x dim matrices, as count stacks
     of t: the stream of t * count ``random_matrix`` calls, tuple by tuple."""
     z = rng.standard_normal((t, count, 2, dim, dim))
-    return list(((z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2)).swapaxes(0, 1))
+    return list(dense_ops.complex_gaussian(z).swapaxes(0, 1))
 
 
 def _kernel(perm: Permutation, transposed, d: int) -> DenseOperator:
@@ -86,7 +86,7 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
                 for j in range(1, k + 1):
                     run("prop3", f"prop3:{direction},k={k},j={j},d={d}", d, 1, (k, d),
                         (cyc, {j}), lambda kernel, mats: (
-                            mm.evaluate_cycle_to_one(direction, j, mats, d).mat
+                            mm.evaluate_cycle_to_one(direction, j, mats).mat
                             - mm.contract(kernel, mats, [keep]).mat))
 
     # transposed subsets on the backward cycle, k = 4
@@ -98,7 +98,7 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
                 label = "{" + ",".join(str(x) for x in sorted(s)) + "}"
                 run("prop4", f"prop4:S={label},d={d}", d, 1, (k, d),
                     (mm.backward_cycle(k), s), lambda kernel, mats: (
-                        mm.cycle_subset_to_one(s, mats, d).mat
+                        mm.cycle_subset_to_one(s, mats).mat
                         - mm.contract(kernel, mats, [k]).mat))
 
     # one input to k-1 outputs: reshuffling chain and its permutation form

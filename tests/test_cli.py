@@ -134,6 +134,14 @@ class TestProjector:
         assert code == 0
         assert out == (DATA / "projector_n4_k1_d2.json").read_text()
 
+    def test_emitted_map_output_is_golden(self, capsys):
+        # the seeded random_psd inputs and the map's least eigenvalue, byte for byte
+        code, out, _ = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
+                           "--mu", "[2,1]", "--alpha", "[2]", "--emit-map", "2",
+                           "--seed", "3", "--format", "json")
+        assert code == 0
+        assert out == (DATA / "projector_n4_k1_d2_emit_map2_seed3.json").read_text()
+
 
 def _stdlib_report(report):
     return json.dumps(report, sort_keys=True, indent=2)
@@ -261,6 +269,18 @@ class TestWernerPpt:
     def test_flag_validation(self, capsys):
         code, _, err = run(capsys, "werner-ppt", "--r", "1,2,3")
         assert code == 1
+
+    def test_contradiction_ends_on_one_line(self, capsys, monkeypatch):
+        # a valid PPT state whose conditions are forced to say otherwise
+        argv = ("werner-ppt", "--r", "0.370370,0.037037,0.592593,0,0,0")
+        agreed = json.loads(run(capsys, *argv)[1])
+        assert agreed["overall"] is agreed["eigencheck_ppt"] is agreed["consistent"] is True
+        conditions = ent.werner_ppt_conditions
+        monkeypatch.setattr(ent, "werner_ppt_conditions", lambda rs: (conditions(rs)[0], False))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {**agreed, "overall": False, "consistent": False}
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestEwMaps:

@@ -338,11 +338,3 @@ class TestRandomAndEigen:
         q, r = np.linalg.qr(random_matrix(3, 1, replay))
         assert np.array_equal(u, q * (np.diag(r) / np.abs(np.diag(r))))
         assert drawn.random() == replay.random()
-
-
-class TestMatrixWireFormat:
-    def test_roundtrip(self, rng):
-        mat = random_matrix(3, 1, rng)
-        rows = dense_ops.matrix_to_json_rows(mat)
-        assert rows[0][0].keys() == {"re", "im"}
-        assert np.array_equal([[complex(v["re"], v["im"]) for v in row] for row in rows], mat)

@@ -298,26 +298,26 @@ class TestCycleToOne:
             for _ in range(5):
                 mats = [random_matrix(d, 1, rng) for _ in range(k)]
                 oracle = contract(_kernel(cycle, {j}, d), mats, [keep])
-                closed = evaluate_cycle_to_one(direction, j, mats, d)
+                closed = evaluate_cycle_to_one(direction, j, mats)
                 assert sup_norm(closed.mat - oracle.mat) < 1e-10
 
     def test_four_to_one_identity(self, rng):
         # tr_1234[(54321)^{T5} X1..X5] = (X1 X2 X3 X4)^T X5
         d = 3
         mats = [random_matrix(d, 1, rng) for _ in range(5)]
-        out = evaluate_cycle_to_one("backward", 5, mats, d)
+        out = evaluate_cycle_to_one("backward", 5, mats)
         assert np.allclose(out.mat, (mats[0] @ mats[1] @ mats[2] @ mats[3]).T @ mats[4])
 
     def test_transpose_swap(self, rng):
         a, b = (random_matrix(2, 1, rng) for _ in range(2))
-        out = evaluate_cycle_to_one("backward", 1, [a, b], 2)
+        out = evaluate_cycle_to_one("backward", 1, [a, b])
         assert np.allclose(out.mat, a.T @ b)
 
     def test_identity_inputs(self):
         eye = np.eye(2, dtype=complex)
         for direction in ("backward", "forward"):
             for j in (1, 2, 3):
-                out = evaluate_cycle_to_one(direction, j, [eye, eye, eye], 2)
+                out = evaluate_cycle_to_one(direction, j, [eye, eye, eye])
                 assert np.array_equal(out.mat, eye)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -351,7 +351,7 @@ class TestCycleToOne:
 class TestTheta:
     def test_empty_subset_plain_product(self, rng):
         mats = [random_matrix(2, 1, rng) for _ in range(3)]
-        out = cycle_subset_to_one(frozenset(), mats, 2)
+        out = cycle_subset_to_one(frozenset(), mats)
         assert np.allclose(out.mat, mats[0] @ mats[1] @ mats[2])
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -363,17 +363,24 @@ class TestTheta:
                 for _ in range(3):
                     mats = [random_psd(d, 1, rng).mat for _ in range(k)]
                     oracle = contract(_kernel(backward_cycle(k), s, d), mats, [k])
-                    closed = cycle_subset_to_one(s, mats, d)
+                    closed = cycle_subset_to_one(s, mats)
                     assert sup_norm(closed.mat - oracle.mat) < 1e-10
 
     def test_empty_inputs_without_d(self):
         with pytest.raises(ValueError, match="need at least one input"):
             cycle_subset_to_one(set(), [])
 
+    def test_inputs_of_two_sizes_are_refused(self, rng):
+        mats = [random_matrix(2, 1, rng), random_matrix(3, 1, rng)]
+        with pytest.raises(ValueError, match=r"input shape \(3, 3\) != \(2, 2\)"):
+            cycle_subset_to_one({1}, mats)
+        with pytest.raises(ValueError, match=r"input shape \(2, 2\) != \(3, 3\)"):
+            evaluate_cycle_to_one("forward", 1, mats)
+
     def test_bar_uses_subset_not_positions(self, rng):
         # with k in S the factors outside S are transposed, in reversed order
         mats = [random_matrix(2, 1, rng) for _ in range(3)]
-        out = cycle_subset_to_one(frozenset({1, 3}), mats, 2)
+        out = cycle_subset_to_one(frozenset({1, 3}), mats)
         assert np.allclose(out.mat, mats[1].T @ mats[0] @ mats[2])
 
 
@@ -569,8 +576,8 @@ class TestSuiteRunner:
     def test_nan_deviation_fails_its_case(self, monkeypatch):
         calls = []
 
-        def nan_in_one_tuple(s, inputs, d=None):
-            out = cycle_subset_to_one(s, inputs, d)
+        def nan_in_one_tuple(s, inputs):
+            out = cycle_subset_to_one(s, inputs)
             calls.append(s)
             if len(calls) == 2:     # the middle tuple of the first case only
                 out.mat[0, 0, 0] = np.nan
