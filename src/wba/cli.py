@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -386,7 +387,10 @@ def cmd_compose(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; each
+    subcommand names its cmd_* function, looked up when main runs it."""
     parser = _Parser(prog="wba", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tolerance", type=float, default=ORACLE_TOL)
         if "format" in flags:
             p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
     p = add("verify-props", cmd_verify_props, "closed forms vs contraction oracle",
@@ -449,7 +453,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_attach_signed_values(argv))
-        return args.func(args)
+        return globals()[args.func](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -70,7 +70,17 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
-        return _cycles(self.images)
+        out, seen = [], [False] * (self.n + 1)
+        for start, cur in enumerate(self.images, start=1):
+            if seen[start] or cur == start:
+                continue
+            cyc = [start]
+            while cur != start:
+                cyc.append(cur)
+                seen[cur] = True
+                cur = self.images[cur - 1]
+            out.append(tuple(cyc))
+        return out
 
     def cycle_type(self) -> tuple[int, ...]:
         """All cycle lengths (fixed points included), sorted descending."""
@@ -113,31 +123,72 @@ def _group_rows(m: int) -> np.ndarray:
     return np.fromiter(flat, np.intp, factorial(m) * m).reshape(factorial(m), m)
 
 
-def _cycles(images) -> list[tuple[int, ...]]:
-    """Nontrivial cycles of the permutation with 1-based one-line ``images``,
-    each starting at its smallest point."""
-    out, seen = [], [False] * (len(images) + 1)
-    for start, cur in enumerate(images, start=1):
-        if seen[start] or cur == start:
-            continue
-        cyc = [start]
-        while cur != start:
-            cyc.append(cur)
-            seen[cur] = True
-            cur = images[cur - 1]
-        out.append(tuple(cyc))
-    return out
-
-
 def permutation_to_text(p: Permutation) -> str:
     return cycle_texts([p.images])[0]
 
 
 def cycle_texts(rows) -> list[str]:
     """Cycle notation of each permutation given by a row of 1-based one-line
-    images; "()" for the identity."""
-    return ["".join("(" + " ".join(map(str, cyc)) + ")" for cyc in _cycles(images)) or "()"
-            for images in rows]
+    images; "()" for the identity.  A row shorter than the longest fixes the
+    points past its end."""
+    width = max(map(len, rows), default=0)
+    images = np.array([[*row, *range(len(row) + 1, width + 1)] for row in rows], np.intp)
+    return _row_texts(_text_rows(images.reshape(len(rows), width)))
+
+
+def _point_digits(n: int) -> np.ndarray:
+    """(n, len(str(n))) uint8: the decimal digits of 1..n, right-aligned
+    behind NULs."""
+    width = len(str(n))
+    text = "".join(str(p).rjust(width, "\0") for p in range(1, n + 1))
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(n, width)
+
+
+def _text_rows(images: np.ndarray, tail: int = 0) -> np.ndarray:
+    """Byte rows (T, W) of the cycle notation of each row of 1-based one-line
+    ``images`` (T, n), then ``tail`` NUL columns for the caller and a
+    newline: the one cycle-text writer, read by _row_texts.
+
+    Each point gets a fixed-width token: "(" on its cycle's smallest point
+    and " " on the others, its digits, and ")" on the cycle's last point.
+    Tokens go in order of the cycle's smallest point, then of the steps from
+    it; fixed points and unused digit places are NUL, and an identity row
+    writes "()".  n - 1 flat gathers walk every point to its cycle's
+    smallest, and one argsort per row orders them; every temporary is
+    (T, n) or (T, W)."""
+    rows, n = images.shape
+    digits = _point_digits(n)
+    size = digits.shape[1] + 2
+    flat = (images - 1).ravel()
+    base = np.arange(rows)[:, None] * n
+    cur = np.broadcast_to(np.arange(n), (rows, n))
+    first = cur * n     # n * (smallest point met) + (steps to it), as one key
+    for step in range(1, n):
+        cur = flat[base + cur]
+        first = np.minimum(first, cur * n + step)
+    low, ahead = np.divmod(first, n)
+    # a point `ahead` steps before its cycle's smallest lies length - ahead after it
+    order = np.argsort(low * n + (n - ahead) % n, axis=1)    # the keys of a row are distinct
+    at = base + order
+    following, smallest = flat[at], low.ravel()[at]
+    tokens = np.empty((rows, n, size), np.uint8)
+    tokens[..., 0] = np.where(order == smallest, ord("("), ord(" "))
+    tokens[..., 1:-1] = digits[order]
+    tokens[..., -1] = np.where(following == smallest, ord(")"), 0)
+    fixed = following == order
+    tokens[fixed] = 0
+    out = np.zeros((rows, n * size + 3 + tail), np.uint8)
+    out[:, :n * size] = tokens.reshape(rows, n * size)
+    identity = fixed.all(axis=1)
+    out[identity, n * size] = ord("(")
+    out[identity, n * size + 1] = ord(")")
+    out[:, -1] = ord("\n")
+    return out
+
+
+def _row_texts(buf: np.ndarray) -> list[str]:
+    """The text of each newline-ended byte row of ``buf``, NULs dropped."""
+    return buf[buf != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def parse_permutation(text: str, n: int) -> Permutation:

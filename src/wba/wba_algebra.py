@@ -22,8 +22,10 @@ from .sym_core import (
     Partition,
     Permutation,
     _characters,
+    _point_digits,
+    _row_texts,
+    _text_rows,
     coset_representatives,
-    cycle_texts,
     irrep_dimension,
     parse_permutation,
     schur_weyl_multiplicity,
@@ -216,7 +218,8 @@ class WbaElement:
 # dense realization
 # ---------------------------------------------------------------------------
 
-# unit entries realize scatters per step: bounds its index arrays
+# unit entries realize scatters per step, and entries of the pairing rows the
+# text pass writes per step: bounds their index arrays and byte rows
 _SCATTER_ENTRIES = 1 << 16
 
 
@@ -407,43 +410,57 @@ def admissible_pairs(n: int, k: int, d: int) -> list[tuple[Partition, Partition]
 def _transposed_forms(pairings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical (sigma, S) with row == sigma^{T_S} for each row of
     ``pairings`` (T, 2n): the 1-based images (T, n) of sigma and the mask
-    (T, n) of S.
+    (T, n) of S (see _transposed_sites)."""
+    mask = _transposed_sites(pairings)
+    # the bot ends of the swapped matching meet the top ends sigma(t) - 1
+    return _swap_transposed(pairings, mask)[:, mask.shape[1]:] + 1, mask
 
-    Every matching admits such a form (not uniquely).  A cap or cup (a pair
-    within one row) puts exactly one of its two sites in S, a top-bot pair
-    both or neither, so following the lines chains the sites into closed
-    loops with two valid sides each.  S takes the smaller side of every loop,
-    on a tie the side holding the loop's smallest site: the first valid S by
-    size, then lexicographically.  n - 1 steps walk all loops at once; every
-    temporary is (T, n).
+
+def _transposed_sites(pairings: np.ndarray) -> np.ndarray:
+    """The mask (T, n) of the canonical S of each row of ``pairings`` (T, 2n).
+
+    Every matching admits a form sigma^{T_S} (not uniquely).  A cap or cup
+    (a pair within one row) puts exactly one of its two sites in S, a
+    top-bot pair both or neither, so following the lines chains the sites
+    into closed loops with two valid sides each.  S takes the smaller side
+    of every loop, on a tie the side holding the loop's smallest site: the
+    first valid S by size, then lexicographically.  n - 1 flat gathers walk
+    all loops at once; every temporary is (T, n) or (T, 2n).
     """
     rows, two_n = pairings.shape
     n = two_n // 2
-    end = np.broadcast_to(np.arange(n), (rows, n))  # leave each site by its top end
-    flips = np.zeros((rows, n), bool)   # S differs between the start and the current site
-    first = 2 * end     # 2 * (smallest site met) + flips there, as one key
+    # number the end of site s on side b (0 top, 1 bot) 2s + b.  The walk
+    # leaves its start by the top end and a later site by the bot end exactly
+    # where S differs from the start, so the smallest number it leaves by is
+    # 2 * (smallest site met) + (S differs there)
+    number = 2 * (np.arange(two_n) % n) + (np.arange(two_n) >= n)
+    leave = np.empty_like(pairings)
+    # reaching the partner f of an end, the walk leaves by f's other end
+    leave[:, number] = number[(np.arange(two_n) + n) % two_n][pairings]
+    flat = leave.ravel()
+    base = np.arange(rows)[:, None] * two_n
+    first = leaving = np.broadcast_to(2 * np.arange(n), (rows, n))
     for _ in range(n - 1):
-        partner = np.take_along_axis(pairings, end, axis=1)
-        flips = flips ^ ((end < n) == (partner < n))
-        end = (partner + n) % two_n     # leave the site the line reached by its other end
-        first = np.minimum(first, 2 * (partner % n) + flips)
+        leaving = flat[base + leaving]
+        first = np.minimum(first, leaving)
     loop = np.arange(rows)[:, None] * n + first // 2     # one id per (row, smallest site)
     far = first % 2 == 1    # the site lies on the other side from its loop's smallest
     size = np.bincount(loop.ravel(), minlength=rows * n)
     far_size = np.bincount(loop[far], minlength=rows * n)
-    mask = far == (2 * far_size[loop] < size[loop])
-    # the bot ends of the swapped matching meet the top ends sigma(t) - 1
-    return _swap_transposed(pairings, mask)[:, n:] + 1, mask
+    return far == (2 * far_size[loop] < size[loop])
 
 
 def _swap_transposed(pairings: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Pairings (T, 2n) with top and bot endpoints swapped on the sites of
     each row's mask (T, n): sigma to sigma^{T_S}, and back."""
-    n = mask.shape[1]
+    rows, n = mask.shape
     ends = np.arange(2 * n)
     # the swap is an involution: e is joined to f iff swap(e) was joined to swap(f)
     swap = np.where(mask[:, ends % n], (ends + n) % (2 * n), ends)
-    return np.take_along_axis(swap, np.take_along_axis(pairings, swap, axis=1), axis=1)
+    base = np.arange(rows)[:, None] * (2 * n)
+    at = pairings.ravel()[swap + base]
+    at += base
+    return swap.ravel()[at]
 
 
 def _transposed_matchings(images: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -457,12 +474,29 @@ def _transposed_matchings(images: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _diagram_texts(pairings: np.ndarray) -> list[str]:
     """Text of each row of ``pairings``: sigma in cycle notation, then
-    ^T{S} when S is not empty."""
-    images, mask = _transposed_forms(pairings)
+    ^T{S} when S is not empty.  The suffix is written into the byte rows of
+    _text_rows from the mask, a chunk of _SCATTER_ENTRIES pairing entries at
+    a time."""
+    n = pairings.shape[1] // 2
+    digits = _point_digits(n)
+    size = digits.shape[1] + 1      # "," and the digits of one site
+    chunk = max(1, _SCATTER_ENTRIES // (2 * n))
     texts = []
-    for text, transposed in zip(cycle_texts(images.tolist()), mask.tolist()):
-        sites = [str(site) for site, on in enumerate(transposed, start=1) if on]
-        texts.append(text + "^T{" + ",".join(sites) + "}" if sites else text)
+    for start in range(0, len(pairings), chunk):
+        images, mask = _transposed_forms(pairings[start:start + chunk])
+        rows = len(mask)
+        tail = n * size + 4     # "^T{", the sites and "}"
+        buf = _text_rows(images, tail)
+        suffix = buf[:, -tail - 1:-1]
+        sites = np.empty((rows, n, size), np.uint8)
+        sites[..., 0] = np.where(mask.cumsum(axis=1) > 1, ord(","), 0)  # none before the first
+        sites[..., 1:] = digits
+        sites *= mask[..., None]
+        transposed = mask.any(axis=1)
+        suffix[transposed, :3] = np.frombuffer(b"^T{", np.uint8)
+        suffix[:, 3:-1] = sites.reshape(rows, n * size)
+        suffix[transposed, -1] = ord("}")
+        texts += _row_texts(buf)
     return texts
 
 

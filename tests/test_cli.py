@@ -520,6 +520,31 @@ class TestFlags:
         assert err == f"error: unrecognized arguments: {' '.join(dropped)}\n"
 
 
+class TestParserBuiltOnce:
+    CALLS = [
+        ["compose", "(1 2)^T{2}", "(1 2)^T{2}", "--n", "2"],
+        ["scan-bcs", "--no-such-flag"],
+        ["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"],
+        ["--help"],
+        ["projector", "--help"],
+        ["compose", "()", "()", "--n", "0"],
+        ["no-such-command"],
+        ["compose", "(1 2)", "(1 2)", "--n", "2"],
+    ]
+
+    def test_repeated_calls_match_first_calls(self, capsys):
+        first = []
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()     # each call builds its own parser
+            first.append(run(capsys, *argv))
+        assert [code for code, _, _ in first] == [0, 1, 0, 0, 0, 1, 1, 0]
+        assert all(err.count("\n") == 1 for code, _, err in first if code == 1)
+        parser = cli.build_parser()
+        for _ in range(2):
+            assert [run(capsys, *argv) for argv in self.CALLS] == first
+        assert cli.build_parser() is parser
+
+
 class TestProjectorLabels:
     @pytest.mark.parametrize("mu", ["[1,2]", "[x]", "[2,0]", ""])
     def test_bad_partition_fails_on_one_line(self, capsys, mu):

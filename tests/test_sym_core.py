@@ -12,6 +12,8 @@ from wba.sym_core import (
     Permutation,
     _characters,
     _group_rows,
+    _row_texts,
+    _text_rows,
     additions_of_boxes,
     character,
     character_of_type,
@@ -87,6 +89,42 @@ class TestPermutation:
         rows = [(1, 2, 3), (2, 1, 3), (3, 1, 2, 5, 4), (2, 3, 1, 5, 6, 4)]
         assert cycle_texts(rows) == ["()", "(1 2)", "(1 3 2)(4 5)", "(1 2 3)(4 5 6)"]
         assert cycle_texts([]) == []
+
+
+def _reference_cycle_texts(rows):
+    """Cycle notation of each row of 1-based images, one row at a time: the
+    per-row loop the batched byte rows replace."""
+    return ["".join("(" + " ".join(map(str, cyc)) + ")"
+                    for cyc in Permutation(tuple(images)).cycles()) or "()" for images in rows]
+
+
+class TestBatchedCycleTexts:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_of_the_group(self, n):
+        rows = (_group_rows(n) + 1).tolist()
+        assert cycle_texts(rows) == _reference_cycle_texts(rows)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_random_rows_with_two_digit_points(self, n):
+        rng = np.random.default_rng(n)
+        rows = (rng.permuted(np.tile(np.arange(n), (2000, 1)), axis=1) + 1).tolist()
+        texts = cycle_texts(rows)
+        assert texts == _reference_cycle_texts(rows)
+        assert any(str(n) in text for text in texts)
+
+    def test_empty_batch_single_row_and_identity(self):
+        assert cycle_texts([]) == []
+        assert cycle_texts([()]) == ["()"]
+        assert cycle_texts([tuple(range(1, 11))]) == ["()"]
+        assert cycle_texts([(10, 2, 3, 4, 5, 6, 7, 8, 9, 1)]) == ["(1 10)"]
+        assert str(perm("(2 11 3)(10 12)", 12)) == "(2 11 3)(10 12)"
+
+    def test_byte_rows_are_fixed_width(self):
+        # "(" or " ", the digits, ")" or NUL per point, then "()" and "\n"
+        buf = _text_rows(np.array([[2, 3, 1, 4], [1, 2, 3, 4]]), tail=2)
+        assert buf.shape == (2, 4 * 3 + 3 + 2)
+        assert buf[:, -1].tolist() == [ord("\n")] * 2
+        assert _row_texts(buf) == ["(1 2 3)", "()"]
 
 
 class TestEnumerate:

@@ -501,6 +501,14 @@ class TestSerialization:
         text = json.dumps(record, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_two_digit_projector_texts_digest(self):
+        # F_[3,2]([]) at (10,5): 11,520 terms with two-digit sites, such as
+        # (1 6)(2 7)(3 8)(4 9 5 10)^T{1,2,3,4,5}; the texts hold no floats
+        texts, _ = wa._term_listing(f_projector(Partition((3, 2)), Partition(()), 10, 5, 2))
+        assert len(texts) == 11520 and "(1 6)(2 7)(3 8)(4 9 5 10)^T{1,2,3,4,5}" in texts
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "93d1f7d4ba3d1367822b2dfc4fa943ed2999be85f2c19181b6485fda69c5a660")
+
     def test_repr_lists_the_json_diagrams_in_order(self):
         x = f_projector(Partition((2, 1)), Partition((1,)), 5, 2, 2)
         texts, _ = wa._term_listing(x)
@@ -802,3 +810,55 @@ class TestTransposedForms:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * rows.nbytes
+
+
+def _reference_diagram_texts(pairings):
+    """Text of each row of ``pairings``, one row at a time: the per-row
+    cycle and ^T{...} loops the batched byte rows replace."""
+    images, mask = wa._transposed_forms(pairings)
+    texts = []
+    for images_row, transposed in zip(images.tolist(), mask.tolist()):
+        text = "".join("(" + " ".join(map(str, cyc)) + ")"
+                       for cyc in Permutation(tuple(images_row)).cycles()) or "()"
+        sites = [str(site) for site, on in enumerate(transposed, start=1) if on]
+        texts.append(text + "^T{" + ",".join(sites) + "}" if sites else text)
+    return texts
+
+
+class TestDiagramTexts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_matching(self, n):
+        rows = _all_matchings(n)
+        assert wa._diagram_texts(rows) == _reference_diagram_texts(rows)
+
+    @pytest.mark.parametrize("n", [7, 8, 10, 12])
+    def test_random_matchings(self, n):
+        rows = _random_matchings(np.random.default_rng(n), n, 2000)
+        texts = wa._diagram_texts(rows)
+        assert texts == _reference_diagram_texts(rows)
+        assert [list(parse_diagram(text, n).pairing) for text in texts[:50]] == rows[:50].tolist()
+
+    def test_empty_batch_single_row_and_identity(self):
+        assert wa._diagram_texts(np.empty((0, 8), np.intp)) == []
+        assert wa._diagram_texts(np.array([identity_diagram(10).pairing])) == ["()"]
+        text = "(1 6)(2 7)(3 8)(4 9 5 10)^T{1,2,3,4,5}"
+        assert diagram_to_text(parse_diagram(text, 10)) == text
+
+    def test_rows_past_one_chunk_keep_their_order(self):
+        # 2 * n * rows entries span several chunks of _SCATTER_ENTRIES
+        rows = _random_matchings(np.random.default_rng(3), 6, 3 * wa._SCATTER_ENTRIES // 12 + 5)
+        assert wa._diagram_texts(rows) == _reference_diagram_texts(rows)
+
+    def test_temporaries_stay_bounded_by_the_chunk(self):
+        # beyond the texts it returns, the pass holds a few chunks of
+        # _SCATTER_ENTRIES pairing entries, whatever the number of rows
+        rows = _random_matchings(np.random.default_rng(0), 8, 40_000)
+        tracemalloc.start()
+        try:
+            texts = wa._diagram_texts(rows)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(texts) == len(rows)
+        assert peak - kept <= 8 * 8 * wa._SCATTER_ENTRIES
+        assert peak <= 2 * rows.nbytes
