@@ -336,9 +336,9 @@ def random_matrix(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_psd(d: int, n: int, seed) -> DenseOperator:
-    """G G^dagger for a seeded complex Gaussian G; hermitian and PSD."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = random_matrix(d, n, rng)
+    """G G^dagger for a complex Gaussian G drawn from ``seed``, a Generator
+    (used as is) or a seed; hermitian and PSD."""
+    g = random_matrix(d, n, np.random.default_rng(seed))
     return DenseOperator(n, d, g @ g.conj().T)
 
 

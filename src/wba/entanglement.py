@@ -10,7 +10,7 @@ and a see-saw search for the minimum of a hermitian form over product states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -422,12 +422,6 @@ def _blocked_tensor(m: DenseOperator, partition: PartitionSpec) -> np.ndarray:
     return dense_ops._reorder(m, order + [m.n + s for s in order]).mat.reshape(dims + dims)
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a[s, k] b[s, k] per row s, as stacked 1 x n @ n x 1 products:
-    these round like the 1-D dot of a single row."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def product_state_value(m: DenseOperator, partition: PartitionSpec, vectors) -> float:
     """<v_1 ... v_l| M |v_1 ... v_l> with the blocks in partition order."""
     full = dense_ops.kron_all(vectors)
@@ -440,55 +434,43 @@ def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: S
     """Estimate min over product states by random sampling plus alternating
     ground-eigenvector sweeps (see-saw), multi-restart.
 
-    Every start is a row of one array, drawn as one start at a time would draw
-    it; the restarts sweep together, each until a sweep improves it by less
-    than SEESAW_STOP.  Returns the first minimum over samples then restarts,
-    its block vectors, the sweeps run and the restarts that met the stop rule.
+    One start at a time: each start draws its block vectors in turn; a
+    restart then sweeps until a sweep improves it by less than SEESAW_STOP
+    or the iterations run out.  Returns the first minimum over samples then
+    restarts, its block vectors, the sweeps run and the restarts that met
+    the stop rule.
     """
     if budget.restarts < 1 or budget.samples < 0:
         raise ValueError("the search needs restarts >= 1 and samples >= 0")
     rng = np.random.default_rng(budget.seed)
     t = _blocked_tensor(m, partition)
-    mat = t.reshape(m.mat.shape)
     dims = [m.d ** len(b) for b in partition.blocks]
-    ell, starts = len(dims), budget.samples + budget.restarts
-
-    raw = rng.standard_normal((starts, 2 * sum(dims)))
-    vecs, offset = [], 0
-    for dim in dims:
-        v = raw[:, offset:offset + dim] + 1j * raw[:, offset + dim:offset + 2 * dim]
-        vecs.append(v / np.sqrt(_row_dot(v.real, v.real) + _row_dot(v.imag, v.imag))[:, None])
-        offset += 2 * dim
-    full = dense_ops.kron_all([v[:, None, :] for v in vecs])[:, 0]
-    values = _row_dot((full.conj()[:, None, :] @ mat)[:, 0], full).real
-
-    # see-saw on the restart rows; these views write through to vecs, values
-    seesaw_vecs, current = [v[budget.samples:] for v in vecs], values[budget.samples:]
-    active = np.arange(budget.restarts)
-    sweeps = 0
-    for _ in range(budget.iterations):
-        if not active.size:
-            break
-        sweeps += active.size
-        sub = [v[active] for v in seesaw_vecs]
-        for i in range(ell):
-            operands = [t, list(range(2 * ell))]
-            for j, v in enumerate(sub):
-                if j != i:
-                    operands += [v.conj(), [2 * ell, j], v, [2 * ell, ell + j]]
-            eff = (np.einsum(*operands, [2 * ell, i, ell + i]) if ell > 1
-                   else np.broadcast_to(t, (active.size,) + t.shape))
-            w, u = np.linalg.eigh((eff + eff.conj().swapaxes(1, 2)) / 2.0)
-            sub[i], value = u[:, :, 0], w[:, 0]
-        for v, new in zip(seesaw_vecs, sub):
-            v[active] = new
-        done = current[active] - value < SEESAW_STOP
-        current[active] = value
-        active = active[~done]
-
-    best = int(np.argmin(values))
-    return (float(values[best]), tuple(v[best].copy() for v in vecs),
-            sweeps, budget.restarts - active.size)
+    ell = len(dims)
+    best, best_vecs, sweeps, converged = math.inf, None, 0, 0
+    for start in range(budget.samples + budget.restarts):
+        vecs = []
+        for dim in dims:
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            vecs.append(v / np.linalg.norm(v))
+        value = product_state_value(m, partition, vecs)
+        if start >= budget.samples:
+            for _ in range(budget.iterations):
+                sweeps += 1
+                current = value
+                for i in range(ell):
+                    operands = [t, list(range(2 * ell))]
+                    for j, v in enumerate(vecs):
+                        if j != i:
+                            operands += [v.conj(), [j], v, [ell + j]]
+                    eff = np.einsum(*operands, [i, ell + i])
+                    w, u = np.linalg.eigh((eff + eff.conj().T) / 2.0)
+                    vecs[i], value = u[:, 0], w[0]
+                if current - value < SEESAW_STOP:
+                    converged += 1
+                    break
+        if value < best:
+            best, best_vecs = value, tuple(vecs)
+    return float(best), best_vecs, sweeps, converged
 
 
 def check_block_positive(m: DenseOperator, partition: PartitionSpec,
@@ -627,17 +609,15 @@ def scan_bcs_region(alpha_values, beta_values, d: int,
 
     The kernel is covariant, so the minimum is the exact one of
     check_covariant_block_positive (``certified``).  Its covariance check runs
-    on the U(d) generators and draws nothing; the budget's search runs only
-    if that check fails, each point seeded by the budget seed offset by its
-    grid indices.
+    on the U(d) generators and draws nothing; the budget's search runs, with
+    the budget as given, only at a point where that check fails.
     """
     basis = _bcs_basis(d)
     rows = []
-    for i, alpha in enumerate(alpha_values):
-        for j, beta in enumerate(beta_values):
-            point_budget = replace(budget, seed=budget.seed + 7919 * i + 104729 * j)
+    for alpha in alpha_values:
+        for beta in beta_values:
             verdict = check_covariant_block_positive(_bcs_from_basis(basis, alpha, beta, d),
-                                                     {2}, point_budget)
+                                                     {2}, budget)
             rows.append({
                 "alpha": float(alpha),
                 "beta": float(beta),

@@ -27,8 +27,9 @@ STACK_BYTES = 1 << 18
 def stack_sizes(count: int, entries: int) -> list[int]:
     """Sizes of the stacks that cover count tuples of entries complex entries
     each.  A tuple of the oracle holds the larger of its gathered terms (the
-    kernel's nonzeros times the kept columns of the sites a factor covers;
-    the identity sites add none) and its d^out x d^out output."""
+    kernel's d^n nonzeros, one per basis column of a diagram, times the kept
+    columns of the sites a factor covers; the identity sites add none) and
+    its d^out x d^out output."""
     size = max(1, STACK_BYTES // (16 * entries))
     return [min(size, count - start) for start in range(0, count, size)]
 
@@ -59,9 +60,10 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
         of tuples of inputs = (count, dim) matrices, with an output on out
         sites; kernel (perm, transposed) is realized only if the case runs.
         The inputs cover the first sites and the identity the rest, all of
-        them output sites, so a tuple gathers the kernel's nonzeros times the
-        d^out * dim^count / d^n kept columns on covered sites; it holds at
-        least its d^out x d^out output, the closed form's where no kernel runs."""
+        them output sites, so a tuple gathers the kernel's d^n nonzeros (one
+        diagram) times the d^out * dim^count / d^n kept columns on covered
+        sites; it holds at least its d^out x d^out output, the closed form's
+        where no kernel runs."""
         nonlocal case_idx
         case_idx += 1
         if only and not group.startswith(only):
@@ -69,8 +71,7 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
         rng = np.random.default_rng((seed, case_idx))
         kernel = kernel and _kernel(*kernel, d)
         count, dim = inputs
-        gathered = (np.count_nonzero(kernel.mat) * d ** out * dim ** count // d ** kernel.n
-                    if kernel else 0)
+        gathered = d ** out * dim ** count if kernel else 0
         entries = max(gathered, d ** (2 * out))
         # np.max, not max(): a NaN deviation must fail its case
         max_dev = float(np.max([dense_ops.sup_norm(deviation(kernel, _draw(rng, t, *inputs)))

@@ -312,6 +312,12 @@ class TestRandomAndEigen:
     def test_determinism(self):
         assert np.array_equal(random_psd(2, 2, 99).mat, random_psd(2, 2, 99).mat)
 
+    def test_a_generator_is_drawn_from_as_is(self):
+        rng = np.random.default_rng(99)
+        first, second = random_psd(2, 1, rng), random_psd(2, 1, rng)
+        assert np.array_equal(first.mat, random_psd(2, 1, 99).mat)
+        assert not np.array_equal(first.mat, second.mat)
+
     def test_identity_min_eig(self):
         assert min_eigenvalue(identity(2, 2)) == pytest.approx(1.0)
 

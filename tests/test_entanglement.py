@@ -315,6 +315,34 @@ class TestBatchedSearch:
         assert (psd.sweeps, psd.converged_starts) == (0, 0)
 
 
+class TestOneStartAtATime:
+    def test_criterion_6_result_is_pinned(self):
+        # recorded from the batched search the per-start loop replaced
+        value, vecs, sweeps, converged = ent.product_state_minimize(
+            bcs_kernel(0.25, -0.1, 3), PartitionSpec.parse("1|23"),
+            SearchBudget(restarts=64, iterations=200, samples=512, seed=2024))
+        assert value == pytest.approx(0.040518994979144775, rel=1e-12, abs=0.0)
+        assert (sweeps, converged) == (128, 64)
+        assert [v.shape for v in vecs] == [(3,), (9,)]
+
+    @pytest.mark.parametrize("seed,restarts,samples,iterations", [
+        (0, 1, 0, 200), (1, 6, 48, 200), (3, 5, 7, 2), (4, 3, 2, 0)])
+    def test_a_cut_out_of_site_order_matches_the_reference(self, seed, restarts, samples,
+                                                          iterations):
+        rng = np.random.default_rng([seed, 3])
+        g = random_matrix(3, 3, rng)
+        m = DenseOperator(3, 3, (g + g.conj().T) / 2)
+        partition = PartitionSpec.parse("3|12")
+        budget = SearchBudget(seed=seed, restarts=restarts, samples=samples,
+                              iterations=iterations)
+        value, vecs, sweeps, converged = ent.product_state_minimize(m, partition, budget)
+        ref_value, ref_vecs, ref_sweeps, ref_converged = _reference_minimize(
+            m, partition, budget)
+        assert abs(value - ref_value) <= 1e-12
+        assert (sweeps, converged) == (ref_sweeps, ref_converged)
+        assert value == pytest.approx(ent.product_state_value(m, partition, vecs), abs=1e-12)
+
+
 BENCH_ALPHAS = [round(i * 0.1, 12) for i in range(11)]       # 0:1:0.1
 BENCH_BETAS = [round(-0.5 + j * 0.05, 12) for j in range(13)]  # -0.5:0.1:0.05
 
@@ -796,6 +824,22 @@ class TestScan:
         assert far["analytic_positive"]
         # deep in the positive region the kernel is actually PSD
         assert far["class"] == ent.PSD and far["min_eig"] >= -1e-9
+
+    def test_fallback_search_gets_the_budget_as_given(self, monkeypatch):
+        budgets = []
+
+        def recording(m, partition, budget):
+            budgets.append(budget)
+            return minimize(m, partition, budget)
+
+        minimize = ent.product_state_minimize
+        monkeypatch.setattr(ent, "covariant_block_minimum", lambda *args: None)
+        monkeypatch.setattr(ent, "product_state_minimize", recording)
+        budget = SearchBudget(seed=13, restarts=2, samples=4, iterations=3)
+        rows = scan_bcs_region([0.0, 0.25], [-0.3, -0.1], 3, budget)
+        assert len(budgets) == sum(r["class"] != ent.PSD for r in rows) == 4
+        assert all(b == budget for b in budgets)
+        assert not any(r["certified"] for r in rows)
 
     def test_condition_boundary_at_beta_zero(self):
         assert bcs_alpha_threshold(0.0, 3) == 0.0

@@ -603,6 +603,20 @@ class TestSuiteRunner:
         cases = proposition_suite(seed=0, tuples=1, only=only)
         assert len(cases) == 8 and len(calls) == realized
 
+    def test_every_suite_kernel_has_one_nonzero_per_column(self, monkeypatch):
+        # run() sizes its stacks by d^n nonzeros per kernel
+        nonzeros = []
+
+        def counting(*args):
+            kernel = _kernel(*args)
+            nonzeros.append((np.count_nonzero(kernel.mat), kernel.d ** kernel.n))
+            return kernel
+
+        monkeypatch.setattr(verification, "_kernel", counting)
+        proposition_suite(seed=0, tuples=1)
+        assert len(nonzeros) == 106
+        assert all(count == expected for count, expected in nonzeros)
+
     def test_stack_size_does_not_move_a_deviation(self, monkeypatch):
         stacked = proposition_suite(seed=5, tuples=30)
         monkeypatch.setattr(verification, "STACK_BYTES", 0)
