@@ -3,7 +3,6 @@ and numerical entanglement-witness classification on small tensor powers."""
 
 from .dense_ops import DenseOperator
 from .sym_core import (
-    GroupAlgebraElement,
     Partition,
     Permutation,
     character,
@@ -15,6 +14,7 @@ from .sym_core import (
     young_projector,
 )
 from .wba_algebra import (
+    GroupAlgebraElement,
     WbaDiagram,
     WbaElement,
     compose_diagrams,

@@ -424,9 +424,13 @@ def _blocked_tensor(m: DenseOperator, partition: PartitionSpec) -> np.ndarray:
 
 def product_state_value(m: DenseOperator, partition: PartitionSpec, vectors) -> float:
     """<v_1 ... v_l| M |v_1 ... v_l> with the blocks in partition order."""
+    return _form_value(_blocked_tensor(m, partition), vectors)
+
+
+def _form_value(t: np.ndarray, vectors) -> float:
+    """<v|M|v> for v the product of ``vectors``, from M's _blocked_tensor ``t``."""
     full = dense_ops.kron_all(vectors)
-    mat = _blocked_tensor(m, partition).reshape(m.mat.shape)
-    return float(np.real(full.conj() @ mat @ full))
+    return float(np.real(full.conj() @ t.reshape(full.size, full.size) @ full))
 
 
 def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: SearchBudget
@@ -452,7 +456,7 @@ def product_state_minimize(m: DenseOperator, partition: PartitionSpec, budget: S
         for dim in dims:
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             vecs.append(v / np.linalg.norm(v))
-        value = product_state_value(m, partition, vecs)
+        value = _form_value(t, vecs)
         if start >= budget.samples:
             for _ in range(budget.iterations):
                 sweeps += 1
@@ -488,20 +492,19 @@ def check_block_positive(m: DenseOperator, partition: PartitionSpec,
     if lam >= -EIG_TOL:
         return PositivityVerdict(PSD, lam, lam)
     value, vecs, sweeps, converged = product_state_minimize(m, partition, budget)
-    return _classify(m, partition, lam, value, vecs,
-                     sweeps=sweeps, converged_starts=converged)
+    return _classify(m, partition, lam, value, vecs, sweeps=sweeps, converged_starts=converged)
 
 
 def _classify(m: DenseOperator, partition: PartitionSpec, lam: float, value: float,
               vecs, **fields) -> PositivityVerdict:
     """Verdict of a non-PSD operator from its product minimum ``value`` at
-    ``vecs``; a violation is re-evaluated before it is reported."""
+    ``vecs``; a violation is rechecked, and one it does not confirm is never ``certified``."""
     if value >= -PRODUCT_BAND:
         return PositivityVerdict(WITNESS_CANDIDATE, lam, value, **fields)
     recheck = product_state_value(m, partition, vecs)
     if recheck < -PRODUCT_BAND:
         return PositivityVerdict(NOT_BLOCK_POSITIVE, lam, value, vecs, **fields)
-    return PositivityVerdict(INCONCLUSIVE, lam, value, **fields)
+    return PositivityVerdict(INCONCLUSIVE, lam, value, **{**fields, "certified": False})
 
 
 def covariant_block_minimum(m: DenseOperator, conjugated
@@ -536,14 +539,15 @@ def check_covariant_block_positive(m: DenseOperator, conjugated,
     covariant_block_minimum requires: the PSD step is the same, and the
     product minimum is the exact one, so the verdict is ``certified``.  An
     operator that fails the covariance check gets check_block_positive's
-    search, seeded by the budget; the check itself draws nothing."""
+    search, seeded by the budget, on the same lambda; the check draws nothing."""
     partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
     lam = dense_ops.min_eigenvalue(m)
     if lam >= -EIG_TOL:
         return PositivityVerdict(PSD, lam, lam)
     exact = covariant_block_minimum(m, conjugated)
     if exact is None:
-        return check_block_positive(m, partition, budget)
+        value, vecs, sweeps, converged = product_state_minimize(m, partition, budget)
+        return _classify(m, partition, lam, value, vecs, sweeps=sweeps, converged_starts=converged)
     return _classify(m, partition, lam, *exact, certified=True)
 
 

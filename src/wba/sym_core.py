@@ -2,11 +2,12 @@
 
 Permutations in one-line/cycle notation, integer partitions, irreducible
 characters via the Murnaghan-Nakayama rule, Schur-Weyl dimensions and
-multiplicities, Young projectors as formal group-algebra elements, and
-coset transversals used to build walled-Brauer projectors.
-
-Everything here is exact integer/rational combinatorics except the
-group-algebra coefficients, which are stored as complex floats.
+multiplicities, coset transversals used to build walled-Brauer
+projectors, and Young projectors.  These are walled-Brauer elements with
+no transposed site, the form of every element of C[S_n]
+(wba_algebra.GroupAlgebraElement builds one from {permutation:
+coefficient}); their coefficients are complex floats, and everything
+else here is exact integer/rational combinatorics.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from functools import cache
 from math import comb, factorial, prod
 
 import numpy as np
-
-from .tolerances import COEFF_EPS, COEFF_MATCH
 
 MAX_ENUM_DEGREE = 7
 
@@ -381,71 +380,18 @@ def conjugacy_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# group algebra
-# ---------------------------------------------------------------------------
-
-class GroupAlgebraElement:
-    """A finite formal combination of permutations of common degree."""
-
-    __slots__ = ("terms", "n")
-
-    def __init__(self, terms: dict[Permutation, complex], n: int):
-        self.n = n
-        clean = {}
-        for p, c in terms.items():
-            if p.n != n:
-                raise ValueError(f"degree mismatch: element of S_{n}, term of S_{p.n}")
-            if abs(c) > COEFF_EPS:
-                clean[p] = complex(c)
-        self.terms = clean
-
-    @staticmethod
-    def identity(n: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({Permutation.identity(n): 1.0}, n)
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms.get(p, 0.0) + c
-        return GroupAlgebraElement(terms, self.n)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Convolution product; left factor acts after the right one."""
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        terms: dict[Permutation, complex] = {}
-        for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
-                r = compose(p, q)
-                terms[r] = terms.get(r, 0.0) + cp * cq
-        return GroupAlgebraElement(terms, self.n)
-
-    def extend(self, n: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({p.extend(n): c for p, c in self.terms.items()}, n)
-
-    def approx_eq(self, other: "GroupAlgebraElement", tol: float = COEFF_MATCH) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(p, 0.0) - other.terms.get(p, 0.0)) <= tol for p in keys)
-
-    def __repr__(self):
-        bits = [f"({c:.6g})*{p}" for p, c in sorted(self.terms.items(), key=lambda t: t[0].images)]
-        return " + ".join(bits) if bits else "0"
-
-
-def young_projector(alpha: Partition) -> GroupAlgebraElement:
-    """Central idempotent (d_alpha/n!) sum_pi chi^alpha(pi^-1) pi of C[S_n].
+def young_projector(alpha: Partition) -> WbaElement:
+    """Central idempotent (d_alpha/n!) sum_pi chi^alpha(pi^-1) pi of C[S_n],
+    as a walled-Brauer element with no transposed site.
 
     chi is a class function and pi, pi^-1 are conjugate, so chi(pi^-1)=chi(pi).
     """
-    n = alpha.n
-    scale = irrep_dimension(alpha) / factorial(n)
-    rows, chars = _characters(alpha, n)
-    terms = {Permutation(tuple(row)): scale * chi
-             for row, chi in zip((rows + 1).tolist(), chars.tolist())}
-    return GroupAlgebraElement(terms, n)
+    # imported here: wba_algebra imports this module
+    from .wba_algebra import WbaElement, _permutation_terms
+
+    rows, chars = _characters(alpha, alpha.n)
+    scale = irrep_dimension(alpha) / factorial(alpha.n)
+    return WbaElement(alpha.n, *_permutation_terms(rows + 1, scale * chars))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from math import comb, factorial
 import numpy as np
 
 from .sym_core import (
-    GroupAlgebraElement,
     Partition,
     Permutation,
     _characters,
@@ -139,7 +138,7 @@ class WbaElement:
         if coeffs.ndim != 2 or len(coeffs) != len(pairings) or not coeffs.shape[1]:
             raise ValueError("coeffs must have one non-empty row per pairing")
         ends = np.arange(2 * n)
-        if len(pairings) and (
+        if pairings.size and (
                 pairings.min() < 0 or pairings.max() >= 2 * n or (pairings == ends).any()
                 or (np.take_along_axis(pairings, pairings, axis=1) != ends).any()):
             raise ValueError("pairings must be fixed-point-free involutions")
@@ -156,14 +155,6 @@ class WbaElement:
     @staticmethod
     def from_permutation(p: Permutation, transposed=frozenset(), coeff: complex = 1.0) -> "WbaElement":
         return WbaElement.from_diagram(from_permutation(p, transposed), coeff)
-
-    @staticmethod
-    def from_group_algebra(x: GroupAlgebraElement, n: int | None = None) -> "WbaElement":
-        n = n if n is not None else x.n
-        lifted = x.extend(n) if n > x.n else x
-        images = np.array([p.images for p in lifted.terms], np.intp).reshape(-1, lifted.n)
-        pairings = _transposed_matchings(images, np.zeros(images.shape, bool))
-        return WbaElement(n, pairings, np.array(list(lifted.terms.values()))[:, None])
 
     @staticmethod
     def identity(n: int) -> "WbaElement":
@@ -203,8 +194,8 @@ class WbaElement:
                 coeffs[rows, loops + p + q] += terms[:, p, q]
         return WbaElement(self.n, *_reduce(pairings.reshape(-1, 2 * self.n), coeffs))
 
-    def approx_eq(self, other: "WbaElement") -> bool:
-        return bool((np.abs((self + other.scale(-1)).coeffs) <= COEFF_MATCH).all())
+    def approx_eq(self, other: "WbaElement", tol: float = COEFF_MATCH) -> bool:
+        return bool((np.abs((self + other.scale(-1)).coeffs) <= tol).all())
 
     def __repr__(self):
         bits = []
@@ -212,6 +203,24 @@ class WbaElement:
             poly = " + ".join(f"({c:.6g})*d^{p}" for p, c in enumerate(row.tolist()) if c)
             bits.append(f"[{poly}] {text}")
         return "  +  ".join(bits) or "0"
+
+
+class GroupAlgebraElement(WbaElement):
+    """sum_p terms[p] p in C[S_n] from {Permutation: coefficient}: no site transposed."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: dict[Permutation, complex], n: int):
+        if other := [p.n for p in terms if p.n != n]:
+            raise ValueError(f"degree mismatch: element of S_{n}, term of S_{other[0]}")
+        images = np.array([p.images for p in terms], np.intp).reshape(len(terms), n)
+        super().__init__(n, *_permutation_terms(images, list(terms.values())))
+
+
+def _permutation_terms(images: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """(pairings, coeffs) of sum_t coeffs[t] sigma_t, sigma_t the 1-based row t of images."""
+    pairings = _transposed_matchings(images, np.zeros(images.shape, bool))
+    return pairings, np.asarray(coeffs, dtype=complex)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +246,18 @@ def _flat_positions(pairings: np.ndarray, d: int) -> np.ndarray:
     place = d ** np.arange(n - 1, -1, -1)
     weight = np.concatenate([place * d ** n, place])    # of each endpoint
     rows, lower = np.nonzero(pairings > np.arange(2 * n))
-    pair_weight = (weight[lower] + weight[pairings[rows, lower]]).reshape(-1, n)
+    pair_weight = (weight[lower] + weight[pairings[rows, lower]]).reshape(len(pairings), n)
     values = np.arange(d ** n) // place[:, None] % d
     return pair_weight @ values
 
 
 def realize(x, d: int) -> np.ndarray:
-    """Dense matrix on (C^d)^{tensor n} for a diagram, element, permutation,
-    or group-algebra element.  Guarded by check_size_guard."""
+    """Dense matrix on (C^d)^{tensor n} for a diagram, element or
+    permutation.  Guarded by check_size_guard."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if isinstance(x, Permutation):
         x = from_permutation(x)
-    if isinstance(x, GroupAlgebraElement):
-        x = WbaElement.from_group_algebra(x)
     if not isinstance(x, (WbaDiagram, WbaElement)):
         raise TypeError(f"cannot realize object of type {type(x).__name__}")
     check_size_guard(x.n, d)

@@ -325,6 +325,38 @@ class TestOneStartAtATime:
         assert (sweeps, converged) == (128, 64)
         assert [v.shape for v in vecs] == [(3,), (9,)]
 
+    @pytest.mark.parametrize("cut", ["1|23", "1|2|3"])
+    def test_one_search_reorders_the_operator_once(self, monkeypatch, cut):
+        calls = []
+
+        def counting(m, partition):
+            calls.append(partition)
+            return blocked(m, partition)
+
+        blocked = ent._blocked_tensor
+        monkeypatch.setattr(ent, "_blocked_tensor", counting)
+        g = random_matrix(3, 3, np.random.default_rng(5))
+        m = DenseOperator(3, 3, (g + g.conj().T) / 2)
+        ent.product_state_minimize(m, PartitionSpec.parse(cut),
+                                   SearchBudget(seed=1, restarts=3, samples=8, iterations=4))
+        assert len(calls) == 1
+
+    def test_a_start_scores_as_product_state_value(self):
+        # no sweep runs, so the search returns the least of its start values,
+        # each bit for bit what the independent recheck gives
+        m = bcs_kernel(0.25, -0.1, 3)
+        partition = PartitionSpec.parse("1|23")
+        budget = SearchBudget(seed=7, restarts=2, samples=5, iterations=0)
+        rng = np.random.default_rng(budget.seed)
+        values = []
+        for _ in range(budget.samples + budget.restarts):
+            vecs = []
+            for dim in (3, 9):
+                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                vecs.append(v / np.linalg.norm(v))
+            values.append(ent.product_state_value(m, partition, vecs))
+        assert ent.product_state_minimize(m, partition, budget)[0] == min(values)
+
     @pytest.mark.parametrize("seed,restarts,samples,iterations", [
         (0, 1, 0, 200), (1, 6, 48, 200), (3, 5, 7, 2), (4, 3, 2, 0)])
     def test_a_cut_out_of_site_order_matches_the_reference(self, seed, restarts, samples,
@@ -811,6 +843,25 @@ class TestVerdictInvariants:
                 value = ent.product_state_value(m, partition,
                                                 verdict.violating_product_state)
                 assert value < -PRODUCT_BAND
+
+    def test_an_inconclusive_verdict_is_never_certified(self):
+        # at an operator norm near 1e20 rounding alone keeps the recheck of
+        # the exact 1|23 minimum above -PRODUCT_BAND
+        [row] = scan_bcs_region([0.0], [1e20], 3)
+        assert row["class"] == ent.INCONCLUSIVE and row["certified"] is False
+        verdict = ent.check_covariant_block_positive(bcs_kernel(0.0, 1e20, 3), {2})
+        assert verdict.classification == ent.INCONCLUSIVE and not verdict.certified
+
+    def test_certified_reaches_only_the_proved_classes(self, monkeypatch):
+        m = DenseOperator(2, 2, -np.eye(4, dtype=complex))
+        partition = PartitionSpec.parse("1|2")
+        vecs = (np.array([1, 0], complex), np.array([0, 1], complex))
+        confirmed = ent._classify(m, partition, -1.0, -1.0, vecs, certified=True)
+        assert confirmed.classification == ent.NOT_BLOCK_POSITIVE and confirmed.certified
+        monkeypatch.setattr(ent, "product_state_value", lambda *args: 0.0)
+        refuted = ent._classify(m, partition, -1.0, -1.0, vecs, certified=True, sweeps=3)
+        assert refuted.classification == ent.INCONCLUSIVE and not refuted.certified
+        assert refuted.sweeps == 3
 
 
 class TestScan:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import comb, factorial
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wba.sym_core import (
-    GroupAlgebraElement,
     Partition,
     Permutation,
     _characters,
@@ -30,7 +30,7 @@ from wba.sym_core import (
     schur_weyl_multiplicity,
     young_projector,
 )
-from wba.wba_algebra import realize
+from wba.wba_algebra import GroupAlgebraElement, WbaElement, realize
 
 
 def perm(text, n):
@@ -263,10 +263,23 @@ class TestYoungProjector:
             scale = irrep_dimension(a) / factorial(n)
             literal = GroupAlgebraElement(
                 {p: scale * character(a, p) for p in enumerate_group(n)}, n)
-            assert young_projector(a).terms == literal.terms
+            p = young_projector(a)
+            assert np.array_equal(p.pairings, literal.pairings)
+            assert np.array_equal(p.coeffs, literal.coeffs)
 
     def test_empty_partition_is_the_unit_of_s0(self):
-        assert young_projector(Partition(())).terms == {Permutation(()): 1.0}
+        p = young_projector(Partition(()))
+        assert p.n == 0 and p.pairings.shape == (1, 0) and p.coeffs.tolist() == [[1.0]]
+        assert realize(p, 3).tolist() == [[1.0]]
+
+    def test_is_a_walled_brauer_element_with_no_transposed_site(self):
+        for a in partitions(4):
+            p = young_projector(a)
+            assert type(p) is WbaElement
+            # bot endpoint n + t - 1 of a permutation diagram meets top sigma(t) - 1
+            assert sorted((p.pairings[:, 4:] + 1).tolist()) == sorted(
+                list(q.images) for q in enumerate_group(4)
+                if character(a, q) != 0)
 
     def test_dense_trace_is_multiplicity_times_dimension(self):
         mat = realize(young_projector(Partition((2,))), 2)
@@ -283,6 +296,18 @@ class TestYoungProjector:
         for pa in projs.values():
             total = total + pa
         assert total.approx_eq(GroupAlgebraElement.identity(n))
+
+    def test_realizations_are_pinned(self):
+        # the realized bytes for n = 1..5 in partitions(n) order, d = 2 then
+        # 3, as recorded from the dict-of-permutations element these
+        # projectors were built as before
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for a in partitions(n):
+                for d in (2, 3):
+                    digest.update(realize(young_projector(a), d).tobytes())
+        assert digest.hexdigest() == (
+            "319fbd0dd3b08dfe5e94efc2cf909296fb26239adca8099ac84570e3cd30032e")
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("d", [2, 3])

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from wba.dense_ops import haar_unitary, sup_norm
 import wba.wba_algebra as wa
 from wba.sym_core import (
-    GroupAlgebraElement,
     Partition,
     Permutation,
     coset_representatives,
@@ -23,6 +22,7 @@ from wba.sym_core import (
     young_projector,
 )
 from wba.wba_algebra import (
+    GroupAlgebraElement,
     WbaElement,
     admissible_pairs,
     compose_diagrams,
@@ -156,6 +156,38 @@ class TestElements:
         lhs = (a + b) * c
         rhs = a * c + b * c
         assert lhs.approx_eq(rhs)
+
+
+class TestGroupAlgebraElement:
+    def test_is_the_walled_brauer_element_of_its_permutations(self):
+        x = GroupAlgebraElement({perm("(1 2 3)", 3): 2.0, perm("()", 3): -0.5}, 3)
+        assert isinstance(x, WbaElement)
+        expect = WbaElement.from_permutation(perm("(1 2 3)", 3), coeff=2.0) + \
+            WbaElement.from_permutation(perm("()", 3), coeff=-0.5)
+        assert terms(x) == terms(expect)
+        assert not wa._transposed_forms(x.pairings)[1].any()
+
+    def test_product_composes_the_permutations(self):
+        # the left factor acts after the right one
+        p, q = perm("(1 2)", 3), perm("(2 3)", 3)
+        prod = GroupAlgebraElement({p: 1.0}, 3) * GroupAlgebraElement({q: 1.0}, 3)
+        assert terms(prod) == terms(GroupAlgebraElement({p * q: 1.0}, 3))
+        for d in (2, 3):
+            assert np.array_equal(realize(prod, d), realize(p, d) @ realize(q, d))
+
+    def test_zero_and_dropped_coefficients(self):
+        assert GroupAlgebraElement({}, 3).pairings.shape == (0, 6)
+        assert len(GroupAlgebraElement({perm("(1 2)", 2): 1e-15}, 2).pairings) == 0
+        assert GroupAlgebraElement({}, 2).approx_eq(GroupAlgebraElement({}, 2))
+
+    def test_degree_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match="element of S_3, term of S_2"):
+            GroupAlgebraElement({perm("(1 2)", 2): 1.0, perm("(1 2)", 3): 1.0}, 3)
+
+    def test_approx_eq_takes_a_tolerance(self):
+        x = GroupAlgebraElement({perm("(1 2)", 2): 1.0}, 2)
+        y = GroupAlgebraElement({perm("(1 2)", 2): 1.0 + 1e-9}, 2)
+        assert not x.approx_eq(y) and x.approx_eq(y, tol=1e-8)
 
 
 class TestSigma:
@@ -515,14 +547,21 @@ class TestSerialization:
         assert [bit.split("] ")[1] for bit in repr(x).split("  +  ")] == texts
 
 
+def _lift(x, n):
+    """An element of C[S(x.n)] on n sites, fixing the added points: each
+    permutation read off its bot row (bot n + t - 1 meets top sigma(t) - 1)."""
+    images = (x.pairings[:, x.n:] + 1).tolist()
+    return GroupAlgebraElement({Permutation(tuple(row)).extend(n): c
+                                for row, c in zip(images, x.coeffs[:, 0].tolist())}, n)
+
+
 def _support_size(mu, alpha):
     """|supp P_mu P_alpha| in C[S(|mu|)], multiplying the young_projector
     coefficients term by term: the image rows of pi o rho, keyed base m."""
     m = mu.n
-    p_alpha = young_projector(alpha).extend(m) if alpha.n else GroupAlgebraElement.identity(m)
     (pis, chi_mu), (rhos, chi_alpha) = (
-        (np.array([p.images for p in x.terms]) - 1, np.array(list(x.terms.values())))
-        for x in (young_projector(mu), p_alpha))
+        (x.pairings[:, m:], x.coeffs[:, 0])
+        for x in (young_projector(mu), _lift(young_projector(alpha), m)))
     keys = pis[:, rhos] @ m ** np.arange(m)
     _, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse.reshape(-1), (chi_mu[:, None] * chi_alpha).real.reshape(-1))
@@ -543,9 +582,8 @@ def _merge_rows(pairings, weights):
 @cache
 def _composed_projector_sum(mu, alpha, n, k):
     """P_mu sum_eta eta^-1 (P_alpha sigma) eta by WbaElement products."""
-    p_mu = WbaElement.from_group_algebra(young_projector(mu), n)
-    p_alpha = WbaElement.from_group_algebra(young_projector(alpha), n) \
-        if alpha.n else WbaElement.identity(n)
+    p_mu = _lift(young_projector(mu), n)
+    p_alpha = _lift(young_projector(alpha), n)
     core = p_alpha * sigma_k(n, k)
     conjugates = [WbaElement.from_permutation(eta.extend(n).inverse()) * core
                   * WbaElement.from_permutation(eta.extend(n))
