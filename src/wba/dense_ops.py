@@ -4,7 +4,8 @@ Row/column indices pack big-endian in site order (site 1 most significant),
 so <i|sigma|j> = prod_t delta(i_{sigma(t)}, j_t) holds literally and
 ``kron_all`` is the numpy Kronecker product of a whole list, entry for entry.
 An operator's matrix may carry leading stack axes, one operator per entry:
-``kron_all``, ``kron`` and the axis reorderings act on each member alone.
+``kron_all``, ``kron``, the axis reorderings, ``covariance_residual`` and
+``min_eigenvalue`` act on each member alone, bit for bit as on a call of its own.
 """
 
 from __future__ import annotations
@@ -242,29 +243,61 @@ def _conjugated_last(m: DenseOperator, conjugated) -> tuple[np.ndarray, SectorLa
     return m.mat, sector_layout(n, m.d, k)
 
 
-def _sector_rows(mat: np.ndarray, layout: SectorLayout) -> tuple[np.ndarray, float]:
+def _sector_rows(mat: np.ndarray, layout: SectorLayout):
     """M within the sectors, as a (d^n + 1, width) array whose row i holds
     M[i, j] for the j of i's sector by place (the pads and the last row are
     zero), and the largest |M| between two different sectors: 0 when M has
-    no other nonzero entry, else found a band of rows at a time."""
-    if mat.ndim != 2:
-        raise ValueError("the sector checks take one operator, not a stack")
-    dim = len(mat)
+    no other nonzero entry, else found a band of rows at a time.  A stack
+    of M gives the stack of arrays and an array of those largest |M|."""
+    lead, dim = mat.shape[:-2], mat.shape[-1]
     cols = layout.members[layout.sector]
-    rows = np.zeros((dim + 1, cols.shape[1]), dtype=mat.dtype)
-    np.copyto(rows[:dim], mat[np.arange(dim)[:, None], np.minimum(cols, dim - 1)],
+    rows = np.zeros(lead + (dim + 1, cols.shape[1]), dtype=mat.dtype)
+    np.copyto(rows[..., :dim, :], mat[..., np.arange(dim)[:, None], np.minimum(cols, dim - 1)],
               where=cols < dim)
-    if np.count_nonzero(mat) == np.count_nonzero(rows):
-        return rows, 0.0
-    off, step = [], max(1, _WORK_ENTRIES // dim)
-    for lo in range(0, dim, step):
-        band = np.abs(mat[lo:lo + step])
-        band[layout.sector[lo:lo + step, None] == layout.sector] = 0
-        off.append(band.max())
-    return rows, float(np.max(off))
+    off = np.zeros(lead)
+    if np.count_nonzero(mat) != np.count_nonzero(rows):     # some member has entries outside
+        spill = np.count_nonzero(mat, axis=(-2, -1)) != np.count_nonzero(rows, axis=(-2, -1))
+        outside, bands = mat[spill], []
+        step = max(1, _WORK_ENTRIES // (len(outside) * dim))
+        for lo in range(0, dim, step):
+            band = np.abs(outside[:, lo:lo + step])
+            band[:, layout.sector[lo:lo + step, None] == layout.sector] = 0
+            bands.append(band.max(axis=(-2, -1)))
+        off[spill] = np.max(bands, axis=0)
+    return rows, (off if lead else float(off))
 
 
-def covariance_residual(m: DenseOperator, conjugated) -> float:
+def _covariance_residuals(mats: np.ndarray, layout: SectorLayout) -> np.ndarray:
+    """covariance_residual of each member of a (members, d^n, d^n) stack
+    whose conjugated sites are the last ones of ``layout``.  The member axis
+    runs last, so each packed or frame row is one gather for the stack."""
+    count, dim = mats.shape[:2]
+    rows, worst = _sector_rows(mats, layout)
+    width = rows.shape[-1]
+    rows = rows.reshape(count, -1).swapaxes(0, 1)
+    spans = layout.members * width
+    packed = np.concatenate([rows[spans[layout.sector] + layout.position[:, None]],
+                             -rows[:dim * width].reshape(dim, width, count)])
+    frame = 2 * (dim + 1)
+    step = max(1, _WORK_ENTRIES // (count * frame * width))     # simple roots at once
+    for lo in range(0, len(layout.moves), step):
+        moves = layout.moves[lo:lo + step]
+        into = moves[:, :, 0] - lo * frame
+        moved = np.zeros((len(moves) * frame, width, count), dtype=mats.dtype)
+        for s, plain in enumerate(layout.plain):
+            ufunc = np.add if plain else np.subtract
+            moved[into[:, s]] = ufunc(moved[into[:, s]], packed[moves[:, s, 1]])
+        # the block (w + e_a - e_b, w) read from both sides at row i and
+        # the p-th index j of w: at [i, p] by row, at [j, place of i] by column
+        by_column = spans[layout.below[lo:lo + step]] + layout.position[:, None]
+        by_column += (np.arange(len(moves)) * frame * width)[:, None, None]
+        commutator = (moved.reshape(len(moves), 2, dim + 1, width, count)[:, 1, :dim]
+                      + moved.reshape(-1, count)[by_column])
+        worst = np.maximum(worst, np.abs(commutator).max(axis=(0, 1, 2)))  # sup_norm per member
+    return worst
+
+
+def covariance_residual(m: DenseOperator, conjugated):
     """How far M is from commuting with U on the plain sites (x) conj(U) on
     the sites in ``conjugated``, for every unitary U: the larger of
 
@@ -283,30 +316,19 @@ def covariance_residual(m: DenseOperator, conjugated) -> float:
     from M's blocks packed by place, by column for M A_X and by row for
     A_X M: each site's move adds 2 d^(n-1) packed rows into others, with no
     product and no random draw; M is copied only to move its conjugated
-    sites last (_conjugated_last)."""
+    sites last (_conjugated_last).
+
+    A stack of M (leading axes) gives an array of the stack's shape, each
+    member's residual bit-identical to a call on that member alone.  The
+    members run in groups whose frames fit in _WORK_ENTRIES entries
+    together, one member at a time when one frame alone does not fit."""
     mat, layout = _conjugated_last(m, conjugated)
-    rows, off = _sector_rows(mat, layout)
-    dim, width = len(mat), rows.shape[1]
-    worst = [off]
-    spans = layout.members * width
-    packed = np.concatenate([rows.reshape(-1)[spans[layout.sector] + layout.position[:, None]],
-                             -rows[:dim]])
-    frame = 2 * (dim + 1)
-    step = max(1, _WORK_ENTRIES // (frame * width))      # simple roots at once
-    for lo in range(0, len(layout.moves), step):
-        moves = layout.moves[lo:lo + step]
-        into = moves[:, :, 0] - lo * frame
-        moved = np.zeros((len(moves) * frame, width), dtype=mat.dtype)
-        for s, plain in enumerate(layout.plain):
-            ufunc = np.add if plain else np.subtract
-            moved[into[:, s]] = ufunc(moved[into[:, s]], packed[moves[:, s, 1]])
-        # the block (w + e_a - e_b, w) read from both sides at row i and
-        # the p-th index j of w: at [i, p] by row, at [j, place of i] by column
-        by_column = spans[layout.below[lo:lo + step]] + layout.position[:, None]
-        by_column += (np.arange(len(moves)) * frame * width)[:, None, None]
-        moved = moved.reshape(len(moves), 2, dim + 1, width)
-        worst.append(sup_norm(moved[:, 1, :dim] + moved.reshape(-1)[by_column]))
-    return float(np.max(worst))
+    lead, dim = mat.shape[:-2], mat.shape[-1]
+    mats = mat.reshape(-1, dim, dim)
+    group = max(1, _WORK_ENTRIES // (2 * (dim + 1) * layout.members.shape[1]))
+    worst = np.concatenate([_covariance_residuals(mats[lo:lo + group], layout)
+                            for lo in range(0, len(mats), group)])
+    return worst.reshape(lead) if lead else float(worst[0])
 
 
 def idempotence_residual(m: DenseOperator, conjugated) -> float:
@@ -314,6 +336,8 @@ def idempotence_residual(m: DenseOperator, conjugated) -> float:
     unitaries of covariance_residual: the largest of |M_w M_w - M_w| over
     the blocks M_w of the weight sectors, together with the largest |M|
     between two different sectors, so no d^n x d^n product is formed."""
+    if m.mat.ndim != 2:
+        raise ValueError("the idempotence check takes one operator, not a stack")
     mat, layout = _conjugated_last(m, conjugated)
     rows, off = _sector_rows(mat, layout)
     worst = [off]
@@ -350,10 +374,19 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def min_eigenvalue(m: DenseOperator) -> float:
-    if not np.isfinite(m.mat).all():
-        raise ValueError("matrix is not a finite hermitian one (non-finite entry)")
-    dev = sup_norm(m.mat - m.mat.conj().T)
-    if not dev <= ATOL:
-        raise ValueError(f"matrix is not a finite hermitian one (deviation {dev:.3g})")
-    return float(np.linalg.eigvalsh(m.mat)[0])
+def min_eigenvalue(m: DenseOperator):
+    """Least eigenvalue of a finite hermitian M (within ATOL), or an array of
+    those of each member of a stack, from one stacked eigvalsh.  The first
+    member in row-major order that is not finite or not hermitian raises the
+    one-line message a call on it alone raises."""
+    mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
+    with np.errstate(invalid="ignore"):     # inf - inf: a non-finite member fails either way
+        dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    passed = dev <= ATOL
+    if not passed.all():
+        first = np.argmin(passed)
+        if not np.isfinite(mats[first]).all():
+            raise ValueError("matrix is not a finite hermitian one (non-finite entry)")
+        raise ValueError(f"matrix is not a finite hermitian one (deviation {dev[first]:.3g})")
+    least = np.linalg.eigvalsh(m.mat)[..., 0]
+    return least if least.ndim else float(least)

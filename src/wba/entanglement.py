@@ -20,6 +20,7 @@ from .dense_ops import DenseOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_permutation
 from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
+from .verification import stack_sizes
 from .wba_algebra import from_permutation, realize
 
 PSD = "PSD"
@@ -316,16 +317,23 @@ def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOpera
 # Bardet-Collins-Sapra kernel and positivity condition
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)
 def _bcs_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Dense (1 2)^{T_2}, (1 3), id and (2 3)^{T_2}: the kernel's four terms."""
+    """Dense (1 2)^{T_2}, (1 3), id and (2 3)^{T_2}: the kernel's four terms
+    (cached for a few d, read-only)."""
     if d < 2:
         raise ValueError("need d >= 2")
     p = parse_permutation
-    return (realize(from_permutation(p("(1 2)", 3), {2}), d), realize(p("(3 1)", 3), d),
-            realize(p("()", 3), d), realize(from_permutation(p("(2 3)", 3), {2}), d))
+    basis = (realize(from_permutation(p("(1 2)", 3), {2}), d), realize(p("(3 1)", 3), d),
+             realize(p("()", 3), d), realize(from_permutation(p("(2 3)", 3), {2}), d))
+    for mat in basis:
+        mat.flags.writeable = False
+    return basis
 
 
-def _bcs_from_basis(basis, alpha: float, beta: float, d: int) -> DenseOperator:
+def _bcs_from_basis(basis, alpha, beta, d: int) -> DenseOperator:
+    """The kernel at (alpha, beta), or the stack of kernels for (T, 1, 1)
+    arrays of them."""
     p12_t2, p13, one, p23_t2 = basis
     return DenseOperator(3, d, p12_t2 + p13 + alpha * one + beta * p23_t2)
 
@@ -507,8 +515,7 @@ def _classify(m: DenseOperator, partition: PartitionSpec, lam: float, value: flo
     return PositivityVerdict(INCONCLUSIVE, lam, value, **{**fields, "certified": False})
 
 
-def covariant_block_minimum(m: DenseOperator, conjugated
-                            ) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
+def covariant_block_minimum(m: DenseOperator, conjugated):
     """Exact minimum of <a x|M|a x> over unit vectors a on site 1 and x on
     the other sites, with a minimising (a, x), for an M that commutes with
     the tensor product of conj(U) on the sites in ``conjugated`` and U on the
@@ -520,35 +527,55 @@ def covariant_block_minimum(m: DenseOperator, conjugated
     dense_ops.covariance_residual; unless the residual is within ATOL relative
     to M's largest entry, and that bound is finite, the answer is None (a
     refusal): an M with a NaN or infinite entry is refused.
+
+    A stack of M gives the list of the members' answers in row-major order,
+    from one covariance check and one eigh of the covariant members' blocks.
     """
     if m.n < 2:
         raise ValueError("the cut 1|rest needs at least two sites")
     d, rest = m.d, m.d ** (m.n - 1)
-    bound = ATOL * np.maximum(1.0, dense_ops.sup_norm(m.mat))    # NaN for a NaN entry
-    if not dense_ops.covariance_residual(m, conjugated) <= bound < np.inf:
-        return None
-    values, vectors = np.linalg.eigh(m.mat.reshape(d, rest, d, rest)[0, :, 0, :])
-    e1 = np.zeros(d, dtype=complex)
-    e1[0] = 1.0
-    return float(values[0]), (e1, vectors[:, 0])
+    mats = m.mat.reshape(-1, d * rest, d * rest)
+    bounds = ATOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))   # NaN for a NaN entry
+    residuals = np.reshape(dense_ops.covariance_residual(m, conjugated), -1)
+    covariant = [i for i, (residual, bound) in enumerate(zip(residuals.tolist(), bounds.tolist()))
+                 if residual <= bound < math.inf]
+    values, vectors = np.linalg.eigh(mats.reshape(-1, d, rest, d, rest)[covariant, 0, :, 0])
+    answers = [None] * len(mats)
+    for i, value, vector in zip(covariant, values[:, 0].tolist(), vectors[:, :, 0]):
+        e1 = np.zeros(d, dtype=complex)
+        e1[0] = 1.0
+        answers[i] = (value, (e1, vector))
+    return answers if m.mat.ndim > 2 else answers[0]
 
 
 def check_covariant_block_positive(m: DenseOperator, conjugated,
-                                   budget: SearchBudget = SearchBudget()) -> PositivityVerdict:
+                                   budget: SearchBudget = SearchBudget()):
     """check_block_positive for the cut 1|rest of an operator covariant as
     covariant_block_minimum requires: the PSD step is the same, and the
     product minimum is the exact one, so the verdict is ``certified``.  An
     operator that fails the covariance check gets check_block_positive's
-    search, seeded by the budget, on the same lambda; the check draws nothing."""
+    search, seeded by the budget, on the same lambda; the check draws nothing.
+
+    A stack of operators gives the list of the members' verdicts in
+    row-major order, each that of a call on the member alone: one stacked
+    eigvalsh, one covariance check of the non-PSD members, and the search
+    for each member that fails it, in order, with the budget as given."""
     partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
-    lam = dense_ops.min_eigenvalue(m)
-    if lam >= -EIG_TOL:
-        return PositivityVerdict(PSD, lam, lam)
-    exact = covariant_block_minimum(m, conjugated)
-    if exact is None:
-        value, vecs, sweeps, converged = product_state_minimize(m, partition, budget)
-        return _classify(m, partition, lam, value, vecs, sweeps=sweeps, converged_starts=converged)
-    return _classify(m, partition, lam, *exact, certified=True)
+    mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
+    lams = dense_ops.min_eigenvalue(DenseOperator(m.n, m.d, mats)).tolist()
+    verdicts = [PositivityVerdict(PSD, lam, lam) if lam >= -EIG_TOL else None for lam in lams]
+    negative = [i for i, verdict in enumerate(verdicts) if verdict is None]
+    if negative:
+        exact = covariant_block_minimum(DenseOperator(m.n, m.d, mats[negative]), conjugated)
+        for i, found in zip(negative, exact):
+            member, lam = DenseOperator(m.n, m.d, mats[i]), lams[i]
+            if found is None:
+                value, vecs, sweeps, converged = product_state_minimize(member, partition, budget)
+                verdicts[i] = _classify(member, partition, lam, value, vecs, sweeps=sweeps,
+                                        converged_starts=converged)
+            else:
+                verdicts[i] = _classify(member, partition, lam, *found, certified=True)
+    return verdicts if m.mat.ndim > 2 else verdicts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +636,26 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget = SearchBud
 def scan_bcs_region(alpha_values, beta_values, d: int,
                     budget: SearchBudget = SearchBudget()) -> list[dict]:
     """Grid scan: analytic condition, minimum eigenvalue, 1|23 product-state
-    minimum and classification per (alpha, beta) point.
+    minimum and classification per (alpha, beta) point, alpha-major.
 
     The kernel is covariant, so the minimum is the exact one of
     check_covariant_block_positive (``certified``).  Its covariance check runs
     on the U(d) generators and draws nothing; the budget's search runs, with
-    the budget as given, only at a point where that check fails.
+    the budget as given, only at a point where that check fails.  The points
+    are classified a stack at a time: each stack holds as many kernels as
+    fit in verification.STACK_BYTES, at least one, and each verdict is that
+    of the point's kernel alone.
     """
     basis = _bcs_basis(d)
-    rows = []
-    for alpha in alpha_values:
-        for beta in beta_values:
-            verdict = check_covariant_block_positive(_bcs_from_basis(basis, alpha, beta, d),
-                                                     {2}, budget)
+    points = [(alpha, beta) for alpha in alpha_values for beta in beta_values]
+    rows, start = [], 0
+    for size in stack_sizes(len(points), basis[0].size):
+        chunk = points[start:start + size]
+        start += size
+        alphas, betas = np.array(chunk, dtype=float).T[..., None, None]
+        verdicts = check_covariant_block_positive(_bcs_from_basis(basis, alphas, betas, d),
+                                                  {2}, budget)
+        for (alpha, beta), verdict in zip(chunk, verdicts):
             rows.append({
                 "alpha": float(alpha),
                 "beta": float(beta),

@@ -19,13 +19,13 @@ from .tolerances import ORACLE_TOL
 from .wba_algebra import from_permutation, realize
 
 
-# bytes a stack holds: a case's tuples run in stacks of as many tuples as
-# fit in this, at least one tuple a stack
+# bytes a stack holds: a case's tuples (and scan-bcs' kernels) run in
+# stacks of as many as fit in this, at least one a stack
 STACK_BYTES = 1 << 18
 
 
 def stack_sizes(count: int, entries: int) -> list[int]:
-    """Sizes of the stacks that cover count tuples of entries complex entries
+    """Sizes of the stacks that cover count items of entries complex entries
     each.  A tuple of the oracle holds the larger of its gathered terms (the
     kernel's d^n nonzeros, one per basis column of a diagram, times the kept
     columns of the sites a factor covers; the identity sites add none) and

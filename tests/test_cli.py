@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -235,6 +236,15 @@ class TestScanBcs:
                            "--beta=-0.5:0.1:0.05", "--seed", "1")
         assert code == 0
         assert out == (DATA / "scan_bcs_d3_seed1.csv").read_text()
+
+    def test_grid_at_d4_is_pinned(self, capsys):
+        # the CI grid at d = 4, 4 kernels a stack; like the golden files the
+        # digest holds BLAS-rounded floats
+        code, out, _ = run(capsys, "scan-bcs", "--d", "4", "--alpha", "0:1:0.1",
+                           "--beta=-0.5:0.1:0.05", "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f30f878e36e6306fccec2dc10949cb71266ef9743a69d431f18be1c4bfa17701")
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan-bcs", "--alpha", "zero:one:step",

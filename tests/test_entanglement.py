@@ -1,10 +1,11 @@
 import math
 import timeit
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wba import dense_ops, entanglement as ent
+from wba import dense_ops, entanglement as ent, verification
 from wba.dense_ops import DenseOperator, random_matrix, sup_norm
 from wba.entanglement import (
     PartitionSpec,
@@ -112,11 +113,11 @@ class TestBcsKernel:
         scanned = []
         real_check = ent.check_covariant_block_positive
         monkeypatch.setattr(ent, "check_covariant_block_positive",
-                            lambda m, *args: scanned.append(m.mat) or real_check(m, *args))
+                            lambda m, *args: scanned.extend(m.mat) or real_check(m, *args))
         alphas, betas = [0.0, 0.3, 1 / 3], [-0.45, 0.0, 0.1]
         scan_bcs_region(alphas, betas, 3)
         points = [(a, b) for a in alphas for b in betas]
-        assert len(scanned) == len(points)
+        assert len(scanned) == len(points)      # every member of every stack, in grid order
         for mat, (alpha, beta) in zip(scanned, points):
             assert np.array_equal(mat, reference(alpha, beta, 3))
             assert np.array_equal(bcs_kernel(alpha, beta, 3).mat, reference(alpha, beta, 3))
@@ -790,6 +791,27 @@ class TestProposition1:
                 searched, *_ = ent.product_state_minimize(rho_ts, partition, budget)
                 assert verdict.product_min_estimate <= searched + 1e-12
 
+    def test_one_operator_is_a_one_member_stack(self):
+        classes = set()
+        for params in _seeded_states()[:5]:
+            rho = werner_state(params)
+            for s in ent.ROW_SUBSETS.values():
+                rho_ts = dense_ops.partial_transpose(rho, s)
+                alone = ent.check_covariant_block_positive(rho_ts, s)
+                stacked = ent.check_covariant_block_positive(
+                    DenseOperator(3, 3, rho_ts.mat[None]), s)
+                assert len(stacked) == 1
+                fields = ("classification", "min_eig", "product_min_estimate", "sweeps",
+                          "converged_starts", "certified")
+                for field in fields:
+                    assert getattr(stacked[0], field) == getattr(alone, field)
+                vectors = (stacked[0].violating_product_state, alone.violating_product_state)
+                assert (vectors[0] is None) == (vectors[1] is None)
+                if alone.violating_product_state is not None:
+                    assert all(np.array_equal(u, v) for u, v in zip(*vectors))
+                classes.add(alone.classification)
+        assert {ent.PSD, ent.NOT_BLOCK_POSITIVE} <= classes
+
     def test_non_state_fails_before_any_map(self, monkeypatch):
         def no_map(*args, **kwargs):
             raise AssertionError("a map was evaluated for a non-state")
@@ -884,13 +906,38 @@ class TestScan:
             return minimize(m, partition, budget)
 
         minimize = ent.product_state_minimize
-        monkeypatch.setattr(ent, "covariant_block_minimum", lambda *args: None)
+        monkeypatch.setattr(ent, "covariant_block_minimum",
+                            lambda m, conjugated: [None] * len(m.mat))   # refuse every member
         monkeypatch.setattr(ent, "product_state_minimize", recording)
         budget = SearchBudget(seed=13, restarts=2, samples=4, iterations=3)
         rows = scan_bcs_region([0.0, 0.25], [-0.3, -0.1], 3, budget)
         assert len(budgets) == sum(r["class"] != ent.PSD for r in rows) == 4
         assert all(b == budget for b in budgets)
         assert not any(r["certified"] for r in rows)
+
+    def test_one_covariance_check_per_stack(self, monkeypatch):
+        # the golden 11 x 13 grid at d = 3: 22 kernels a stack, 7 stacks
+        calls = []
+        residual = dense_ops.covariance_residual
+        monkeypatch.setattr(dense_ops, "covariance_residual", lambda m, conjugated: (
+            calls.append(m.mat.shape) or residual(m, conjugated)))
+        alphas = [i / 10 for i in range(11)]
+        betas = [round(-0.5 + j * 0.05, 12) for j in range(13)]
+        rows = scan_bcs_region(alphas, betas, 3, SearchBudget(seed=1))
+        assert len(rows) == 143 and sum(r["class"] != ent.PSD for r in rows) == 136
+        assert 1 <= len(calls) <= 7 and all(len(shape) == 3 for shape in calls)
+
+    def test_peak_memory_is_a_few_stacks(self):
+        alphas, betas = np.linspace(-1.0, 1.0, 20), np.linspace(-0.6, 0.4, 25)
+        scan_bcs_region(alphas[:1], betas[:1], 3)       # the cached basis
+        tracemalloc.start()
+        try:
+            rows = scan_bcs_region(alphas, betas, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 500
+        assert peak <= 12 * verification.STACK_BYTES
 
     def test_condition_boundary_at_beta_zero(self):
         assert bcs_alpha_threshold(0.0, 3) == 0.0

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wba import entanglement as ent
+from wba import dense_ops, entanglement as ent
 from wba.dense_ops import (
     DenseOperator,
     covariance_residual,
@@ -18,7 +18,8 @@ from wba.dense_ops import (
     sector_layout,
     sup_norm,
 )
-from wba.wba_algebra import f_projector, realize
+from wba.sym_core import Permutation
+from wba.wba_algebra import f_projector, from_permutation, realize
 
 from test_cli import _PROJECTOR_CASES
 
@@ -191,10 +192,10 @@ class TestMatchesTheSliceResidual:
             sup_norm(mat @ mat - mat), rel=1e-12)
 
     def test_a_stack_is_refused(self):
+        # covariance_residual takes stacks (TestStacks)
         stack = DenseOperator(2, 2, np.zeros((3, 4, 4)))
-        for check in (covariance_residual, idempotence_residual):
-            with pytest.raises(ValueError, match="not a stack"):
-                check(stack, (2,))
+        with pytest.raises(ValueError, match="not a stack"):
+            idempotence_residual(stack, (2,))
 
     def test_off_sector_entries_alone(self):
         # a matrix with no block part reads its largest off-sector entry
@@ -205,3 +206,122 @@ class TestMatchesTheSliceResidual:
         op = DenseOperator(n, d, mat)
         assert covariance_residual(op, conjugated) == np.abs(mat).max()
         assert idempotence_residual(op, conjugated) == np.abs(mat).max()
+
+
+def _hermitian(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g + g.conj().T
+
+
+def _covariant(rng, n, d, conjugated):
+    """A hermitian sum of partially transposed permutations: it commutes with
+    U on the plain sites (x) conj(U) on the conjugated ones."""
+    perms = [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+    x = sum(complex(*rng.standard_normal(2)) * realize(from_permutation(perm, conjugated), d)
+            for perm in rng.choice(perms, size=3))
+    return x + x.conj().T
+
+
+def _stack(n, d, conjugated, seed):
+    """A (2, 3) stack: two covariant members, one of them off by 1e-12, two
+    random hermitian ones, one of sector blocks only and one of off-sector
+    entries only."""
+    rng = np.random.default_rng(seed)
+    dim, same = d ** n, same_weight(n, d, conjugated)
+    covariant = _covariant(rng, n, d, conjugated)
+    nudged = covariant + 1e-12 * _hermitian(rng, dim)
+    blocks, off = (np.where(mask, _hermitian(rng, dim), 0) for mask in (same, ~same))
+    members = [covariant, _hermitian(rng, dim), nudged, blocks, off, _hermitian(rng, dim)]
+    return DenseOperator(n, d, np.array(members).reshape(2, 3, dim, dim))
+
+
+def _members(stack):
+    return [DenseOperator(stack.n, stack.d, mat)
+            for mat in stack.mat.reshape((-1,) + stack.mat.shape[-2:])]
+
+
+def _same_minimum(stacked, alone):
+    if alone is None:
+        return stacked is None
+    return (stacked is not None and stacked[0] == alone[0]
+            and all(np.array_equal(u, v) for u, v in zip(stacked[1], alone[1])))
+
+
+# conjugated sets that are not the last sites, so _conjugated_last reorders
+STACK_CASES = [(3, 3, (2,)), (3, 3, (1,)), (4, 2, (1, 3)), (2, 4, (1,))]
+
+
+class TestStacks:
+    """Each member of a stack gets the bits of a call on it alone."""
+
+    @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
+    @pytest.mark.parametrize("group", [None, 4, 1])
+    def test_covariance_residual(self, n, d, conjugated, group, monkeypatch):
+        # frames for 4 members split the stack 4 + 2; a bound of one entry
+        # splits the roots, the bands and the members
+        stack = _stack(n, d, conjugated, n * d)
+        alone = [covariance_residual(m, conjugated) for m in _members(stack)]
+        if group:
+            width = sector_layout(n, d, min(len(conjugated), n - len(conjugated))).members.shape[1]
+            work = 1 if group == 1 else group * 2 * (d ** n + 1) * width
+            monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", work)
+        stacked = covariance_residual(stack, conjugated)
+        assert stacked.shape == (2, 3)
+        assert np.array_equal(stacked.reshape(-1), alone)
+        assert alone[0] <= 1e-12 and 0 < alone[2] <= 1e-10 and min(alone[3:]) > 1e-3
+
+    @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
+    def test_off_sector_member(self, n, d, conjugated):
+        # the off-sector member reads its largest entry; the others none of it
+        stack = _stack(n, d, conjugated, 7)
+        off = stack.mat[1, 1]
+        assert covariance_residual(stack, conjugated)[1, 1] == np.abs(off).max() > 0
+        assert covariance_residual(DenseOperator(n, d, off), conjugated) == np.abs(off).max()
+
+    @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
+    def test_min_eigenvalue(self, n, d, conjugated):
+        stack = _stack(n, d, conjugated, 3)
+        stacked = dense_ops.min_eigenvalue(stack)
+        assert stacked.shape == (2, 3)
+        assert np.array_equal(stacked.reshape(-1),
+                              [dense_ops.min_eigenvalue(m) for m in _members(stack)])
+
+    @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
+    def test_covariant_block_minimum(self, n, d, conjugated):
+        stack = _stack(n, d, conjugated, 5)
+        stacked = ent.covariant_block_minimum(stack, conjugated)
+        alone = [ent.covariant_block_minimum(m, conjugated) for m in _members(stack)]
+        assert len(stacked) == 6 and [x is None for x in alone] == [False, True, False] + [True] * 3
+        assert all(_same_minimum(x, y) for x, y in zip(stacked, alone))
+
+    def test_nan_member(self):
+        n, d, conjugated = 3, 3, (2,)
+        stack = _stack(n, d, conjugated, 9)
+        stack.mat[1, 0, 4, 5] = np.nan
+        members = _members(stack)
+        assert np.array_equal(covariance_residual(stack, conjugated).reshape(-1),
+                              [covariance_residual(m, conjugated) for m in members],
+                              equal_nan=True)
+        stacked = ent.covariant_block_minimum(stack, conjugated)
+        assert stacked[3] is None
+        assert all(_same_minimum(x, ent.covariant_block_minimum(m, conjugated))
+                   for x, m in zip(stacked, members))
+        for check in (dense_ops.min_eigenvalue,
+                      lambda m: ent.check_covariant_block_positive(m, conjugated)):
+            with pytest.raises(ValueError) as alone:
+                check(members[3])
+            with pytest.raises(ValueError) as together:
+                check(stack)
+            assert str(together.value) == str(alone.value)
+            assert str(alone.value).endswith("(non-finite entry)")
+
+    def test_first_bad_member_is_named(self):
+        # the first member in row-major order that fails names the failure
+        n, d, conjugated = 3, 3, (2,)
+        stack = _stack(n, d, conjugated, 9)
+        stack.mat[0, 2, 0, 1] += 1e-3       # not hermitian
+        stack.mat[1, 0, 4, 5] = np.inf
+        with pytest.raises(ValueError, match=r"\(deviation 0\.001\)$"):
+            dense_ops.min_eigenvalue(stack)
+        with pytest.raises(ValueError, match=r"\(non-finite entry\)$"):
+            dense_ops.min_eigenvalue(DenseOperator(n, d, stack.mat[::-1]))
