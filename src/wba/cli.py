@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -89,31 +90,69 @@ def _fmt(x: float) -> str:
 # stands where the term list goes in the indented report; no report field holds a NUL
 _TERMS_SLOT = "\0terms"
 
+# terms of the listing written per formatting pass: bounds the pass's
+# template, arguments and text
+_LISTING_CHUNK = 1 << 12
 
-def _report_json(report: dict, texts: list[str], coeffs: np.ndarray) -> str:
-    """A projector report as ``json.dumps(report, sort_keys=True, indent=2)``
-    writes it, byte for byte, with the listing of _term_listing (texts and
-    coefficient rows) under report["element"]["terms"]: each entry is
-    {"coeff": [{"im", "power", "re"}, ...], "diagram"}, one coeff per nonzero
-    entry.  ``indent`` selects the stdlib's pure-Python encoder, so the term
-    list is written here from a per-entry template; its numbers come from
-    compact (C) dumps, which write them as the indented one does
-    (float.__repr__, NaN, Infinity), the diagrams from encode_basestring_ascii."""
+
+def _entry_template(count: int) -> str:
+    """The indented text of one listing entry with ``count`` coefficients:
+    each coefficient's im, power and re, then the diagram, as %s."""
+    coeff = '{\n            "im": %s,\n            "power": %s,\n            "re": %s\n          }'
+    items = "[\n          " + ",\n          ".join([coeff] * count) + "\n        ]" if count else "[]"
+    return '{\n        "coeff": %s,\n        "diagram": %%s\n      }' % items
+
+
+def _json_texts(x: np.ndarray) -> np.ndarray:
+    """The JSON text of each entry of ``x`` (floats or ints of 8 bytes), from
+    one compact (C) dump of its distinct bit patterns: float.__repr__, NaN
+    and Infinity as the indented dump writes them, -0.0 apart from 0.0.
+    np.unique with flags stays off the path that imports numpy.ma."""
+    _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+    return np.array(json.dumps(x[first].tolist())[1:-1].split(", "), dtype=object)[inverse]
+
+
+def _report_json(report: dict, texts: list[str], coeffs: np.ndarray) -> Iterator[str]:
+    """The pieces of a projector report as ``json.dumps(report,
+    sort_keys=True, indent=2)`` writes it, byte for byte, with the listing
+    of _term_listing (texts and coefficient rows) under
+    report["element"]["terms"]: each entry is {"coeff": [{"im", "power",
+    "re"}, ...], "diagram"}, one coeff per nonzero entry.
+
+    The head and tail are the indented dump of the report around the
+    listing.  ``indent`` selects the stdlib's pure-Python encoder, so the
+    listing is written here, _LISTING_CHUNK terms a piece, by one ``%`` over
+    the entry templates of the piece's terms; the j-th nonzero coefficient's
+    texts stand at 3j + (im, power, re) plus the diagrams before it, and each
+    diagram after its term's coefficients.  Numbers come from _json_texts,
+    diagrams from encode_basestring_ascii."""
+    shell = {**report, "element": {**report["element"], "terms": _TERMS_SLOT}}
+    head, _, tail = json.dumps(shell, sort_keys=True, indent=2).partition(
+        json.dumps(_TERMS_SLOT))
+    yield head
+    if not texts:
+        yield "[]"
+        yield tail
+        return
     rows, powers = np.nonzero(coeffs)
     values = coeffs[rows, powers]
-    triples = zip(*[json.dumps(column.tolist())[1:-1].split(", ")
-                    for column in (values.imag, powers, values.real)])
-    coeff = '{\n            "im": %s,\n            "power": %s,\n            "re": %s\n          }'
-    entries = []
-    for text, count in zip(texts, np.count_nonzero(coeffs, axis=1).tolist()):
-        items = ",\n          ".join([coeff % next(triples) for _ in range(count)])
-        entries.append('{\n        "coeff": %s,\n        "diagram": %s\n      }' % (
-            f"[\n          {items}\n        ]" if items else "[]",
-            encode_basestring_ascii(text)))
-    listing = "[\n      " + ",\n      ".join(entries) + "\n    ]" if entries else "[]"
-    shell = {**report, "element": {**report["element"], "terms": _TERMS_SLOT}}
-    text = json.dumps(shell, sort_keys=True, indent=2)
-    return text.replace(json.dumps(_TERMS_SLOT), listing, 1)
+    columns = [_json_texts(column) for column in (values.imag, powers, values.real)]
+    counts = np.count_nonzero(coeffs, axis=1)
+    ends = np.concatenate([[0], np.cumsum(counts)])    # term t's nonzeros: ends[t]:ends[t + 1]
+    templates = [_entry_template(count) for count in range(coeffs.shape[1] + 1)]
+    for lo in range(0, len(texts), _LISTING_CHUNK):
+        hi = min(lo + _LISTING_CHUNK, len(texts))
+        first, last = ends[lo], ends[hi]
+        args = np.empty(3 * (last - first) + hi - lo, dtype=object)
+        at = 3 * np.arange(last - first) + rows[first:last] - lo
+        for offset, column in enumerate(columns):
+            args[at + offset] = column[first:last]
+        args[3 * (ends[lo + 1:hi + 1] - first) + np.arange(hi - lo)] = [
+            encode_basestring_ascii(text) for text in texts[lo:hi]]
+        template = ",\n      ".join([templates[count] for count in counts[lo:hi].tolist()])
+        yield ("[\n      " if lo == 0 else ",\n      ") + template % tuple(args.tolist())
+    yield "\n    ]"
+    yield tail
 
 
 def _write_out(path: str, parts) -> None:
@@ -142,13 +181,27 @@ def _write_out(path: str, parts) -> None:
         raise CliError(f"--out {path}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    end = "" if text.endswith("\n") else "\n"
+def _ended(parts):
+    """The strings ``parts``, then a newline unless the last ends with one."""
+    last = ""
+    for last in parts:
+        yield last
+    if not last.endswith("\n"):
+        yield "\n"
+
+
+def _emit(text, out: str | None) -> None:
+    """Write ``text``, a string or an iterable of strings written in order,
+    ending with a newline, to ``out`` or to stdout."""
+    parts = _ended((text,) if isinstance(text, str) else text)
     if out:
-        _write_out(out, (text, end))
+        _write_out(out, parts)
         return
     try:
-        print(text, end=end, flush=True)
+        write = sys.stdout.write
+        for part in parts:
+            write(part)
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: the output counts as delivered; devnull takes the exit flush
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -326,8 +326,9 @@ def covariance_residual(m: DenseOperator, conjugated):
     lead, dim = mat.shape[:-2], mat.shape[-1]
     mats = mat.reshape(-1, dim, dim)
     group = max(1, _WORK_ENTRIES // (2 * (dim + 1) * layout.members.shape[1]))
-    worst = np.concatenate([_covariance_residuals(mats[lo:lo + group], layout)
-                            for lo in range(0, len(mats), group)])
+    worst = np.empty(len(mats))
+    for lo in range(0, len(mats), group):
+        worst[lo:lo + group] = _covariance_residuals(mats[lo:lo + group], layout)
     return worst.reshape(lead) if lead else float(worst[0])
 
 

@@ -361,12 +361,13 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> WbaE
     ends = np.concatenate([top, n + np.broadcast_to(etas_inv[:, None, :], top.shape)], axis=2)
     sigma = np.array(sigma_diagram(n, k).pairing)[None, :]
     pairings = _relabel(sigma, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
-    weights = np.tile(weights[support], len(reps))
     scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
              * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / norm)
-    # int / int is correctly rounded: the one rounding of each exact coefficient
-    coeffs = [w * scale.numerator / scale.denominator for w in weights.tolist()]
-    return WbaElement(n, pairings, np.array(coeffs, dtype=complex)[:, None])
+    num, den = scale.numerator, scale.denominator
+    # int / int is correctly rounded: the one rounding of each exact
+    # coefficient, the same in every coset block
+    coeffs = np.tile([w * num / den for w in weights[support].tolist()], len(reps))
+    return WbaElement(n, pairings, coeffs.astype(complex)[:, None])
 
 
 # terms f_projector may relabel: every projector with n <= 10 fits (the largest,

@@ -168,7 +168,13 @@ def _report(texts, n=4):
 def _check_report_json(texts, coeffs, n=4):
     report = _report(texts, n)
     full = {**report, "element": {"n": n, "terms": _record_terms(texts, coeffs)}}
-    assert _report_json(report, texts, coeffs) == _stdlib_report(full)
+    got, want = "".join(_report_json(report, texts, coeffs)), _stdlib_report(full)
+    if got != want:     # pytest's own diff of two reports of 1 MB takes minutes
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(0, at - 60)
+        pytest.fail(f"the reports differ from offset {at}: "
+                    f"{got[lo:at + 60]!r} != {want[lo:at + 60]!r}")
 
 
 _PROJECTOR_CASES = [(n, k, d, mu, alpha) for n in range(2, 7) for k in (1, 2) for d in (2, 3)
@@ -197,6 +203,25 @@ class TestReportJson:
     ], ids=["no-terms", "empty-coeff", "mixed", "non-finite"])
     def test_synthetic_records(self, texts, coeffs):
         _check_report_json(texts, np.array(coeffs, complex))
+
+    @pytest.mark.parametrize("terms", [cli._LISTING_CHUNK - 1, cli._LISTING_CHUNK,
+                                       cli._LISTING_CHUNK + 1, 2 * cli._LISTING_CHUNK + 1])
+    def test_chunk_boundaries(self, terms):
+        # 0 to 4 nonzero coefficients a term, parts from a pool with -0.0,
+        # inf, NaN and values that occur once; one listing piece per chunk
+        rng = np.random.default_rng(terms)
+        pool = np.array([0.0, -0.0, 0.5, -1.25, 1e-300, 5e-324, np.inf, -np.inf, np.nan])
+        parts = np.where(rng.random((2, terms, 4)) < 0.8,
+                         pool[rng.integers(len(pool), size=(2, terms, 4))],
+                         rng.standard_normal((2, terms, 4)))
+        coeffs = np.zeros((terms, 4), complex)
+        coeffs.real, coeffs.imag = parts     # 1j * inf would write NaN for the real part
+        coeffs[rng.random((terms, 4)) < 0.5] = 0
+        coeffs[rng.random(terms) < 0.1] = 0
+        texts = [f"({t % 7} {t})^T{{{t % 3}}}" if t % 5 else f"é \"{t}\"" for t in range(terms)]
+        _check_report_json(texts, coeffs)
+        pieces = list(_report_json(_report(texts), texts, coeffs))
+        assert len(pieces) == -(-terms // cli._LISTING_CHUNK) + 3  # head, chunks, "]", tail
 
     def test_cli_output_is_the_stdlib_dump(self, capsys):
         code, out, _ = run(capsys, "projector", "--n", "5", "--k", "1", "--d", "2",
@@ -803,19 +828,60 @@ class TestSignedValues:
         assert err == "error: argument --alpha: expected one argument\n"
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this wba."""
+    src = str(Path(wba.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+_N7_JSON = ["projector", "--n", "7", "--k", "1", "--d", "2", "--mu", "[4,2]",
+            "--alpha", "[3,2]", "--format", "json"]
+
+
 class TestClosedStdout:
     def test_closed_reader_ends_quietly(self):
         # the read end is closed before the CLI writes: its output counts
         # as delivered, with no traceback and the usual exit code
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(wba.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "wba.cli", "werner-ppt", "--r=-0.1,0,0,0,0,0"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+                stdout=write_end, stderr=subprocess.PIPE, env=_fresh_env(), timeout=120)
         finally:
             os.close(write_end)
         assert proc.stderr == b"" and proc.returncode == 0
+
+    def test_reader_closed_mid_stream(self):
+        # the 620 kB report outruns the pipe: the reader leaves after its
+        # first 64 kB, while the listing is still being written
+        proc = subprocess.Popen([sys.executable, "-m", "wba.cli", *_N7_JSON],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
+        try:
+            head = proc.stdout.read(1 << 16)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert head.startswith(b"{") and len(head) == 1 << 16
+        assert err == b"" and proc.returncode == 0
+
+
+def test_cli_imports_no_numpy_ma():
+    """The projector report and scan-bcs never import numpy.ma.  numpy
+    imports it lazily, when an entry point that needs it first runs (a
+    np.unique without flags does), and that import costs every CLI process
+    10-15 ms."""
+    script = ("import contextlib, io, sys\n"
+              "from wba.cli import main\n"
+              "for argv in sys.argv[1:]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv.split()) == 0, argv\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, " ".join(_N7_JSON),
+         "scan-bcs --alpha 0:1:0.5 --beta=-0.5:0.1:0.3"],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

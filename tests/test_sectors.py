@@ -325,3 +325,12 @@ class TestStacks:
             dense_ops.min_eigenvalue(stack)
         with pytest.raises(ValueError, match=r"\(non-finite entry\)$"):
             dense_ops.min_eigenvalue(DenseOperator(n, d, stack.mat[::-1]))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_stack(self, shape):
+        # a stack with no member gets an empty answer of its shape
+        stack = DenseOperator(3, 3, np.zeros(shape + (27, 27), complex))
+        for check in (lambda m: covariance_residual(m, (2,)), dense_ops.min_eigenvalue):
+            answer = check(stack)
+            assert isinstance(answer, np.ndarray) and answer.shape == shape
+        assert ent.covariant_block_minimum(stack, (2,)) == []

@@ -671,6 +671,22 @@ class TestRelabelConstruction:
             f = f_projector(mu, alpha, n, k, n)
             assert len(f.pairings) == len(coset_representatives(n, k)) * _support_size(mu, alpha)
 
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(2 * k, 8)])
+    def test_coefficients_match_the_per_term_rounding(self, n, k):
+        # each term's coefficient has the bits of w * num / den rounded for
+        # that term alone, w its exact integer weight (read back from the
+        # coefficient) and num / den the one rational scale
+        from wba.sym_core import irrep_dimension
+
+        for alpha, mu in admissible_pairs(n, k, n):
+            f = f_projector(mu, alpha, n, k, n)
+            scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
+                     * Fraction(irrep_dimension(alpha), factorial(alpha.n))
+                     / gamma(mu, alpha, n, k, n))
+            weights = [round(Fraction(c) / scale) for c in f.coeffs[:, 0].real.tolist()]
+            per_term = [w * scale.numerator / scale.denominator for w in weights]
+            assert np.array_equal(f.coeffs[:, 0], per_term), (mu, alpha)
+
     def test_refuses_past_the_relabel_bound(self):
         # (12,5) [4,3]/[2]: 2520 x 3520 terms, whose relabel would take 1.6 GiB
         tracemalloc.start()
