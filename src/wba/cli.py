@@ -155,6 +155,30 @@ def _report_json(report: dict, texts: list[str], coeffs: np.ndarray) -> Iterator
     yield tail
 
 
+def _report_text(report: dict, texts: list[str], coeffs: np.ndarray) -> Iterator[str]:
+    """The pieces of a projector report as text: the header lines, the
+    listing of _term_listing one line per term, _LISTING_CHUNK terms a
+    piece, and the map line if the report has one.  Each distinct
+    coefficient row (by bit pattern) is formatted once."""
+    yield (f"F_{report['mu']}({report['alpha']}) on n={report['n']} sites, "
+           f"k={report['k']} transposed, d={report['d']}\n"
+           f"gamma = {report['gamma']}\n"
+           f"terms = {report['terms']}\n"
+           f"idempotence residual = {report['idempotence_residual']}\n"
+           f"commutant residual   = {report['commutant_residual']}\n")
+    if texts:
+        rows, inverse = np.unique(coeffs.view(np.int64), axis=0, return_inverse=True)
+        values = [" + ".join(f"({c.real:.6g}{c.imag:+.6g}i) d^{p}" for p, c in enumerate(row) if c)
+                  for row in rows.view(complex).tolist()]
+        inverse = inverse.reshape(-1).tolist()
+        for lo in range(0, len(texts), _LISTING_CHUNK):
+            yield "".join([f"  [{values[i]}]  {text}\n" for i, text in zip(
+                inverse[lo:lo + _LISTING_CHUNK], texts[lo:lo + _LISTING_CHUNK])])
+    if "map_output_min_eig" in report:
+        yield (f"map on {report['map_inputs']} random PSD inputs: "
+               f"output min eigenvalue = {report['map_output_min_eig']}\n")
+
+
 def _write_out(path: str, parts) -> None:
     """Write the strings ``parts`` as a shell redirect does: through
     symlinks, straight into a FIFO or device, and by an atomic replace that
@@ -280,12 +304,11 @@ def cmd_projector(args) -> int:
         g = gamma(mu, alpha, args.n, args.k, args.d)
         check_size_guard(args.n, args.d)
         element = f_projector(mu, alpha, args.n, args.k, args.d)
-        f = realize(element, args.d)
-    if f.imag.any():
-        raise CliError(f"F_{mu}({alpha}) has a non-real entry", 2)
+        if element.coeffs.imag.any():
+            raise CliError(f"F_{mu}({alpha}) has a non-real entry", 2)
+        f = dense_ops.DenseOperator(args.n, args.d, realize(element, args.d, real=True))
     # F should commute with U on the first n-k sites (x) conj(U) on the last
     # k: both checks run on its weight sectors and count any entry off them
-    f = dense_ops.DenseOperator(args.n, args.d, np.ascontiguousarray(f.real))
     conjugated = range(args.n - args.k + 1, args.n + 1)
     idem = dense_ops.idempotence_residual(f, conjugated)
     comm = dense_ops.covariance_residual(f, conjugated)
@@ -308,22 +331,8 @@ def cmd_projector(args) -> int:
         out = mm.fast_evaluate(spec, inputs)
         report["map_inputs"] = n_in
         report["map_output_min_eig"] = _fmt(dense_ops.min_eigenvalue(out))
-    if args.format == "json":
-        _emit(_report_json(report, texts, coeffs), args.out)
-    else:
-        lines = [f"F_{report['mu']}({report['alpha']}) on n={args.n} sites, "
-                 f"k={args.k} transposed, d={args.d}",
-                 f"gamma = {report['gamma']}",
-                 f"terms = {report['terms']}",
-                 f"idempotence residual = {report['idempotence_residual']}",
-                 f"commutant residual   = {report['commutant_residual']}"]
-        for text, row in zip(texts, coeffs.tolist()):
-            val = " + ".join(f"({c.real:.6g}{c.imag:+.6g}i) d^{p}" for p, c in enumerate(row) if c)
-            lines.append(f"  [{val}]  {text}")
-        if "map_output_min_eig" in report:
-            lines.append(f"map on {report['map_inputs']} random PSD inputs: "
-                         f"output min eigenvalue = {report['map_output_min_eig']}")
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit((_report_json if args.format == "json" else _report_text)(report, texts, coeffs),
+          args.out)
     return 0
 
 

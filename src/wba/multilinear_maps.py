@@ -4,7 +4,9 @@ A kernel P on n = n_in + n_out sites defines
     Lambda(X_1, ..., X_{n_in}) = tr_{1..n_in}[ P (X_1 (x) ... (x) X_{n_in}
                                                  (x) 1^{n_out}) ].
 ``fast_evaluate`` contracts the inputs into the realized kernel one site at
-a time and serves every kernel; ``evaluate_oracle`` computes the same map
+a time, in a summation order it fixes, and serves every kernel, real or
+complex; it holds the kernel plus two arrays of the first output's size,
+no copy of the kernel.  ``evaluate_oracle`` computes the same map
 literally through ``contract``, the one brute-force contraction of the
 package (each nonzero kernel entry times the entries of the inputs'
 Kronecker product that it meets, one flat gather per input and one bincount
@@ -158,19 +160,33 @@ def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
 def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
     """The map of any kernel, contracting one input at a time into it.
 
-    Each step sums P[a..., b...] X[b, a] over the first remaining row and
-    column axes of the kernel tensor, so the output keeps its row-block /
-    column-block order; with n_out = 0 the result is the 1 x 1 trace.
+    Each step views the current tensor T as (d, rest, d, rest), its first
+    row and column sites split off, and sums X[b, a] T[a, :, b, :] in the
+    fixed order of (a, b) into one preallocated complex array through one
+    scratch array, so the output keeps its row-block / column-block order
+    and the kernel, real or complex, is neither copied nor cast: the working
+    set is the kernel plus two arrays of the first output's size.  With
+    n_out = 0 the result is the 1 x 1 trace.  Each input is one d x d
+    matrix; a stack of them is a ValueError.
     """
     if len(inputs) != spec.n_in:
         raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
     d = spec.d
     mats = [_as_matrix(x, d) for x in inputs]
-    t = spec.kernel_matrix().reshape((d,) * (2 * spec.sites))
     for mat in mats:
-        t = np.tensordot(t, mat, axes=([0, t.ndim // 2], [1, 0]))
-    dim = d ** spec.n_out
-    return DenseOperator(spec.n_out, d, t.reshape(dim, dim))
+        if mat.shape != (d, d):
+            raise ValueError(f"input shape {mat.shape} is not one ({d}, {d}) matrix")
+    t = spec.kernel_matrix()
+    for mat in mats:
+        rest = t.shape[0] // d
+        t = t.reshape(d, rest, d, rest)
+        out = np.zeros((rest, rest), dtype=complex)
+        scratch = np.empty_like(out)
+        for a in range(d):
+            for b in range(d):
+                out += np.multiply(t[a, :, b, :], mat[b, a], out=scratch)
+        t = out
+    return DenseOperator(spec.n_out, d, t)
 
 
 # ---------------------------------------------------------------------------

@@ -251,9 +251,12 @@ def _flat_positions(pairings: np.ndarray, d: int) -> np.ndarray:
     return pair_weight @ values
 
 
-def realize(x, d: int) -> np.ndarray:
+def realize(x, d: int, real: bool = False) -> np.ndarray:
     """Dense matrix on (C^d)^{tensor n} for a diagram, element or
-    permutation.  Guarded by check_size_guard."""
+    permutation, complex, or float64 with ``real`` (a ValueError if a
+    coefficient is not real).  The real matrix is the real part of the
+    complex one, bit for bit: the same scatter of the coefficients' real
+    parts.  Guarded by check_size_guard."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if isinstance(x, Permutation):
@@ -262,14 +265,18 @@ def realize(x, d: int) -> np.ndarray:
         raise TypeError(f"cannot realize object of type {type(x).__name__}")
     check_size_guard(x.n, d)
     dim = d ** x.n
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=float if real else complex)
     flat = out.reshape(-1)
     if isinstance(x, WbaDiagram):
         flat[_flat_positions(np.array([x.pairing]), d)] = 1
         return out
+    if real and x.coeffs.imag.any():
+        raise ValueError("the element has a non-real coefficient")
     values = x.coeffs[:, 0]
     for p in range(1, x.coeffs.shape[1]):
         values = values + x.coeffs[:, p] * d ** p
+    if real:
+        values = values.real
     step = max(1, _SCATTER_ENTRIES // dim)
     for start in range(0, len(values), step):
         # np.add.at adds in index order: each entry sums its terms in term

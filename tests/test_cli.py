@@ -16,7 +16,13 @@ from wba import cli, dense_ops, entanglement as ent, multilinear_maps as mm, ver
 from wba.cli import _parse_range, _report_json, main
 from wba.dense_ops import DenseOperator, covariance_residual, haar_unitary, sup_norm
 from wba.sym_core import MAX_ENUM_DEGREE, Partition
-from wba.wba_algebra import _term_listing, admissible_pairs, f_projector, realize
+from wba.wba_algebra import (
+    WbaElement,
+    _term_listing,
+    admissible_pairs,
+    f_projector,
+    realize,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,6 +235,53 @@ class TestReportJson:
                            "--emit-map", "2", "--format", "json")
         assert code == 0
         assert out == _stdlib_report(json.loads(out)) + "\n"
+
+
+
+def _reference_report_text(report, texts, coeffs):
+    """The text report as one string, formatted term by term."""
+    lines = [f"F_{report['mu']}({report['alpha']}) on n={report['n']} sites, "
+             f"k={report['k']} transposed, d={report['d']}",
+             f"gamma = {report['gamma']}",
+             f"terms = {report['terms']}",
+             f"idempotence residual = {report['idempotence_residual']}",
+             f"commutant residual   = {report['commutant_residual']}"]
+    for text, row in zip(texts, coeffs.tolist()):
+        val = " + ".join(f"({c.real:.6g}{c.imag:+.6g}i) d^{p}" for p, c in enumerate(row) if c)
+        lines.append(f"  [{val}]  {text}")
+    if "map_output_min_eig" in report:
+        lines.append(f"map on {report['map_inputs']} random PSD inputs: "
+                     f"output min eigenvalue = {report['map_output_min_eig']}")
+    return "\n".join(lines) + "\n"
+
+
+class TestReportText:
+    """_report_text writes the term-by-term text, a chunk of terms a piece."""
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", _PROJECTOR_CASES[::5])
+    def test_projector_elements(self, n, k, d, mu, alpha):
+        texts, coeffs = _term_listing(f_projector(mu, alpha, n, k, d))
+        report = _report(texts, n)
+        assert "".join(cli._report_text(report, texts, coeffs)) == \
+            _reference_report_text(report, texts, coeffs)
+
+    @pytest.mark.parametrize("terms", [0, 1, cli._LISTING_CHUNK - 1, cli._LISTING_CHUNK,
+                                       cli._LISTING_CHUNK + 1, 2 * cli._LISTING_CHUNK + 1])
+    def test_chunk_boundaries(self, terms):
+        # rows that differ only in the sign of a zero part keep their own text
+        rng = np.random.default_rng(terms)
+        pool = np.array([0.0, -0.0, 0.5, -1.25, 1e-300, 5e-324, np.inf, np.nan])
+        coeffs = np.zeros((terms, 3), complex)
+        coeffs.real, coeffs.imag = pool[rng.integers(len(pool), size=(2, terms, 3))]
+        coeffs[rng.random((terms, 3)) < 0.4] = 0
+        texts = [f"({t % 7} {t})^T{{{t % 3}}}" for t in range(terms)]
+        report = _report(texts)
+        pieces = list(cli._report_text(report, texts, coeffs))
+        assert "".join(pieces) == _reference_report_text(report, texts, coeffs)
+        assert len(pieces) == -(-terms // cli._LISTING_CHUNK) + 2    # header, chunks, map
+        del report["map_output_min_eig"]
+        assert "".join(cli._report_text(report, texts, coeffs)) == \
+            _reference_report_text(report, texts, coeffs)
 
 
 class TestScanBcs:
@@ -754,12 +807,13 @@ class TestCommutantResidual:
 
 class TestNonRealProjector:
     def test_exits_2_on_one_line(self, capsys, monkeypatch):
-        def realize_with_imaginary_entry(element, d):
-            dense = realize(element, d)
-            dense[0, 1] += 1e-3j
-            return dense
+        def f_projector_with_imaginary_coefficient(*args):
+            element = f_projector(*args)
+            coeffs = element.coeffs.copy()
+            coeffs[0, 0] += 1e-3j
+            return WbaElement(element.n, element.pairings, coeffs)
 
-        monkeypatch.setattr("wba.cli.realize", realize_with_imaginary_entry)
+        monkeypatch.setattr("wba.cli.f_projector", f_projector_with_imaginary_coefficient)
         code, out, err = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
                              "--mu", "[2,1]", "--alpha", "[2]")
         assert code == 2 and out == ""

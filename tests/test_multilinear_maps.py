@@ -474,6 +474,21 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             fast_evaluate(spec, [inputs[0], random_matrix(3, 1, rng)])
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (5, 2, 2)])
+    def test_refuses_a_stack_of_inputs(self, shape, rng):
+        # a stack of length rest = 2 would broadcast through the (d, rest,
+        # d, rest) blocks of the (4,1) projector; the oracle keeps stacks
+        spec = MapSpec(f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2), 2, 2, 2)
+        stack = rng.standard_normal(shape)
+        with pytest.raises(ValueError) as info:
+            fast_evaluate(spec, [stack, random_matrix(2, 1, rng)])
+        assert str(info.value) == f"input shape {shape} is not one (2, 2) matrix"
+        with pytest.raises(ValueError, match=r"input shape \(3, 2, 2\)"):
+            fast_evaluate(spec, [random_matrix(2, 1, rng),
+                                 DenseOperator(1, 2, rng.standard_normal((3, 2, 2)))])
+        assert evaluate_oracle(spec, [stack, random_matrix(2, 1, rng)]).mat.shape == \
+            shape[:1] + (4, 4)
+
 
 class TestLargestKernel:
     def test_n6_projector_fast_matches_oracle(self, rng):
@@ -489,6 +504,27 @@ class TestLargestKernel:
             oracle = evaluate_oracle(spec, inputs)
             assert fast.n == oracle.n == 6 - n_in
             assert sup_norm(fast.mat - oracle.mat) <= 1e-10
+
+    def test_real_kernel_is_neither_copied_nor_cast(self, rng):
+        # the real 729 x 729 F_[2,2]([2]): no temporary of the kernel's size;
+        # the working set past the kernel is two first-output arrays (243^2
+        # complex) and the smaller ones after them
+        d = 3
+        f = realize(f_projector(Partition((2, 2)), Partition((2,)), 6, 2, d), d, real=True)
+        kernel = DenseOperator(6, d, f)
+        first_output = (d ** 5) ** 2 * 16
+        for n_in in (1, 3, 5):
+            spec = MapSpec(kernel, n_in, 6 - n_in, d)
+            inputs = [random_psd(d, 1, rng) for _ in range(n_in)]
+            tracemalloc.start()
+            try:
+                out = fast_evaluate(spec, inputs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * first_output + (1 << 20), (n_in, peak)
+            oracle = evaluate_oracle(spec, inputs)
+            assert sup_norm(out.mat - oracle.mat) <= 1e-10
 
 
 class TestMultilinearity:

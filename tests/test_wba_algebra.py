@@ -384,6 +384,29 @@ class TestRealize:
         assert mat.dtype == complex
         assert hashlib.sha256(mat.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n,k,d", [(n, k, d) for d in (2, 3) for k in (1, 2, 3)
+                                       for n in range(2 * k, 8)])
+    def test_real_is_the_real_part_bit_for_bit(self, n, k, d):
+        # the same scatter of the real parts: every admissible pair, -0.0 included
+        for alpha, mu in admissible_pairs(n, k, d):
+            element = f_projector(mu, alpha, n, k, d)
+            real = realize(element, d, real=True)
+            assert real.dtype == np.float64 and real.flags.c_contiguous
+            assert np.array_equal(real.view(np.int64), realize(element, d).real.view(np.int64))
+
+    def test_every_small_pair_is_realized_real(self):
+        assert sum(len(admissible_pairs(n, k, d)) for d in (2, 3) for k in (1, 2, 3)
+                   for n in range(2 * k, 8)) == 103
+
+    def test_real_refuses_a_non_real_coefficient(self):
+        f = f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2)
+        coeffs = f.coeffs.copy()
+        coeffs[5, 0] += 1e-3j
+        with pytest.raises(ValueError, match="non-real coefficient"):
+            realize(WbaElement(4, f.pairings, coeffs), 2, real=True)
+        diagram = sigma_diagram(4, 1)
+        assert np.array_equal(realize(diagram, 2, real=True), realize(diagram, 2).real)
+
     def test_size_guard(self):
         with pytest.raises(ValueError, match="size guard"):
             realize(identity_diagram(7), 4)
