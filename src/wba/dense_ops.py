@@ -143,7 +143,11 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
 
 # weight-sector layouts kept at once; each holds a few index arrays of about d^n entries
 _LAYOUTS = 8
-# matrix entries a residual works on at once: bounds its working arrays
+# frame entries a covariance step takes at once (a frame is 2 (d^n + 1) x
+# width, one a simple root and member): it bounds the roots a step runs, or
+# for a stack the members a group holds, not the entries, since a step takes
+# at least one root of one member (1.55M entries at (6,2) d=4); it also
+# bounds the band of rows _sector_rows scans between the sectors
 _WORK_ENTRIES = 1 << 16
 
 
@@ -223,8 +227,8 @@ def sector_layout(n: int, d: int, k: int) -> SectorLayout:
     return SectorLayout(plain, sector, position, members, below, moves)
 
 
-def _conjugated_last(m: DenseOperator, conjugated) -> tuple[np.ndarray, SectorLayout]:
-    """M's matrix with the conjugated sites moved last, and their layout.
+def _conjugated_last(m: DenseOperator, conjugated) -> tuple[np.ndarray, int]:
+    """M's matrix with the conjugated sites moved last, and their number.
 
     U -> conj(U) maps U(d) onto itself, so M commutes with U on the plain
     sites (x) conj(U) on the conjugated ones for every U exactly when it
@@ -240,15 +244,49 @@ def _conjugated_last(m: DenseOperator, conjugated) -> tuple[np.ndarray, SectorLa
     if conjugated != tuple(range(n - k + 1, n + 1)):
         sites = [s for s in range(n) if s + 1 not in conjugated] + [s - 1 for s in conjugated]
         m = _reorder(m, sites + [n + s for s in sites])
-    return m.mat, sector_layout(n, m.d, k)
+    return m.mat, k
+
+
+@dataclass(frozen=True)
+class SectorOperator:
+    """An operator on (C^d)^{tensor n} by its entries within the weight
+    sectors of sector_layout(n, d, k), or a stack of them (leading axes).
+
+    ``rows`` is (..., d^n + 1, width): row i holds M[i, j] for the j of i's
+    sector by place, and the pads and the last row are zero.  ``off`` is the
+    largest |M| between two different sectors (an array for a stack): those
+    entries are not kept, so the operator stored is M's block-diagonal part.
+    realize_sectors writes the rows of an element, sector_form gathers them
+    from a dense matrix."""
+
+    n: int
+    d: int
+    k: int
+    rows: np.ndarray
+    off: float | np.ndarray
+
+    def __post_init__(self):
+        shape = (self.d ** self.n + 1, self.layout.members.shape[1])
+        if self.rows.shape[-2:] != shape:
+            raise ValueError(f"sector rows of shape {self.rows.shape} != {shape}")
+
+    @property
+    def layout(self) -> SectorLayout:
+        return sector_layout(self.n, self.d, self.k)
+
+    def matrix(self) -> np.ndarray:
+        """The d^n x d^n matrix of the stored entries (zero off the sectors)."""
+        layout, dim = self.layout, self.d ** self.n
+        mat = np.zeros(self.rows.shape[:-2] + (dim, dim + 1), self.rows.dtype)  # pads: column d^n
+        mat[..., np.arange(dim)[:, None], layout.members[layout.sector]] = self.rows[..., :dim, :]
+        return np.ascontiguousarray(mat[..., :dim])
 
 
 def _sector_rows(mat: np.ndarray, layout: SectorLayout):
-    """M within the sectors, as a (d^n + 1, width) array whose row i holds
-    M[i, j] for the j of i's sector by place (the pads and the last row are
-    zero), and the largest |M| between two different sectors: 0 when M has
-    no other nonzero entry, else found a band of rows at a time.  A stack
-    of M gives the stack of arrays and an array of those largest |M|."""
+    """The rows of SectorOperator gathered from M, and the largest |M|
+    between two different sectors: 0 when M has no other nonzero entry,
+    else found a band of rows at a time.  A stack of M gives the stack of
+    rows and an array of those largest |M|."""
     lead, dim = mat.shape[:-2], mat.shape[-1]
     cols = layout.members[layout.sector]
     rows = np.zeros(lead + (dim + 1, cols.shape[1]), dtype=mat.dtype)
@@ -267,34 +305,66 @@ def _sector_rows(mat: np.ndarray, layout: SectorLayout):
     return rows, (off if lead else float(off))
 
 
-def _covariance_residuals(mats: np.ndarray, layout: SectorLayout) -> np.ndarray:
-    """covariance_residual of each member of a (members, d^n, d^n) stack
-    whose conjugated sites are the last ones of ``layout``.  The member axis
-    runs last, so each packed or frame row is one gather for the stack."""
-    count, dim = mats.shape[:2]
-    rows, worst = _sector_rows(mats, layout)
-    width = rows.shape[-1]
+def sector_form(m: DenseOperator, conjugated) -> SectorOperator:
+    """M (or a stack of M) by its weight-sector rows for U on the plain
+    sites (x) conj(U) on the sites in ``conjugated``, gathered from its
+    matrix; M's sites are moved first when the conjugated side of at most
+    n/2 sites is not the last (_conjugated_last)."""
+    mat, k = _conjugated_last(m, conjugated)
+    return SectorOperator(m.n, m.d, k, *_sector_rows(mat, sector_layout(m.n, m.d, k)))
+
+
+def _covariance_residuals(rows: np.ndarray, worst: np.ndarray, layout: SectorLayout) -> np.ndarray:
+    """sector_covariance_residual of each member of a (members, d^n + 1,
+    width) stack of sector rows, starting from ``worst``, their largest
+    entries off the sectors.  The member axis runs last, so each packed or
+    frame row is one gather for the stack."""
+    count, dim, width = len(rows), rows.shape[1] - 1, rows.shape[2]
     rows = rows.reshape(count, -1).swapaxes(0, 1)
     spans = layout.members * width
     packed = np.concatenate([rows[spans[layout.sector] + layout.position[:, None]],
                              -rows[:dim * width].reshape(dim, width, count)])
     frame = 2 * (dim + 1)
-    step = max(1, _WORK_ENTRIES // (count * frame * width))     # simple roots at once
+    step = max(1, min(len(layout.moves), _WORK_ENTRIES // (count * frame * width)))  # roots at once
+    moved = np.empty((step * frame, width, count), dtype=rows.dtype)
     for lo in range(0, len(layout.moves), step):
         moves = layout.moves[lo:lo + step]
         into = moves[:, :, 0] - lo * frame
-        moved = np.zeros((len(moves) * frame, width, count), dtype=mats.dtype)
+        frames = moved[:len(moves) * frame]
+        frames.fill(0)
         for s, plain in enumerate(layout.plain):
             ufunc = np.add if plain else np.subtract
-            moved[into[:, s]] = ufunc(moved[into[:, s]], packed[moves[:, s, 1]])
+            frames[into[:, s]] = ufunc(frames[into[:, s]], packed[moves[:, s, 1]])
         # the block (w + e_a - e_b, w) read from both sides at row i and
-        # the p-th index j of w: at [i, p] by row, at [j, place of i] by column
-        by_column = spans[layout.below[lo:lo + step]] + layout.position[:, None]
-        by_column += (np.arange(len(moves)) * frame * width)[:, None, None]
-        commutator = (moved.reshape(len(moves), 2, dim + 1, width, count)[:, 1, :dim]
-                      + moved.reshape(-1, count)[by_column])
-        worst = np.maximum(worst, np.abs(commutator).max(axis=(0, 1, 2)))  # sup_norm per member
+        # the p-th index j of w: at [i, p] by row, at [j, place of i] by
+        # column; the commutator is formed in the gathered array, and no
+        # step's arrays outlive it
+        by_column = spans[layout.below[lo:lo + step]]
+        by_column += (layout.position[:, None]
+                      + (np.arange(len(moves)) * frame * width)[:, None, None])
+        commutator = frames.reshape(-1, count)[by_column]
+        del by_column
+        commutator += frames.reshape(len(moves), 2, dim + 1, width, count)[:, 1, :dim]
+        magnitude = np.abs(commutator, out=commutator if commutator.dtype.kind == "f" else None)
+        del commutator
+        worst = np.maximum(worst, magnitude.max(axis=(0, 1, 2)))   # sup_norm per member
+        del magnitude
     return worst
+
+
+def sector_covariance_residual(f: SectorOperator):
+    """covariance_residual of an operator, or a stack, given by its sector
+    rows, which are read in place.  The members run in groups whose frames
+    fit in _WORK_ENTRIES entries together, one member at a time when one
+    frame alone does not fit."""
+    lead, shape = f.rows.shape[:-2], f.rows.shape[-2:]
+    rows, off = f.rows.reshape((-1,) + shape), np.reshape(f.off, -1)
+    group = max(1, _WORK_ENTRIES // (2 * shape[0] * shape[1]))
+    worst = np.empty(len(rows))
+    for lo in range(0, len(rows), group):
+        worst[lo:lo + group] = _covariance_residuals(rows[lo:lo + group], off[lo:lo + group],
+                                                     f.layout)
+    return worst.reshape(lead) if lead else float(worst[0])
 
 
 def covariance_residual(m: DenseOperator, conjugated):
@@ -315,36 +385,25 @@ def covariance_residual(m: DenseOperator, conjugated):
     [M_w, A_X] has only the blocks from w to w + e_a - e_b.  They are formed
     from M's blocks packed by place, by column for M A_X and by row for
     A_X M: each site's move adds 2 d^(n-1) packed rows into others, with no
-    product and no random draw; M is copied only to move its conjugated
-    sites last (_conjugated_last).
+    product and no random draw.  M's sector rows are gathered by
+    sector_form and checked by sector_covariance_residual, the one core.
 
     A stack of M (leading axes) gives an array of the stack's shape, each
-    member's residual bit-identical to a call on that member alone.  The
-    members run in groups whose frames fit in _WORK_ENTRIES entries
-    together, one member at a time when one frame alone does not fit."""
-    mat, layout = _conjugated_last(m, conjugated)
-    lead, dim = mat.shape[:-2], mat.shape[-1]
-    mats = mat.reshape(-1, dim, dim)
-    group = max(1, _WORK_ENTRIES // (2 * (dim + 1) * layout.members.shape[1]))
-    worst = np.empty(len(mats))
-    for lo in range(0, len(mats), group):
-        worst[lo:lo + group] = _covariance_residuals(mats[lo:lo + group], layout)
-    return worst.reshape(lead) if lead else float(worst[0])
+    member's residual bit-identical to a call on that member alone."""
+    return sector_covariance_residual(sector_form(m, conjugated))
 
 
-def idempotence_residual(m: DenseOperator, conjugated) -> float:
-    """sup_norm(M @ M - M) for an M that should commute with the diagonal
-    unitaries of covariance_residual: the largest of |M_w M_w - M_w| over
-    the blocks M_w of the weight sectors, together with the largest |M|
-    between two different sectors, so no d^n x d^n product is formed."""
-    if m.mat.ndim != 2:
+def idempotence_residual(f: SectorOperator) -> float:
+    """sup_norm(M @ M - M) for an M given by its sector rows: the largest of
+    |M_w M_w - M_w| over the blocks M_w of the weight sectors, together
+    with the largest |M| between two different sectors, so no d^n x d^n
+    product is formed."""
+    if f.rows.ndim != 2:
         raise ValueError("the idempotence check takes one operator, not a stack")
-    mat, layout = _conjugated_last(m, conjugated)
-    rows, off = _sector_rows(mat, layout)
-    worst = [off]
-    for members in layout.members[:-1]:
-        members = members[members < len(mat)]
-        block = rows[members, :len(members)]
+    dim, worst = f.d ** f.n, [f.off]
+    for members in f.layout.members[:-1]:
+        members = members[members < dim]
+        block = f.rows[members, :len(members)]
         worst.append(sup_norm(block @ block - block))
     return float(np.max(worst))
 

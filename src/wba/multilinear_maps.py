@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense_ops
-from .dense_ops import DenseOperator
+from .dense_ops import DenseOperator, SectorOperator
 from .sym_core import Partition, Permutation
 from .wba_algebra import gamma, realize
 
@@ -58,7 +58,7 @@ def _as_matrix(x, d: int) -> np.ndarray:
 class MapSpec:
     """Kernel plus slot layout: n_in input sites (traced), n_out output sites."""
 
-    kernel: object  # WbaElement | WbaDiagram | DenseOperator
+    kernel: object  # WbaElement | WbaDiagram | DenseOperator | SectorOperator
     n_in: int
     n_out: int
     d: int
@@ -74,9 +74,13 @@ class MapSpec:
         return self.n_in + self.n_out
 
     def kernel_matrix(self) -> np.ndarray:
-        if isinstance(self.kernel, DenseOperator):
+        """The kernel's d^n x d^n matrix; a sector-form kernel's rows are
+        scattered into one (for the oracle)."""
+        if isinstance(self.kernel, (DenseOperator, SectorOperator)):
             if self.kernel.d != self.d:
                 raise ValueError("kernel local dimension mismatch")
+            if isinstance(self.kernel, SectorOperator):
+                return self.kernel.matrix()
             return self.kernel.mat
         return realize(self.kernel, self.d)
 
@@ -157,6 +161,28 @@ def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
                     range(spec.n_in + 1, spec.sites + 1))
 
 
+def _first_input(kernel: SectorOperator, x: np.ndarray) -> np.ndarray:
+    """fast_evaluate's first step on a kernel given by its sector rows:
+    the sum over the stored nonzero entries K[r, c] = K[(a, i), (b, j)] of
+    K[r, c] X[b, a] into out[i, j], one np.bincount per real and imaginary
+    part.  Each term is the dense step's product, and the rows are read in
+    row-major order, which is a, then b by the basis order within a sector,
+    so each entry adds its terms in the (a, b) order of the dense step; the
+    terms it skips are exact zeros, which leave a sum that starts at +0 as
+    it is."""
+    layout, dim = kernel.layout, kernel.d ** kernel.n
+    rest = dim // kernel.d
+    at = np.flatnonzero(kernel.rows)
+    r, p = np.divmod(at, kernel.rows.shape[1])
+    c = layout.members[layout.sector[r], p]
+    bins = r % rest * rest + c % rest
+    terms = kernel.rows.reshape(-1)[at] * x[c // rest, r // rest]
+    out = np.empty((rest, rest), dtype=complex)
+    out.real.reshape(-1)[:] = np.bincount(bins, terms.real, rest * rest)
+    out.imag.reshape(-1)[:] = np.bincount(bins, terms.imag, rest * rest)
+    return out
+
+
 def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
     """The map of any kernel, contracting one input at a time into it.
 
@@ -165,9 +191,11 @@ def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
     fixed order of (a, b) into one preallocated complex array through one
     scratch array, so the output keeps its row-block / column-block order
     and the kernel, real or complex, is neither copied nor cast: the working
-    set is the kernel plus two arrays of the first output's size.  With
-    n_out = 0 the result is the 1 x 1 trace.  Each input is one d x d
-    matrix; a stack of them is a ValueError.
+    set is the kernel plus two arrays of the first output's size.  A kernel
+    given by its sector rows (SectorOperator) takes its first input over
+    the stored entries alone (_first_input), in the same order, and is never
+    made dense.  With n_out = 0 the result is the 1 x 1 trace.  Each input
+    is one d x d matrix; a stack of them is a ValueError.
     """
     if len(inputs) != spec.n_in:
         raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
@@ -176,7 +204,12 @@ def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
     for mat in mats:
         if mat.shape != (d, d):
             raise ValueError(f"input shape {mat.shape} is not one ({d}, {d}) matrix")
-    t = spec.kernel_matrix()
+    if isinstance(spec.kernel, SectorOperator):
+        if spec.kernel.d != d or spec.kernel.rows.ndim != 2:
+            raise ValueError("a sector-form kernel must be one operator of dimension d")
+        t, mats = _first_input(spec.kernel, mats[0]), mats[1:]
+    else:
+        t = spec.kernel_matrix()
     for mat in mats:
         rest = t.shape[0] // d
         t = t.reshape(d, rest, d, rest)

@@ -17,6 +17,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .dense_ops import SectorOperator, sector_layout
 from .sym_core import (
     Partition,
     Permutation,
@@ -224,31 +225,110 @@ def _permutation_terms(images: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# dense realization
+# realization, dense or into the weight-sector rows
 # ---------------------------------------------------------------------------
 
-# unit entries realize scatters per step, and entries of the pairing rows the
-# text pass writes per step: bounds their index arrays and byte rows
+# four times the unit entries realize scatters per step, so that its chunk
+# arrays (four of 8-byte entries for the sector rows, three for the matrix)
+# hold at most 512 KiB; and the entries of the pairing rows the text pass
+# writes per step: bounds their index arrays and byte rows
 _SCATTER_ENTRIES = 1 << 16
 
 
-def _flat_positions(pairings: np.ndarray, d: int) -> np.ndarray:
-    """(T, d**n) flat positions in the d**n x d**n matrix of the unit
-    entries of each diagram (rows of 2n endpoints).
+def _pair_weights(pairings: np.ndarray, d: int, top: int, bot: int) -> np.ndarray:
+    """(T, n) float64 weights of each diagram's n pairs (rows of 2n
+    endpoints) in the index top * row + bot * column of its unit entries.
 
     Entry <i|D|j> is 1 iff the 2n indices agree along every matched pair; a
     pair's value enters the row index at its top endpoints and the column
-    index at its bot endpoints, with the big-endian weight of the site.
-    Column v of ``values`` holds the n base-d digits of v: every joint value
-    of the n pairs once, so the d**n positions of a diagram are distinct.
-    """
+    index at its bot endpoints, with the big-endian weight of the site.  So
+    with the (n, d**n) base-d digits V of every joint value of the pairs
+    (_pair_values), weights @ V lists that index for the d**n distinct unit
+    entries of each diagram: float64 products that are exact, every index
+    being below d**(2n) <= SIZE_GUARD**2 = 2**24."""
     n = pairings.shape[1] // 2
-    place = d ** np.arange(n - 1, -1, -1)
-    weight = np.concatenate([place * d ** n, place])    # of each endpoint
+    place = d ** np.arange(n - 1, -1, -1.0)
+    weight = np.concatenate([top * place, bot * place])     # of each endpoint
     rows, lower = np.nonzero(pairings > np.arange(2 * n))
-    pair_weight = (weight[lower] + weight[pairings[rows, lower]]).reshape(len(pairings), n)
-    values = np.arange(d ** n) // place[:, None] % d
-    return pair_weight @ values
+    return (weight[lower] + weight[pairings[rows, lower]]).reshape(len(pairings), n)
+
+
+def _pair_values(n: int, d: int) -> np.ndarray:
+    """(n, d**n) float64: column v holds the n base-d digits of v, first site first."""
+    return np.indices((d,) * n, dtype=float).reshape(n, d ** n)
+
+
+def _realizable(x, d: int):
+    """x as a diagram or element that realize can take, after the checks."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if isinstance(x, Permutation):
+        x = from_permutation(x)
+    if not isinstance(x, (WbaDiagram, WbaElement)):
+        raise TypeError(f"cannot realize object of type {type(x).__name__}")
+    check_size_guard(x.n, d)
+    return x
+
+
+def _scatter(x: WbaElement, d: int, real: bool, acc: np.ndarray, layout=None) -> float:
+    """Add x's unit entries times their coefficients into the flat array
+    ``acc``: the d**n x d**n matrix, or with a ``layout`` the rows of
+    dense_ops.SectorOperator and one last slot that takes what falls
+    between two sectors.  Entry (i, j) goes to i * d**n + j, or to
+    i * width + (j's place in its sector): one np.add.at a chunk, in term
+    order, so each entry sums its terms in term order whichever the target,
+    and a sector row's entries are the matrix's bit for bit.  An entry
+    between sectors comes only from a diagram that is not walled (a pair
+    whose two ends change the weight); those are summed apart, in term
+    order, and the largest |sum| is returned (0 for the matrix)."""
+    if real and x.coeffs.imag.any():
+        raise ValueError("the element has a non-real coefficient")
+    values = x.coeffs[:, 0]
+    for p in range(1, x.coeffs.shape[1]):
+        values = values + x.coeffs[:, p] * d ** p
+    if real:
+        values = values.real
+    n, dim = x.n, d ** x.n
+    digits = _pair_values(n, d)
+    step = max(1, _SCATTER_ENTRIES // (4 * dim))
+    shape = (min(step, len(values)), dim)
+    rows, cols = np.empty(shape), np.empty(shape) if layout is not None else None
+    index, entries = np.empty(shape, np.intp), np.empty(shape, values.dtype)
+    keys, sums = np.empty(0, np.intp), np.empty(0, values.dtype)
+    if layout is not None:
+        width, place = layout.members.shape[1], layout.position.astype(float)
+        charge = np.where(np.arange(2 * n) < n, 1, -1) * np.tile(np.where(layout.plain, 1, -1), 2)
+    for start in range(0, len(values), step):
+        pairings = x.pairings[start:start + step]
+        row, at = rows[:len(pairings)], index[:len(pairings)]
+        strays = []
+        if layout is None:
+            np.matmul(_pair_weights(pairings, d, dim, 1), digits, out=row)
+        else:
+            np.matmul(_pair_weights(pairings, d, width, 0), digits, out=row)
+            col = cols[:len(pairings)]
+            np.matmul(_pair_weights(pairings, d, 0, 1), digits, out=col)
+            np.copyto(at, col, casting="unsafe")
+            strays = np.flatnonzero((charge[pairings] + charge).any(axis=1))
+            if len(strays):     # not walled: sum their entries between sectors apart
+                i, j = (row[strays] / width).astype(np.intp), at[strays]
+                between = layout.sector[i] != layout.sector[j]
+                keys = np.concatenate([keys, (i * dim + j)[between]])
+                sums = np.concatenate([sums, np.broadcast_to(
+                    values[start + strays, None], between.shape)[between]])
+                keys, slot = np.unique(keys, return_inverse=True)
+                sums, merged = np.zeros(len(keys), values.dtype), sums
+                np.add.at(sums, slot, merged)
+            np.take(place, at, out=col, mode="clip")
+            row += col
+        np.copyto(at, row, casting="unsafe")
+        if len(strays):
+            at[strays] = np.where(between, len(acc) - 1, at[strays])
+        entries[:len(pairings)] = values[start:start + step, None]
+        # np.add.at adds in index order; flat index and value arrays keep it
+        # on its fast path
+        np.add.at(acc, at.reshape(-1), entries[:len(pairings)].reshape(-1))
+    return float(np.abs(sums).max(initial=0))
 
 
 def realize(x, d: int, real: bool = False) -> np.ndarray:
@@ -257,33 +337,32 @@ def realize(x, d: int, real: bool = False) -> np.ndarray:
     coefficient is not real).  The real matrix is the real part of the
     complex one, bit for bit: the same scatter of the coefficients' real
     parts.  Guarded by check_size_guard."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if isinstance(x, Permutation):
-        x = from_permutation(x)
-    if not isinstance(x, (WbaDiagram, WbaElement)):
-        raise TypeError(f"cannot realize object of type {type(x).__name__}")
-    check_size_guard(x.n, d)
+    x = _realizable(x, d)
     dim = d ** x.n
     out = np.zeros((dim, dim), dtype=float if real else complex)
-    flat = out.reshape(-1)
     if isinstance(x, WbaDiagram):
-        flat[_flat_positions(np.array([x.pairing]), d)] = 1
-        return out
-    if real and x.coeffs.imag.any():
-        raise ValueError("the element has a non-real coefficient")
-    values = x.coeffs[:, 0]
-    for p in range(1, x.coeffs.shape[1]):
-        values = values + x.coeffs[:, p] * d ** p
-    if real:
-        values = values.real
-    step = max(1, _SCATTER_ENTRIES // dim)
-    for start in range(0, len(values), step):
-        # np.add.at adds in index order: each entry sums its terms in term
-        # order; a flat index with repeated values keeps it on the fast path
-        np.add.at(flat, _flat_positions(x.pairings[start:start + step], d).reshape(-1),
-                  np.repeat(values[start:start + step], dim))
+        flat = _pair_weights(np.array([x.pairing]), d, dim, 1) @ _pair_values(x.n, d)
+        out.reshape(-1)[flat.astype(np.intp)] = 1
+    else:
+        _scatter(x, d, real, out.reshape(-1))
     return out
+
+
+def realize_sectors(x, d: int, k: int, real: bool = False) -> SectorOperator:
+    """x realized into its weight-sector rows for U on the first n - k
+    sites (x) conj(U) on the last k (dense_ops.SectorOperator): realize's
+    scatter into the rows of sector_layout(n, d, k), no d^n x d^n array.
+    Each stored entry is realize's bit for bit; ``off`` is the largest
+    |entry| between two sectors, 0 when every diagram is walled (as in
+    every F_mu(alpha))."""
+    x = _realizable(x, d)
+    if isinstance(x, WbaDiagram):
+        x = WbaElement.from_diagram(x)
+    layout = sector_layout(x.n, d, k)
+    shape = (d ** x.n + 1, layout.members.shape[1])
+    acc = np.zeros(shape[0] * shape[1] + 1, dtype=float if real else complex)
+    off = _scatter(x, d, real, acc, layout)
+    return SectorOperator(x.n, d, k, acc[:-1].reshape(shape), off)
 
 
 # ---------------------------------------------------------------------------

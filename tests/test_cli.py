@@ -149,6 +149,24 @@ class TestProjector:
         assert code == 0
         assert out == (DATA / "projector_n4_k1_d2_emit_map2_seed3.json").read_text()
 
+    def test_no_dense_realization(self, capsys, monkeypatch):
+        # F is realized into its sector rows, checked and mapped there
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense realize was called")
+        for module in (wba.wba_algebra, cli, mm, ent, verification):
+            if hasattr(module, "realize"):
+                monkeypatch.setattr(module, "realize", refuse)
+        argv = ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]",
+                "--alpha", "[2]", "--format", "json"]
+        for extra, golden in (([], "projector_n4_k1_d2.json"),
+                              (["--emit-map", "2", "--seed", "3"],
+                               "projector_n4_k1_d2_emit_map2_seed3.json")):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0 and out == (DATA / golden).read_text()
+        code, out, _ = run(capsys, "projector", "--n", "6", "--k", "2", "--d", "3", "--mu", "[2,2]",
+                           "--alpha", "[2]", "--emit-map", "5", "--format", "json")
+        assert code == 0 and float(json.loads(out)["commutant_residual"]) < 1e-13
+
 
 def _stdlib_report(report):
     return json.dumps(report, sort_keys=True, indent=2)

@@ -23,7 +23,8 @@ from wba.multilinear_maps import (
 from wba.sym_core import Partition, Permutation, parse_permutation
 from wba import verification
 from wba.verification import _kernel, proposition_suite
-from wba.wba_algebra import WbaElement, f_projector, from_permutation, realize
+from wba.tolerances import ORACLE_TOL
+from wba.wba_algebra import WbaElement, f_projector, from_permutation, realize, realize_sectors
 
 
 @pytest.fixture
@@ -525,6 +526,49 @@ class TestLargestKernel:
             assert peak < 3 * first_output + (1 << 20), (n_in, peak)
             oracle = evaluate_oracle(spec, inputs)
             assert sup_norm(out.mat - oracle.mat) <= 1e-10
+
+
+class TestSectorKernel:
+    """fast_evaluate on a kernel held as its weight-sector rows, as ``wba
+    projector`` holds F: the first input is contracted over the stored
+    entries, bit for bit as over the dense kernel."""
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", [(6, 2, 3, (2, 2), (2,)), (7, 1, 2, (4, 2), (3, 2))])
+    def test_equals_the_dense_kernel(self, n, k, d, mu, alpha, rng):
+        element = f_projector(Partition(mu), Partition(alpha), n, k, d)
+        rows = realize_sectors(element, d, k, real=True)
+        dense = DenseOperator(n, d, realize(element, d, real=True))
+        for n_in in range(1, n + 1):
+            inputs = [random_psd(d, 1, rng) for _ in range(n_in)]
+            out = fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs)
+            assert np.array_equal(out.mat, fast_evaluate(MapSpec(dense, n_in, n - n_in, d),
+                                                         inputs).mat)
+            oracle = evaluate_oracle(MapSpec(rows, n_in, n - n_in, d), inputs)
+            assert out.n == oracle.n == n - n_in
+            assert sup_norm(out.mat - oracle.mat) <= ORACLE_TOL
+
+    def test_complex_kernel_with_a_stray_diagram(self, rng):
+        # complex coefficients, and a diagram that is not walled: the map is
+        # that of the kept block part, whose matrix the rows scatter into
+        n, k, d = 4, 1, 3
+        element = f_projector(Partition((2, 1)), Partition((2,)), n, k, d)
+        stray = WbaElement.from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
+        element = element + stray
+        element = WbaElement(n, element.pairings, element.coeffs * complex(0.5, -2.0))
+        rows = realize_sectors(element, d, k)
+        blocks = DenseOperator(n, d, rows.matrix())
+        assert rows.off > 0 and rows.rows.dtype == complex
+        for n_in in range(1, n + 1):
+            inputs = [random_matrix(d, 1, rng) for _ in range(n_in)]
+            out = fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs)
+            assert np.array_equal(out.mat, fast_evaluate(MapSpec(blocks, n_in, n - n_in, d),
+                                                         inputs).mat)
+
+    def test_a_stack_is_refused(self):
+        rows = realize_sectors(WbaElement.identity(2), 2, 1)
+        stack = dense_ops.SectorOperator(2, 2, 1, np.stack([rows.rows] * 2), np.zeros(2))
+        with pytest.raises(ValueError, match="one operator"):
+            fast_evaluate(MapSpec(stack, 1, 1, 2), [np.eye(2)])
 
 
 class TestMultilinearity:

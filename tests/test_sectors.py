@@ -1,9 +1,11 @@
 """The weight-sector checks of ``dense_ops``: the sector layout of the last
 k sites conjugated, the sector-sparse ``covariance_residual`` against the
-dense index-slice residual it replaced (kept here as the reference), and the
-block ``idempotence_residual`` against the dense product F @ F - F."""
+dense index-slice residual it replaced (kept here as the reference), the
+block ``idempotence_residual`` against the dense product F @ F - F, and
+``realize_sectors`` against the sector rows of the dense ``realize``."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,11 +17,21 @@ from wba.dense_ops import (
     covariance_residual,
     idempotence_residual,
     partial_transpose,
+    sector_covariance_residual,
+    sector_form,
     sector_layout,
     sup_norm,
 )
-from wba.sym_core import Permutation
-from wba.wba_algebra import f_projector, from_permutation, realize
+from wba import wba_algebra
+from wba.sym_core import Partition, Permutation
+from wba.wba_algebra import (
+    WbaElement,
+    admissible_pairs,
+    f_projector,
+    from_permutation,
+    realize,
+    realize_sectors,
+)
 
 from test_cli import _PROJECTOR_CASES
 
@@ -125,7 +137,7 @@ class TestSectorLayout:
         for r in range(4):
             for s in itertools.combinations((1, 2, 3), r):
                 covariance_residual(op, s)
-                idempotence_residual(op, s)
+                idempotence_residual(sector_form(op, s))
         assert sector_layout.cache_info().currsize == 2
         misses = sector_layout.cache_info().misses
         sector_layout(3, 3, 0)
@@ -146,17 +158,17 @@ class TestProjectorSectors:
         residual = covariance_residual(op, wall(n, k))
         assert residual <= 1e-13
         assert abs(residual - slice_covariance_residual(op, wall(n, k))) <= 1e-15
-        assert abs(idempotence_residual(op, wall(n, k)) - sup_norm(f @ f - f)) <= 1e-15
+        assert abs(idempotence_residual(sector_form(op, wall(n, k))) - sup_norm(f @ f - f)) <= 1e-15
 
         # one off-sector entry: the block part alone does not change
         perturbed = f.copy()
         perturbed[off_sector_entry(layout)] += 1e-6
         op = DenseOperator(n, d, perturbed)
         assert covariance_residual(op, wall(n, k)) >= 1e-6
-        assert idempotence_residual(op, wall(n, k)) >= 1e-6
+        assert idempotence_residual(sector_form(op, wall(n, k))) >= 1e-6
         blocks = DenseOperator(n, d, np.where(same, perturbed, 0.0))
         assert covariance_residual(blocks, wall(n, k)) <= 1e-13
-        assert idempotence_residual(blocks, wall(n, k)) <= 1e-13
+        assert idempotence_residual(sector_form(blocks, wall(n, k))) <= 1e-13
 
 
 class TestMatchesTheSliceResidual:
@@ -188,14 +200,14 @@ class TestMatchesTheSliceResidual:
         op = DenseOperator(n, d, mat)
         assert covariance_residual(op, conjugated) == pytest.approx(
             slice_covariance_residual(op, conjugated), rel=1e-12)
-        assert idempotence_residual(op, conjugated) == pytest.approx(
+        assert idempotence_residual(sector_form(op, conjugated)) == pytest.approx(
             sup_norm(mat @ mat - mat), rel=1e-12)
 
     def test_a_stack_is_refused(self):
         # covariance_residual takes stacks (TestStacks)
         stack = DenseOperator(2, 2, np.zeros((3, 4, 4)))
         with pytest.raises(ValueError, match="not a stack"):
-            idempotence_residual(stack, (2,))
+            idempotence_residual(sector_form(stack, (2,)))
 
     def test_off_sector_entries_alone(self):
         # a matrix with no block part reads its largest off-sector entry
@@ -205,7 +217,7 @@ class TestMatchesTheSliceResidual:
         mat[same_weight(n, d, conjugated)] = 0
         op = DenseOperator(n, d, mat)
         assert covariance_residual(op, conjugated) == np.abs(mat).max()
-        assert idempotence_residual(op, conjugated) == np.abs(mat).max()
+        assert idempotence_residual(sector_form(op, conjugated)) == np.abs(mat).max()
 
 
 def _hermitian(rng, dim):
@@ -256,9 +268,11 @@ class TestStacks:
 
     @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
     @pytest.mark.parametrize("group", [None, 4, 1])
+    @pytest.mark.filterwarnings("error")
     def test_covariance_residual(self, n, d, conjugated, group, monkeypatch):
         # frames for 4 members split the stack 4 + 2; a bound of one entry
-        # splits the roots, the bands and the members
+        # splits the roots, the bands and the members; the complex stack's
+        # magnitudes are taken with no complex-to-real cast warning
         stack = _stack(n, d, conjugated, n * d)
         alone = [covariance_residual(m, conjugated) for m in _members(stack)]
         if group:
@@ -334,3 +348,102 @@ class TestStacks:
             answer = check(stack)
             assert isinstance(answer, np.ndarray) and answer.shape == shape
         assert ent.covariant_block_minimum(stack, (2,)) == []
+
+
+# every admissible projector with n <= 7 at d = 2 and 3, and (6,2) d=4
+REALIZED_CASES = [(n, k, d, mu, alpha) for n in range(2, 8) for k in range(1, n // 2 + 1)
+                  for d in (2, 3) for alpha, mu in admissible_pairs(n, k, d)] + [
+    (6, 2, 4, Partition((2, 2)), Partition((2,)))]
+
+
+def _with_a_stray(n, k, d):
+    """F_[2,1]([1]) (n = 4, k = 1) or F_[2]([1]) (n = 3) plus one diagram
+    that is not walled: the transposition (1 2) transposed on site 1, a
+    plain site, joins two plain sites by a cup."""
+    mu, alpha = ((2, 1), (2,)) if n == 4 else ((2,), (1,))
+    element = f_projector(Partition(mu), Partition(alpha), n, k, d)
+    stray = WbaElement.from_permutation(Permutation.from_cycles([(1, 2)], n), {1}, 0.25)
+    return element + stray
+
+
+class TestRealizeSectors:
+    """realize_sectors writes realize's entries into the sector rows."""
+
+    def test_every_small_pair_is_covered(self):
+        assert len(REALIZED_CASES) == 104
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", REALIZED_CASES)
+    def test_rows_are_the_dense_rows(self, n, k, d, mu, alpha):
+        element = f_projector(mu, alpha, n, k, d)
+        dense = sector_form(DenseOperator(n, d, realize(element, d, real=True)), wall(n, k))
+        rows = realize_sectors(element, d, k, real=True)
+        assert (rows.n, rows.d, rows.k) == (dense.n, dense.d, dense.k) == (n, d, k)
+        assert rows.rows.dtype == float and np.array_equal(rows.rows, dense.rows)
+        assert rows.off == dense.off == 0
+
+    @pytest.mark.parametrize("n,k,d", [(3, 1, 3), (4, 1, 2), (4, 1, 3)])
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_a_stray_diagram_reads_the_same_residuals(self, n, k, d, chunk, monkeypatch):
+        # the entries the stray diagram puts between sectors count in both
+        # residuals, summed in term order as the dense matrix sums them; a
+        # chunk of one term a step sums them across steps
+        if chunk:
+            monkeypatch.setattr(wba_algebra, "_SCATTER_ENTRIES", chunk)
+        element = _with_a_stray(n, k, d)
+        op = DenseOperator(n, d, realize(element, d))
+        dense, rows = sector_form(op, wall(n, k)), realize_sectors(element, d, k)
+        assert np.array_equal(rows.rows, dense.rows) and rows.off == dense.off > 0.1
+        assert idempotence_residual(rows) == idempotence_residual(dense)
+        assert sector_covariance_residual(rows) == covariance_residual(op, wall(n, k))
+        assert np.array_equal(rows.matrix(), np.where(same_weight(n, d, wall(n, k)), op.mat, 0))
+
+    def test_overlapping_strays_sum_in_term_order(self, monkeypatch):
+        # four stray diagrams meet on the same entries between sectors, two
+        # terms a chunk: 1e16 + 1 + 1 + 1 is 1e16 in term order, while the
+        # second chunk's 1 + 1 added before the first chunk's sum gives 1e16 + 2
+        n, d = 3, 2
+        monkeypatch.setattr(wba_algebra, "_SCATTER_ENTRIES", 8 * d ** n)
+        stray = from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
+        element = WbaElement(n, [stray.pairing] * 4, [[1e16], [1.0], [1.0], [1.0]])
+        assert len(element.pairings) == 4
+        rows = realize_sectors(element, d, 1, real=True)
+        assert rows.off == 1e16 == np.abs(realize(element, d, real=True)).max()
+        element = WbaElement(n, [stray.pairing] * 3, [[1e16], [-1e16], [1.0]])
+        assert realize_sectors(element, d, 1, real=True).off == 1.0
+
+    def test_a_diagram_and_a_permutation(self):
+        n, d, k = 3, 3, 1
+        perm = Permutation.from_cycles([(1, 3)], n)
+        diagram = from_permutation(perm, {3})
+        for x in (diagram, from_permutation(Permutation.identity(n))):
+            rows = realize_sectors(x, d, k)
+            assert np.array_equal(rows.matrix(), realize(x, d)) and rows.off == 0
+        assert realize_sectors(perm, d, k).off == 1.0      # (1 3) untransposed is not walled
+
+    def test_refusals(self):
+        element = f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2)
+        with pytest.raises(ValueError, match="non-real"):
+            realize_sectors(WbaElement(4, element.pairings[:1], [[1j]]), 2, 1, real=True)
+        with pytest.raises(ValueError, match="size guard"):
+            realize_sectors(f_projector(Partition((5, 2)), Partition((4, 2)), 8, 1, 3), 3, 1)
+        with pytest.raises(ValueError, match="sector rows of shape"):
+            dense_ops.SectorOperator(4, 2, 1, np.zeros((16, 4)), 0.0)
+
+
+class TestCovarianceMemory:
+    def test_the_d4_projector_stays_under_its_bound(self):
+        # (6,2) d=4: one root's frame is 2 (4097) x 189 entries; with the
+        # commutator formed in its gathered array and no step's arrays kept
+        # into the next step it reads 45 MB by tracemalloc, 58 MB without
+        n, k, d = 6, 2, 4
+        element = f_projector(Partition((2, 2)), Partition((2,)), n, k, d)
+        op = DenseOperator(n, d, realize(element, d, real=True))
+        rows = realize_sectors(element, d, k, real=True)
+        tracemalloc.start()
+        try:
+            residual = covariance_residual(op, wall(n, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50e6, peak / 1e6
+        assert residual == sector_covariance_residual(rows) <= 1e-13
