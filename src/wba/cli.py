@@ -313,7 +313,7 @@ def cmd_projector(args) -> int:
         element = f_projector(mu, alpha, args.n, args.k, args.d)
         if element.coeffs.imag.any():
             raise CliError(f"F_{mu}({alpha}) has a non-real entry", 2)
-        f = realize_sectors(element, args.d, args.k, real=True)
+        f = realize_sectors(element, args.d, args.k)
     # F should commute with U on the first n-k sites (x) conj(U) on the last
     # k: it is held as its weight-sector rows, which both checks and the map
     # read, and any entry off the sectors counts in both residuals

@@ -161,25 +161,36 @@ def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
                     range(spec.n_in + 1, spec.sites + 1))
 
 
+# sector-row entries _first_input reads at once: with the index and term
+# arrays of their nonzero entries (about 90 bytes each) it holds some 6 MB
+_BAND_ENTRIES = 1 << 16
+
+
 def _first_input(kernel: SectorOperator, x: np.ndarray) -> np.ndarray:
     """fast_evaluate's first step on a kernel given by its sector rows:
     the sum over the stored nonzero entries K[r, c] = K[(a, i), (b, j)] of
     K[r, c] X[b, a] into out[i, j], one np.bincount per real and imaginary
-    part.  Each term is the dense step's product, and the rows are read in
-    row-major order, which is a, then b by the basis order within a sector,
-    so each entry adds its terms in the (a, b) order of the dense step; the
-    terms it skips are exact zeros, which leave a sum that starts at +0 as
-    it is."""
-    layout, dim = kernel.layout, kernel.d ** kernel.n
-    rest = dim // kernel.d
-    at = np.flatnonzero(kernel.rows)
-    r, p = np.divmod(at, kernel.rows.shape[1])
-    c = layout.members[layout.sector[r], p]
-    bins = r % rest * rest + c % rest
-    terms = kernel.rows.reshape(-1)[at] * x[c // rest, r // rest]
+    part.  The output rows i come a band at a time, with the kernel rows
+    (a, i) of every a, so each entry is summed within one band.  Each term
+    is the dense step's product, and a band is read in order of a, then i,
+    then b by the basis order within a sector, so each entry adds its terms
+    in the (a, b) order of the dense step; the terms it skips are exact
+    zeros, which leave a sum that starts at +0 as it is."""
+    layout, d = kernel.layout, kernel.d
+    dim, width = d ** kernel.n, kernel.rows.shape[1]
+    rest = dim // d
+    blocks = kernel.rows[:dim].reshape(d, rest, width)
+    band = max(1, _BAND_ENTRIES // (d * width))
     out = np.empty((rest, rest), dtype=complex)
-    out.real.reshape(-1)[:] = np.bincount(bins, terms.real, rest * rest)
-    out.imag.reshape(-1)[:] = np.bincount(bins, terms.imag, rest * rest)
+    for lo in range(0, rest, band):
+        part = blocks[:, lo:lo + band]
+        a, i, p = np.nonzero(part)
+        c = layout.members[layout.sector[a * rest + lo + i], p]
+        bins = i * rest + c % rest
+        terms = part[a, i, p] * x[c // rest, a]
+        size = part.shape[1] * rest
+        out.real[lo:lo + band] = np.bincount(bins, terms.real, size).reshape(-1, rest)
+        out.imag[lo:lo + band] = np.bincount(bins, terms.imag, size).reshape(-1, rest)
     return out
 
 

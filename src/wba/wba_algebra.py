@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -228,10 +229,11 @@ def _permutation_terms(images: np.ndarray, coeffs) -> tuple[np.ndarray, np.ndarr
 # realization, dense or into the weight-sector rows
 # ---------------------------------------------------------------------------
 
-# four times the unit entries realize scatters per step, so that its chunk
-# arrays (four of 8-byte entries for the sector rows, three for the matrix)
-# hold at most 512 KiB; and the entries of the pairing rows the text pass
-# writes per step: bounds their index arrays and byte rows
+# unit entries realize scatters per step, so that its chunk arrays (the flat
+# index, the entries, whose buffer first takes the float64 row indices, and
+# for the sector rows the float64 column indices) hold 24 bytes an entry,
+# 1.5 MiB; and the entries of the pairing rows the text pass writes per
+# step: bounds their index arrays and byte rows
 _SCATTER_ENTRIES = 1 << 16
 
 
@@ -249,17 +251,23 @@ def _pair_weights(pairings: np.ndarray, d: int, top: int, bot: int) -> np.ndarra
     n = pairings.shape[1] // 2
     place = d ** np.arange(n - 1, -1, -1.0)
     weight = np.concatenate([top * place, bot * place])     # of each endpoint
-    rows, lower = np.nonzero(pairings > np.arange(2 * n))
-    return (weight[lower] + weight[pairings[rows, lower]]).reshape(len(pairings), n)
+    lower = pairings > np.arange(2 * n)      # each pair by its lower endpoint
+    return (weight + weight[pairings])[lower].reshape(len(pairings), n)
 
 
+@lru_cache(maxsize=8)
 def _pair_values(n: int, d: int) -> np.ndarray:
-    """(n, d**n) float64: column v holds the n base-d digits of v, first site first."""
-    return np.indices((d,) * n, dtype=float).reshape(n, d ** n)
+    """(n, d**n) float64, read only: column v holds the n base-d digits of
+    v, first site first (cached: at most 12 x 4096 entries each)."""
+    digits = np.indices((d,) * n, dtype=float).reshape(n, d ** n)
+    digits.setflags(write=False)
+    return digits
 
 
-def _realizable(x, d: int):
-    """x as a diagram or element that realize can take, after the checks."""
+def _realizable(x, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 2n) pairings of x's terms and their complex coefficients at
+    d, after the checks: a diagram or permutation is one term of
+    coefficient 1."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if isinstance(x, Permutation):
@@ -267,12 +275,19 @@ def _realizable(x, d: int):
     if not isinstance(x, (WbaDiagram, WbaElement)):
         raise TypeError(f"cannot realize object of type {type(x).__name__}")
     check_size_guard(x.n, d)
-    return x
+    if isinstance(x, WbaDiagram):
+        return np.array([x.pairing], np.intp), np.ones(1, complex)
+    values = x.coeffs[:, 0]
+    for p in range(1, x.coeffs.shape[1]):
+        values = values + x.coeffs[:, p] * d ** p
+    return x.pairings, values
 
 
-def _scatter(x: WbaElement, d: int, real: bool, acc: np.ndarray, layout=None) -> float:
-    """Add x's unit entries times their coefficients into the flat array
-    ``acc``: the d**n x d**n matrix, or with a ``layout`` the rows of
+def _scatter(pairings: np.ndarray, values: np.ndarray, d: int, acc: np.ndarray,
+             layout=None) -> float:
+    """Add the unit entries of the diagrams ``pairings`` times ``values``
+    into the flat array ``acc``, complex or float64 (real values): the
+    d**n x d**n matrix, or with a ``layout`` the rows of
     dense_ops.SectorOperator and one last slot that takes what falls
     between two sectors.  Entry (i, j) goes to i * d**n + j, or to
     i * width + (j's place in its sector): one np.add.at a chunk, in term
@@ -281,35 +296,32 @@ def _scatter(x: WbaElement, d: int, real: bool, acc: np.ndarray, layout=None) ->
     between sectors comes only from a diagram that is not walled (a pair
     whose two ends change the weight); those are summed apart, in term
     order, and the largest |sum| is returned (0 for the matrix)."""
-    if real and x.coeffs.imag.any():
-        raise ValueError("the element has a non-real coefficient")
-    values = x.coeffs[:, 0]
-    for p in range(1, x.coeffs.shape[1]):
-        values = values + x.coeffs[:, p] * d ** p
-    if real:
+    if acc.dtype == float:
         values = values.real
-    n, dim = x.n, d ** x.n
+    n = pairings.shape[1] // 2
+    dim = d ** n
     digits = _pair_values(n, d)
-    step = max(1, _SCATTER_ENTRIES // (4 * dim))
+    step = max(1, _SCATTER_ENTRIES // dim)
     shape = (min(step, len(values)), dim)
-    rows, cols = np.empty(shape), np.empty(shape) if layout is not None else None
-    index, entries = np.empty(shape, np.intp), np.empty(shape, values.dtype)
-    keys, sums = np.empty(0, np.intp), np.empty(0, values.dtype)
+    index, entries = np.empty(shape, np.intp), np.empty(shape, acc.dtype)
+    rows = entries.view(float).reshape(-1)      # a chunk's row indices, before its entries
+    keys, sums = np.empty(0, np.intp), np.empty(0, acc.dtype)
     if layout is not None:
+        cols = np.empty(shape)
         width, place = layout.members.shape[1], layout.position.astype(float)
         charge = np.where(np.arange(2 * n) < n, 1, -1) * np.tile(np.where(layout.plain, 1, -1), 2)
     for start in range(0, len(values), step):
-        pairings = x.pairings[start:start + step]
-        row, at = rows[:len(pairings)], index[:len(pairings)]
+        terms = pairings[start:start + step]
+        row, at = rows[:len(terms) * dim].reshape(-1, dim), index[:len(terms)]
         strays = []
         if layout is None:
-            np.matmul(_pair_weights(pairings, d, dim, 1), digits, out=row)
+            np.matmul(_pair_weights(terms, d, dim, 1), digits, out=row)
         else:
-            np.matmul(_pair_weights(pairings, d, width, 0), digits, out=row)
-            col = cols[:len(pairings)]
-            np.matmul(_pair_weights(pairings, d, 0, 1), digits, out=col)
+            np.matmul(_pair_weights(terms, d, width, 0), digits, out=row)
+            col = cols[:len(terms)]
+            np.matmul(_pair_weights(terms, d, 0, 1), digits, out=col)
             np.copyto(at, col, casting="unsafe")
-            strays = np.flatnonzero((charge[pairings] + charge).any(axis=1))
+            strays = np.flatnonzero((charge[terms] + charge).any(axis=1))
             if len(strays):     # not walled: sum their entries between sectors apart
                 i, j = (row[strays] / width).astype(np.intp), at[strays]
                 between = layout.sector[i] != layout.sector[j]
@@ -317,52 +329,48 @@ def _scatter(x: WbaElement, d: int, real: bool, acc: np.ndarray, layout=None) ->
                 sums = np.concatenate([sums, np.broadcast_to(
                     values[start + strays, None], between.shape)[between]])
                 keys, slot = np.unique(keys, return_inverse=True)
-                sums, merged = np.zeros(len(keys), values.dtype), sums
+                sums, merged = np.zeros(len(keys), acc.dtype), sums
                 np.add.at(sums, slot, merged)
             np.take(place, at, out=col, mode="clip")
             row += col
         np.copyto(at, row, casting="unsafe")
         if len(strays):
             at[strays] = np.where(between, len(acc) - 1, at[strays])
-        entries[:len(pairings)] = values[start:start + step, None]
+        chunk = entries[:len(terms)]
+        chunk[:] = values[start:start + step, None]
         # np.add.at adds in index order; flat index and value arrays keep it
         # on its fast path
-        np.add.at(acc, at.reshape(-1), entries[:len(pairings)].reshape(-1))
-    return float(np.abs(sums).max(initial=0))
+        np.add.at(acc, at.reshape(-1), chunk.reshape(-1))
+    return float(np.abs(sums).max()) if len(sums) else 0.0
 
 
-def realize(x, d: int, real: bool = False) -> np.ndarray:
-    """Dense matrix on (C^d)^{tensor n} for a diagram, element or
-    permutation, complex, or float64 with ``real`` (a ValueError if a
-    coefficient is not real).  The real matrix is the real part of the
-    complex one, bit for bit: the same scatter of the coefficients' real
-    parts.  Guarded by check_size_guard."""
-    x = _realizable(x, d)
-    dim = d ** x.n
-    out = np.zeros((dim, dim), dtype=float if real else complex)
-    if isinstance(x, WbaDiagram):
-        flat = _pair_weights(np.array([x.pairing]), d, dim, 1) @ _pair_values(x.n, d)
-        out.reshape(-1)[flat.astype(np.intp)] = 1
-    else:
-        _scatter(x, d, real, out.reshape(-1))
+def realize(x, d: int) -> np.ndarray:
+    """Dense complex matrix on (C^d)^{tensor n} for a diagram, element or
+    permutation.  Guarded by check_size_guard."""
+    pairings, values = _realizable(x, d)
+    dim = d ** (pairings.shape[1] // 2)
+    out = np.zeros((dim, dim), dtype=complex)
+    _scatter(pairings, values, d, out.reshape(-1))
     return out
 
 
-def realize_sectors(x, d: int, k: int, real: bool = False) -> SectorOperator:
-    """x realized into its weight-sector rows for U on the first n - k
-    sites (x) conj(U) on the last k (dense_ops.SectorOperator): realize's
-    scatter into the rows of sector_layout(n, d, k), no d^n x d^n array.
-    Each stored entry is realize's bit for bit; ``off`` is the largest
-    |entry| between two sectors, 0 when every diagram is walled (as in
-    every F_mu(alpha))."""
-    x = _realizable(x, d)
-    if isinstance(x, WbaDiagram):
-        x = WbaElement.from_diagram(x)
-    layout = sector_layout(x.n, d, k)
-    shape = (d ** x.n + 1, layout.members.shape[1])
-    acc = np.zeros(shape[0] * shape[1] + 1, dtype=float if real else complex)
-    off = _scatter(x, d, real, acc, layout)
-    return SectorOperator(x.n, d, k, acc[:-1].reshape(shape), off)
+def realize_sectors(x, d: int, k: int) -> SectorOperator:
+    """x realized as float64 into its weight-sector rows for U on the first
+    n - k sites (x) conj(U) on the last k (dense_ops.SectorOperator):
+    realize's scatter into the rows of sector_layout(n, d, k), no d^n x d^n
+    array.  Each stored entry is the real part of realize's bit for bit; a
+    non-real coefficient is a ValueError.  ``off`` is the largest |entry|
+    between two sectors, 0 when every diagram is walled (as in every
+    F_mu(alpha))."""
+    pairings, values = _realizable(x, d)
+    if values.imag.any():
+        raise ValueError("the element has a non-real coefficient")
+    n = pairings.shape[1] // 2
+    layout = sector_layout(n, d, k)
+    shape = (d ** n + 1, layout.members.shape[1])
+    acc = np.zeros(shape[0] * shape[1] + 1)
+    off = _scatter(pairings, values, d, acc, layout)
+    return SectorOperator(n, d, k, acc[:-1].reshape(shape), off)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wba import dense_ops, multilinear_maps as mm
-from wba.dense_ops import DenseOperator, random_matrix, random_psd, sup_norm
+from wba.dense_ops import DenseOperator, random_matrix, random_psd, sector_form, sup_norm
 from wba.multilinear_maps import (
     MapSpec,
     backward_cycle,
@@ -511,7 +511,7 @@ class TestLargestKernel:
         # the working set past the kernel is two first-output arrays (243^2
         # complex) and the smaller ones after them
         d = 3
-        f = realize(f_projector(Partition((2, 2)), Partition((2,)), 6, 2, d), d, real=True)
+        f = realize(f_projector(Partition((2, 2)), Partition((2,)), 6, 2, d), d).real.copy()
         kernel = DenseOperator(6, d, f)
         first_output = (d ** 5) ** 2 * 16
         for n_in in (1, 3, 5):
@@ -536,8 +536,8 @@ class TestSectorKernel:
     @pytest.mark.parametrize("n,k,d,mu,alpha", [(6, 2, 3, (2, 2), (2,)), (7, 1, 2, (4, 2), (3, 2))])
     def test_equals_the_dense_kernel(self, n, k, d, mu, alpha, rng):
         element = f_projector(Partition(mu), Partition(alpha), n, k, d)
-        rows = realize_sectors(element, d, k, real=True)
-        dense = DenseOperator(n, d, realize(element, d, real=True))
+        rows = realize_sectors(element, d, k)
+        dense = DenseOperator(n, d, realize(element, d).real.copy())
         for n_in in range(1, n + 1):
             inputs = [random_psd(d, 1, rng) for _ in range(n_in)]
             out = fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs)
@@ -547,6 +547,35 @@ class TestSectorKernel:
             assert out.n == oracle.n == n - n_in
             assert sup_norm(out.mat - oracle.mat) <= ORACLE_TOL
 
+    def test_one_output_row_a_band(self, rng, monkeypatch):
+        # each entry of the first output is summed within one band, so bands
+        # of one output row give the dense kernel's map bit for bit too
+        n, k, d = 6, 2, 3
+        element = f_projector(Partition((2, 2)), Partition((2,)), n, k, d)
+        rows = realize_sectors(element, d, k)
+        dense = DenseOperator(n, d, realize(element, d).real.copy())
+        monkeypatch.setattr(mm, "_BAND_ENTRIES", 1)
+        for n_in in (1, 3):
+            inputs = [random_matrix(d, 1, rng) for _ in range(n_in)]
+            assert np.array_equal(fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs).mat,
+                                  fast_evaluate(MapSpec(dense, n_in, n - n_in, d), inputs).mat)
+
+    def test_the_d4_map_holds_about_one_first_output(self, rng):
+        # (6,2) d=4 with 3 inputs: the 1024^2 complex first output, the two
+        # 256^2 arrays after it and one band's index and term arrays (40 MB
+        # with every stored entry's arrays held at once)
+        n, k, d = 6, 2, 4
+        rows = realize_sectors(f_projector(Partition((2, 2)), Partition((2,)), n, k, d), d, k)
+        inputs = [random_psd(d, 1, rng) for _ in range(3)]
+        first_output = (d ** 5) ** 2 * 16
+        tracemalloc.start()
+        try:
+            fast_evaluate(MapSpec(rows, 3, n - 3, d), inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < first_output + (4 << 20), peak / 1e6
+
     def test_complex_kernel_with_a_stray_diagram(self, rng):
         # complex coefficients, and a diagram that is not walled: the map is
         # that of the kept block part, whose matrix the rows scatter into
@@ -555,7 +584,7 @@ class TestSectorKernel:
         stray = WbaElement.from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
         element = element + stray
         element = WbaElement(n, element.pairings, element.coeffs * complex(0.5, -2.0))
-        rows = realize_sectors(element, d, k)
+        rows = sector_form(DenseOperator(n, d, realize(element, d)), range(n - k + 1, n + 1))
         blocks = DenseOperator(n, d, rows.matrix())
         assert rows.off > 0 and rows.rows.dtype == complex
         for n_in in range(1, n + 1):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wba.dense_ops import haar_unitary, sup_norm
+from wba.dense_ops import DenseOperator, haar_unitary, sector_form, sup_norm
 import wba.wba_algebra as wa
 from wba.sym_core import (
     Partition,
@@ -33,6 +33,7 @@ from wba.wba_algebra import (
     identity_diagram,
     parse_diagram,
     realize,
+    realize_sectors,
     sigma_diagram,
     sigma_k,
 )
@@ -387,12 +388,14 @@ class TestRealize:
     @pytest.mark.parametrize("n,k,d", [(n, k, d) for d in (2, 3) for k in (1, 2, 3)
                                        for n in range(2 * k, 8)])
     def test_real_is_the_real_part_bit_for_bit(self, n, k, d):
-        # the same scatter of the real parts: every admissible pair, -0.0 included
+        # the float64 sector rows hold the complex matrix's real part, -0.0
+        # included, and nothing between the sectors: every admissible pair
         for alpha, mu in admissible_pairs(n, k, d):
             element = f_projector(mu, alpha, n, k, d)
-            real = realize(element, d, real=True)
-            assert real.dtype == np.float64 and real.flags.c_contiguous
-            assert np.array_equal(real.view(np.int64), realize(element, d).real.view(np.int64))
+            rows = realize_sectors(element, d, k)
+            real = sector_form(DenseOperator(n, d, realize(element, d).real), range(n - k + 1, n + 1))
+            assert rows.rows.dtype == np.float64 and rows.off == real.off == 0
+            assert np.array_equal(rows.rows.view(np.int64), real.rows.view(np.int64))
 
     def test_every_small_pair_is_realized_real(self):
         assert sum(len(admissible_pairs(n, k, d)) for d in (2, 3) for k in (1, 2, 3)
@@ -403,9 +406,9 @@ class TestRealize:
         coeffs = f.coeffs.copy()
         coeffs[5, 0] += 1e-3j
         with pytest.raises(ValueError, match="non-real coefficient"):
-            realize(WbaElement(4, f.pairings, coeffs), 2, real=True)
+            realize_sectors(WbaElement(4, f.pairings, coeffs), 2, 1)
         diagram = sigma_diagram(4, 1)
-        assert np.array_equal(realize(diagram, 2, real=True), realize(diagram, 2).real)
+        assert np.array_equal(realize_sectors(diagram, 2, 1).matrix(), realize(diagram, 2).real)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="size guard"):
