@@ -316,7 +316,7 @@ def cmd_projector(args) -> int:
         f = realize_sectors(element, args.d, args.k)
     # F should commute with U on the first n-k sites (x) conj(U) on the last
     # k: it is held as its weight-sector rows, which both checks and the map
-    # read, and any entry off the sectors counts in both residuals
+    # read; every diagram of F is walled, so none of its entries lies off them
     idem = dense_ops.idempotence_residual(f)
     comm = dense_ops.sector_covariance_residual(f)
 

@@ -256,8 +256,8 @@ class SectorOperator:
     sector by place, and the pads and the last row are zero.  ``off`` is the
     largest |M| between two different sectors (an array for a stack): those
     entries are not kept, so the operator stored is M's block-diagonal part.
-    realize_sectors writes the rows of an element, sector_form gathers them
-    from a dense matrix."""
+    realize_sectors writes the rows of a walled element (``off`` 0),
+    sector_form gathers them from a dense matrix."""
 
     n: int
     d: int
@@ -273,13 +273,6 @@ class SectorOperator:
     @property
     def layout(self) -> SectorLayout:
         return sector_layout(self.n, self.d, self.k)
-
-    def matrix(self) -> np.ndarray:
-        """The d^n x d^n matrix of the stored entries (zero off the sectors)."""
-        layout, dim = self.layout, self.d ** self.n
-        mat = np.zeros(self.rows.shape[:-2] + (dim, dim + 1), self.rows.dtype)  # pads: column d^n
-        mat[..., np.arange(dim)[:, None], layout.members[layout.sector]] = self.rows[..., :dim, :]
-        return np.ascontiguousarray(mat[..., :dim])
 
 
 def _sector_rows(mat: np.ndarray, layout: SectorLayout):

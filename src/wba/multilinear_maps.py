@@ -74,13 +74,11 @@ class MapSpec:
         return self.n_in + self.n_out
 
     def kernel_matrix(self) -> np.ndarray:
-        """The kernel's d^n x d^n matrix; a sector-form kernel's rows are
-        scattered into one (for the oracle)."""
-        if isinstance(self.kernel, (DenseOperator, SectorOperator)):
+        """The kernel's d^n x d^n matrix: a dense kernel's own, or a diagram
+        or element realized (the oracle reads no sector-form kernel)."""
+        if isinstance(self.kernel, DenseOperator):
             if self.kernel.d != self.d:
                 raise ValueError("kernel local dimension mismatch")
-            if isinstance(self.kernel, SectorOperator):
-                return self.kernel.matrix()
             return self.kernel.mat
         return realize(self.kernel, self.d)
 
@@ -205,8 +203,10 @@ def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
     set is the kernel plus two arrays of the first output's size.  A kernel
     given by its sector rows (SectorOperator) takes its first input over
     the stored entries alone (_first_input), in the same order, and is never
-    made dense.  With n_out = 0 the result is the 1 x 1 trace.  Each input
-    is one d x d matrix; a stack of them is a ValueError.
+    made dense; its rows must be all of it (``off`` 0), since the map of its
+    block part alone is not the map of a kernel with entries between
+    sectors.  With n_out = 0 the result is the 1 x 1 trace.  Each input is
+    one d x d matrix; a stack of them, or of sector rows, is a ValueError.
     """
     if len(inputs) != spec.n_in:
         raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
@@ -216,8 +216,9 @@ def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
         if mat.shape != (d, d):
             raise ValueError(f"input shape {mat.shape} is not one ({d}, {d}) matrix")
     if isinstance(spec.kernel, SectorOperator):
-        if spec.kernel.d != d or spec.kernel.rows.ndim != 2:
-            raise ValueError("a sector-form kernel must be one operator of dimension d")
+        if spec.kernel.d != d or spec.kernel.rows.ndim != 2 or spec.kernel.off:
+            raise ValueError("a sector-form kernel must be one operator of dimension d "
+                             "with no entry off its sectors")
         t, mats = _first_input(spec.kernel, mats[0]), mats[1:]
     else:
         t = spec.kernel_matrix()

@@ -284,18 +284,17 @@ def _realizable(x, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scatter(pairings: np.ndarray, values: np.ndarray, d: int, acc: np.ndarray,
-             layout=None) -> float:
+             layout=None) -> None:
     """Add the unit entries of the diagrams ``pairings`` times ``values``
     into the flat array ``acc``, complex or float64 (real values): the
     d**n x d**n matrix, or with a ``layout`` the rows of
-    dense_ops.SectorOperator and one last slot that takes what falls
-    between two sectors.  Entry (i, j) goes to i * d**n + j, or to
+    dense_ops.SectorOperator.  Entry (i, j) goes to i * d**n + j, or to
     i * width + (j's place in its sector): one np.add.at a chunk, in term
     order, so each entry sums its terms in term order whichever the target,
-    and a sector row's entries are the matrix's bit for bit.  An entry
-    between sectors comes only from a diagram that is not walled (a pair
-    whose two ends change the weight); those are summed apart, in term
-    order, and the largest |sum| is returned (0 for the matrix)."""
+    and a sector row's entries are the matrix's bit for bit.  The rows take
+    only walled diagrams, whose entries all lie within the sectors: a
+    diagram with a pair whose two ends change the weight is a ValueError
+    that names it."""
     if acc.dtype == float:
         values = values.real
     n = pairings.shape[1] // 2
@@ -305,7 +304,6 @@ def _scatter(pairings: np.ndarray, values: np.ndarray, d: int, acc: np.ndarray,
     shape = (min(step, len(values)), dim)
     index, entries = np.empty(shape, np.intp), np.empty(shape, acc.dtype)
     rows = entries.view(float).reshape(-1)      # a chunk's row indices, before its entries
-    keys, sums = np.empty(0, np.intp), np.empty(0, acc.dtype)
     if layout is not None:
         cols = np.empty(shape)
         width, place = layout.members.shape[1], layout.position.astype(float)
@@ -313,35 +311,25 @@ def _scatter(pairings: np.ndarray, values: np.ndarray, d: int, acc: np.ndarray,
     for start in range(0, len(values), step):
         terms = pairings[start:start + step]
         row, at = rows[:len(terms) * dim].reshape(-1, dim), index[:len(terms)]
-        strays = []
         if layout is None:
             np.matmul(_pair_weights(terms, d, dim, 1), digits, out=row)
         else:
+            unwalled = np.flatnonzero((charge[terms] + charge).any(axis=1))
+            if len(unwalled):
+                raise ValueError(f"the diagram {_diagram_texts(terms[unwalled[:1]])[0]} is not "
+                                 f"walled for k = {np.count_nonzero(~layout.plain)}")
             np.matmul(_pair_weights(terms, d, width, 0), digits, out=row)
             col = cols[:len(terms)]
             np.matmul(_pair_weights(terms, d, 0, 1), digits, out=col)
             np.copyto(at, col, casting="unsafe")
-            strays = np.flatnonzero((charge[terms] + charge).any(axis=1))
-            if len(strays):     # not walled: sum their entries between sectors apart
-                i, j = (row[strays] / width).astype(np.intp), at[strays]
-                between = layout.sector[i] != layout.sector[j]
-                keys = np.concatenate([keys, (i * dim + j)[between]])
-                sums = np.concatenate([sums, np.broadcast_to(
-                    values[start + strays, None], between.shape)[between]])
-                keys, slot = np.unique(keys, return_inverse=True)
-                sums, merged = np.zeros(len(keys), acc.dtype), sums
-                np.add.at(sums, slot, merged)
             np.take(place, at, out=col, mode="clip")
             row += col
         np.copyto(at, row, casting="unsafe")
-        if len(strays):
-            at[strays] = np.where(between, len(acc) - 1, at[strays])
         chunk = entries[:len(terms)]
         chunk[:] = values[start:start + step, None]
         # np.add.at adds in index order; flat index and value arrays keep it
         # on its fast path
         np.add.at(acc, at.reshape(-1), chunk.reshape(-1))
-    return float(np.abs(sums).max()) if len(sums) else 0.0
 
 
 def realize(x, d: int) -> np.ndarray:
@@ -358,19 +346,19 @@ def realize_sectors(x, d: int, k: int) -> SectorOperator:
     """x realized as float64 into its weight-sector rows for U on the first
     n - k sites (x) conj(U) on the last k (dense_ops.SectorOperator):
     realize's scatter into the rows of sector_layout(n, d, k), no d^n x d^n
-    array.  Each stored entry is the real part of realize's bit for bit; a
-    non-real coefficient is a ValueError.  ``off`` is the largest |entry|
-    between two sectors, 0 when every diagram is walled (as in every
-    F_mu(alpha))."""
+    array.  Each stored entry is the real part of realize's bit for bit.
+    Every diagram of x must be walled for k, as those of every F_mu(alpha)
+    are, so nothing lies between two sectors and ``off`` is 0.  A diagram
+    that is not walled (the first is named) or a non-real coefficient is a
+    ValueError."""
     pairings, values = _realizable(x, d)
     if values.imag.any():
         raise ValueError("the element has a non-real coefficient")
     n = pairings.shape[1] // 2
     layout = sector_layout(n, d, k)
-    shape = (d ** n + 1, layout.members.shape[1])
-    acc = np.zeros(shape[0] * shape[1] + 1)
-    off = _scatter(pairings, values, d, acc, layout)
-    return SectorOperator(n, d, k, acc[:-1].reshape(shape), off)
+    rows = np.zeros((d ** n + 1, layout.members.shape[1]))
+    _scatter(pairings, values, d, rows.reshape(-1), layout)
+    return SectorOperator(n, d, k, rows, 0.0)
 
 
 # ---------------------------------------------------------------------------

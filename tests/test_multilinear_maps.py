@@ -543,7 +543,7 @@ class TestSectorKernel:
             out = fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs)
             assert np.array_equal(out.mat, fast_evaluate(MapSpec(dense, n_in, n - n_in, d),
                                                          inputs).mat)
-            oracle = evaluate_oracle(MapSpec(rows, n_in, n - n_in, d), inputs)
+            oracle = evaluate_oracle(MapSpec(element, n_in, n - n_in, d), inputs)
             assert out.n == oracle.n == n - n_in
             assert sup_norm(out.mat - oracle.mat) <= ORACLE_TOL
 
@@ -577,21 +577,27 @@ class TestSectorKernel:
         assert peak < first_output + (4 << 20), peak / 1e6
 
     def test_complex_kernel_with_a_stray_diagram(self, rng):
-        # complex coefficients, and a diagram that is not walled: the map is
-        # that of the kept block part, whose matrix the rows scatter into
+        # complex coefficients: F (0.5 - 2j) by its sector rows gives the
+        # dense kernel's map bit for bit.  A diagram that is not walled puts
+        # entries between the sectors, which the rows do not hold: that
+        # kernel is refused, not evaluated as its block part
         n, k, d = 4, 1, 3
         element = f_projector(Partition((2, 1)), Partition((2,)), n, k, d)
-        stray = WbaElement.from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
-        element = element + stray
         element = WbaElement(n, element.pairings, element.coeffs * complex(0.5, -2.0))
-        rows = sector_form(DenseOperator(n, d, realize(element, d)), range(n - k + 1, n + 1))
-        blocks = DenseOperator(n, d, rows.matrix())
-        assert rows.off > 0 and rows.rows.dtype == complex
+        dense = DenseOperator(n, d, realize(element, d))
+        rows = sector_form(dense, range(n - k + 1, n + 1))
+        assert rows.off == 0 and rows.rows.dtype == complex
         for n_in in range(1, n + 1):
             inputs = [random_matrix(d, 1, rng) for _ in range(n_in)]
             out = fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs)
-            assert np.array_equal(out.mat, fast_evaluate(MapSpec(blocks, n_in, n - n_in, d),
+            assert np.array_equal(out.mat, fast_evaluate(MapSpec(dense, n_in, n - n_in, d),
                                                          inputs).mat)
+        stray = WbaElement.from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
+        rows = sector_form(DenseOperator(n, d, realize(element + stray, d)),
+                           range(n - k + 1, n + 1))
+        assert rows.off > 0
+        with pytest.raises(ValueError, match="no entry off its sectors"):
+            fast_evaluate(MapSpec(rows, 1, n - 1, d), [np.eye(d)])
 
     def test_a_stack_is_refused(self):
         rows = realize_sectors(WbaElement.identity(2), 2, 1)

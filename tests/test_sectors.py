@@ -5,6 +5,7 @@ block ``idempotence_residual`` against the dense product F @ F - F, and
 ``realize_sectors`` against the sector rows of the dense ``realize``."""
 
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 
@@ -351,13 +352,14 @@ class TestStacks:
 
 # every admissible projector with n <= 7 at d = 2 and 3, and (6,2) d=4
 def _with_a_stray(n, k, d):
-    """F_[2,1]([1]) (n = 4, k = 1) or F_[2]([1]) (n = 3) plus one diagram
-    that is not walled: the transposition (1 2) transposed on site 1, a
-    plain site, joins two plain sites by a cup."""
+    """F_[2,1]([2]) (n = 4, k = 1) or F_[2]([1]) (n = 3) plus one diagram
+    that is not walled, its last term: the transposition (1 2) transposed
+    on site 1, a plain site, joins two plain sites by a cup.  Returns the
+    element and that diagram."""
     mu, alpha = ((2, 1), (2,)) if n == 4 else ((2,), (1,))
     element = f_projector(Partition(mu), Partition(alpha), n, k, d)
-    stray = WbaElement.from_permutation(Permutation.from_cycles([(1, 2)], n), {1}, 0.25)
-    return element + stray
+    stray = from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
+    return element + WbaElement.from_diagram(stray, 0.25), stray
 
 
 class TestRealizeSectors:
@@ -376,33 +378,15 @@ class TestRealizeSectors:
 
     @pytest.mark.parametrize("n,k,d", [(3, 1, 3), (4, 1, 2), (4, 1, 3)])
     @pytest.mark.parametrize("chunk", [None, 1])
-    def test_a_stray_diagram_reads_the_same_residuals(self, n, k, d, chunk, monkeypatch):
-        # the entries the stray diagram puts between sectors count in both
-        # residuals, summed in term order as the dense matrix sums them; a
-        # chunk of one term a step sums them across steps
+    def test_a_stray_diagram_is_refused(self, n, k, d, chunk, monkeypatch):
+        # the rows hold walled operators only: the stray diagram is named,
+        # also when it falls in a later chunk than F's terms (one term a chunk)
         if chunk:
             monkeypatch.setattr(wba_algebra, "_SCATTER_ENTRIES", chunk)
-        element = _with_a_stray(n, k, d)
-        op = DenseOperator(n, d, realize(element, d).real.copy())
-        dense, rows = sector_form(op, wall(n, k)), realize_sectors(element, d, k)
-        assert np.array_equal(rows.rows, dense.rows) and rows.off == dense.off > 0.1
-        assert idempotence_residual(rows) == idempotence_residual(dense)
-        assert sector_covariance_residual(rows) == covariance_residual(op, wall(n, k))
-        assert np.array_equal(rows.matrix(), np.where(same_weight(n, d, wall(n, k)), op.mat, 0))
-
-    def test_overlapping_strays_sum_in_term_order(self, monkeypatch):
-        # four stray diagrams meet on the same entries between sectors, two
-        # terms a chunk: 1e16 + 1 + 1 + 1 is 1e16 in term order, while the
-        # second chunk's 1 + 1 added before the first chunk's sum gives 1e16 + 2
-        n, d = 3, 2
-        monkeypatch.setattr(wba_algebra, "_SCATTER_ENTRIES", 8 * d ** n)
-        stray = from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
-        element = WbaElement(n, [stray.pairing] * 4, [[1e16], [1.0], [1.0], [1.0]])
-        assert len(element.pairings) == 4
-        rows = realize_sectors(element, d, 1)
-        assert rows.off == 1e16 == np.abs(realize(element, d)).max()
-        element = WbaElement(n, [stray.pairing] * 3, [[1e16], [-1e16], [1.0]])
-        assert realize_sectors(element, d, 1).off == 1.0
+        element, stray = _with_a_stray(n, k, d)
+        with pytest.raises(ValueError, match=re.escape(f"the diagram {stray} is not walled "
+                                                       f"for k = {k}")):
+            realize_sectors(element, d, k)
 
     def test_a_diagram_and_a_permutation(self):
         n, d, k = 3, 3, 1
@@ -410,8 +394,12 @@ class TestRealizeSectors:
         diagram = from_permutation(perm, {3})
         for x in (diagram, from_permutation(Permutation.identity(n))):
             rows = realize_sectors(x, d, k)
-            assert np.array_equal(rows.matrix(), realize(x, d)) and rows.off == 0
-        assert realize_sectors(perm, d, k).off == 1.0      # (1 3) untransposed is not walled
+            dense = sector_form(DenseOperator(n, d, realize(x, d).real), wall(n, k))
+            assert np.array_equal(rows.rows, dense.rows) and rows.off == dense.off == 0
+        # (1 3) untransposed joins a plain and a conjugated site top to bottom
+        with pytest.raises(ValueError, match=re.escape("the diagram (1 3) is not walled "
+                                                       "for k = 1")):
+            realize_sectors(perm, d, k)
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="size guard"):
