@@ -554,12 +554,13 @@ def check_covariant_block_positive(m: DenseOperator, conjugated,
     covariant_block_minimum requires: the PSD step is the same, and the
     product minimum is the exact one, so the verdict is ``certified``.  An
     operator that fails the covariance check gets check_block_positive's
-    search, seeded by the budget, on the same lambda; the check draws nothing.
+    verdict, its search seeded by the budget; the check draws nothing.
 
     A stack of operators gives the list of the members' verdicts in
     row-major order, each that of a call on the member alone: one stacked
-    eigvalsh, one covariance check of the non-PSD members, and the search
-    for each member that fails it, in order, with the budget as given."""
+    eigvalsh, one covariance check of the non-PSD members, and
+    check_block_positive for each member that fails it, in order, with the
+    budget as given."""
     partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
     mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
     lams = dense_ops.min_eigenvalue(DenseOperator(m.n, m.d, mats)).tolist()
@@ -568,13 +569,9 @@ def check_covariant_block_positive(m: DenseOperator, conjugated,
     if negative:
         exact = covariant_block_minimum(DenseOperator(m.n, m.d, mats[negative]), conjugated)
         for i, found in zip(negative, exact):
-            member, lam = DenseOperator(m.n, m.d, mats[i]), lams[i]
-            if found is None:
-                value, vecs, sweeps, converged = product_state_minimize(member, partition, budget)
-                verdicts[i] = _classify(member, partition, lam, value, vecs, sweeps=sweeps,
-                                        converged_starts=converged)
-            else:
-                verdicts[i] = _classify(member, partition, lam, *found, certified=True)
+            member = DenseOperator(m.n, m.d, mats[i])
+            verdicts[i] = (check_block_positive(member, partition, budget) if found is None
+                           else _classify(member, partition, lams[i], *found, certified=True))
     return verdicts if m.mat.ndim > 2 else verdicts[0]
 
 

@@ -835,7 +835,7 @@ class TestNonRealProjector:
         code, out, err = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
                              "--mu", "[2,1]", "--alpha", "[2]")
         assert code == 2 and out == ""
-        assert err == "error: F_[2,1]([2]) has a non-real entry\n"
+        assert err == "error: the element has a non-real coefficient\n"
 
 
 class TestEmptyRange:
@@ -941,10 +941,10 @@ class TestClosedStdout:
 
 
 def test_cli_imports_no_numpy_ma():
-    """The projector report and scan-bcs never import numpy.ma.  numpy
-    imports it lazily, when an entry point that needs it first runs (a
-    np.unique without flags does), and that import costs every CLI process
-    10-15 ms."""
+    """The projector reports, json and text, and scan-bcs never import
+    numpy.ma.  numpy imports it lazily, when an entry point that needs it
+    first runs (a np.unique without flags does), and that import costs
+    every CLI process 10-15 ms."""
     script = ("import contextlib, io, sys\n"
               "from wba.cli import main\n"
               "for argv in sys.argv[1:]:\n"
@@ -953,7 +953,7 @@ def test_cli_imports_no_numpy_ma():
               "print('numpy.ma' in sys.modules)\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, " ".join(_N7_JSON),
-         "scan-bcs --alpha 0:1:0.5 --beta=-0.5:0.1:0.3"],
+         " ".join(_N7_JSON[:-1] + ["text"]), "scan-bcs --alpha 0:1:0.5 --beta=-0.5:0.1:0.3"],
         capture_output=True, text=True, env=_fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
