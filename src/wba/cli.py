@@ -337,7 +337,8 @@ def cmd_scan_bcs(args) -> int:
                        f"more than {MAX_SCAN_POINTS}")
     with _fails_with(2):
         check_size_guard(3, args.d)
-    rows = ent.scan_bcs_region(*ranges, args.d, ent.SearchBudget(seed=args.seed))
+        with np.errstate(over="ignore", invalid="ignore"):     # min_eigenvalue refuses inf/nan
+            rows = ent.scan_bcs_region(*ranges, args.d, ent.SearchBudget(seed=args.seed))
     lines = ["alpha,beta,analytic_positive,min_eig,product_min,class"]
     for r in rows:
         lines.append(",".join([

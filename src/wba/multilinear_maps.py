@@ -58,7 +58,7 @@ def _as_matrix(x, d: int) -> np.ndarray:
 class MapSpec:
     """Kernel plus slot layout: n_in input sites (traced), n_out output sites."""
 
-    kernel: object  # WbaElement | WbaDiagram | DenseOperator | SectorOperator
+    kernel: object  # WbaElement (a diagram is one) | DenseOperator | SectorOperator
     n_in: int
     n_out: int
     d: int

@@ -11,7 +11,6 @@ are realized as dense matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -46,28 +45,6 @@ def check_size_guard(n: int, d: int) -> None:
 # diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WbaDiagram:
-    """Perfect matching on endpoints 0..2n-1 (0..n-1 top, n..2n-1 bot).
-
-    ``pairing[e]`` is the partner of endpoint e; the matching is a
-    fixed-point-free involution.
-    """
-
-    n: int
-    pairing: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.pairing) != 2 * self.n:
-            raise ValueError("pairing must cover all 2n endpoints")
-        for e, f in enumerate(self.pairing):
-            if f == e or not 0 <= f < 2 * self.n or self.pairing[f] != e:
-                raise ValueError(f"pairing is not a fixed-point-free involution: {self.pairing}")
-
-    def __str__(self) -> str:
-        return diagram_to_text(self)
-
-
 def from_permutation(p: Permutation, transposed=frozenset()) -> WbaDiagram:
     """Diagram of p^{T_S}: the permutation matching with top/bot swapped on S."""
     n = p.n
@@ -78,12 +55,9 @@ def from_permutation(p: Permutation, transposed=frozenset()) -> WbaDiagram:
     return WbaDiagram(n, tuple(pairing.tolist()))
 
 
-def identity_diagram(n: int) -> WbaDiagram:
-    return from_permutation(Permutation.identity(n))
-
-
-def compose_diagrams(a: WbaDiagram, b: WbaDiagram) -> tuple[WbaDiagram, int]:
-    """Diagram of a*b (b applied first) and the number of closed loops.
+def _compose(top, bot) -> tuple[list[int], int]:
+    """Partners of a*b (b applied first) and the number of closed loops,
+    for the partner sequences top of a and bot of b.
 
     a is stacked above b and a's bot t is glued to b's top t: glued point t.
     A line from an outer endpoint (a's top row, b's bot row, which keep their
@@ -91,10 +65,7 @@ def compose_diagrams(a: WbaDiagram, b: WbaDiagram) -> tuple[WbaDiagram, int]:
     rows; the glued points no line crosses lie on closed loops, each giving
     a factor d: realize(a) @ realize(b) == d**loops * realize(a*b).
     """
-    if a.n != b.n:
-        raise ValueError(f"site count mismatch: {a.n} vs {b.n}")
-    n = a.n
-    top, bot = a.pairing, b.pairing     # the upper and the lower diagram
+    n = len(top) // 2
     pairing = [-1] * (2 * n)
     crossed = [False] * n
     for start in range(2 * n):
@@ -113,7 +84,17 @@ def compose_diagrams(a: WbaDiagram, b: WbaDiagram) -> tuple[WbaDiagram, int]:
         while not crossed[t]:
             crossed[t] = crossed[bot[t]] = True
             t = top[n + bot[t]] - n
-    return WbaDiagram(n, tuple(pairing)), loops
+    return pairing, loops
+
+
+def compose_diagrams(a: WbaDiagram, b: WbaDiagram) -> tuple[WbaDiagram, int]:
+    """Diagram of a*b (b applied first) and its number of closed loops: the
+    walk of ``*`` (_compose) on one pair, a * b being this diagram with its
+    coefficient d**loops."""
+    if a.n != b.n:
+        raise ValueError(f"site count mismatch: {a.n} vs {b.n}")
+    pairing, loops = _compose(a.pairing, b.pairing)
+    return WbaDiagram(a.n, tuple(pairing)), loops
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +132,8 @@ class WbaElement:
         self.pairings, self.coeffs = pairings[keep], coeffs[keep, :width]
 
     @staticmethod
-    def from_diagram(diag: WbaDiagram, coeff: complex = 1.0) -> "WbaElement":
-        return WbaElement(diag.n, [diag.pairing], [[coeff]])
-
-    @staticmethod
-    def from_permutation(p: Permutation, transposed=frozenset(), coeff: complex = 1.0) -> "WbaElement":
-        return WbaElement.from_diagram(from_permutation(p, transposed), coeff)
-
-    @staticmethod
-    def identity(n: int) -> "WbaElement":
-        return WbaElement.from_diagram(identity_diagram(n))
-
-    def diagrams(self) -> list[WbaDiagram]:
-        """The matching of each row, as validated diagrams."""
-        return [WbaDiagram(self.n, tuple(p)) for p in self.pairings.tolist()]
+    def identity(n: int) -> WbaDiagram:
+        return from_permutation(Permutation.identity(n))
 
     def __add__(self, other: "WbaElement") -> "WbaElement":
         if self.n != other.n:
@@ -182,8 +151,9 @@ class WbaElement:
         """Bilinear extension of diagram composition; loops become d powers."""
         if self.n != other.n:
             raise ValueError("site count mismatch")
-        products = [compose_diagrams(a, b) for a in self.diagrams() for b in other.diagrams()]
-        pairings = np.array([diag.pairing for diag, _ in products], np.intp)
+        right = other.pairings.tolist()
+        products = [_compose(a, b) for a in self.pairings.tolist() for b in right]
+        pairings = np.array([pairing for pairing, _ in products], np.intp)
         loops = np.array([count for _, count in products], np.intp)
         # row (a, b) of the product: the polynomial product times d**loops
         pa, pb = self.coeffs.shape[1], other.coeffs.shape[1]
@@ -205,6 +175,37 @@ class WbaElement:
             poly = " + ".join(f"({c:.6g})*d^{p}" for p, c in enumerate(row.tolist()) if c)
             bits.append(f"[{poly}] {text}")
         return "  +  ".join(bits) or "0"
+
+
+class WbaDiagram(WbaElement):
+    """One diagram: the one-term element of coefficient 1, a perfect matching
+    on endpoints 0..2n-1 (0..n-1 top, n..2n-1 bot).
+
+    ``pairing[e]`` is the partner of endpoint e; the matching is a
+    fixed-point-free involution.  ``pairings`` is it as a read-only row;
+    equality and hash go by (n, pairing).
+    """
+
+    __slots__ = ("pairing",)
+
+    def __init__(self, n: int, pairing: tuple[int, ...]):
+        if len(pairing) != 2 * n:
+            raise ValueError("pairing must cover all 2n endpoints")
+        for e, f in enumerate(pairing):
+            if f == e or not 0 <= f < 2 * n or pairing[f] != e:
+                raise ValueError(f"pairing is not a fixed-point-free involution: {pairing}")
+        row = np.array([pairing], np.intp)
+        row.setflags(write=False)
+        self.n, self.pairing, self.pairings, self.coeffs = n, pairing, row, np.array([[1 + 0j]])
+
+    def __eq__(self, other):
+        return isinstance(other, WbaDiagram) and (self.n, self.pairing) == (other.n, other.pairing)
+
+    def __hash__(self):
+        return hash((self.n, self.pairing))
+
+    def __str__(self) -> str:
+        return diagram_to_text(self)
 
 
 class GroupAlgebraElement(WbaElement):
@@ -266,17 +267,15 @@ def _pair_values(n: int, d: int) -> np.ndarray:
 
 def _realizable(x, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The (T, 2n) pairings of x's terms and their complex coefficients at
-    d, after the checks: a diagram or permutation is one term of
-    coefficient 1."""
+    d, after the checks: a permutation is its diagram, the element of one
+    term of coefficient 1."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if isinstance(x, Permutation):
         x = from_permutation(x)
-    if not isinstance(x, (WbaDiagram, WbaElement)):
+    if not isinstance(x, WbaElement):
         raise TypeError(f"cannot realize object of type {type(x).__name__}")
     check_size_guard(x.n, d)
-    if isinstance(x, WbaDiagram):
-        return np.array([x.pairing], np.intp), np.ones(1, complex)
     values = x.coeffs[:, 0]
     for p in range(1, x.coeffs.shape[1]):
         values = values + x.coeffs[:, p] * d ** p
@@ -333,8 +332,8 @@ def _scatter(pairings: np.ndarray, values: np.ndarray, d: int, acc: np.ndarray,
 
 
 def realize(x, d: int) -> np.ndarray:
-    """Dense complex matrix on (C^d)^{tensor n} for a diagram, element or
-    permutation.  Guarded by check_size_guard."""
+    """Dense complex matrix on (C^d)^{tensor n} for an element (a diagram is
+    one) or a permutation.  Guarded by check_size_guard."""
     pairings, values = _realizable(x, d)
     dim = d ** (pairings.shape[1] // 2)
     out = np.zeros((dim, dim), dtype=complex)
@@ -366,17 +365,16 @@ def realize_sectors(x, d: int, k: int) -> SectorOperator:
 # ---------------------------------------------------------------------------
 
 def sigma_diagram(n: int, k: int) -> WbaDiagram:
-    """Product of k disjoint cup/cap pairs linking sites n-2k+j and n-j+1:
-    the permutation of those k transpositions, transposed on sites n-k+1..n."""
+    """sigma^(k) = (n-2k+1,n)^{T_n} (n-2k+2,n-1)^{T_{n-1}} ...: k disjoint
+    cup/cap pairs linking sites n-2k+j and n-j+1, the permutation of those k
+    transpositions transposed on sites n-k+1..n."""
     if not n >= 2 * k >= 2:
         raise ValueError(f"need n >= 2k >= 2, got n={n}, k={k}")
     swaps = Permutation.from_cycles([(n - 2 * k + j, n - j + 1) for j in range(1, k + 1)], n)
     return from_permutation(swaps, range(n - k + 1, n + 1))
 
 
-def sigma_k(n: int, k: int) -> WbaElement:
-    """(n-2k+1,n)^{T_n} (n-2k+2,n-1)^{T_{n-1}} ... as a one-diagram element."""
-    return WbaElement.from_diagram(sigma_diagram(n, k))
+sigma_k = sigma_diagram
 
 
 def gamma(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> Fraction:
@@ -441,8 +439,7 @@ def f_projector(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> WbaE
     etas_inv = np.array([eta.extend(n).inverse().images for eta in reps]) - 1
     top = etas_inv[:, images]
     ends = np.concatenate([top, n + np.broadcast_to(etas_inv[:, None, :], top.shape)], axis=2)
-    sigma = np.array(sigma_diagram(n, k).pairing)[None, :]
-    pairings = _relabel(sigma, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
+    pairings = _relabel(sigma_diagram(n, k).pairings, ends.reshape(-1, 2 * n)).reshape(-1, 2 * n)
     scale = (Fraction(irrep_dimension(mu), factorial(mu.n))
              * Fraction(irrep_dimension(alpha), factorial(alpha.n)) / norm)
     num, den = scale.numerator, scale.denominator
@@ -591,7 +588,7 @@ def _diagram_texts(pairings: np.ndarray) -> list[str]:
 
 
 def diagram_to_text(diag: WbaDiagram) -> str:
-    return _diagram_texts(np.array([diag.pairing]))[0]
+    return _diagram_texts(diag.pairings)[0]
 
 
 def parse_diagram(text: str, n: int) -> WbaDiagram:

@@ -353,6 +353,13 @@ class TestScanBcs:
                          "--beta", "0:0:1", "--out", str(out_file))
         assert code == 1 and not out_file.exists()
 
+    def test_overflowing_point_fails_on_one_line(self, capsys):
+        # a finite grid point whose kernel overflows is a numerical failure
+        code, out, err = run(capsys, "scan-bcs", "--alpha=1e308:1e308:1e308",
+                             "--beta=1e308:1e308:1e308")
+        assert code == 2 and out == ""
+        assert err == "error: matrix is not a finite hermitian one (non-finite entry)\n"
+
 
 class TestWernerPpt:
     def test_maximally_mixed(self, capsys):

@@ -33,7 +33,7 @@ def rng():
 
 
 def spec_for(perm, transposed, n_in, n_out, d):
-    return MapSpec(WbaElement.from_permutation(perm, transposed), n_in, n_out, d)
+    return MapSpec(from_permutation(perm, transposed), n_in, n_out, d)
 
 
 def partial_trace(m, over):
@@ -434,7 +434,7 @@ class TestDispatcher:
 
     def test_fast_with_coefficient(self, rng):
         d = 2
-        kernel = WbaElement.from_permutation(backward_cycle(3), {2}, coeff=2.5)
+        kernel = from_permutation(backward_cycle(3), {2}).scale(2.5)
         spec = MapSpec(kernel, 2, 1, d)
         inputs = [random_matrix(d, 1, rng) for _ in range(2)]
         fast = fast_evaluate(spec, inputs)
@@ -592,7 +592,7 @@ class TestSectorKernel:
             out = fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs)
             assert np.array_equal(out.mat, fast_evaluate(MapSpec(dense, n_in, n - n_in, d),
                                                          inputs).mat)
-        stray = WbaElement.from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
+        stray = from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
         rows = sector_form(DenseOperator(n, d, realize(element + stray, d)),
                            range(n - k + 1, n + 1))
         assert rows.off > 0

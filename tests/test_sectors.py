@@ -26,7 +26,6 @@ from wba.dense_ops import (
 from wba import wba_algebra
 from wba.sym_core import Partition, Permutation
 from wba.wba_algebra import (
-    WbaElement,
     f_projector,
     from_permutation,
     realize,
@@ -359,7 +358,7 @@ def _with_a_stray(n, k, d):
     mu, alpha = ((2, 1), (2,)) if n == 4 else ((2,), (1,))
     element = f_projector(Partition(mu), Partition(alpha), n, k, d)
     stray = from_permutation(Permutation.from_cycles([(1, 2)], n), {1})
-    return element + WbaElement.from_diagram(stray, 0.25), stray
+    return element + stray.scale(0.25), stray
 
 
 class TestRealizeSectors:
