@@ -392,6 +392,8 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Starts, sweeps and seed of the see-saw search of check_block_positive."""
+
     restarts: int = 64
     iterations: int = 200
     samples: int = 512
@@ -548,19 +550,17 @@ def covariant_block_minimum(m: DenseOperator, conjugated):
     return answers if m.mat.ndim > 2 else answers[0]
 
 
-def check_covariant_block_positive(m: DenseOperator, conjugated,
-                                   budget: SearchBudget = SearchBudget()):
+def check_covariant_block_positive(m: DenseOperator, conjugated):
     """check_block_positive for the cut 1|rest of an operator covariant as
     covariant_block_minimum requires: the PSD step is the same, and the
-    product minimum is the exact one, so the verdict is ``certified``.  An
-    operator that fails the covariance check gets check_block_positive's
-    verdict, its search seeded by the budget; the check draws nothing.
+    product minimum is the exact one, so the verdict is ``certified``.  A
+    non-PSD operator that fails the covariance check has no exact minimum
+    and is a ValueError; the check runs no search and draws nothing.
 
     A stack of operators gives the list of the members' verdicts in
     row-major order, each that of a call on the member alone: one stacked
-    eigvalsh, one covariance check of the non-PSD members, and
-    check_block_positive for each member that fails it, in order, with the
-    budget as given."""
+    eigvalsh and one covariance check of the non-PSD members; the error
+    names the first of them, in row-major order, that fails it."""
     partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
     mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
     lams = dense_ops.min_eigenvalue(DenseOperator(m.n, m.d, mats)).tolist()
@@ -569,9 +569,12 @@ def check_covariant_block_positive(m: DenseOperator, conjugated,
     if negative:
         exact = covariant_block_minimum(DenseOperator(m.n, m.d, mats[negative]), conjugated)
         for i, found in zip(negative, exact):
-            member = DenseOperator(m.n, m.d, mats[i])
-            verdicts[i] = (check_block_positive(member, partition, budget) if found is None
-                           else _classify(member, partition, lams[i], *found, certified=True))
+            if found is None:
+                where = f"stack member {i}" if m.mat.ndim > 2 else "the operator"
+                raise ValueError(f"{where} is not PSD and not covariant with conj(U) on sites "
+                                 f"{sorted(conjugated)}: no exact 1|rest minimum")
+            verdicts[i] = _classify(DenseOperator(m.n, m.d, mats[i]), partition, lams[i],
+                                    *found, certified=True)
     return verdicts if m.mat.ndim > 2 else verdicts[0]
 
 
@@ -579,14 +582,14 @@ def check_covariant_block_positive(m: DenseOperator, conjugated,
 # cross-validation and scans
 # ---------------------------------------------------------------------------
 
-def proposition1_check(params: WernerParams, s, budget: SearchBudget = SearchBudget()) -> dict:
+def proposition1_check(params: WernerParams, s, budget=None) -> dict:
     """Positivity of f_S / g_S on PSD inputs against block-positivity of
     rho^{T_S} for 1|23 and 1|2|3 respectively; lists any contradiction.  A
     rho that is not a state (least eigenvalue below -EIG_TOL) is refused.
 
     rho^{T_S} commutes with conj(U) on S and U elsewhere, so the 1|23 verdict
-    is the exact one of check_covariant_block_positive (the budget seeds
-    only its fallback search).
+    is the exact one of check_covariant_block_positive.  ``budget`` is not
+    read: no search runs, and it stays only for callers that pass one.
     The 1|2|3 verdict is proved: <abc|rho^{T_S}|abc> = <a'b'c'|rho|a'b'c'>
     with the factors on S conjugated, so it is PSD with rho^{T_S}, else a
     certified WITNESS_CANDIDATE whose product minimum is the lower bound
@@ -603,7 +606,7 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget = SearchBud
         raise ValueError(f"rho is not a state: least eigenvalue {lam_rho:.3g}")
     row = "".join(str(x) for x in s)
     rho_ts = dense_ops.partial_transpose(rho, s)
-    verdict_f = check_covariant_block_positive(rho_ts, s, budget)
+    verdict_f = check_covariant_block_positive(rho_ts, s)
     verdict_g = verdict_f if verdict_f.classification == PSD else PositivityVerdict(
         WITNESS_CANDIDATE, verdict_f.min_eig, lam_rho, certified=True)
 
@@ -630,15 +633,14 @@ def proposition1_check(params: WernerParams, s, budget: SearchBudget = SearchBud
     }
 
 
-def scan_bcs_region(alpha_values, beta_values, d: int,
-                    budget: SearchBudget = SearchBudget()) -> list[dict]:
+def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
     """Grid scan: analytic condition, minimum eigenvalue, 1|23 product-state
     minimum and classification per (alpha, beta) point, alpha-major.
 
     The kernel is covariant, so the minimum is the exact one of
     check_covariant_block_positive (``certified``).  Its covariance check runs
-    on the U(d) generators and draws nothing; the budget's search runs, with
-    the budget as given, only at a point where that check fails.  The points
+    on the U(d) generators and draws nothing; a point whose kernel fails it
+    is a ValueError (no finite point does).  The points
     are classified a stack at a time: each stack holds as many kernels as
     fit in verification.STACK_BYTES, at least one, and each verdict is that
     of the point's kernel alone.
@@ -650,8 +652,7 @@ def scan_bcs_region(alpha_values, beta_values, d: int,
         chunk = points[start:start + size]
         start += size
         alphas, betas = np.array(chunk, dtype=float).T[..., None, None]
-        verdicts = check_covariant_block_positive(_bcs_from_basis(basis, alphas, betas, d),
-                                                  {2}, budget)
+        verdicts = check_covariant_block_positive(_bcs_from_basis(basis, alphas, betas, d), {2})
         for (alpha, beta), verdict in zip(chunk, verdicts):
             rows.append({
                 "alpha": float(alpha),

@@ -11,4 +11,4 @@ EIG_TOL = 1e-9          # least eigenvalue >= -EIG_TOL is PSD
 PRODUCT_BAND = 1e-7     # product minimum >= -PRODUCT_BAND is block-positive
 SEESAW_STOP = 1e-12     # a see-saw start stops when a sweep lowers its value by less than this
 PPT_EIGENCHECK = 1e-8   # werner-ppt: least eigenvalue of rho^{T_1} >= -PPT_EIGENCHECK is PPT
-RANGE_FUZZ = 1e-12      # a start:stop:step range keeps stop when overshot by at most this
+RANGE_FUZZ = 1e-12      # a range keeps stop when overshot by at most this (by 1e-3 step if less)

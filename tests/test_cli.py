@@ -39,11 +39,20 @@ class TestVerifyProps:
         assert code == 0
         assert "prop5" in out and "FAIL" not in out
 
-    def test_unreachable_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "verify-props", "--only", "prop3", "--tuples", "3",
-                           "--tolerance", "1e-30")
+    def test_deviation_past_the_tolerance_fails(self, capsys, monkeypatch):
+        # a closed form off by 1e-9, ten times ORACLE_TOL, fails every case it enters
+        closed_form = mm.evaluate_cycle_to_one
+
+        def off_by_1e_9(direction, j, mats):
+            out = closed_form(direction, j, mats)
+            out.mat[..., 0, 0] += 1e-9
+            return out
+
+        monkeypatch.setattr(mm, "evaluate_cycle_to_one", off_by_1e_9)
+        code, out, _ = run(capsys, "verify-props", "--only", "prop3", "--tuples", "3")
         assert code == 2
-        assert "FAIL" in out
+        assert out.count("FAIL") == 56 and "  pass" not in out
+        assert out.endswith("\n0/56 cases passed (tolerance 1e-10)\n")
 
     def test_bad_filter(self, capsys):
         code, out, err = run(capsys, "verify-props", "--only", "nosuchgroup")
@@ -438,6 +447,21 @@ class TestEwMaps:
         assert code == 2 and payload["passed"] is False
         assert [row for row, dev in payload["deviation"].items() if dev == "nan"] == ["g2"]
 
+    def test_deviation_past_the_tolerance_fails(self, capsys, monkeypatch):
+        closed_form = ent.eggeling_werner_map
+
+        def off_by_1e_9(row, params, a, b=None):
+            out = closed_form(row, params, a, b)
+            out.mat[..., 0, 0] += 1e-9
+            return out
+
+        monkeypatch.setattr(ent, "eggeling_werner_map", off_by_1e_9)
+        code, out, _ = run(capsys, "ew-maps", "--row", "f3", "--instances", "2")
+        payload = json.loads(out)
+        assert code == 2
+        assert (payload["passed"], payload["tolerance"]) == (False, "1e-10")
+        assert float(payload["deviation"]["f3"]) == pytest.approx(1e-9, rel=1e-3)
+
     def test_stack_size_does_not_move_a_deviation(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_fmt", repr)   # every bit of each deviation
         payloads = []
@@ -575,9 +599,6 @@ class TestFlags:
         ["projector", "--n", "4", "--k", "0", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
         ["scan-bcs", "--alpha", "0:1:1e-6", "--beta", "0:0:1"],
         ["scan-bcs", "--alpha", "0:1:1e-3", "--beta", "0:1:1e-3"],
-        ["verify-props", "--tolerance", "nan"],
-        ["ew-maps", "--tolerance", "nan"],
-        ["ew-maps", "--tolerance", "0"],
         ["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1", "--seed", "-1"],
         ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]",
          "--seed", "-1"],
@@ -587,8 +608,7 @@ class TestFlags:
             "verify-props-tuples", "scan-bcs-alpha-inf",
             "scan-bcs-alpha-minus-inf", "werner-ppt-nan", "werner-ppt-inf",
             "werner-ppt-overflow", "projector-k-0", "scan-bcs-range-too-long",
-            "scan-bcs-grid-too-large", "verify-props-tolerance-nan", "ew-maps-tolerance-nan",
-            "ew-maps-tolerance-0", "scan-bcs-seed", "projector-seed", "verify-props-seed",
+            "scan-bcs-grid-too-large", "scan-bcs-seed", "projector-seed", "verify-props-seed",
             "ew-maps-seed"])
     def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -629,6 +649,11 @@ class TestFlags:
         (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--format", "text"]),
         (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--seed", "1"]),
         (["ew-maps", "--row", "f1", "--instances", "1"], ["--format", "json"]),
+        (["verify-props", "--only", "prop6", "--tuples", "1"], ["--tolerance", "1e-3"]),
+        (["verify-props", "--only", "prop6", "--tuples", "1"], ["--tolerance", "nan"]),
+        (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "1e-3"]),
+        (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "nan"]),
+        (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "0"]),
         (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
          ["--tolerance", "1e-3"]),
         (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
@@ -637,7 +662,9 @@ class TestFlags:
         (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--seed", "1"]),
     ], ids=["scan-bcs-restarts-0", "scan-bcs-restarts-negative", "scan-bcs-format",
             "scan-bcs-tolerance", "werner-ppt-tolerance", "werner-ppt-format", "werner-ppt-seed",
-            "ew-maps-format", "projector-tolerance", "projector-unitaries", "compose-format-json",
+            "ew-maps-format", "verify-props-tolerance", "verify-props-tolerance-nan",
+            "ew-maps-tolerance", "ew-maps-tolerance-nan", "ew-maps-tolerance-0",
+            "projector-tolerance", "projector-unitaries", "compose-format-json",
             "compose-seed"])
     def test_dropped_flag_is_unrecognized(self, capsys, argv, dropped):
         code, out, err = run(capsys, *argv, *dropped)
@@ -880,6 +907,25 @@ class TestRangeBelowTheFloatSpacing:
     def test_a_step_of_one_spacing_moves(self):
         start = 1e17    # floats there are 16 apart
         assert _parse_range(f"{start!r}:{start + 48!r}:16") == [start + 16 * i for i in range(4)]
+
+
+class TestSmallStepRange:
+    """A step below RANGE_FUZZ scales the stop fuzz and the rounding: the
+    range ends at or below stop and keeps its points apart."""
+
+    @pytest.mark.parametrize("text,points", [
+        ("0:1e-11:1e-12", [i / 1e12 for i in range(11)]),
+        ("0:4.5e-12:1e-12", [i / 1e12 for i in range(5)]),
+        ("1e-14:5e-14:1e-14", [i / 1e14 for i in range(1, 6)]),
+    ])
+    def test_points(self, text, points):
+        assert _parse_range(text) == points
+
+    def test_scan_prints_each_point(self, capsys):
+        code, out, err = run(capsys, "scan-bcs", "--alpha=1e-14:5e-14:1e-14", "--beta", "0:0:1")
+        assert code == 0 and err == ""
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == [
+            "1e-14", "2e-14", "3e-14", "4e-14", "5e-14"]
 
 
 class TestSignedValues:

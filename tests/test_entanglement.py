@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wba import dense_ops, entanglement as ent, verification
+from wba import cli, dense_ops, entanglement as ent, verification
 from wba.dense_ops import DenseOperator, random_matrix, sup_norm
 from wba.entanglement import (
     PartitionSpec,
@@ -385,8 +385,7 @@ class TestCovariantBlockMinimum:
         def no_search(*args):
             raise AssertionError("the search ran")
         monkeypatch.setattr(ent, "product_state_minimize", no_search)
-        budget = SearchBudget(seed=1)
-        rows = scan_bcs_region(BENCH_ALPHAS, BENCH_BETAS, 3, budget)
+        rows = scan_bcs_region(BENCH_ALPHAS, BENCH_BETAS, 3)
         assert len(rows) == 143
         for r in rows:
             block_positive = r["class"] in (ent.PSD, ent.WITNESS_CANDIDATE)
@@ -395,12 +394,11 @@ class TestCovariantBlockMinimum:
 
     def test_violations_carry_confirmed_states(self):
         partition = PartitionSpec.parse("1|23")
-        budget = SearchBudget(seed=2)
         violations = 0
         for alpha in BENCH_ALPHAS:
             for beta in BENCH_BETAS:
                 kernel = bcs_kernel(alpha, beta, 3)
-                verdict = ent.check_covariant_block_positive(kernel, {2}, budget)
+                verdict = ent.check_covariant_block_positive(kernel, {2})
                 if verdict.classification == ent.NOT_BLOCK_POSITIVE:
                     violations += 1
                     value = ent.product_state_value(kernel, partition,
@@ -440,12 +438,37 @@ class TestCovariantBlockMinimum:
         assert ent.covariant_block_minimum(m, {2}) is None
         # the kernel is covariant under U (x) conj(U) (x) U only
         assert ent.covariant_block_minimum(bcs_kernel(0.25, -0.1, 3), set()) is None
-        budget = SearchBudget(seed=3, restarts=4, samples=16)
-        verdict = ent.check_covariant_block_positive(m, {2}, budget)
-        searched = check_block_positive(m, PartitionSpec.parse("1|23"), budget)
-        assert not verdict.certified and verdict.sweeps > 0
-        assert (verdict.classification, verdict.product_min_estimate) == (
-            searched.classification, searched.product_min_estimate)
+
+    def test_non_psd_non_covariant_operator_is_an_error(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the check searched")
+        monkeypatch.setattr(ent, "product_state_minimize", forbidden)
+        monkeypatch.setattr(ent, "check_block_positive", forbidden)
+        g = random_matrix(3, 3, rng)
+        m = DenseOperator(3, 3, (g + g.conj().T) / 2)
+        assert dense_ops.min_eigenvalue(m) < -EIG_TOL
+        assert dense_ops.min_eigenvalue(DenseOperator(3, 3, -m.mat)) < -EIG_TOL
+        reason = "is not PSD and not covariant with conj(U) on sites [2]: no exact 1|rest minimum"
+        with pytest.raises(ValueError) as info:
+            ent.check_covariant_block_positive(m, {2})
+        assert str(info.value) == f"the operator {reason}"
+        # PSD, covariant, then two that fail the check: the first of them is named
+        members = [bcs_kernel(5.0, -0.1, 3).mat, bcs_kernel(0.25, -0.1, 3).mat, m.mat, -m.mat]
+        with pytest.raises(ValueError) as info:
+            ent.check_covariant_block_positive(DenseOperator(3, 3, np.stack(members)), {2})
+        assert str(info.value) == f"stack member 2 {reason}"
+
+    def test_psd_non_covariant_operator_keeps_its_verdict(self, rng):
+        g = random_matrix(3, 3, rng)
+        m = DenseOperator(3, 3, g @ g.conj().T)
+        assert ent.covariant_block_minimum(m, {2}) is None
+        verdict = ent.check_covariant_block_positive(m, {2})
+        assert verdict == check_block_positive(m, PartitionSpec.parse("1|23"))
+        assert verdict.classification == ent.PSD and not verdict.certified
+        kernel = bcs_kernel(0.25, -0.1, 3)
+        stacked = ent.check_covariant_block_positive(
+            DenseOperator(3, 3, np.stack([m.mat, kernel.mat])), {2})
+        assert stacked == [verdict, ent.check_covariant_block_positive(kernel, {2})]
 
     def test_psd_step_is_unchanged(self):
         kernel = bcs_kernel(5.0, -0.1, 3)
@@ -768,6 +791,25 @@ class TestProposition1:
                 break
         assert found, "no witness-regime point located in 200 samples"
 
+    def test_a_budget_is_not_read(self):
+        # the positional call of callers that still pass a budget
+        for params in _seeded_states()[:3]:
+            for s in ent.ROW_SUBSETS.values():
+                given = proposition1_check(params, s, SearchBudget(seed=7, restarts=16))
+                plain = proposition1_check(params, s)
+                assert given.keys() == plain.keys()
+                for key in ("f_sample_min", "g_sample_min", "contradictions"):
+                    assert given[key] == plain[key]
+                for key in ("f_verdict", "g_verdict"):
+                    a, b = given[key], plain[key]
+                    assert (a.classification, a.min_eig, a.product_min_estimate,
+                            a.certified) == (b.classification, b.min_eig,
+                                             b.product_min_estimate, b.certified)
+                    vectors = (a.violating_product_state, b.violating_product_state)
+                    assert (vectors[0] is None) == (vectors[1] is None)
+                    if vectors[0] is not None:
+                        assert all(np.array_equal(u, v) for u, v in zip(*vectors))
+
     def test_f_minimum_is_the_certified_1_23_minimum(self):
         for i, params in enumerate(_seeded_states()):
             for s in ent.ROW_SUBSETS.values():
@@ -888,8 +930,7 @@ class TestVerdictInvariants:
 
 class TestScan:
     def test_small_grid(self):
-        budget = SearchBudget(seed=21, restarts=8, samples=64)
-        rows = scan_bcs_region([0.25, 5.0], [-0.1], 3, budget)
+        rows = scan_bcs_region([0.25, 5.0], [-0.1], 3)
         by_point = {(r["alpha"], r["beta"]): r for r in rows}
         witness = by_point[(0.25, -0.1)]
         assert witness["analytic_positive"] and witness["class"] == ent.WITNESS_CANDIDATE
@@ -898,22 +939,18 @@ class TestScan:
         # deep in the positive region the kernel is actually PSD
         assert far["class"] == ent.PSD and far["min_eig"] >= -1e-9
 
-    def test_fallback_search_gets_the_budget_as_given(self, monkeypatch):
-        budgets = []
-
-        def recording(m, partition, budget):
-            budgets.append(budget)
-            return minimize(m, partition, budget)
-
-        minimize = ent.product_state_minimize
+    def test_a_refused_covariance_check_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setattr(ent, "covariant_block_minimum",
                             lambda m, conjugated: [None] * len(m.mat))   # refuse every member
-        monkeypatch.setattr(ent, "product_state_minimize", recording)
-        budget = SearchBudget(seed=13, restarts=2, samples=4, iterations=3)
-        rows = scan_bcs_region([0.0, 0.25], [-0.3, -0.1], 3, budget)
-        assert len(budgets) == sum(r["class"] != ent.PSD for r in rows) == 4
-        assert all(b == budget for b in budgets)
-        assert not any(r["certified"] for r in rows)
+        message = ("stack member 0 is not PSD and not covariant with conj(U) on sites [2]: "
+                   "no exact 1|rest minimum")
+        with pytest.raises(ValueError) as info:
+            scan_bcs_region([0.0, 0.25], [-0.3, -0.1], 3)
+        assert str(info.value) == message
+        code = cli.main(["scan-bcs", "--alpha", "0:0.25:0.25", "--beta=-0.3:-0.1:0.2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_one_covariance_check_per_stack(self, monkeypatch):
         # the golden 11 x 13 grid at d = 3: 22 kernels a stack, 7 stacks
@@ -923,7 +960,7 @@ class TestScan:
             calls.append(m.mat.shape) or residual(m, conjugated)))
         alphas = [i / 10 for i in range(11)]
         betas = [round(-0.5 + j * 0.05, 12) for j in range(13)]
-        rows = scan_bcs_region(alphas, betas, 3, SearchBudget(seed=1))
+        rows = scan_bcs_region(alphas, betas, 3)
         assert len(rows) == 143 and sum(r["class"] != ent.PSD for r in rows) == 136
         assert 1 <= len(calls) <= 7 and all(len(shape) == 3 for shape in calls)
 
