@@ -5,10 +5,8 @@ from .dense_ops import DenseOperator
 from .sym_core import (
     Partition,
     Permutation,
-    character,
     compose,
     coset_representatives,
-    enumerate_group,
     irrep_dimension,
     schur_weyl_multiplicity,
     young_projector,
@@ -22,7 +20,7 @@ from .wba_algebra import (
     from_permutation,
     gamma,
     realize,
-    sigma_k,
+    sigma_diagram,
 )
 
 __version__ = "0.1.0"
@@ -34,18 +32,16 @@ __all__ = [
     "Permutation",
     "WbaDiagram",
     "WbaElement",
-    "character",
     "compose",
     "compose_diagrams",
     "coset_representatives",
-    "enumerate_group",
     "f_projector",
     "from_permutation",
     "gamma",
     "irrep_dimension",
     "realize",
     "schur_weyl_multiplicity",
-    "sigma_k",
+    "sigma_diagram",
     "young_projector",
     "__version__",
 ]

@@ -34,35 +34,33 @@ _PERM_DIAGRAMS = tuple(from_permutation(parse_permutation(t, 3))
 
 @lru_cache(maxsize=1)
 def _werner_basis(d: int):
-    """Dense id, (12), (23), (31), (123), (321) on three factors, the
-    orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3 built from them, and their
-    support: the flat indices of the entries any permutation hits, each
-    entry's pattern (the set of permutations that hit it; 16 at d >= 3), and
-    the six permutations and the six R_k (in R_KEYS order) on one entry of
-    each pattern.  All read-only: werner_state needs them on every call, and
-    callers sweep one d at a time, so only the last d is kept."""
-    perms = tuple(realize(p, d) for p in _PERM_DIAGRAMS)
-    one, p12, p23, p31, p123, p321 = perms
-    s3 = math.sqrt(3.0)
-    rk = {
-        "+": (one + p12 + p23 + p31 + p123 + p321) / 6.0,
-        "-": (one - p12 - p23 - p31 + p123 + p321) / 6.0,
-        "0": (2.0 * one - p123 - p321) / 3.0,
-        "1": (2.0 * p23 - p31 - p12) / 3.0,
-        "2": (p12 - p31) / s3,
-        "3": 1j * (p123 - p321) / s3,
-    }
-    support = np.flatnonzero(sum(perms))
-    perms_p, first, pattern = np.unique(np.array([p.flat[support] for p in perms]), axis=1,
-                                        return_index=True, return_inverse=True)
+    """The support of id, (12), (23), (31), (123), (321) on three factors:
+    the flat indices of the entries any permutation hits, each entry's
+    pattern (the set of permutations that hit it; 16 at d >= 3), and the
+    six permutations and the orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3
+    on each pattern.  Each permutation is realized alone for its d^3
+    entries, and no d^3 x d^3 matrix is kept.  All read-only: werner_state
+    needs them on every call, and callers sweep one d at a time, so only
+    the last d is kept."""
+    entries = [np.flatnonzero(realize(p, d)) for p in _PERM_DIAGRAMS]
+    support, where = np.unique(np.concatenate(entries), return_inverse=True)
+    hits = np.zeros((6, support.size), dtype=complex)
+    hits[np.arange(6).repeat(d ** 3), where] = 1.0
+    perms_p, pattern = np.unique(hits, axis=1, return_inverse=True)
     pattern = pattern.ravel()
-    rk_p = np.array([m.flat[support[first]] for m in rk.values()])
-    for mat in (*perms, *rk.values(), support, pattern, perms_p, rk_p):
+    one, p12, p23, p31, p123, p321 = perms_p
+    s3 = math.sqrt(3.0)
+    rk_p = np.array([
+        (one + p12 + p23 + p31 + p123 + p321) / 6.0,
+        (one - p12 - p23 - p31 + p123 + p321) / 6.0,
+        (2.0 * one - p123 - p321) / 3.0,
+        (2.0 * p23 - p31 - p12) / 3.0,
+        (p12 - p31) / s3,
+        1j * (p123 - p321) / s3,
+    ])
+    for mat in (support, pattern, perms_p, rk_p):
         mat.flags.writeable = False
-    return perms, rk, (support, pattern, perms_p, rk_p)
-
-
-R_KEYS = ("+", "-", "0", "1", "2", "3")
+    return support, pattern, perms_p, rk_p
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +172,7 @@ def werner_state(params: WernerParams) -> DenseOperator:
     parameters give the stack of states, each checked.  Both sums run once
     per pattern of the support, which the entries of a pattern then share:
     the bits of the dense sums, whose other entries are exact zeros."""
-    support, pattern, perms_p, rk_p = _werner_basis(params.d)[2]
+    support, pattern, perms_p, rk_p = _werner_basis(params.d)
     mat = sum(a * p for a, p in zip(params.alphas, perms_p))
     mat_c = sum(c * r for c, r in zip(params.cs, rk_p))
     scale = np.maximum(1.0, np.abs(mat).max(axis=-1))
@@ -188,7 +186,7 @@ def werner_state(params: WernerParams) -> DenseOperator:
 
 def werner_support(d: int) -> int:
     """Nonzero entries of a generic Werner state, the same for each partial transpose."""
-    return _werner_basis(d)[2][0].size
+    return _werner_basis(d)[0].size
 
 
 def werner_ppt_conditions(rs) -> tuple[list[bool], bool]:
@@ -613,9 +611,9 @@ def proposition1_check(params: WernerParams, s, budget=None) -> dict:
     e1, e2 = np.eye(params.d)[:2]
     p1 = np.outer(e1, e1)
     f_min = dense_ops.min_eigenvalue(eggeling_werner_map("f" + row, params, p1))
-    bs = [math.cos(t) * e1 + math.sin(t) * e2 for t in np.linspace(0.0, math.pi / 2, 5)]
-    g_min = min(dense_ops.min_eigenvalue(eggeling_werner_map("g" + row, params, p1,
-                                                             np.outer(b, b))) for b in bs)
+    bs = np.array([math.cos(t) * e1 + math.sin(t) * e2 for t in np.linspace(0.0, math.pi / 2, 5)])
+    g_maps = eggeling_werner_map("g" + row, params, p1, bs[:, :, None] * bs[:, None, :])
+    g_min = float(dense_ops.min_eigenvalue(g_maps).min())
 
     contradictions = []
     if (f_min >= -PRODUCT_BAND) != (verdict_f.classification in (PSD, WITNESS_CANDIDATE)):

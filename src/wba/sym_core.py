@@ -1,8 +1,9 @@
 """Symmetric-group combinatorics.
 
 Permutations in one-line/cycle notation, integer partitions, irreducible
-characters via the Murnaghan-Nakayama rule, Schur-Weyl dimensions and
-multiplicities, coset transversals used to build walled-Brauer
+characters by cycle type via the Murnaghan-Nakayama rule, Schur-Weyl
+dimensions and multiplicities, S_m as an array of one-line images (up to
+MAX_ENUM_DEGREE), coset transversals used to build walled-Brauer
 projectors, and Young projectors.  These are walled-Brauer elements with
 no transposed site, the form of every element of C[S_n]
 (wba_algebra.GroupAlgebraElement builds one from {permutation:
@@ -105,13 +106,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.n != q.n:
         raise ValueError(f"degree mismatch: {p.n} vs {q.n}")
     return Permutation(tuple(p.images[j - 1] for j in q.images))
-
-
-def enumerate_group(n: int) -> list[Permutation]:
-    """All of S_n in lexicographic one-line order."""
-    if not 1 <= n <= MAX_ENUM_DEGREE:
-        raise ValueError(f"n must be in 1..{MAX_ENUM_DEGREE}, got {n}")
-    return [Permutation(tuple(images)) for images in (_group_rows(n) + 1).tolist()]
 
 
 def _group_rows(m: int) -> np.ndarray:
@@ -329,12 +323,6 @@ def character_of_type(alpha: Partition, cycle_type: tuple[int, ...]) -> int:
     if sum(cycle_type) != alpha.n:
         raise ValueError(f"cycle type {cycle_type} does not match degree {alpha.n}")
     return _mn_character(alpha.parts, tuple(sorted(cycle_type, reverse=True)))
-
-
-def character(alpha: Partition, class_of: Permutation) -> int:
-    if alpha.n != class_of.n:
-        raise ValueError(f"degree mismatch: partition of {alpha.n}, permutation of {class_of.n}")
-    return character_of_type(alpha, class_of.cycle_type())
 
 
 def _characters(lam: Partition, n: int) -> tuple[np.ndarray, np.ndarray]:

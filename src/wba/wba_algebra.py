@@ -375,9 +375,6 @@ def sigma_diagram(n: int, k: int) -> WbaDiagram:
     return from_permutation(swaps, range(n - k + 1, n + 1))
 
 
-sigma_k = sigma_diagram
-
-
 def gamma(mu: Partition, alpha: Partition, n: int, k: int, d: int) -> Fraction:
     """Normalization k! C(n-k,k) (m_mu/m_alpha) (d_alpha/d_mu) of F_mu(alpha)."""
     if alpha.n != n - 2 * k or mu.n != n - k:

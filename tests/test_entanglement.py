@@ -1,3 +1,4 @@
+import functools
 import math
 import timeit
 import tracemalloc
@@ -48,12 +49,32 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+@functools.cache
+def _dense_basis(d):
+    """Dense id, (12), (23), (31), (123), (321) on three factors and the
+    orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3 built from them, in that
+    order: the matrices whose support werner_state keeps."""
+    perms = tuple(realize(parse_permutation(t, 3), d)
+                  for t in ("()", "(1 2)", "(2 3)", "(3 1)", "(1 2 3)", "(3 2 1)"))
+    one, p12, p23, p31, p123, p321 = perms
+    s3 = math.sqrt(3.0)
+    rk = (
+        (one + p12 + p23 + p31 + p123 + p321) / 6.0,
+        (one - p12 - p23 - p31 + p123 + p321) / 6.0,
+        (2.0 * one - p123 - p321) / 3.0,
+        (2.0 * p23 - p31 - p12) / 3.0,
+        (p12 - p31) / s3,
+        1j * (p123 - p321) / s3,
+    )
+    return perms, rk
+
+
 def _dense_werner_state(params):
     """The dense alpha sum over the six realized permutations, checked
     against the dense R_k sum: werner_state's reference."""
-    perms, rk = ent._werner_basis(params.d)[:2]
+    perms, rk = _dense_basis(params.d)
     mat = sum(a * p for a, p in zip(params.alphas, perms))
-    mat_c = sum(c * rk[key] for c, key in zip(params.cs, ent.R_KEYS))
+    mat_c = sum(c * r for c, r in zip(params.cs, rk))
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
     if (np.abs(mat - mat_c).max(axis=(-2, -1)) > ent.ATOL * scale).any():
         raise ValueError("alpha and c coefficient sets disagree")
@@ -515,45 +536,42 @@ class TestNonFiniteOperators:
 class TestWernerParams:
     def test_projector_basis_traces(self):
         d = 3
-        rk = ent._werner_basis(d)[1]
-        assert np.isclose(np.trace(rk["+"]), d * (d ** 2 + 3 * d + 2) / 6)
-        assert np.isclose(np.trace(rk["-"]), d * (d ** 2 - 3 * d + 2) / 6)
-        assert np.isclose(np.trace(rk["0"]), 2 * d * (d ** 2 - 1) / 3)
-        for key in ("1", "2", "3"):
-            assert abs(np.trace(rk[key])) < 1e-12
+        r_plus, r_minus, r_0, *r_123 = _dense_basis(d)[1]
+        assert np.isclose(np.trace(r_plus), d * (d ** 2 + 3 * d + 2) / 6)
+        assert np.isclose(np.trace(r_minus), d * (d ** 2 - 3 * d + 2) / 6)
+        assert np.isclose(np.trace(r_0), 2 * d * (d ** 2 - 1) / 3)
+        for r in r_123:
+            assert abs(np.trace(r)) < 1e-12
 
     def test_rk_gram_matrix_diagonal(self):
-        d = 3
-        rk = ent._werner_basis(d)[1]
-        keys = list(rk)
-        for i, a in enumerate(keys):
-            for b in keys[i + 1:]:
-                assert abs(np.trace(rk[a] @ rk[b])) < 1e-10
+        rk = _dense_basis(3)[1]
+        for i, a in enumerate(rk):
+            for b in rk[i + 1:]:
+                assert abs(np.trace(a @ b)) < 1e-10
 
     def test_symmetrizer_state(self):
         d = 3
         params = WernerParams.from_rs((1, 0, 0, 0, 0, 0), d)
         rho = werner_state(params)
-        rk = ent._werner_basis(d)[1]
-        assert sup_norm(rho.mat - rk["+"] / np.trace(rk["+"]).real) < 1e-12
+        r_plus = _dense_basis(d)[1][0]
+        assert sup_norm(rho.mat - r_plus / np.trace(r_plus).real) < 1e-12
 
     def test_maximally_mixed(self):
         d = 3
         params = WernerParams.from_rs(MAXIMALLY_MIXED_RS, d)
         rho = werner_state(params)
         assert sup_norm(rho.mat - np.eye(d ** 3) / d ** 3) < 1e-14
-        rk = ent._werner_basis(d)[1]
-        for r_val, key in zip(params.rs, ent.R_KEYS):
-            assert np.isclose(r_val, np.trace(rk[key]).real / d ** 3)
+        for r_val, r in zip(params.rs, _dense_basis(d)[1]):
+            assert np.isclose(r_val, np.trace(r).real / d ** 3)
 
     def test_expectations_recovered_from_state(self, rng):
         d = 3
-        rk = ent._werner_basis(d)[1]
+        rk = _dense_basis(d)[1]
         for _ in range(20):
             params = random_valid_werner(rng, d)
             rho = werner_state(params)
-            for r_val, key in zip(params.rs, ent.R_KEYS):
-                assert np.isclose(r_val, np.trace(rho.mat @ rk[key]).real, atol=1e-10)
+            for r_val, r in zip(params.rs, rk):
+                assert np.isclose(r_val, np.trace(rho.mat @ r).real, atol=1e-10)
 
     def test_basis_realized_once_per_dimension(self, monkeypatch):
         realized = []
@@ -569,11 +587,22 @@ class TestWernerParams:
         assert realized == [3] * 6 + [4] * 6 + [3] * 6
 
     def test_basis_is_read_only(self):
-        perms, rk, support = ent._werner_basis(3)
-        assert sorted(rk) == sorted(ent.R_KEYS)
-        for mat in (*perms, *rk.values(), *support):
+        for mat in ent._werner_basis(3):
             with pytest.raises(ValueError):
                 mat[(0,) * mat.ndim] = 1
+
+    def test_basis_holds_no_dense_matrix(self):
+        # the six permutations and six R_k as dense d^3 x d^3 matrices held
+        # 183 MiB at d = 10; their support holds about 111 KiB
+        ent._werner_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            ent._werner_basis(10)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            ent._werner_basis.cache_clear()
+        assert held < 1 << 20, held
 
     def test_hermitian_iff_coefficient_symmetry(self, rng):
         params = random_valid_werner(rng, 3)
@@ -615,9 +644,9 @@ class TestWernerSupport:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_support_is_read_from_the_cache(self, d, monkeypatch):
-        perms = ent._werner_basis(d)[0]
+        ent._werner_basis(d)
         monkeypatch.setattr(ent, "realize", None)   # no realization on a warm cache
-        assert ent.werner_support(d) == np.count_nonzero(sum(perms))
+        assert ent.werner_support(d) == np.count_nonzero(sum(_dense_basis(d)[0]))
         assert ent.werner_support(d) == (93 if d == 3 else 256)
 
     @pytest.mark.parametrize("r3", [0.0, -0.0, 1e-3, -2.5e-2])
@@ -671,8 +700,7 @@ class TestWernerSupport:
 class TestPptConditions:
     def test_maximally_mixed_all_true(self):
         d = 3
-        rk = ent._werner_basis(d)[1]
-        rs = [np.trace(rk[key]).real / d ** 3 for key in ent.R_KEYS]
+        rs = [np.trace(r).real / d ** 3 for r in _dense_basis(d)[1]]
         checks, overall = werner_ppt_conditions(rs)
         assert overall and all(checks)
 

@@ -15,13 +15,11 @@ from wba.sym_core import (
     _row_texts,
     _text_rows,
     additions_of_boxes,
-    character,
     character_of_type,
     compose,
     conjugacy_classes,
     coset_representatives,
     cycle_texts,
-    enumerate_group,
     irrep_dimension,
     parse_partition,
     parse_permutation,
@@ -35,6 +33,15 @@ from wba.wba_algebra import GroupAlgebraElement, WbaElement, realize
 
 def perm(text, n):
     return parse_permutation(text, n)
+
+
+def _group(n):
+    """S_n in lexicographic one-line order, from itertools."""
+    return [Permutation(tuple(i + 1 for i in p)) for p in itertools.permutations(range(n))]
+
+
+def _chi(alpha, p):
+    return character_of_type(alpha, p.cycle_type())
 
 
 permutations_st = st.integers(2, 6).flatmap(
@@ -130,15 +137,13 @@ class TestBatchedCycleTexts:
 class TestEnumerate:
     @pytest.mark.parametrize("n,size", [(2, 2), (3, 6), (5, 120)])
     def test_sizes(self, n, size):
-        group = enumerate_group(n)
-        assert len(group) == size
-        assert len(set(group)) == size
+        rows = _group_rows(n).tolist()
+        assert len(rows) == size
+        assert len(set(map(tuple, rows))) == size
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_group(8)
-        with pytest.raises(ValueError):
-            enumerate_group(0)
+        with pytest.raises(ValueError, match="S_8 is past the largest enumerable degree"):
+            _group_rows(8)
 
     @pytest.mark.parametrize("m", range(8))
     def test_group_rows_are_itertools_permutations(self, m):
@@ -149,7 +154,7 @@ class TestEnumerate:
     def test_class_sizes_match_enumeration(self):
         for n in (3, 4, 5):
             counts = {}
-            for p in enumerate_group(n):
+            for p in _group(n):
                 counts[p.cycle_type()] = counts.get(p.cycle_type(), 0) + 1
             assert counts == dict(conjugacy_classes(n))
 
@@ -177,7 +182,7 @@ def _standard_tableaux_count(shape):
 def _characters_by_cycle_type(lam, n):
     """Reference for _characters: one Permutation and one cycle_type() per
     element of S(|lam|)."""
-    group = enumerate_group(lam.n) if lam.n else [Permutation(())]
+    group = _group(lam.n)
     by_type, rows, chars = {}, [], []
     for p in group:
         cycle_type = p.cycle_type()
@@ -201,20 +206,20 @@ class TestCharacters:
 
     def test_trivial_rep(self):
         alpha = Partition((3,))
-        for p in enumerate_group(3):
-            assert character(alpha, p) == 1
+        for p in _group(3):
+            assert _chi(alpha, p) == 1
 
     def test_sign_rep(self):
-        assert character(Partition((1, 1)), perm("(1 2)", 2)) == -1
+        assert _chi(Partition((1, 1)), perm("(1 2)", 2)) == -1
 
     def test_standard_dimension(self):
-        assert character(Partition((2, 1)), Permutation.identity(3)) == 2
+        assert _chi(Partition((2, 1)), Permutation.identity(3)) == 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_dimension_equals_tableaux_count(self, n):
         for alpha in partitions(n):
             assert irrep_dimension(alpha) == _standard_tableaux_count(alpha.parts)
-            assert character(alpha, Permutation.identity(n)) == irrep_dimension(alpha)
+            assert _chi(alpha, Permutation.identity(n)) == irrep_dimension(alpha)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_orthogonality(self, n):
@@ -262,7 +267,7 @@ class TestYoungProjector:
         for a in partitions(n):
             scale = irrep_dimension(a) / factorial(n)
             literal = GroupAlgebraElement(
-                {p: scale * character(a, p) for p in enumerate_group(n)}, n)
+                {p: scale * _chi(a, p) for p in _group(n)}, n)
             p = young_projector(a)
             assert np.array_equal(p.pairings, literal.pairings)
             assert np.array_equal(p.coeffs, literal.coeffs)
@@ -278,8 +283,7 @@ class TestYoungProjector:
             assert type(p) is WbaElement
             # bot endpoint n + t - 1 of a permutation diagram meets top sigma(t) - 1
             assert sorted((p.pairings[:, 4:] + 1).tolist()) == sorted(
-                list(q.images) for q in enumerate_group(4)
-                if character(a, q) != 0)
+                list(q.images) for q in _group(4) if _chi(a, q) != 0)
 
     def test_dense_trace_is_multiplicity_times_dimension(self):
         mat = realize(young_projector(Partition((2,))), 2)
@@ -322,7 +326,7 @@ def _coset_key_scan(n, k):
     a lexicographic scan of S(n-k), where two permutations share a coset iff
     they agree on eta^-1(n-2k+1), ..., eta^-1(n-k)."""
     reps, seen = [], set()
-    for eta in enumerate_group(n - k):
+    for eta in _group(n - k):
         key = tuple(eta.inverse()(x) for x in range(n - 2 * k + 1, n - k + 1))
         if key not in seen:
             seen.add(key)
@@ -355,7 +359,7 @@ class TestCosets:
         # with n = 5, k = 2 the stabilized subgroup is trivial
         reps = coset_representatives(5, 2)
         assert sorted(r.images for r in reps) == sorted(
-            p.images for p in enumerate_group(3))
+            p.images for p in _group(3))
 
     def test_k1_coset_equivalence_to_transpositions(self):
         # each representative moves n-1 like some (a, n-1)

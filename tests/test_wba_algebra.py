@@ -34,7 +34,6 @@ from wba.wba_algebra import (
     realize,
     realize_sectors,
     sigma_diagram,
-    sigma_k,
 )
 
 from test_sectors import gather_rows
@@ -670,7 +669,7 @@ def _composed_projector_sum(mu, alpha, n, k):
     """P_mu sum_eta eta^-1 (P_alpha sigma) eta by WbaElement products."""
     p_mu = _lift(young_projector(mu), n)
     p_alpha = _lift(young_projector(alpha), n)
-    core = p_alpha * sigma_k(n, k)
+    core = p_alpha * sigma_diagram(n, k)
     conjugates = [from_permutation(eta.extend(n).inverse()) * core
                   * from_permutation(eta.extend(n))
                   for eta in coset_representatives(n, k)]
@@ -746,7 +745,7 @@ class TestRelabelConstruction:
         monkeypatch.setattr(wa, "_compose", counting)
         f_projector(Partition((4, 1)), Partition((3, 1)), 6, 1, 2)
         assert not calls
-        sigma_k(6, 1) * sigma_k(6, 1)     # the counter does see compositions
+        sigma_diagram(6, 1) * sigma_diagram(6, 1)     # the counter does see compositions
         assert calls == [1]
 
     @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(2 * k, 8)])
@@ -831,10 +830,11 @@ class TestGroupProductConstruction:
 
     def test_other_transversal(self):
         # sigma eta represents the coset of eta for every sigma in S(n-2k)
-        from wba.sym_core import compose, enumerate_group
+        from wba.sym_core import Permutation, compose
         rng = random.Random(5)
         n, k = 6, 1
-        stabilizer = enumerate_group(n - 2 * k)
+        stabilizer = [Permutation(tuple(i + 1 for i in p))
+                      for p in itertools.permutations(range(n - 2 * k))]
         reps = [compose(rng.choice(stabilizer).extend(n - k), eta)
                 for eta in coset_representatives(n, k)]
         rng.shuffle(reps)
