@@ -4,7 +4,7 @@ Row/column indices pack big-endian in site order (site 1 most significant),
 so <i|sigma|j> = prod_t delta(i_{sigma(t)}, j_t) holds literally and
 ``kron_all`` is the numpy Kronecker product of a whole list, entry for entry.
 An operator's matrix may carry leading stack axes, one operator per entry:
-``kron_all``, ``kron``, the axis reorderings, ``covariance_residual`` and
+``kron_all``, the axis reorderings, ``covariance_residual`` and
 ``min_eigenvalue`` act on each member alone, bit for bit as on a call of its own.
 """
 
@@ -38,10 +38,6 @@ class DenseOperator:
     def tensor(self) -> np.ndarray:
         """View with the stack axes, then 2n axes: row axes 1..n, column axes 1..n."""
         return self.mat.reshape(self.mat.shape[:-2] + (self.d,) * (2 * self.n))
-
-
-def identity(n: int, d: int) -> DenseOperator:
-    return DenseOperator(n, d, np.eye(d ** n, dtype=complex))
 
 
 def sup_norm(mat: np.ndarray) -> float:
@@ -78,16 +74,6 @@ def kron_all(mats) -> np.ndarray:
     dims = [prod(axis) for axis in zip(*shapes)]
     dims[:lead] = out.shape[:lead]
     return out.reshape(dims)
-
-
-def kron(factors: list[DenseOperator]) -> DenseOperator:
-    """Tensor product in listed order; site 1 comes from the first factor."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    d = factors[0].d
-    if any(f.d != d for f in factors):
-        raise ValueError("local dimension mismatch among factors")
-    return DenseOperator(sum(f.n for f in factors), d, kron_all([f.mat for f in factors]))
 
 
 def _reorder(m: DenseOperator, axes) -> DenseOperator:

@@ -18,7 +18,7 @@ import numpy as np
 from . import dense_ops
 from .dense_ops import DenseOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
-from .sym_core import parse_permutation
+from .sym_core import parse_permutation, parse_token
 from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .verification import stack_sizes
 from .wba_algebra import from_permutation, realize
@@ -39,9 +39,9 @@ def _werner_basis(d: int):
     pattern (the set of permutations that hit it; 16 at d >= 3), and the
     six permutations and the orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3
     on each pattern.  Each permutation is realized alone for its d^3
-    entries, and no d^3 x d^3 matrix is kept.  All read-only: werner_state
-    needs them on every call, and callers sweep one d at a time, so only
-    the last d is kept."""
+    entries, and no d^3 x d^3 matrix is kept.  All read-only: werner_state,
+    werner_support and bcs_kernel read them on every call, and callers
+    sweep one d at a time, so only the last d is kept."""
     entries = [np.flatnonzero(realize(p, d)) for p in _PERM_DIAGRAMS]
     support, where = np.unique(np.concatenate(entries), return_inverse=True)
     hits = np.zeros((6, support.size), dtype=complex)
@@ -172,16 +172,24 @@ def werner_state(params: WernerParams) -> DenseOperator:
     parameters give the stack of states, each checked.  Both sums run once
     per pattern of the support, which the entries of a pattern then share:
     the bits of the dense sums, whose other entries are exact zeros."""
-    support, pattern, perms_p, rk_p = _werner_basis(params.d)
+    perms_p, rk_p = _werner_basis(params.d)[2:]
     mat = sum(a * p for a, p in zip(params.alphas, perms_p))
     mat_c = sum(c * r for c, r in zip(params.cs, rk_p))
     scale = np.maximum(1.0, np.abs(mat).max(axis=-1))
     if (np.abs(mat - mat_c).max(axis=-1) > ATOL * scale).any():
         raise ValueError("alpha and c coefficient sets disagree")
-    dim = params.d ** 3
+    return _on_support(mat, params.d)
+
+
+def _on_support(mat: np.ndarray, d: int) -> DenseOperator:
+    """The operator with mat's value for each pattern of _werner_basis(d) on
+    that pattern's entries and exact zeros elsewhere; the stack axes of mat
+    (the shape (T, 1, patterns) of (T, 1, 1) coefficients) stay in front."""
+    support, pattern = _werner_basis(d)[:2]
+    dim = d ** 3
     dense = np.zeros(mat.shape[:-1] + (dim * dim,), dtype=complex)
     dense[..., support] = mat[..., pattern]
-    return DenseOperator(3, params.d, dense.reshape(mat.shape[:-2] + (dim, dim)))
+    return DenseOperator(3, d, dense.reshape(mat.shape[:-2] + (dim, dim)))
 
 
 def werner_support(d: int) -> int:
@@ -315,32 +323,19 @@ def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOpera
 # Bardet-Collins-Sapra kernel and positivity condition
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _bcs_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Dense (1 2)^{T_2}, (1 3), id and (2 3)^{T_2}: the kernel's four terms
-    (cached for a few d, read-only)."""
+def bcs_kernel(alpha, beta, d: int) -> DenseOperator:
+    """(1 2)^{T_2} + (1 3) + alpha * id + beta * (2 3)^{T_2} on three factors,
+    or the stack of kernels for (T, 1, 1) arrays of alpha and beta.
+
+    It is [(1 2) + (3 1) + alpha * id + beta * (2 3)]^{T_2}: the sum runs once
+    per pattern of the support _werner_basis(d) holds, in the order of the
+    terms above, and is scattered as werner_state's is, so each entry has
+    the bits of the four dense terms summed.  It commutes with
+    U (x) conj(U) (x) U for every unitary U."""
     if d < 2:
         raise ValueError("need d >= 2")
-    p = parse_permutation
-    basis = (realize(from_permutation(p("(1 2)", 3), {2}), d), realize(p("(3 1)", 3), d),
-             realize(p("()", 3), d), realize(from_permutation(p("(2 3)", 3), {2}), d))
-    for mat in basis:
-        mat.flags.writeable = False
-    return basis
-
-
-def _bcs_from_basis(basis, alpha, beta, d: int) -> DenseOperator:
-    """The kernel at (alpha, beta), or the stack of kernels for (T, 1, 1)
-    arrays of them."""
-    p12_t2, p13, one, p23_t2 = basis
-    return DenseOperator(3, d, p12_t2 + p13 + alpha * one + beta * p23_t2)
-
-
-def bcs_kernel(alpha: float, beta: float, d: int) -> DenseOperator:
-    """(1 2)^{T_2} + (1 3) + alpha * id + beta * (2 3)^{T_2} on three factors.
-
-    It commutes with U (x) conj(U) (x) U for every unitary U."""
-    return _bcs_from_basis(_bcs_basis(d), alpha, beta, d)
+    one, p12, p23, p31 = _werner_basis(d)[2][:4]
+    return dense_ops.partial_transpose(_on_support(p12 + p31 + alpha * one + beta * p23, d), (2,))
 
 
 def bcs_alpha_threshold(beta: float, d: int) -> float:
@@ -376,8 +371,11 @@ class PartitionSpec:
 
     @staticmethod
     def parse(text: str) -> "PartitionSpec":
-        """Parse "1|23" style."""
-        blocks = tuple(tuple(int(ch) for ch in part) for part in text.split("|"))
+        """Parse "1|23" style: one digit a site, blocks split by "|"."""
+        blocks = tuple(tuple(parse_token(ch, "site", text) for ch in part)
+                       for part in text.split("|"))
+        if not all(blocks):
+            raise ValueError(f"empty block in {text!r}")
         return PartitionSpec(blocks)
 
     @property
@@ -639,18 +637,21 @@ def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
     check_covariant_block_positive (``certified``).  Its covariance check runs
     on the U(d) generators and draws nothing; a point whose kernel fails it
     is a ValueError (no finite point does).  The points
-    are classified a stack at a time: each stack holds as many kernels as
-    fit in verification.STACK_BYTES, at least one, and each verdict is that
-    of the point's kernel alone.
+    are classified a stack at a time: each stack holds as many kernels of
+    d^6 entries as fit in verification.STACK_BYTES, at least one, built by
+    one bcs_kernel call (which reads the support _werner_basis(d) caches),
+    and each verdict is that of the point's kernel alone.  d < 2 is refused
+    before any work, on an empty grid too.
     """
-    basis = _bcs_basis(d)
+    if d < 2:
+        raise ValueError("need d >= 2")
     points = [(alpha, beta) for alpha in alpha_values for beta in beta_values]
     rows, start = [], 0
-    for size in stack_sizes(len(points), basis[0].size):
+    for size in stack_sizes(len(points), d ** 6):
         chunk = points[start:start + size]
         start += size
         alphas, betas = np.array(chunk, dtype=float).T[..., None, None]
-        verdicts = check_covariant_block_positive(_bcs_from_basis(basis, alphas, betas, d), {2})
+        verdicts = check_covariant_block_positive(bcs_kernel(alphas, betas, d), {2})
         for (alpha, beta), verdict in zip(chunk, verdicts):
             rows.append({
                 "alpha": float(alpha),

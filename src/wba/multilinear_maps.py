@@ -295,8 +295,8 @@ def _one_input_start(a: DenseOperator, k: int) -> DenseOperator:
         raise ValueError("need k >= 2")
     if a.n != 1:
         raise ValueError("the input must be a single-site operator")
-    eyes = [dense_ops.identity(1, a.d) for _ in range(k - 2)]
-    return dense_ops.kron([a] + eyes) if eyes else a
+    eye = np.eye(a.d, dtype=complex)
+    return DenseOperator(k - 1, a.d, dense_ops.kron_all([a.mat] + [eye] * (k - 2)))
 
 
 def evaluate_one_to_many(a: DenseOperator, k: int) -> DenseOperator:

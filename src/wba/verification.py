@@ -136,7 +136,8 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
         def example11(kernel, mats):
             a = DenseOperator(1, d, mats[0])
             oracle = mm.evaluate_oracle(mm.MapSpec(kernel, 1, 3, d), [a])
-            start = dense_ops.kron([a, dense_ops.identity(1, d), dense_ops.identity(1, d)])
+            eye = np.eye(d, dtype=complex)
+            start = DenseOperator(3, d, dense_ops.kron_all([a.mat, eye, eye]))
             chained = dense_ops.reshuffle_sites(
                 dense_ops.reshuffle_sites(start, 3, 2), 3, 1)
             return chained.mat - oracle.mat

@@ -81,6 +81,15 @@ def _dense_werner_state(params):
     return mat
 
 
+def _dense_bcs_kernel(alpha, beta, d):
+    """The four realized terms of the BCS kernel summed densely in its
+    order: bcs_kernel's reference."""
+    p = parse_permutation
+    return (realize(from_permutation(p("(1 2)", 3), {2}), d) + realize(p("(3 1)", 3), d)
+            + alpha * realize(p("()", 3), d)
+            + beta * realize(from_permutation(p("(2 3)", 3), {2}), d))
+
+
 def _scalar_alphas(cs):
     """The scalar permutation-basis expansion the shared formula replaced."""
     cp, cm, c0, c1, c2, c3 = cs
@@ -123,14 +132,6 @@ class TestBcsKernel:
         assert np.isclose(np.trace(kernel.mat), expect)
 
     def test_scan_kernels_equal_term_by_term_sum(self, monkeypatch):
-        p = parse_permutation
-
-        def reference(alpha, beta, d):
-            # the four realizations summed in the kernel's order
-            return (realize(from_permutation(p("(1 2)", 3), {2}), d) + realize(p("(3 1)", 3), d)
-                    + alpha * realize(p("()", 3), d)
-                    + beta * realize(from_permutation(p("(2 3)", 3), {2}), d))
-
         scanned = []
         real_check = ent.check_covariant_block_positive
         monkeypatch.setattr(ent, "check_covariant_block_positive",
@@ -140,8 +141,41 @@ class TestBcsKernel:
         points = [(a, b) for a in alphas for b in betas]
         assert len(scanned) == len(points)      # every member of every stack, in grid order
         for mat, (alpha, beta) in zip(scanned, points):
-            assert np.array_equal(mat, reference(alpha, beta, 3))
-            assert np.array_equal(bcs_kernel(alpha, beta, 3).mat, reference(alpha, beta, 3))
+            assert np.array_equal(mat, _dense_bcs_kernel(alpha, beta, 3))
+            assert np.array_equal(bcs_kernel(alpha, beta, 3).mat, _dense_bcs_kernel(alpha, beta, 3))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_kernel_is_the_dense_sum_bit_for_bit(self, d):
+        values = (0.0, -0.0, 1e16, -1e16, 0.25, -0.1, 1 / 3)
+        points = [(alpha, beta) for alpha in values for beta in values]
+        for alpha, beta in points:
+            assert np.array_equal(_bits(bcs_kernel(alpha, beta, d).mat),
+                                  _bits(_dense_bcs_kernel(alpha, beta, d)))
+        alphas, betas = np.array(points).T[..., None, None]
+        stacked = bcs_kernel(alphas, betas, d)
+        assert stacked.mat.shape == (len(points), d ** 3, d ** 3)
+        assert np.array_equal(_bits(stacked.mat), _bits(_dense_bcs_kernel(alphas, betas, d)))
+        for mat, (alpha, beta) in zip(stacked.mat, points):     # each member is its point's
+            assert np.array_equal(_bits(mat), _bits(bcs_kernel(alpha, beta, d).mat))
+
+    def test_no_dense_basis_is_held(self):
+        # four dense d^3 x d^3 terms cached per d held 61 MiB at d = 10;
+        # the kernel reads the Werner support, about 111 KiB
+        ent._werner_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            bcs_kernel(0.25, -0.1, 10)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            ent._werner_basis.cache_clear()
+        assert held < 1 << 20, held
+
+    def test_d_below_two_is_refused_before_any_work(self):
+        with pytest.raises(ValueError, match="need d >= 2"):
+            bcs_kernel(0.25, -0.1, 1)
+        with pytest.raises(ValueError, match="need d >= 2"):
+            scan_bcs_region([], [0.0], 1)
 
     def test_witness_point_spectrum(self):
         kernel = bcs_kernel(0.25, -0.1, 3)
@@ -173,7 +207,7 @@ class TestBcsCondition:
 
 class TestBlockPositive:
     def test_identity_is_psd(self):
-        verdict = check_block_positive(dense_ops.identity(2, 2),
+        verdict = check_block_positive(DenseOperator(2, 2, np.eye(4, dtype=complex)),
                                        PartitionSpec.parse("1|2"), SearchBudget(seed=0))
         assert verdict.classification == ent.PSD
 
@@ -212,10 +246,21 @@ class TestBlockPositive:
         with pytest.raises(ValueError):
             PartitionSpec.parse("1|3")
 
+    @pytest.mark.parametrize("text,message", [
+        ("1|2x", "bad site 'x' in '1|2x'"),
+        ("12|3|", "empty block in '12|3|'"),
+        ("1||23", "empty block in '1||23'"),
+        ("", "empty block in ''"),
+    ])
+    def test_malformed_partition_is_one_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            PartitionSpec.parse(text)
+        assert str(info.value) == message
+
     # a PSD 3-site operator with "1|2" would pass vacuously; the others
     # would reach numpy's transpose with too few or too many axes
     @pytest.mark.parametrize("m,cut", [
-        (dense_ops.identity(3, 2), "1|2"),
+        (DenseOperator(3, 2, np.eye(8, dtype=complex)), "1|2"),
         (DenseOperator(3, 2, -np.eye(8, dtype=complex)), "1|2"),
         (DenseOperator(2, 2, -np.eye(4, dtype=complex)), "1|2|3"),
     ], ids=["psd-3-sites", "negative-3-sites", "negative-2-sites"])
@@ -314,7 +359,7 @@ class TestBatchedSearch:
         assert classes == {ent.NOT_BLOCK_POSITIVE, ent.WITNESS_CANDIDATE, ent.PSD}
 
     def test_budget_validation(self):
-        m = dense_ops.identity(2, 2)
+        m = DenseOperator(2, 2, np.eye(4, dtype=complex))
         partition = PartitionSpec.parse("1|2")
         for budget in (SearchBudget(restarts=0), SearchBudget(restarts=-3),
                        SearchBudget(samples=-1)):
@@ -333,7 +378,8 @@ class TestBatchedSearch:
         capped = check_block_positive(kernel, partition,
                                       SearchBudget(seed=5, restarts=16, iterations=1))
         assert capped.sweeps == 16
-        psd = check_block_positive(dense_ops.identity(3, 3), partition, SearchBudget())
+        psd = check_block_positive(DenseOperator(3, 3, np.eye(27, dtype=complex)), partition,
+                                   SearchBudget())
         assert (psd.sweeps, psd.converged_starts) == (0, 0)
 
 
@@ -994,7 +1040,7 @@ class TestScan:
 
     def test_peak_memory_is_a_few_stacks(self):
         alphas, betas = np.linspace(-1.0, 1.0, 20), np.linspace(-0.6, 0.4, 25)
-        scan_bcs_region(alphas[:1], betas[:1], 3)       # the cached basis
+        scan_bcs_region(alphas[:1], betas[:1], 3)       # the cached support
         tracemalloc.start()
         try:
             rows = scan_bcs_region(alphas, betas, 3)

@@ -406,7 +406,7 @@ class TestOneToMany:
         assert np.array_equal(evaluate_one_to_many_via_pi(a, 2).mat, a.mat.T)
 
     def test_identity_input_both_paths(self):
-        a = dense_ops.identity(1, 2)
+        a = DenseOperator(1, 2, np.eye(2, dtype=complex))
         for k in (3, 4):
             spec = spec_for(forward_cycle(k), {k}, 1, k - 1, 2)
             oracle = evaluate_oracle(spec, [a])
