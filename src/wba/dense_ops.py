@@ -401,14 +401,19 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def min_eigenvalue(m: DenseOperator):
-    """Least eigenvalue of a finite hermitian M (within ATOL), or an array of
-    those of each member of a stack, from one stacked eigvalsh.  The first
-    member in row-major order that is not finite or not hermitian raises the
-    one-line message a call on it alone raises."""
+    """Least eigenvalue of a finite hermitian M (within ATOL times
+    max(1, sup_norm(M))), or an array of those of each member of a stack,
+    from one stacked eigvalsh.  The norm is taken only for the members past
+    ATOL itself.  The first member in row-major order that is not finite or
+    not hermitian raises the one-line message a call on it alone raises."""
     mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
     with np.errstate(invalid="ignore"):     # inf - inf: a non-finite member fails either way
         dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
     passed = dev <= ATOL
+    if not passed.all():
+        wide = np.flatnonzero(~passed)
+        scale = np.abs(mats[wide]).max(axis=(1, 2))     # inf or NaN fails below
+        passed[wide] = np.isfinite(scale) & (dev[wide] <= ATOL * np.maximum(1.0, scale))
     if not passed.all():
         first = np.argmin(passed)
         if not np.isfinite(mats[first]).all():

@@ -21,7 +21,7 @@ from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_permutation, parse_token
 from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .verification import stack_sizes
-from .wba_algebra import from_permutation, realize
+from .wba_algebra import _pair_values, _pair_weights, check_size_guard, from_permutation
 
 PSD = "PSD"
 WITNESS_CANDIDATE = "WITNESS_CANDIDATE"
@@ -38,12 +38,15 @@ def _werner_basis(d: int):
     the flat indices of the entries any permutation hits, each entry's
     pattern (the set of permutations that hit it; 16 at d >= 3), and the
     six permutations and the orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3
-    on each pattern.  Each permutation is realized alone for its d^3
-    entries, and no d^3 x d^3 matrix is kept.  All read-only: werner_state,
-    werner_support and bcs_kernel read them on every call, and callers
-    sweep one d at a time, so only the last d is kept."""
-    entries = [np.flatnonzero(realize(p, d)) for p in _PERM_DIAGRAMS]
-    support, where = np.unique(np.concatenate(entries), return_inverse=True)
+    on each pattern.  Each permutation's d^3 entries come from the index
+    product of realize's scatter, and no d^3 x d^3 matrix is formed.  All
+    read-only: werner_state, werner_support and bcs_kernel read them on
+    every call, and callers sweep one d at a time, so only the last d is
+    kept."""
+    check_size_guard(3, d)      # as realize does; it keeps the float64 indices exact
+    pairings = np.concatenate([p.pairings for p in _PERM_DIAGRAMS])
+    entries = (_pair_weights(pairings, d, d ** 3, 1) @ _pair_values(3, d)).astype(np.intp)
+    support, where = np.unique(entries.ravel(), return_inverse=True)
     hits = np.zeros((6, support.size), dtype=complex)
     hits[np.arange(6).repeat(d ** 3), where] = 1.0
     perms_p, pattern = np.unique(hits, axis=1, return_inverse=True)

@@ -3,21 +3,20 @@
 A kernel P on n = n_in + n_out sites defines
     Lambda(X_1, ..., X_{n_in}) = tr_{1..n_in}[ P (X_1 (x) ... (x) X_{n_in}
                                                  (x) 1^{n_out}) ].
-``fast_evaluate`` contracts the inputs into the realized kernel one site at
-a time, in a summation order it fixes, and serves every kernel, real or
-complex; it holds the kernel plus two arrays of the first output's size,
-no copy of the kernel.  ``evaluate_oracle`` computes the same map
-literally through ``contract``, the one brute-force contraction of the
-package (each nonzero kernel entry times the entries of the inputs'
+``evaluate_oracle`` computes it through ``contract``, the one contraction
+of the package: each nonzero kernel entry times the entries of the inputs'
 Kronecker product that it meets, one flat gather per input and one bincount
-in the kernel's order, the product never formed and the identity on the
-output sites taken as a delta, not a factor), and is the ground truth
-for both it and the closed forms below: single-cycle kernels with one
-transposed site reduce to matrix products with a transpose inserted, those
-with a transposed subset to products with transposes on the subset (or on
-its complement, in reversed order, when the last site is transposed), and
-forward cycles with a single input to a chain of site reshufflings or a
-single index permutation.
+in the kernel's row-major order, the product never formed and the identity
+on the output sites taken as a delta, not a factor.  The kernel is read as
+its nonzero entries, from a dense matrix (or a stack of them) or from a
+walled operator's weight-sector rows (SectorOperator), which is never made
+dense; a diagram or element is realized.  It is the ground truth for the
+closed forms below: single-cycle kernels with one transposed site reduce to
+matrix products with a transpose inserted, those with a transposed subset
+to products with transposes on the subset (or on its complement, in
+reversed order, when the last site is transposed), and forward cycles with
+a single input to a chain of site reshufflings or a single index
+permutation.
 """
 
 from __future__ import annotations
@@ -73,42 +72,45 @@ class MapSpec:
     def sites(self) -> int:
         return self.n_in + self.n_out
 
-    def kernel_matrix(self) -> np.ndarray:
-        """The kernel's d^n x d^n matrix: a dense kernel's own, or a diagram
-        or element realized (the oracle reads no sector-form kernel)."""
-        if isinstance(self.kernel, DenseOperator):
-            if self.kernel.d != self.d:
-                raise ValueError("kernel local dimension mismatch")
-            return self.kernel.mat
-        return realize(self.kernel, self.d)
+
+def _support(kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the kernel's nonzero entries in row-major
+    order: for a DenseOperator those of any member of its stack (the values
+    with the stack axes in front), for a SectorOperator its stored entries,
+    whose places within a sector follow the basis order."""
+    if isinstance(kernel, SectorOperator):
+        layout, width = kernel.layout, kernel.rows.shape[1]
+        rows, place = np.divmod(np.flatnonzero(kernel.rows[:kernel.d ** kernel.n]), width)
+        return rows, layout.members[layout.sector[rows], place], kernel.rows[rows, place]
+    mat = kernel.mat
+    rows, cols = np.divmod(np.flatnonzero(mat.any(axis=tuple(range(mat.ndim - 2)))),
+                           mat.shape[-1])
+    return rows, cols, mat[..., rows, cols]
 
 
-def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the nonzero entries of a matrix, or of any member
-    of a stack of them, in row-major order."""
-    return np.divmod(np.flatnonzero(mat.any(axis=tuple(range(mat.ndim - 2)))), mat.shape[-1])
-
-
-def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
+def contract(kernel, factors, keep) -> DenseOperator:
     """Literal contraction: tr over every site not in ``keep`` of kernel @ F,
-    F = F_1 (x) F_2 (x) ... (x) 1, summed over the kernel's nonzero entries.
+    F = F_1 (x) F_2 (x) ... (x) 1, summed over the nonzero entries of the
+    kernel, a DenseOperator or a SectorOperator (_support).
 
     The factors (at least one) are square and tile the kernel's sites from
     site 1 on; one may cover no site (1 x 1), one or several.  The sites
     after the last factor carry the identity and must be kept.  With
     ``keep`` empty the result is the full trace as a 1 x 1 operator, with
-    every site kept it is kernel @ F.  With the kernel's rows r split into (traced a_r, kept i_r)
-    sites and F's columns likewise, out[i_r, j] gets K[r, c] F[c, (a_r, j)]
-    for each nonzero K[r, c] and each kept column j that the identity does
-    not zero: j's identity-site digits are c's, so only the kept sites a
-    factor covers give K[r, c] more than one term.  F is never formed: each
-    factor is gathered once, at flat indices, and the terms are multiplied
-    in place as K ((F_1 F_2) ...); one ``np.bincount`` adds each output
-    entry's terms in row-major order of the kernel.  This is the ground
-    truth every closed form is tested against.  The kernel and the factors
-    may be stacks (leading axes, broadcast): the terms run over the union of
-    the members' supports, and each member of the result is that member's
-    contraction alone, bit for bit (a member's zero entries add exact zeros).
+    every site kept it is kernel @ F.  With the kernel's rows r split into
+    (traced a_r, kept i_r) sites and F's columns likewise, out[i_r, j] gets
+    K[r, c] F[c, (a_r, j)] for each nonzero K[r, c] and each kept column j
+    that the identity does not zero: j's identity-site digits are c's, so
+    only the kept sites a factor covers give K[r, c] more than one term.  F
+    is never formed: each factor is gathered once, at flat indices, and the
+    terms are multiplied in place as K ((F_1 F_2) ...); one ``np.bincount``
+    adds each output entry's terms in row-major order of the kernel, so
+    sector rows give their dense matrix's result bit for bit.  This is the
+    ground truth every closed form is tested against.  A dense kernel and
+    the factors may be stacks (leading axes, broadcast): the terms run over
+    the union of the members' supports, and each member of the result is
+    that member's contraction alone, bit for bit (a member's zero entries
+    add exact zeros).  Each per-term array is freed once used.
     """
     d, n = kernel.d, kernel.n
     keep = dense_ops._validate_sites(keep, n)
@@ -120,16 +122,22 @@ def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
         raise ValueError(f"factors of shapes {[np.shape(f) for f in factors]} "
                          f"do not tile {n} sites of dimension {d} up to kept identity sites")
     factors = [np.asarray(f) for f in factors]
-    rows, cols = _support(kernel.mat)
+    rows, cols, values = _support(kernel)
     place = d ** np.arange(n - 1, -1, -1)       # the weight of each site's digit
     kept = np.array([s in keep for s in range(1, n + 1)], dtype=bool)
     width, ident = d ** len(keep), d ** (n - covered)   # kept columns, identity columns
-    i_r = (rows[:, None] // place[kept] % d) @ place[n - len(keep):]    # r's output row
+    i_r = np.zeros_like(rows)                   # r's output row: its kept digits
+    for s in keep:
+        i_r = i_r * d + rows // place[s - 1] % d
     spread = (np.arange(width)[:, None] // place[n - len(keep):] % d) @ place[kept]
     free = spread[::ident]                      # the kept columns on covered sites
     f_cols = (rows - spread[i_r])[:, None] + free       # (a_r, j): r's kept digits made j's
-    stack = np.broadcast_shapes(kernel.mat.shape[:-2], *(f.shape[:-2] for f in factors))
-    terms = np.empty(stack + f_cols.shape, dtype=np.result_type(kernel.mat, *factors))
+    # one bin per (stack member, i_r, j), each added in input order: K's row-major
+    # order; j is the free kept column followed by c's identity digits
+    cells = ((i_r * width + cols % ident)[:, None] + np.arange(0, width, ident)).ravel()
+    del rows, i_r
+    stack = np.broadcast_shapes(values.shape[:-1], *(f.shape[:-2] for f in factors))
+    terms = np.empty(stack + f_cols.shape, dtype=np.result_type(values, *factors))
     low = d ** n
     for t, (f, m) in enumerate(zip(factors, sites)):
         span, low = d ** m, low // d ** m       # factor t's dimension, its last site's weight
@@ -139,97 +147,34 @@ def contract(kernel: DenseOperator, factors, keep) -> DenseOperator:
             terms *= g
         else:
             terms[...] = g
-    np.multiply(kernel.mat[..., rows, cols, None], terms, out=terms)
-    # one bin per (stack member, i_r, j), each added in input order: K's row-major
-    # order; j is the free kept column followed by c's identity digits
-    cells = ((i_r * width + cols % ident)[:, None] + np.arange(0, width, ident)).ravel()
+        del g
+    np.multiply(values[..., None], terms, out=terms)
+    del cols, f_cols, values
     out = np.empty(np.prod(stack, dtype=int) * width ** 2, dtype=complex)
     bins = (np.arange(0, out.size, width ** 2)[:, None] + cells).ravel()
+    del cells
     out.real = np.bincount(bins, terms.real.ravel(), out.size)
     out.imag = np.bincount(bins, terms.imag.ravel(), out.size)
     return DenseOperator(len(keep), d, out.reshape(stack + (width, width)))
 
 
 def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
-    """The map by ``contract``: inputs on sites 1..n_in, identity on the rest."""
+    """The map by ``contract``: inputs on sites 1..n_in, identity on the
+    rest.  A dense or sector-row kernel is contracted as it is, a diagram
+    or element realized first."""
     if len(inputs) != spec.n_in:
         raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
-    kernel = DenseOperator(spec.sites, spec.d, spec.kernel_matrix())
+    kernel = spec.kernel
+    if isinstance(kernel, DenseOperator):
+        if kernel.d != spec.d:
+            raise ValueError("kernel local dimension mismatch")
+    elif isinstance(kernel, SectorOperator):
+        if kernel.d != spec.d:
+            raise ValueError(f"a sector-form kernel of dimension {kernel.d}, not d = {spec.d}")
+    else:
+        kernel = DenseOperator(spec.sites, spec.d, realize(kernel, spec.d))
     return contract(kernel, [_as_matrix(x, spec.d) for x in inputs],
                     range(spec.n_in + 1, spec.sites + 1))
-
-
-# sector-row entries _first_input reads at once: with the index and term
-# arrays of their nonzero entries (about 90 bytes each) it holds some 6 MB
-_BAND_ENTRIES = 1 << 16
-
-
-def _first_input(kernel: SectorOperator, x: np.ndarray) -> np.ndarray:
-    """fast_evaluate's first step on a kernel given by its sector rows:
-    the sum over the stored nonzero entries K[r, c] = K[(a, i), (b, j)] of
-    K[r, c] X[b, a] into out[i, j], one np.bincount per real and imaginary
-    part.  The output rows i come a band at a time, with the kernel rows
-    (a, i) of every a, so each entry is summed within one band.  Each term
-    is the dense step's product, and a band is read in order of a, then i,
-    then b by the basis order within a sector, so each entry adds its terms
-    in the (a, b) order of the dense step; the terms it skips are exact
-    zeros, which leave a sum that starts at +0 as it is."""
-    layout, d = kernel.layout, kernel.d
-    dim, width = d ** kernel.n, kernel.rows.shape[1]
-    rest = dim // d
-    blocks = kernel.rows[:dim].reshape(d, rest, width)
-    band = max(1, _BAND_ENTRIES // (d * width))
-    out = np.empty((rest, rest), dtype=complex)
-    for lo in range(0, rest, band):
-        part = blocks[:, lo:lo + band]
-        a, i, p = np.nonzero(part)
-        c = layout.members[layout.sector[a * rest + lo + i], p]
-        bins = i * rest + c % rest
-        terms = part[a, i, p] * x[c // rest, a]
-        size = part.shape[1] * rest
-        out.real[lo:lo + band] = np.bincount(bins, terms.real, size).reshape(-1, rest)
-        out.imag[lo:lo + band] = np.bincount(bins, terms.imag, size).reshape(-1, rest)
-    return out
-
-
-def fast_evaluate(spec: MapSpec, inputs) -> DenseOperator:
-    """The map of any kernel, contracting one input at a time into it.
-
-    Each step views the current tensor T as (d, rest, d, rest), its first
-    row and column sites split off, and sums X[b, a] T[a, :, b, :] in the
-    fixed order of (a, b) into one preallocated complex array through one
-    scratch array, so the output keeps its row-block / column-block order
-    and the kernel, real or complex, is neither copied nor cast: the working
-    set is the kernel plus two arrays of the first output's size.  A kernel
-    given by its sector rows (SectorOperator, a walled operator exactly)
-    takes its first input over the stored entries alone (_first_input), in
-    the same order, and is never made dense.  With n_out = 0 the result is
-    the 1 x 1 trace.  Each input is one d x d matrix; a stack of them is a
-    ValueError.
-    """
-    if len(inputs) != spec.n_in:
-        raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
-    d = spec.d
-    mats = [_as_matrix(x, d) for x in inputs]
-    for mat in mats:
-        if mat.shape != (d, d):
-            raise ValueError(f"input shape {mat.shape} is not one ({d}, {d}) matrix")
-    if isinstance(spec.kernel, SectorOperator):
-        if spec.kernel.d != d:
-            raise ValueError(f"a sector-form kernel of dimension {spec.kernel.d}, not d = {d}")
-        t, mats = _first_input(spec.kernel, mats[0]), mats[1:]
-    else:
-        t = spec.kernel_matrix()
-    for mat in mats:
-        rest = t.shape[0] // d
-        t = t.reshape(d, rest, d, rest)
-        out = np.zeros((rest, rest), dtype=complex)
-        scratch = np.empty_like(out)
-        for a in range(d):
-            for b in range(d):
-                out += np.multiply(t[a, :, b, :], mat[b, a], out=scratch)
-        t = out
-    return DenseOperator(spec.n_out, d, t)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ leaf module.  Size and count limits stay beside the code they bound."""
 
 COEFF_EPS = 1e-14       # a formal coefficient this small is rounding noise and is dropped
 COEFF_MATCH = 1e-12     # approx_eq: formal coefficients this close are equal
-ATOL = 1e-10            # matrix-identity residual: absolute for M = M^H, else times max(1, |M|)
+ATOL = 1e-10            # matrix-identity residual (M = M^H included): times max(1, |M|)
 ORACLE_TOL = 1e-10      # closed form vs oracle deviation below this passes (verify-props, ew-maps)
 STATE_SLACK = 1e-10     # slack of the Werner valid-state inequalities
 PPT_SLACK = 1e-12       # slack of the six analytic partial-transpose inequalities

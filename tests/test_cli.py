@@ -176,6 +176,24 @@ class TestProjector:
                            "--alpha", "[2]", "--emit-map", "5", "--format", "json")
         assert code == 0 and float(json.loads(out)["commutant_residual"]) < 1e-13
 
+    def test_a_map_refusal_ends_on_one_line(self, capsys, monkeypatch):
+        def refuse(spec, inputs):
+            raise ValueError("the map is refused")
+
+        monkeypatch.setattr(mm, "evaluate_oracle", refuse)
+        code, out, err = run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2",
+                             "--mu", "[2,1]", "--alpha", "[2]", "--emit-map", "2")
+        assert code == 2 and out == ""
+        assert err == "error: the map is refused\n"
+
+    def test_a_large_map_output_is_hermitian_within_its_band(self, capsys):
+        # six PSD inputs give outputs of norm ~1e4, whose rounding asymmetry
+        # (1.7e-10 at this seed) passes ATOL times the norm
+        code, out, _ = run(capsys, "projector", "--n", "7", "--k", "1", "--d", "3",
+                           "--mu", "[4,2]", "--alpha", "[3,2]", "--emit-map", "6",
+                           "--seed", "8", "--format", "json")
+        assert code == 0 and float(json.loads(out)["map_output_min_eig"]) > 0
+
 
 def _stdlib_report(report):
     return json.dumps(report, sort_keys=True, indent=2)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -329,6 +330,28 @@ class TestRandomAndEigen:
         m = single([[0, 1], [0, 0]], 2)
         with pytest.raises(ValueError, match="hermitian"):
             min_eigenvalue(m)
+
+    def test_hermiticity_band_is_relative_to_the_operator(self, rng):
+        # a 1e-9 asymmetry passes on an operator of norm ~1e6, not on one of norm ~1
+        h = random_psd(3, 1, rng).mat
+        skew = np.zeros((3, 3), dtype=complex)
+        skew[0, 1] = 1e-9
+        big = single(1e6 * h / sup_norm(h) + skew, 3)
+        assert min_eigenvalue(big) == pytest.approx(np.linalg.eigvalsh(big.mat)[0])
+        with pytest.raises(ValueError, match=r"^matrix is not a finite hermitian one "
+                                             r"\(deviation 1e-09\)$"):
+            min_eigenvalue(single(h / sup_norm(h) + skew, 3))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_entry_fails_past_the_relative_band(self, value):
+        # the band of an operator with an infinite entry is no band
+        for entries in ([[value, 0], [0, 1]], [[1, value], [0, 1]], [[1e6, 1], [0, value]]):
+            with pytest.raises(ValueError, match=r"^matrix is not a finite hermitian one "
+                                                 r"\(non-finite entry\)$"):
+                min_eigenvalue(single(entries, 2))
+        stack = DenseOperator(1, 2, np.array([np.eye(2), [[1e6, 1e-9], [0, value]]], dtype=complex))
+        with pytest.raises(ValueError, match="non-finite entry"):
+            min_eigenvalue(stack)
 
     def test_haar_unitary(self):
         u = haar_unitary(3, np.random.default_rng(0))

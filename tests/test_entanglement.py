@@ -620,9 +620,11 @@ class TestWernerParams:
                 assert np.isclose(r_val, np.trace(rho.mat @ r).real, atol=1e-10)
 
     def test_basis_realized_once_per_dimension(self, monkeypatch):
+        # the six permutations' entries come from one index product per d
         realized = []
-        real = ent.realize
-        monkeypatch.setattr(ent, "realize", lambda p, d: realized.append(d) or real(p, d))
+        real = ent._pair_weights
+        monkeypatch.setattr(ent, "_pair_weights",
+                            lambda p, d, top, bot: realized.append(d) or real(p, d, top, bot))
         ent._werner_basis.cache_clear()
         try:
             for d in (3, 3, 4, 4, 3):
@@ -630,7 +632,7 @@ class TestWernerParams:
                 assert rho.mat.flags.writeable
         finally:
             ent._werner_basis.cache_clear()
-        assert realized == [3] * 6 + [4] * 6 + [3] * 6
+        assert realized == [3, 4, 3]
 
     def test_basis_is_read_only(self):
         for mat in ent._werner_basis(3):
@@ -649,6 +651,20 @@ class TestWernerParams:
             tracemalloc.stop()
             ent._werner_basis.cache_clear()
         assert held < 1 << 20, held
+
+    def test_basis_is_built_without_a_dense_matrix(self):
+        # realizing each permutation as a d^3 x d^3 complex matrix for its
+        # entries peaked at 48 MB at d = 12; the index product peaks at 4 MB,
+        # a third of the bound
+        ent._werner_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            ent._werner_basis(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            ent._werner_basis.cache_clear()
+        assert peak < 4 * 12 ** 6, peak
 
     def test_hermitian_iff_coefficient_symmetry(self, rng):
         params = random_valid_werner(rng, 3)
@@ -691,7 +707,7 @@ class TestWernerSupport:
     @pytest.mark.parametrize("d", [3, 4])
     def test_support_is_read_from_the_cache(self, d, monkeypatch):
         ent._werner_basis(d)
-        monkeypatch.setattr(ent, "realize", None)   # no realization on a warm cache
+        monkeypatch.setattr(ent, "_pair_weights", None)     # no index product on a warm cache
         assert ent.werner_support(d) == np.count_nonzero(sum(_dense_basis(d)[0]))
         assert ent.werner_support(d) == (93 if d == 3 else 256)
 

@@ -17,14 +17,20 @@ from wba.multilinear_maps import (
     evaluate_oracle,
     f_projector_map_2to2,
     f_projector_map_3to1,
-    fast_evaluate,
     forward_cycle,
 )
 from wba.sym_core import Partition, Permutation, parse_permutation
 from wba import verification
 from wba.verification import _kernel, proposition_suite
 from wba.tolerances import ORACLE_TOL
-from wba.wba_algebra import WbaElement, f_projector, from_permutation, realize, realize_sectors
+from wba.wba_algebra import (
+    WbaElement,
+    admissible_pairs,
+    f_projector,
+    from_permutation,
+    realize,
+    realize_sectors,
+)
 
 from test_sectors import gather_rows
 
@@ -423,160 +429,133 @@ class TestOneToMany:
 
 
 class TestDispatcher:
-    @pytest.mark.parametrize("n_in,n_out", [(4, 1), (1, 4)])
-    def test_fast_equals_oracle(self, n_in, n_out, rng):
-        d = 2
-        cycle = backward_cycle(5) if n_out == 1 else forward_cycle(5)
-        s = {3} if n_out == 1 else {5}
-        spec = spec_for(cycle, s, n_in, n_out, d)
-        inputs = [random_matrix(d, 1, rng) for _ in range(n_in)]
-        fast = fast_evaluate(spec, inputs)
-        oracle = evaluate_oracle(spec, inputs)
-        assert sup_norm(fast.mat - oracle.mat) < 1e-10
-
-    def test_fast_with_coefficient(self, rng):
-        d = 2
-        kernel = from_permutation(backward_cycle(3), {2}).scale(2.5)
-        spec = MapSpec(kernel, 2, 1, d)
-        inputs = [random_matrix(d, 1, rng) for _ in range(2)]
-        fast = fast_evaluate(spec, inputs)
-        oracle = evaluate_oracle(spec, inputs)
-        assert sup_norm(fast.mat - oracle.mat) < 1e-10
-
-    def test_fallback_path_matches_oracle(self, rng):
-        kernel = f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2)
-        spec = MapSpec(kernel, 2, 2, 2)
-        inputs = [random_matrix(2, 1, rng) for _ in range(2)]
-        assert sup_norm(fast_evaluate(spec, inputs).mat
-                        - evaluate_oracle(spec, inputs).mat) < 1e-10
+    """evaluate_oracle on each kernel form: a diagram or element is realized,
+    a dense or sector-row kernel is contracted as it is."""
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("d", [2, 3])
     def test_every_diagram_matches_oracle(self, n, d, rng):
-        # every S3/S4 permutation with every transpose subset, every split
+        # every S3/S4 permutation with every transpose subset, every split:
+        # the map is the realized kernel @ the inputs (x) 1, partially traced
         mats = [random_matrix(d, 1, rng) for _ in range(n)]
+        eye = np.eye(d, dtype=complex)
         for images in itertools.permutations(range(1, n + 1)):
             for size in range(n + 1):
                 for subset in itertools.combinations(range(1, n + 1), size):
                     diag = from_permutation(Permutation(images), subset)
+                    dense = DenseOperator(n, d, realize(diag, d))
                     for n_in in range(1, n + 1):
-                        spec = MapSpec(diag, n_in, n - n_in, d)
-                        fast = fast_evaluate(spec, mats[:n_in])
-                        oracle = evaluate_oracle(spec, mats[:n_in])
-                        assert fast.n == oracle.n == n - n_in
-                        assert sup_norm(fast.mat - oracle.mat) <= 1e-10
+                        out = evaluate_oracle(MapSpec(diag, n_in, n - n_in, d), mats[:n_in])
+                        reference = _reference_contract(dense, mats[:n_in] + [eye] * (n - n_in),
+                                                        range(n_in + 1, n + 1))
+                        assert out.n == reference.n == n - n_in
+                        assert sup_norm(out.mat - reference.mat) <= 1e-10
 
     def test_dense_kernel_and_input_checks(self, rng):
         kernel = DenseOperator(3, 2, random_matrix(2, 3, rng))
         spec = MapSpec(kernel, 2, 1, 2)
         inputs = [random_matrix(2, 1, rng) for _ in range(2)]
-        assert sup_norm(fast_evaluate(spec, inputs).mat
-                        - evaluate_oracle(spec, inputs).mat) <= 1e-10
+        reference = _reference_contract(kernel, inputs + [np.eye(2)], [3])
+        assert sup_norm(evaluate_oracle(spec, inputs).mat - reference.mat) <= 1e-10
         with pytest.raises(ValueError):
-            fast_evaluate(spec, inputs[:1])
+            evaluate_oracle(spec, inputs[:1])
         with pytest.raises(ValueError):
-            fast_evaluate(spec, [inputs[0], random_matrix(3, 1, rng)])
+            evaluate_oracle(spec, [inputs[0], random_matrix(3, 1, rng)])
 
-    @pytest.mark.parametrize("shape", [(2, 2, 2), (5, 2, 2)])
-    def test_refuses_a_stack_of_inputs(self, shape, rng):
-        # a stack of length rest = 2 would broadcast through the (d, rest,
-        # d, rest) blocks of the (4,1) projector; the oracle keeps stacks
-        spec = MapSpec(f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 2), 2, 2, 2)
-        stack = rng.standard_normal(shape)
-        with pytest.raises(ValueError) as info:
-            fast_evaluate(spec, [stack, random_matrix(2, 1, rng)])
-        assert str(info.value) == f"input shape {shape} is not one (2, 2) matrix"
-        with pytest.raises(ValueError, match=r"input shape \(3, 2, 2\)"):
-            fast_evaluate(spec, [random_matrix(2, 1, rng),
-                                 DenseOperator(1, 2, rng.standard_normal((3, 2, 2)))])
-        assert evaluate_oracle(spec, [stack, random_matrix(2, 1, rng)]).mat.shape == \
-            shape[:1] + (4, 4)
+    def test_a_kernel_of_another_dimension_is_refused(self, rng):
+        element = f_projector(Partition((2, 1)), Partition((2,)), 4, 1, 3)
+        inputs = [random_matrix(2, 1, rng)]
+        with pytest.raises(ValueError, match="^kernel local dimension mismatch$"):
+            evaluate_oracle(MapSpec(DenseOperator(4, 3, realize(element, 3)), 1, 3, 2), inputs)
+        with pytest.raises(ValueError, match="^a sector-form kernel of dimension 3, not d = 2$"):
+            evaluate_oracle(MapSpec(realize_sectors(element, 3, 1), 1, 3, 2), inputs)
 
 
 class TestLargestKernel:
-    def test_n6_projector_fast_matches_oracle(self, rng):
-        # the 288-term F_[2,2]([2]) at n=6, k=2, d=3: a 729 x 729 kernel
-        d = 3
-        element = f_projector(Partition((2, 2)), Partition((2,)), 6, 2, d)
-        assert len(element.pairings) == 288
-        kernel = DenseOperator(6, d, realize(element, d))
-        for n_in in (1, 3, 5):
-            spec = MapSpec(kernel, n_in, 6 - n_in, d)
-            inputs = [random_psd(d, 1, rng) for _ in range(n_in)]
-            fast = fast_evaluate(spec, inputs)
-            oracle = evaluate_oracle(spec, inputs)
-            assert fast.n == oracle.n == 6 - n_in
-            assert sup_norm(fast.mat - oracle.mat) <= 1e-10
-
     def test_real_kernel_is_neither_copied_nor_cast(self, rng):
-        # the real 729 x 729 F_[2,2]([2]): no temporary of the kernel's size;
-        # the working set past the kernel is two first-output arrays (243^2
-        # complex) and the smaller ones after them
+        # the real 729 x 729 F_[2,2]([2]): the oracle gathers its 35,169
+        # nonzero entries and holds no array of the kernel's size
         d = 3
         f = realize(f_projector(Partition((2, 2)), Partition((2,)), 6, 2, d), d).real.copy()
         kernel = DenseOperator(6, d, f)
-        first_output = (d ** 5) ** 2 * 16
         for n_in in (1, 3, 5):
             spec = MapSpec(kernel, n_in, 6 - n_in, d)
             inputs = [random_psd(d, 1, rng) for _ in range(n_in)]
             tracemalloc.start()
             try:
-                out = fast_evaluate(spec, inputs)
+                out = evaluate_oracle(spec, inputs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 3 * first_output + (1 << 20), (n_in, peak)
-            oracle = evaluate_oracle(spec, inputs)
-            assert sup_norm(out.mat - oracle.mat) <= 1e-10
+            assert peak < f.nbytes, (n_in, peak)
+            factors = [x.mat for x in inputs] + [np.eye(d ** (6 - n_in))]
+            reference = _reference_contract(kernel, factors, range(n_in + 1, 7))
+            assert sup_norm(out.mat - reference.mat) <= 1e-10
+
+
+def _sector_cases():
+    """(n, k, d) with k >= 1 for n <= 7 at d = 2 and n <= 6 at d = 3."""
+    return [(n, k, d) for d, top in ((2, 7), (3, 6))
+            for n in range(2, top + 1) for k in range(1, n // 2 + 1)]
 
 
 class TestSectorKernel:
-    """fast_evaluate on a kernel held as its weight-sector rows, as ``wba
-    projector`` holds F: the first input is contracted over the stored
-    entries, bit for bit as over the dense kernel."""
+    """evaluate_oracle on a kernel held as its weight-sector rows, as ``wba
+    projector`` holds F: contract reads the stored entries in the dense
+    kernel's row-major order, so the map is the dense kernel's bit for bit."""
+
+    @pytest.mark.parametrize("n,k,d", _sector_cases())
+    def test_every_admissible_pair_equals_the_dense_kernel(self, n, k, d, rng):
+        # every F_mu(alpha) at every input count: 419 maps over all (n, k, d)
+        for alpha, mu in admissible_pairs(n, k, d):
+            element = f_projector(mu, alpha, n, k, d)
+            rows = realize_sectors(element, d, k)
+            dense = DenseOperator(n, d, realize(element, d).real.copy())
+            for n_in in range(1, n + 1):
+                inputs = [random_matrix(d, 1, rng) for _ in range(n_in)]
+                out = evaluate_oracle(MapSpec(rows, n_in, n - n_in, d), inputs)
+                assert out.n == n - n_in
+                assert np.array_equal(out.mat, evaluate_oracle(MapSpec(dense, n_in, n - n_in, d),
+                                                               inputs).mat)
 
     @pytest.mark.parametrize("n,k,d,mu,alpha", [(6, 2, 3, (2, 2), (2,)), (7, 1, 2, (4, 2), (3, 2))])
     def test_equals_the_dense_kernel(self, n, k, d, mu, alpha, rng):
+        # the element, realized as a complex matrix, gives the same map
         element = f_projector(Partition(mu), Partition(alpha), n, k, d)
         rows = realize_sectors(element, d, k)
-        dense = DenseOperator(n, d, realize(element, d).real.copy())
         for n_in in range(1, n + 1):
             inputs = [random_psd(d, 1, rng) for _ in range(n_in)]
-            out = fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs)
-            assert np.array_equal(out.mat, fast_evaluate(MapSpec(dense, n_in, n - n_in, d),
-                                                         inputs).mat)
+            out = evaluate_oracle(MapSpec(rows, n_in, n - n_in, d), inputs)
             oracle = evaluate_oracle(MapSpec(element, n_in, n - n_in, d), inputs)
             assert out.n == oracle.n == n - n_in
-            assert sup_norm(out.mat - oracle.mat) <= ORACLE_TOL
+            assert np.array_equal(out.mat, oracle.mat)
 
-    def test_one_output_row_a_band(self, rng, monkeypatch):
-        # each entry of the first output is summed within one band, so bands
-        # of one output row give the dense kernel's map bit for bit too
-        n, k, d = 6, 2, 3
-        element = f_projector(Partition((2, 2)), Partition((2,)), n, k, d)
-        rows = realize_sectors(element, d, k)
-        dense = DenseOperator(n, d, realize(element, d).real.copy())
-        monkeypatch.setattr(mm, "_BAND_ENTRIES", 1)
-        for n_in in (1, 3):
-            inputs = [random_matrix(d, 1, rng) for _ in range(n_in)]
-            assert np.array_equal(fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs).mat,
-                                  fast_evaluate(MapSpec(dense, n_in, n - n_in, d), inputs).mat)
-
-    def test_the_d4_map_holds_about_one_first_output(self, rng):
-        # (6,2) d=4 with 3 inputs: the 1024^2 complex first output, the two
-        # 256^2 arrays after it and one band's index and term arrays (40 MB
-        # with every stored entry's arrays held at once)
+    def test_the_d4_map_holds_a_few_times_its_rows(self, rng):
+        # (6,2) d=4 with 3 inputs: F's rows are 6 MiB and the map's index,
+        # value and term arrays 16 MB at their peak, where its first output
+        # alone (1024^2 complex) would be 16 MiB and a real dense F 128 MiB
         n, k, d = 6, 2, 4
         rows = realize_sectors(f_projector(Partition((2, 2)), Partition((2,)), n, k, d), d, k)
         inputs = [random_psd(d, 1, rng) for _ in range(3)]
-        first_output = (d ** 5) ** 2 * 16
         tracemalloc.start()
         try:
-            fast_evaluate(MapSpec(rows, 3, n - 3, d), inputs)
+            evaluate_oracle(MapSpec(rows, 3, n - 3, d), inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < first_output + (4 << 20), peak / 1e6
+        assert peak < 3 * rows.rows.nbytes, peak / 1e6
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (5, 2, 2)])
+    def test_a_stack_of_inputs_gives_each_members_map(self, shape, rng):
+        # a stack of length rest = 2 beside an unstacked input, through F's rows
+        n, k, d = 4, 1, 2
+        rows = realize_sectors(f_projector(Partition((2, 1)), Partition((2,)), n, k, d), d, k)
+        spec = MapSpec(rows, 2, 2, d)
+        stack, single = rng.standard_normal(shape), random_matrix(d, 1, rng)
+        out = evaluate_oracle(spec, [stack, single])
+        assert out.mat.shape == shape[:1] + (4, 4)
+        for member, x in zip(out.mat, stack):
+            assert np.array_equal(member, evaluate_oracle(spec, [x, single]).mat)
 
     def test_complex_kernel(self, rng):
         # complex coefficients: F (0.5 - 2j) by its sector rows gives the
@@ -589,9 +568,9 @@ class TestSectorKernel:
         assert rows.rows.dtype == complex
         for n_in in range(1, n + 1):
             inputs = [random_matrix(d, 1, rng) for _ in range(n_in)]
-            out = fast_evaluate(MapSpec(rows, n_in, n - n_in, d), inputs)
-            assert np.array_equal(out.mat, fast_evaluate(MapSpec(dense, n_in, n - n_in, d),
-                                                         inputs).mat)
+            out = evaluate_oracle(MapSpec(rows, n_in, n - n_in, d), inputs)
+            assert np.array_equal(out.mat, evaluate_oracle(MapSpec(dense, n_in, n - n_in, d),
+                                                           inputs).mat)
 
 
 class TestMultilinearity:
@@ -599,9 +578,9 @@ class TestMultilinearity:
         d = 2
         spec = spec_for(backward_cycle(4), {2, 4}, 3, 1, d)
         x, y, b, c = (random_matrix(d, 1, rng) for _ in range(4))
-        lhs = fast_evaluate(spec, [2.0 * x + 3.0j * y, b, c])
-        rhs = 2.0 * fast_evaluate(spec, [x, b, c]).mat \
-            + 3.0j * fast_evaluate(spec, [y, b, c]).mat
+        lhs = evaluate_oracle(spec, [2.0 * x + 3.0j * y, b, c])
+        rhs = 2.0 * evaluate_oracle(spec, [x, b, c]).mat \
+            + 3.0j * evaluate_oracle(spec, [y, b, c]).mat
         assert sup_norm(lhs.mat - rhs) < 1e-10
 
 
@@ -612,7 +591,7 @@ class TestPositivityTransfer:
             spec = MapSpec(kernel, n_in, 4 - n_in, 2)
             for _ in range(5):
                 inputs = [random_psd(2, 1, rng) for _ in range(n_in)]
-                out = fast_evaluate(spec, inputs)
+                out = evaluate_oracle(spec, inputs)
                 assert dense_ops.min_eigenvalue(out) >= -1e-8
 
     def test_block_positive_witness_kernel_gives_positive_map(self, rng):
@@ -627,7 +606,7 @@ class TestPositivityTransfer:
         assert verdict.classification == ent.WITNESS_CANDIDATE
         spec = MapSpec(kernel, 1, 2, 3)
         for _ in range(10):
-            out = fast_evaluate(spec, [random_psd(3, 1, rng)])
+            out = evaluate_oracle(spec, [random_psd(3, 1, rng)])
             assert dense_ops.min_eigenvalue(out) >= -1e-8
 
 

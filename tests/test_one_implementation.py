@@ -1,6 +1,7 @@
 """Each job has one implementation: the Kronecker product of a list is
-dense_ops.kron_all, and the reorder of an operator's 2n tensor axes is
-dense_ops._reorder."""
+dense_ops.kron_all, the reorder of an operator's 2n tensor axes is
+dense_ops._reorder, and the sum of a kernel against its inputs is
+multilinear_maps.contract."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,8 @@ def test_no_kronecker_product_but_kron_all():
 def test_no_transpose_but_the_reorder():
     assert _found(lambda module, function, node: node.attr == "transpose"
                   and (module, function) != ("dense_ops.py", "_reorder")) == []
+
+
+def test_no_kernel_sum_but_contract():
+    assert _found(lambda module, function, node: module == "multilinear_maps.py"
+                  and node.attr == "bincount" and function != "contract") == []
