@@ -282,6 +282,8 @@ def cmd_verify_props(args) -> int:
 
 def cmd_projector(args) -> int:
     _check_minimum(args, n=1, d=1, k=1, seed=0)
+    if args.n < 2 * args.k:
+        raise CliError(f"--n must be >= 2k = {2 * args.k}, got {args.n}")
     with _fails_with(1, "bad partition: "):
         mu, alpha = parse_partition(args.mu), parse_partition(args.alpha)
     if args.emit_map is not None and not 1 <= args.emit_map <= args.n:

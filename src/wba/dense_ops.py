@@ -142,15 +142,15 @@ class SectorLayout:
     """The weight sectors of (C^d)^{tensor n} for U on the plain sites and
     conj(U) on the conjugated ones: basis index i has the weight
     w_c = #{plain sites holding c} - #{conjugated sites holding c}, and the
-    diagonal unitaries act on it by one phase per weight.  The conjugated
-    sites are the last k; sectors are numbered by their first basis index
+    diagonal unitaries act on it by one phase per weight.  Any sites may be
+    the conjugated ones; sectors are numbered by their first basis index
     and keep the basis order within.
 
     ``below`` and ``moves`` serve covariance_residual, whose simple roots
     X = E_ab come in _simple_roots order.  Each root has a frame of
     2 (d^n + 1) rows of packed blocks: M A_X by column, then A_X M by row."""
 
-    plain: np.ndarray       # (n,) whether the sites of moves are plain: the first n - k
+    plain: np.ndarray       # (n,) whether each site is plain, not conjugated
     sector: np.ndarray      # (d^n,) sector of each basis index
     position: np.ndarray    # (d^n,) its place in that sector
     members: np.ndarray     # (sectors + 1, width): each sector's indices by place, padded with
@@ -171,16 +171,19 @@ def _simple_roots(d: int) -> np.ndarray:
                     dtype=int).reshape(-1, 2)
 
 
+def sector_layout(n: int, d: int, conjugated) -> SectorLayout:
+    """The weight sectors of n sites of dimension d with the sites in
+    ``conjugated`` conjugated (cached by the sorted sites, a few at a time)."""
+    return _sector_layout(n, d, _validate_sites(conjugated, n))
+
+
 @lru_cache(maxsize=_LAYOUTS)
-def sector_layout(n: int, d: int, k: int) -> SectorLayout:
-    """The weight sectors of n sites of dimension d with the last k
-    conjugated (cached, a few layouts at a time)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n = {n}, got k = {k}")
+def _sector_layout(n: int, d: int, conjugated: tuple[int, ...]) -> SectorLayout:
     dim = d ** n
     place = d ** np.arange(n - 1, -1, -1)
     digits = np.arange(dim) // place[:, None] % d
-    plain = np.arange(n) < n - k
+    plain = np.ones(n, dtype=bool)
+    plain[[s - 1 for s in conjugated]] = False
     weights = (np.eye(d, dtype=int)[digits] * np.where(plain, 1, -1)[:, None, None]).sum(0)
     numbers: dict[tuple, int] = {}      # weight -> sector, numbered by first index
     sector = np.array([numbers.setdefault(w, len(numbers)) for w in map(tuple, weights.tolist())])
@@ -213,30 +216,10 @@ def sector_layout(n: int, d: int, k: int) -> SectorLayout:
     return SectorLayout(plain, sector, position, members, below, moves)
 
 
-def _conjugated_last(m: DenseOperator, conjugated) -> tuple[np.ndarray, int]:
-    """M's matrix with the conjugated sites moved last, and their number.
-
-    U -> conj(U) maps U(d) onto itself, so M commutes with U on the plain
-    sites (x) conj(U) on the conjugated ones for every U exactly when it
-    does with the sides exchanged: the weights change sign, and the sectors
-    and the residuals below stay the same.  So the side of at most n/2
-    sites is taken as the conjugated one, and M's sites are reordered only
-    when those are not already the last."""
-    n = m.n
-    conjugated = _validate_sites(conjugated, n)
-    if 2 * len(conjugated) > n:
-        conjugated = tuple(s for s in range(1, n + 1) if s not in conjugated)
-    k = len(conjugated)
-    if conjugated != tuple(range(n - k + 1, n + 1)):
-        sites = [s for s in range(n) if s + 1 not in conjugated] + [s - 1 for s in conjugated]
-        m = _reorder(m, sites + [n + s for s in sites])
-    return m.mat, k
-
-
 @dataclass(frozen=True)
 class SectorOperator:
     """A walled operator M on (C^d)^{tensor n} by its entries within the
-    weight sectors of sector_layout(n, d, k), which hold all of M.
+    weight sectors of sector_layout(n, d, conjugated), which hold all of M.
 
     ``rows`` is (d^n + 1, width): row i holds M[i, j] for the j of i's
     sector by place, and the pads and the last row are zero.
@@ -244,7 +227,7 @@ class SectorOperator:
 
     n: int
     d: int
-    k: int
+    conjugated: tuple[int, ...]
     rows: np.ndarray
 
     def __post_init__(self):
@@ -254,7 +237,7 @@ class SectorOperator:
 
     @property
     def layout(self) -> SectorLayout:
-        return sector_layout(self.n, self.d, self.k)
+        return sector_layout(self.n, self.d, self.conjugated)
 
 
 def _sector_rows(mats: np.ndarray, layout: SectorLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -342,18 +325,22 @@ def covariance_residual(m: DenseOperator, conjugated):
     [M_w, A_X] has only the blocks from w to w + e_a - e_b.  They are formed
     from M's blocks packed by place, by column for M A_X and by row for
     A_X M: each site's move adds 2 d^(n-1) packed rows into others, with no
-    product and no random draw.  M's sites are moved by _conjugated_last.
+    product and no random draw; M is read in place, its sites unmoved.
 
     A stack of M (leading axes) gives an array of the stack's shape, each
     member's residual bit-identical to a call on that member alone.  The
     members' rows are gathered by _sector_rows and run through the one core
     in groups whose frames fit in _WORK_ENTRIES entries (at least one
     member)."""
-    mat, k = _conjugated_last(m, conjugated)
-    layout = sector_layout(m.n, m.d, k)
-    lead, dim = mat.shape[:-2], mat.shape[-1]
-    rows, off = _sector_rows(mat.reshape((-1, dim, dim)), layout)
-    del mat     # a reordered copy is not held through the core
+    conjugated = _validate_sites(conjugated, m.n)
+    if 2 * len(conjugated) > m.n:
+        # U -> conj(U) maps U(d) onto itself, so M commutes with U on the plain
+        # sites (x) conj(U) on the others exactly when it does with the sides
+        # exchanged: same sectors, same residual, so the two share one layout
+        conjugated = tuple(s for s in range(1, m.n + 1) if s not in conjugated)
+    layout = sector_layout(m.n, m.d, conjugated)
+    lead, dim = m.mat.shape[:-2], m.mat.shape[-1]
+    rows, off = _sector_rows(m.mat.reshape((-1, dim, dim)), layout)
     group = max(1, _WORK_ENTRIES // (2 * (dim + 1) * layout.members.shape[1]))
     worst = np.empty(len(rows))
     for lo in range(0, len(rows), group):

@@ -94,7 +94,7 @@ def contract(kernel, factors, keep) -> DenseOperator:
     kernel, a DenseOperator or a SectorOperator (_support).
 
     The factors (at least one) are square and tile the kernel's sites from
-    site 1 on; one may cover no site (1 x 1), one or several.  The sites
+    site 1 on; one may cover no site (1 x 1, d > 1), one or several.  The sites
     after the last factor carry the identity and must be kept.  With
     ``keep`` empty the result is the full trace as a 1 x 1 operator, with
     every site kept it is kernel @ F.  With the kernel's rows r split into
@@ -114,7 +114,7 @@ def contract(kernel, factors, keep) -> DenseOperator:
     """
     d, n = kernel.d, kernel.n
     keep = dense_ops._validate_sites(keep, n)
-    sites = [next((m for m in range(n + 1) if np.shape(f)[-2:] == (d ** m,) * 2), None)
+    sites = [next((m for m in (*range(1, n + 1), 0) if np.shape(f)[-2:] == (d ** m,) * 2), None)
              for f in factors]
     covered = sum(s or 0 for s in sites)
     if not factors or None in sites or covered > n \

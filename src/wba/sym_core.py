@@ -117,16 +117,7 @@ def _group_rows(m: int) -> np.ndarray:
 
 
 def permutation_to_text(p: Permutation) -> str:
-    return cycle_texts([p.images])[0]
-
-
-def cycle_texts(rows) -> list[str]:
-    """Cycle notation of each permutation given by a row of 1-based one-line
-    images; "()" for the identity.  A row shorter than the longest fixes the
-    points past its end."""
-    width = max(map(len, rows), default=0)
-    images = np.array([[*row, *range(len(row) + 1, width + 1)] for row in rows], np.intp)
-    return _row_texts(_text_rows(images.reshape(len(rows), width)))
+    return _row_texts(_text_rows(np.array([p.images], np.intp)))[0]
 
 
 def _point_digits(n: int) -> np.ndarray:

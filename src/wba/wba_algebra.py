@@ -344,21 +344,24 @@ def realize(x, d: int) -> np.ndarray:
 
 def realize_sectors(x, d: int, k: int) -> SectorOperator:
     """x realized as float64 into its weight-sector rows for U on the first
-    n - k sites (x) conj(U) on the last k (dense_ops.SectorOperator):
-    realize's scatter into the rows of sector_layout(n, d, k), no d^n x d^n
+    n - k sites (x) conj(U) on the last k (dense_ops.SectorOperator, whose
+    sector_layout is keyed by those k): realize's scatter, no d^n x d^n
     array.  Each stored entry is the real part of realize's bit for bit.
     Every diagram of x must be walled for k, as those of every F_mu(alpha)
     are, so nothing lies between two sectors and the rows hold all of x.
     A diagram that is not walled (the first is named) or a non-real
-    coefficient is a ValueError."""
+    coefficient, or a k outside 0..n, is a ValueError."""
     pairings, values = _realizable(x, d)
     if values.imag.any():
         raise ValueError("the element has a non-real coefficient")
     n = pairings.shape[1] // 2
-    layout = sector_layout(n, d, k)
+    if not 0 <= k <= n:     # the range below would read a negative k as 0
+        raise ValueError(f"need 0 <= k <= n = {n}, got k = {k}")
+    conjugated = tuple(range(n - k + 1, n + 1))
+    layout = sector_layout(n, d, conjugated)
     rows = np.zeros((d ** n + 1, layout.members.shape[1]))
     _scatter(pairings, values, d, rows.reshape(-1), layout)
-    return SectorOperator(n, d, k, rows)
+    return SectorOperator(n, d, conjugated, rows)
 
 
 # ---------------------------------------------------------------------------

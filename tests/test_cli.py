@@ -14,8 +14,8 @@ import pytest
 import wba
 from wba import cli, dense_ops, entanglement as ent, multilinear_maps as mm, verification
 from wba.cli import _parse_range, _report_json, main
-from wba.dense_ops import DenseOperator, covariance_residual, haar_unitary, sup_norm
-from wba.sym_core import MAX_ENUM_DEGREE, Partition
+from wba.dense_ops import DenseOperator, covariance_residual, haar_unitary, random_psd, sup_norm
+from wba.sym_core import MAX_ENUM_DEGREE, Partition, parse_partition
 from wba.wba_algebra import (
     WbaElement,
     _term_listing,
@@ -136,6 +136,21 @@ class TestProjector:
         payload = json.loads(out)
         assert float(payload["map_output_min_eig"]) >= -1e-8
         assert float(payload["idempotence_residual"]) < 1e-10
+
+    @pytest.mark.parametrize("n,k,mu,alpha,n_in", [(2, 1, "[1]", "[]", 1),
+                                                   (4, 1, "[3]", "[2]", 2)])
+    def test_a_map_at_d1(self, capsys, n, k, mu, alpha, n_in):
+        # at d = 1 every input is 1 x 1 and covers one site: the map is F's
+        # one entry times the product of the inputs
+        code, out, _ = run(capsys, "projector", "--n", str(n), "--k", str(k), "--d", "1",
+                           "--mu", mu, "--alpha", alpha, "--emit-map", str(n_in),
+                           "--seed", "5", "--format", "json")
+        assert code == 0
+        f = realize(f_projector(parse_partition(mu), parse_partition(alpha), n, k, 1), 1)
+        rng = np.random.default_rng(5)
+        inputs = [random_psd(1, 1, rng).mat[0, 0].real for _ in range(n_in)]
+        assert float(json.loads(out)["map_output_min_eig"]) == pytest.approx(
+            f[0, 0].real * np.prod(inputs), rel=1e-10)
 
     def test_seed_reaches_only_the_map_inputs(self, capsys):
         outputs = [run(capsys, "projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]",
@@ -740,10 +755,12 @@ class TestProjectorLabels:
         assert float(report["commutant_residual"]) < 1e-10
 
     def test_empty_alpha_with_wrong_box_count_is_inadmissible(self, capsys):
-        code, out, err = run(capsys, "projector", "--n", "3", "--k", "2", "--d", "2",
+        # n = 2k, so alpha is empty, but mu needs n - k = 2 boxes; n < 2k is
+        # a bad flag (test_fewer_than_2k_sites_is_a_bad_flag)
+        code, out, err = run(capsys, "projector", "--n", "4", "--k", "2", "--d", "2",
                              "--mu", "[1]", "--alpha", "[]")
         assert code == 2 and out == ""
-        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+        assert err == "error: need alpha |- n-2k and mu |- n-k, got |alpha|=0, |mu|=1\n"
 
 
 class TestProjectorChecksBeforeBuild:
@@ -759,6 +776,13 @@ class TestProjectorChecksBeforeBuild:
                              "--mu", "[2,1]", "--alpha", "[2]", "--emit-map", emit_map)
         assert code == 1 and out == ""
         assert err == "error: --emit-map must be in 1..4\n"
+
+    @pytest.mark.parametrize("n,k,mu", [("5", "3", "[2]"), ("1", "1", "[1]")])
+    def test_fewer_than_2k_sites_is_a_bad_flag(self, capsys, n, k, mu):
+        code, out, err = run(capsys, "projector", "--n", n, "--k", k, "--d", "2",
+                             "--mu", mu, "--alpha", "[]")
+        assert code == 1 and out == ""
+        assert err == f"error: --n must be >= 2k = {2 * int(k)}, got {n}\n"
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_no_sites_is_a_bad_flag(self, capsys, n):

@@ -1,5 +1,5 @@
-"""The weight-sector checks of ``dense_ops``: the sector layout of the last
-k sites conjugated, the sector-sparse ``covariance_residual`` against the
+"""The weight-sector checks of ``dense_ops``: the sector layout keyed by the
+conjugated sites, the sector-sparse ``covariance_residual`` against the
 dense index-slice residual it replaced (kept here as the reference), the
 block ``idempotence_residual`` against the dense product F @ F - F, and
 ``realize_sectors`` against the sector rows of the dense ``realize``
@@ -59,17 +59,17 @@ def slice_covariance_residual(m: DenseOperator, conjugated) -> float:
 
 
 def gather_rows(op: DenseOperator, conjugated) -> SectorOperator:
-    """The reference gather: the walled operator op by its sector rows, row
-    i holding op[i, members[sector[i]]] by place, with op's sites moved as
-    covariance_residual moves them; nothing of op lies off the sectors."""
-    mat, k = dense_ops._conjugated_last(op, conjugated)
-    layout, dim = sector_layout(op.n, op.d, k), op.d ** op.n
+    """The reference gather: the walled operator op by its sector rows for
+    the layout of ``conjugated``, row i holding op[i, members[sector[i]]]
+    by place, read where op holds it; nothing of op lies off the sectors."""
+    conjugated = tuple(sorted(conjugated))
+    layout, dim, mat = sector_layout(op.n, op.d, conjugated), op.d ** op.n, op.mat
     assert not mat[layout.sector[:, None] != layout.sector].any()
     cols = layout.members[layout.sector]
     inside = cols < dim
     rows = np.zeros((dim + 1, cols.shape[1]), dtype=mat.dtype)
     rows[:dim][inside] = mat[np.nonzero(inside)[0], cols[inside]]
-    return SectorOperator(op.n, op.d, k, rows)
+    return SectorOperator(op.n, op.d, conjugated, rows)
 
 
 def weight(index, n, d, conjugated):
@@ -97,14 +97,17 @@ def off_sector_entry(layout):
 
 
 class TestSectorLayout:
-    """sector_layout(n, d, k) against the weights of the last k sites."""
+    """sector_layout(n, d, conjugated) against the weights of those sites."""
 
     @pytest.mark.parametrize("n,d,conjugated", [(1, 3, wall(1, 0)), (1, 3, wall(1, 1)),
                                                 (2, 2, wall(2, 1)), (3, 3, wall(3, 1)),
                                                 (3, 3, wall(3, 2)), (4, 2, wall(4, 0)),
-                                                (4, 3, wall(4, 2))])
+                                                (4, 3, wall(4, 2)), (3, 3, (2,)),
+                                                (3, 3, (1,)), (4, 2, (1, 3)), (4, 3, (2, 3)),
+                                                (2, 2, (1,))])
     def test_sectors_are_the_weights(self, n, d, conjugated):
-        layout = sector_layout(n, d, len(conjugated))
+        layout = sector_layout(n, d, conjugated)
+        assert layout.plain.tolist() == [s not in conjugated for s in range(1, n + 1)]
         weights = [weight(i, n, d, conjugated) for i in range(d ** n)]
         for i, j in itertools.combinations(range(d ** n), 2):
             assert (layout.sector[i] == layout.sector[j]) == (weights[i] == weights[j])
@@ -118,9 +121,10 @@ class TestSectorLayout:
         assert layout.members.shape[1] > np.bincount(layout.sector).max()
 
     @pytest.mark.parametrize("n,d,conjugated", [(3, 3, wall(3, 1)), (4, 3, wall(4, 2)),
-                                                (2, 4, wall(2, 1))])
+                                                (2, 4, wall(2, 1)), (3, 3, (2,)),
+                                                (4, 3, (1, 3)), (2, 4, (1,))])
     def test_below_is_the_shifted_weight(self, n, d, conjugated):
-        layout = sector_layout(n, d, len(conjugated))
+        layout = sector_layout(n, d, conjugated)
         weights = [weight(i, n, d, conjugated) for i in range(d ** n)]
         sector_of = dict(zip(weights, layout.sector.tolist()))
         roots = [(c, c + 1) for c in range(d - 1)] + [(c + 1, c) for c in range(d - 1)]
@@ -132,30 +136,35 @@ class TestSectorLayout:
 
     def test_the_cache_is_bounded_and_read_only(self):
         for n in range(1, 12):
-            sector_layout(n, 2, 0)
-        info = sector_layout.cache_info()
+            sector_layout(n, 2, ())
+        info = dense_ops._sector_layout.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
-        layout = sector_layout(3, 3, 1)
+        layout = sector_layout(3, 3, (3,))
         assert not any(array.flags.writeable for array in vars(layout).values())
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_k_out_of_range_is_refused(self, k):
-        with pytest.raises(ValueError, match="0 <= k <= n"):
-            sector_layout(3, 3, k)
+        # a site outside 1..n is refused by the layout, and a k outside 0..n
+        # by realize_sectors, whose range of last sites would read -1 as 0
+        with pytest.raises(ValueError, match=re.escape(f"sites out of range 1..3: ({k},)")):
+            sector_layout(3, 3, (k,))
+        with pytest.raises(ValueError, match=re.escape(f"need 0 <= k <= n = 3, got k = {k}")):
+            realize_sectors(from_permutation(Permutation.identity(3)), 3, k)
 
-    def test_every_set_at_n3_uses_two_layouts(self):
-        # a set and its complement share a layout, and a set elsewhere than
-        # last moves M's sites, not the layout: (3, 3, 0) and (3, 3, 1) only
-        sector_layout.cache_clear()
+    def test_every_set_at_n3_uses_four_layouts(self):
+        # a set and its complement share the smaller one's layout, and every
+        # set is read in place against its own: (), (1,), (2,) and (3,) only;
+        # equal sets, in any order or form, share one cache entry
+        dense_ops._sector_layout.cache_clear()
         op = ent.bcs_kernel(0.25, -0.1, 3)
         for r in range(4):
             for s in itertools.combinations((1, 2, 3), r):
                 covariance_residual(op, s)
-        assert sector_layout.cache_info().currsize == 2
-        misses = sector_layout.cache_info().misses
-        sector_layout(3, 3, 0)
-        sector_layout(3, 3, 1)
-        assert sector_layout.cache_info().misses == misses
+        info = dense_ops._sector_layout.cache_info()
+        assert info.currsize == info.misses == 4
+        for s in ((), (1,), (2,), (3,), [2], {3}, (1, 1), range(2, 3)):
+            sector_layout(3, 3, s)
+        assert dense_ops._sector_layout.cache_info().misses == 4
 
 
 class TestProjectorSectors:
@@ -164,7 +173,7 @@ class TestProjectorSectors:
     @pytest.mark.parametrize("n,k,d,mu,alpha", _PROJECTOR_CASES)
     def test_checks_on_the_sectors(self, n, k, d, mu, alpha):
         f = np.ascontiguousarray(realize(f_projector(mu, alpha, n, k, d), d).real)
-        layout = sector_layout(n, d, k)
+        layout = sector_layout(n, d, wall(n, k))
         same = layout.sector[:, None] == layout.sector
         assert not f[~same].any()       # exactly 0 off the sectors
         op = DenseOperator(n, d, f)
@@ -188,6 +197,32 @@ class TestMatchesTheSliceResidual:
             kernel = ent.bcs_kernel(alpha, beta, 3)
             new, old = covariance_residual(kernel, {2}), slice_covariance_residual(kernel, {2})
             assert new <= 1e-13 and abs(new - old) <= 1e-15
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (4, 2)])
+    def test_every_set(self, n, d):
+        # each set is read in place against its own layout or its
+        # complement's: a random walled operator for the set and, at n = 3,
+        # rho^{T_S} commute; the BCS kernel (covariant for {2} and {1, 3})
+        # and a random hermitian operator do not, in general, and read the
+        # larger of their largest off-sector entry and their blocks' residual
+        rng = np.random.default_rng(n + d)
+        rho = ent.werner_state(ent.random_valid_werner(rng, d)) if n == 3 else None
+        for r in range(n + 1):
+            for s in itertools.combinations(range(1, n + 1), r):
+                same = same_weight(n, d, s)
+                covariant = [DenseOperator(n, d, _covariant(rng, n, d, s))]
+                others = [DenseOperator(n, d, _hermitian(rng, d ** n))]
+                if n == 3:
+                    covariant.append(partial_transpose(rho, s))
+                    others.append(ent.bcs_kernel(0.25, -0.1, 3))
+                for op in covariant:
+                    new, old = covariance_residual(op, s), slice_covariance_residual(op, s)
+                    assert new <= 1e-13 and abs(new - old) <= 1e-14
+                for op in others:
+                    blocks = DenseOperator(n, d, np.where(same, op.mat, 0))
+                    reference = max(np.abs(op.mat[~same]).max(initial=0),
+                                    slice_covariance_residual(blocks, s))
+                    assert covariance_residual(op, s) == pytest.approx(reference, rel=1e-12)
 
     def test_werner_partial_transposes(self):
         rng = np.random.default_rng(11)
@@ -222,6 +257,30 @@ class TestMatchesTheSliceResidual:
         mat[same_weight(n, d, conjugated)] = 0
         op = DenseOperator(n, d, mat)
         assert covariance_residual(op, conjugated) == np.abs(mat).max()
+
+
+class TestSetsElsewhere:
+    """A SectorOperator whose conjugated sites are not the last ones."""
+
+    @pytest.mark.parametrize("n,d,conjugated", [(3, 3, (2,)), (3, 3, (1,)), (4, 2, (1, 3)),
+                                                (4, 2, (2,)), (4, 3, (1, 2))])
+    def test_the_dense_residuals(self, n, d, conjugated):
+        # a walled operator plus random sector blocks: both residuals are of
+        # order one and the rows hold all of it
+        rng = np.random.default_rng(n * d)
+        same = same_weight(n, d, conjugated)
+        mat = _covariant(rng, n, d, conjugated) + np.where(same, _hermitian(rng, d ** n), 0)
+        op = DenseOperator(n, d, mat)
+        f = gather_rows(op, conjugated)
+        assert f.layout is sector_layout(n, d, conjugated)
+        assert idempotence_residual(f) == pytest.approx(sup_norm(mat @ mat - mat), rel=1e-12)
+        assert sector_covariance_residual(f) == covariance_residual(op, conjugated) > 1e-3
+        assert covariance_residual(op, conjugated) == pytest.approx(
+            slice_covariance_residual(op, conjugated), rel=1e-12)
+        # the rows are op's entries where op holds them: nothing is reordered
+        i, j = np.nonzero(same)
+        assert np.array_equal(f.rows[i, f.layout.position[j]], mat[i, j])
+        assert np.count_nonzero(f.rows) == np.count_nonzero(mat)
 
 
 def _hermitian(rng, dim):
@@ -263,7 +322,8 @@ def _same_minimum(stacked, alone):
             and all(np.array_equal(u, v) for u, v in zip(stacked[1], alone[1])))
 
 
-# conjugated sets that are not the last sites, so _conjugated_last reorders
+# conjugated sets that are not the last sites: each stack is read in place
+# against the layout of its set, or of the complement when that is smaller
 STACK_CASES = [(3, 3, (2,)), (3, 3, (1,)), (4, 2, (1, 3)), (2, 4, (1,))]
 
 
@@ -280,7 +340,7 @@ class TestStacks:
         stack = _stack(n, d, conjugated, n * d)
         alone = [covariance_residual(m, conjugated) for m in _members(stack)]
         if group:
-            width = sector_layout(n, d, min(len(conjugated), n - len(conjugated))).members.shape[1]
+            width = sector_layout(n, d, conjugated).members.shape[1]
             work = 1 if group == 1 else group * 2 * (d ** n + 1) * width
             monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", work)
         stacked = covariance_residual(stack, conjugated)
@@ -376,7 +436,8 @@ class TestRealizeSectors:
         element = f_projector(Partition((2, 2)), Partition((2,)), n, k, d)
         dense = gather_rows(DenseOperator(n, d, realize(element, d).real), wall(n, k))
         rows = realize_sectors(element, d, k)
-        assert (rows.n, rows.d, rows.k) == (dense.n, dense.d, dense.k) == (n, d, k)
+        assert (rows.n, rows.d, rows.conjugated) == (dense.n, dense.d, dense.conjugated) \
+            == (n, d, (5, 6))
         assert rows.rows.dtype == float and np.array_equal(rows.rows, dense.rows)
 
     @pytest.mark.parametrize("n,k,d", [(3, 1, 3), (4, 1, 2), (4, 1, 3)])
@@ -408,13 +469,13 @@ class TestRealizeSectors:
         with pytest.raises(ValueError, match="size guard"):
             realize_sectors(f_projector(Partition((5, 2)), Partition((4, 2)), 8, 1, 3), 3, 1)
         with pytest.raises(ValueError, match="sector rows of shape"):
-            SectorOperator(4, 2, 1, np.zeros((16, 4)))
+            SectorOperator(4, 2, (4,), np.zeros((16, 4)))
 
     def test_a_stack_of_rows_is_refused(self):
         # a SectorOperator is one operator: a stack of its rows is refused
         rows = realize_sectors(from_permutation(Permutation.identity(3)), 3, 1).rows
         with pytest.raises(ValueError, match=re.escape(f"sector rows of shape {(2,) + rows.shape}")):
-            SectorOperator(3, 3, 1, np.stack([rows] * 2))
+            SectorOperator(3, 3, (3,), np.stack([rows] * 2))
 
 
 class TestCovarianceMemory:

@@ -19,7 +19,6 @@ from wba.sym_core import (
     compose,
     conjugacy_classes,
     coset_representatives,
-    cycle_texts,
     irrep_dimension,
     parse_partition,
     parse_permutation,
@@ -93,9 +92,15 @@ class TestPermutation:
         assert perm("(1 2)(3 4 5)", 6).cycle_type() == (3, 2, 1)
 
     def test_cycle_texts(self):
-        rows = [(1, 2, 3), (2, 1, 3), (3, 1, 2, 5, 4), (2, 3, 1, 5, 6, 4)]
-        assert cycle_texts(rows) == ["()", "(1 2)", "(1 3 2)(4 5)", "(1 2 3)(4 5 6)"]
-        assert cycle_texts([]) == []
+        rows = [(1, 2, 3, 4, 5, 6), (2, 1, 3, 4, 5, 6), (3, 1, 2, 5, 4, 6), (2, 3, 1, 5, 6, 4)]
+        assert _batched_texts(rows) == ["()", "(1 2)", "(1 3 2)(4 5)", "(1 2 3)(4 5 6)"]
+        assert _batched_texts(np.zeros((0, 6), np.intp)) == []
+
+
+def _batched_texts(rows):
+    """Cycle notation of each row of 1-based images by the batched writer
+    _text_rows and its reader _row_texts, the path of every listing."""
+    return _row_texts(_text_rows(np.asarray(rows, np.intp)))
 
 
 def _reference_cycle_texts(rows):
@@ -109,21 +114,21 @@ class TestBatchedCycleTexts:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_of_the_group(self, n):
         rows = (_group_rows(n) + 1).tolist()
-        assert cycle_texts(rows) == _reference_cycle_texts(rows)
+        assert _batched_texts(rows) == _reference_cycle_texts(rows)
 
     @pytest.mark.parametrize("n", [10, 11, 12])
     def test_random_rows_with_two_digit_points(self, n):
         rng = np.random.default_rng(n)
         rows = (rng.permuted(np.tile(np.arange(n), (2000, 1)), axis=1) + 1).tolist()
-        texts = cycle_texts(rows)
-        assert texts == _reference_cycle_texts(rows)
-        assert any(str(n) in text for text in texts)
+        batched = _batched_texts(rows)
+        assert batched == _reference_cycle_texts(rows)
+        assert any(str(n) in text for text in batched)
 
     def test_empty_batch_single_row_and_identity(self):
-        assert cycle_texts([]) == []
-        assert cycle_texts([()]) == ["()"]
-        assert cycle_texts([tuple(range(1, 11))]) == ["()"]
-        assert cycle_texts([(10, 2, 3, 4, 5, 6, 7, 8, 9, 1)]) == ["(1 10)"]
+        assert _batched_texts(np.zeros((0, 3), np.intp)) == []
+        assert _batched_texts([()]) == ["()"]
+        assert _batched_texts([tuple(range(1, 11))]) == ["()"]
+        assert _batched_texts([(10, 2, 3, 4, 5, 6, 7, 8, 9, 1)]) == ["(1 10)"]
         assert str(perm("(2 11 3)(10 12)", 12)) == "(2 11 3)(10 12)"
 
     def test_byte_rows_are_fixed_width(self):
