@@ -297,7 +297,7 @@ def cmd_projector(args) -> int:
     # k: it is held as its weight-sector rows, which both checks and the map
     # read; every diagram of F is walled, so none of its entries lies off them
     idem = dense_ops.idempotence_residual(f)
-    comm = dense_ops.sector_covariance_residual(f)
+    comm = dense_ops.covariance_residual(f, f.conjugated)
 
     report = {
         "n": args.n, "k": args.k, "d": args.d,

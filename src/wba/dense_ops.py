@@ -132,8 +132,7 @@ _LAYOUTS = 8
 # frame entries a covariance step takes at once (a frame is 2 (d^n + 1) x
 # width, one a simple root and member): it bounds the roots a step runs, or
 # for a stack the members a group holds, not the entries, since a step takes
-# at least one root of one member (1.55M entries at (6,2) d=4); it also
-# bounds the band of rows _sector_rows scans between the sectors
+# at least one root of one member (1.55M entries at (6,2) d=4)
 _WORK_ENTRIES = 1 << 16
 
 
@@ -240,32 +239,25 @@ class SectorOperator:
         return sector_layout(self.n, self.d, self.conjugated)
 
 
-def _sector_rows(mats: np.ndarray, layout: SectorLayout) -> tuple[np.ndarray, np.ndarray]:
-    """The sector rows of each M of a (members, d^n, d^n) stack, as a
-    (members, d^n + 1, width) stack, and the largest |M| of each between
-    two different sectors: 0 when M has no other nonzero entry, else found
-    a band of rows at a time."""
-    dim = mats.shape[-1]
-    cols = layout.members[layout.sector]
-    rows = np.zeros((len(mats), dim + 1, cols.shape[1]), dtype=mats.dtype)
-    np.copyto(rows[:, :dim], mats[:, np.arange(dim)[:, None], np.minimum(cols, dim - 1)],
-              where=cols < dim)
-    off = np.zeros(len(mats))
-    if np.count_nonzero(mats) != np.count_nonzero(rows):     # some member has entries outside
-        spill = np.count_nonzero(mats, axis=(1, 2)) != np.count_nonzero(rows, axis=(1, 2))
-        outside, bands = mats[spill], []
-        step = max(1, _WORK_ENTRIES // (len(outside) * dim))
-        for lo in range(0, dim, step):
-            band = np.abs(outside[:, lo:lo + step])
-            band[:, layout.sector[lo:lo + step, None] == layout.sector] = 0
-            bands.append(band.max(axis=(1, 2)))
-        off[spill] = np.max(bands, axis=0)
-    return rows, off
+def _support(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the operator's stored entries in row-major
+    order, the one reader of them: for a DenseOperator its nonzero entries,
+    those of any member of its stack (the values with the stack axes in
+    front), for a SectorOperator its stored entries, whose places within a
+    sector follow the basis order."""
+    if isinstance(op, SectorOperator):
+        layout, width = op.layout, op.rows.shape[1]
+        rows, place = np.divmod(np.flatnonzero(op.rows[:op.d ** op.n]), width)
+        return rows, layout.members[layout.sector[rows], place], op.rows[rows, place]
+    mat = op.mat
+    rows, cols = np.divmod(np.flatnonzero(mat.any(axis=tuple(range(mat.ndim - 2)))),
+                           mat.shape[-1])
+    return rows, cols, mat[..., rows, cols]
 
 
 def _covariance_residuals(rows: np.ndarray, worst: np.ndarray, layout: SectorLayout) -> np.ndarray:
-    """sector_covariance_residual of each member of a (members, d^n + 1,
-    width) stack of sector rows, starting from ``worst``, their largest
+    """covariance_residual of each member of a (members, d^n + 1, width)
+    stack of sector rows, starting from ``worst``, their largest
     entries off the sectors.  The member axis runs last, so each packed or
     frame row is one gather for the stack."""
     count, dim, width = len(rows), rows.shape[1] - 1, rows.shape[2]
@@ -301,13 +293,7 @@ def _covariance_residuals(rows: np.ndarray, worst: np.ndarray, layout: SectorLay
     return worst
 
 
-def sector_covariance_residual(f: SectorOperator) -> float:
-    """covariance_residual of a walled operator given by its sector rows,
-    which are read in place."""
-    return float(_covariance_residuals(f.rows[None], np.zeros(1), f.layout)[0])
-
-
-def covariance_residual(m: DenseOperator, conjugated):
+def covariance_residual(m, conjugated):
     """How far M is from commuting with U on the plain sites (x) conj(U) on
     the sites in ``conjugated``, for every unitary U: the larger of
 
@@ -327,20 +313,32 @@ def covariance_residual(m: DenseOperator, conjugated):
     A_X M: each site's move adds 2 d^(n-1) packed rows into others, with no
     product and no random draw; M is read in place, its sites unmoved.
 
-    A stack of M (leading axes) gives an array of the stack's shape, each
-    member's residual bit-identical to a call on that member alone.  The
-    members' rows are gathered by _sector_rows and run through the one core
-    in groups whose frames fit in _WORK_ENTRIES entries (at least one
-    member)."""
+    M is a DenseOperator or a SectorOperator, whose entries _support lists:
+    those between two sectors give the first term, and the others are
+    placed in M's sector rows, unless M is a SectorOperator keyed by the
+    checked sites, whose rows are read in place.  A stack of M (leading
+    axes) gives an array of the stack's shape, each member's residual
+    bit-identical to a call on that member alone; the members' rows run
+    through the one core in groups whose frames fit in _WORK_ENTRIES
+    entries (at least one member)."""
     conjugated = _validate_sites(conjugated, m.n)
     if 2 * len(conjugated) > m.n:
         # U -> conj(U) maps U(d) onto itself, so M commutes with U on the plain
         # sites (x) conj(U) on the others exactly when it does with the sides
         # exchanged: same sectors, same residual, so the two share one layout
         conjugated = tuple(s for s in range(1, m.n + 1) if s not in conjugated)
-    layout = sector_layout(m.n, m.d, conjugated)
-    lead, dim = m.mat.shape[:-2], m.mat.shape[-1]
-    rows, off = _sector_rows(m.mat.reshape((-1, dim, dim)), layout)
+    layout, dim = sector_layout(m.n, m.d, conjugated), m.d ** m.n
+    if isinstance(m, SectorOperator) and m.conjugated == conjugated:
+        lead, rows, off = (), m.rows[None], np.zeros(1)
+    else:
+        r, c, values = _support(m)
+        lead = values.shape[:-1]
+        values = values.reshape(prod(lead), len(r))
+        within = layout.sector[r] == layout.sector[c]
+        off = np.abs(values[:, ~within]).max(axis=1, initial=0)
+        rows = np.zeros((len(values), dim + 1, layout.members.shape[1]), dtype=values.dtype)
+        rows[:, r[within], layout.position[c[within]]] = values[:, within]
+        del r, c, values, within
     group = max(1, _WORK_ENTRIES // (2 * (dim + 1) * layout.members.shape[1]))
     worst = np.empty(len(rows))
     for lo in range(0, len(rows), group):

@@ -368,6 +368,8 @@ class PartitionSpec:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not all(self.blocks):
+            raise ValueError(f"empty block in {str(self)!r}")
         flat = [s for b in self.blocks for s in b]
         if sorted(flat) != list(range(1, len(flat) + 1)):
             raise ValueError(f"blocks must partition 1..n: {self.blocks}")
@@ -375,11 +377,8 @@ class PartitionSpec:
     @staticmethod
     def parse(text: str) -> "PartitionSpec":
         """Parse "1|23" style: one digit a site, blocks split by "|"."""
-        blocks = tuple(tuple(parse_token(ch, "site", text) for ch in part)
-                       for part in text.split("|"))
-        if not all(blocks):
-            raise ValueError(f"empty block in {text!r}")
-        return PartitionSpec(blocks)
+        return PartitionSpec(tuple(tuple(parse_token(ch, "site", text) for ch in part)
+                                   for part in text.split("|")))
 
     @property
     def n(self) -> int:
@@ -532,8 +531,6 @@ def covariant_block_minimum(m: DenseOperator, conjugated):
     A stack of M gives the list of the members' answers in row-major order,
     from one covariance check and one eigh of the covariant members' blocks.
     """
-    if m.n < 2:
-        raise ValueError("the cut 1|rest needs at least two sites")
     d, rest = m.d, m.d ** (m.n - 1)
     mats = m.mat.reshape(-1, d * rest, d * rest)
     bounds = ATOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))   # NaN for a NaN entry
@@ -559,7 +556,10 @@ def check_covariant_block_positive(m: DenseOperator, conjugated):
     A stack of operators gives the list of the members' verdicts in
     row-major order, each that of a call on the member alone: one stacked
     eigvalsh and one covariance check of the non-PSD members; the error
-    names the first of them, in row-major order, that fails it."""
+    names the first of them, in row-major order, that fails it.  One site
+    has no cut 1|rest: it is refused first, whatever its spectrum."""
+    if m.n < 2:
+        raise ValueError("the cut 1|rest needs at least two sites")
     partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
     mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
     lams = dense_ops.min_eigenvalue(DenseOperator(m.n, m.d, mats)).tolist()

@@ -8,9 +8,10 @@ of the package: each nonzero kernel entry times the entries of the inputs'
 Kronecker product that it meets, one flat gather per input and one bincount
 in the kernel's row-major order, the product never formed and the identity
 on the output sites taken as a delta, not a factor.  The kernel is read as
-its nonzero entries, from a dense matrix (or a stack of them) or from a
-walled operator's weight-sector rows (SectorOperator), which is never made
-dense; a diagram or element is realized.  It is the ground truth for the
+its stored entries by dense_ops._support, the reader covariance_residual
+shares: a dense matrix's nonzero entries (or a stack's), or a walled
+operator's weight-sector rows (SectorOperator), which is never made dense;
+a diagram or element is realized.  It is the ground truth for the
 closed forms below: single-cycle kernels with one transposed site reduce to
 matrix products with a transpose inserted, those with a transposed subset
 to products with transposes on the subset (or on its complement, in
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense_ops
-from .dense_ops import DenseOperator, SectorOperator
+from .dense_ops import DenseOperator, SectorOperator, _support
 from .sym_core import Partition, Permutation
 from .wba_algebra import gamma, realize
 
@@ -71,21 +72,6 @@ class MapSpec:
     @property
     def sites(self) -> int:
         return self.n_in + self.n_out
-
-
-def _support(kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the kernel's nonzero entries in row-major
-    order: for a DenseOperator those of any member of its stack (the values
-    with the stack axes in front), for a SectorOperator its stored entries,
-    whose places within a sector follow the basis order."""
-    if isinstance(kernel, SectorOperator):
-        layout, width = kernel.layout, kernel.rows.shape[1]
-        rows, place = np.divmod(np.flatnonzero(kernel.rows[:kernel.d ** kernel.n]), width)
-        return rows, layout.members[layout.sector[rows], place], kernel.rows[rows, place]
-    mat = kernel.mat
-    rows, cols = np.divmod(np.flatnonzero(mat.any(axis=tuple(range(mat.ndim - 2)))),
-                           mat.shape[-1])
-    return rows, cols, mat[..., rows, cols]
 
 
 def contract(kernel, factors, keep) -> DenseOperator:

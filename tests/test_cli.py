@@ -589,6 +589,19 @@ class TestOutFile:
         assert target.read_text() == stdout
         assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["target.json"]
 
+    def test_a_writer_failing_mid_write_leaves_the_target(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text("old")
+
+        def parts():
+            yield "new"
+            raise RuntimeError("mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            cli._write_out(str(path), parts())
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
     def test_symlink_loop_fails_on_one_line(self, capsys, tmp_path):
         (tmp_path / "a").symlink_to(tmp_path / "b")
         (tmp_path / "b").symlink_to(tmp_path / "a")
@@ -637,12 +650,14 @@ class TestFlags:
          "--seed", "-1"],
         ["verify-props", "--seed", "-1"],
         ["ew-maps", "--seed", "-1"],
+        ["scan-bcs", "--alpha", "0:1:0", "--beta", "0:0:1"],
+        ["scan-bcs", "--alpha", "0:1:-0.1", "--beta", "0:0:1"],
     ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
             "verify-props-tuples", "scan-bcs-alpha-inf",
             "scan-bcs-alpha-minus-inf", "werner-ppt-nan", "werner-ppt-inf",
             "werner-ppt-overflow", "projector-k-0", "scan-bcs-range-too-long",
             "scan-bcs-grid-too-large", "scan-bcs-seed", "projector-seed", "verify-props-seed",
-            "ew-maps-seed"])
+            "ew-maps-seed", "scan-bcs-step-zero", "scan-bcs-step-negative"])
     def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
@@ -651,11 +666,12 @@ class TestFlags:
     @pytest.mark.parametrize("argv,message", [
         (["compose", "(1 x)", "()", "--n", "2"], "bad cycle point 'x' in '(1 x)'"),
         (["compose", "(1 2)^T{x}", "()", "--n", "2"], "bad transposed site 'x' in '(1 2)^T{x}'"),
+        (["compose", "(1 2)^T{1", "()", "--n", "2"], "bad transpose suffix in '(1 2)^T{1'"),
         (["werner-ppt", "--r", "1,a,0,0,0,0"], "--r: bad value 'a' in '1,a,0,0,0,0'"),
         (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,x]", "--alpha", "[2]"],
          "bad partition: bad part 'x' in '[2,x]'"),
-    ], ids=["compose-cycle-point", "compose-transposed-site", "werner-ppt-value",
-            "projector-part"])
+    ], ids=["compose-cycle-point", "compose-transposed-site", "compose-transpose-suffix",
+            "werner-ppt-value", "projector-part"])
     def test_a_bad_token_is_named(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err == f"error: {message}\n"

@@ -257,6 +257,14 @@ class TestBlockPositive:
             PartitionSpec.parse(text)
         assert str(info.value) == message
 
+    # the constructor refuses the cuts parse refuses: "123|" is no partition of three sites
+    @pytest.mark.parametrize("blocks,text", [(((1, 2, 3), ()), "123|"), (((), (1,)), "|1"),
+                                             (((),), "")])
+    def test_constructor_refuses_an_empty_block(self, blocks, text):
+        with pytest.raises(ValueError) as info:
+            PartitionSpec(blocks)
+        assert str(info.value) == f"empty block in {text!r}"
+
     # a PSD 3-site operator with "1|2" would pass vacuously; the others
     # would reach numpy's transpose with too few or too many axes
     @pytest.mark.parametrize("m,cut", [
@@ -542,6 +550,14 @@ class TestCovariantBlockMinimum:
         verdict = ent.check_covariant_block_positive(kernel, {2})
         assert verdict == check_block_positive(kernel, PartitionSpec.parse("1|23"))
         assert verdict.classification == ent.PSD and not verdict.certified
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["psd", "negative"])
+    @pytest.mark.parametrize("conjugated", [set(), {1}])
+    def test_one_site_is_refused_whatever_its_spectrum(self, sign, conjugated):
+        m = DenseOperator(1, 3, sign * np.eye(3, dtype=complex))
+        with pytest.raises(ValueError) as info:
+            ent.check_covariant_block_positive(m, conjugated)
+        assert str(info.value) == "the cut 1|rest needs at least two sites"
 
 
 @pytest.mark.filterwarnings("error")
@@ -863,6 +879,28 @@ class TestProposition1:
         assert report["f_verdict"].classification == ent.NOT_BLOCK_POSITIVE
         assert report["f_sample_min"] < -PRODUCT_BAND
         assert report["contradictions"] == []
+
+    @pytest.mark.parametrize("row", ["f", "g"])
+    def test_each_contradiction_is_listed(self, row, monkeypatch):
+        # a map of the named kind shifted by -10 falls below both its verdict
+        # and the proved bound; only that kind's contradiction is listed
+        real = ent.eggeling_werner_map
+
+        def shifted(name, params, a, b=None):
+            out = real(name, params, a, b)
+            if name.startswith(row):
+                out = DenseOperator(out.n, out.d, out.mat - 10 * np.eye(out.mat.shape[-1]))
+            return out
+
+        monkeypatch.setattr(ent, "eggeling_werner_map", shifted)
+        report = proposition1_check(WernerParams.from_rs(MAXIMALLY_MIXED_RS, 3), (1,))
+        lam_rho = 1 / 27        # the maximally mixed state's least eigenvalue
+        minimum = report[f"{row}_sample_min"]
+        assert minimum == pytest.approx(lam_rho - 10)
+        assert report["contradictions"] == [{
+            "f": f"f_1: map minimum {minimum:.3g} vs verdict PSD",
+            "g": f"g_1: map minimum {minimum:.3g} below the proved bound {lam_rho:.3g}",
+        }[row]]
 
     def test_witness_regime_point_exists(self, rng):
         # search the sampled states for one with negative partial transpose

@@ -1,7 +1,8 @@
 """Each job has one implementation: the Kronecker product of a list is
 dense_ops.kron_all, the reorder of an operator's 2n tensor axes is
-dense_ops._reorder, and the sum of a kernel against its inputs is
-multilinear_maps.contract."""
+dense_ops._reorder, the sum of a kernel against its inputs is
+multilinear_maps.contract, and the listing of an operator's stored entries
+is dense_ops._support."""
 
 import ast
 from pathlib import Path
@@ -11,22 +12,22 @@ import wba
 PACKAGE = Path(wba.__file__).parent
 
 
-def _attributes(path: Path):
-    """(name of the enclosing def, "" at module level; ast.Attribute) for
-    each attribute in the module."""
+def _nodes(path: Path, kind):
+    """(name of the enclosing def, "" at module level; node) for each node
+    of type ``kind`` in the module; a def encloses itself."""
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
             inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                      else function)
-            if isinstance(child, ast.Attribute):
+            if isinstance(child, kind):
                 yield inner, child
             yield from walk(child, inner)
     return walk(ast.parse(path.read_text()), "")
 
 
-def _found(predicate):
+def _found(predicate, kind=ast.Attribute):
     return [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
-            for function, node in _attributes(path) if predicate(path.name, function, node)]
+            for function, node in _nodes(path, kind) if predicate(path.name, function, node)]
 
 
 def test_no_kronecker_product_but_kron_all():
@@ -42,3 +43,13 @@ def test_no_transpose_but_the_reorder():
 def test_no_kernel_sum_but_contract():
     assert _found(lambda module, function, node: module == "multilinear_maps.py"
                   and node.attr == "bincount" and function != "contract") == []
+
+
+def test_one_reader_of_stored_entries():
+    defined = _found(lambda module, function, node: node.name == "_support", ast.FunctionDef)
+    assert [where.split(":")[0] for where in defined] == ["dense_ops.py"]
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        callers |= {(path.name, function) for function, node in _nodes(path, ast.Call)
+                    if getattr(node.func, "id", getattr(node.func, "attr", None)) == "_support"}
+    assert {("dense_ops.py", "covariance_residual"), ("multilinear_maps.py", "contract")} <= callers

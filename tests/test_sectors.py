@@ -20,7 +20,6 @@ from wba.dense_ops import (
     covariance_residual,
     idempotence_residual,
     partial_transpose,
-    sector_covariance_residual,
     sector_layout,
     sup_norm,
 )
@@ -274,7 +273,11 @@ class TestSetsElsewhere:
         f = gather_rows(op, conjugated)
         assert f.layout is sector_layout(n, d, conjugated)
         assert idempotence_residual(f) == pytest.approx(sup_norm(mat @ mat - mat), rel=1e-12)
-        assert sector_covariance_residual(f) == covariance_residual(op, conjugated) > 1e-3
+        assert covariance_residual(f, conjugated) == covariance_residual(op, conjugated) > 1e-3
+        # any other set lists the rows' entries through _support, as for op
+        rest = tuple(s for s in range(1, n + 1) if s not in conjugated)
+        for other in ((), (1,), tuple(range(1, n + 1)), rest):
+            assert covariance_residual(f, other) == covariance_residual(op, other)
         assert covariance_residual(op, conjugated) == pytest.approx(
             slice_covariance_residual(op, conjugated), rel=1e-12)
         # the rows are op's entries where op holds them: nothing is reordered
@@ -494,4 +497,4 @@ class TestCovarianceMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 50e6, peak / 1e6
-        assert residual == sector_covariance_residual(rows) <= 1e-13
+        assert residual == covariance_residual(rows, rows.conjugated) <= 1e-13
