@@ -130,9 +130,9 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
 # weight-sector layouts kept at once; each holds a few index arrays of about d^n entries
 _LAYOUTS = 8
 # frame entries a covariance step takes at once (a frame is 2 (d^n + 1) x
-# width, one a simple root and member): it bounds the roots a step runs, or
-# for a stack the members a group holds, not the entries, since a step takes
-# at least one root of one member (1.55M entries at (6,2) d=4)
+# width, one a simple root and member): it bounds the roots a step moves
+# together, or for a stack the members a group holds; not the entries, as a
+# step takes at least one root of one member (1.55M entries at (6,2) d=4)
 _WORK_ENTRIES = 1 << 16
 
 
@@ -145,9 +145,9 @@ class SectorLayout:
     the conjugated ones; sectors are numbered by their first basis index
     and keep the basis order within.
 
-    ``below`` and ``moves`` serve covariance_residual, whose simple roots
-    X = E_ab come in _simple_roots order.  Each root has a frame of
-    2 (d^n + 1) rows of packed blocks: M A_X by column, then A_X M by row."""
+    ``below`` serves covariance_residual: for each simple root X = E_ab, the
+    raising (c, c + 1) then the lowering (c + 1, c), and each index, the
+    sector w from which [M_w, A_X] maps into that index's sector."""
 
     plain: np.ndarray       # (n,) whether each site is plain, not conjugated
     sector: np.ndarray      # (d^n,) sector of each basis index
@@ -156,18 +156,10 @@ class SectorLayout:
                             # d^n; width exceeds the largest sector and the last row is all pad
     below: np.ndarray       # (roots, d^n): for index i of weight w, the sector of weight
                             # w - e_a + e_b, or -1 (the all-pad row of members)
-    moves: np.ndarray       # (roots, n, 2, 2 d^(n-1)): for one site's index move, the frame
-                            # rows it adds into, then the packed rows it adds
 
     def __post_init__(self):
         for array in vars(self).values():     # cached and shared: read only
             array.setflags(write=False)
-
-
-def _simple_roots(d: int) -> np.ndarray:
-    """(2(d-1), 2) array of the (a, b) of X = E_ab: the raising, then the lowering."""
-    return np.array([(c, c + 1) for c in range(d - 1)] + [(c + 1, c) for c in range(d - 1)],
-                    dtype=int).reshape(-1, 2)
 
 
 def sector_layout(n: int, d: int, conjugated) -> SectorLayout:
@@ -181,8 +173,7 @@ def _sector_layout(n: int, d: int, conjugated: tuple[int, ...]) -> SectorLayout:
     dim = d ** n
     place = d ** np.arange(n - 1, -1, -1)
     digits = np.arange(dim) // place[:, None] % d
-    plain = np.ones(n, dtype=bool)
-    plain[[s - 1 for s in conjugated]] = False
+    plain = np.array([s not in conjugated for s in range(1, n + 1)], dtype=bool)
     weights = (np.eye(d, dtype=int)[digits] * np.where(plain, 1, -1)[:, None, None]).sum(0)
     numbers: dict[tuple, int] = {}      # weight -> sector, numbered by first index
     sector = np.array([numbers.setdefault(w, len(numbers)) for w in map(tuple, weights.tolist())])
@@ -192,27 +183,16 @@ def _sector_layout(n: int, d: int, conjugated: tuple[int, ...]) -> SectorLayout:
     position[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     members = np.full((len(sizes) + 1, sizes.max() + 1), dim)
     members[sector, position] = np.arange(dim)
-    # M A_X takes M's columns with digit x on a site to digit y, and A_X M its
-    # rows with digit y to digit x: (x, y) = (a, b) on a plain site, (b, a) on
-    # a conjugated one (A_X has -X^T there); the packed rows are M's blocks by
-    # column, then minus them by row
-    roots = _simple_roots(d)
-    a, b = roots[:, :1], roots[:, 1:]
+    # A_X turns digit x into y on a site, (x, y) = (a, b) on a plain site,
+    # (b, a) on a conjugated one (A_X has -X^T there): that takes weight w to
+    # w - e_a + e_b, and if some index has it, some index of weight w holds an x
+    c = np.arange(d - 1)
+    a, b = np.r_[c, c + 1][:, None], np.r_[c + 1, c][:, None]
     x, y = np.where(plain, a, b), np.where(plain, b, a)
-    shift = ((x - y) * place)[..., None]
-    into_y, into_x = (np.nonzero(digits == target[..., None])[2].reshape(len(roots), n, dim // d)
-                      for target in (y, x))
-    # a digit x turned to y takes weight w to w - e_a + e_b; if some index has
-    # that weight, some index of weight w holds an x
-    below = np.full((len(roots), len(sizes)), -1)
-    below[np.arange(len(roots))[:, None, None], sector[into_x]] = sector[into_x - shift]
-    below = below[:, sector]
-    frames = (np.arange(len(roots)) * 2 * (dim + 1))[:, None, None]
-    moves = np.empty((len(roots), n, 2, 2, dim // d), dtype=int)
-    moves[:, :, 0, 0], moves[:, :, 0, 1] = into_y + frames, into_x + frames + dim + 1
-    moves[:, :, 1, 0], moves[:, :, 1, 1] = into_y + shift, into_x - shift + dim
-    moves = moves.reshape(len(roots), n, 2, 2 * dim // d)
-    return SectorLayout(plain, sector, position, members, below, moves)
+    root, site, index = np.nonzero(digits == x[..., None])
+    below = np.full((len(a), len(sizes)), -1)
+    below[root, sector[index]] = sector[index + (y - x)[root, site] * place[site]]
+    return SectorLayout(plain, sector, position, members, below[:, sector])
 
 
 @dataclass(frozen=True)
@@ -258,38 +238,51 @@ def _support(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _covariance_residuals(rows: np.ndarray, worst: np.ndarray, layout: SectorLayout) -> np.ndarray:
     """covariance_residual of each member of a (members, d^n + 1, width)
     stack of sector rows, starting from ``worst``, their largest
-    entries off the sectors.  The member axis runs last, so each packed or
-    frame row is one gather for the stack."""
+    entries off the sectors.  The member axis runs last, so each move and
+    each frame row covers the stack."""
     count, dim, width = len(rows), rows.shape[1] - 1, rows.shape[2]
+    roots, dtype, d = len(layout.below), rows.dtype, len(layout.below) // 2 + 1
     rows = rows.reshape(count, -1).swapaxes(0, 1)
     spans = layout.members * width
-    packed = np.concatenate([rows[spans[layout.sector] + layout.position[:, None]],
-                             -rows[:dim * width].reshape(dim, width, count)])
-    frame = 2 * (dim + 1)
-    step = max(1, min(len(layout.moves), _WORK_ENTRIES // (count * frame * width)))  # roots at once
-    moved = np.empty((step * frame, width, count), dtype=rows.dtype)
-    for lo in range(0, len(layout.moves), step):
-        moves = layout.moves[lo:lo + step]
-        into = moves[:, :, 0] - lo * frame
-        frames = moved[:len(moves) * frame]
+    # M's blocks by column, then minus them by row, and per root a frame for
+    # M A_X by column, then -A_X M by row: each a (d,)*n grid of index rows
+    packed = np.empty((2, dim, width, count), dtype=dtype)
+    rows.take(spans[layout.sector] + layout.position[:, None], axis=0, out=packed[0], mode="clip")
+    np.negative(rows[:dim * width].reshape(dim, width, count), out=packed[1])
+    step = max(1, min(roots, _WORK_ENTRIES // (2 * (dim + 1) * width * count)))  # roots at once
+    moved = np.empty((step, 2, dim + 1, width, count), dtype=dtype)
+    frame, half, ahead, size = moved.strides[:2] + packed.strides[:1] + (dtype.itemsize,)
+    for lo in range(0, roots, step):
+        hi = min(roots, lo + step)
+        frames = moved[:hi - lo]
         frames.fill(0)
-        for s, plain in enumerate(layout.plain):
-            ufunc = np.add if plain else np.subtract
-            frames[into[:, s]] = ufunc(frames[into[:, s]], packed[moves[:, s, 1]])
+        # the step's raising roots (c, c + 1), then its lowering ones (c + 1, c)
+        for first, last in ((lo, min(hi, d - 1)), (max(lo, d - 1), hi)):
+            for s, plain in enumerate(layout.plain.tolist() if first < last else ()):
+                # the frames' rows with digit y on site s by column and x by row
+                # take packed's with x and y, for the first root's c; each next
+                # root of the step is a frame and a digit on
+                c, digit = first % (d - 1), packed.strides[1] * d ** (len(layout.plain) - 1 - s)
+                y = c + (plain == (first < d - 1))
+                x, shape = 2 * c + 1 - y, (last - first, 2, d ** s, digit // size)
+                into = np.ndarray(shape, dtype, moved, (first - lo) * frame + y * digit,
+                                  (frame + digit, half + (x - y) * digit, d * digit, size))
+                source = np.ndarray(shape, dtype, packed, x * digit,
+                                    (digit, ahead + (y - x) * digit, d * digit, size))
+                (np.add if plain else np.subtract)(into, source, out=into)
         # the block (w + e_a - e_b, w) read from both sides at row i and
         # the p-th index j of w: at [i, p] by row, at [j, place of i] by
         # column; the commutator is formed in the gathered array, and no
         # step's arrays outlive it
-        by_column = spans[layout.below[lo:lo + step]]
+        by_column = spans.take(layout.below[lo:hi], axis=0)
         by_column += (layout.position[:, None]
-                      + (np.arange(len(moves)) * frame * width)[:, None, None])
-        commutator = frames.reshape(-1, count)[by_column]
+                      + np.arange(hi - lo)[:, None, None] * (2 * (dim + 1) * width))
+        commutator = frames.reshape(-1, count).take(by_column, axis=0)
         del by_column
-        commutator += frames.reshape(len(moves), 2, dim + 1, width, count)[:, 1, :dim]
+        commutator += frames[:, 1, :dim]
         magnitude = np.abs(commutator, out=commutator if commutator.dtype.kind == "f" else None)
-        del commutator
         worst = np.maximum(worst, magnitude.max(axis=(0, 1, 2)))   # sup_norm per member
-        del magnitude
+        del commutator, magnitude
     return worst
 
 
@@ -310,8 +303,10 @@ def covariance_residual(m, conjugated):
     site's index between a and b, which maps sector w to w + e_a - e_b, so
     [M_w, A_X] has only the blocks from w to w + e_a - e_b.  They are formed
     from M's blocks packed by place, by column for M A_X and by row for
-    A_X M: each site's move adds 2 d^(n-1) packed rows into others, with no
-    product and no random draw; M is read in place, its sites unmoved.
+    A_X M, on the (d,)*n grid of indices: each site's move, for all the
+    roots of one kind that a step holds, is one in-place add or subtract of
+    two strided views of that grid, with no index table, no product and no
+    random draw; M is read in place, its sites unmoved.
 
     M is a DenseOperator or a SectorOperator, whose entries _support lists:
     those between two sectors give the first term, and the others are
@@ -327,7 +322,7 @@ def covariance_residual(m, conjugated):
         # sites (x) conj(U) on the others exactly when it does with the sides
         # exchanged: same sectors, same residual, so the two share one layout
         conjugated = tuple(s for s in range(1, m.n + 1) if s not in conjugated)
-    layout, dim = sector_layout(m.n, m.d, conjugated), m.d ** m.n
+    layout, dim = _sector_layout(m.n, m.d, conjugated), m.d ** m.n
     if isinstance(m, SectorOperator) and m.conjugated == conjugated:
         lead, rows, off = (), m.rows[None], np.zeros(1)
     else:
@@ -392,8 +387,11 @@ def min_eigenvalue(m: DenseOperator):
     ATOL itself.  The first member in row-major order that is not finite or
     not hermitian raises the one-line message a call on it alone raises."""
     mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
+    diff = np.conjugate(mats).swapaxes(1, 2)    # M - M^dagger in this one copy, also of a real M
     with np.errstate(invalid="ignore"):     # inf - inf: a non-finite member fails either way
-        dev = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        np.subtract(mats, diff, out=diff)
+    dev = np.abs(diff, out=diff if diff.dtype.kind == "f" else None).max(axis=(1, 2))
+    del diff
     passed = dev <= ATOL
     if not passed.all():
         wide = np.flatnonzero(~passed)

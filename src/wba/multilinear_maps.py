@@ -112,9 +112,11 @@ def contract(kernel, factors, keep) -> DenseOperator:
     place = d ** np.arange(n - 1, -1, -1)       # the weight of each site's digit
     kept = np.array([s in keep for s in range(1, n + 1)], dtype=bool)
     width, ident = d ** len(keep), d ** (n - covered)   # kept columns, identity columns
-    i_r = np.zeros_like(rows)                   # r's output row: its kept digits
-    for s in keep:
-        i_r = i_r * d + rows // place[s - 1] % d
+    i_r = 0                                     # r's output row: its kept digits, read one
+    for first, last in zip([s for s in keep if s - 1 not in keep],     # run of consecutive
+                           [s for s in keep if s + 1 not in keep]):    # kept sites at a time
+        span = d ** (last - first + 1)
+        i_r = i_r * span + (rows // place[last - 1] if last < n else rows) % span
     spread = (np.arange(width)[:, None] // place[n - len(keep):] % d) @ place[kept]
     free = spread[::ident]                      # the kept columns on covered sites
     f_cols = (rows - spread[i_r])[:, None] + free       # (a_r, j): r's kept digits made j's

@@ -926,6 +926,18 @@ class TestCommutantResidual:
             tracemalloc.stop()
         assert peak <= real.nbytes + 2 ** 20
 
+    @pytest.mark.parametrize("n,k,d,mu,alpha,expected", [
+        (6, 2, 3, "[2,2]", "[2]", "9.36750677027e-17"),
+        (7, 2, 3, "[3,2]", "[3]", "6.86950496487e-16"),
+        (6, 2, 4, "[2,2]", "[2]", "4.68375338514e-17"),
+        (8, 1, 2, "[5,2]", "[4,2]", "5.07379511669e-15")])
+    def test_the_reported_strings(self, capsys, n, k, d, mu, alpha, expected):
+        # the strings CI pins: the residual takes no BLAS call, so its bits
+        # are those of the core's additions on any thread count
+        code, out, _ = run(capsys, "projector", "--n", str(n), "--k", str(k), "--d", str(d),
+                           "--mu", mu, "--alpha", alpha, "--format", "json")
+        assert code == 0 and json.loads(out)["commutant_residual"] == expected
+
 
 class TestNonRealProjector:
     def test_exits_2_on_one_line(self, capsys, monkeypatch):

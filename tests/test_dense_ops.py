@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wba import dense_ops
+from wba import dense_ops, entanglement as ent
 from wba.dense_ops import (
     DenseOperator,
     haar_unitary,
@@ -352,6 +353,25 @@ class TestRandomAndEigen:
         stack = DenseOperator(1, 2, np.array([np.eye(2), [[1e6, 1e-9], [0, value]]], dtype=complex))
         with pytest.raises(ValueError, match="non-finite entry"):
             min_eigenvalue(stack)
+
+    def test_the_hermiticity_check_holds_one_temporary(self):
+        # the d = 8 BCS kernel, 512 x 512 complex: the check holds M - M^dagger
+        # and its magnitudes, no other copy of the stack
+        kernel = ent.bcs_kernel(0.25, -0.1, 8)
+        tracemalloc.start()
+        try:
+            min_eigenvalue(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= kernel.mat.nbytes + kernel.mat.real.nbytes + 2 ** 16, peak / 2 ** 20
+
+    def test_a_real_operator_is_left_as_it_is(self):
+        # the difference is taken in a copy, also of a real M
+        m = DenseOperator(1, 2, np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"\(deviation 2\)$"):
+            min_eigenvalue(m)
+        assert m.mat.tolist() == [[1.0, 2.0], [0.0, 1.0]]
 
     def test_haar_unitary(self):
         u = haar_unitary(3, np.random.default_rng(0))

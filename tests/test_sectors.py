@@ -498,3 +498,64 @@ class TestCovarianceMemory:
             tracemalloc.stop()
         assert peak <= 50e6, peak / 1e6
         assert residual == covariance_residual(rows, rows.conjugated) <= 1e-13
+
+
+def _perturbed_rows(n, k, d, mu, alpha, seed):
+    """F_mu(alpha) by its sector rows with a seeded 1e-3 normal draw added
+    to each stored entry (the pads and the last row stay zero)."""
+    f = realize_sectors(f_projector(Partition(mu), Partition(alpha), n, k, d), d, k)
+    inside = f.layout.members[f.layout.sector] < d ** n
+    rows = f.rows.copy()
+    rows[:-1][inside] += 1e-3 * np.random.default_rng(seed).standard_normal(inside.sum())
+    return SectorOperator(n, d, f.conjugated, rows)
+
+
+def _walled_stack(conjugated, seed):
+    """13 real members at n = 3, d = 3: one walled operator for the set
+    plus hermitian sector blocks scaled by 0 and by 1e-12 up to 1e-1."""
+    rng = np.random.default_rng(seed)
+    same = same_weight(3, 3, conjugated)
+    base = _covariant(rng, 3, 3, conjugated).real
+    return DenseOperator(3, 3, np.array([base + scale * np.where(same, _hermitian(rng, 27).real, 0)
+                                         for scale in [0.0] + [10.0 ** -e for e in range(12, 0, -1)]]))
+
+
+class TestResidualBits:
+    """covariance_residual's bits, as float.hex, on seeded operators: they
+    pin the core's additions, which take no BLAS call, on every layout kind."""
+
+    ROWS = {(6, 2, 2, (3, 1), (2,)): "0x1.2d74992d7b020p-7",
+            (5, 2, 3, (2, 1), (1,)): "0x1.3b464587be164p-7",
+            (4, 1, 4, (2, 1), (2,)): "0x1.fb68d9c8eb0a0p-8"}
+    STACKS = {
+        (2,): ["0x1.0000000000000p-50", "0x1.f260000000000p-38", "0x1.9288000000000p-34",
+               "0x1.071f600000000p-30", "0x1.1311e20000000p-27", "0x1.602c83073f8a0p-24",
+               "0x1.c64bb23000000p-21", "0x1.4952462280000p-17", "0x1.2f58c58388000p-14",
+               "0x1.a129704962800p-11", "0x1.3604f1121ca00p-7", "0x1.784dfd8871b40p-4",
+               "0x1.ae0db113b3318p-1"],
+        (1, 2): ["0x1.0000000000000p-50", "0x1.c8b0cf9a0ead7p-38", "0x1.9bbe800000000p-34",
+                 "0x1.8297f0917d5e4p-31", "0x1.e229100000000p-28", "0x1.14bde08000000p-24",
+                 "0x1.cc4c6e3f3f726p-21", "0x1.0ccf21dcadc46p-17", "0x1.54ffc3d07c000p-14",
+                 "0x1.776653b418000p-11", "0x1.25d3a45d27168p-7", "0x1.611ecaa36d000p-4",
+                 "0x1.9d46d910a52bap-1"]}
+    COMPLEX = "0x1.7a6f3b18772b7p-17"
+
+    @pytest.mark.parametrize("case", sorted(ROWS))
+    def test_perturbed_projector_rows(self, case):
+        op = _perturbed_rows(*case, seed=sum(case[:3]))
+        assert covariance_residual(op, op.conjugated).hex() == self.ROWS[case]
+
+    @pytest.mark.parametrize("conjugated", sorted(STACKS))
+    @pytest.mark.parametrize("work", [None, 1])
+    def test_a_13_member_stack(self, conjugated, work, monkeypatch):
+        # a bound of one entry runs one root of one member at a time
+        if work:
+            monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", work)
+        residuals = covariance_residual(_walled_stack(conjugated, 13), conjugated)
+        assert [float(r).hex() for r in residuals] == self.STACKS[conjugated]
+
+    def test_a_complex_member(self):
+        rng = np.random.default_rng(4)
+        same = same_weight(4, 3, (2, 4))
+        mat = _covariant(rng, 4, 3, (2, 4)) + 1e-6 * np.where(same, _hermitian(rng, 81), 0)
+        assert covariance_residual(DenseOperator(4, 3, mat), (2, 4)).hex() == self.COMPLEX
