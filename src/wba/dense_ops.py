@@ -130,9 +130,9 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
 # weight-sector layouts kept at once; each holds a few index arrays of about d^n entries
 _LAYOUTS = 8
 # frame entries a covariance step takes at once (a frame is 2 (d^n + 1) x
-# width, one a simple root and member): it bounds the roots a step moves
-# together, or for a stack the members a group holds; not the entries, as a
-# step takes at least one root of one member (1.55M entries at (6,2) d=4)
+# width x members, one a simple root): it bounds the roots a step moves
+# together, not the entries, as a step takes at least one root of every
+# member, twice the entries of the stack's rows (1.55M for one operator at (6,2) d=4)
 _WORK_ENTRIES = 1 << 16
 
 
@@ -236,8 +236,8 @@ def _support(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _covariance_residuals(rows: np.ndarray, worst: np.ndarray, layout: SectorLayout) -> np.ndarray:
-    """covariance_residual of each member of a (members, d^n + 1, width)
-    stack of sector rows, starting from ``worst``, their largest
+    """covariance_residual of each member of a non-empty (members, d^n + 1,
+    width) stack of sector rows, starting from ``worst``, their largest
     entries off the sectors.  The member axis runs last, so each move and
     each frame row covers the stack."""
     count, dim, width = len(rows), rows.shape[1] - 1, rows.shape[2]
@@ -313,9 +313,9 @@ def covariance_residual(m, conjugated):
     placed in M's sector rows, unless M is a SectorOperator keyed by the
     checked sites, whose rows are read in place.  A stack of M (leading
     axes) gives an array of the stack's shape, each member's residual
-    bit-identical to a call on that member alone; the members' rows run
-    through the one core in groups whose frames fit in _WORK_ENTRIES
-    entries (at least one member)."""
+    bit-identical to a call on that member alone; all the members' rows run
+    through the one core at once, each step taking the roots whose frames
+    fit in _WORK_ENTRIES entries (at least one)."""
     conjugated = _validate_sites(conjugated, m.n)
     if 2 * len(conjugated) > m.n:
         # U -> conj(U) maps U(d) onto itself, so M commutes with U on the plain
@@ -334,11 +334,7 @@ def covariance_residual(m, conjugated):
         rows = np.zeros((len(values), dim + 1, layout.members.shape[1]), dtype=values.dtype)
         rows[:, r[within], layout.position[c[within]]] = values[:, within]
         del r, c, values, within
-    group = max(1, _WORK_ENTRIES // (2 * (dim + 1) * layout.members.shape[1]))
-    worst = np.empty(len(rows))
-    for lo in range(0, len(rows), group):
-        worst[lo:lo + group] = _covariance_residuals(rows[lo:lo + group], off[lo:lo + group],
-                                                     layout)
+    worst = _covariance_residuals(rows, off, layout) if len(rows) else off
     return worst.reshape(lead) if lead else float(worst[0])
 
 

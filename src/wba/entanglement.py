@@ -10,7 +10,7 @@ and a see-saw search for the minimum of a hermitian form over product states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -18,52 +18,40 @@ import numpy as np
 from . import dense_ops
 from .dense_ops import DenseOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
-from .sym_core import parse_permutation, parse_token
+from .sym_core import parse_token
 from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .verification import stack_sizes
-from .wba_algebra import _pair_values, _pair_weights, check_size_guard, from_permutation
+from .wba_algebra import _pair_values, _pair_weights, _transposed_matchings, check_size_guard
 
 PSD = "PSD"
 WITNESS_CANDIDATE = "WITNESS_CANDIDATE"
 NOT_BLOCK_POSITIVE = "NOT_BLOCK_POSITIVE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_PERM_DIAGRAMS = tuple(from_permutation(parse_permutation(t, 3))
-                       for t in ("()", "(1 2)", "(2 3)", "(3 1)", "(1 2 3)", "(3 2 1)"))
-
 
 @lru_cache(maxsize=1)
 def _werner_basis(d: int):
     """The support of id, (12), (23), (31), (123), (321) on three factors:
     the flat indices of the entries any permutation hits, each entry's
-    pattern (the set of permutations that hit it; 16 at d >= 3), and the
-    six permutations and the orthogonal basis R_+, R_-, R_0, R_1, R_2, R_3
-    on each pattern.  Each permutation's d^3 entries come from the index
-    product of realize's scatter, and no d^3 x d^3 matrix is formed.  All
-    read-only: werner_state, werner_support and bcs_kernel read them on
-    every call, and callers sweep one d at a time, so only the last d is
-    kept."""
+    pattern (the set of permutations that hit it; 16 at d >= 3), and each
+    permutation's row on the patterns, 1 where it hits them and 0 elsewhere.
+    The six pairings come from the permutations' image rows and their d^3
+    entries each from the index product of realize's scatter, so no diagram
+    is built and no d^3 x d^3 matrix formed.  All read-only: werner_state,
+    werner_support and bcs_kernel read them on every call, and callers sweep
+    one d at a time, so only the last d is kept."""
     check_size_guard(3, d)      # as realize does; it keeps the float64 indices exact
-    pairings = np.concatenate([p.pairings for p in _PERM_DIAGRAMS])
+    images = np.array([(1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1), (3, 1, 2)])
+    pairings = _transposed_matchings(images, np.zeros(images.shape, bool))
     entries = (_pair_weights(pairings, d, d ** 3, 1) @ _pair_values(3, d)).astype(np.intp)
     support, where = np.unique(entries.ravel(), return_inverse=True)
     hits = np.zeros((6, support.size), dtype=complex)
     hits[np.arange(6).repeat(d ** 3), where] = 1.0
     perms_p, pattern = np.unique(hits, axis=1, return_inverse=True)
     pattern = pattern.ravel()
-    one, p12, p23, p31, p123, p321 = perms_p
-    s3 = math.sqrt(3.0)
-    rk_p = np.array([
-        (one + p12 + p23 + p31 + p123 + p321) / 6.0,
-        (one - p12 - p23 - p31 + p123 + p321) / 6.0,
-        (2.0 * one - p123 - p321) / 3.0,
-        (2.0 * p23 - p31 - p12) / 3.0,
-        (p12 - p31) / s3,
-        1j * (p123 - p321) / s3,
-    ])
-    for mat in (support, pattern, perms_p, rk_p):
+    for mat in (support, pattern, perms_p):
         mat.flags.writeable = False
-    return support, pattern, perms_p, rk_p
+    return support, pattern, perms_p
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +100,26 @@ def alphas_from_cs(cs):
 
 @dataclass(frozen=True)
 class WernerParams:
-    """A U (x) U (x) U - invariant operator in all three coordinate systems.
-    Stacked parameters hold (T, 1, 1) coefficient arrays, from which
+    """A U (x) U (x) U - invariant operator by its expectations r_k =
+    tr(rho R_k) and d >= 3.  Its coefficients on the six permutations,
+    ``alphas``, are derived from them once, through the R_k coefficients
+    (cs_from_rs, then alphas_from_cs), so the two sets always describe one
+    operator.  Stacked parameters hold (T, 1, 1) arrays, from which
     werner_state and the maps give stacks of T."""
 
-    alphas: tuple[complex, ...]
-    cs: tuple[float, ...]
     rs: tuple[float, ...]
     d: int
+    alphas: tuple[complex, ...] = field(init=False)
+
+    def __post_init__(self):
+        rs = tuple(r if isinstance(r, np.ndarray) else float(r) for r in self.rs)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "alphas", alphas_from_cs(cs_from_rs(rs, self.d)))
 
     @staticmethod
     def from_rs(rs, d: int) -> "WernerParams":
-        rs = tuple(r if isinstance(r, np.ndarray) else float(r) for r in rs)
-        cs = cs_from_rs(rs, d)
-        return WernerParams(alphas_from_cs(cs), cs, rs, d)
+        """WernerParams(rs, d), under the name the existing callers use."""
+        return WernerParams(rs, d)
 
     def is_valid_state(self) -> bool:
         rp, rm, r0, r1, r2, r3 = self.rs
@@ -170,18 +164,12 @@ def random_werner_instances(rng: np.random.Generator, d: int, count: int):
 
 
 def werner_state(params: WernerParams) -> DenseOperator:
-    """Dense operator from the alpha coefficients; cross-checked against the
-    R_k expansion, so inconsistent parameter sets are rejected.  Stacked
-    parameters give the stack of states, each checked.  Both sums run once
-    per pattern of the support, which the entries of a pattern then share:
-    the bits of the dense sums, whose other entries are exact zeros."""
-    perms_p, rk_p = _werner_basis(params.d)[2:]
-    mat = sum(a * p for a, p in zip(params.alphas, perms_p))
-    mat_c = sum(c * r for c, r in zip(params.cs, rk_p))
-    scale = np.maximum(1.0, np.abs(mat).max(axis=-1))
-    if (np.abs(mat - mat_c).max(axis=-1) > ATOL * scale).any():
-        raise ValueError("alpha and c coefficient sets disagree")
-    return _on_support(mat, params.d)
+    """Dense operator sum_pi alpha_pi pi over the six permutations, or the
+    stack of them for stacked parameters.  The sum runs once per pattern of
+    the support, which the entries of a pattern then share: the bits of the
+    dense sum, whose other entries are exact zeros."""
+    perms_p = _werner_basis(params.d)[2]
+    return _on_support(sum(a * p for a, p in zip(params.alphas, perms_p)), params.d)
 
 
 def _on_support(mat: np.ndarray, d: int) -> DenseOperator:

@@ -420,6 +420,7 @@ class TestWernerPpt:
         payload = json.loads(out)
         assert payload["overall"] is False and payload["eigencheck_ppt"] is False
         assert payload["conditions"]["block_determinant_f1"] is False
+        assert payload["min_eig_partial_transpose_1"] == "-0.0514528658239"
 
     def test_flag_validation(self, capsys):
         code, _, err = run(capsys, "werner-ppt", "--r", "1,2,3")

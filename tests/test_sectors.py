@@ -337,9 +337,9 @@ class TestStacks:
     @pytest.mark.parametrize("group", [None, 4, 1])
     @pytest.mark.filterwarnings("error")
     def test_covariance_residual(self, n, d, conjugated, group, monkeypatch):
-        # frames for 4 members split the stack 4 + 2; a bound of one entry
-        # splits the roots, the bands and the members; the complex stack's
-        # magnitudes are taken with no complex-to-real cast warning
+        # frames for 4 members, or a bound of one entry, take one root of
+        # all 6 members a step, splitting the roots and the bands; the complex
+        # stack's magnitudes are taken with no complex-to-real cast warning
         stack = _stack(n, d, conjugated, n * d)
         alone = [covariance_residual(m, conjugated) for m in _members(stack)]
         if group:
@@ -548,7 +548,7 @@ class TestResidualBits:
     @pytest.mark.parametrize("conjugated", sorted(STACKS))
     @pytest.mark.parametrize("work", [None, 1])
     def test_a_13_member_stack(self, conjugated, work, monkeypatch):
-        # a bound of one entry runs one root of one member at a time
+        # a bound of one entry runs one root of all 13 members at a time
         if work:
             monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", work)
         residuals = covariance_residual(_walled_stack(conjugated, 13), conjugated)
