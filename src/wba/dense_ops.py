@@ -219,12 +219,35 @@ class SectorOperator:
         return sector_layout(self.n, self.d, self.conjugated)
 
 
+@dataclass(frozen=True)
+class ListedOperator:
+    """An operator on (C^d)^{tensor n}, or a stack of them, by its listed
+    entries: ``rows`` and ``cols`` in row-major order, no pair twice, and
+    ``values`` with the stack axes in front of the entry axis.  Entries not
+    listed are zero.  wba_algebra.list_entries writes a diagram's or an
+    element's, with no d^n x d^n array."""
+
+    n: int
+    d: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if not self.rows.shape == self.cols.shape == self.values.shape[-1:]:
+            raise ValueError(f"rows {self.rows.shape}, columns {self.cols.shape} and values "
+                             f"{self.values.shape} do not list one set of entries")
+
+
 def _support(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the operator's stored entries in row-major
     order, the one reader of them: for a DenseOperator its nonzero entries,
     those of any member of its stack (the values with the stack axes in
     front), for a SectorOperator its stored entries, whose places within a
-    sector follow the basis order."""
+    sector follow the basis order, and for a ListedOperator its listing as
+    it is."""
+    if isinstance(op, ListedOperator):
+        return op.rows, op.cols, op.values
     if isinstance(op, SectorOperator):
         layout, width = op.layout, op.rows.shape[1]
         rows, place = np.divmod(np.flatnonzero(op.rows[:op.d ** op.n]), width)
@@ -308,7 +331,8 @@ def covariance_residual(m, conjugated):
     two strided views of that grid, with no index table, no product and no
     random draw; M is read in place, its sites unmoved.
 
-    M is a DenseOperator or a SectorOperator, whose entries _support lists:
+    M is a DenseOperator, a SectorOperator or a ListedOperator, whose
+    entries _support lists:
     those between two sectors give the first term, and the others are
     placed in M's sector rows, unless M is a SectorOperator keyed by the
     checked sites, whose rows are read in place.  A stack of M (leading

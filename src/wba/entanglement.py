@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import dense_ops
-from .dense_ops import DenseOperator
+from .dense_ops import DenseOperator, ListedOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_token
 from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
@@ -38,8 +38,8 @@ def _werner_basis(d: int):
     The six pairings come from the permutations' image rows and their d^3
     entries each from the index product of realize's scatter, so no diagram
     is built and no d^3 x d^3 matrix formed.  All read-only: werner_state,
-    werner_support and bcs_kernel read them on every call, and callers sweep
-    one d at a time, so only the last d is kept."""
+    werner_support, bcs_kernel and _transposed_support read them, and
+    callers sweep one d at a time, so only the last d is kept."""
     check_size_guard(3, d)      # as realize does; it keeps the float64 indices exact
     images = np.array([(1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1), (3, 1, 2)])
     pairings = _transposed_matchings(images, np.zeros(images.shape, bool))
@@ -153,10 +153,18 @@ def random_valid_werner(rng: np.random.Generator, d: int = 3) -> WernerParams:
 def random_werner_instances(rng: np.random.Generator, d: int, count: int):
     """count draws of random_valid_werner and two random_matrix inputs, the
     same stream and bits, as stacked parameters and two (count, d, d) input
-    stacks: each instance makes its four generator calls in that order, and
-    the formulas then run once on the arrays."""
-    draws = [(*_werner_draw(rng), rng.standard_normal((2, 2, d, d))) for _ in range(count)]
-    simplex, direction, root, z = (np.array(x) for x in zip(*draws))
+    stacks.  Each instance makes four generator calls: the exponentials
+    that dirichlet((1, 1, 1)) reads, the direction's normals, the uniform
+    number, whose cube root is taken as a Python float as _werner_draw
+    takes it, and the inputs' normals.  The rest runs once on the arrays:
+    dirichlet's scaling by the reciprocal of the left-to-right sum, and the
+    direction's norm by the dot product np.linalg.norm takes."""
+    draws = [(rng.standard_exponential(3), rng.standard_normal(3),
+              rng.random() ** (1.0 / 3.0), rng.standard_normal((2, 2, d, d)))
+             for _ in range(count)]
+    weights, direction, root, z = (np.array(x) for x in zip(*draws))
+    simplex = weights * (1.0 / (weights[:, 0] + weights[:, 1] + weights[:, 2]))[:, None]
+    direction /= np.sqrt(direction[:, None, :] @ direction[:, :, None])[:, 0]
     rs = _rs_from_draw(simplex, direction, root)
     params = WernerParams.from_rs([r[:, None, None] for r in rs], d)
     a, b = dense_ops.complex_gaussian(z).swapaxes(0, 1)
@@ -168,8 +176,15 @@ def werner_state(params: WernerParams) -> DenseOperator:
     stack of them for stacked parameters.  The sum runs once per pattern of
     the support, which the entries of a pattern then share: the bits of the
     dense sum, whose other entries are exact zeros."""
+    return _on_support(_pattern_sums(params), params.d)
+
+
+def _pattern_sums(params: WernerParams) -> np.ndarray:
+    """sum_pi alpha_pi times pi's row on the patterns of _werner_basis(d):
+    the value of each pattern, (patterns,) or (T, 1, patterns) for stacked
+    parameters."""
     perms_p = _werner_basis(params.d)[2]
-    return _on_support(sum(a * p for a, p in zip(params.alphas, perms_p)), params.d)
+    return sum(a * p for a, p in zip(params.alphas, perms_p))
 
 
 def _on_support(mat: np.ndarray, d: int) -> DenseOperator:
@@ -249,9 +264,41 @@ def _times(x, y):
     return out
 
 
+@lru_cache(maxsize=len(ROW_SUBSETS))
+def _transposed_support(d: int, s: tuple[int, ...]):
+    """Rows, columns and patterns of the support of rho^{T_S} in row-major
+    order, read only: _werner_basis(d)'s support with the digits of the
+    sites in S swapped between row and column, then sorted."""
+    support, pattern = _werner_basis(d)[:2]
+    dim = d ** 3
+    rows, cols = np.divmod(support, dim)
+    for site in s:
+        place = d ** (3 - site)
+        moved = (cols // place % d - rows // place % d) * place
+        rows, cols = rows + moved, cols - moved
+    order = np.argsort(rows * dim + cols)
+    listing = rows[order], cols[order], pattern[order]
+    for array in listing:
+        array.flags.writeable = False
+    return listing
+
+
+def _transposed_state(params: WernerParams, s) -> ListedOperator:
+    """rho^{T_S} by its listed entries: the pattern sums werner_state
+    scatters, at _transposed_support's entries, less those zero in every
+    member, so it is _support(partial_transpose(werner_state(params), S))
+    bit for bit with no d^3 x d^3 matrix."""
+    rows, cols, pattern = _transposed_support(params.d, tuple(s))
+    sums = _pattern_sums(params)
+    keep = sums.reshape(-1, sums.shape[-1]).any(axis=0)[pattern]
+    values = sums[..., pattern[keep]].reshape(sums.shape[:-2] + (-1,))
+    return ListedOperator(3, params.d, rows[keep], cols[keep], values)
+
+
 def eggeling_werner_map_trace(row: str, params: WernerParams, a, b=None) -> DenseOperator:
-    """Defining trace formula: the contraction oracle's map of rho^{T_S}."""
-    rho_ts = dense_ops.partial_transpose(werner_state(params), _row_subset(row))
+    """Defining trace formula: the contraction oracle's map of rho^{T_S},
+    listed from the Werner support (_transposed_state)."""
+    rho_ts = _transposed_state(params, _row_subset(row))
     inputs = [a] if row.startswith("f") else [a, b]
     return evaluate_oracle(MapSpec(rho_ts, len(inputs), 3 - len(inputs), params.d), inputs)
 

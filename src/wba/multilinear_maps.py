@@ -9,10 +9,12 @@ Kronecker product that it meets, one flat gather per input and one bincount
 in the kernel's row-major order, the product never formed and the identity
 on the output sites taken as a delta, not a factor.  The kernel is read as
 its stored entries by dense_ops._support, the reader covariance_residual
-shares: a dense matrix's nonzero entries (or a stack's), or a walled
-operator's weight-sector rows (SectorOperator), which is never made dense;
-a diagram or element is realized.  It is the ground truth for the
-closed forms below: single-cycle kernels with one transposed site reduce to
+shares: a dense matrix's nonzero entries (or a stack's), a walled
+operator's weight-sector rows (SectorOperator), or a listing of entries
+(ListedOperator), the last two never made dense.  A diagram or element is
+listed from its pairings (list_entries), as verify-props' kernels and
+ew-maps' rho^{T_S} are, with no d^n x d^n matrix.  It is the ground truth
+for the closed forms below: single-cycle kernels with one transposed site reduce to
 matrix products with a transpose inserted, those with a transposed subset
 to products with transposes on the subset (or on its complement, in
 reversed order, when the last site is transposed), and forward cycles with
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense_ops
-from .dense_ops import DenseOperator, SectorOperator, _support
+from .dense_ops import DenseOperator, ListedOperator, SectorOperator, _support
 from .sym_core import Partition, Permutation
-from .wba_algebra import gamma, realize
+from .wba_algebra import gamma, list_entries
 
 
 def forward_cycle(k: int) -> Permutation:
@@ -58,7 +60,7 @@ def _as_matrix(x, d: int) -> np.ndarray:
 class MapSpec:
     """Kernel plus slot layout: n_in input sites (traced), n_out output sites."""
 
-    kernel: object  # WbaElement (a diagram is one) | DenseOperator | SectorOperator
+    kernel: object  # WbaElement (a diagram is one) | Dense-, Sector- or ListedOperator
     n_in: int
     n_out: int
     d: int
@@ -77,7 +79,7 @@ class MapSpec:
 def contract(kernel, factors, keep) -> DenseOperator:
     """Literal contraction: tr over every site not in ``keep`` of kernel @ F,
     F = F_1 (x) F_2 (x) ... (x) 1, summed over the nonzero entries of the
-    kernel, a DenseOperator or a SectorOperator (_support).
+    kernel, a DenseOperator, a SectorOperator or a ListedOperator (_support).
 
     The factors (at least one) are square and tile the kernel's sites from
     site 1 on; one may cover no site (1 x 1, d > 1), one or several.  The sites
@@ -91,12 +93,13 @@ def contract(kernel, factors, keep) -> DenseOperator:
     is never formed: each factor is gathered once, at flat indices, and the
     terms are multiplied in place as K ((F_1 F_2) ...); one ``np.bincount``
     adds each output entry's terms in row-major order of the kernel, so
-    sector rows give their dense matrix's result bit for bit.  This is the
-    ground truth every closed form is tested against.  A dense kernel and
-    the factors may be stacks (leading axes, broadcast): the terms run over
-    the union of the members' supports, and each member of the result is
-    that member's contraction alone, bit for bit (a member's zero entries
-    add exact zeros).  Each per-term array is freed once used.
+    sector rows or a listing give their dense matrix's result bit for bit.
+    This is the ground truth every closed form is tested against.  A dense
+    or listed kernel and the factors may be stacks (leading axes,
+    broadcast): the terms run over the union of the members' supports, and
+    each member of the result is that member's contraction alone, bit for
+    bit (a member's zero entries add exact zeros).  Each per-term array is
+    freed once used.
     """
     d, n = kernel.d, kernel.n
     keep = dense_ops._validate_sites(keep, n)
@@ -148,19 +151,20 @@ def contract(kernel, factors, keep) -> DenseOperator:
 
 def evaluate_oracle(spec: MapSpec, inputs) -> DenseOperator:
     """The map by ``contract``: inputs on sites 1..n_in, identity on the
-    rest.  A dense or sector-row kernel is contracted as it is, a diagram
-    or element realized first."""
+    rest.  A dense, sector-row or listed kernel is contracted as it is; a
+    diagram or element is listed first (list_entries), its entries those of
+    its dense realization bit for bit, with no d^n x d^n array."""
     if len(inputs) != spec.n_in:
         raise ValueError(f"expected {spec.n_in} inputs, got {len(inputs)}")
     kernel = spec.kernel
-    if isinstance(kernel, DenseOperator):
+    if isinstance(kernel, (DenseOperator, ListedOperator)):
         if kernel.d != spec.d:
             raise ValueError("kernel local dimension mismatch")
     elif isinstance(kernel, SectorOperator):
         if kernel.d != spec.d:
             raise ValueError(f"a sector-form kernel of dimension {kernel.d}, not d = {spec.d}")
     else:
-        kernel = DenseOperator(spec.sites, spec.d, realize(kernel, spec.d))
+        kernel = list_entries(kernel, spec.d)
     return contract(kernel, [_as_matrix(x, spec.d) for x in inputs],
                     range(spec.n_in + 1, spec.sites + 1))
 

@@ -13,10 +13,10 @@ from itertools import combinations
 import numpy as np
 
 from . import dense_ops, multilinear_maps as mm
-from .dense_ops import DenseOperator
+from .dense_ops import DenseOperator, ListedOperator
 from .sym_core import Permutation
 from .tolerances import ORACLE_TOL
-from .wba_algebra import from_permutation, realize
+from .wba_algebra import from_permutation, list_entries
 
 
 # bytes a stack holds: a case's tuples (and scan-bcs' kernels) run in
@@ -41,9 +41,10 @@ def _draw(rng, t: int, count: int, dim: int) -> list[np.ndarray]:
     return list(dense_ops.complex_gaussian(z).swapaxes(0, 1))
 
 
-def _kernel(perm: Permutation, transposed, d: int) -> DenseOperator:
-    """Dense perm^{T_S}, realized once per case and shared by its tuples."""
-    return DenseOperator(perm.n, d, realize(from_permutation(perm, transposed), d))
+def _kernel(perm: Permutation, transposed, d: int) -> ListedOperator:
+    """perm^{T_S} by its d^n listed entries, built once per case and shared
+    by its tuples."""
+    return list_entries(from_permutation(perm, transposed), d)
 
 
 def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
@@ -58,7 +59,7 @@ def proposition_suite(seed: int = 0, tuples: int = 20, d_values=(2, 3),
     def run(group: str, name: str, d: int, out: int, inputs, kernel, deviation):
         """One case: deviation(kernel, mats) is closed form - oracle on a stack
         of tuples of inputs = (count, dim) matrices, with an output on out
-        sites; kernel (perm, transposed) is realized only if the case runs.
+        sites; kernel (perm, transposed) is listed only if the case runs.
         The inputs cover the first sites and the identity the rest, all of
         them output sites, so a tuple gathers the kernel's d^n nonzeros (one
         diagram) times the d^out * dim^count / d^n kept columns on covered

@@ -17,7 +17,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .dense_ops import SectorOperator, sector_layout
+from .dense_ops import ListedOperator, SectorOperator, sector_layout
 from .sym_core import (
     Partition,
     Permutation,
@@ -340,6 +340,24 @@ def realize(x, d: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     _scatter(pairings, values, d, out.reshape(-1))
     return out
+
+
+def list_entries(x, d: int) -> ListedOperator:
+    """The nonzero entries of realize(x, d), listed with no d^n x d^n array
+    (dense_ops.ListedOperator): each term's d^n unit entries from its
+    pairing (_pair_weights @ _pair_values), equal entries summed in term
+    order by one np.add.at from zero, as realize's scatter sums them, and
+    zero sums dropped.  So the listing is _support of the realized matrix
+    bit for bit; it holds T * d^n indices for T terms."""
+    pairings, values = _realizable(x, d)
+    n = pairings.shape[1] // 2
+    dim = d ** n
+    flat = (_pair_weights(pairings, d, dim, 1) @ _pair_values(n, d)).astype(np.intp)
+    entries, where = np.unique(flat, return_inverse=True)
+    sums = np.zeros(len(entries), dtype=complex)
+    np.add.at(sums, where.reshape(-1), np.repeat(values, dim))
+    keep = sums != 0
+    return ListedOperator(n, d, *np.divmod(entries[keep], dim), sums[keep])
 
 
 def realize_sectors(x, d: int, k: int) -> SectorOperator:

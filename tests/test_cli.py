@@ -1077,8 +1077,9 @@ class TestClosedStdout:
 
 
 def test_cli_imports_no_numpy_ma():
-    """The projector reports, json and text, scan-bcs, ew-maps and
-    werner-ppt (which build the Werner support) never import numpy.ma.
+    """The projector reports, json and text, verify-props (which lists its
+    kernels), scan-bcs, ew-maps and werner-ppt (which build the Werner
+    support) never import numpy.ma.
     numpy imports it lazily, when an entry point that needs it first runs
     (a np.unique without flags does), and that import costs every CLI
     process 10-15 ms."""
@@ -1090,7 +1091,8 @@ def test_cli_imports_no_numpy_ma():
               "print('numpy.ma' in sys.modules)\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, " ".join(_N7_JSON),
-         " ".join(_N7_JSON[:-1] + ["text"]), "scan-bcs --alpha 0:1:0.5 --beta=-0.5:0.1:0.3",
+         " ".join(_N7_JSON[:-1] + ["text"]), "verify-props --tuples 2",
+         "scan-bcs --alpha 0:1:0.5 --beta=-0.5:0.1:0.3",
          "ew-maps --d 4 --instances 2", "werner-ppt --r 0.2,0.05,0.75,0,0.5,0.5 --d 5"],
         capture_output=True, text=True, env=_fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import timeit
 import tracemalloc
@@ -777,6 +778,68 @@ class TestWernerSupport:
             for f, times in rounds.items():
                 times.append(timeit.timeit(lambda: f(params), number=100))
         assert min(rounds[werner_state]) <= min(rounds[_dense_werner_state]), rounds
+
+
+def _same_listing(got, want):
+    """Rows, columns and values equal as dtypes and bytes."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and np.array_equal(_bits(x), _bits(y))
+               for x, y in zip(got, want))
+
+
+class TestListedState:
+    """rho^{T_S} listed from the Werner support is the dense state's
+    partial transpose as _support reads it, bit for bit."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_the_listing_is_the_dense_support(self, d, rng):
+        states = [random_valid_werner(rng, d), WernerParams.from_rs((0, 1, 0, 0, 0, 0), d),
+                  ent.random_werner_instances(rng, d, 50)[0]]
+        for params, s in itertools.product(states, ent.ROW_SUBSETS.values()):
+            dense = dense_ops.partial_transpose(werner_state(params), s)
+            assert _same_listing(dense_ops._support(ent._transposed_state(params, s)),
+                                 dense_ops._support(dense))
+
+    def test_zero_patterns_are_dropped_as_the_dense_support_drops_them(self):
+        # the antisymmetric state: sign(pi) / 6 sums to an exact zero on
+        # the entries an even and an odd permutation hit alone
+        params = WernerParams.from_rs((0, 1, 0, 0, 0, 0), 3)
+        listed = ent._transposed_state(params, (1,))
+        assert len(listed.rows) == np.count_nonzero(werner_state(params).mat) < ent.werner_support(3)
+
+    @pytest.mark.parametrize("s", list(ent.ROW_SUBSETS.values()))
+    def test_covariance_residual_reads_both_forms_alike(self, s, rng):
+        params = ent.random_werner_instances(rng, 3, 7)[0]
+        dense = dense_ops.partial_transpose(werner_state(params), s)
+        listed = ent._transposed_state(params, s)
+        for conjugated in (s, ()):
+            residuals = [dense_ops.covariance_residual(m, conjugated) for m in (listed, dense)]
+            assert np.array_equal(_bits(residuals[0]), _bits(residuals[1]))
+            assert residuals[0].shape == (7,)
+
+    def test_the_trace_form_builds_no_dense_state(self, rng, monkeypatch):
+        params, a, b = ent.random_werner_instances(rng, 3, 4)
+        expected = {row: eggeling_werner_map_trace(row, params, a, b).mat
+                    for row in ent.F_ROWS + ent.G_ROWS}
+        for name in ("werner_state", "_on_support"):
+            monkeypatch.setattr(ent, name, None)
+        monkeypatch.setattr(dense_ops, "partial_transpose", None)
+        for row, mat in expected.items():
+            assert np.array_equal(_bits(eggeling_werner_map_trace(row, params, a, b).mat),
+                                  _bits(mat))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_draws_are_the_per_instance_stream_on_100_seeds(self, d):
+        for seed in range(100):
+            count = 1 + seed % 5
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            params, a, b = ent.random_werner_instances(new, d, count)
+            for t in range(count):
+                rs = ent._rs_from_draw(*ent._werner_draw(old))
+                z = old.standard_normal((2, 2, d, d))
+                assert [_bits(r[t, 0, 0]) for r in params.rs] == [_bits(r) for r in rs]
+                assert np.array_equal(_bits(a[t]), _bits(dense_ops.complex_gaussian(z[0])))
+                assert np.array_equal(_bits(b[t]), _bits(dense_ops.complex_gaussian(z[1])))
+            assert new.random() == old.random()
 
 
 class TestPptConditions:

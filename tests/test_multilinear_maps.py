@@ -28,6 +28,7 @@ from wba.wba_algebra import (
     admissible_pairs,
     f_projector,
     from_permutation,
+    list_entries,
     realize,
     realize_sectors,
 )
@@ -573,6 +574,70 @@ class TestSectorKernel:
                                                            inputs).mat)
 
 
+def _listing_bytes(op):
+    """_support's rows, columns and values as (dtype, shape, bytes)."""
+    return [(x.dtype, x.shape, x.tobytes()) for x in dense_ops._support(op)]
+
+
+def _lists_its_realization(x, d):
+    return _listing_bytes(list_entries(x, d)) \
+        == _listing_bytes(DenseOperator(x.n, d, realize(x, d)))
+
+
+class TestListedKernel:
+    """list_entries gives _support of the realized matrix bit for bit:
+    equal entries summed in term order from zero, zero sums dropped."""
+
+    @pytest.mark.parametrize("n,k,d", [(n, k, d) for (n, k, d) in _sector_cases() if n <= 6])
+    def test_every_admissible_projector(self, n, k, d):
+        for alpha, mu in admissible_pairs(n, k, d):
+            assert _lists_its_realization(f_projector(mu, alpha, n, k, d), d), (mu, alpha)
+
+    def test_every_suite_kernel(self, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            seen.append(args)
+            return _kernel(*args)
+
+        monkeypatch.setattr(verification, "_kernel", recording)
+        proposition_suite(seed=0, tuples=1)
+        assert len(seen) == 106
+        for perm, transposed, d in seen:
+            assert _lists_its_realization(from_permutation(perm, transposed), d)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_elements_with_polynomial_coefficients(self, n, d, rng):
+        # complex coefficients in d**0..d**2, a repeated pairing and a pair
+        # of diagrams of opposite coefficients, whose shared entries cancel
+        for _ in range(5):
+            diagrams = [from_permutation(Permutation(tuple(rng.permutation(n) + 1)),
+                                         set(np.flatnonzero(rng.random(n) < 0.4) + 1))
+                        for _ in range(6)]
+            pairings = np.concatenate([x.pairings for x in diagrams] + [diagrams[0].pairings])
+            coeffs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+            element = WbaElement(n, pairings, coeffs)
+            assert _lists_its_realization(element, d)
+            cancelling = WbaElement(n, pairings[:2], [[0.5 - 2j], [-0.5 + 2j]])
+            listed = list_entries(cancelling, d)
+            assert len(listed.rows) < 2 * d ** n     # the constant digits meet both
+            assert _lists_its_realization(cancelling, d)
+
+    def test_a_permutation_is_its_diagram(self):
+        perm = parse_permutation("(1 3 2)", 3)
+        assert _listing_bytes(list_entries(perm, 3)) \
+            == _listing_bytes(list_entries(from_permutation(perm), 3))
+
+    @pytest.mark.parametrize("n,k,d,mu,alpha", [(4, 1, 3, (2, 1), (2,)), (6, 2, 2, (2, 2), (2,))])
+    def test_covariance_residual_reads_both_forms_alike(self, n, k, d, mu, alpha):
+        element = f_projector(Partition(mu), Partition(alpha), n, k, d)
+        dense = DenseOperator(n, d, realize(element, d))
+        for conjugated in (range(n - k + 1, n + 1), (1,)):
+            assert dense_ops.covariance_residual(list_entries(element, d), conjugated).hex() \
+                == dense_ops.covariance_residual(dense, conjugated).hex()
+
+
 class TestMultilinearity:
     def test_linearity_in_first_argument(self, rng):
         d = 2
@@ -673,17 +738,17 @@ class TestSuiteRunner:
         assert len(failed) == 1 and np.isnan(failed[0]["max_dev"])
         assert failed[0]["name"] == cases[0]["name"]
 
-    @pytest.mark.parametrize("only, realized", [("prop6", 0), ("prop5", 8)])
-    def test_kernels_are_built_only_for_cases_that_run(self, only, realized, monkeypatch):
+    @pytest.mark.parametrize("only, listed", [("prop6", 0), ("prop5", 8)])
+    def test_kernels_are_built_only_for_cases_that_run(self, only, listed, monkeypatch):
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return realize(*args)
+            return list_entries(*args)
 
-        monkeypatch.setattr(verification, "realize", counting)
+        monkeypatch.setattr(verification, "list_entries", counting)
         cases = proposition_suite(seed=0, tuples=1, only=only)
-        assert len(cases) == 8 and len(calls) == realized
+        assert len(cases) == 8 and len(calls) == listed
 
     def test_every_suite_kernel_has_one_nonzero_per_column(self, monkeypatch):
         # run() sizes its stacks by d^n nonzeros per kernel
@@ -691,7 +756,7 @@ class TestSuiteRunner:
 
         def counting(*args):
             kernel = _kernel(*args)
-            nonzeros.append((np.count_nonzero(kernel.mat), kernel.d ** kernel.n))
+            nonzeros.append((np.count_nonzero(kernel.values), kernel.d ** kernel.n))
             return kernel
 
         monkeypatch.setattr(verification, "_kernel", counting)

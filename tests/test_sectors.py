@@ -330,23 +330,42 @@ def _same_minimum(stacked, alone):
 STACK_CASES = [(3, 3, (2,)), (3, 3, (1,)), (4, 2, (1, 3)), (2, 4, (1,))]
 
 
+class _StepCounter:
+    """numpy for dense_ops, counting the np.maximum calls, one a step of
+    the covariance core."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, *args, **kwargs):
+        self.steps += 1
+        return np.maximum(*args, **kwargs)
+
+
 class TestStacks:
     """Each member of a stack gets the bits of a call on it alone."""
 
-    @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
-    @pytest.mark.parametrize("group", [None, 4, 1])
+    @pytest.mark.parametrize("n,d,conjugated,roots", [
+        (*case, roots) for case in STACK_CASES for roots in (1, 2, None)
+        if roots is None or roots < 2 * (case[1] - 1)])
     @pytest.mark.filterwarnings("error")
-    def test_covariance_residual(self, n, d, conjugated, group, monkeypatch):
-        # frames for 4 members, or a bound of one entry, take one root of
-        # all 6 members a step, splitting the roots and the bands; the complex
-        # stack's magnitudes are taken with no complex-to-real cast warning
+    def test_covariance_residual(self, n, d, conjugated, roots, monkeypatch):
+        # frames for 1 or 2 roots of all 6 members a step, or the default
+        # bound, which takes all 2 (d - 1) roots at once at these sizes; the
+        # complex stack's magnitudes are taken with no complex-to-real cast warning
         stack = _stack(n, d, conjugated, n * d)
         alone = [covariance_residual(m, conjugated) for m in _members(stack)]
-        if group:
+        if roots:
             width = sector_layout(n, d, conjugated).members.shape[1]
-            work = 1 if group == 1 else group * 2 * (d ** n + 1) * width
-            monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", work)
+            monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", roots * 2 * (d ** n + 1) * width * 6)
+        counter = _StepCounter()
+        monkeypatch.setattr(dense_ops, "np", counter)
         stacked = covariance_residual(stack, conjugated)
+        monkeypatch.undo()
+        assert counter.steps == 2 * (d - 1) // (roots or 2 * (d - 1))   # all divide evenly
         assert stacked.shape == (2, 3)
         assert np.array_equal(stacked.reshape(-1), alone)
         assert alone[0] <= 1e-12 and 0 < alone[2] <= 1e-10 and min(alone[3:]) > 1e-3
