@@ -225,7 +225,12 @@ class ListedOperator:
     entries: ``rows`` and ``cols`` in row-major order, no pair twice, and
     ``values`` with the stack axes in front of the entry axis.  Entries not
     listed are zero.  wba_algebra.list_entries writes a diagram's or an
-    element's, with no d^n x d^n array."""
+    element's, with no d^n x d^n array.
+
+    ``rows`` and ``cols`` may carry member axes in front of the entry axis
+    too, each member listing its own entries (as many for every member):
+    wba_algebra.list_permutations writes a stack of diagrams so.  The
+    member axes broadcast with the values' stack axes, as stack axes do."""
 
     n: int
     d: int
@@ -234,7 +239,9 @@ class ListedOperator:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.rows.shape == self.cols.shape == self.values.shape[-1:]:
+        rows, values = self.rows.shape, self.values.shape
+        if rows != self.cols.shape or rows[-1:] != values[-1:] \
+                or any(a != b and 1 not in (a, b) for a, b in zip(rows[::-1], values[::-1])):
             raise ValueError(f"rows {self.rows.shape}, columns {self.cols.shape} and values "
                              f"{self.values.shape} do not list one set of entries")
 
@@ -245,7 +252,7 @@ def _support(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     those of any member of its stack (the values with the stack axes in
     front), for a SectorOperator its stored entries, whose places within a
     sector follow the basis order, and for a ListedOperator its listing as
-    it is."""
+    it is, rows and columns with their member axes if they have any."""
     if isinstance(op, ListedOperator):
         return op.rows, op.cols, op.values
     if isinstance(op, SectorOperator):
@@ -331,8 +338,9 @@ def covariance_residual(m, conjugated):
     two strided views of that grid, with no index table, no product and no
     random draw; M is read in place, its sites unmoved.
 
-    M is a DenseOperator, a SectorOperator or a ListedOperator, whose
-    entries _support lists:
+    M is a DenseOperator, a SectorOperator or a ListedOperator with one
+    support (no member axes on its rows: a ValueError), whose entries
+    _support lists:
     those between two sectors give the first term, and the others are
     placed in M's sector rows, unless M is a SectorOperator keyed by the
     checked sites, whose rows are read in place.  A stack of M (leading
@@ -351,6 +359,9 @@ def covariance_residual(m, conjugated):
         lead, rows, off = (), m.rows[None], np.zeros(1)
     else:
         r, c, values = _support(m)
+        if r.ndim > 1:
+            raise ValueError("covariance_residual reads one support, not a listing "
+                             f"with member axes {r.shape[:-1]}")
         lead = values.shape[:-1]
         values = values.reshape(prod(lead), len(r))
         within = layout.sector[r] == layout.sector[c]

@@ -12,9 +12,10 @@ its stored entries by dense_ops._support, the reader covariance_residual
 shares: a dense matrix's nonzero entries (or a stack's), a walled
 operator's weight-sector rows (SectorOperator), or a listing of entries
 (ListedOperator), the last two never made dense.  A diagram or element is
-listed from its pairings (list_entries), as verify-props' kernels and
-ew-maps' rho^{T_S} are, with no d^n x d^n matrix.  It is the ground truth
-for the closed forms below: single-cycle kernels with one transposed site reduce to
+listed from its pairings (list_entries) with no d^n x d^n matrix, and
+verify-props lists the diagrams of a group of cases at once, one member
+each (list_permutations), and contracts them as one stack.  It is the
+ground truth for the closed forms below: single-cycle kernels with one transposed site reduce to
 matrix products with a transpose inserted, those with a transposed subset
 to products with transposes on the subset (or on its complement, in
 reversed order, when the last site is transposed), and forward cycles with
@@ -25,6 +26,7 @@ permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -98,8 +100,12 @@ def contract(kernel, factors, keep) -> DenseOperator:
     or listed kernel and the factors may be stacks (leading axes,
     broadcast): the terms run over the union of the members' supports, and
     each member of the result is that member's contraction alone, bit for
-    bit (a member's zero entries add exact zeros).  Each per-term array is
-    freed once used.
+    bit (a member's zero entries add exact zeros).  A listing whose rows and
+    columns carry member axes (ListedOperator) gives each member its own
+    support instead: those axes are the stack's last ones, each member's
+    terms gather from its own factor (a factor without the member axes is
+    shared) and go to its own bins, so it too is the member's contraction
+    alone, bit for bit.  Each per-term array is freed once used.
     """
     d, n = kernel.d, kernel.n
     keep = dense_ops._validate_sites(keep, n)
@@ -122,27 +128,37 @@ def contract(kernel, factors, keep) -> DenseOperator:
         i_r = i_r * span + (rows // place[last - 1] if last < n else rows) % span
     spread = (np.arange(width)[:, None] // place[n - len(keep):] % d) @ place[kept]
     free = spread[::ident]                      # the kept columns on covered sites
-    f_cols = (rows - spread[i_r])[:, None] + free       # (a_r, j): r's kept digits made j's
+    f_cols = (rows - spread[i_r])[..., None] + free     # (a_r, j): r's kept digits made j's
     # one bin per (stack member, i_r, j), each added in input order: K's row-major
     # order; j is the free kept column followed by c's identity digits
-    cells = ((i_r * width + cols % ident)[:, None] + np.arange(0, width, ident)).ravel()
+    cells = (i_r * width + cols % ident)[..., None] + np.arange(0, width, ident)
     del rows, i_r
-    stack = np.broadcast_shapes(values.shape[:-1], *(f.shape[:-2] for f in factors))
-    terms = np.empty(stack + f_cols.shape, dtype=np.result_type(values, *factors))
+    stack = np.broadcast_shapes(values.shape[:-1], cells.shape[:-2],
+                                *(f.shape[:-2] for f in factors))
+    shape, dtype = stack + f_cols.shape[-2:], np.result_type(values, *factors)
+    members = cells.shape[:-2]      # the rows' member axes, the stack's last ones
     low = d ** n
     for t, (f, m) in enumerate(zip(factors, sites)):
         span, low = d ** m, low // d ** m       # factor t's dimension, its last site's weight
-        g = f.reshape(f.shape[:-2] + (span * span,))[
-            ..., cols[:, None] // low % span * span + f_cols // low % span]
+        at = cols[..., None] // low % span * span + f_cols // low % span
+        if members:     # each member reads its own factor: its block of one flat axis
+            at += np.arange(prod(members)).reshape(members + (1, 1)) * span * span
+            if f.shape[-2 - len(members):-2] != members:
+                f = np.broadcast_to(f, np.broadcast_shapes(f.shape[:-2], members) + f.shape[-2:])
+        g = f.reshape(f.shape[:-2 - len(members)] + (-1,))[..., at]
+        del at
         if t:
             terms *= g
+        elif g.shape == shape and g.dtype == dtype:
+            terms = g       # a gather is a new array: the terms start in it
         else:
+            terms = np.empty(shape, dtype)
             terms[...] = g
         del g
     np.multiply(values[..., None], terms, out=terms)
     del cols, f_cols, values
     out = np.empty(np.prod(stack, dtype=int) * width ** 2, dtype=complex)
-    bins = (np.arange(0, out.size, width ** 2)[:, None] + cells).ravel()
+    bins = (np.arange(0, out.size, width ** 2).reshape(stack + (1, 1)) + cells).ravel()
     del cells
     out.real = np.bincount(bins, terms.real.ravel(), out.size)
     out.imag = np.bincount(bins, terms.imag.ravel(), out.size)

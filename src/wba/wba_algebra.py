@@ -257,6 +257,13 @@ def _pair_weights(pairings: np.ndarray, d: int, top: int, bot: int) -> np.ndarra
     return (weight + weight[pairings])[lower].reshape(len(pairings), n)
 
 
+def _unit_entries(pairings: np.ndarray, d: int) -> np.ndarray:
+    """(T, d**n) flat indices row * d**n + column of the unit entries of
+    each diagram of ``pairings``, in the order of _pair_values."""
+    n = pairings.shape[1] // 2
+    return (_pair_weights(pairings, d, d ** n, 1) @ _pair_values(n, d)).astype(np.intp)
+
+
 @lru_cache(maxsize=8)
 def _pair_values(n: int, d: int) -> np.ndarray:
     """(n, d**n) float64, read only: column v holds the n base-d digits of
@@ -352,12 +359,28 @@ def list_entries(x, d: int) -> ListedOperator:
     pairings, values = _realizable(x, d)
     n = pairings.shape[1] // 2
     dim = d ** n
-    flat = (_pair_weights(pairings, d, dim, 1) @ _pair_values(n, d)).astype(np.intp)
-    entries, where = np.unique(flat, return_inverse=True)
+    entries, where = np.unique(_unit_entries(pairings, d), return_inverse=True)
     sums = np.zeros(len(entries), dtype=complex)
     np.add.at(sums, where.reshape(-1), np.repeat(values, dim))
     keep = sums != 0
     return ListedOperator(n, d, *np.divmod(entries[keep], dim), sums[keep])
+
+
+def list_permutations(images: np.ndarray, mask: np.ndarray, d: int) -> ListedOperator:
+    """The diagrams sigma^{T_S} of the rows of ``images`` (the 1-based
+    images of sigma) and ``mask`` (S, a boolean row each), listed at once
+    as a stack with one member a row: rows and columns of shape (members,
+    d^n), each member its own d^n unit entries in row-major order, every
+    value 1.  A diagram's unit entries are distinct, so each member is
+    list_entries(from_permutation(sigma, S), d) bit for bit, sorted, not
+    summed.  Guarded by check_size_guard, as list_entries is."""
+    images = np.asarray(images, np.intp)
+    n = images.shape[1]
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    check_size_guard(n, d)
+    flat = np.sort(_unit_entries(_transposed_matchings(images, np.asarray(mask, bool)), d))
+    return ListedOperator(n, d, *np.divmod(flat, d ** n), np.ones(flat.shape, complex))
 
 
 def realize_sectors(x, d: int, k: int) -> SectorOperator:

@@ -60,24 +60,30 @@ class TestVerifyProps:
         assert err == "error: no cases match --only 'nosuchgroup'\n"
 
     def test_nan_deviation_fails(self, capsys, monkeypatch):
-        chain = mm.evaluate_one_to_many
-        calls = []
+        # the middle tuple of the middle member of prop3's group (backward,
+        # k = 3, d = 2), with a stack a tuple and with the group in one stack
+        cycle = mm.evaluate_cycle_to_one
+        for stack_bytes in (0, verification.STACK_BYTES):
+            seen = []
 
-        def nan_in_one_tuple(a, k):
-            out = chain(a, k)
-            calls.append(k)
-            if len(calls) == 2:     # the middle tuple of the first case only
-                out.mat[0, 0, 0] = np.nan
-            return out
+            def nan_in_one_tuple(direction, j, inputs):
+                out = cycle(direction, j, inputs)
+                for t in range(len(out.mat) if (direction, j, len(inputs)) == ("backward", 2, 3)
+                               else 0):
+                    if len(seen) == 1:
+                        out.mat[t, 0, 0] = np.nan
+                    seen.append(t)
+                return out
 
-        monkeypatch.setattr(verification, "STACK_BYTES", 0)     # one tuple a stack
-        monkeypatch.setattr(mm, "evaluate_one_to_many", nan_in_one_tuple)
-        code, out, _ = run(capsys, "verify-props", "--only", "prop5", "--tuples", "3",
-                           "--format", "json")
-        cases = json.loads(out)
-        assert code == 2
-        assert [c["max_dev"] == "nan" for c in cases] == [True] + [False] * 7
-        assert [c["passed"] for c in cases] == [False] + [True] * 7
+            monkeypatch.setattr(verification, "STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(mm, "evaluate_cycle_to_one", nan_in_one_tuple)
+            code, out, _ = run(capsys, "verify-props", "--only", "prop3", "--tuples", "3",
+                               "--format", "json")
+            cases = json.loads(out)
+            middle = [c["name"] for c in cases].index("prop3:backward,k=3,j=2,d=2")
+            assert code == 2 and len(seen) == 6
+            assert [c["max_dev"] == "nan" for c in cases] == [i == middle for i in range(56)]
+            assert [c["passed"] for c in cases] == [i != middle for i in range(56)]
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify-props", "--only", "prop6", "--tuples", "2",

@@ -21,7 +21,7 @@ from wba.multilinear_maps import (
 )
 from wba.sym_core import Partition, Permutation, parse_permutation
 from wba import verification
-from wba.verification import _kernel, proposition_suite
+from wba.verification import proposition_suite
 from wba.tolerances import ORACLE_TOL
 from wba.wba_algebra import (
     WbaElement,
@@ -29,6 +29,7 @@ from wba.wba_algebra import (
     f_projector,
     from_permutation,
     list_entries,
+    list_permutations,
     realize,
     realize_sectors,
 )
@@ -39,6 +40,11 @@ from test_sectors import gather_rows
 @pytest.fixture
 def rng():
     return np.random.default_rng(17)
+
+
+def _kernel(perm, transposed, d):
+    """perm^{T_S} by its listed entries."""
+    return list_entries(from_permutation(perm, transposed), d)
 
 
 def spec_for(perm, transposed, n_in, n_out, d):
@@ -579,6 +585,34 @@ def _listing_bytes(op):
     return [(x.dtype, x.shape, x.tobytes()) for x in dense_ops._support(op)]
 
 
+def _suite_listings(monkeypatch, **suite):
+    """(images, mask, d, listing) of each list_permutations call of a
+    proposition_suite run."""
+    seen = []
+
+    def recording(images, mask, d):
+        listed = list_permutations(images, mask, d)
+        seen.append((np.array(images), np.array(mask), d, listed))
+        return listed
+
+    monkeypatch.setattr(verification, "list_permutations", recording)
+    proposition_suite(**suite)
+    return seen
+
+
+def _member(listed, m):
+    """Member m of a listing with one member axis, as a listing of its own."""
+    return dense_ops.ListedOperator(listed.n, listed.d, listed.rows[m], listed.cols[m],
+                                    listed.values[m])
+
+
+def _members(images, mask, listed):
+    """(perm, S, member listing) for each member of a member-stacked listing."""
+    return [(Permutation(tuple(int(x) for x in images[m])),
+             {int(s) for s in np.flatnonzero(mask[m]) + 1}, _member(listed, m))
+            for m in range(len(images))]
+
+
 def _lists_its_realization(x, d):
     return _listing_bytes(list_entries(x, d)) \
         == _listing_bytes(DenseOperator(x.n, d, realize(x, d)))
@@ -594,17 +628,16 @@ class TestListedKernel:
             assert _lists_its_realization(f_projector(mu, alpha, n, k, d), d), (mu, alpha)
 
     def test_every_suite_kernel(self, monkeypatch):
-        seen = []
-
-        def recording(*args):
-            seen.append(args)
-            return _kernel(*args)
-
-        monkeypatch.setattr(verification, "_kernel", recording)
-        proposition_suite(seed=0, tuples=1)
-        assert len(seen) == 106
-        for perm, transposed, d in seen:
-            assert _lists_its_realization(from_permutation(perm, transposed), d)
+        # each member of a suite listing is its diagram's list_entries, which
+        # is the realization's support
+        listings = _suite_listings(monkeypatch, seed=0, tuples=1)
+        members = [(perm, s, d, listed) for images, mask, d, listed in listings
+                   for perm, s, listed in _members(images, mask, listed)]
+        assert len(listings) == 36 and len(members) == 106
+        for perm, s, d, listed in members:
+            diagram = from_permutation(perm, s)
+            assert _listing_bytes(listed) == _listing_bytes(list_entries(diagram, d))
+            assert _lists_its_realization(diagram, d)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("d", [2, 3])
@@ -636,6 +669,99 @@ class TestListedKernel:
         for conjugated in (range(n - k + 1, n + 1), (1,)):
             assert dense_ops.covariance_residual(list_entries(element, d), conjugated).hex() \
                 == dense_ops.covariance_residual(dense, conjugated).hex()
+
+
+def _bytes(x):
+    return x.dtype, x.shape, np.ascontiguousarray(x).tobytes()
+
+
+class TestMemberStacks:
+    """A listing whose rows and columns carry member axes, each member its own
+    entries: contract gives each member its own contraction bit for bit, as
+    verification runs the cases of one contraction shape."""
+
+    @pytest.mark.parametrize("tuples", [1, 20, 41])
+    def test_every_suite_stack_is_its_members_alone(self, tuples, monkeypatch):
+        stacks = []
+
+        def recording(kernel, factors, keep):
+            out = contract(kernel, factors, keep)
+            stacks.append((kernel, factors, keep, out))
+            return out
+
+        monkeypatch.setattr(mm, "contract", recording)
+        proposition_suite(seed=0, tuples=tuples)
+        sizes = [len(kernel.rows) for kernel, *_ in stacks]
+        assert sum(sizes) >= 106 and max(sizes) > 1
+        for kernel, factors, keep, out in stacks:
+            items = len(factors[0]) * len(kernel.rows)      # (tuple, member) pairs
+            assert out.mat.shape[:2] == (len(factors[0]), len(kernel.rows))
+            # gathered terms (d^n nonzeros a column) or output entries, within the bound
+            dim = kernel.d ** kernel.n
+            columns = out.mat.shape[-1] * np.prod([f.shape[-1] for f in factors]) // dim
+            entries = max(dim * columns, out.mat.shape[-1] ** 2)
+            assert items == 1 or 16 * items * entries <= verification.STACK_BYTES
+            for m in range(len(kernel.rows)):
+                alone = contract(_member(kernel, m), [f[:, m] for f in factors], keep)
+                assert _bytes(out.mat[:, m]) == _bytes(alone.mat)
+
+    def test_groups_split_across_stacks(self, monkeypatch):
+        # 41 tuples fit 12 of prop4's 16 members in a stack at d = 2, one at d = 3
+        sizes = []
+
+        def recording(kernel, factors, keep):
+            sizes.append(len(kernel.rows))
+            return contract(kernel, factors, keep)
+
+        monkeypatch.setattr(mm, "contract", recording)
+        proposition_suite(seed=7, tuples=41, only="prop4")
+        assert sizes == [12, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_own_values_and_shared_factors(self, d, rng):
+        # members of other values, a factor of each (tuple, member) beside
+        # one shared by all, and values shared by the members
+        perms = [parse_permutation(c, 3) for c in ("(1 2 3)", "(1 3)", "(2 3)", "()")]
+        masks = [[True, False, False], [False, True, True], [False, False, False],
+                 [True, True, True]]
+        listed = list_permutations([p.images for p in perms], masks, d)
+        values = rng.standard_normal(listed.rows.shape) + 1j * rng.standard_normal(listed.rows.shape)
+        own = dense_ops.ListedOperator(3, d, listed.rows, listed.cols, values)
+        shared = dense_ops.ListedOperator(3, d, listed.rows, listed.cols, values[0])
+        factors = [rng.standard_normal((5, 4, d, d)) + 0j, random_matrix(d, 1, rng)]
+        for kernel in (own, shared):
+            for keep in ([3], [1, 3], [2, 3], [1, 2, 3]):
+                out = contract(kernel, factors, keep)
+                for m in range(4):
+                    alone = contract(_member(kernel, m) if kernel is own else
+                                     dense_ops.ListedOperator(3, d, listed.rows[m],
+                                                              listed.cols[m], values[0]),
+                                     [factors[0][:, m], factors[1]], keep)
+                    assert _bytes(out.mat[:, m]) == _bytes(alone.mat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_each_member_is_its_diagrams_listing(self, n, d, rng):
+        images = np.array([rng.permutation(n) + 1 for _ in range(6)])
+        masks = rng.random((6, n)) < 0.5
+        listed = list_permutations(images, masks, d)
+        for perm, s, member in _members(images, masks, listed):
+            assert _listing_bytes(member) \
+                == _listing_bytes(list_entries(from_permutation(perm, s), d))
+
+    def test_covariance_residual_refuses_member_axes(self):
+        listed = list_permutations([[2, 1, 3], [1, 2, 3]], [[False] * 3, [True] * 3], 2)
+        with pytest.raises(ValueError, match="member axes") as info:
+            dense_ops.covariance_residual(listed, (3,))
+        assert "\n" not in str(info.value)
+        assert dense_ops.covariance_residual(_member(listed, 0), (3,)) == 0.0
+
+    @pytest.mark.parametrize("rows, cols, values", [
+        ((2, 8), (8,), (2, 8)), ((2, 8), (2, 8), (3, 8)), ((2, 8), (2, 8), (7,))])
+    def test_one_set_of_entries(self, rows, cols, values):
+        with pytest.raises(ValueError, match="one set of entries"):
+            dense_ops.ListedOperator(3, 2, np.zeros(rows, np.intp), np.zeros(cols, np.intp),
+                                     np.zeros(values))
 
 
 class TestMultilinearity:
@@ -721,48 +847,48 @@ class TestSuiteRunner:
             proposition_suite(tuples=0)
 
     def test_nan_deviation_fails_its_case(self, monkeypatch):
-        calls = []
+        # prop4 at d = 2 is one group of 16 members; the NaN is in the middle
+        # tuple of a middle member, whether each member and tuple has a
+        # stack of its own or all 16 share one
+        for stack_bytes in (0, verification.STACK_BYTES):
+            seen = []
 
-        def nan_in_one_tuple(s, inputs):
-            out = cycle_subset_to_one(s, inputs)
-            calls.append(s)
-            if len(calls) == 2:     # the middle tuple of the first case only
-                out.mat[0, 0, 0] = np.nan
-            return out
+            def nan_in_one_tuple(s, inputs):
+                out = cycle_subset_to_one(s, inputs)
+                for t in range(len(out.mat) if s == {2, 3} else 0):
+                    if len(seen) == 1:      # the first group's middle tuple
+                        out.mat[t, 0, 0] = np.nan
+                    seen.append(t)
+                return out
 
-        # one tuple a stack: the NaN stack is neither the first nor the last
-        monkeypatch.setattr(verification, "STACK_BYTES", 0)
-        monkeypatch.setattr(mm, "cycle_subset_to_one", nan_in_one_tuple)
-        cases = proposition_suite(seed=0, tuples=3, only="prop4")
-        failed = [c for c in cases if not c["passed"]]
-        assert len(failed) == 1 and np.isnan(failed[0]["max_dev"])
-        assert failed[0]["name"] == cases[0]["name"]
+            monkeypatch.setattr(verification, "STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(mm, "cycle_subset_to_one", nan_in_one_tuple)
+            cases = proposition_suite(seed=0, tuples=3, only="prop4")
+            failed = [c for c in cases if not c["passed"]]
+            assert len(seen) == 6       # three tuples at d = 2 and at d = 3
+            assert len(failed) == 1 and np.isnan(failed[0]["max_dev"])
+            assert failed[0]["name"] == cases[8]["name"] == "prop4:S={2,3},d=2"
 
     @pytest.mark.parametrize("only, listed", [("prop6", 0), ("prop5", 8)])
     def test_kernels_are_built_only_for_cases_that_run(self, only, listed, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return list_entries(*args)
+        def counting(images, mask, d):
+            calls.extend(images)
+            return list_permutations(images, mask, d)
 
-        monkeypatch.setattr(verification, "list_entries", counting)
+        monkeypatch.setattr(verification, "list_permutations", counting)
         cases = proposition_suite(seed=0, tuples=1, only=only)
-        assert len(cases) == 8 and len(calls) == listed
+        assert len(cases) == 8 and len(calls) == listed     # members listed
 
     def test_every_suite_kernel_has_one_nonzero_per_column(self, monkeypatch):
-        # run() sizes its stacks by d^n nonzeros per kernel
-        nonzeros = []
-
-        def counting(*args):
-            kernel = _kernel(*args)
-            nonzeros.append((np.count_nonzero(kernel.values), kernel.d ** kernel.n))
-            return kernel
-
-        monkeypatch.setattr(verification, "_kernel", counting)
-        proposition_suite(seed=0, tuples=1)
-        assert len(nonzeros) == 106
-        assert all(count == expected for count, expected in nonzeros)
+        # the groups size their stacks by d^n nonzeros per member
+        listings = _suite_listings(monkeypatch, seed=0, tuples=1)
+        assert sum(len(images) for images, *_ in listings) == 106
+        for images, _, d, listed in listings:
+            dim = d ** listed.n
+            assert listed.rows.shape == listed.values.shape == (len(images), dim)
+            assert np.count_nonzero(listed.values) == len(images) * dim
 
     def test_stack_size_does_not_move_a_deviation(self, monkeypatch):
         stacked = proposition_suite(seed=5, tuples=30)
