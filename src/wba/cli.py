@@ -388,9 +388,9 @@ def cmd_werner_ppt(args) -> int:
 def cmd_ew_maps(args) -> int:
     _check_minimum(args, d=3, instances=1, seed=0)
     rows = ent.F_ROWS + ent.G_ROWS if args.row == "all" else (args.row,)
-    bad = [r for r in rows if r not in ent.F_ROWS + ent.G_ROWS]
-    if bad:
-        raise CliError(f"unknown rows {bad}; valid: {ent.F_ROWS + ent.G_ROWS}")
+    with _fails_with(1, "--row: "):
+        for row in rows:
+            ent._row_subset(row)
     with _fails_with(2):
         check_size_guard(3, args.d)
     rng = np.random.default_rng(args.seed)

@@ -21,37 +21,12 @@ from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_token
 from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .verification import stack_sizes
-from .wba_algebra import _pair_values, _pair_weights, _transposed_matchings, check_size_guard
+from .wba_algebra import _entry_index, _sum_entries, _transposed_matchings
 
 PSD = "PSD"
 WITNESS_CANDIDATE = "WITNESS_CANDIDATE"
 NOT_BLOCK_POSITIVE = "NOT_BLOCK_POSITIVE"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-
-@lru_cache(maxsize=1)
-def _werner_basis(d: int):
-    """The support of id, (12), (23), (31), (123), (321) on three factors:
-    the flat indices of the entries any permutation hits, each entry's
-    pattern (the set of permutations that hit it; 16 at d >= 3), and each
-    permutation's row on the patterns, 1 where it hits them and 0 elsewhere.
-    The six pairings come from the permutations' image rows and their d^3
-    entries each from the index product of realize's scatter, so no diagram
-    is built and no d^3 x d^3 matrix formed.  All read-only: werner_state,
-    werner_support, bcs_kernel and _transposed_support read them, and
-    callers sweep one d at a time, so only the last d is kept."""
-    check_size_guard(3, d)      # as realize does; it keeps the float64 indices exact
-    images = np.array([(1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1), (3, 1, 2)])
-    pairings = _transposed_matchings(images, np.zeros(images.shape, bool))
-    entries = (_pair_weights(pairings, d, d ** 3, 1) @ _pair_values(3, d)).astype(np.intp)
-    support, where = np.unique(entries.ravel(), return_inverse=True)
-    hits = np.zeros((6, support.size), dtype=complex)
-    hits[np.arange(6).repeat(d ** 3), where] = 1.0
-    perms_p, pattern = np.unique(hits, axis=1, return_inverse=True)
-    pattern = pattern.ravel()
-    for mat in (support, pattern, perms_p):
-        mat.flags.writeable = False
-    return support, pattern, perms_p
 
 
 # ---------------------------------------------------------------------------
@@ -171,36 +146,53 @@ def random_werner_instances(rng: np.random.Generator, d: int, count: int):
     return params, a, b
 
 
+# the terms by their 1-based images: the Werner state's in the order of
+# WernerParams.alphas, the BCS kernel's (1 2), (3 1), id, (2 3)
+WERNER_TERMS = ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1), (3, 1, 2))
+BCS_TERMS = ((2, 1, 3), (3, 2, 1), (1, 2, 3), (1, 3, 2))
+
+
+@lru_cache(maxsize=8)
+def _term_index(terms: tuple, s: tuple[int, ...], d: int):
+    """wba_algebra._entry_index of the terms' sigma^{T_S}, read only: the
+    Werner state, its six rho^{T_S} and the BCS kernel at one d."""
+    mask = np.array([[site in s for site in (1, 2, 3)]] * len(terms))
+    index = _entry_index(_transposed_matchings(np.array(terms), mask), d)
+    for array in index:
+        array.flags.writeable = False
+    return index
+
+
+def _listed(terms: tuple, s: tuple[int, ...], coeffs, d: int) -> ListedOperator:
+    """sum_t coeffs[t] terms[t]^{T_S} by its listed entries, each summed in
+    term order (wba_algebra._sum_entries): scalar coefficients give one
+    operator, (T, 1, 1) arrays among them a stack of T."""
+    if not any(isinstance(c, np.ndarray) for c in coeffs):
+        values = np.array(coeffs, dtype=complex)
+    else:   # a column a term, the scalars broadcast
+        values = np.empty(np.broadcast(*coeffs).shape + (len(coeffs),), complex)
+        for t, c in enumerate(coeffs):
+            values[..., t] = c
+        values = values[..., 0, 0, :]
+    return _sum_entries(3, d, *_term_index(terms, s, d), values)
+
+
+def _dense(listed: ListedOperator) -> DenseOperator:
+    """The listed operator, or stack, written into d^3 x d^3 matrices."""
+    mat = np.zeros(listed.values.shape[:-1] + (listed.d ** 3,) * 2, dtype=complex)
+    mat[..., listed.rows, listed.cols] = listed.values
+    return DenseOperator(3, listed.d, mat)
+
+
 def werner_state(params: WernerParams) -> DenseOperator:
     """Dense operator sum_pi alpha_pi pi over the six permutations, or the
-    stack of them for stacked parameters.  The sum runs once per pattern of
-    the support, which the entries of a pattern then share: the bits of the
-    dense sum, whose other entries are exact zeros."""
-    return _on_support(_pattern_sums(params), params.d)
-
-
-def _pattern_sums(params: WernerParams) -> np.ndarray:
-    """sum_pi alpha_pi times pi's row on the patterns of _werner_basis(d):
-    the value of each pattern, (patterns,) or (T, 1, patterns) for stacked
-    parameters."""
-    perms_p = _werner_basis(params.d)[2]
-    return sum(a * p for a, p in zip(params.alphas, perms_p))
-
-
-def _on_support(mat: np.ndarray, d: int) -> DenseOperator:
-    """The operator with mat's value for each pattern of _werner_basis(d) on
-    that pattern's entries and exact zeros elsewhere; the stack axes of mat
-    (the shape (T, 1, patterns) of (T, 1, 1) coefficients) stay in front."""
-    support, pattern = _werner_basis(d)[:2]
-    dim = d ** 3
-    dense = np.zeros(mat.shape[:-1] + (dim * dim,), dtype=complex)
-    dense[..., support] = mat[..., pattern]
-    return DenseOperator(3, d, dense.reshape(mat.shape[:-2] + (dim, dim)))
+    stack of them for stacked parameters: the bits of the dense sum."""
+    return _dense(_listed(WERNER_TERMS, (), params.alphas, params.d))
 
 
 def werner_support(d: int) -> int:
     """Nonzero entries of a generic Werner state, the same for each partial transpose."""
-    return _werner_basis(d)[0].size
+    return len(_term_index(WERNER_TERMS, (), d)[0])
 
 
 def werner_ppt_conditions(rs) -> tuple[list[bool], bool]:
@@ -243,7 +235,10 @@ ROW_SUBSETS = {"1": (1,), "2": (2,), "3": (3,), "12": (1, 2), "13": (1, 3), "23"
 
 
 def _row_subset(row: str) -> tuple[int, ...]:
-    return ROW_SUBSETS[row.lstrip("fg")]
+    """S of a map row, "f13" or "g2" say; any other row is a ValueError."""
+    if row not in F_ROWS + G_ROWS:
+        raise ValueError(f"unknown map row {row!r}; valid rows: {', '.join(F_ROWS + G_ROWS)}")
+    return ROW_SUBSETS[row[1:]]
 
 
 def _trace(x: np.ndarray):
@@ -264,41 +259,11 @@ def _times(x, y):
     return out
 
 
-@lru_cache(maxsize=len(ROW_SUBSETS))
-def _transposed_support(d: int, s: tuple[int, ...]):
-    """Rows, columns and patterns of the support of rho^{T_S} in row-major
-    order, read only: _werner_basis(d)'s support with the digits of the
-    sites in S swapped between row and column, then sorted."""
-    support, pattern = _werner_basis(d)[:2]
-    dim = d ** 3
-    rows, cols = np.divmod(support, dim)
-    for site in s:
-        place = d ** (3 - site)
-        moved = (cols // place % d - rows // place % d) * place
-        rows, cols = rows + moved, cols - moved
-    order = np.argsort(rows * dim + cols)
-    listing = rows[order], cols[order], pattern[order]
-    for array in listing:
-        array.flags.writeable = False
-    return listing
-
-
-def _transposed_state(params: WernerParams, s) -> ListedOperator:
-    """rho^{T_S} by its listed entries: the pattern sums werner_state
-    scatters, at _transposed_support's entries, less those zero in every
-    member, so it is _support(partial_transpose(werner_state(params), S))
-    bit for bit with no d^3 x d^3 matrix."""
-    rows, cols, pattern = _transposed_support(params.d, tuple(s))
-    sums = _pattern_sums(params)
-    keep = sums.reshape(-1, sums.shape[-1]).any(axis=0)[pattern]
-    values = sums[..., pattern[keep]].reshape(sums.shape[:-2] + (-1,))
-    return ListedOperator(3, params.d, rows[keep], cols[keep], values)
-
-
 def eggeling_werner_map_trace(row: str, params: WernerParams, a, b=None) -> DenseOperator:
     """Defining trace formula: the contraction oracle's map of rho^{T_S},
-    listed from the Werner support (_transposed_state)."""
-    rho_ts = _transposed_state(params, _row_subset(row))
+    listed by wba_algebra as sum_pi alpha_pi pi^{T_S}: no d^3 x d^3 matrix,
+    and _support(partial_transpose(werner_state(params), S)) bit for bit."""
+    rho_ts = _listed(WERNER_TERMS, _row_subset(row), params.alphas, params.d)
     inputs = [a] if row.startswith("f") else [a, b]
     return evaluate_oracle(MapSpec(rho_ts, len(inputs), 3 - len(inputs), params.d), inputs)
 
@@ -307,6 +272,7 @@ def eggeling_werner_map(row: str, params: WernerParams, a, b=None) -> DenseOpera
     """Closed form of the same map: alpha-weighted sums of products,
     transposes, reshufflings, and partially transposed reshufflings.  With
     stacked parameters and inputs it gives the stack of the maps."""
+    _row_subset(row)
     d = params.d
     a1, a2, a3, a4, a5, a6 = params.alphas
     a = np.asarray(a, dtype=complex)
@@ -365,15 +331,12 @@ def bcs_kernel(alpha, beta, d: int) -> DenseOperator:
     """(1 2)^{T_2} + (1 3) + alpha * id + beta * (2 3)^{T_2} on three factors,
     or the stack of kernels for (T, 1, 1) arrays of alpha and beta.
 
-    It is [(1 2) + (3 1) + alpha * id + beta * (2 3)]^{T_2}: the sum runs once
-    per pattern of the support _werner_basis(d) holds, in the order of the
-    terms above, and is scattered as werner_state's is, so each entry has
-    the bits of the four dense terms summed.  It commutes with
-    U (x) conj(U) (x) U for every unitary U."""
+    It is [(1 2) + (3 1) + alpha * id + beta * (2 3)]^{T_2}, listed by
+    wba_algebra with each entry summed in that order: the bits of the dense
+    sum, partially transposed.  It commutes with U (x) conj(U) (x) U."""
     if d < 2:
         raise ValueError("need d >= 2")
-    one, p12, p23, p31 = _werner_basis(d)[2][:4]
-    return dense_ops.partial_transpose(_on_support(p12 + p31 + alpha * one + beta * p23, d), (2,))
+    return _dense(_listed(BCS_TERMS, (2,), (1, 1, alpha, beta), d))
 
 
 def bcs_alpha_threshold(beta: float, d: int) -> float:
@@ -674,15 +637,14 @@ def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
     The kernel is covariant, so the minimum is the exact one of
     check_covariant_block_positive (``certified``).  Its covariance check runs
     on the U(d) generators and draws nothing; a point whose kernel fails it
-    is a ValueError (no finite point does).  The points
-    are classified a stack at a time: each stack holds as many kernels of
-    d^6 entries as fit in verification.STACK_BYTES, at least one, built by
-    one bcs_kernel call (which reads the support _werner_basis(d) caches),
-    and each verdict is that of the point's kernel alone.  d < 2 is refused
-    before any work, on an empty grid too.
+    is a ValueError (no finite point does).  The points are classified a
+    stack at a time: each stack holds as many kernels of d^6 entries as fit
+    in verification.STACK_BYTES, at least one, built by one bcs_kernel
+    call, and each verdict is that of the point's kernel alone.  d < 3,
+    where the analytic condition is not stated, is refused before any work.
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
+    if d < 3:
+        raise ValueError("the analytic condition is stated for d >= 3")
     points = [(alpha, beta) for alpha in alpha_values for beta in beta_values]
     rows, start = [], 0
     for size in stack_sizes(len(points), d ** 6):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -350,20 +350,33 @@ def realize(x, d: int) -> np.ndarray:
 
 
 def list_entries(x, d: int) -> ListedOperator:
-    """The nonzero entries of realize(x, d), listed with no d^n x d^n array
-    (dense_ops.ListedOperator): each term's d^n unit entries from its
-    pairing (_pair_weights @ _pair_values), equal entries summed in term
-    order by one np.add.at from zero, as realize's scatter sums them, and
-    zero sums dropped.  So the listing is _support of the realized matrix
-    bit for bit; it holds T * d^n indices for T terms."""
+    """The nonzero entries of realize(x, d) with no d^n x d^n array: its
+    _support bit for bit, T * d^n indices for T terms."""
     pairings, values = _realizable(x, d)
-    n = pairings.shape[1] // 2
-    dim = d ** n
+    return _sum_entries(pairings.shape[1] // 2, d, *_entry_index(pairings, d), values)
+
+
+def _entry_index(pairings: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct flat indices row * d^n + column of the unit
+    entries of the diagrams ``pairings`` (T, 2n), and the places (T * d^n,)
+    of each term's among them.  check_size_guard keeps the indices exact."""
+    check_size_guard(pairings.shape[1] // 2, d)
     entries, where = np.unique(_unit_entries(pairings, d), return_inverse=True)
-    sums = np.zeros(len(entries), dtype=complex)
-    np.add.at(sums, where.reshape(-1), np.repeat(values, dim))
-    keep = sums != 0
-    return ListedOperator(n, d, *np.divmod(entries[keep], dim), sums[keep])
+    return entries, where.reshape(-1)
+
+
+def _sum_entries(n: int, d: int, entries, where, values: np.ndarray) -> ListedOperator:
+    """The ListedOperator sum_t values[..., t] D_t, D_t the diagrams of
+    _entry_index's (entries, where), complex ``values`` (..., T) with the
+    stack axes in front: one np.add.at from zero sums each entry's terms in
+    term order, as realize's scatter does, less entries zero in every member."""
+    size, members = len(entries), prod(values.shape[:-1])
+    sums = np.zeros(values.shape[:-1] + (size,), dtype=complex)
+    # np.add.at adds in index order; a flat index keeps it on its fast path
+    index = where if members == 1 else (np.arange(members)[:, None] * size + where).reshape(-1)
+    np.add.at(sums.reshape(-1), index, np.repeat(values.reshape(-1), d ** n))
+    keep = sums.reshape(members, size).any(axis=0)
+    return ListedOperator(n, d, *np.divmod(entries[keep], d ** n), sums[..., keep])
 
 
 def list_permutations(images: np.ndarray, mask: np.ndarray, d: int) -> ListedOperator:

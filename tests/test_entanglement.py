@@ -159,22 +159,34 @@ class TestBcsKernel:
 
     def test_no_dense_basis_is_held(self):
         # four dense d^3 x d^3 terms cached per d held 61 MiB at d = 10;
-        # the kernel reads the Werner support, about 111 KiB
-        ent._werner_basis.cache_clear()
+        # the kernel's cached listing structure holds about 63 KB
+        ent._term_index.cache_clear()
         tracemalloc.start()
         try:
             bcs_kernel(0.25, -0.1, 10)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-            ent._werner_basis.cache_clear()
+            ent._term_index.cache_clear()
         assert held < 1 << 20, held
 
     def test_d_below_two_is_refused_before_any_work(self):
         with pytest.raises(ValueError, match="need d >= 2"):
             bcs_kernel(0.25, -0.1, 1)
-        with pytest.raises(ValueError, match="need d >= 2"):
+        with pytest.raises(ValueError, match=r"stated for d >= 3"):
             scan_bcs_region([], [0.0], 1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scan_below_three_classifies_no_kernel(self, d, monkeypatch):
+        # the analytic condition is stated for d >= 3: a d = 2 scan once
+        # classified its whole grid before the condition refused it
+        calls = []
+        monkeypatch.setattr(ent, "check_covariant_block_positive",
+                            lambda *args: calls.append(args) or [])
+        with pytest.raises(ValueError, match=r"^the analytic condition is stated for d >= 3$"):
+            scan_bcs_region([0.0, 0.5], [-0.1, 0.0], d)
+        assert calls == []
+        assert bcs_kernel(0.25, -0.1, 2).mat.shape == (8, 8)   # the kernel keeps d = 2
 
     def test_witness_point_spectrum(self):
         kernel = bcs_kernel(0.25, -0.1, 3)
@@ -635,50 +647,57 @@ class TestWernerParams:
                 assert np.isclose(r_val, np.trace(rho.mat @ r).real, atol=1e-10)
 
     def test_basis_realized_once_per_dimension(self, monkeypatch):
-        # the six permutations' entries come from one index product per d
+        # each (terms, S, d) key of the cache runs one index product: the
+        # state's and the kernel's at d = 3, at d = 4, and none on the repeats
         realized = []
-        real = ent._pair_weights
-        monkeypatch.setattr(ent, "_pair_weights",
-                            lambda p, d, top, bot: realized.append(d) or real(p, d, top, bot))
-        ent._werner_basis.cache_clear()
+        real = ent._entry_index
+        monkeypatch.setattr(ent, "_entry_index",
+                            lambda pairings, d: realized.append(d) or real(pairings, d))
+        ent._term_index.cache_clear()
         try:
             for d in (3, 3, 4, 4, 3):
                 rho = werner_state(WernerParams.from_rs((0.4, 0.1, 0.5, 0, 0, 0), d))
                 assert rho.mat.flags.writeable
+                assert bcs_kernel(0.25, -0.1, d).mat.flags.writeable
         finally:
-            ent._werner_basis.cache_clear()
-        assert realized == [3, 4, 3]
+            ent._term_index.cache_clear()
+        assert realized == [3, 3, 4, 4]
 
     def test_basis_is_read_only(self):
-        for mat in ent._werner_basis(3):
-            with pytest.raises(ValueError):
-                mat[(0,) * mat.ndim] = 1
+        for terms, s in ((ent.WERNER_TERMS, ()), (ent.WERNER_TERMS, (1, 3)), (ent.BCS_TERMS, (2,))):
+            for array in ent._term_index(terms, s, 3):
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
     def test_basis_holds_no_dense_matrix(self):
         # the six permutations and six R_k as dense d^3 x d^3 matrices held
-        # 183 MiB at d = 10; their support holds about 111 KiB
-        ent._werner_basis.cache_clear()
+        # 183 MiB at d = 10; the listing structure of the state holds about
+        # 116 KB, and all eight keys of one d (the state, its six rho^{T_S}
+        # and the BCS kernel) about 717 KB
+        ent._term_index.cache_clear()
         tracemalloc.start()
         try:
-            ent._werner_basis(10)
+            for s in [(), *ent.ROW_SUBSETS.values()]:
+                ent._term_index(ent.WERNER_TERMS, s, 10)
+            ent._term_index(ent.BCS_TERMS, (2,), 10)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-            ent._werner_basis.cache_clear()
+            ent._term_index.cache_clear()
         assert held < 1 << 20, held
 
     def test_basis_is_built_without_a_dense_matrix(self):
         # realizing each permutation as a d^3 x d^3 complex matrix for its
-        # entries peaked at 48 MB at d = 12; the index product peaks at 4 MB,
-        # a third of the bound
-        ent._werner_basis.cache_clear()
+        # entries peaked at 48 MB at d = 12; the index product peaks at
+        # about 625 KB
+        ent._term_index.cache_clear()
         tracemalloc.start()
         try:
-            ent._werner_basis(12)
+            ent._term_index(ent.WERNER_TERMS, (), 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            ent._werner_basis.cache_clear()
+            ent._term_index.cache_clear()
         assert peak < 4 * 12 ** 6, peak
 
     def test_hermitian_iff_coefficient_symmetry(self, rng):
@@ -726,8 +745,8 @@ class TestWernerSupport:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_support_is_read_from_the_cache(self, d, monkeypatch):
-        ent._werner_basis(d)
-        monkeypatch.setattr(ent, "_pair_weights", None)     # no index product on a warm cache
+        werner_state(WernerParams.from_rs((0.4, 0.1, 0.5, 0, 0, 0), d))
+        monkeypatch.setattr(ent, "_entry_index", None)     # no index product on a warm cache
         assert ent.werner_support(d) == np.count_nonzero(sum(_dense_basis(d)[0]))
         assert ent.werner_support(d) == (93 if d == 3 else 256)
 
@@ -786,31 +805,40 @@ def _same_listing(got, want):
                for x, y in zip(got, want))
 
 
+def _listed_state(params, s, monkeypatch):
+    """The listing of rho^{T_S} that eggeling_werner_map_trace gives the oracle."""
+    kernels = []
+    with monkeypatch.context() as patch:
+        patch.setattr(ent, "evaluate_oracle", lambda spec, inputs: kernels.append(spec.kernel))
+        eggeling_werner_map_trace("f" + "".join(map(str, s)), params, np.eye(params.d))
+    return kernels[0]
+
+
 class TestListedState:
-    """rho^{T_S} listed from the Werner support is the dense state's
-    partial transpose as _support reads it, bit for bit."""
+    """rho^{T_S} listed by wba_algebra is the dense state's partial
+    transpose as _support reads it, bit for bit."""
 
     @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_the_listing_is_the_dense_support(self, d, rng):
+    def test_the_listing_is_the_dense_support(self, d, rng, monkeypatch):
         states = [random_valid_werner(rng, d), WernerParams.from_rs((0, 1, 0, 0, 0, 0), d),
                   ent.random_werner_instances(rng, d, 50)[0]]
         for params, s in itertools.product(states, ent.ROW_SUBSETS.values()):
             dense = dense_ops.partial_transpose(werner_state(params), s)
-            assert _same_listing(dense_ops._support(ent._transposed_state(params, s)),
+            assert _same_listing(dense_ops._support(_listed_state(params, s, monkeypatch)),
                                  dense_ops._support(dense))
 
-    def test_zero_patterns_are_dropped_as_the_dense_support_drops_them(self):
+    def test_zero_patterns_are_dropped_as_the_dense_support_drops_them(self, monkeypatch):
         # the antisymmetric state: sign(pi) / 6 sums to an exact zero on
         # the entries an even and an odd permutation hit alone
         params = WernerParams.from_rs((0, 1, 0, 0, 0, 0), 3)
-        listed = ent._transposed_state(params, (1,))
+        listed = _listed_state(params, (1,), monkeypatch)
         assert len(listed.rows) == np.count_nonzero(werner_state(params).mat) < ent.werner_support(3)
 
     @pytest.mark.parametrize("s", list(ent.ROW_SUBSETS.values()))
-    def test_covariance_residual_reads_both_forms_alike(self, s, rng):
+    def test_covariance_residual_reads_both_forms_alike(self, s, rng, monkeypatch):
         params = ent.random_werner_instances(rng, 3, 7)[0]
         dense = dense_ops.partial_transpose(werner_state(params), s)
-        listed = ent._transposed_state(params, s)
+        listed = _listed_state(params, s, monkeypatch)
         for conjugated in (s, ()):
             residuals = [dense_ops.covariance_residual(m, conjugated) for m in (listed, dense)]
             assert np.array_equal(_bits(residuals[0]), _bits(residuals[1]))
@@ -820,7 +848,7 @@ class TestListedState:
         params, a, b = ent.random_werner_instances(rng, 3, 4)
         expected = {row: eggeling_werner_map_trace(row, params, a, b).mat
                     for row in ent.F_ROWS + ent.G_ROWS}
-        for name in ("werner_state", "_on_support"):
+        for name in ("werner_state", "_dense"):
             monkeypatch.setattr(ent, name, None)
         monkeypatch.setattr(dense_ops, "partial_transpose", None)
         for row, mat in expected.items():
@@ -908,6 +936,18 @@ class TestInvariantStateMaps:
             ]
             for lhs, rhs in pairs:
                 assert sup_norm(lhs.mat - rhs.mat) < 1e-12
+
+    @pytest.mark.parametrize("form", [eggeling_werner_map, eggeling_werner_map_trace])
+    @pytest.mark.parametrize("row", ["f4", "x1", "g"])
+    def test_unknown_row_is_one_value_error(self, form, row):
+        # it was a bare KeyError: '4', 'x1' or ''
+        params = WernerParams.from_rs((0.4, 0.1, 0.5, 0, 0, 0), 3)
+        a = np.eye(3)
+        with pytest.raises(ValueError) as raised:
+            form(row, params, a, a)
+        message = str(raised.value)
+        assert "\n" not in message and f"unknown map row {row!r}" in message
+        assert all(valid in message for valid in ent.F_ROWS + ent.G_ROWS)
 
 
 def _seeded_states():

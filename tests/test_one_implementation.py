@@ -1,8 +1,9 @@
 """Each job has one implementation: the Kronecker product of a list is
 dense_ops.kron_all, the reorder of an operator's 2n tensor axes is
 dense_ops._reorder, the sum of a kernel against its inputs is
-multilinear_maps.contract, and the listing of an operator's stored entries
-is dense_ops._support."""
+multilinear_maps.contract, the listing of an operator's stored entries
+is dense_ops._support, and the entries of a sum of diagrams are listed and
+summed by wba_algebra alone."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,17 @@ def test_one_reader_of_stored_entries():
         callers |= {(path.name, function) for function, node in _nodes(path, ast.Call)
                     if getattr(node.func, "id", getattr(node.func, "attr", None)) == "_support"}
     assert {("dense_ops.py", "covariance_residual"), ("multilinear_maps.py", "contract")} <= callers
+
+
+def test_entanglement_lists_its_operators_through_the_algebra():
+    # the Werner state, rho^{T_S} and the BCS kernel are S_3 sums that
+    # wba_algebra lists: entanglement.py neither finds nor sums entries
+    def lists_entries(module, function, node):
+        if module != "entanglement.py":
+            return False
+        if isinstance(node, ast.Attribute):
+            return node.attr == "unique" or (
+                node.attr == "at" and getattr(node.value, "attr", None) == "add")
+        name = node.id if isinstance(node, ast.Name) else node.name
+        return name in ("_pair_weights", "_pair_values", "_unit_entries")
+    assert _found(lists_entries, (ast.Attribute, ast.Name, ast.alias)) == []
