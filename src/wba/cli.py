@@ -297,7 +297,7 @@ def cmd_projector(args) -> int:
     # k: it is held as its weight-sector rows, which both checks and the map
     # read; every diagram of F is walled, so none of its entries lies off them
     idem = dense_ops.idempotence_residual(f)
-    comm = dense_ops.covariance_residual(f, f.conjugated)
+    comm = dense_ops.covariance_residual(f)
 
     report = {
         "n": args.n, "k": args.k, "d": args.d,
@@ -394,12 +394,12 @@ def cmd_ew_maps(args) -> int:
     with _fails_with(2):
         check_size_guard(3, args.d)
     rng = np.random.default_rng(args.seed)
-    support = ent.werner_support(args.d)
     results = {}
     for row in rows:
         devs = []
-        # the inputs cover no output site, so an instance gathers the kernel's
-        # nonzeros, once each, or holds its output if that is larger
+        # the inputs cover no output site, so an instance gathers the nonzeros
+        # of the row's rho^{T_S}, once each, or holds its output if that is larger
+        support = ent.werner_support(ent._row_subset(row), args.d)
         outputs = args.d ** (2 if row.startswith("f") else 1)
         for t in stack_sizes(args.instances, max(support, outputs ** 2)):
             # per instance: the parameters, then a, then b (drawn for f rows too)

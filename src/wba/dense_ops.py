@@ -4,8 +4,10 @@ Row/column indices pack big-endian in site order (site 1 most significant),
 so <i|sigma|j> = prod_t delta(i_{sigma(t)}, j_t) holds literally and
 ``kron_all`` is the numpy Kronecker product of a whole list, entry for entry.
 An operator's matrix may carry leading stack axes, one operator per entry:
-``kron_all``, the axis reorderings, ``covariance_residual`` and
-``min_eigenvalue`` act on each member alone, bit for bit as on a call of its own.
+``kron_all``, the axis reorderings and ``min_eigenvalue`` act on each member
+alone, bit for bit as on a call of its own.  A walled operator may be held
+as its weight-sector rows (SectorOperator), which ``covariance_residual``
+and ``idempotence_residual`` read in place.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ def permutation_on_operator(pi: Permutation, m: DenseOperator) -> DenseOperator:
 # weight-sector layouts kept at once; each holds a few index arrays of about d^n entries
 _LAYOUTS = 8
 # frame entries a covariance step takes at once (a frame is 2 (d^n + 1) x
-# width x members, one a simple root): it bounds the roots a step moves
-# together, not the entries, as a step takes at least one root of every
-# member, twice the entries of the stack's rows (1.55M for one operator at (6,2) d=4)
+# width, one a simple root): it bounds the roots a step moves together, not
+# the entries, as a step takes at least one root, twice the entries of the
+# rows (1.55M at (6,2) d=4)
 _WORK_ENTRIES = 1 << 16
 
 
@@ -248,11 +250,12 @@ class ListedOperator:
 
 def _support(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the operator's stored entries in row-major
-    order, the one reader of them: for a DenseOperator its nonzero entries,
-    those of any member of its stack (the values with the stack axes in
-    front), for a SectorOperator its stored entries, whose places within a
-    sector follow the basis order, and for a ListedOperator its listing as
-    it is, rows and columns with their member axes if they have any."""
+    order, the one reader of them (multilinear_maps.contract's): for a
+    DenseOperator its nonzero entries, those of any member of its stack (the
+    values with the stack axes in front), for a SectorOperator its stored
+    entries, whose places within a sector follow the basis order, and for a
+    ListedOperator its listing as it is, rows and columns with their member
+    axes if they have any."""
     if isinstance(op, ListedOperator):
         return op.rows, op.cols, op.values
     if isinstance(op, SectorOperator):
@@ -265,23 +268,40 @@ def _support(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, mat[..., rows, cols]
 
 
-def _covariance_residuals(rows: np.ndarray, worst: np.ndarray, layout: SectorLayout) -> np.ndarray:
-    """covariance_residual of each member of a non-empty (members, d^n + 1,
-    width) stack of sector rows, starting from ``worst``, their largest
-    entries off the sectors.  The member axis runs last, so each move and
-    each frame row covers the stack."""
-    count, dim, width = len(rows), rows.shape[1] - 1, rows.shape[2]
+def covariance_residual(f: SectorOperator) -> float:
+    """How far a walled M, given by its sector rows, is from commuting with
+    U on the plain sites (x) conj(U) on f.conjugated, for every unitary U:
+    the largest sup_norm of [M, A_X] over the simple-root matrices
+    X = E_{a,a+1} and E_{a+1,a} of gl(d), where A_X is X summed over the
+    plain sites minus X^T summed over the conjugated ones: the derived
+    action.  The sector rows hold all of M, so M commutes with the diagonal
+    unitaries.
+
+    These X generate sl(d), the identity acts as a scalar and U(d) is
+    connected, so the residual is 0 exactly when M commutes with every such
+    product (the walled-Brauer form of Schur-Weyl duality).  A_X moves one
+    site's index between a and b, which maps sector w to w + e_a - e_b, so
+    [M_w, A_X] has only the blocks from w to w + e_a - e_b.  They are formed
+    from M's blocks packed by place, by column for M A_X and by row for
+    A_X M, on the (d,)*n grid of indices: each site's move, for all the
+    roots of one kind that a step holds, is one in-place add or subtract of
+    two strided views of that grid, with no index table, no product and no
+    random draw; f.rows is read in place, and each step takes the roots
+    whose frames fit in _WORK_ENTRIES entries (at least one)."""
+    layout, rows = f.layout, f.rows
+    dim, width = rows.shape[0] - 1, rows.shape[1]
     roots, dtype, d = len(layout.below), rows.dtype, len(layout.below) // 2 + 1
-    rows = rows.reshape(count, -1).swapaxes(0, 1)
     spans = layout.members * width
     # M's blocks by column, then minus them by row, and per root a frame for
     # M A_X by column, then -A_X M by row: each a (d,)*n grid of index rows
-    packed = np.empty((2, dim, width, count), dtype=dtype)
-    rows.take(spans[layout.sector] + layout.position[:, None], axis=0, out=packed[0], mode="clip")
-    np.negative(rows[:dim * width].reshape(dim, width, count), out=packed[1])
-    step = max(1, min(roots, _WORK_ENTRIES // (2 * (dim + 1) * width * count)))  # roots at once
-    moved = np.empty((step, 2, dim + 1, width, count), dtype=dtype)
+    packed = np.empty((2, dim, width), dtype=dtype)
+    rows.reshape(-1).take(spans[layout.sector] + layout.position[:, None], out=packed[0],
+                          mode="clip")
+    np.negative(rows[:dim], out=packed[1])
+    step = max(1, min(roots, _WORK_ENTRIES // (2 * (dim + 1) * width)))     # roots at once
+    moved = np.empty((step, 2, dim + 1, width), dtype=dtype)
     frame, half, ahead, size = moved.strides[:2] + packed.strides[:1] + (dtype.itemsize,)
+    worst = 0.0
     for lo in range(0, roots, step):
         hi = min(roots, lo + step)
         frames = moved[:hi - lo]
@@ -307,70 +327,13 @@ def _covariance_residuals(rows: np.ndarray, worst: np.ndarray, layout: SectorLay
         by_column = spans.take(layout.below[lo:hi], axis=0)
         by_column += (layout.position[:, None]
                       + np.arange(hi - lo)[:, None, None] * (2 * (dim + 1) * width))
-        commutator = frames.reshape(-1, count).take(by_column, axis=0)
+        commutator = frames.reshape(-1).take(by_column)
         del by_column
         commutator += frames[:, 1, :dim]
         magnitude = np.abs(commutator, out=commutator if commutator.dtype.kind == "f" else None)
-        worst = np.maximum(worst, magnitude.max(axis=(0, 1, 2)))   # sup_norm per member
+        worst = np.maximum(worst, magnitude.max())      # sup_norm, NaN kept
         del commutator, magnitude
-    return worst
-
-
-def covariance_residual(m, conjugated):
-    """How far M is from commuting with U on the plain sites (x) conj(U) on
-    the sites in ``conjugated``, for every unitary U: the larger of
-
-    * the largest |M| between two different weight sectors (sector_layout),
-      which is 0 exactly when M commutes with the diagonal unitaries, and
-    * the largest sup_norm of [M_w, A_X] over the simple-root matrices
-      X = E_{a,a+1} and E_{a+1,a} of gl(d), where M_w is M's block-diagonal
-      part and A_X is X summed over the plain sites minus X^T summed over
-      the conjugated ones: the derived action.
-
-    These X generate sl(d), the identity acts as a scalar and U(d) is
-    connected, so the residual is 0 exactly when M commutes with every such
-    product (the walled-Brauer form of Schur-Weyl duality).  A_X moves one
-    site's index between a and b, which maps sector w to w + e_a - e_b, so
-    [M_w, A_X] has only the blocks from w to w + e_a - e_b.  They are formed
-    from M's blocks packed by place, by column for M A_X and by row for
-    A_X M, on the (d,)*n grid of indices: each site's move, for all the
-    roots of one kind that a step holds, is one in-place add or subtract of
-    two strided views of that grid, with no index table, no product and no
-    random draw; M is read in place, its sites unmoved.
-
-    M is a DenseOperator, a SectorOperator or a ListedOperator with one
-    support (no member axes on its rows: a ValueError), whose entries
-    _support lists:
-    those between two sectors give the first term, and the others are
-    placed in M's sector rows, unless M is a SectorOperator keyed by the
-    checked sites, whose rows are read in place.  A stack of M (leading
-    axes) gives an array of the stack's shape, each member's residual
-    bit-identical to a call on that member alone; all the members' rows run
-    through the one core at once, each step taking the roots whose frames
-    fit in _WORK_ENTRIES entries (at least one)."""
-    conjugated = _validate_sites(conjugated, m.n)
-    if 2 * len(conjugated) > m.n:
-        # U -> conj(U) maps U(d) onto itself, so M commutes with U on the plain
-        # sites (x) conj(U) on the others exactly when it does with the sides
-        # exchanged: same sectors, same residual, so the two share one layout
-        conjugated = tuple(s for s in range(1, m.n + 1) if s not in conjugated)
-    layout, dim = _sector_layout(m.n, m.d, conjugated), m.d ** m.n
-    if isinstance(m, SectorOperator) and m.conjugated == conjugated:
-        lead, rows, off = (), m.rows[None], np.zeros(1)
-    else:
-        r, c, values = _support(m)
-        if r.ndim > 1:
-            raise ValueError("covariance_residual reads one support, not a listing "
-                             f"with member axes {r.shape[:-1]}")
-        lead = values.shape[:-1]
-        values = values.reshape(prod(lead), len(r))
-        within = layout.sector[r] == layout.sector[c]
-        off = np.abs(values[:, ~within]).max(axis=1, initial=0)
-        rows = np.zeros((len(values), dim + 1, layout.members.shape[1]), dtype=values.dtype)
-        rows[:, r[within], layout.position[c[within]]] = values[:, within]
-        del r, c, values, within
-    worst = _covariance_residuals(rows, off, layout) if len(rows) else off
-    return worst.reshape(lead) if lead else float(worst[0])
+    return float(worst)
 
 
 def idempotence_residual(f: SectorOperator) -> float:

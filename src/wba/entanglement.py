@@ -10,7 +10,7 @@ and a see-saw search for the minimum of a hermitian form over product states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +19,7 @@ from . import dense_ops
 from .dense_ops import DenseOperator, ListedOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_token
-from .tolerances import ATOL, EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
+from .tolerances import EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .verification import stack_sizes
 from .wba_algebra import _entry_index, _sum_entries, _transposed_matchings
 
@@ -190,9 +190,10 @@ def werner_state(params: WernerParams) -> DenseOperator:
     return _dense(_listed(WERNER_TERMS, (), params.alphas, params.d))
 
 
-def werner_support(d: int) -> int:
-    """Nonzero entries of a generic Werner state, the same for each partial transpose."""
-    return len(_term_index(WERNER_TERMS, (), d)[0])
+def werner_support(s: tuple[int, ...], d: int) -> int:
+    """Nonzero entries of a generic rho^{T_S}, the listing the maps of S
+    contract: the same count for every S."""
+    return len(_term_index(WERNER_TERMS, s, d)[0])
 
 
 def werner_ppt_conditions(rs) -> tuple[list[bool], bool]:
@@ -401,9 +402,10 @@ class PositivityVerdict:
     """``sweeps`` counts see-saw sweeps over all starts, ``converged_starts``
     the starts that met the stop rule before the iteration cap; both are 0
     when no search ran.  ``certified`` marks a non-PSD classification that is
-    proved, not estimated: ``product_min_estimate`` is then the exact 1|rest
-    minimum (covariant_block_minimum) or, for proposition1_check's 1|2|3
-    verdict, a proved lower bound."""
+    proved, not estimated: ``product_min_estimate`` is then the exact 1|23
+    minimum (check_covariant_block_positive) or, for proposition1_check's
+    1|2|3 verdict, a proved lower bound.  Two verdicts are equal when every
+    field is, the block vectors compared by np.array_equal."""
 
     classification: str
     min_eig: float
@@ -412,6 +414,16 @@ class PositivityVerdict:
     sweeps: int = 0
     converged_starts: int = 0
     certified: bool = False
+
+    def __eq__(self, other):
+        if not isinstance(other, PositivityVerdict):
+            return NotImplemented
+        mine, theirs = self.violating_product_state, other.violating_product_state
+        if (mine is None) != (theirs is None) or mine is not None and (
+                len(mine) != len(theirs) or not all(map(np.array_equal, mine, theirs))):
+            return False
+        return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self)
+                   if f.name != "violating_product_state")
 
 
 def _check_sites(m: DenseOperator, partition: PartitionSpec) -> None:
@@ -513,65 +525,37 @@ def _classify(m: DenseOperator, partition: PartitionSpec, lam: float, value: flo
     return PositivityVerdict(INCONCLUSIVE, lam, value, **{**fields, "certified": False})
 
 
-def covariant_block_minimum(m: DenseOperator, conjugated):
-    """Exact minimum of <a x|M|a x> over unit vectors a on site 1 and x on
-    the other sites, with a minimising (a, x), for an M that commutes with
-    the tensor product of conj(U) on the sites in ``conjugated`` and U on the
-    others, for every unitary U.
+def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: int):
+    """check_block_positive for the cut 1|23 of sum_t coeffs[t] terms[t]^{T_S}
+    (the arguments of _listed), a certified verdict with no search.
 
-    Such a product moves any unit a to e_1 and keeps the form, so the minimum
-    is the least eigenvalue of the block <e_1|M|e_1> on the other sites.  The
-    commutation is checked, never assumed, over all of U(d) by
-    dense_ops.covariance_residual; unless the residual is within ATOL relative
-    to M's largest entry, and that bound is finite, the answer is None (a
-    refusal): an M with a NaN or infinite entry is refused.
+    By mixed Schur-Weyl duality each sigma^{T_S} commutes with U on the
+    plain sites (x) conj(U) on S, for every unitary U, and so does the sum.
+    Such a product moves any unit a on site 1 to e_1 and keeps the form, so
+    the exact 1|23 minimum over product states is the least eigenvalue of
+    the block <e_1|M|e_1> on sites 2 and 3.  The PSD step is the same as
+    check_block_positive's, and a non-PSD verdict is ``certified``.  A term
+    that is not a permutation of (1, 2, 3) is a ValueError.
 
-    A stack of M gives the list of the members' answers in row-major order,
-    from one covariance check and one eigh of the covariant members' blocks.
-    """
-    d, rest = m.d, m.d ** (m.n - 1)
-    mats = m.mat.reshape(-1, d * rest, d * rest)
-    bounds = ATOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))   # NaN for a NaN entry
-    residuals = np.reshape(dense_ops.covariance_residual(m, conjugated), -1)
-    covariant = [i for i, (residual, bound) in enumerate(zip(residuals.tolist(), bounds.tolist()))
-                 if residual <= bound < math.inf]
-    values, vectors = np.linalg.eigh(mats.reshape(-1, d, rest, d, rest)[covariant, 0, :, 0])
-    answers = [None] * len(mats)
-    for i, value, vector in zip(covariant, values[:, 0].tolist(), vectors[:, :, 0]):
-        e1 = np.zeros(d, dtype=complex)
-        e1[0] = 1.0
-        answers[i] = (value, (e1, vector))
-    return answers if m.mat.ndim > 2 else answers[0]
-
-
-def check_covariant_block_positive(m: DenseOperator, conjugated):
-    """check_block_positive for the cut 1|rest of an operator covariant as
-    covariant_block_minimum requires: the PSD step is the same, and the
-    product minimum is the exact one, so the verdict is ``certified``.  A
-    non-PSD operator that fails the covariance check has no exact minimum
-    and is a ValueError; the check runs no search and draws nothing.
-
-    A stack of operators gives the list of the members' verdicts in
+    Stacked coefficients give the list of the members' verdicts in
     row-major order, each that of a call on the member alone: one stacked
-    eigvalsh and one covariance check of the non-PSD members; the error
-    names the first of them, in row-major order, that fails it.  One site
-    has no cut 1|rest: it is refused first, whatever its spectrum."""
-    if m.n < 2:
-        raise ValueError("the cut 1|rest needs at least two sites")
-    partition = PartitionSpec(((1,), tuple(range(2, m.n + 1))))
+    eigvalsh, then one stacked eigh of the non-PSD members' blocks."""
+    for term in terms:
+        if sorted(term) != [1, 2, 3]:
+            raise ValueError(f"term {term} is not a permutation of (1, 2, 3)")
+    m = _dense(_listed(terms, s, coeffs, d))
+    partition = PartitionSpec(((1,), (2, 3)))
     mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
-    lams = dense_ops.min_eigenvalue(DenseOperator(m.n, m.d, mats)).tolist()
+    lams = dense_ops.min_eigenvalue(DenseOperator(3, d, mats)).tolist()
     verdicts = [PositivityVerdict(PSD, lam, lam) if lam >= -EIG_TOL else None for lam in lams]
     negative = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if negative:
-        exact = covariant_block_minimum(DenseOperator(m.n, m.d, mats[negative]), conjugated)
-        for i, found in zip(negative, exact):
-            if found is None:
-                where = f"stack member {i}" if m.mat.ndim > 2 else "the operator"
-                raise ValueError(f"{where} is not PSD and not covariant with conj(U) on sites "
-                                 f"{sorted(conjugated)}: no exact 1|rest minimum")
-            verdicts[i] = _classify(DenseOperator(m.n, m.d, mats[i]), partition, lams[i],
-                                    *found, certified=True)
+        values, vectors = np.linalg.eigh(mats.reshape(-1, d, d * d, d, d * d)[negative, 0, :, 0])
+        for i, value, vector in zip(negative, values[:, 0].tolist(), vectors[:, :, 0]):
+            e1 = np.zeros(d, dtype=complex)
+            e1[0] = 1.0
+            verdicts[i] = _classify(DenseOperator(3, d, mats[i]), partition, lams[i], value,
+                                    (e1, vector), certified=True)
     return verdicts if m.mat.ndim > 2 else verdicts[0]
 
 
@@ -584,9 +568,10 @@ def proposition1_check(params: WernerParams, s, budget=None) -> dict:
     rho^{T_S} for 1|23 and 1|2|3 respectively; lists any contradiction.  A
     rho that is not a state (least eigenvalue below -EIG_TOL) is refused.
 
-    rho^{T_S} commutes with conj(U) on S and U elsewhere, so the 1|23 verdict
-    is the exact one of check_covariant_block_positive.  ``budget`` is not
-    read: no search runs, and it stays only for callers that pass one.
+    rho^{T_S} is the S_3 sum sum_pi alpha_pi pi^{T_S}, so the 1|23 verdict is
+    the exact one of check_covariant_block_positive, which lists it.
+    ``budget`` is not read: no search runs, and it stays only for callers
+    that pass one.
     The 1|2|3 verdict is proved: <abc|rho^{T_S}|abc> = <a'b'c'|rho|a'b'c'>
     with the factors on S conjugated, so it is PSD with rho^{T_S}, else a
     certified WITNESS_CANDIDATE whose product minimum is the lower bound
@@ -602,8 +587,7 @@ def proposition1_check(params: WernerParams, s, budget=None) -> dict:
     if lam_rho < -EIG_TOL:
         raise ValueError(f"rho is not a state: least eigenvalue {lam_rho:.3g}")
     row = "".join(str(x) for x in s)
-    rho_ts = dense_ops.partial_transpose(rho, s)
-    verdict_f = check_covariant_block_positive(rho_ts, s)
+    verdict_f = check_covariant_block_positive(WERNER_TERMS, s, params.alphas, params.d)
     verdict_g = verdict_f if verdict_f.classification == PSD else PositivityVerdict(
         WITNESS_CANDIDATE, verdict_f.min_eig, lam_rho, certified=True)
 
@@ -634,14 +618,13 @@ def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
     """Grid scan: analytic condition, minimum eigenvalue, 1|23 product-state
     minimum and classification per (alpha, beta) point, alpha-major.
 
-    The kernel is covariant, so the minimum is the exact one of
-    check_covariant_block_positive (``certified``).  Its covariance check runs
-    on the U(d) generators and draws nothing; a point whose kernel fails it
-    is a ValueError (no finite point does).  The points are classified a
-    stack at a time: each stack holds as many kernels of d^6 entries as fit
-    in verification.STACK_BYTES, at least one, built by one bcs_kernel
-    call, and each verdict is that of the point's kernel alone.  d < 3,
-    where the analytic condition is not stated, is refused before any work.
+    The kernel is an S_3 sum, so the minimum is the exact one of
+    check_covariant_block_positive (``certified``), which draws nothing.  The
+    points are classified a stack at a time: each stack holds as many
+    kernels of d^6 entries as fit in verification.STACK_BYTES, at least one,
+    listed by one call, and each verdict is that of the point's kernel
+    alone.  d < 3, where the analytic condition is not stated, is refused
+    before any work.
     """
     if d < 3:
         raise ValueError("the analytic condition is stated for d >= 3")
@@ -651,7 +634,7 @@ def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
         chunk = points[start:start + size]
         start += size
         alphas, betas = np.array(chunk, dtype=float).T[..., None, None]
-        verdicts = check_covariant_block_positive(bcs_kernel(alphas, betas, d), {2})
+        verdicts = check_covariant_block_positive(BCS_TERMS, (2,), (1, 1, alphas, betas), d)
         for (alpha, beta), verdict in zip(chunk, verdicts):
             rows.append({
                 "alpha": float(alpha),

@@ -8,9 +8,9 @@ of the package: each nonzero kernel entry times the entries of the inputs'
 Kronecker product that it meets, one flat gather per input and one bincount
 in the kernel's row-major order, the product never formed and the identity
 on the output sites taken as a delta, not a factor.  The kernel is read as
-its stored entries by dense_ops._support, the reader covariance_residual
-shares: a dense matrix's nonzero entries (or a stack's), a walled
-operator's weight-sector rows (SectorOperator), or a listing of entries
+its stored entries by dense_ops._support, the one reader of them: a
+dense matrix's nonzero entries (or a stack's), a walled operator's
+weight-sector rows (SectorOperator), or a listing of entries
 (ListedOperator), the last two never made dense.  A diagram or element is
 listed from its pairings (list_entries) with no d^n x d^n matrix, and
 verify-props lists the diagrams of a group of cases at once, one member

@@ -14,7 +14,15 @@ import pytest
 import wba
 from wba import cli, dense_ops, entanglement as ent, multilinear_maps as mm, verification
 from wba.cli import _parse_range, _report_json, main
-from wba.dense_ops import DenseOperator, covariance_residual, haar_unitary, random_psd, sup_norm
+from wba.dense_ops import (
+    DenseOperator,
+    SectorOperator,
+    covariance_residual,
+    haar_unitary,
+    random_psd,
+    sector_layout,
+    sup_norm,
+)
 from wba.sym_core import MAX_ENUM_DEGREE, Partition, parse_partition
 from wba.wba_algebra import (
     WbaElement,
@@ -25,6 +33,20 @@ from wba.wba_algebra import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def gather_rows(op: DenseOperator, conjugated) -> SectorOperator:
+    """The reference gather: the walled operator op by its sector rows for
+    the layout of ``conjugated``, row i holding op[i, members[sector[i]]]
+    by place, read where op holds it; nothing of op lies off the sectors."""
+    conjugated = tuple(sorted(conjugated))
+    layout, dim, mat = sector_layout(op.n, op.d, conjugated), op.d ** op.n, op.mat
+    assert not mat[layout.sector[:, None] != layout.sector].any()
+    cols = layout.members[layout.sector]
+    inside = cols < dim
+    rows = np.zeros((dim + 1, cols.shape[1]), dtype=mat.dtype)
+    rows[:dim][inside] = mat[np.nonzero(inside)[0], cols[inside]]
+    return SectorOperator(op.n, op.d, conjugated, rows)
 
 
 def run(capsys, *argv):
@@ -469,6 +491,18 @@ class TestEwMaps:
         assert code == 0
         assert out == (DATA / "ew_maps_seed1.json").read_text()
 
+    @pytest.mark.parametrize("argv,misses", [((), 6), (("--row", "f2"), 1)])
+    def test_one_listing_per_subset(self, capsys, argv, misses):
+        # each row sizes its stacks from the rho^{T_S} it contracts: the
+        # six subsets' listings, or the one row's, and no key of the state's
+        ent._term_index.cache_clear()
+        try:
+            code, _, _ = run(capsys, "ew-maps", "--seed", "1", *argv)
+            info = ent._term_index.cache_info()
+        finally:
+            ent._term_index.cache_clear()
+        assert code == 0 and info.misses == misses
+
     def test_nan_deviation_fails(self, capsys, monkeypatch):
         closed_form = ent.eggeling_werner_map
         calls = []
@@ -835,7 +869,8 @@ class TestSizeGuard:
 
 class TestCommutantResidual:
     """dense_ops.covariance_residual, the commutant check of ``wba projector``,
-    against full Kronecker products of Haar unitaries built here."""
+    on sector rows gathered here, against full Kronecker products of Haar
+    unitaries built here."""
 
     CASES = [(4, 1, 2, (2, 1), (2,)), (5, 2, 2, (2, 1), (1,)), (5, 1, 3, (3, 1), (2, 1)),
              (6, 2, 3, (2, 2), (2,))]
@@ -848,7 +883,13 @@ class TestCommutantResidual:
     @staticmethod
     def residual(mat, n, k, d, conjugated=None):
         conjugated = range(n - k + 1, n + 1) if conjugated is None else conjugated
-        return covariance_residual(DenseOperator(n, d, mat), conjugated)
+        return covariance_residual(gather_rows(DenseOperator(n, d, mat), conjugated))
+
+    @staticmethod
+    def blocks(mat, n, d, conjugated):
+        """mat's entries within the weight sectors of ``conjugated``."""
+        layout = sector_layout(n, d, conjugated)
+        return np.where(layout.sector[:, None] == layout.sector, mat, 0)
 
     @staticmethod
     def haar_residual(mat, n, k, d, draws=3):
@@ -870,20 +911,24 @@ class TestCommutantResidual:
     def test_zero_on_the_bcs_kernel_and_werner_partial_transposes(self):
         for alpha, beta in ((0.25, -0.1), (0.0, 0.0), (1.3, 0.4)):
             kernel = ent.bcs_kernel(alpha, beta, 3)
-            assert covariance_residual(kernel, {2}) <= 1e-13
+            assert covariance_residual(gather_rows(kernel, (2,))) <= 1e-13
         rng = np.random.default_rng(5)
         for _ in range(3):
             rho = ent.werner_state(ent.random_valid_werner(rng, 3))
             for s in ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
                 rho_ts = dense_ops.partial_transpose(rho, s) if s else rho
-                assert covariance_residual(rho_ts, s) <= 1e-13
+                assert covariance_residual(gather_rows(rho_ts, s)) <= 1e-13
 
     @pytest.mark.parametrize("n,k,d,mu,alpha", CASES)
     def test_matches_full_kronecker(self, n, k, d, mu, alpha):
-        # in order: the generators and the Haar sample see the same violation
+        # in order: the generators and the Haar sample see the same violation;
+        # one entry between two indices of one sector moves [F, A_X] by itself
         real = self.projector(n, k, d, mu, alpha)
+        layout = sector_layout(n, d, range(n - k + 1, n + 1))
+        i, j = np.argwhere((layout.sector[:, None] == layout.sector)
+                           & ~np.eye(d ** n, dtype=bool))[0]
         one_entry = np.zeros_like(real)
-        one_entry[0, 1] = 1e-6
+        one_entry[i, j] = 1e-6
         for mat in (real + one_entry, real + np.diag(np.arange(d ** n))):
             haar = self.haar_residual(mat, n, k, d)
             assert haar / 10 <= self.residual(mat, n, k, d) <= 10 * haar
@@ -891,9 +936,10 @@ class TestCommutantResidual:
 
     @pytest.mark.parametrize("n,k,d,mu,alpha", CASES)
     def test_fails_for_the_wrong_wall(self, n, k, d, mu, alpha):
+        # F's blocks for a wall that is not its own do not commute
         real = self.projector(n, k, d, mu, alpha)
         for conjugated in ((), range(1, k + 1)):
-            assert self.residual(real, n, k, d, conjugated) > 0.1
+            assert self.residual(self.blocks(real, n, d, conjugated), n, k, d, conjugated) > 0.1
 
     @pytest.mark.parametrize("n,k,d,mu,alpha", CASES)
     def test_fails_for_a_weight_preserving_matrix(self, n, k, d, mu, alpha):
@@ -912,26 +958,29 @@ class TestCommutantResidual:
 
     @pytest.mark.parametrize("conjugated", [(), (1,)])
     def test_only_the_scalars_commute_on_one_site(self, conjugated):
-        # each unit matrix misses some generator: |2><2| commutes with the
-        # U(2) of levels 0 and 1, E_02 with every raising matrix
+        # each sector of one site is one index, and each diagonal unit
+        # matrix misses some generator: |2><2| commutes with the U(2) of
+        # levels 0 and 1, but not with E_12
         d = 3
-        assert covariance_residual(DenseOperator(1, d, np.eye(d)), conjugated) == 0
+        assert self.residual(np.eye(d), 1, 0, d, conjugated) == 0
         for a in range(d):
-            for b in range(d):
-                unit = np.zeros((d, d))
-                unit[a, b] = 1.0
-                assert covariance_residual(DenseOperator(1, d, unit), conjugated) == 1.0
+            unit = np.zeros((d, d))
+            unit[a, a] = 1.0
+            assert self.residual(unit, 1, 0, d, conjugated) == 1.0
 
     def test_peak_is_one_accumulator(self):
+        # the rows packed twice, one root's two frames and its gathered
+        # commutator with its index (2.9 MB): less than the dense F (4.3 MB)
         n, k, d = 6, 2, 3
         real = self.projector(n, k, d, (2, 2), (2,))
+        f = gather_rows(DenseOperator(n, d, real), range(n - k + 1, n + 1))
         tracemalloc.start()
         try:
-            self.residual(real, n, k, d)
+            covariance_residual(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= real.nbytes + 2 ** 20
+        assert peak <= 8 * f.rows.nbytes < real.nbytes
 
     @pytest.mark.parametrize("n,k,d,mu,alpha,expected", [
         (6, 2, 3, "[2,2]", "[2]", "9.36750677027e-17"),

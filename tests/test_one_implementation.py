@@ -2,8 +2,9 @@
 dense_ops.kron_all, the reorder of an operator's 2n tensor axes is
 dense_ops._reorder, the sum of a kernel against its inputs is
 multilinear_maps.contract, the listing of an operator's stored entries
-is dense_ops._support, and the entries of a sum of diagrams are listed and
-summed by wba_algebra alone."""
+is dense_ops._support, the entries of a sum of diagrams are listed and
+summed by wba_algebra alone, and the one covariance check at run time is
+F's, in ``wba projector``."""
 
 import ast
 from pathlib import Path
@@ -53,7 +54,26 @@ def test_one_reader_of_stored_entries():
     for path in sorted(PACKAGE.glob("*.py")):
         callers |= {(path.name, function) for function, node in _nodes(path, ast.Call)
                     if getattr(node.func, "id", getattr(node.func, "attr", None)) == "_support"}
-    assert {("dense_ops.py", "covariance_residual"), ("multilinear_maps.py", "contract")} <= callers
+    assert callers == {("multilinear_maps.py", "contract")}
+
+
+def _calls(name):
+    """(module, enclosing def) of each call of ``name`` in the package."""
+    return sorted((path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+                  for function, node in _nodes(path, ast.Call)
+                  if getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def test_one_covariance_check():
+    # F's sector rows are the one operator whose covariance is checked at
+    # run time; the search layer's operators are S_3 sums, covariant by
+    # construction
+    assert _calls("covariance_residual") == [("cli.py", "cmd_projector")]
+
+
+def test_the_search_layer_checks_no_covariance():
+    text = (PACKAGE / "entanglement.py").read_text()
+    assert "covariance_residual" not in text and "covariant_block_minimum" not in text
 
 
 def test_entanglement_lists_its_operators_through_the_algebra():

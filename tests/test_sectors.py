@@ -1,9 +1,9 @@
 """The weight-sector checks of ``dense_ops``: the sector layout keyed by the
-conjugated sites, the sector-sparse ``covariance_residual`` against the
-dense index-slice residual it replaced (kept here as the reference), the
-block ``idempotence_residual`` against the dense product F @ F - F, and
+conjugated sites, ``covariance_residual`` on sector rows against the dense
+index-slice residual it replaced (kept here as the reference), the block
+``idempotence_residual`` against the dense product F @ F - F, and
 ``realize_sectors`` against the sector rows of the dense ``realize``
-(``gather_rows``, the reference gather)."""
+(``gather_rows``, the reference gather, kept in test_cli)."""
 
 import itertools
 import re
@@ -32,7 +32,7 @@ from wba.wba_algebra import (
     realize_sectors,
 )
 
-from test_cli import _PROJECTOR_CASES
+from test_cli import _PROJECTOR_CASES, gather_rows
 
 
 def slice_covariance_residual(m: DenseOperator, conjugated) -> float:
@@ -57,20 +57,6 @@ def slice_covariance_residual(m: DenseOperator, conjugated) -> float:
     return worst
 
 
-def gather_rows(op: DenseOperator, conjugated) -> SectorOperator:
-    """The reference gather: the walled operator op by its sector rows for
-    the layout of ``conjugated``, row i holding op[i, members[sector[i]]]
-    by place, read where op holds it; nothing of op lies off the sectors."""
-    conjugated = tuple(sorted(conjugated))
-    layout, dim, mat = sector_layout(op.n, op.d, conjugated), op.d ** op.n, op.mat
-    assert not mat[layout.sector[:, None] != layout.sector].any()
-    cols = layout.members[layout.sector]
-    inside = cols < dim
-    rows = np.zeros((dim + 1, cols.shape[1]), dtype=mat.dtype)
-    rows[:dim][inside] = mat[np.nonzero(inside)[0], cols[inside]]
-    return SectorOperator(op.n, op.d, conjugated, rows)
-
-
 def weight(index, n, d, conjugated):
     """w_c = #{plain sites holding c} - #{conjugated sites holding c}, by brute force."""
     digits = np.unravel_index(index, (d,) * n)
@@ -90,9 +76,15 @@ def same_weight(n, d, conjugated):
     return np.array([[w == v for v in weights] for w in weights])
 
 
-def off_sector_entry(layout):
-    """The first (row, column) whose indices lie in different sectors."""
-    return tuple(np.argwhere(layout.sector[:, None] != layout.sector)[0])
+def in_sector_entry(layout):
+    """The first (row, column) of two different indices of one sector."""
+    same = layout.sector[:, None] == layout.sector
+    return tuple(np.argwhere(same & ~np.eye(len(same), dtype=bool))[0])
+
+
+def residual(op: DenseOperator, conjugated) -> float:
+    """covariance_residual of a walled op by its gathered sector rows."""
+    return covariance_residual(gather_rows(op, conjugated))
 
 
 class TestSectorLayout:
@@ -150,20 +142,18 @@ class TestSectorLayout:
         with pytest.raises(ValueError, match=re.escape(f"need 0 <= k <= n = 3, got k = {k}")):
             realize_sectors(from_permutation(Permutation.identity(3)), 3, k)
 
-    def test_every_set_at_n3_uses_four_layouts(self):
-        # a set and its complement share the smaller one's layout, and every
-        # set is read in place against its own: (), (1,), (2,) and (3,) only;
-        # equal sets, in any order or form, share one cache entry
+    def test_equal_sets_share_one_layout(self):
+        # each of the eight sets at n = 3 has its layout, and equal sets, in
+        # any order or form, share one cache entry
         dense_ops._sector_layout.cache_clear()
-        op = ent.bcs_kernel(0.25, -0.1, 3)
         for r in range(4):
             for s in itertools.combinations((1, 2, 3), r):
-                covariance_residual(op, s)
+                sector_layout(3, 3, s)
         info = dense_ops._sector_layout.cache_info()
-        assert info.currsize == info.misses == 4
-        for s in ((), (1,), (2,), (3,), [2], {3}, (1, 1), range(2, 3)):
+        assert info.currsize == info.misses == 8
+        for s in ((), (1,), (2,), (3,), [2], {3}, (1, 1), range(2, 3), (3, 1), {2, 1, 3}):
             sector_layout(3, 3, s)
-        assert dense_ops._sector_layout.cache_info().misses == 4
+        assert dense_ops._sector_layout.cache_info().misses == 8
 
 
 class TestProjectorSectors:
@@ -176,34 +166,33 @@ class TestProjectorSectors:
         same = layout.sector[:, None] == layout.sector
         assert not f[~same].any()       # exactly 0 off the sectors
         op = DenseOperator(n, d, f)
-        residual = covariance_residual(op, wall(n, k))
-        assert residual <= 1e-13
-        assert abs(residual - slice_covariance_residual(op, wall(n, k))) <= 1e-15
+        found = residual(op, wall(n, k))
+        assert found <= 1e-13
+        assert abs(found - slice_covariance_residual(op, wall(n, k))) <= 1e-15
         assert abs(idempotence_residual(gather_rows(op, wall(n, k))) - sup_norm(f @ f - f)) <= 1e-15
 
-        # one off-sector entry: the block part alone does not change
-        perturbed = f.copy()
-        perturbed[off_sector_entry(layout)] += 1e-6
-        op = DenseOperator(n, d, perturbed)
-        assert covariance_residual(op, wall(n, k)) >= 1e-6
-        blocks = DenseOperator(n, d, np.where(same, perturbed, 0.0))
-        assert covariance_residual(blocks, wall(n, k)) <= 1e-13
+        # one entry between two indices of a sector, if it has two: the
+        # commutator holds it alone at (i, j), where the diagonal of A_X is 0
+        if (np.bincount(layout.sector) > 1).any():
+            perturbed = f.copy()
+            perturbed[in_sector_entry(layout)] += 1e-6
+            op = DenseOperator(n, d, perturbed)
+            assert residual(op, wall(n, k)) == pytest.approx(1e-6, rel=1e-6)
 
 
 class TestMatchesTheSliceResidual:
     def test_bcs_kernel(self):
         for alpha, beta in ((0.25, -0.1), (0.0, 0.0), (1.3, 0.4), (0.5, -0.5)):
             kernel = ent.bcs_kernel(alpha, beta, 3)
-            new, old = covariance_residual(kernel, {2}), slice_covariance_residual(kernel, {2})
+            new, old = residual(kernel, {2}), slice_covariance_residual(kernel, {2})
             assert new <= 1e-13 and abs(new - old) <= 1e-15
 
     @pytest.mark.parametrize("n,d", [(3, 3), (4, 2)])
     def test_every_set(self, n, d):
-        # each set is read in place against its own layout or its
-        # complement's: a random walled operator for the set and, at n = 3,
-        # rho^{T_S} commute; the BCS kernel (covariant for {2} and {1, 3})
-        # and a random hermitian operator do not, in general, and read the
-        # larger of their largest off-sector entry and their blocks' residual
+        # each set is read in place against its own layout: a random walled
+        # operator for the set and, at n = 3, rho^{T_S} commute; the blocks
+        # of the BCS kernel (covariant for {2} and {1, 3}) and of a random
+        # hermitian operator do not, in general
         rng = np.random.default_rng(n + d)
         rho = ent.werner_state(ent.random_valid_werner(rng, d)) if n == 3 else None
         for r in range(n + 1):
@@ -215,13 +204,12 @@ class TestMatchesTheSliceResidual:
                     covariant.append(partial_transpose(rho, s))
                     others.append(ent.bcs_kernel(0.25, -0.1, 3))
                 for op in covariant:
-                    new, old = covariance_residual(op, s), slice_covariance_residual(op, s)
+                    new, old = residual(op, s), slice_covariance_residual(op, s)
                     assert new <= 1e-13 and abs(new - old) <= 1e-14
                 for op in others:
                     blocks = DenseOperator(n, d, np.where(same, op.mat, 0))
-                    reference = max(np.abs(op.mat[~same]).max(initial=0),
-                                    slice_covariance_residual(blocks, s))
-                    assert covariance_residual(op, s) == pytest.approx(reference, rel=1e-12)
+                    assert residual(blocks, s) == pytest.approx(
+                        slice_covariance_residual(blocks, s), rel=1e-12)
 
     def test_werner_partial_transposes(self):
         rng = np.random.default_rng(11)
@@ -229,7 +217,7 @@ class TestMatchesTheSliceResidual:
             rho = ent.werner_state(ent.random_valid_werner(rng, 3))
             for s in ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)):
                 rho_ts = partial_transpose(rho, s) if s else rho
-                new, old = covariance_residual(rho_ts, s), slice_covariance_residual(rho_ts, s)
+                new, old = residual(rho_ts, s), slice_covariance_residual(rho_ts, s)
                 assert new <= 1e-13 and abs(new - old) <= 1e-15
 
     @pytest.mark.parametrize("n,d,conjugated", [(1, 3, ()), (2, 3, (2,)), (3, 3, (2,)),
@@ -243,19 +231,10 @@ class TestMatchesTheSliceResidual:
         mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         mat[~same_weight(n, d, conjugated)] = 0
         op = DenseOperator(n, d, mat)
-        assert covariance_residual(op, conjugated) == pytest.approx(
+        assert residual(op, conjugated) == pytest.approx(
             slice_covariance_residual(op, conjugated), rel=1e-12)
         assert idempotence_residual(gather_rows(op, conjugated)) == pytest.approx(
             sup_norm(mat @ mat - mat), rel=1e-12)
-
-    def test_off_sector_entries_alone(self):
-        # a matrix with no block part reads its largest off-sector entry
-        n, d, conjugated = 3, 3, (2,)
-        rng = np.random.default_rng(3)
-        mat = rng.standard_normal((d ** n, d ** n))
-        mat[same_weight(n, d, conjugated)] = 0
-        op = DenseOperator(n, d, mat)
-        assert covariance_residual(op, conjugated) == np.abs(mat).max()
 
 
 class TestSetsElsewhere:
@@ -273,13 +252,9 @@ class TestSetsElsewhere:
         f = gather_rows(op, conjugated)
         assert f.layout is sector_layout(n, d, conjugated)
         assert idempotence_residual(f) == pytest.approx(sup_norm(mat @ mat - mat), rel=1e-12)
-        assert covariance_residual(f, conjugated) == covariance_residual(op, conjugated) > 1e-3
-        # any other set lists the rows' entries through _support, as for op
-        rest = tuple(s for s in range(1, n + 1) if s not in conjugated)
-        for other in ((), (1,), tuple(range(1, n + 1)), rest):
-            assert covariance_residual(f, other) == covariance_residual(op, other)
-        assert covariance_residual(op, conjugated) == pytest.approx(
+        assert covariance_residual(f) == pytest.approx(
             slice_covariance_residual(op, conjugated), rel=1e-12)
+        assert covariance_residual(f) > 1e-3
         # the rows are op's entries where op holds them: nothing is reordered
         i, j = np.nonzero(same)
         assert np.array_equal(f.rows[i, f.layout.position[j]], mat[i, j])
@@ -301,13 +276,13 @@ def _covariant(rng, n, d, conjugated):
 
 
 def _stack(n, d, conjugated, seed):
-    """A (2, 3) stack: two covariant members, one of them off by 1e-12, two
-    random hermitian ones, one of sector blocks only and one of off-sector
-    entries only."""
+    """A (2, 3) stack: two covariant members, one of them off by 1e-12 in
+    its sector blocks, two random hermitian ones, one of sector blocks only
+    and one of off-sector entries only."""
     rng = np.random.default_rng(seed)
     dim, same = d ** n, same_weight(n, d, conjugated)
     covariant = _covariant(rng, n, d, conjugated)
-    nudged = covariant + 1e-12 * _hermitian(rng, dim)
+    nudged = covariant + 1e-12 * np.where(same, _hermitian(rng, dim), 0)
     blocks, off = (np.where(mask, _hermitian(rng, dim), 0) for mask in (same, ~same))
     members = [covariant, _hermitian(rng, dim), nudged, blocks, off, _hermitian(rng, dim)]
     return DenseOperator(n, d, np.array(members).reshape(2, 3, dim, dim))
@@ -318,15 +293,8 @@ def _members(stack):
             for mat in stack.mat.reshape((-1,) + stack.mat.shape[-2:])]
 
 
-def _same_minimum(stacked, alone):
-    if alone is None:
-        return stacked is None
-    return (stacked is not None and stacked[0] == alone[0]
-            and all(np.array_equal(u, v) for u, v in zip(stacked[1], alone[1])))
-
-
-# conjugated sets that are not the last sites: each stack is read in place
-# against the layout of its set, or of the complement when that is smaller
+# conjugated sets that are not the last sites, each read in place against
+# the layout of its set
 STACK_CASES = [(3, 3, (2,)), (3, 3, (1,)), (4, 2, (1, 3)), (2, 4, (1,))]
 
 
@@ -346,37 +314,31 @@ class _StepCounter:
 
 
 class TestStacks:
-    """Each member of a stack gets the bits of a call on it alone."""
+    """Each member of a stack gets the bits of a call on it alone, and the
+    residual's bits do not depend on the roots a step takes."""
 
     @pytest.mark.parametrize("n,d,conjugated,roots", [
         (*case, roots) for case in STACK_CASES for roots in (1, 2, None)
         if roots is None or roots < 2 * (case[1] - 1)])
     @pytest.mark.filterwarnings("error")
     def test_covariance_residual(self, n, d, conjugated, roots, monkeypatch):
-        # frames for 1 or 2 roots of all 6 members a step, or the default
-        # bound, which takes all 2 (d - 1) roots at once at these sizes; the
-        # complex stack's magnitudes are taken with no complex-to-real cast warning
-        stack = _stack(n, d, conjugated, n * d)
-        alone = [covariance_residual(m, conjugated) for m in _members(stack)]
+        # frames for 1 or 2 roots a step, or the default bound, which takes
+        # all 2 (d - 1) roots at once at these sizes, on the stack's three
+        # walled members; the complex rows' magnitudes are taken with no
+        # complex-to-real cast warning
+        members = _members(_stack(n, d, conjugated, n * d))
+        walled = [gather_rows(members[i], conjugated) for i in (0, 2, 3)]
+        default = [covariance_residual(f) for f in walled]
         if roots:
             width = sector_layout(n, d, conjugated).members.shape[1]
-            monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", roots * 2 * (d ** n + 1) * width * 6)
+            monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", roots * 2 * (d ** n + 1) * width)
         counter = _StepCounter()
         monkeypatch.setattr(dense_ops, "np", counter)
-        stacked = covariance_residual(stack, conjugated)
+        found = [covariance_residual(f) for f in walled]
         monkeypatch.undo()
-        assert counter.steps == 2 * (d - 1) // (roots or 2 * (d - 1))   # all divide evenly
-        assert stacked.shape == (2, 3)
-        assert np.array_equal(stacked.reshape(-1), alone)
-        assert alone[0] <= 1e-12 and 0 < alone[2] <= 1e-10 and min(alone[3:]) > 1e-3
-
-    @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
-    def test_off_sector_member(self, n, d, conjugated):
-        # the off-sector member reads its largest entry; the others none of it
-        stack = _stack(n, d, conjugated, 7)
-        off = stack.mat[1, 1]
-        assert covariance_residual(stack, conjugated)[1, 1] == np.abs(off).max() > 0
-        assert covariance_residual(DenseOperator(n, d, off), conjugated) == np.abs(off).max()
+        assert counter.steps == 3 * 2 * (d - 1) // (roots or 2 * (d - 1))  # all divide evenly
+        assert found == default
+        assert default[0] <= 1e-12 and 0 < default[1] <= 1e-10 and default[2] > 1e-3
 
     @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
     def test_min_eigenvalue(self, n, d, conjugated):
@@ -386,32 +348,23 @@ class TestStacks:
         assert np.array_equal(stacked.reshape(-1),
                               [dense_ops.min_eigenvalue(m) for m in _members(stack)])
 
-    @pytest.mark.parametrize("n,d,conjugated", STACK_CASES)
-    def test_covariant_block_minimum(self, n, d, conjugated):
-        stack = _stack(n, d, conjugated, 5)
-        stacked = ent.covariant_block_minimum(stack, conjugated)
-        alone = [ent.covariant_block_minimum(m, conjugated) for m in _members(stack)]
-        assert len(stacked) == 6 and [x is None for x in alone] == [False, True, False] + [True] * 3
-        assert all(_same_minimum(x, y) for x, y in zip(stacked, alone))
-
     def test_nan_member(self):
+        # a NaN entry, or a NaN coefficient of a stacked check, names the
+        # member's failure as a call on it alone does
         n, d, conjugated = 3, 3, (2,)
         stack = _stack(n, d, conjugated, 9)
         stack.mat[1, 0, 4, 5] = np.nan
-        members = _members(stack)
-        assert np.array_equal(covariance_residual(stack, conjugated).reshape(-1),
-                              [covariance_residual(m, conjugated) for m in members],
-                              equal_nan=True)
-        stacked = ent.covariant_block_minimum(stack, conjugated)
-        assert stacked[3] is None
-        assert all(_same_minimum(x, ent.covariant_block_minimum(m, conjugated))
-                   for x, m in zip(stacked, members))
-        for check in (dense_ops.min_eigenvalue,
-                      lambda m: ent.check_covariant_block_positive(m, conjugated)):
+        alphas = np.array([0.25, 5.0, np.nan, 0.0])[:, None, None]
+
+        def check(alpha):
+            return ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), (1, 1, alpha, -0.1), 3)
+
+        for on_stack, on_member in ((dense_ops.min_eigenvalue, _members(stack)[3]),
+                                    (check, np.nan)):
             with pytest.raises(ValueError) as alone:
-                check(members[3])
+                on_stack(on_member)
             with pytest.raises(ValueError) as together:
-                check(stack)
+                on_stack(stack if on_stack is dense_ops.min_eigenvalue else alphas)
             assert str(together.value) == str(alone.value)
             assert str(alone.value).endswith("(non-finite entry)")
 
@@ -428,12 +381,13 @@ class TestStacks:
 
     @pytest.mark.parametrize("shape", [(0,), (2, 0)])
     def test_empty_stack(self, shape):
-        # a stack with no member gets an empty answer of its shape
+        # a stack with no member gets an empty answer of its shape, and a
+        # stacked check with no member no verdict
         stack = DenseOperator(3, 3, np.zeros(shape + (27, 27), complex))
-        for check in (lambda m: covariance_residual(m, (2,)), dense_ops.min_eigenvalue):
-            answer = check(stack)
-            assert isinstance(answer, np.ndarray) and answer.shape == shape
-        assert ent.covariant_block_minimum(stack, (2,)) == []
+        answer = dense_ops.min_eigenvalue(stack)
+        assert isinstance(answer, np.ndarray) and answer.shape == shape
+        alphas = np.zeros(shape + (1, 1))
+        assert ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), (1, 1, alphas, 0.0), 3) == []
 
 
 # every admissible projector with n <= 7 at d = 2 and 3, and (6,2) d=4
@@ -504,19 +458,20 @@ class TestCovarianceMemory:
     def test_the_d4_projector_stays_under_its_bound(self):
         # (6,2) d=4: one root's frame is 2 (4097) x 189 entries; with the
         # commutator formed in its gathered array and no step's arrays kept
-        # into the next step it reads 45 MB by tracemalloc, 58 MB without
+        # into the next step it reads 37 MB by tracemalloc on the rows in
+        # place (45 MB when it also gathered them from the dense F)
         n, k, d = 6, 2, 4
         element = f_projector(Partition((2, 2)), Partition((2,)), n, k, d)
         op = DenseOperator(n, d, realize(element, d).real.copy())
         rows = realize_sectors(element, d, k)
         tracemalloc.start()
         try:
-            residual = covariance_residual(op, wall(n, k))
+            residual = covariance_residual(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 50e6, peak / 1e6
-        assert residual == covariance_residual(rows, rows.conjugated) <= 1e-13
+        assert residual == covariance_residual(gather_rows(op, wall(n, k))) <= 1e-13
 
 
 def _perturbed_rows(n, k, d, mu, alpha, seed):
@@ -540,8 +495,9 @@ def _walled_stack(conjugated, seed):
 
 
 class TestResidualBits:
-    """covariance_residual's bits, as float.hex, on seeded operators: they
-    pin the core's additions, which take no BLAS call, on every layout kind."""
+    """covariance_residual's bits, as float.hex, on seeded sector rows, each
+    operator alone: they pin the core's additions, which take no BLAS call,
+    on every layout kind."""
 
     ROWS = {(6, 2, 2, (3, 1), (2,)): "0x1.2d74992d7b020p-7",
             (5, 2, 3, (2, 1), (1,)): "0x1.3b464587be164p-7",
@@ -562,19 +518,21 @@ class TestResidualBits:
     @pytest.mark.parametrize("case", sorted(ROWS))
     def test_perturbed_projector_rows(self, case):
         op = _perturbed_rows(*case, seed=sum(case[:3]))
-        assert covariance_residual(op, op.conjugated).hex() == self.ROWS[case]
+        assert covariance_residual(op).hex() == self.ROWS[case]
 
     @pytest.mark.parametrize("conjugated", sorted(STACKS))
     @pytest.mark.parametrize("work", [None, 1])
     def test_a_13_member_stack(self, conjugated, work, monkeypatch):
-        # a bound of one entry runs one root of all 13 members at a time
+        # a bound of one entry runs one root at a time
         if work:
             monkeypatch.setattr(dense_ops, "_WORK_ENTRIES", work)
-        residuals = covariance_residual(_walled_stack(conjugated, 13), conjugated)
-        assert [float(r).hex() for r in residuals] == self.STACKS[conjugated]
+        residuals = [covariance_residual(gather_rows(m, conjugated))
+                     for m in _members(_walled_stack(conjugated, 13))]
+        assert [r.hex() for r in residuals] == self.STACKS[conjugated]
 
     def test_a_complex_member(self):
         rng = np.random.default_rng(4)
         same = same_weight(4, 3, (2, 4))
         mat = _covariant(rng, 4, 3, (2, 4)) + 1e-6 * np.where(same, _hermitian(rng, 81), 0)
-        assert covariance_residual(DenseOperator(4, 3, mat), (2, 4)).hex() == self.COMPLEX
+        assert covariance_residual(gather_rows(DenseOperator(4, 3, mat), (2, 4))).hex() \
+            == self.COMPLEX
