@@ -9,13 +9,17 @@ move the last digits of eigensolver values: ``projector``'s
 --emit-map 1 --seed 11 prints -1.03248475699e-15 on one thread and
 -1.19874850315e-15 on two), ``scan-bcs``'s ``min_eig`` and ``product_min``
 and ``werner-ppt``'s ``min_eig_partial_transpose_1``.  The golden files of
-the tests match on one thread and on two.  Exit codes: 0 success, 1 bad
-flags, 2 numerical failure/contradiction.
+the tests match on one thread and on two.  The ``min_eig`` of ``scan-bcs``
+and ``werner-ppt`` comes from a 6 x 6 matrix of the diagram algebra
+(entanglement._s3_min_eigenvalue), and its digits below about 1e-13 times
+the operator's largest entry depend on that route.  Exit codes: 0 success,
+1 bad flags, 2 numerical failure/contradiction.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -86,7 +90,8 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
-# largest (alpha, beta) grid scan-bcs accepts; a point takes about 0.2 ms at d = 3
+# largest (alpha, beta) grid scan-bcs accepts; at d = 3 a point takes about 0.04 ms
+# (0.025 ms when a third of the points are PSD), so about 4 s for the largest grid
 MAX_SCAN_POINTS = 100_000
 
 
@@ -356,13 +361,12 @@ def cmd_werner_ppt(args) -> int:
         if len(rs) != 6:
             raise ValueError("expected 6 comma-separated values r+,r-,r0,r1,r2,r3")
         params = ent.WernerParams.from_rs(rs, args.d)
-        with np.errstate(all="ignore"):     # non-finite input is reported below
-            rho = ent.werner_state(params)
-        if not (all(map(math.isfinite, rs)) and np.isfinite(rho.mat).all()):
-            raise ValueError(f"--r {args.r!r} has a non-finite value or operator entry")
+        if not all(map(cmath.isfinite, rs + params.alphas)):
+            raise ValueError(f"--r {args.r!r} has a non-finite value or operator coefficient")
     checks, overall = ent.werner_ppt_conditions(rs)
     valid = params.is_valid_state()
-    min_eig = dense_ops.min_eigenvalue(dense_ops.partial_transpose(rho, (1,)))
+    with _fails_with(2):
+        min_eig = ent._s3_min_eigenvalue(ent.WERNER_TERMS, (1,), params.alphas, args.d)
     eig_ppt = min_eig >= -PPT_EIGENCHECK
     payload = {
         "r": [_fmt(x) for x in rs],

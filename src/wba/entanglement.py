@@ -19,9 +19,15 @@ from . import dense_ops
 from .dense_ops import DenseOperator, ListedOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_token
-from .tolerances import EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
+from .tolerances import EIG_TOL, GRAM_CUT, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .verification import stack_sizes
-from .wba_algebra import _entry_index, _sum_entries, _transposed_matchings
+from .wba_algebra import (
+    _compose,
+    _entry_index,
+    _sum_entries,
+    _transposed_matchings,
+    check_size_guard,
+)
 
 PSD = "PSD"
 WITNESS_CANDIDATE = "WITNESS_CANDIDATE"
@@ -163,18 +169,23 @@ def _term_index(terms: tuple, s: tuple[int, ...], d: int):
     return index
 
 
+def _coefficient_rows(coeffs) -> np.ndarray:
+    """The coefficients of a sum of terms as complex rows, a column a term:
+    scalars give one row (T,), (S, 1, 1) arrays among them a stack (S, T),
+    the scalars broadcast."""
+    if not any(isinstance(c, np.ndarray) for c in coeffs):
+        return np.array(coeffs, dtype=complex)
+    values = np.empty(np.broadcast(*coeffs).shape + (len(coeffs),), complex)
+    for t, c in enumerate(coeffs):
+        values[..., t] = c
+    return values[..., 0, 0, :]
+
+
 def _listed(terms: tuple, s: tuple[int, ...], coeffs, d: int) -> ListedOperator:
     """sum_t coeffs[t] terms[t]^{T_S} by its listed entries, each summed in
     term order (wba_algebra._sum_entries): scalar coefficients give one
     operator, (T, 1, 1) arrays among them a stack of T."""
-    if not any(isinstance(c, np.ndarray) for c in coeffs):
-        values = np.array(coeffs, dtype=complex)
-    else:   # a column a term, the scalars broadcast
-        values = np.empty(np.broadcast(*coeffs).shape + (len(coeffs),), complex)
-        for t, c in enumerate(coeffs):
-            values[..., t] = c
-        values = values[..., 0, 0, :]
-    return _sum_entries(3, d, *_term_index(terms, s, d), values)
+    return _sum_entries(3, d, *_term_index(terms, s, d), _coefficient_rows(coeffs))
 
 
 def _dense(listed: ListedOperator) -> DenseOperator:
@@ -182,6 +193,101 @@ def _dense(listed: ListedOperator) -> DenseOperator:
     mat = np.zeros(listed.values.shape[:-1] + (listed.d ** 3,) * 2, dtype=complex)
     mat[..., listed.rows, listed.cols] = listed.values
     return DenseOperator(3, listed.d, mat)
+
+
+@lru_cache(maxsize=2)
+def _trace_exponents(s: tuple[int, ...]) -> np.ndarray:
+    """(6, 6, 6) integers, read only: tr(D_c^dagger D_a D_b) = d**E[a, c, b]
+    for the six diagrams D_a = sigma_a^{T_S}, sigma_a in the order of
+    WERNER_TERMS: the group algebra C[S_3] for S = () and the walled Brauer
+    algebra B_{2,1} for S = (3,).  Free of d, from 36 compositions
+    (wba_algebra._compose): D_a D_b = d**loops D_e, D_c^dagger is the
+    diagram of sigma_c^-1, and tr D_e = d**(cycles of sigma_e), as a
+    partial transpose keeps the diagonal; in S_3 a permutation with f fixed
+    points has (3 + f) // 2 cycles."""
+    mask = np.array([[site in s for site in (1, 2, 3)]] * 6)
+    pairings = _transposed_matchings(np.array(WERNER_TERMS), mask).tolist()
+    products = [_compose(top, bot) for top in pairings for bot in pairings]
+    index, loops = np.array([(pairings.index(pairing), count)
+                             for pairing, count in products]).T.reshape(2, 6, 6)
+    adjoint = [WERNER_TERMS.index(_inverse(sigma)) for sigma in WERNER_TERMS]
+    cycles = np.array([(3 + sum(map(int.__eq__, sigma, (1, 2, 3)))) // 2 for sigma in WERNER_TERMS])
+    gram = loops[adjoint] + cycles[index[adjoint]]      # tr(D_c^dagger D_e) = d**gram[c, e]
+    exponents = loops[:, None, :] + gram[:, index].swapaxes(0, 1)
+    exponents.flags.writeable = False
+    return exponents
+
+
+def _inverse(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """The 1-based images of sigma^-1, in plain Python: the tables are built
+    on a process's first call, where sym_core.Permutation and np.argsort
+    took 30-60 us longer."""
+    return tuple(sigma.index(t) + 1 for t in range(1, len(sigma) + 1))
+
+
+@lru_cache(maxsize=4)
+def _algebra_table(s: tuple[int, ...], d: int) -> np.ndarray:
+    """(6, r, r) complex, read only: left multiplication by each diagram of
+    _trace_exponents(s) on the span of the six diagrams' operators at d, in
+    an orthonormal basis of the trace form G (r = 6 for d >= 3, 5 at d = 2,
+    where the span has rank 5).
+
+    With G = U diag(g) U^dagger, less the directions below GRAM_CUT times
+    its largest eigenvalue, a diagram's matrix is g^1/2 U^dagger L U g^-1/2
+    for L its left multiplication on the diagrams, that is
+    g^-1/2 U^dagger (G L) U g^-1/2, and G L is the trace table
+    tr(D_c^dagger D_a D_b), read at a = 0, the identity, for G itself."""
+    products = float(d) ** _trace_exponents(s)
+    spectrum, basis = np.linalg.eigh(products[0])
+    keep = spectrum > GRAM_CUT * spectrum[-1]
+    unit = basis[:, keep] / np.sqrt(spectrum[keep])
+    table = (unit.T @ products @ unit).astype(complex)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def _s3_table(terms: tuple, s: tuple[int, ...], d: int) -> np.ndarray:
+    """(T, r, r) complex, read only: the _algebra_table matrix of each
+    term's sigma^{T_S}.  A term that is not a permutation of (1, 2, 3) is a
+    ValueError, and d^3 is guarded by check_size_guard as a listing is.
+
+    Every S maps onto S = () or (3,) with the operators unchanged up to a
+    unitary: sigma^{T_S} is (sigma^-1)^{T_S'} for S' the complement of S,
+    and the site swap pi = (j 3) takes sigma^{T_j} to (pi sigma pi)^{T_3}."""
+    for term in terms:
+        if sorted(term) != [1, 2, 3]:
+            raise ValueError(f"term {term} is not a permutation of (1, 2, 3)")
+    check_size_guard(3, d)
+    if len(s) > 1:
+        terms, s = [_inverse(sigma) for sigma in terms], tuple({1, 2, 3} - set(s))
+    if s:
+        swap = [1, 2, 3]
+        swap[s[0] - 1], swap[2] = 3, s[0]
+        terms = [tuple(swap[sigma[swap[t] - 1] - 1] for t in range(3)) for sigma in terms]
+    table = _algebra_table((3,) if s else (), d)[[WERNER_TERMS.index(tuple(sigma))
+                                                  for sigma in terms]]
+    table.flags.writeable = False
+    return table
+
+
+def _s3_min_eigenvalue(terms: tuple, s: tuple[int, ...], coeffs, d: int):
+    """Least eigenvalue of sum_t coeffs[t] terms[t]^{T_S} on three sites of
+    dimension d (the arguments of _listed), or an array of those of each
+    member for stacked coefficients: the coefficient rows times _s3_table,
+    summed in term order (each member's bits those of a call on it alone),
+    then dense_ops.min_eigenvalue of the r x r matrices, which refuses a
+    sum that is not finite or not hermitian.
+
+    The diagrams' operators span a *-algebra that holds the sum X, so left
+    multiplication by X on that span, hermitian in the trace form, has the
+    spectrum of X (Koike 1989; Benkart et al. 1994): no d^3 x d^3 matrix is
+    formed."""
+    table = _s3_table(terms, s, d)
+    rows = _coefficient_rows(coeffs)
+    with np.errstate(invalid="ignore"):     # inf * 0: a non-finite sum is refused
+        h = (rows[..., None, None] * table).sum(axis=-3)
+    return dense_ops.min_eigenvalue(DenseOperator(1, table.shape[-1], h))
 
 
 def werner_state(params: WernerParams) -> DenseOperator:
@@ -533,30 +639,30 @@ def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: 
     plain sites (x) conj(U) on S, for every unitary U, and so does the sum.
     Such a product moves any unit a on site 1 to e_1 and keeps the form, so
     the exact 1|23 minimum over product states is the least eigenvalue of
-    the block <e_1|M|e_1> on sites 2 and 3.  The PSD step is the same as
-    check_block_positive's, and a non-PSD verdict is ``certified``.  A term
-    that is not a permutation of (1, 2, 3) is a ValueError.
+    the block <e_1|M|e_1> on sites 2 and 3.  The PSD step reads the least
+    eigenvalue of the sum from _s3_min_eigenvalue, and a non-PSD verdict is
+    ``certified``.  A term that is not a permutation of (1, 2, 3) is a
+    ValueError.
 
     Stacked coefficients give the list of the members' verdicts in
     row-major order, each that of a call on the member alone: one stacked
-    eigvalsh, then one stacked eigh of the non-PSD members' blocks."""
-    for term in terms:
-        if sorted(term) != [1, 2, 3]:
-            raise ValueError(f"term {term} is not a permutation of (1, 2, 3)")
-    m = _dense(_listed(terms, s, coeffs, d))
-    partition = PartitionSpec(((1,), (2, 3)))
-    mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
-    lams = dense_ops.min_eigenvalue(DenseOperator(3, d, mats)).tolist()
+    least-eigenvalue solve, then the dense M of the non-PSD members alone,
+    listed at once, and one stacked eigh of their blocks."""
+    lams = _s3_min_eigenvalue(terms, s, coeffs, d)
+    stacked, lams = np.ndim(lams) > 0, np.ravel(lams).tolist()
     verdicts = [PositivityVerdict(PSD, lam, lam) if lam >= -EIG_TOL else None for lam in lams]
     negative = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if negative:
-        values, vectors = np.linalg.eigh(mats.reshape(-1, d, d * d, d, d * d)[negative, 0, :, 0])
-        for i, value, vector in zip(negative, values[:, 0].tolist(), vectors[:, :, 0]):
+        rows = _coefficient_rows(coeffs).reshape(-1, len(terms))[negative]
+        mats = _dense(_sum_entries(3, d, *_term_index(terms, s, d), rows)).mat
+        values, vectors = np.linalg.eigh(mats.reshape(-1, d, d * d, d, d * d)[:, 0, :, 0])
+        partition = PartitionSpec(((1,), (2, 3)))
+        for i, mat, value, vector in zip(negative, mats, values[:, 0].tolist(), vectors[:, :, 0]):
             e1 = np.zeros(d, dtype=complex)
             e1[0] = 1.0
-            verdicts[i] = _classify(DenseOperator(3, d, mats[i]), partition, lams[i], value,
+            verdicts[i] = _classify(DenseOperator(3, d, mat), partition, lams[i], value,
                                     (e1, vector), certified=True)
-    return verdicts if m.mat.ndim > 2 else verdicts[0]
+    return verdicts if stacked else verdicts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +675,8 @@ def proposition1_check(params: WernerParams, s, budget=None) -> dict:
     rho that is not a state (least eigenvalue below -EIG_TOL) is refused.
 
     rho^{T_S} is the S_3 sum sum_pi alpha_pi pi^{T_S}, so the 1|23 verdict is
-    the exact one of check_covariant_block_positive, which lists it.
+    the exact one of check_covariant_block_positive, and lambda_min(rho) is
+    _s3_min_eigenvalue's: no dense rho is formed.
     ``budget`` is not read: no search runs, and it stays only for callers
     that pass one.
     The 1|2|3 verdict is proved: <abc|rho^{T_S}|abc> = <a'b'c'|rho|a'b'c'>
@@ -582,8 +689,7 @@ def proposition1_check(params: WernerParams, s, budget=None) -> dict:
     s = tuple(sorted(set(s)))
     if s not in ROW_SUBSETS.values():
         raise ValueError(f"subset must be one of {list(ROW_SUBSETS.values())}, got {s}")
-    rho = werner_state(params)
-    lam_rho = dense_ops.min_eigenvalue(rho)
+    lam_rho = _s3_min_eigenvalue(WERNER_TERMS, (), params.alphas, params.d)
     if lam_rho < -EIG_TOL:
         raise ValueError(f"rho is not a state: least eigenvalue {lam_rho:.3g}")
     row = "".join(str(x) for x in s)
@@ -621,10 +727,10 @@ def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
     The kernel is an S_3 sum, so the minimum is the exact one of
     check_covariant_block_positive (``certified``), which draws nothing.  The
     points are classified a stack at a time: each stack holds as many
-    kernels of d^6 entries as fit in verification.STACK_BYTES, at least one,
-    listed by one call, and each verdict is that of the point's kernel
-    alone.  d < 3, where the analytic condition is not stated, is refused
-    before any work.
+    points as kernels of d^6 entries fit in verification.STACK_BYTES, at
+    least one, its non-PSD kernels listed by one call, and each verdict is
+    that of the point's kernel alone.  d < 3, where the analytic condition
+    is not stated, is refused before any work.
     """
     if d < 3:
         raise ValueError("the analytic condition is stated for d >= 3")

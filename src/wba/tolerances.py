@@ -8,6 +8,7 @@ ORACLE_TOL = 1e-10      # closed form vs oracle deviation below this passes (ver
 STATE_SLACK = 1e-10     # slack of the Werner valid-state inequalities
 PPT_SLACK = 1e-12       # slack of the six analytic partial-transpose inequalities
 EIG_TOL = 1e-9          # least eigenvalue >= -EIG_TOL is PSD
+GRAM_CUT = 1e-9         # trace-form eigenvalue below this times the largest: a null direction
 PRODUCT_BAND = 1e-7     # product minimum >= -PRODUCT_BAND is block-positive
 SEESAW_STOP = 1e-12     # a see-saw start stops when a sweep lowers its value by less than this
 PPT_EIGENCHECK = 1e-8   # werner-ppt: least eigenvalue of rho^{T_1} >= -PPT_EIGENCHECK is PPT

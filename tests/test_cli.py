@@ -397,7 +397,10 @@ class TestScanBcs:
         assert files[0] == files[1]
 
     def test_grid_is_golden(self, capsys):
-        # every refusal of covariant_block_minimum rests on covariance_residual
+        # the verdicts, their min_eig from the 6 x 6 algebra matrix
+        # (_s3_min_eigenvalue) and the non-PSD points' exact 1|23 minimum
+        # from the dense kernel; the alpha = 1 rows' min_eig, exactly 0,
+        # prints that route's rounding
         code, out, _ = run(capsys, "scan-bcs", "--d", "3", "--alpha", "0:1:0.1",
                            "--beta=-0.5:0.1:0.05", "--seed", "1")
         assert code == 0
@@ -410,7 +413,7 @@ class TestScanBcs:
                            "--beta=-0.5:0.1:0.05", "--seed", "1")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f30f878e36e6306fccec2dc10949cb71266ef9743a69d431f18be1c4bfa17701")
+            "9b88c3ea1f6cf135c32b3fd1b40bef6cb56d772410f651935146e7391b257cb4")
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan-bcs", "--alpha", "zero:one:step",

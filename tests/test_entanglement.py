@@ -27,7 +27,7 @@ from wba.entanglement import (
     werner_ppt_conditions,
     werner_state,
 )
-from wba.sym_core import parse_permutation
+from wba.sym_core import Permutation, parse_permutation
 from wba.tolerances import ATOL, EIG_TOL, ORACLE_TOL, PRODUCT_BAND, SEESAW_STOP
 from wba.wba_algebra import from_permutation, realize
 
@@ -552,10 +552,16 @@ class TestCovariantBlockMinimum:
         assert str(info.value) == f"term {terms[-1]} is not a permutation of (1, 2, 3)"
 
     def test_psd_step_is_unchanged(self):
-        verdict = _bcs_verdict(5.0, -0.1)
-        assert verdict == check_block_positive(bcs_kernel(5.0, -0.1, 3),
-                                               PartitionSpec.parse("1|23"))
-        assert verdict.classification == ent.PSD and not verdict.certified
+        # check_block_positive's dense verdict, its least eigenvalue within
+        # the two eigensolvers' rounding
+        verdict, kernel = _bcs_verdict(5.0, -0.1), bcs_kernel(5.0, -0.1, 3)
+        dense = check_block_positive(kernel, PartitionSpec.parse("1|23"))
+        assert verdict.classification == dense.classification == ent.PSD
+        assert verdict.certified is dense.certified is False
+        bound = 1e-13 * max(1.0, sup_norm(kernel.mat))
+        assert abs(verdict.min_eig - dense.min_eig) <= bound
+        assert verdict == dataclasses.replace(dense, min_eig=verdict.min_eig,
+                                              product_min_estimate=verdict.min_eig)
 
     def test_a_stack_gives_each_point_its_verdict(self):
         # one stacked call, each verdict that of its point alone, vectors too
@@ -576,6 +582,102 @@ class TestCovariantBlockMinimum:
         assert stacked == [ent.check_covariant_block_positive(ent.WERNER_TERMS, s, p.alphas, 4)
                            for p in alone]
         assert {v.classification for v in stacked} - {ent.PSD}
+
+
+# the index of each WERNER_TERMS permutation's inverse: (sigma^{T_S})^dagger
+# is (sigma^-1)^{T_S}, so sum_t c_t sigma_t^{T_S} is hermitian when
+# c[INVERSE] == conj(c)
+INVERSE = (0, 1, 2, 3, 5, 4)
+ALL_SUBSETS = [s for size in range(4) for s in itertools.combinations((1, 2, 3), size)]
+
+
+def _dense_sum(terms, s, coeffs, d):
+    """sum_t coeffs[t] terms[t]^{T_S}, each diagram realized on its own."""
+    return DenseOperator(3, d, sum(c * realize(from_permutation(Permutation(term), set(s)), d)
+                                   for term, c in zip(terms, coeffs)))
+
+
+class TestS3MinEigenvalue:
+    """The least eigenvalue of an S_3 sum from the 6 x 6 algebra matrix
+    (5 x 5 at d = 2) against the dense eigensolver on the realized sum."""
+
+    @staticmethod
+    def bound(m):
+        return 1e-13 * max(1.0, sup_norm(m.mat))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("s", ALL_SUBSETS, ids=lambda s: "S" + "".join(map(str, s)))
+    def test_hermitian_sums(self, s, d):
+        rng = np.random.default_rng([d, *s])
+        for _ in range(2):
+            c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            c = (c + c[list(INVERSE)].conj()) / 2
+            m = _dense_sum(ent.WERNER_TERMS, s, c, d)
+            got = ent._s3_min_eigenvalue(ent.WERNER_TERMS, s, tuple(c), d)
+            assert isinstance(got, float)
+            assert abs(got - dense_ops.min_eigenvalue(m)) <= self.bound(m)
+
+    def test_the_span_has_rank_5_at_d2(self):
+        assert ent._s3_table(ent.WERNER_TERMS, (), 2).shape == (6, 5, 5)
+        assert ent._s3_table(ent.WERNER_TERMS, (3,), 2).shape == (6, 5, 5)
+        assert ent._s3_table(ent.WERNER_TERMS, (1, 3), 3).shape == (6, 6, 6)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_bcs_kernels(self, d):
+        rng = np.random.default_rng(40 + d)
+        for alpha, beta in rng.uniform(-1.0, 1.0, (4, 2)):
+            kernel = bcs_kernel(alpha, beta, d)
+            got = ent._s3_min_eigenvalue(ent.BCS_TERMS, (2,), (1, 1, alpha, beta), d)
+            assert abs(got - dense_ops.min_eigenvalue(kernel)) <= self.bound(kernel)
+
+    @pytest.mark.parametrize("s", [(), (2,), (1, 3)])
+    def test_a_stack_gives_each_member_its_value(self, s, rng):
+        params = ent.random_werner_instances(rng, 4, 9)[0]
+        stacked = ent._s3_min_eigenvalue(ent.WERNER_TERMS, s, params.alphas, 4)
+        assert stacked.shape == (9,)
+        alone = [ent._s3_min_eigenvalue(ent.WERNER_TERMS, s, tuple(complex(a[i, 0, 0])
+                                                                   for a in params.alphas), 4)
+                 for i in range(9)]
+        assert stacked.tolist() == alone
+
+    def test_a_non_hermitian_sum_is_refused(self):
+        # a complex coefficient on the identity, a self-adjoint term
+        coeffs = (1, 1, 0.25 + 0.5j, -0.1)
+        with pytest.raises(ValueError) as dense:
+            dense_ops.min_eigenvalue(_dense_sum(ent.BCS_TERMS, (2,), coeffs, 3))
+        with pytest.raises(ValueError) as info:
+            ent._s3_min_eigenvalue(ent.BCS_TERMS, (2,), coeffs, 3)
+        prefix = "matrix is not a finite hermitian one (deviation "
+        assert str(info.value).startswith(prefix) and str(dense.value).startswith(prefix)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (0.0, math.inf),
+                                             (-math.inf, 1.0), (1e308, 1e308)])
+    def test_a_non_finite_sum_is_refused(self, alpha, beta):
+        with pytest.raises(ValueError) as info, np.errstate(over="ignore"):
+            ent._s3_min_eigenvalue(ent.BCS_TERMS, (2,), (1, 1, alpha, beta), 3)
+        assert str(info.value) == "matrix is not a finite hermitian one (non-finite entry)"
+
+    def test_no_dense_eigensolve_of_the_sums(self, monkeypatch, capsys):
+        # scan_bcs_region, proposition1_check and werner-ppt take no least
+        # eigenvalue of a d^3 x d^3 matrix; the map outputs' stay dense
+        real = dense_ops.min_eigenvalue
+
+        def spy(m):
+            if m.mat.shape[-1] in (27, 64):
+                raise AssertionError(f"a dense {m.mat.shape[-1]} x {m.mat.shape[-1]} eigensolve")
+            return real(m)
+        monkeypatch.setattr(dense_ops, "min_eigenvalue", spy)
+        rows = scan_bcs_region(BENCH_ALPHAS, BENCH_BETAS, 3)
+        assert {r["class"] for r in rows} >= {ent.PSD, ent.NOT_BLOCK_POSITIVE}
+        for d in (3, 4):
+            params = random_valid_werner(np.random.default_rng(25), d)
+            for s in ent.ROW_SUBSETS.values():
+                assert proposition1_check(params, s)["contradictions"] == []
+        for d in ("3", "4"):
+            assert cli.main(["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5", "--d", d]) == 0
+        assert '"min_eig_partial_transpose_1": "-0.0514528658239"' in capsys.readouterr().out
 
 
 class TestVerdictEquality:
@@ -1062,9 +1164,12 @@ class TestProposition1:
 
     # one sha256 over _seeded_states() x the six S of each report's map
     # minima and both verdicts' classification, min_eig,
-    # product_min_estimate, certified and vector bytes, recorded before the
-    # 1|23 verdict took the walled S_3 sum in place of the dense rho^{T_S}
-    REPORTS = "ad78b6d51f22f3f6c137288e5385522f742b10f77f44c09651b4e79afe04e2b4"
+    # product_min_estimate, certified and vector bytes.  Recorded when
+    # lambda_min(rho) and the PSD step took the 6 x 6 algebra matrix
+    # (_s3_min_eigenvalue): against the dense route only min_eig, the PSD
+    # verdicts' product minimum and g's bound lambda_min(rho) moved, by at
+    # most 5.6e-16; the same on one and two BLAS threads
+    REPORTS = "c5af8d39455418bf615c3ac4ee474f5f72bc5d170fec0c4327c73b6be95092e1"
 
     def test_reports_are_pinned(self):
         digest = hashlib.sha256()
@@ -1273,8 +1378,9 @@ class TestScan:
         assert far["class"] == ent.PSD and far["min_eig"] >= -1e-9
 
     def test_one_listing_per_stack(self, monkeypatch):
-        # the golden 11 x 13 grid at d = 3: 22 kernels a stack, 7 stacks,
-        # each listed and written once
+        # the golden 11 x 13 grid at d = 3: 22 points a stack, 7 stacks,
+        # the non-PSD kernels of each listed and written once, the 7 PSD
+        # ones never
         members = []
         real_dense = ent._dense
         monkeypatch.setattr(ent, "_dense", lambda listed: (
@@ -1283,7 +1389,7 @@ class TestScan:
         betas = [round(-0.5 + j * 0.05, 12) for j in range(13)]
         rows = scan_bcs_region(alphas, betas, 3)
         assert len(rows) == 143 and sum(r["class"] != ent.PSD for r in rows) == 136
-        assert 1 <= len(members) <= 7 and sum(members) == 143
+        assert 1 <= len(members) <= 7 and sum(members) == 136
 
     def test_peak_memory_is_a_few_stacks(self):
         alphas, betas = np.linspace(-1.0, 1.0, 20), np.linspace(-0.6, 0.4, 25)
