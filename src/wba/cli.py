@@ -90,8 +90,9 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
-# largest (alpha, beta) grid scan-bcs accepts; at d = 3 a point takes about 0.04 ms
-# (0.025 ms when a third of the points are PSD), so about 4 s for the largest grid
+# largest (alpha, beta) grid scan-bcs accepts; at d = 3 a point takes 0.02-0.035 ms,
+# the more the larger the share of NOT_BLOCK_POSITIVE points: about 2-2.5 s for the
+# largest grid (28% of its points), 5 ms for the 11 x 13 grid (47%), in process
 MAX_SCAN_POINTS = 100_000
 
 

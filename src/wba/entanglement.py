@@ -622,13 +622,32 @@ def check_block_positive(m: DenseOperator, partition: PartitionSpec,
 def _classify(m: DenseOperator, partition: PartitionSpec, lam: float, value: float,
               vecs, **fields) -> PositivityVerdict:
     """Verdict of a non-PSD operator from its product minimum ``value`` at
-    ``vecs``; a violation is rechecked, and one it does not confirm is never ``certified``."""
+    ``vecs`` by _verdict, a violation rechecked by product_state_value."""
+    recheck = product_state_value(m, partition, vecs) if value < -PRODUCT_BAND else None
+    return _verdict(lam, value, vecs, recheck, **fields)
+
+
+def _verdict(lam: float, value: float, vecs, recheck, **fields) -> PositivityVerdict:
+    """The one rule for a non-PSD operator with product minimum ``value`` at
+    ``vecs``: WITNESS_CANDIDATE at or above -PRODUCT_BAND, else
+    NOT_BLOCK_POSITIVE when ``recheck``, the value of ``vecs`` evaluated
+    independently on the operator (read only below the band), is below it
+    too, and otherwise INCONCLUSIVE, never ``certified``."""
     if value >= -PRODUCT_BAND:
         return PositivityVerdict(WITNESS_CANDIDATE, lam, value, **fields)
-    recheck = product_state_value(m, partition, vecs)
     if recheck < -PRODUCT_BAND:
         return PositivityVerdict(NOT_BLOCK_POSITIVE, lam, value, vecs, **fields)
     return PositivityVerdict(INCONCLUSIVE, lam, value, **{**fields, "certified": False})
+
+
+def _first_block_values(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<e_1 (x) v|M|e_1 (x) v> for each d^3 x d^3 matrix M of the stack
+    ``mats`` and its row v of ``vectors`` (d^2 entries): e_1 (x) v is v
+    followed by zeros, and the form is read from the whole matrix, by one
+    stacked matmul."""
+    full = np.zeros(mats.shape[:-1], dtype=complex)
+    full[:, :vectors.shape[-1]] = vectors
+    return (full.conj()[:, None, :] @ mats @ full[:, :, None])[:, 0, 0].real
 
 
 def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: int):
@@ -641,13 +660,17 @@ def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: 
     the exact 1|23 minimum over product states is the least eigenvalue of
     the block <e_1|M|e_1> on sites 2 and 3.  The PSD step reads the least
     eigenvalue of the sum from _s3_min_eigenvalue, and a non-PSD verdict is
-    ``certified``.  A term that is not a permutation of (1, 2, 3) is a
+    ``certified``, unless its minimum is below -PRODUCT_BAND and the form of
+    its product state e_1 (x) v, evaluated on M, is not: that verdict is
+    INCONCLUSIVE.  A term that is not a permutation of (1, 2, 3) is a
     ValueError.
 
     Stacked coefficients give the list of the members' verdicts in
     row-major order, each that of a call on the member alone: one stacked
     least-eigenvalue solve, then the dense M of the non-PSD members alone,
-    listed at once, and one stacked eigh of their blocks."""
+    listed at once, one stacked eigh of their blocks and one stacked
+    recheck (_first_block_values) of the members below -PRODUCT_BAND.  The
+    verdicts share one read-only e_1."""
     lams = _s3_min_eigenvalue(terms, s, coeffs, d)
     stacked, lams = np.ndim(lams) > 0, np.ravel(lams).tolist()
     verdicts = [PositivityVerdict(PSD, lam, lam) if lam >= -EIG_TOL else None for lam in lams]
@@ -656,12 +679,18 @@ def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: 
         rows = _coefficient_rows(coeffs).reshape(-1, len(terms))[negative]
         mats = _dense(_sum_entries(3, d, *_term_index(terms, s, d), rows)).mat
         values, vectors = np.linalg.eigh(mats.reshape(-1, d, d * d, d, d * d)[:, 0, :, 0])
-        partition = PartitionSpec(((1,), (2, 3)))
-        for i, mat, value, vector in zip(negative, mats, values[:, 0].tolist(), vectors[:, :, 0]):
-            e1 = np.zeros(d, dtype=complex)
-            e1[0] = 1.0
-            verdicts[i] = _classify(DenseOperator(3, d, mat), partition, lams[i], value,
-                                    (e1, vector), certified=True)
+        values, vectors = values[:, 0], vectors[:, :, 0]
+        violating = values < -PRODUCT_BAND
+        rechecks = np.full(len(negative), np.nan)
+        if violating.any():     # a selection copies: at d = 12 one matrix is 48 MB
+            picked = mats if violating.all() else mats[violating]
+            rechecks[violating] = _first_block_values(picked, vectors[violating])
+        e1 = np.zeros(d, dtype=complex)
+        e1[0] = 1.0
+        e1.flags.writeable = False
+        for i, value, vector, recheck in zip(negative, values.tolist(), vectors,
+                                             rechecks.tolist()):
+            verdicts[i] = _verdict(lams[i], value, (e1, vector), recheck, certified=True)
     return verdicts if stacked else verdicts[0]
 
 
@@ -728,8 +757,9 @@ def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
     check_covariant_block_positive (``certified``), which draws nothing.  The
     points are classified a stack at a time: each stack holds as many
     points as kernels of d^6 entries fit in verification.STACK_BYTES, at
-    least one, its non-PSD kernels listed by one call, and each verdict is
-    that of the point's kernel alone.  d < 3, where the analytic condition
+    least one, its non-PSD kernels listed by one call and its violations'
+    product states rechecked by one, and each verdict is that of the
+    point's kernel alone.  d < 3, where the analytic condition
     is not stated, is refused before any work.
     """
     if d < 3:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,21 @@ class TestScanBcs:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "9b88c3ea1f6cf135c32b3fd1b40bef6cb56d772410f651935146e7391b257cb4")
+
+    def test_the_columns_may_part_within_the_band_of_the_threshold(self, capsys):
+        # alpha = 0.75 is the exact threshold at beta = -33/100, but the
+        # float -0.33 lies 1.6e-17 below it, so the condition reads false,
+        # while the 1|23 minimum, 0 at the exact threshold, reads -1.5e-16,
+        # inside PRODUCT_BAND: the largest grid's one row where the columns
+        # part
+        assert -1e-16 < Fraction(-0.33) + Fraction(33, 100) < 0
+        assert 0.75 < ent.bcs_alpha_threshold(-0.33, 3) <= 0.75 + 1e-15
+        code, out, _ = run(capsys, "scan-bcs", "--d", "3", "--alpha", "0.75:0.75:1",
+                           "--beta=-0.33:-0.33:1")
+        assert code == 0
+        alpha, beta, positive, _, product_min, cls = out.splitlines()[1].split(",")
+        assert (alpha, beta, positive, cls) == ("0.75", "-0.33", "false", "WITNESS_CANDIDATE")
+        assert abs(float(product_min)) <= 1e-15
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan-bcs", "--alpha", "zero:one:step",

@@ -584,6 +584,101 @@ class TestCovariantBlockMinimum:
         assert {v.classification for v in stacked} - {ent.PSD}
 
 
+class TestStackedRecheck:
+    # check_covariant_block_positive rechecks the product states of a
+    # stack's violating members by one call of _first_block_values
+    MIXED = [(0.0, -0.5), (5.0, -0.1), (0.25, -0.1), (0.0, 1e20), (0.1, -0.3)]
+
+    def test_the_recheck_gates_each_violation(self, monkeypatch):
+        alphas, betas = np.array(self.MIXED).T[..., None, None]
+        coeffs = (1, 1, alphas, betas)
+        confirmed = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), coeffs, 3)
+        monkeypatch.setattr(ent, "_first_block_values",
+                            lambda mats, vectors: np.zeros(len(mats)))
+        refuted = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), coeffs, 3)
+        assert {v.classification for v in confirmed} == {
+            ent.PSD, ent.WITNESS_CANDIDATE, ent.NOT_BLOCK_POSITIVE, ent.INCONCLUSIVE}
+        for before, after in zip(confirmed, refuted):
+            if before.classification == ent.NOT_BLOCK_POSITIVE:
+                assert after == dataclasses.replace(
+                    before, classification=ent.INCONCLUSIVE, violating_product_state=None,
+                    certified=False)
+            else:
+                assert after == before
+
+    def test_a_stack_of_violations_is_rechecked_without_a_copy(self, monkeypatch):
+        # selecting the members would copy every matrix, 48 MB a member at
+        # d = 12, where each stack is one point
+        written, passed = [], []
+        real_dense, real_recheck = ent._dense, ent._first_block_values
+        monkeypatch.setattr(ent, "_dense", lambda listed: (
+            written.append(real_dense(listed)) or written[-1]))
+        monkeypatch.setattr(ent, "_first_block_values", lambda mats, vectors: (
+            passed.append(mats) or real_recheck(mats, vectors)))
+        alphas, betas = np.array([(0.0, -0.5), (0.1, -0.3)]).T[..., None, None]
+        verdicts = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), (1, 1, alphas, betas), 3)
+        assert [v.classification for v in verdicts] == [ent.NOT_BLOCK_POSITIVE] * 2
+        assert len(passed) == 1 and passed[0] is written[0].mat
+
+    def test_the_grid_is_rechecked_a_stack_at_a_time(self, monkeypatch):
+        # the golden 11 x 13 grid at d = 3, 7 stacks: no per-point
+        # reorder, Kronecker product or form, one recheck of each stack's
+        # violating members at most
+        calls = {"product_state_value": 0, "_blocked_tensor": 0, "kron_all": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        for module, name in ((ent, "product_state_value"), (ent, "_blocked_tensor"),
+                             (dense_ops, "kron_all")):
+            spy(module, name)
+        rechecked = []
+        real_recheck = ent._first_block_values
+        monkeypatch.setattr(ent, "_first_block_values", lambda mats, vectors: (
+            rechecked.append(len(mats)) or real_recheck(mats, vectors)))
+        rows = scan_bcs_region(BENCH_ALPHAS, BENCH_BETAS, 3)
+        assert calls == {"product_state_value": 0, "_blocked_tensor": 0, "kron_all": 0}
+        violations = sum(r["class"] == ent.NOT_BLOCK_POSITIVE for r in rows)
+        assert 1 <= len(rechecked) <= 7 and sum(rechecked) == violations == 67
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_bcs_violations_reevaluate_below_the_band(self, d):
+        partition = PartitionSpec.parse("1|23")
+        points = [(alpha, beta) for alpha in BENCH_ALPHAS for beta in BENCH_BETAS]
+        alphas, betas = np.array(points).T[..., None, None]
+        verdicts = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), (1, 1, alphas, betas), d)
+        violations = 0
+        for (alpha, beta), verdict in zip(points, verdicts):
+            if verdict.classification == ent.NOT_BLOCK_POSITIVE:
+                violations += 1
+                value = ent.product_state_value(bcs_kernel(alpha, beta, d), partition,
+                                                verdict.violating_product_state)
+                assert value < -PRODUCT_BAND
+                assert value == pytest.approx(verdict.product_min_estimate, abs=1e-12)
+        assert violations > 0
+
+    def test_werner_violations_reevaluate_below_the_band(self, rng):
+        # twelve stacked states at d = 4 for each S
+        partition = PartitionSpec.parse("1|23")
+        violations = 0
+        for s in ent.ROW_SUBSETS.values():
+            params = ent.random_werner_instances(rng, 4, 12)[0]
+            verdicts = ent.check_covariant_block_positive(ent.WERNER_TERMS, s, params.alphas, 4)
+            rho_ts = dense_ops.partial_transpose(werner_state(params), s)
+            for mat, verdict in zip(rho_ts.mat, verdicts):
+                if verdict.classification == ent.NOT_BLOCK_POSITIVE:
+                    violations += 1
+                    value = ent.product_state_value(DenseOperator(3, 4, mat), partition,
+                                                    verdict.violating_product_state)
+                    assert value < -PRODUCT_BAND
+                    assert value == pytest.approx(verdict.product_min_estimate, abs=1e-12)
+        assert violations > 0
+
+
 # the index of each WERNER_TERMS permutation's inverse: (sigma^{T_S})^dagger
 # is (sigma^-1)^{T_S}, so sum_t c_t sigma_t^{T_S} is hermitian when
 # c[INVERSE] == conj(c)
