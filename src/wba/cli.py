@@ -90,9 +90,9 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
-# largest (alpha, beta) grid scan-bcs accepts; at d = 3 a point takes 0.02-0.035 ms,
-# the more the larger the share of NOT_BLOCK_POSITIVE points: about 2-2.5 s for the
-# largest grid (28% of its points), 5 ms for the 11 x 13 grid (47%), in process
+# largest (alpha, beta) grid scan-bcs accepts; at d = 3 a point takes 0.012-0.015 ms
+# on a 2-core Xeon: about 1.4-1.5 s for the largest grid, 2 ms for the 11 x 13 grid,
+# in process, and 1.7-1.9 s for the largest as a fresh wba scan-bcs
 MAX_SCAN_POINTS = 100_000
 
 

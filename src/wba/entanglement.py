@@ -640,14 +640,12 @@ def _verdict(lam: float, value: float, vecs, recheck, **fields) -> PositivityVer
     return PositivityVerdict(INCONCLUSIVE, lam, value, **{**fields, "certified": False})
 
 
-def _first_block_values(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """<e_1 (x) v|M|e_1 (x) v> for each d^3 x d^3 matrix M of the stack
-    ``mats`` and its row v of ``vectors`` (d^2 entries): e_1 (x) v is v
-    followed by zeros, and the form is read from the whole matrix, by one
-    stacked matmul."""
-    full = np.zeros(mats.shape[:-1], dtype=complex)
-    full[:, :vectors.shape[-1]] = vectors
-    return (full.conj()[:, None, :] @ mats @ full[:, :, None])[:, 0, 0].real
+def _listed_form(block: ListedOperator, vectors: np.ndarray) -> np.ndarray:
+    """v^dagger B v for each member B of the listed stack ``block`` and its
+    row v of ``vectors``, over B's listed entries by one stacked product and
+    no eigensolver: for B the block <e_1|M|e_1>, the form of e_1 (x) v on M."""
+    return np.einsum("mk,mk,mk->m", vectors.conj()[:, block.rows], block.values,
+                     vectors[:, block.cols]).real
 
 
 def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: int):
@@ -661,35 +659,33 @@ def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: 
     the block <e_1|M|e_1> on sites 2 and 3.  The PSD step reads the least
     eigenvalue of the sum from _s3_min_eigenvalue, and a non-PSD verdict is
     ``certified``, unless its minimum is below -PRODUCT_BAND and the form of
-    its product state e_1 (x) v, evaluated on M, is not: that verdict is
+    its product state e_1 (x) v (_listed_form) is not: that verdict is
     INCONCLUSIVE.  A term that is not a permutation of (1, 2, 3) is a
     ValueError.
 
     Stacked coefficients give the list of the members' verdicts in
     row-major order, each that of a call on the member alone: one stacked
-    least-eigenvalue solve, then the dense M of the non-PSD members alone,
-    listed at once, one stacked eigh of their blocks and one stacked
-    recheck (_first_block_values) of the members below -PRODUCT_BAND.  The
-    verdicts share one read-only e_1."""
+    least-eigenvalue solve, then one listing of the non-PSD members, whose
+    blocks are the listed entries with row and column below d^2, one
+    stacked eigh of those and one stacked recheck; no d^3 x d^3 matrix.
+    The verdicts share one read-only e_1."""
     lams = _s3_min_eigenvalue(terms, s, coeffs, d)
     stacked, lams = np.ndim(lams) > 0, np.ravel(lams).tolist()
     verdicts = [PositivityVerdict(PSD, lam, lam) if lam >= -EIG_TOL else None for lam in lams]
     negative = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if negative:
         rows = _coefficient_rows(coeffs).reshape(-1, len(terms))[negative]
-        mats = _dense(_sum_entries(3, d, *_term_index(terms, s, d), rows)).mat
-        values, vectors = np.linalg.eigh(mats.reshape(-1, d, d * d, d, d * d)[:, 0, :, 0])
+        listed = _sum_entries(3, d, *_term_index(terms, s, d), rows)
+        first = (listed.rows < d * d) & (listed.cols < d * d)     # site 1 at e_1, both sides
+        block = ListedOperator(2, d, listed.rows[first], listed.cols[first], listed.values[:, first])
+        blocks = np.zeros((len(negative), d * d, d * d), dtype=complex)
+        blocks[:, block.rows, block.cols] = block.values
+        values, vectors = np.linalg.eigh(blocks)
         values, vectors = values[:, 0], vectors[:, :, 0]
-        violating = values < -PRODUCT_BAND
-        rechecks = np.full(len(negative), np.nan)
-        if violating.any():     # a selection copies: at d = 12 one matrix is 48 MB
-            picked = mats if violating.all() else mats[violating]
-            rechecks[violating] = _first_block_values(picked, vectors[violating])
-        e1 = np.zeros(d, dtype=complex)
-        e1[0] = 1.0
+        rechecks = _listed_form(block, vectors).tolist()
+        e1 = np.eye(1, d, dtype=complex)[0]
         e1.flags.writeable = False
-        for i, value, vector, recheck in zip(negative, values.tolist(), vectors,
-                                             rechecks.tolist()):
+        for i, value, vector, recheck in zip(negative, values.tolist(), vectors, rechecks):
             verdicts[i] = _verdict(lams[i], value, (e1, vector), recheck, certified=True)
     return verdicts if stacked else verdicts[0]
 
@@ -755,18 +751,18 @@ def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
 
     The kernel is an S_3 sum, so the minimum is the exact one of
     check_covariant_block_positive (``certified``), which draws nothing.  The
-    points are classified a stack at a time: each stack holds as many
-    points as kernels of d^6 entries fit in verification.STACK_BYTES, at
-    least one, its non-PSD kernels listed by one call and its violations'
-    product states rechecked by one, and each verdict is that of the
-    point's kernel alone.  d < 3, where the analytic condition
+    points are classified a stack at a time: each stack holds as many points
+    as fit in verification.STACK_BYTES, at least one, a point the larger of
+    its 4 d^3 listed unit entries and its d^4-entry block, its non-PSD
+    kernels listed and rechecked by one call each, and each verdict is that
+    of the point's kernel alone.  d < 3, where the analytic condition
     is not stated, is refused before any work.
     """
     if d < 3:
         raise ValueError("the analytic condition is stated for d >= 3")
     points = [(alpha, beta) for alpha in alpha_values for beta in beta_values]
     rows, start = [], 0
-    for size in stack_sizes(len(points), d ** 6):
+    for size in stack_sizes(len(points), max(len(BCS_TERMS) * d ** 3, d ** 4)):
         chunk = points[start:start + size]
         start += size
         alphas, betas = np.array(chunk, dtype=float).T[..., None, None]

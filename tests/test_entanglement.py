@@ -147,15 +147,16 @@ class TestBcsKernel:
         assert np.isclose(np.trace(kernel.mat), expect)
 
     def test_scan_kernels_equal_term_by_term_sum(self, monkeypatch):
+        # the kernels the scan lists, each member written out here
         scanned = []
-        real_dense = ent._dense
+        real_sum_entries = ent._sum_entries
 
-        def recorded(listed):
-            out = real_dense(listed)
-            scanned.extend(out.mat)
-            return out
+        def recorded(*args):
+            listed = real_sum_entries(*args)
+            scanned.extend(ent._dense(listed).mat)
+            return listed
 
-        monkeypatch.setattr(ent, "_dense", recorded)
+        monkeypatch.setattr(ent, "_sum_entries", recorded)
         alphas, betas = [0.0, 0.3, 1 / 3], [-0.45, 0.0, 0.1]
         scan_bcs_region(alphas, betas, 3)
         points = [(a, b) for a in alphas for b in betas]
@@ -586,15 +587,16 @@ class TestCovariantBlockMinimum:
 
 class TestStackedRecheck:
     # check_covariant_block_positive rechecks the product states of a
-    # stack's violating members by one call of _first_block_values
+    # stack's non-PSD members by one call of _listed_form, whose values the
+    # violating members' verdicts read
     MIXED = [(0.0, -0.5), (5.0, -0.1), (0.25, -0.1), (0.0, 1e20), (0.1, -0.3)]
 
     def test_the_recheck_gates_each_violation(self, monkeypatch):
         alphas, betas = np.array(self.MIXED).T[..., None, None]
         coeffs = (1, 1, alphas, betas)
         confirmed = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), coeffs, 3)
-        monkeypatch.setattr(ent, "_first_block_values",
-                            lambda mats, vectors: np.zeros(len(mats)))
+        monkeypatch.setattr(ent, "_listed_form",
+                            lambda block, vectors: np.zeros(len(vectors)))
         refuted = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), coeffs, 3)
         assert {v.classification for v in confirmed} == {
             ent.PSD, ent.WITNESS_CANDIDATE, ent.NOT_BLOCK_POSITIVE, ent.INCONCLUSIVE}
@@ -606,24 +608,10 @@ class TestStackedRecheck:
             else:
                 assert after == before
 
-    def test_a_stack_of_violations_is_rechecked_without_a_copy(self, monkeypatch):
-        # selecting the members would copy every matrix, 48 MB a member at
-        # d = 12, where each stack is one point
-        written, passed = [], []
-        real_dense, real_recheck = ent._dense, ent._first_block_values
-        monkeypatch.setattr(ent, "_dense", lambda listed: (
-            written.append(real_dense(listed)) or written[-1]))
-        monkeypatch.setattr(ent, "_first_block_values", lambda mats, vectors: (
-            passed.append(mats) or real_recheck(mats, vectors)))
-        alphas, betas = np.array([(0.0, -0.5), (0.1, -0.3)]).T[..., None, None]
-        verdicts = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), (1, 1, alphas, betas), 3)
-        assert [v.classification for v in verdicts] == [ent.NOT_BLOCK_POSITIVE] * 2
-        assert len(passed) == 1 and passed[0] is written[0].mat
-
     def test_the_grid_is_rechecked_a_stack_at_a_time(self, monkeypatch):
-        # the golden 11 x 13 grid at d = 3, 7 stacks: no per-point
-        # reorder, Kronecker product or form, one recheck of each stack's
-        # violating members at most
+        # the golden 11 x 13 grid at d = 3, one stack (151 points fit): no
+        # per-point reorder, Kronecker product or form, one recheck of the
+        # stack's 136 non-PSD members, 67 of them violations
         calls = {"product_state_value": 0, "_blocked_tensor": 0, "kron_all": 0}
 
         def spy(module, name):
@@ -637,13 +625,53 @@ class TestStackedRecheck:
                              (dense_ops, "kron_all")):
             spy(module, name)
         rechecked = []
-        real_recheck = ent._first_block_values
-        monkeypatch.setattr(ent, "_first_block_values", lambda mats, vectors: (
-            rechecked.append(len(mats)) or real_recheck(mats, vectors)))
+        real_recheck = ent._listed_form
+        monkeypatch.setattr(ent, "_listed_form", lambda block, vectors: (
+            rechecked.append(len(vectors)) or real_recheck(block, vectors)))
         rows = scan_bcs_region(BENCH_ALPHAS, BENCH_BETAS, 3)
         assert calls == {"product_state_value": 0, "_blocked_tensor": 0, "kron_all": 0}
         violations = sum(r["class"] == ent.NOT_BLOCK_POSITIVE for r in rows)
-        assert 1 <= len(rechecked) <= 7 and sum(rechecked) == violations == 67
+        assert rechecked == [136] and violations == 67
+
+    @staticmethod
+    def solved_blocks(monkeypatch, terms, s, coeffs, d):
+        """The verdicts of a stacked call and the d^2 x d^2 blocks it
+        eigensolved, one a non-PSD member in stack order."""
+        blocks, real_eigh = [], np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            if a.shape[-2:] == (d * d, d * d):
+                blocks.extend(a.copy())
+            return real_eigh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        try:
+            return ent.check_covariant_block_positive(terms, s, coeffs, d), blocks
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_the_listed_block_is_the_dense_one_bit_for_bit(self, d, rng, monkeypatch):
+        # the 1|23 block written from the listed entries against the block
+        # <e_1|M|e_1> of the dense kernel and of each dense rho^{T_S}
+        alphas, betas = rng.uniform(-1.0, 1.0, (2, 8))
+        verdicts, blocks = self.solved_blocks(monkeypatch, ent.BCS_TERMS, (2,),
+                                              (1, 1, alphas[:, None, None], betas[:, None, None]), d)
+        kernels = [bcs_kernel(alpha, beta, d).mat for alpha, beta in zip(alphas, betas)]
+        want = [m.reshape(d, d * d, d, d * d)[0, :, 0]
+                for m, verdict in zip(kernels, verdicts) if verdict.classification != ent.PSD]
+        assert want and len(blocks) == len(want)
+        assert all(np.array_equal(_bits(got), _bits(w)) for got, w in zip(blocks, want))
+        params, compared = ent.random_werner_instances(rng, d, 6)[0], 0
+        for s in ent.ROW_SUBSETS.values():
+            verdicts, blocks = self.solved_blocks(monkeypatch, ent.WERNER_TERMS, s,
+                                                  params.alphas, d)
+            rho_ts = dense_ops.partial_transpose(werner_state(params), s).mat
+            want = [m.reshape(d, d * d, d, d * d)[0, :, 0]
+                    for m, verdict in zip(rho_ts, verdicts) if verdict.classification != ent.PSD]
+            assert len(blocks) == len(want)
+            assert all(np.array_equal(_bits(got), _bits(w)) for got, w in zip(blocks, want))
+            compared += len(want)
+        assert compared
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_bcs_violations_reevaluate_below_the_band(self, d):
@@ -1473,18 +1501,21 @@ class TestScan:
         assert far["class"] == ent.PSD and far["min_eig"] >= -1e-9
 
     def test_one_listing_per_stack(self, monkeypatch):
-        # the golden 11 x 13 grid at d = 3: 22 points a stack, 7 stacks,
-        # the non-PSD kernels of each listed and written once, the 7 PSD
-        # ones never
-        members = []
-        real_dense = ent._dense
-        monkeypatch.setattr(ent, "_dense", lambda listed: (
-            members.append(listed.values.shape[0]) or real_dense(listed)))
+        # the golden 11 x 13 grid at d = 3, one stack (151 points fit): its
+        # 136 non-PSD kernels listed once, the 7 PSD ones never; at one
+        # point a stack, one listing per non-PSD point
         alphas = [i / 10 for i in range(11)]
         betas = [round(-0.5 + j * 0.05, 12) for j in range(13)]
-        rows = scan_bcs_region(alphas, betas, 3)
-        assert len(rows) == 143 and sum(r["class"] != ent.PSD for r in rows) == 136
-        assert 1 <= len(members) <= 7 and sum(members) == 136
+        for stack_bytes, listings in ((verification.STACK_BYTES, [136]), (0, [1] * 136)):
+            members = []
+            real_sum_entries = ent._sum_entries
+            monkeypatch.setattr(verification, "STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(ent, "_sum_entries", lambda *args: (
+                members.append(len(args[-1])) or real_sum_entries(*args)))
+            rows = scan_bcs_region(alphas, betas, 3)
+            assert len(rows) == 143 and sum(r["class"] != ent.PSD for r in rows) == 136
+            assert members == listings
+            monkeypatch.undo()
 
     def test_peak_memory_is_a_few_stacks(self):
         alphas, betas = np.linspace(-1.0, 1.0, 20), np.linspace(-0.6, 0.4, 25)
@@ -1497,6 +1528,20 @@ class TestScan:
             tracemalloc.stop()
         assert len(rows) == 500
         assert peak <= 12 * verification.STACK_BYTES
+
+    def test_a_d12_scan_writes_no_dense_kernel(self):
+        # one point a stack at d = 12: the 144 x 144 block of each non-PSD
+        # kernel and its listing peak near 1.2 MiB, and a dense 1728 x 1728
+        # kernel alone is 45.6 MiB
+        scan_bcs_region([0.0], [-0.1], 12)      # the cached listing structure
+        tracemalloc.start()
+        try:
+            rows = scan_bcs_region([0.0, 0.1], [-0.1, -0.3], 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 4 and all(r["class"] != ent.PSD for r in rows)
+        assert peak < 4 << 20, peak
 
     def test_condition_boundary_at_beta_zero(self):
         assert bcs_alpha_threshold(0.0, 3) == 0.0
