@@ -10,9 +10,9 @@ move the last digits of eigensolver values: ``projector``'s
 -1.19874850315e-15 on two), ``scan-bcs``'s ``min_eig`` and ``product_min``
 and ``werner-ppt``'s ``min_eig_partial_transpose_1``.  The golden files of
 the tests match on one thread and on two.  The ``min_eig`` of ``scan-bcs``
-and ``werner-ppt`` comes from a 6 x 6 matrix of the diagram algebra
-(entanglement._s3_min_eigenvalue), and its digits below about 1e-13 times
-the operator's largest entry depend on that route.  Exit codes: 0 success,
+and ``werner-ppt`` comes from a 6 x 6 matrix of the diagram algebra of its
+S (wba_algebra._algebra_table), and its digits below about 1e-13 times the
+operator's largest entry depend on that route.  Exit codes: 0 success,
 1 bad flags, 2 numerical failure/contradiction.
 """
 

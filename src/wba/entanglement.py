@@ -19,10 +19,10 @@ from . import dense_ops
 from .dense_ops import DenseOperator, ListedOperator
 from .multilinear_maps import MapSpec, evaluate_oracle
 from .sym_core import parse_token
-from .tolerances import EIG_TOL, GRAM_CUT, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
+from .tolerances import EIG_TOL, PPT_SLACK, PRODUCT_BAND, SEESAW_STOP, STATE_SLACK
 from .verification import stack_sizes
 from .wba_algebra import (
-    _compose,
+    _algebra_table,
     _entry_index,
     _sum_entries,
     _transposed_matchings,
@@ -195,78 +195,20 @@ def _dense(listed: ListedOperator) -> DenseOperator:
     return DenseOperator(3, listed.d, mat)
 
 
-@lru_cache(maxsize=2)
-def _trace_exponents(s: tuple[int, ...]) -> np.ndarray:
-    """(6, 6, 6) integers, read only: tr(D_c^dagger D_a D_b) = d**E[a, c, b]
-    for the six diagrams D_a = sigma_a^{T_S}, sigma_a in the order of
-    WERNER_TERMS: the group algebra C[S_3] for S = () and the walled Brauer
-    algebra B_{2,1} for S = (3,).  Free of d, from 36 compositions
-    (wba_algebra._compose): D_a D_b = d**loops D_e, D_c^dagger is the
-    diagram of sigma_c^-1, and tr D_e = d**(cycles of sigma_e), as a
-    partial transpose keeps the diagonal; in S_3 a permutation with f fixed
-    points has (3 + f) // 2 cycles."""
-    mask = np.array([[site in s for site in (1, 2, 3)]] * 6)
-    pairings = _transposed_matchings(np.array(WERNER_TERMS), mask).tolist()
-    products = [_compose(top, bot) for top in pairings for bot in pairings]
-    index, loops = np.array([(pairings.index(pairing), count)
-                             for pairing, count in products]).T.reshape(2, 6, 6)
-    adjoint = [WERNER_TERMS.index(_inverse(sigma)) for sigma in WERNER_TERMS]
-    cycles = np.array([(3 + sum(map(int.__eq__, sigma, (1, 2, 3)))) // 2 for sigma in WERNER_TERMS])
-    gram = loops[adjoint] + cycles[index[adjoint]]      # tr(D_c^dagger D_e) = d**gram[c, e]
-    exponents = loops[:, None, :] + gram[:, index].swapaxes(0, 1)
-    exponents.flags.writeable = False
-    return exponents
-
-
-def _inverse(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """The 1-based images of sigma^-1, in plain Python: the tables are built
-    on a process's first call, where sym_core.Permutation and np.argsort
-    took 30-60 us longer."""
-    return tuple(sigma.index(t) + 1 for t in range(1, len(sigma) + 1))
-
-
-@lru_cache(maxsize=4)
-def _algebra_table(s: tuple[int, ...], d: int) -> np.ndarray:
-    """(6, r, r) complex, read only: left multiplication by each diagram of
-    _trace_exponents(s) on the span of the six diagrams' operators at d, in
-    an orthonormal basis of the trace form G (r = 6 for d >= 3, 5 at d = 2,
-    where the span has rank 5).
-
-    With G = U diag(g) U^dagger, less the directions below GRAM_CUT times
-    its largest eigenvalue, a diagram's matrix is g^1/2 U^dagger L U g^-1/2
-    for L its left multiplication on the diagrams, that is
-    g^-1/2 U^dagger (G L) U g^-1/2, and G L is the trace table
-    tr(D_c^dagger D_a D_b), read at a = 0, the identity, for G itself."""
-    products = float(d) ** _trace_exponents(s)
-    spectrum, basis = np.linalg.eigh(products[0])
-    keep = spectrum > GRAM_CUT * spectrum[-1]
-    unit = basis[:, keep] / np.sqrt(spectrum[keep])
-    table = (unit.T @ products @ unit).astype(complex)
-    table.flags.writeable = False
-    return table
-
-
 @lru_cache(maxsize=8)
 def _s3_table(terms: tuple, s: tuple[int, ...], d: int) -> np.ndarray:
-    """(T, r, r) complex, read only: the _algebra_table matrix of each
-    term's sigma^{T_S}.  A term that is not a permutation of (1, 2, 3) is a
-    ValueError, and d^3 is guarded by check_size_guard as a listing is.
-
-    Every S maps onto S = () or (3,) with the operators unchanged up to a
-    unitary: sigma^{T_S} is (sigma^-1)^{T_S'} for S' the complement of S,
-    and the site swap pi = (j 3) takes sigma^{T_j} to (pi sigma pi)^{T_3}."""
+    """(T, r, r) complex, read only: each term's sigma^{T_S}, picked by its
+    pairing from wba_algebra._algebra_table of the six sigma^{T_S} (sigma
+    in the order of WERNER_TERMS), built for S as given.  A term that is
+    not a permutation of (1, 2, 3) is a ValueError, and d^3 is guarded by
+    check_size_guard as a listing is."""
     for term in terms:
         if sorted(term) != [1, 2, 3]:
             raise ValueError(f"term {term} is not a permutation of (1, 2, 3)")
     check_size_guard(3, d)
-    if len(s) > 1:
-        terms, s = [_inverse(sigma) for sigma in terms], tuple({1, 2, 3} - set(s))
-    if s:
-        swap = [1, 2, 3]
-        swap[s[0] - 1], swap[2] = 3, s[0]
-        terms = [tuple(swap[sigma[swap[t] - 1] - 1] for t in range(3)) for sigma in terms]
-    table = _algebra_table((3,) if s else (), d)[[WERNER_TERMS.index(tuple(sigma))
-                                                  for sigma in terms]]
+    mask = np.array([[site in s for site in (1, 2, 3)]] * (6 + len(terms)))
+    pairings = list(map(tuple, _transposed_matchings(np.array(WERNER_TERMS + terms), mask).tolist()))
+    table = _algebra_table(tuple(pairings[:6]), d)[[pairings.index(p) for p in pairings[6:]]]
     table.flags.writeable = False
     return table
 
@@ -275,9 +217,10 @@ def _s3_min_eigenvalue(terms: tuple, s: tuple[int, ...], coeffs, d: int):
     """Least eigenvalue of sum_t coeffs[t] terms[t]^{T_S} on three sites of
     dimension d (the arguments of _listed), or an array of those of each
     member for stacked coefficients: the coefficient rows times _s3_table,
-    summed in term order (each member's bits those of a call on it alone),
-    then dense_ops.min_eigenvalue of the r x r matrices, which refuses a
-    sum that is not finite or not hermitian.
+    summed term by term in term order by one einsum into an r x r matrix a
+    member, with no (T, r, r) product or iterator buffer (each member's bits
+    those of a call on it alone), then dense_ops.min_eigenvalue of those
+    matrices, which refuses a sum that is not finite or not hermitian.
 
     The diagrams' operators span a *-algebra that holds the sum X, so left
     multiplication by X on that span, hermitian in the trace form, has the
@@ -285,8 +228,7 @@ def _s3_min_eigenvalue(terms: tuple, s: tuple[int, ...], coeffs, d: int):
     formed."""
     table = _s3_table(terms, s, d)
     rows = _coefficient_rows(coeffs)
-    with np.errstate(invalid="ignore"):     # inf * 0: a non-finite sum is refused
-        h = (rows[..., None, None] * table).sum(axis=-3)
+    h = np.einsum("...t,tij->...ij", rows, table)     # no warning on inf * 0: refused below
     return dense_ops.min_eigenvalue(DenseOperator(1, table.shape[-1], h))
 
 

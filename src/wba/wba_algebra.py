@@ -31,7 +31,7 @@ from .sym_core import (
     parse_token,
     schur_weyl_multiplicity,
 )
-from .tolerances import COEFF_EPS, COEFF_MATCH
+from .tolerances import COEFF_EPS, COEFF_MATCH, GRAM_CUT
 
 SIZE_GUARD = 4096
 
@@ -96,6 +96,63 @@ def compose_diagrams(a: WbaDiagram, b: WbaDiagram) -> tuple[WbaDiagram, int]:
         raise ValueError(f"site count mismatch: {a.n} vs {b.n}")
     pairing, loops = _compose(a.pairing, b.pairing)
     return WbaDiagram(a.n, tuple(pairing)), loops
+
+
+def _components(p, q) -> int:
+    """Components of the union of the matchings p and q on one set of
+    endpoints, each a cycle that alternates between their pairs."""
+    seen, count = [False] * len(p), 0
+    for start in range(len(p)):
+        count += not seen[start]
+        while not seen[start]:
+            seen[start] = seen[p[start]] = True
+            start = q[p[start]]
+    return count
+
+
+@lru_cache(maxsize=8)
+def _trace_exponents(basis: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """(m, m, m) integers, read only: tr(D_c^dagger D_a D_b) = d**E[a, c, b]
+    at every d for the diagrams D_a of the m pairings ``basis`` (tuples of
+    2n partners), whose span is closed under product: from m^2 walks of
+    _compose, D_a D_b = d**loops D_e, and tr(D_c^dagger D_e), the number of
+    unit entries two 0/1 matrices share, is d to the _components of the
+    matchings of D_c and D_e.  A product outside the basis is a ValueError."""
+    rows = {pairing: e for e, pairing in enumerate(basis)}
+    products = [_compose(top, bot) for top in basis for bot in basis]
+    index = [rows.get(tuple(pairing), -1) for pairing, _ in products]
+    if -1 in index:
+        outside = _diagram_texts(np.array([products[index.index(-1)][0]]))[0]
+        raise ValueError(f"the product {outside} of two basis diagrams lies outside the basis")
+    index, loops = np.array([index, [count for _, count in products]]).reshape(2, len(basis), -1)
+    gram = np.array([[_components(p, q) for q in basis] for p in basis])
+    exponents = loops[:, None, :] + gram[:, index].swapaxes(0, 1)
+    exponents.flags.writeable = False
+    return exponents
+
+
+@lru_cache(maxsize=16)
+def _algebra_table(basis: tuple[tuple[int, ...], ...], d: int) -> np.ndarray:
+    """(m, r, r) complex, read only: left multiplication by each diagram of
+    ``basis`` (as in _trace_exponents) on the span of their operators at d,
+    in an orthonormal basis of the trace form G, r the rank of that span.
+
+    With G = U diag(g) U^dagger, less the directions below GRAM_CUT times
+    its largest eigenvalue, a diagram's matrix is g^1/2 U^dagger L U g^-1/2
+    for L its left multiplication on the diagrams, that is
+    g^-1/2 U^dagger (G L) U g^-1/2, and G L is the trace table
+    tr(D_c^dagger D_a D_b), read at a the identity for G itself: a basis
+    without the identity is a ValueError."""
+    n = len(basis[0]) // 2
+    if (identity := tuple(range(n, 2 * n)) + tuple(range(n))) not in basis:
+        raise ValueError("the basis does not hold the identity diagram")
+    products = float(d) ** _trace_exponents(basis)
+    spectrum, vectors = np.linalg.eigh(products[basis.index(identity)])
+    keep = spectrum > GRAM_CUT * spectrum[-1]
+    unit = vectors[:, keep] / np.sqrt(spectrum[keep])
+    table = (unit.T @ products @ unit).astype(complex)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

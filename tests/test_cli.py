@@ -400,8 +400,8 @@ class TestScanBcs:
     def test_grid_is_golden(self, capsys):
         # the verdicts, their min_eig from the 6 x 6 algebra matrix
         # (_s3_min_eigenvalue) and the non-PSD points' exact 1|23 minimum
-        # from the dense kernel; the alpha = 1 rows' min_eig, exactly 0,
-        # prints that route's rounding
+        # from the listed block; the alpha = 1 rows' min_eig, exactly 0,
+        # prints the rounding of the table built for S = (2,)
         code, out, _ = run(capsys, "scan-bcs", "--d", "3", "--alpha", "0:1:0.1",
                            "--beta=-0.5:0.1:0.05", "--seed", "1")
         assert code == 0
@@ -414,7 +414,7 @@ class TestScanBcs:
                            "--beta=-0.5:0.1:0.05", "--seed", "1")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9b88c3ea1f6cf135c32b3fd1b40bef6cb56d772410f651935146e7391b257cb4")
+            "ad31ff01bb84c7d4f56ecbc45757a91a85905162376c8c8da70d130659b3940b")
 
     def test_the_columns_may_part_within_the_band_of_the_threshold(self, capsys):
         # alpha = 0.75 is the exact threshold at beta = -33/100, but the

@@ -763,6 +763,29 @@ class TestS3MinEigenvalue:
                  for i in range(9)]
         assert stacked.tolist() == alone
 
+    def test_a_scan_stack_holds_one_sum_a_point(self, monkeypatch):
+        # scan_bcs_region sizes a d = 3 stack by a point's 4 d^3 = 108
+        # listed entries: 151 points.  Up to the eigensolve a point holds its
+        # r x r = 36-entry sum and its coefficient row, below 2 r^2 entries;
+        # a (T, r, r) product of the terms would hold T r^2 = 144
+        size = verification.stack_sizes(1000, len(ent.BCS_TERMS) * 27)[0]
+        alphas, betas = np.random.default_rng(2).uniform(-1.0, 1.0, (2, size, 1, 1))
+        coeffs = (1, 1, alphas, betas)
+        ent._s3_min_eigenvalue(ent.BCS_TERMS, (2,), coeffs, 3)     # the table is cached
+        peaks, real = [], dense_ops.min_eigenvalue
+
+        def spy(m):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return real(m)
+        monkeypatch.setattr(dense_ops, "min_eigenvalue", spy)
+        tracemalloc.start()
+        try:
+            ent._s3_min_eigenvalue(ent.BCS_TERMS, (2,), coeffs, 3)
+        finally:
+            tracemalloc.stop()
+        assert size == 151 and len(peaks) == 1
+        assert peaks[0] <= size * 2 * 36 * 16
+
     def test_a_non_hermitian_sum_is_refused(self):
         # a complex coefficient on the identity, a self-adjoint term
         coeffs = (1, 1, 0.25 + 0.5j, -0.1)
@@ -1291,8 +1314,10 @@ class TestProposition1:
     # lambda_min(rho) and the PSD step took the 6 x 6 algebra matrix
     # (_s3_min_eigenvalue): against the dense route only min_eig, the PSD
     # verdicts' product minimum and g's bound lambda_min(rho) moved, by at
-    # most 5.6e-16; the same on one and two BLAS threads
-    REPORTS = "c5af8d39455418bf615c3ac4ee474f5f72bc5d170fec0c4327c73b6be95092e1"
+    # most 5.6e-16; the same on one and two BLAS threads.  Re-recorded when
+    # each S got its own table in place of a relabelled one: only min_eig
+    # and the PSD verdicts' product minimum moved, by at most 5.0e-16
+    REPORTS = "d2b60a2de27ef30732132572401794ee4b15ced3819175cf90859b86bdca6692"
 
     def test_reports_are_pinned(self):
         digest = hashlib.sha256()

@@ -3,8 +3,9 @@ dense_ops.kron_all, the reorder of an operator's 2n tensor axes is
 dense_ops._reorder, the sum of a kernel against its inputs is
 multilinear_maps.contract, the listing of an operator's stored entries
 is dense_ops._support, the entries of a sum of diagrams are listed and
-summed by wba_algebra alone, and the one covariance check at run time is
-F's, in ``wba projector``."""
+summed by wba_algebra alone, as are diagram products and the trace table
+of a diagram algebra, and the one covariance check at run time is F's, in
+``wba projector``."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,18 @@ def test_entanglement_lists_its_operators_through_the_algebra():
         name = node.id if isinstance(node, ast.Name) else node.name
         return name in ("_pair_weights", "_pair_values", "_unit_entries")
     assert _found(lists_entries, (ast.Attribute, ast.Name, ast.alias)) == []
+
+
+def test_one_table_builder():
+    # diagrams compose and their algebra's trace table is built in
+    # wba_algebra alone: no other module imports or calls _compose, or
+    # defines a table of its own
+    def composes(module, function, node):
+        if module == "wba_algebra.py":
+            return False
+        if isinstance(node, ast.alias):
+            return node.name == "_compose"
+        return getattr(node.func, "id", getattr(node.func, "attr", None)) == "_compose"
+    assert _found(composes, (ast.Call, ast.alias)) == []
+    assert _found(lambda module, function, node: module != "wba_algebra.py" and node.name in (
+        "_trace_exponents", "_algebra_table", "_inverse"), ast.FunctionDef) == []

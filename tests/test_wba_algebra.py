@@ -1002,3 +1002,69 @@ class TestDiagramTexts:
         assert len(texts) == len(rows)
         assert peak - kept <= 8 * 8 * wa._SCATTER_ENTRIES
         assert peak <= 2 * rows.nbytes
+
+
+def _transposed_permutations(n, s):
+    """The pairings, as tuples, of sigma^{T_S} for the n! permutations sigma
+    in lexicographic order of their images, the identity first."""
+    images = np.array(list(itertools.permutations(range(1, n + 1))))
+    mask = np.array([[site in s for site in range(1, n + 1)]] * len(images))
+    return tuple(map(tuple, wa._transposed_matchings(images, mask).tolist()))
+
+
+THREE_SITE_SUBSETS = [s for size in range(4) for s in itertools.combinations((1, 2, 3), size)]
+
+
+class TestTraceExponents:
+    """The one table builder: tr(D_c^dagger D_a D_b) = d**E[a, c, b] for a
+    product-closed basis, E free of d, against the dense traces."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n, s", [(3, s) for s in THREE_SITE_SUBSETS] + [(4, (4,)), (4, (3, 4))],
+                             ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else str(x))
+    def test_the_exponents_give_the_dense_traces(self, n, s, d):
+        basis = _transposed_permutations(n, s)
+        exponents = wa._trace_exponents(basis)
+        assert exponents.shape == (len(basis),) * 3 and not exponents.flags.writeable
+        mats = np.array([realize(wa.WbaDiagram(n, pairing), d).real for pairing in basis])
+        for a, left in enumerate(mats):
+            # tr(D_c^T D_a D_b): the diagrams are real 0/1 matrices
+            want = np.einsum("cij,bij->cb", mats, left @ mats)
+            assert np.array_equal(float(d) ** exponents[a], want), a
+
+    def test_a_basis_not_closed_under_product_is_refused(self):
+        from wba.entanglement import BCS_TERMS
+
+        mask = np.array([[False, True, False]] * len(BCS_TERMS))
+        basis = tuple(map(tuple, wa._transposed_matchings(np.array(BCS_TERMS), mask).tolist()))
+        with pytest.raises(ValueError, match="lies outside the basis"):
+            wa._trace_exponents(basis)
+
+    def test_a_basis_without_the_identity_is_refused(self):
+        # (1 2)^{T_2} squares to d (1 2)^{T_2}: a closed span with no
+        # identity, and tr(D^dagger D D) = d tr D = d^3
+        basis = _transposed_permutations(2, (2,))[1:]
+        assert wa._trace_exponents(basis).tolist() == [[[3]]]
+        with pytest.raises(ValueError, match="does not hold the identity"):
+            wa._algebra_table(basis, 3)
+
+    @pytest.mark.parametrize("s", THREE_SITE_SUBSETS, ids=lambda s: "S" + "".join(map(str, s)))
+    def test_the_s3_span_has_rank_5_at_d2_and_6_past_it(self, s):
+        basis = _transposed_permutations(3, s)
+        assert wa._algebra_table(basis, 2).shape == (6, 5, 5)
+        for d in (3, 4, 16):
+            table = wa._algebra_table(basis, d)
+            assert table.shape == (6, 6, 6) and not table.flags.writeable
+
+    @pytest.mark.parametrize("s", THREE_SITE_SUBSETS, ids=lambda s: "S" + "".join(map(str, s)))
+    def test_left_multiplication_has_the_spectrum_of_the_diagram(self, s):
+        # each sigma^{T_S} is normal, so its matrix in the orthonormal basis
+        # of the trace form has the dense operator's eigenvalues (without
+        # multiplicity)
+        basis = _transposed_permutations(3, s)
+        table = wa._algebra_table(basis, 3)
+        for pairing, mat in zip(basis, table):
+            dense = np.linalg.eigvals(realize(wa.WbaDiagram(3, pairing), 3))
+            got = np.linalg.eigvals(mat)
+            assert all(np.abs(dense - value).min() < 1e-9 for value in got)
+            assert all(np.abs(got - value).min() < 1e-9 for value in dense)
