@@ -14,6 +14,9 @@ and ``werner-ppt`` comes from a 6 x 6 matrix of the diagram algebra of its
 S (wba_algebra._algebra_table), and its digits below about 1e-13 times the
 operator's largest entry depend on that route.  Exit codes: 0 success,
 1 bad flags, 2 numerical failure/contradiction.
+
+Each subcommand has its own parser, built on its first use, so a call parses
+its arguments once; the listing of wba --help shows the paragraphs above.
 """
 
 from __future__ import annotations
@@ -442,71 +445,68 @@ def cmd_compose(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+_INT = dict(type=int, required=True)
+_D3 = dict(type=int, default=3)
+_SEED = dict(type=int, default=0)
+_FORMAT = dict(choices=("text", "json"), default="text")
+_RANGE = dict(required=True, help="range start:stop:step")
+
+# each subcommand: its cmd_* function (main calls the one bound to its name in
+# this module, so a wrapper bound there runs), summary and flags after --out
+_COMMANDS = {
+    "verify-props": (cmd_verify_props, "closed forms vs contraction oracle", [
+        ("--seed", dict(_SEED, help="seeds the random input tuples")), ("--format", _FORMAT),
+        ("--only", dict(default=None, help="run only case groups with this prefix")),
+        ("--tuples", dict(type=int, default=20))]),
+    "projector": (cmd_projector, "build an irreducible walled-Brauer projector", [
+        ("--seed", dict(_SEED, help="seeds only the --emit-map inputs; without --emit-map "
+                                    "it changes nothing")), ("--format", _FORMAT),
+        ("--n", _INT), ("--k", _INT), ("--d", _INT),
+        ("--mu", dict(required=True, help='partition of n-k, e.g. "[2,1]"')),
+        ("--alpha", dict(required=True, help='partition of n-2k, e.g. "[2]"')),
+        ("--emit-map", dict(type=int, default=None, metavar="INPUTS",
+                            help="evaluate the induced map on this many random PSD inputs"))]),
+    "scan-bcs": (cmd_scan_bcs, "scan the kernel family over an (alpha, beta) grid", [
+        ("--seed", dict(_SEED, help="seeds nothing: every verdict is exact and draws nothing; "
+                                    "it is still checked (>= 0) for scripts that pass it")),
+        ("--d", _D3), ("--alpha", _RANGE), ("--beta", _RANGE)]),
+    "werner-ppt": (cmd_werner_ppt, "analytic partial-transpose conditions vs eigencheck", [
+        ("--r", dict(required=True, help='six values "r+,r-,r0,r1,r2,r3"')), ("--d", _D3)]),
+    "ew-maps": (cmd_ew_maps, "closed-form invariant-state maps vs trace definition", [
+        ("--seed", dict(_SEED, help="seeds the random Werner parameters and inputs")),
+        ("--row", dict(default="all", help="one of f1,f2,f3,f12,f13,f23,g1,...,g23 or 'all'")),
+        ("--d", _D3), ("--instances", dict(type=int, default=50))]),
+    "compose": (cmd_compose, "diagram calculator: product and loop count", [
+        ("left", dict(help='diagram text, e.g. "(1 2)^T{2}"')), ("right", {}),
+        ("--n", dict(type=int, required=True, help="number of sites"))]),
+}
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process; each
-    subcommand names its cmd_* function, looked up when main runs it."""
-    parser = _Parser(prog="wba", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, summary, *flags, seeds=None):
-        """Subcommand with --out, the named shared flags, and --seed when
-        ``seeds`` says what it seeds."""
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--out", default=None, help="write output to this file atomically")
-        if seeds:
-            p.add_argument("--seed", type=int, default=0, help=f"seeds {seeds}")
-        if "format" in flags:
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=func.__name__)
-        return p
-
-    p = add("verify-props", cmd_verify_props, "closed forms vs contraction oracle",
-            "format", seeds="the random input tuples")
-    p.add_argument("--only", default=None, help="run only case groups with this prefix")
-    p.add_argument("--tuples", type=int, default=20)
-
-    p = add("projector", cmd_projector, "build an irreducible walled-Brauer projector",
-            "format", seeds="only the --emit-map inputs; without --emit-map it changes nothing")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mu", required=True, help='partition of n-k, e.g. "[2,1]"')
-    p.add_argument("--alpha", required=True, help='partition of n-2k, e.g. "[2]"')
-    p.add_argument("--emit-map", type=int, default=None, metavar="INPUTS",
-                   help="evaluate the induced map on this many random PSD inputs")
-
-    p = add("scan-bcs", cmd_scan_bcs, "scan the kernel family over an (alpha, beta) grid",
-            seeds="nothing: every verdict is exact and draws nothing; it is still "
-                  "checked (>= 0) for scripts that pass it")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--alpha", required=True, help="range start:stop:step")
-    p.add_argument("--beta", required=True, help="range start:stop:step")
-
-    p = add("werner-ppt", cmd_werner_ppt, "analytic partial-transpose conditions vs eigencheck")
-    p.add_argument("--r", required=True, help='six values "r+,r-,r0,r1,r2,r3"')
-    p.add_argument("--d", type=int, default=3)
-
-    p = add("ew-maps", cmd_ew_maps, "closed-form invariant-state maps vs trace definition",
-            seeds="the random Werner parameters and inputs")
-    p.add_argument("--row", default="all",
-                   help="one of f1,f2,f3,f12,f13,f23,g1,...,g23 or 'all'")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--instances", type=int, default=50)
-
-    p = add("compose", cmd_compose, "diagram calculator: product and loop count")
-    p.add_argument("left", help='diagram text, e.g. "(1 2)^T{2}"')
-    p.add_argument("right")
-    p.add_argument("--n", type=int, required=True, help="number of sites")
-
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, prog "wba <name>": --out, then its
+    flags; with no name, the listing parser of the subcommands by name and
+    summary, which prints wba --help and raises the command errors."""
+    if name is None:
+        parser = _Parser(prog="wba", description=__doc__.rsplit("\n\n", 1)[0])
+        sub = parser.add_subparsers(dest="command", required=True)
+        for command, (_, summary, _) in _COMMANDS.items():
+            sub.add_parser(command, help=summary)
+        return parser
+    parser = _Parser(prog=f"wba {name}")
+    parser.add_argument("--out", default=None, help="write output to this file atomically")
+    for flag, options in _COMMANDS[name][2]:
+        parser.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_attach_signed_values(argv))
-        return globals()[args.func](args)
+        if not argv or argv[0] not in _COMMANDS:    # the help, or one error line
+            argv = argv[argv.index(build_parser().parse_args(argv).command):]   # past a "--"
+        args = build_parser(argv[0]).parse_args(argv[1:])
+        return globals()[_COMMANDS[argv[0]][0].__name__](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

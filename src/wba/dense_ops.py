@@ -381,10 +381,11 @@ def min_eigenvalue(m: DenseOperator):
     ATOL itself.  The first member in row-major order that is not finite or
     not hermitian raises the one-line message a call on it alone raises."""
     mats = m.mat.reshape((-1,) + m.mat.shape[-2:])
-    diff = np.conjugate(mats).swapaxes(1, 2)    # M - M^dagger in this one copy, also of a real M
+    diff = mats.swapaxes(1, 2).copy()      # |M - M^dagger| in this one copy, each step in place
+    np.conjugate(diff, out=diff)
     with np.errstate(invalid="ignore"):     # inf - inf: a non-finite member fails either way
         np.subtract(mats, diff, out=diff)
-    dev = np.abs(diff, out=diff if diff.dtype.kind == "f" else None).max(axis=(1, 2))
+    dev = np.abs(diff, out=diff).real.max(axis=(1, 2))     # via numpy's bounded cast buffer
     del diff
     passed = dev <= ATOL
     if not passed.all():

@@ -172,9 +172,9 @@ def _term_index(terms: tuple, s: tuple[int, ...], d: int):
 def _coefficient_rows(coeffs) -> np.ndarray:
     """The coefficients of a sum of terms as complex rows, a column a term:
     scalars give one row (T,), (S, 1, 1) arrays among them a stack (S, T),
-    the scalars broadcast."""
-    if not any(isinstance(c, np.ndarray) for c in coeffs):
-        return np.array(coeffs, dtype=complex)
+    the scalars broadcast; complex rows are returned as they are."""
+    if isinstance(coeffs, np.ndarray) or not any(isinstance(c, np.ndarray) for c in coeffs):
+        return np.asarray(coeffs, dtype=complex)
     values = np.empty(np.broadcast(*coeffs).shape + (len(coeffs),), complex)
     for t, c in enumerate(coeffs):
         values[..., t] = c
@@ -193,6 +193,19 @@ def _dense(listed: ListedOperator) -> DenseOperator:
     mat = np.zeros(listed.values.shape[:-1] + (listed.d ** 3,) * 2, dtype=complex)
     mat[..., listed.rows, listed.cols] = listed.values
     return DenseOperator(3, listed.d, mat)
+
+
+@lru_cache(maxsize=8)
+def _block_table(terms: tuple, s: tuple[int, ...], d: int) -> np.ndarray:
+    """(T, d^2, d^2) complex, read only: each term's 1|23 block <e_1|sigma^{T_S}|e_1>,
+    its unit entries of _term_index with row and column below d^2."""
+    entries, where = _term_index(terms, s, d)
+    rows, cols = np.divmod(entries[where].reshape(len(terms), -1), d ** 3)
+    term, place = np.nonzero((rows < d * d) & (cols < d * d))     # site 1 at e_1, both sides
+    table = np.zeros((len(terms), d * d, d * d), dtype=complex)
+    table[term, rows[term, place], cols[term, place]] = 1
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=8)
@@ -582,12 +595,10 @@ def _verdict(lam: float, value: float, vecs, recheck, **fields) -> PositivityVer
     return PositivityVerdict(INCONCLUSIVE, lam, value, **{**fields, "certified": False})
 
 
-def _listed_form(block: ListedOperator, vectors: np.ndarray) -> np.ndarray:
-    """v^dagger B v for each member B of the listed stack ``block`` and its
-    row v of ``vectors``, over B's listed entries by one stacked product and
-    no eigensolver: for B the block <e_1|M|e_1>, the form of e_1 (x) v on M."""
-    return np.einsum("mk,mk,mk->m", vectors.conj()[:, block.rows], block.values,
-                     vectors[:, block.cols]).real
+def _block_form(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """v^dagger B v for each block B of ``blocks`` and its row v of ``vectors``,
+    by one stacked product: for B = <e_1|M|e_1>, the form of e_1 (x) v on M."""
+    return np.einsum("mi,mij,mj->m", vectors.conj(), blocks, vectors).real
 
 
 def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: int):
@@ -601,30 +612,28 @@ def check_covariant_block_positive(terms: tuple, s: tuple[int, ...], coeffs, d: 
     the block <e_1|M|e_1> on sites 2 and 3.  The PSD step reads the least
     eigenvalue of the sum from _s3_min_eigenvalue, and a non-PSD verdict is
     ``certified``, unless its minimum is below -PRODUCT_BAND and the form of
-    its product state e_1 (x) v (_listed_form) is not: that verdict is
+    its product state e_1 (x) v (_block_form) is not: that verdict is
     INCONCLUSIVE.  A term that is not a permutation of (1, 2, 3) is a
     ValueError.
 
     Stacked coefficients give the list of the members' verdicts in
-    row-major order, each that of a call on the member alone: one stacked
-    least-eigenvalue solve, then one listing of the non-PSD members, whose
-    blocks are the listed entries with row and column below d^2, one
-    stacked eigh of those and one stacked recheck; no d^3 x d^3 matrix.
+    row-major order, each that of a call on the member alone.  Both steps
+    take the one set of coefficient rows times a cached table: one stacked
+    least-eigenvalue solve of the r x r sums, then the non-PSD members'
+    blocks by one einsum over _block_table (term by term in term order),
+    one stacked eigh of those and one stacked recheck; no d^3 x d^3 matrix.
     The verdicts share one read-only e_1."""
-    lams = _s3_min_eigenvalue(terms, s, coeffs, d)
+    rows = _coefficient_rows(coeffs)
+    lams = _s3_min_eigenvalue(terms, s, rows, d)
     stacked, lams = np.ndim(lams) > 0, np.ravel(lams).tolist()
     verdicts = [PositivityVerdict(PSD, lam, lam) if lam >= -EIG_TOL else None for lam in lams]
     negative = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if negative:
-        rows = _coefficient_rows(coeffs).reshape(-1, len(terms))[negative]
-        listed = _sum_entries(3, d, *_term_index(terms, s, d), rows)
-        first = (listed.rows < d * d) & (listed.cols < d * d)     # site 1 at e_1, both sides
-        block = ListedOperator(2, d, listed.rows[first], listed.cols[first], listed.values[:, first])
-        blocks = np.zeros((len(negative), d * d, d * d), dtype=complex)
-        blocks[:, block.rows, block.cols] = block.values
+        blocks = np.einsum("mt,tij->mij", rows.reshape(-1, len(terms))[negative],
+                           _block_table(terms, s, d))
         values, vectors = np.linalg.eigh(blocks)
         values, vectors = values[:, 0], vectors[:, :, 0]
-        rechecks = _listed_form(block, vectors).tolist()
+        rechecks = _block_form(blocks, vectors).tolist()
         e1 = np.eye(1, d, dtype=complex)[0]
         e1.flags.writeable = False
         for i, value, vector, recheck in zip(negative, values.tolist(), vectors, rechecks):
@@ -694,17 +703,17 @@ def scan_bcs_region(alpha_values, beta_values, d: int) -> list[dict]:
     The kernel is an S_3 sum, so the minimum is the exact one of
     check_covariant_block_positive (``certified``), which draws nothing.  The
     points are classified a stack at a time: each stack holds as many points
-    as fit in verification.STACK_BYTES, at least one, a point the larger of
-    its 4 d^3 listed unit entries and its d^4-entry block, its non-PSD
-    kernels listed and rechecked by one call each, and each verdict is that
-    of the point's kernel alone.  d < 3, where the analytic condition
-    is not stated, is refused before any work.
+    as fit in verification.STACK_BYTES, at least one, a point counting its
+    d^4-entry 1|23 block and its r x r sum (r = 6 from d = 3), its non-PSD
+    kernels' blocks written, solved and rechecked by one call each, and each
+    verdict is that of the point's kernel alone.  d < 3, where the analytic
+    condition is not stated, is refused before any work.
     """
     if d < 3:
         raise ValueError("the analytic condition is stated for d >= 3")
     points = [(alpha, beta) for alpha in alpha_values for beta in beta_values]
     rows, start = [], 0
-    for size in stack_sizes(len(points), max(len(BCS_TERMS) * d ** 3, d ** 4)):
+    for size in stack_sizes(len(points), d ** 4 + 6 * 6):
         chunk = points[start:start + size]
         start += size
         alphas, betas = np.array(chunk, dtype=float).T[..., None, None]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -684,6 +685,66 @@ class TestOutFile:
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
+BAD_VALUES = [
+    ["scan-bcs", "--d", "2", "--alpha", "0:0:1", "--beta", "0:0:1"],
+    ["werner-ppt", "--d", "2", "--r", "0.2,0.05,0.75,0,0.5,0.5"],
+    ["ew-maps", "--d", "2"],
+    ["ew-maps", "--instances", "0"],
+    ["verify-props", "--tuples", "0"],
+    ["scan-bcs", "--alpha", "0:inf:0.1", "--beta", "0:0:1"],
+    ["scan-bcs", "--alpha=-inf:0:1", "--beta", "0:0:1"],
+    ["werner-ppt", "--r", "nan,0,0,0,0,0"],
+    ["werner-ppt", "--r", "inf,0,0,0,0,0"],
+    ["werner-ppt", "--r", "1e308,1e308,0,0,0,0"],
+    ["projector", "--n", "4", "--k", "0", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
+    ["scan-bcs", "--alpha", "0:1:1e-6", "--beta", "0:0:1"],
+    ["scan-bcs", "--alpha", "0:1:1e-3", "--beta", "0:1:1e-3"],
+    ["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1", "--seed", "-1"],
+    ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]",
+     "--seed", "-1"],
+    ["verify-props", "--seed", "-1"],
+    ["ew-maps", "--seed", "-1"],
+    ["scan-bcs", "--alpha", "0:1:0", "--beta", "0:0:1"],
+    ["scan-bcs", "--alpha", "0:1:-0.1", "--beta", "0:0:1"],
+]
+BAD_VALUE_IDS = ["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
+                 "verify-props-tuples", "scan-bcs-alpha-inf",
+                 "scan-bcs-alpha-minus-inf", "werner-ppt-nan", "werner-ppt-inf",
+                 "werner-ppt-overflow", "projector-k-0", "scan-bcs-range-too-long",
+                 "scan-bcs-grid-too-large", "scan-bcs-seed", "projector-seed", "verify-props-seed",
+                 "ew-maps-seed", "scan-bcs-step-zero", "scan-bcs-step-negative"]
+
+# each subcommand takes only the flags it reads
+DROPPED_FLAGS = [
+    (["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1"], ["--restarts", "0"]),
+    (["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1"], ["--restarts", "-3"]),
+    (["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1"], ["--format", "json"]),
+    (["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1"], ["--tolerance", "1e-3"]),
+    (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--tolerance", "nan"]),
+    (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--format", "text"]),
+    (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--seed", "1"]),
+    (["ew-maps", "--row", "f1", "--instances", "1"], ["--format", "json"]),
+    (["verify-props", "--only", "prop6", "--tuples", "1"], ["--tolerance", "1e-3"]),
+    (["verify-props", "--only", "prop6", "--tuples", "1"], ["--tolerance", "nan"]),
+    (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "1e-3"]),
+    (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "nan"]),
+    (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "0"]),
+    (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
+     ["--tolerance", "1e-3"]),
+    (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
+     ["--unitaries", "3"]),
+    (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--format", "json"]),
+    (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--seed", "1"]),
+]
+DROPPED_FLAG_IDS = ["scan-bcs-restarts-0", "scan-bcs-restarts-negative", "scan-bcs-format",
+                    "scan-bcs-tolerance", "werner-ppt-tolerance", "werner-ppt-format",
+                    "werner-ppt-seed",
+                    "ew-maps-format", "verify-props-tolerance", "verify-props-tolerance-nan",
+                    "ew-maps-tolerance", "ew-maps-tolerance-nan", "ew-maps-tolerance-0",
+                    "projector-tolerance", "projector-unitaries", "compose-format-json",
+                    "compose-seed"]
+
+
 class TestFlags:
     def test_unknown_command(self, capsys):
         assert main(["no-such-command"]) == 1
@@ -691,33 +752,7 @@ class TestFlags:
     def test_missing_required(self, capsys):
         assert main(["projector", "--n", "4"]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["scan-bcs", "--d", "2", "--alpha", "0:0:1", "--beta", "0:0:1"],
-        ["werner-ppt", "--d", "2", "--r", "0.2,0.05,0.75,0,0.5,0.5"],
-        ["ew-maps", "--d", "2"],
-        ["ew-maps", "--instances", "0"],
-        ["verify-props", "--tuples", "0"],
-        ["scan-bcs", "--alpha", "0:inf:0.1", "--beta", "0:0:1"],
-        ["scan-bcs", "--alpha=-inf:0:1", "--beta", "0:0:1"],
-        ["werner-ppt", "--r", "nan,0,0,0,0,0"],
-        ["werner-ppt", "--r", "inf,0,0,0,0,0"],
-        ["werner-ppt", "--r", "1e308,1e308,0,0,0,0"],
-        ["projector", "--n", "4", "--k", "0", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
-        ["scan-bcs", "--alpha", "0:1:1e-6", "--beta", "0:0:1"],
-        ["scan-bcs", "--alpha", "0:1:1e-3", "--beta", "0:1:1e-3"],
-        ["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1", "--seed", "-1"],
-        ["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]",
-         "--seed", "-1"],
-        ["verify-props", "--seed", "-1"],
-        ["ew-maps", "--seed", "-1"],
-        ["scan-bcs", "--alpha", "0:1:0", "--beta", "0:0:1"],
-        ["scan-bcs", "--alpha", "0:1:-0.1", "--beta", "0:0:1"],
-    ], ids=["scan-bcs-d", "werner-ppt-d", "ew-maps-d", "ew-maps-instances",
-            "verify-props-tuples", "scan-bcs-alpha-inf",
-            "scan-bcs-alpha-minus-inf", "werner-ppt-nan", "werner-ppt-inf",
-            "werner-ppt-overflow", "projector-k-0", "scan-bcs-range-too-long",
-            "scan-bcs-grid-too-large", "scan-bcs-seed", "projector-seed", "verify-props-seed",
-            "ew-maps-seed", "scan-bcs-step-zero", "scan-bcs-step-negative"])
+    @pytest.mark.parametrize("argv", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_out_of_range_value_fails_on_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
@@ -748,33 +783,7 @@ class TestFlags:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: --out {path}: ")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
 
-    # each subcommand takes only the flags it reads
-    @pytest.mark.parametrize("argv,dropped", [
-        (["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1"], ["--restarts", "0"]),
-        (["scan-bcs", "--alpha", "0.3:0.3:1", "--beta=-0.2:-0.2:1"], ["--restarts", "-3"]),
-        (["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1"], ["--format", "json"]),
-        (["scan-bcs", "--alpha", "0:0:1", "--beta", "0:0:1"], ["--tolerance", "1e-3"]),
-        (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--tolerance", "nan"]),
-        (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--format", "text"]),
-        (["werner-ppt", "--r", "0.2,0.05,0.75,0,0.5,0.5"], ["--seed", "1"]),
-        (["ew-maps", "--row", "f1", "--instances", "1"], ["--format", "json"]),
-        (["verify-props", "--only", "prop6", "--tuples", "1"], ["--tolerance", "1e-3"]),
-        (["verify-props", "--only", "prop6", "--tuples", "1"], ["--tolerance", "nan"]),
-        (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "1e-3"]),
-        (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "nan"]),
-        (["ew-maps", "--row", "f1", "--instances", "1"], ["--tolerance", "0"]),
-        (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
-         ["--tolerance", "1e-3"]),
-        (["projector", "--n", "4", "--k", "1", "--d", "2", "--mu", "[2,1]", "--alpha", "[2]"],
-         ["--unitaries", "3"]),
-        (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--format", "json"]),
-        (["compose", "(1 2)", "(2 3)", "--n", "3"], ["--seed", "1"]),
-    ], ids=["scan-bcs-restarts-0", "scan-bcs-restarts-negative", "scan-bcs-format",
-            "scan-bcs-tolerance", "werner-ppt-tolerance", "werner-ppt-format", "werner-ppt-seed",
-            "ew-maps-format", "verify-props-tolerance", "verify-props-tolerance-nan",
-            "ew-maps-tolerance", "ew-maps-tolerance-nan", "ew-maps-tolerance-0",
-            "projector-tolerance", "projector-unitaries", "compose-format-json",
-            "compose-seed"])
+    @pytest.mark.parametrize("argv,dropped", DROPPED_FLAGS, ids=DROPPED_FLAG_IDS)
     def test_dropped_flag_is_unrecognized(self, capsys, argv, dropped):
         code, out, err = run(capsys, *argv, *dropped)
         assert code == 1 and out == ""
@@ -800,10 +809,111 @@ class TestParserBuiltOnce:
             first.append(run(capsys, *argv))
         assert [code for code, _, _ in first] == [0, 1, 0, 0, 0, 1, 1, 0]
         assert all(err.count("\n") == 1 for code, _, err in first if code == 1)
-        parser = cli.build_parser()
+        # the listing parser and one parser a subcommand, each reused
+        names = ["compose", "scan-bcs", "werner-ppt", "projector"]
+        parsers = [cli.build_parser()] + [cli.build_parser(name) for name in names]
+        assert len({id(p) for p in parsers}) == 1 + len(names)
         for _ in range(2):
             assert [run(capsys, *argv) for argv in self.CALLS] == first
-        assert cli.build_parser() is parser
+        assert [cli.build_parser()] + [cli.build_parser(name) for name in names] == parsers
+        assert cli.build_parser.cache_info().currsize == 1 + len(names)
+
+
+def _reference_parser():
+    """The parser tree main used before each subcommand had its own
+    parser: one add_subparsers tree holding every subcommand and its flags,
+    described by the module docstring less the paragraph on the parsers."""
+    description, parsers = cli.__doc__.rsplit("\n\n", 1)
+    assert description.endswith("\n1 bad flags, 2 numerical failure/contradiction.")
+    assert parsers.startswith("Each subcommand has its own parser")
+    parser = cli._Parser(prog="wba", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func, summary, *flags, seeds=None):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", default=None, help="write output to this file atomically")
+        if seeds:
+            p.add_argument("--seed", type=int, default=0, help=f"seeds {seeds}")
+        if "format" in flags:
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
+        return p
+
+    p = add("verify-props", "cmd_verify_props", "closed forms vs contraction oracle",
+            "format", seeds="the random input tuples")
+    p.add_argument("--only", default=None, help="run only case groups with this prefix")
+    p.add_argument("--tuples", type=int, default=20)
+    p = add("projector", "cmd_projector", "build an irreducible walled-Brauer projector",
+            "format", seeds="only the --emit-map inputs; without --emit-map it changes nothing")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--mu", required=True, help='partition of n-k, e.g. "[2,1]"')
+    p.add_argument("--alpha", required=True, help='partition of n-2k, e.g. "[2]"')
+    p.add_argument("--emit-map", type=int, default=None, metavar="INPUTS",
+                   help="evaluate the induced map on this many random PSD inputs")
+    p = add("scan-bcs", "cmd_scan_bcs", "scan the kernel family over an (alpha, beta) grid",
+            seeds="nothing: every verdict is exact and draws nothing; it is still "
+                  "checked (>= 0) for scripts that pass it")
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--alpha", required=True, help="range start:stop:step")
+    p.add_argument("--beta", required=True, help="range start:stop:step")
+    p = add("werner-ppt", "cmd_werner_ppt", "analytic partial-transpose conditions vs eigencheck")
+    p.add_argument("--r", required=True, help='six values "r+,r-,r0,r1,r2,r3"')
+    p.add_argument("--d", type=int, default=3)
+    p = add("ew-maps", "cmd_ew_maps", "closed-form invariant-state maps vs trace definition",
+            seeds="the random Werner parameters and inputs")
+    p.add_argument("--row", default="all",
+                   help="one of f1,f2,f3,f12,f13,f23,g1,...,g23 or 'all'")
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--instances", type=int, default=50)
+    p = add("compose", "cmd_compose", "diagram calculator: product and loop count")
+    p.add_argument("left", help='diagram text, e.g. "(1 2)^T{2}"')
+    p.add_argument("right")
+    p.add_argument("--n", type=int, required=True, help="number of sites")
+    return parser
+
+
+def _reference_main(argv):
+    """main as it ran on the one tree of _reference_parser."""
+    try:
+        args = _reference_parser().parse_args(cli._attach_signed_values(argv))
+        return getattr(cli, args.func)(args)
+    except cli.CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+
+
+class TestOneParserPerSubcommand:
+    COMMANDS = ["verify-props", "projector", "scan-bcs", "werner-ppt", "ew-maps", "compose"]
+    CALLS = ([["--help"], ["-h"], [], ["no-such-command"], ["--", "compose"], ["-x"]]
+             + [[name, "--help"] for name in COMMANDS] + [[name] for name in COMMANDS]
+             + BAD_VALUES + [argv + dropped for argv, dropped in DROPPED_FLAGS]
+             + [["scan-bcs", "--alpha", "--beta", "0:0:1"], ["projector", "--n", "x"],
+                ["werner-ppt", "--r", "-1,2,3"], ["compose", "(1 2)", "(1 2)", "--n", "2"]])
+
+    @pytest.mark.parametrize("argv", CALLS, ids=" ".join)
+    def test_the_bytes_of_the_one_tree(self, capsys, argv):
+        # every help text, error line, output and exit code as the one
+        # add_subparsers tree gave them
+        want = (_reference_main(list(argv)), *capsys.readouterr())
+        assert run(capsys, *argv) == want
+
+    def test_one_parser_a_call(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        cli.build_parser.cache_clear()
+        argv = ["scan-bcs", "--alpha", "0:0:1", "--beta=-0.1:-0.1:1"]
+        assert run(capsys, *argv)[0] == 0 and built == ["wba scan-bcs"]
+        assert run(capsys, *argv)[0] == 0 and built == ["wba scan-bcs"]
+        cli.build_parser.cache_clear()
 
 
 class TestProjectorLabels:

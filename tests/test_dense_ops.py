@@ -366,6 +366,26 @@ class TestRandomAndEigen:
             tracemalloc.stop()
         assert peak <= kernel.mat.nbytes + kernel.mat.real.nbytes + 2 ** 16, peak / 2 ** 20
 
+    @pytest.mark.parametrize("kind", [complex, float])
+    def test_a_stack_check_holds_one_copy(self, kind, rng):
+        # 1000 hermitian 6 x 6 members, the PSD step's r x r sums: the check
+        # holds one copy of the stack, each step in place, and a complex
+        # stack's moduli pass through numpy's cast buffer (8192 floats); it
+        # once held the copy, a buffer for the transposed operand and the
+        # moduli, about three stacks
+        z = rng.standard_normal((2, 1000, 6, 6))
+        mats = (z[0] + 1j * z[1] if kind is complex else z[0]).astype(kind)
+        m = DenseOperator(1, 6, mats + mats.conj().swapaxes(1, 2))
+        min_eigenvalue(m)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            min_eigenvalue(m)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.mat.nbytes + 8192 * 8 + 2 ** 14, peak
+
     def test_a_real_operator_is_left_as_it_is(self):
         # the difference is taken in a copy, also of a real M
         m = DenseOperator(1, 2, np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -147,22 +147,22 @@ class TestBcsKernel:
         assert np.isclose(np.trace(kernel.mat), expect)
 
     def test_scan_kernels_equal_term_by_term_sum(self, monkeypatch):
-        # the kernels the scan lists, each member written out here
-        scanned = []
-        real_sum_entries = ent._sum_entries
-
-        def recorded(*args):
-            listed = real_sum_entries(*args)
-            scanned.extend(ent._dense(listed).mat)
-            return listed
-
-        monkeypatch.setattr(ent, "_sum_entries", recorded)
-        alphas, betas = [0.0, 0.3, 1 / 3], [-0.45, 0.0, 0.1]
-        scan_bcs_region(alphas, betas, 3)
+        # the 1|23 blocks the scan eigensolves, one a non-PSD point in grid
+        # order, against the block <e_1|M|e_1> of the dense term-by-term sum
+        solved = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (
+            solved.extend(a.copy() if a.shape[-2:] == (9, 9) else []) or real_eigh(a)))
+        alphas, betas = [0.0, 0.3, 1 / 3, 2.0], [-0.45, 0.0, 0.1]
+        rows = scan_bcs_region(alphas, betas, 3)
+        monkeypatch.undo()
         points = [(a, b) for a in alphas for b in betas]
-        assert len(scanned) == len(points)      # every member of every stack, in grid order
-        for mat, (alpha, beta) in zip(scanned, points):
-            assert np.array_equal(mat, _dense_bcs_kernel(alpha, beta, 3))
+        negative = [(r["alpha"], r["beta"]) for r in rows if r["class"] != ent.PSD]
+        assert 0 < len(negative) < len(points) and len(solved) == len(negative)
+        for block, (alpha, beta) in zip(solved, negative):
+            dense = _dense_bcs_kernel(alpha, beta, 3)
+            assert np.array_equal(_bits(block), _bits(dense.reshape(3, 9, 3, 9)[0, :, 0]))
+        for alpha, beta in points:
             assert np.array_equal(bcs_kernel(alpha, beta, 3).mat, _dense_bcs_kernel(alpha, beta, 3))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -587,7 +587,7 @@ class TestCovariantBlockMinimum:
 
 class TestStackedRecheck:
     # check_covariant_block_positive rechecks the product states of a
-    # stack's non-PSD members by one call of _listed_form, whose values the
+    # stack's non-PSD members by one call of _block_form, whose values the
     # violating members' verdicts read
     MIXED = [(0.0, -0.5), (5.0, -0.1), (0.25, -0.1), (0.0, 1e20), (0.1, -0.3)]
 
@@ -595,8 +595,7 @@ class TestStackedRecheck:
         alphas, betas = np.array(self.MIXED).T[..., None, None]
         coeffs = (1, 1, alphas, betas)
         confirmed = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), coeffs, 3)
-        monkeypatch.setattr(ent, "_listed_form",
-                            lambda block, vectors: np.zeros(len(vectors)))
+        monkeypatch.setattr(ent, "_block_form", lambda blocks, vectors: np.zeros(len(vectors)))
         refuted = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), coeffs, 3)
         assert {v.classification for v in confirmed} == {
             ent.PSD, ent.WITNESS_CANDIDATE, ent.NOT_BLOCK_POSITIVE, ent.INCONCLUSIVE}
@@ -608,10 +607,24 @@ class TestStackedRecheck:
             else:
                 assert after == before
 
+    def test_the_coefficient_rows_are_built_once(self, monkeypatch):
+        # the PSD step and the block step read one set of rows: the second
+        # call gets the rows themselves, returned as they are
+        calls, real = [], ent._coefficient_rows
+        monkeypatch.setattr(ent, "_coefficient_rows", lambda coeffs: (
+            calls.append(coeffs) or real(coeffs)))
+        alphas, betas = np.array(self.MIXED).T[..., None, None]
+        verdicts = ent.check_covariant_block_positive(ent.BCS_TERMS, (2,), (1, 1, alphas, betas), 3)
+        assert [isinstance(c, np.ndarray) for c in calls] == [False, True]
+        assert real(calls[1]) is calls[1] and calls[1].shape == (len(self.MIXED), 4)
+        monkeypatch.undo()
+        assert verdicts == [_bcs_verdict(alpha, beta) for alpha, beta in self.MIXED]
+
     def test_the_grid_is_rechecked_a_stack_at_a_time(self, monkeypatch):
-        # the golden 11 x 13 grid at d = 3, one stack (151 points fit): no
-        # per-point reorder, Kronecker product or form, one recheck of the
-        # stack's 136 non-PSD members, 67 of them violations
+        # the golden 11 x 13 grid at d = 3 in two stacks (140 points fit):
+        # no per-point reorder, Kronecker product or form, one recheck of
+        # the first stack's 136 non-PSD members, 67 of them violations, and
+        # none of the second's three PSD points
         calls = {"product_state_value": 0, "_blocked_tensor": 0, "kron_all": 0}
 
         def spy(module, name):
@@ -625,9 +638,9 @@ class TestStackedRecheck:
                              (dense_ops, "kron_all")):
             spy(module, name)
         rechecked = []
-        real_recheck = ent._listed_form
-        monkeypatch.setattr(ent, "_listed_form", lambda block, vectors: (
-            rechecked.append(len(vectors)) or real_recheck(block, vectors)))
+        real_recheck = ent._block_form
+        monkeypatch.setattr(ent, "_block_form", lambda blocks, vectors: (
+            rechecked.append(len(vectors)) or real_recheck(blocks, vectors)))
         rows = scan_bcs_region(BENCH_ALPHAS, BENCH_BETAS, 3)
         assert calls == {"product_state_value": 0, "_blocked_tensor": 0, "kron_all": 0}
         violations = sum(r["class"] == ent.NOT_BLOCK_POSITIVE for r in rows)
@@ -651,8 +664,8 @@ class TestStackedRecheck:
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
     def test_the_listed_block_is_the_dense_one_bit_for_bit(self, d, rng, monkeypatch):
-        # the 1|23 block written from the listed entries against the block
-        # <e_1|M|e_1> of the dense kernel and of each dense rho^{T_S}
+        # the 1|23 block written from the terms' block table against the
+        # block <e_1|M|e_1> of the dense kernel and of each dense rho^{T_S}
         alphas, betas = rng.uniform(-1.0, 1.0, (2, 8))
         verdicts, blocks = self.solved_blocks(monkeypatch, ent.BCS_TERMS, (2,),
                                               (1, 1, alphas[:, None, None], betas[:, None, None]), d)
@@ -705,6 +718,38 @@ class TestStackedRecheck:
                     assert value < -PRODUCT_BAND
                     assert value == pytest.approx(verdict.product_min_estimate, abs=1e-12)
         assert violations > 0
+
+
+class TestBlockTable:
+    """Each term's 1|23 block <e_1|sigma^{T_S}|e_1>, the table the non-PSD
+    step multiplies by the coefficient rows."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_each_term_is_its_dense_block(self, d):
+        for terms, subsets in ((ent.WERNER_TERMS, ALL_SUBSETS), (ent.BCS_TERMS, [(2,)])):
+            for s in subsets:
+                table = ent._block_table(terms, s, d)
+                assert table.shape == (len(terms), d * d, d * d) and table.dtype == complex
+                assert not table.flags.writeable
+                for term, block in zip(terms, table):
+                    dense = realize(from_permutation(Permutation(term), set(s)), d)
+                    assert np.array_equal(block, dense.reshape(d, d * d, d, d * d)[0, :, 0])
+
+    def test_the_d16_table_is_its_own_bytes(self):
+        # four 256 x 256 complex blocks, 4 MiB, beside the kernel's cached
+        # listing structure; no d^3 x d^3 term is held
+        ent._block_table.cache_clear()
+        ent._term_index.cache_clear()
+        tracemalloc.start()
+        try:
+            table = ent._block_table(ent.BCS_TERMS, (2,), 16)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            ent._block_table.cache_clear()
+            ent._term_index.cache_clear()
+        assert table.nbytes == 4 << 20
+        assert table.nbytes <= held < table.nbytes + (1 << 20), held
 
 
 # the index of each WERNER_TERMS permutation's inverse: (sigma^{T_S})^dagger
@@ -764,11 +809,13 @@ class TestS3MinEigenvalue:
         assert stacked.tolist() == alone
 
     def test_a_scan_stack_holds_one_sum_a_point(self, monkeypatch):
-        # scan_bcs_region sizes a d = 3 stack by a point's 4 d^3 = 108
-        # listed entries: 151 points.  Up to the eigensolve a point holds its
-        # r x r = 36-entry sum and its coefficient row, below 2 r^2 entries;
-        # a (T, r, r) product of the terms would hold T r^2 = 144
-        size = verification.stack_sizes(1000, len(ent.BCS_TERMS) * 27)[0]
+        # scan_bcs_region sizes a d = 3 stack by a point's d^4 = 81-entry
+        # block and r x r = 36-entry sum: 140 points.  Up to the eigensolve
+        # a point holds its sum and its coefficient row, below 2 r^2
+        # entries; a (T, r, r) product of the terms would hold T r^2 = 144.
+        # The hermiticity check adds one copy of the sums, so the whole step
+        # stays within what the sizing counts
+        size = verification.stack_sizes(1000, 81 + 36)[0]
         alphas, betas = np.random.default_rng(2).uniform(-1.0, 1.0, (2, size, 1, 1))
         coeffs = (1, 1, alphas, betas)
         ent._s3_min_eigenvalue(ent.BCS_TERMS, (2,), coeffs, 3)     # the table is cached
@@ -781,10 +828,12 @@ class TestS3MinEigenvalue:
         tracemalloc.start()
         try:
             ent._s3_min_eigenvalue(ent.BCS_TERMS, (2,), coeffs, 3)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert size == 151 and len(peaks) == 1
+        assert size == 140 and len(peaks) == 1
         assert peaks[0] <= size * 2 * 36 * 16
+        assert peak <= size * (81 + 36) * 16, peak
 
     def test_a_non_hermitian_sum_is_refused(self):
         # a complex coefficient on the identity, a self-adjoint term
@@ -1525,22 +1574,31 @@ class TestScan:
         # deep in the positive region the kernel is actually PSD
         assert far["class"] == ent.PSD and far["min_eig"] >= -1e-9
 
-    def test_one_listing_per_stack(self, monkeypatch):
-        # the golden 11 x 13 grid at d = 3, one stack (151 points fit): its
-        # 136 non-PSD kernels listed once, the 7 PSD ones never; at one
-        # point a stack, one listing per non-PSD point
+    def test_one_block_build_per_stack(self, monkeypatch):
+        # the golden 11 x 13 grid at d = 3 in stacks of 140 points: the 136
+        # non-PSD kernels of the first stack get their blocks from one
+        # einsum over the block table, its 4 PSD ones and the second stack's
+        # 3 none; at one point a stack, one build per non-PSD point
         alphas = [i / 10 for i in range(11)]
         betas = [round(-0.5 + j * 0.05, 12) for j in range(13)]
-        for stack_bytes, listings in ((verification.STACK_BYTES, [136]), (0, [1] * 136)):
-            members = []
-            real_sum_entries = ent._sum_entries
+        for stack_bytes, stacks, builds in ((verification.STACK_BYTES, [140, 3], [136]),
+                                            (0, [1] * 143, [1] * 136)):
+            members, sizes = [], []
+            real_einsum, real_check = np.einsum, ent.check_covariant_block_positive
+
+            def einsum(subscripts, *operands):
+                if subscripts == "mt,tij->mij":
+                    assert operands[1] is ent._block_table(ent.BCS_TERMS, (2,), 3)
+                    members.append(len(operands[0]))
+                return real_einsum(subscripts, *operands)
             monkeypatch.setattr(verification, "STACK_BYTES", stack_bytes)
-            monkeypatch.setattr(ent, "_sum_entries", lambda *args: (
-                members.append(len(args[-1])) or real_sum_entries(*args)))
+            monkeypatch.setattr(np, "einsum", einsum)
+            monkeypatch.setattr(ent, "check_covariant_block_positive", lambda *args: (
+                sizes.append(len(args[2][2])) or real_check(*args)))
             rows = scan_bcs_region(alphas, betas, 3)
-            assert len(rows) == 143 and sum(r["class"] != ent.PSD for r in rows) == 136
-            assert members == listings
             monkeypatch.undo()
+            assert len(rows) == 143 and sum(r["class"] != ent.PSD for r in rows) == 136
+            assert sizes == stacks and members == builds
 
     def test_peak_memory_is_a_few_stacks(self):
         alphas, betas = np.linspace(-1.0, 1.0, 20), np.linspace(-0.6, 0.4, 25)
